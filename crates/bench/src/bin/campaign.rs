@@ -47,6 +47,12 @@ fn die(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// Where this process's kernel evaluations went (stderr only: every
+/// artifact stays byte-identical whatever the memo did).
+fn report_kernel_memo() {
+    eprintln!("{}", cpc_charmm::KernelMemo::global().stats());
+}
+
 /// Drives the full factorial through the crash-safe job service. On a
 /// scheduled kill the process exits with [`EXIT_CELL_BUDGET`], exactly
 /// like an exhausted `--max-cells` budget; otherwise the queue is
@@ -116,6 +122,7 @@ fn run_service(
              re-run with --resume to continue",
             outcome.executed
         );
+        report_kernel_memo();
         std::process::exit(EXIT_CELL_BUDGET);
     }
     if !outcome.drained || outcome.abandoned > 0 {
@@ -123,6 +130,7 @@ fn run_service(
             "service did not drain: {} cell(s) dead-lettered",
             outcome.abandoned
         );
+        report_kernel_memo();
         std::process::exit(1);
     }
 }
@@ -216,4 +224,5 @@ fn main() {
         println!("  {}", p.display());
     }
     println!("  {}", journal_path.display());
+    report_kernel_memo();
 }

@@ -213,6 +213,8 @@ fn serve(
             eprintln!(
                 "serve: injected kill fired; exiting — restart with the same --root to resume"
             );
+            // The one exit `serve` takes on its own.
+            eprintln!("{}", cpc_charmm::KernelMemo::global().stats());
             std::process::exit(EXIT_CELL_BUDGET);
         }
         if report.granted > 0 {

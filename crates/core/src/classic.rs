@@ -3,7 +3,10 @@
 //! bonded terms, then partial forces and energies are combined with an
 //! all-to-all collective (CHARMM's global force combine).
 
-use crate::decomp::{balanced_pair_cuts, balanced_pair_cuts_weighted, classic_partition};
+use crate::decomp::{
+    balanced_pair_cuts, balanced_pair_cuts_weighted, classic_partition, ClassicPartition,
+};
+use crate::memo::{classic_key, KernelMemo, KernelOutput};
 use cpc_cluster::{CostModel, Phase};
 use cpc_md::bonded::{bonded_energy_forces_range, BondedEnergies};
 use cpc_md::nonbonded::{nonbonded_energy_forces, NonbondedEnergies, NonbondedOptions};
@@ -65,7 +68,54 @@ pub fn classic_energy_parallel_with(
     cost: &CostModel,
     combine: CombineAlgo,
 ) -> ClassicResult {
-    classic_energy_parallel_weighted(comm, system, pairs, opts, cost, combine, None)
+    classic_energy_parallel_weighted(comm, system, pairs, opts, cost, combine, None, None)
+}
+
+/// This rank's share of the classic energy: its pair block and its
+/// bonded blocks, accumulated into a zeroed force array.
+fn rank_kernel(
+    system: &System,
+    my_pairs: &[(u32, u32)],
+    part: &ClassicPartition,
+    opts: &NonbondedOptions,
+) -> KernelOutput {
+    let topo = &system.topology;
+    let mut forces = vec![Vec3::ZERO; system.n_atoms()];
+    let (nonbonded, pairs_evaluated) = nonbonded_energy_forces(
+        topo,
+        &system.pbox,
+        &system.positions,
+        my_pairs,
+        opts,
+        &mut forces,
+    );
+    let (bonded, bonded_terms) = bonded_energy_forces_range(
+        topo,
+        &system.pbox,
+        &system.positions,
+        &mut forces,
+        part.bonds.clone(),
+        part.angles.clone(),
+        part.dihedrals.clone(),
+        part.impropers.clone(),
+    );
+    KernelOutput {
+        forces,
+        bonded,
+        nonbonded,
+        pairs_evaluated,
+        bonded_terms,
+    }
+}
+
+/// The paper's platform factors of the cell `comm` runs in — network,
+/// CPUs per node, middleware — packed into one word: the factors that
+/// never move a bit of the trajectory, and so the ones the memo shares
+/// a kernel output across.
+fn platform_of(comm: &mut Comm<'_>) -> u64 {
+    let middleware = comm.middleware() as u64;
+    let cluster = comm.ctx().config();
+    (cluster.network as u64) << 32 | (cluster.cpus_per_node as u64) << 8 | middleware
 }
 
 /// [`classic_energy_parallel_with`] with optional per-rank capacity
@@ -74,6 +124,14 @@ pub fn classic_energy_parallel_with(
 /// to its measured speed). `caps[r]` weights logical rank `r`; `None`
 /// — and uniform weights — reproduce the unweighted cuts exactly, so
 /// fault-free runs stay bit-identical.
+///
+/// With a `memo`, this rank's kernel output is looked up by the
+/// content of everything the kernel reads and computed only on a miss
+/// (or when this cell's platform is the only one that ever asked for
+/// it); the compute charge and the combine below run identically
+/// either way. Callers that measure the kernel or may perturb its
+/// inputs or outputs out of band (faults, SDC, ABFT) pass `None`.
+#[allow(clippy::too_many_arguments)]
 pub fn classic_energy_parallel_weighted(
     comm: &mut Comm<'_>,
     system: &System,
@@ -82,6 +140,7 @@ pub fn classic_energy_parallel_weighted(
     cost: &CostModel,
     combine: CombineAlgo,
     caps: Option<&[f64]>,
+    memo: Option<&KernelMemo>,
 ) -> ClassicResult {
     let p = comm.size();
     let r = comm.rank();
@@ -99,9 +158,6 @@ pub fn classic_energy_parallel_weighted(
         r,
     );
 
-    let n = system.n_atoms();
-    let mut forces = vec![Vec3::ZERO; n];
-
     // Nonbonded work: CHARMM assigns pair (i, j) to the owner of atom
     // i, with atom blocks weighted by neighbour count so the pair work
     // is balanced (granularity leaves a small residual imbalance that
@@ -110,55 +166,46 @@ pub fn classic_energy_parallel_weighted(
         Some(c) => balanced_pair_cuts_weighted(pairs, p, c),
         None => balanced_pair_cuts(pairs, p),
     };
-    let my_pairs = &pairs[cuts[r]..cuts[r + 1]];
-    let (nonbonded, pairs_evaluated) = nonbonded_energy_forces(
-        topo,
-        &system.pbox,
-        &system.positions,
-        my_pairs,
-        opts,
-        &mut forces,
-    );
-
-    // Bonded blocks.
-    let (bonded, bonded_terms) = bonded_energy_forces_range(
-        topo,
-        &system.pbox,
-        &system.positions,
-        &mut forces,
-        part.bonds.clone(),
-        part.angles.clone(),
-        part.dihedrals.clone(),
-        part.impropers.clone(),
-    );
+    let my_block = cuts[r]..cuts[r + 1];
+    let kernel = || rank_kernel(system, &pairs[my_block.clone()], &part, opts);
+    let (computed, stored);
+    let out: &KernelOutput = match memo {
+        Some(memo) => {
+            let key = classic_key(system, pairs, &my_block, &part, opts);
+            stored = memo.get_or_compute(key, platform_of(comm), kernel);
+            &stored
+        }
+        None => {
+            computed = kernel();
+            &computed
+        }
+    };
 
     // Charge the computation.
-    let skipped = my_pairs.len() - pairs_evaluated;
-    let t = pairs_evaluated as f64 * cost.pair_eval
+    let skipped = my_block.len() - out.pairs_evaluated;
+    let t = out.pairs_evaluated as f64 * cost.pair_eval
         + skipped as f64 * cost.list_pair
-        + bonded_terms as f64 * cost.bonded_term;
+        + out.bonded_terms as f64 * cost.bonded_term;
     comm.ctx().charge_compute(t);
 
     // CHARMM-style combine: forces and energies in one master-based
     // global sum (GCOMB — the "all-to-all collective" of Figure 2).
+    let n = system.n_atoms();
     let mut buf = Vec::with_capacity(3 * n + 6);
-    for f in &forces {
+    for f in &out.forces {
         buf.extend_from_slice(&[f.x, f.y, f.z]);
     }
     buf.extend_from_slice(&[
-        bonded.bond,
-        bonded.angle,
-        bonded.dihedral,
-        bonded.improper,
-        nonbonded.vdw,
-        nonbonded.elec,
+        out.bonded.bond,
+        out.bonded.angle,
+        out.bonded.dihedral,
+        out.bonded.improper,
+        out.nonbonded.vdw,
+        out.nonbonded.elec,
     ]);
     comm.allreduce_with(combine, &mut buf);
 
-    for (i, f) in forces.iter_mut().enumerate() {
-        *f = Vec3::new(buf[3 * i], buf[3 * i + 1], buf[3 * i + 2]);
-    }
-    let e = &buf[3 * n..];
+    let (f, e) = buf.split_at(3 * n);
     ClassicResult {
         bonded: BondedEnergies {
             bond: e[0],
@@ -170,7 +217,10 @@ pub fn classic_energy_parallel_weighted(
             vdw: e[4],
             elec: e[5],
         },
-        forces,
+        forces: f
+            .chunks_exact(3)
+            .map(|c| Vec3::new(c[0], c[1], c[2]))
+            .collect(),
     }
 }
 

@@ -13,6 +13,8 @@
 //!   personalized transposes, and its own closing collective,
 //! * [`driver`] — the velocity-Verlet measurement loop (the paper runs
 //!   10 steps per measurement),
+//! * [`memo`] — the content-addressed memo that lets platform cells
+//!   sharing one decomposition compute the classic kernel once,
 //! * [`report`] — aggregation into the paper's response variables:
 //!   classic/PME wall times, computation / communication /
 //!   synchronization percentages, and per-node communication speeds.
@@ -28,6 +30,7 @@ pub mod ckpt;
 pub mod classic;
 pub mod decomp;
 pub mod driver;
+pub mod memo;
 pub mod pme_par;
 pub mod pme_spatial;
 pub mod recover;
@@ -43,6 +46,7 @@ pub use chaos::{
 pub use ckpt::{CheckpointStore, DurableConfig, FallbackNote, RestoreError, SaveError};
 pub use classic::{classic_energy_parallel, ClassicResult};
 pub use driver::{run_parallel_md, CommTuning, MdConfig, PmeImpl};
+pub use memo::{KernelMemo, MemoStats};
 pub use pme_par::{ParallelPme, PmeParallelResult};
 pub use pme_spatial::SpatialPme;
 pub use recover::{

@@ -25,9 +25,11 @@ use cpc_fft::{transform_axis, Axis, Complex64, Dims3, Direction, FftPlan};
 use cpc_md::pme::{bspline_moduli, compute_splines, influence_element, PmeParams};
 use cpc_md::special::erf;
 use cpc_md::units::COULOMB;
-use cpc_md::{System, Vec3};
+use cpc_md::{PbcBox, System, Vec3};
 use cpc_mpi::{CombineAlgo, Comm};
+use std::cell::RefCell;
 use std::f64::consts::PI;
+use std::ops::Range;
 
 /// ABFT evidence collected during one parallel PME evaluation.
 ///
@@ -79,6 +81,19 @@ pub struct ParallelPme {
     bx: Vec<f64>,
     by: Vec<f64>,
     bz: Vec<f64>,
+    /// Influence weights of the calling rank's column block. One
+    /// engine serves one rank, so after the first evaluation this is a
+    /// hit until the box changes.
+    influence: RefCell<Option<InfluenceBlock>>,
+}
+
+/// Influence weights of one column block, laid out like the block's
+/// `cols` buffer (`weights[c_local * nx + mx]`), with the box and the
+/// block they were computed for.
+struct InfluenceBlock {
+    pbox: PbcBox,
+    cols: Range<usize>,
+    weights: Vec<f64>,
 }
 
 impl ParallelPme {
@@ -97,7 +112,46 @@ impl ParallelPme {
             bx: bspline_moduli(g.nx, params.order),
             by: bspline_moduli(g.ny, params.order),
             bz: bspline_moduli(g.nz, params.order),
+            influence: RefCell::new(None),
         }
+    }
+
+    /// Runs `f` over the influence weights of column block `cols`,
+    /// computing them on the first call and whenever the box or the
+    /// block differs from the stored one.
+    fn with_influence<T>(
+        &self,
+        pbox: &PbcBox,
+        cols: &Range<usize>,
+        f: impl FnOnce(&[f64]) -> T,
+    ) -> T {
+        let mut slot = self.influence.borrow_mut();
+        if !matches!(&*slot, Some(b) if b.pbox == *pbox && b.cols == *cols) {
+            let g = self.params.grid;
+            let mut weights = Vec::with_capacity(cols.len() * g.nx);
+            for c in cols.clone() {
+                let (my, mz) = (c / g.nz, c % g.nz);
+                weights.extend((0..g.nx).map(|mx| {
+                    influence_element(
+                        g,
+                        pbox,
+                        self.params.beta,
+                        &self.bx,
+                        &self.by,
+                        &self.bz,
+                        mx,
+                        my,
+                        mz,
+                    )
+                }));
+            }
+            *slot = Some(InfluenceBlock {
+                pbox: *pbox,
+                cols: cols.clone(),
+                weights,
+            });
+        }
+        f(&slot.as_ref().expect("filled above").weights)
     }
 
     /// Configured parameters.
@@ -155,20 +209,26 @@ impl ParallelPme {
         let x0 = my_planes.start;
         let n_planes = my_planes.len();
         let my_cols = self.decomp.cols(rank);
-        let c0 = my_cols.start;
         let n_cols = my_cols.len();
 
         // --- Charge spreading: my atom block onto a full local mesh.
-        let splines = compute_splines(&system.pbox, &system.positions, g, order);
+        // Only this block's splines are ever read (here and in the
+        // interpolation below); `splines[k]` belongs to atom
+        // `atom_block.start + k`.
         let atom_block = block_range(system.n_atoms(), p, rank);
+        let splines = compute_splines(
+            &system.pbox,
+            &system.positions[atom_block.clone()],
+            g,
+            order,
+        );
         let mut qgrid = vec![0.0f64; g.len()];
         let mut spread_points = 0usize;
-        for i in atom_block.clone() {
+        for (i, sp) in atom_block.clone().zip(&splines) {
             let q = topo.atoms[i].charge;
             if q == 0.0 {
                 continue;
             }
-            let sp = &splines[i];
             for tx in 0..order {
                 let gx = (sp.base[0] + tx as i64).rem_euclid(nx as i64) as usize;
                 let qx = q * sp.w[0][tx];
@@ -233,33 +293,19 @@ impl ParallelPme {
         // --- 1D FFT along x on owned columns, influence multiply with
         // the partial energy, inverse 1D FFT.
         let mut recip_partial = 0.0;
-        {
+        self.with_influence(&system.pbox, &my_cols, |influence| {
             let mut line = vec![Complex64::ZERO; nx];
-            for c_local in 0..n_cols {
-                let c = c0 + c_local;
-                let (my_, mz_) = (c / nz, c % nz);
-                let seg = &mut cols[c_local * nx..(c_local + 1) * nx];
+            for (seg, ws) in cols.chunks_exact_mut(nx).zip(influence.chunks_exact(nx)) {
                 self.plan_x.execute(seg, &mut line, Direction::Forward);
-                for (mx, v) in line.iter_mut().enumerate() {
-                    let w = influence_element(
-                        g,
-                        &system.pbox,
-                        self.params.beta,
-                        &self.bx,
-                        &self.by,
-                        &self.bz,
-                        mx,
-                        my_,
-                        mz_,
-                    );
+                for (v, &w) in line.iter_mut().zip(ws) {
                     recip_partial += 0.5 * w * v.norm_sqr();
                     *v = v.scale(w);
                 }
                 // Unscaled inverse: matches the sequential convolution
                 // grid without any 1/N bookkeeping.
-                self.plan_x.execute(&line.clone(), seg, Direction::Inverse);
+                self.plan_x.execute(&line, seg, Direction::Inverse);
             }
-        }
+        });
         comm.ctx().charge_compute(
             n_cols as f64 * 2.0 * flops_estimate(nx) * cost.fft_flop
                 + (n_cols * nx) as f64 * cost.conv_point,
@@ -306,12 +352,11 @@ impl ParallelPme {
         let l = system.pbox.lengths;
         let du = [nx as f64 / l.x, ny as f64 / l.y, nz as f64 / l.z];
         let mut interp_points = 0usize;
-        for i in atom_block.clone() {
+        for (i, sp) in atom_block.clone().zip(&splines) {
             let q = topo.atoms[i].charge;
             if q == 0.0 {
                 continue;
             }
-            let sp = &splines[i];
             let mut grad = Vec3::ZERO;
             for tx in 0..order {
                 let gx = (sp.base[0] + tx as i64).rem_euclid(nx as i64) as usize;

@@ -459,6 +459,9 @@ fn eval_forces(
         cost,
         tuning.force_combine,
         caps,
+        // Faults, SDC and ABFT repairs change state out of band: a
+        // perturbed run always computes.
+        None,
     );
     let mut probe = EvalProbe::default();
     if abft.enabled {

@@ -8,8 +8,8 @@ use cpc_charmm::chaos::{flatten, ChaosHarness, Reproducer, Violation};
 use cpc_charmm::recover::{AbftConfig, RecoveryConfig};
 use cpc_cluster::{FaultPlan, FaultSpace, LinkDegradation, SdcFault, SdcTarget};
 
-fn harness_with(tag: &str, ranks: usize, steps: usize, abft: AbftConfig) -> ChaosHarness {
-    let mut sys = cpc_md::builder::water_box(2, 3.1);
+fn system_and_config(n_side: usize, ranks: usize, steps: usize) -> (System, MdConfig) {
+    let mut sys = cpc_md::builder::water_box(n_side, 3.1);
     cpc_md::minimize::minimize(&mut sys, EnergyModel::Classic, 40);
     sys.assign_velocities(150.0, 3);
     let cluster = ClusterConfig::uni(ranks, NetworkKind::ScoreGigE).with_stall_timeout(20.0);
@@ -17,6 +17,11 @@ fn harness_with(tag: &str, ranks: usize, steps: usize, abft: AbftConfig) -> Chao
         steps,
         ..MdConfig::paper_protocol(EnergyModel::Classic, Middleware::Mpi, cluster)
     };
+    (sys, cfg)
+}
+
+fn harness_with(tag: &str, ranks: usize, steps: usize, abft: AbftConfig) -> ChaosHarness {
+    let (sys, cfg) = system_and_config(2, ranks, steps);
     let dir = std::env::temp_dir().join(format!("cpc-chaos-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     ChaosHarness::with_options(sys, cfg, dir, RecoveryConfig::default(), abft).unwrap()
@@ -124,4 +129,70 @@ fn detectable_sdc_recovers_bit_identically_through_the_oracles() {
     assert!(report.abft_detections >= 1, "ABFT caught it first");
     assert_eq!(report.watchdog_trips, 0, "no rollback needed");
     assert_eq!(report.max_deviation, 0.0, "repair is exact");
+}
+
+/// The fault-tolerant driver never consults the kernel memo: a run
+/// with planted flips reports the same thing before and after a
+/// fault-free cell of the same system warmed the process-wide memo
+/// with exactly the keys its first evaluations would look up, and the
+/// memo's counters stand still while it runs. (No other test in this
+/// binary calls `run_parallel_md`, so nothing else moves them.)
+#[test]
+fn planted_flips_are_never_served_from_a_warmed_kernel_memo() {
+    use cpc_charmm::{run_parallel_md_faulty, FaultConfig, KernelMemo};
+
+    // 375 atoms: `run_parallel_md` leaves smaller systems unmemoised.
+    let (ranks, steps) = (4, 6);
+    let (sys, cfg) = system_and_config(5, ranks, steps);
+    let plan = FaultPlan::none()
+        .with_sdc(SdcFault {
+            step: 2,
+            target: SdcTarget::Positions,
+            atom: 3,
+            axis: 1,
+            bit: 40,
+        })
+        .with_sdc(SdcFault {
+            step: 4,
+            target: SdcTarget::Forces,
+            atom: 11,
+            axis: 2,
+            bit: 40,
+        });
+    let faulty = |abft: AbftConfig| {
+        let fault = FaultConfig::new(plan.clone()).with_abft(abft);
+        run_parallel_md_faulty(&sys, &cfg, &fault).expect("SDC never stops a run")
+    };
+    let memo = KernelMemo::global();
+
+    let never_warmed = [faulty(AbftConfig::default()), faulty(AbftConfig::armed())];
+    assert_eq!(
+        memo.stats(),
+        Default::default(),
+        "a faulty run touched the memo"
+    );
+
+    let fault_free = run_parallel_md(&sys, &cfg);
+    let warmed = memo.stats();
+    assert_eq!(warmed.misses, (ranks * (steps + 1)) as u64);
+    assert_eq!(warmed.entries, ranks * (steps + 1));
+
+    let after_warming = [faulty(AbftConfig::default()), faulty(AbftConfig::armed())];
+    assert_eq!(memo.stats(), warmed, "a faulty run touched the memo");
+    for (cold, warm) in never_warmed.iter().zip(&after_warming) {
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        assert_eq!(cold.sdc_events, 2, "both flips fired");
+    }
+    // Disarmed, the gray-zone flips reach the trajectory: had the run
+    // been served the fault-free forces, it would match the cell that
+    // warmed the memo.
+    assert_ne!(
+        never_warmed[0].report.final_positions,
+        fault_free.final_positions
+    );
+    // Armed, ABFT repairs them exactly — by recomputing, not by lookup.
+    assert_eq!(
+        never_warmed[1].report.final_positions,
+        fault_free.final_positions
+    );
 }

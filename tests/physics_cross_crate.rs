@@ -143,3 +143,70 @@ fn virtual_time_is_reproducible_but_physics_independent_of_seed() {
     assert_ne!(a.wall_time, c.wall_time);
     assert_eq!(a.final_positions, c.final_positions);
 }
+
+/// The invariant the kernel memo rests on, checked on the live path
+/// and on the memoised one: at a fixed processor count and collective
+/// tuning, no platform factor moves a single bit of the trajectory.
+/// `run_parallel_md_faulty` with an empty plan never consults the memo,
+/// so its runs prove the invariant itself; `run_parallel_md` must then
+/// reproduce the same bits whether its kernels ran or were replayed.
+/// It memoises nothing as small as the quick system, so the default
+/// tuning runs a second time on a 375-atom box, where only the first
+/// platform cell of each p computes and the other eleven replay.
+#[test]
+fn platform_factors_never_move_a_bit_of_the_trajectory() {
+    use cpc_charmm::{run_parallel_md_faulty, CommTuning, FaultConfig, KernelMemo};
+    use cpc_mpi::CombineAlgo;
+    use cpc_workload::factors::{full_factorial, PAPER_PROC_COUNTS};
+    use cpc_workload::runner::{quick_pme_params, quick_system};
+
+    let mut larger = cpc_md::builder::water_box(5, 3.1);
+    cpc_md::minimize::minimize(&mut larger, EnergyModel::Classic, 30);
+    larger.assign_velocities(200.0, 7);
+    let model = EnergyModel::Pme(quick_pme_params());
+    let tunings = [
+        CommTuning::default(),
+        CommTuning {
+            force_combine: CombineAlgo::Tree,
+            grid_sum: CombineAlgo::Tree,
+        },
+    ];
+    let (mut cells, mut lookups) = (0u64, 0u64);
+    for (sys, memoised_size) in [(quick_system(), false), (larger, true)] {
+        let tunings = &tunings[..if memoised_size { 1 } else { 2 }];
+        for procs in PAPER_PROC_COUNTS {
+            for &tuning in tunings {
+                let mut reference: Option<RunReport> = None;
+                for point in full_factorial(&[procs]) {
+                    let cfg = MdConfig {
+                        steps: 2,
+                        tuning,
+                        ..MdConfig::paper_protocol(model, point.middleware, point.cluster())
+                    };
+                    let live = run_parallel_md_faulty(&sys, &cfg, &FaultConfig::default())
+                        .expect("an empty fault plan completes")
+                        .report;
+                    let memoised = cpc_charmm::run_parallel_md(&sys, &cfg);
+                    let want = reference.get_or_insert_with(|| live.clone());
+                    for (path, got) in [("live", &live), ("memoised", &memoised)] {
+                        let at = format!("{} {tuning:?} ({path})", point.label());
+                        assert_eq!(got.final_positions, want.final_positions, "{at}");
+                        assert_eq!(got.final_velocities, want.final_velocities, "{at}");
+                        assert_eq!(got.step_energies, want.step_energies, "{at}");
+                    }
+                    if memoised_size {
+                        cells += 1;
+                        lookups += 3 * procs as u64;
+                    }
+                }
+            }
+        }
+    }
+    // No other test of this binary reaches the 256-atom floor, so the
+    // process-wide counters are this test's: nothing from the quick
+    // system, one computing cell in twelve on the larger one.
+    let stats = KernelMemo::global().stats();
+    assert_eq!(cells, 48);
+    assert_eq!(stats.hits + stats.misses, lookups);
+    assert_eq!(stats.misses * 12, lookups);
+}
