@@ -10,11 +10,12 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use cpc_fft::{Complex64, Dims3, Fft3d, FftPlan};
-use cpc_md::builder::water_box;
+use cpc_md::builder::{myoglobin_raw, water_box};
 use cpc_md::neighbor::NeighborList;
-use cpc_md::nonbonded::{nonbonded_energy_forces, NonbondedOptions};
+use cpc_md::nonbonded::{nonbonded_energy_forces, ElecMethod, NonbondedOptions};
 use cpc_md::pme::{compute_splines, spread_charges, Pme, PmeParams};
-use cpc_md::{EnergyModel, Evaluator, Vec3};
+use cpc_md::{EnergyModel, Evaluator, System, Vec3};
+use cpc_workload::runner::paper_pme_params;
 
 fn signal(n: usize) -> Vec<Complex64> {
     (0..n)
@@ -55,6 +56,34 @@ fn bench_nonbonded(c: &mut Criterion) {
     let list = NeighborList::build(&sys.topology, &sys.pbox, &sys.positions, opts.cutoff, 2.0);
     let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
     c.bench_function(format!("nonbonded_{}_pairs", list.pairs.len()), |b| {
+        b.iter(|| {
+            nonbonded_energy_forces(
+                &sys.topology,
+                &sys.pbox,
+                black_box(&sys.positions),
+                &list.pairs,
+                &opts,
+                &mut forces,
+            )
+        });
+    });
+}
+
+/// Unrelaxed myoglobin, its pair list and the paper's direct-space
+/// options (`beta` such that `erfc(beta * 10 A) ~ 1e-6`).
+fn myoglobin_pme_direct() -> (System, NeighborList, NonbondedOptions) {
+    let sys = myoglobin_raw();
+    let opts = NonbondedOptions::pme_direct(paper_pme_params().beta);
+    let list = NeighborList::build(&sys.topology, &sys.pbox, &sys.positions, opts.cutoff, 2.0);
+    (sys, list, opts)
+}
+
+/// The paper's system under the paper's PME protocol: the row whose
+/// cost is `erfc` (DESIGN.md §20).
+fn bench_nonbonded_pme_direct_myoglobin(c: &mut Criterion) {
+    let (sys, list, opts) = myoglobin_pme_direct();
+    let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
+    c.bench_function("nonbonded_pme_direct_myoglobin", |b| {
         b.iter(|| {
             nonbonded_energy_forces(
                 &sys.topology,
@@ -123,16 +152,37 @@ fn bench_full_energy(c: &mut Criterion) {
     });
 }
 
+/// `beta * r` of every charged in-cutoff pair of the myoglobin list —
+/// the arguments a PME step actually evaluates (four in five beyond the
+/// series/continued-fraction crossover).
+fn myoglobin_beta_r() -> Vec<f64> {
+    let (sys, list, opts) = myoglobin_pme_direct();
+    let ElecMethod::EwaldDirect { beta } = opts.elec else {
+        unreachable!("pme_direct is EwaldDirect")
+    };
+    list.pairs
+        .iter()
+        .filter_map(|&(i, j)| {
+            let (i, j) = (i as usize, j as usize);
+            let r = sys.pbox.distance(sys.positions[i], sys.positions[j]);
+            let charged = sys.topology.atoms[i].charge * sys.topology.atoms[j].charge != 0.0;
+            (r < opts.cutoff && charged).then_some(beta * r)
+        })
+        .collect()
+}
+
 fn bench_special_functions(c: &mut Criterion) {
-    c.bench_function("erfc", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for i in 0..100 {
-                acc += cpc_md::special::erfc(black_box(i as f64 * 0.05));
-            }
-            acc
-        });
+    let x = myoglobin_beta_r();
+    let mut group = c.benchmark_group(format!("erfc_myoglobin_{}_args", x.len()));
+    group.bench_function("scalar", |b| {
+        b.iter(|| x.iter().map(|&x| cpc_md::special::erfc(x)).sum::<f64>());
     });
+    let mut out = vec![0.0; x.len()];
+    let mut gauss = vec![0.0; x.len()];
+    group.bench_function("erfc_batch", |b| {
+        b.iter(|| cpc_md::special::erfc_batch(black_box(&x), &mut out, &mut gauss));
+    });
+    group.finish();
 }
 
 criterion_group!(
@@ -140,6 +190,7 @@ criterion_group!(
     bench_fft_1d,
     bench_fft_3d_paper_grid,
     bench_nonbonded,
+    bench_nonbonded_pme_direct_myoglobin,
     bench_neighbor_build,
     bench_pme_spread,
     bench_pme_full,

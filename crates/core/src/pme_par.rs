@@ -22,8 +22,8 @@ use crate::decomp::{block_range, PmeDecomp};
 use cpc_cluster::{CostModel, Phase};
 use cpc_fft::plan::flops_estimate;
 use cpc_fft::{transform_axis, Axis, Complex64, Dims3, Direction, FftPlan};
+use cpc_md::nonbonded::ewald_excluded_correction_range;
 use cpc_md::pme::{bspline_moduli, compute_splines, influence_element, PmeParams};
-use cpc_md::special::erf;
 use cpc_md::units::COULOMB;
 use cpc_md::{PbcBox, System, Vec3};
 use cpc_mpi::{CombineAlgo, Comm};
@@ -380,30 +380,14 @@ impl ParallelPme {
 
         // --- Excluded-pair corrections over this rank's atom block.
         let beta = self.params.beta;
-        let mut excl_partial = 0.0;
-        let mut excl_count = 0usize;
-        for i in atom_block.clone() {
-            for &j in &topo.exclusions[i] {
-                let j = j as usize;
-                let qq = COULOMB * topo.atoms[i].charge * topo.atoms[j].charge;
-                if qq == 0.0 {
-                    continue;
-                }
-                let d = system
-                    .pbox
-                    .min_image(system.positions[i], system.positions[j]);
-                let r2 = d.norm_sqr();
-                let r = r2.sqrt();
-                let br = beta * r;
-                let ef = erf(br);
-                excl_partial -= qq * ef / r;
-                let de_dr = -qq * (2.0 * beta / PI.sqrt() * (-br * br).exp() / r - ef / r2);
-                let fv = d * (-de_dr / r);
-                forces[i] += fv;
-                forces[j] -= fv;
-                excl_count += 1;
-            }
-        }
+        let (excl_partial, excl_count) = ewald_excluded_correction_range(
+            topo,
+            &system.pbox,
+            &system.positions,
+            beta,
+            atom_block.clone(),
+            &mut forces,
+        );
         comm.ctx()
             .charge_compute(excl_count as f64 * cost.excl_pair);
 

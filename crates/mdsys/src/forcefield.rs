@@ -121,6 +121,19 @@ pub enum AtomClass {
 }
 
 impl AtomClass {
+    /// Every class, in declaration order (`ALL[c as usize] == c`).
+    pub const ALL: [AtomClass; 9] = [
+        AtomClass::C,
+        AtomClass::CT,
+        AtomClass::N,
+        AtomClass::H,
+        AtomClass::HA,
+        AtomClass::O,
+        AtomClass::OW,
+        AtomClass::HW,
+        AtomClass::S,
+    ];
+
     /// Lennard-Jones parameters for this class.
     pub fn lj(self) -> LjParam {
         match self {
@@ -266,17 +279,8 @@ mod tests {
 
     #[test]
     fn masses_are_physical() {
-        for class in [
-            AtomClass::C,
-            AtomClass::CT,
-            AtomClass::N,
-            AtomClass::H,
-            AtomClass::HA,
-            AtomClass::O,
-            AtomClass::OW,
-            AtomClass::HW,
-            AtomClass::S,
-        ] {
+        for (index, class) in AtomClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, index);
             assert!(class.mass() >= 1.0 && class.mass() <= 33.0);
             assert!(class.lj().eps > 0.0);
             assert!(class.lj().rmin_half > 0.0);

@@ -56,7 +56,6 @@ pub mod sdc;
 pub mod snapshot;
 pub mod special;
 pub mod system;
-pub mod tables;
 pub mod thermostat;
 pub mod topology;
 pub mod units;

@@ -4,8 +4,9 @@
 //! 10 Angstrom) or Ewald direct-space form (the short-range half of the
 //! PME model).
 
+use crate::forcefield::AtomClass;
 use crate::pbc::PbcBox;
-use crate::special::{erf, erfc};
+use crate::special::{erf_batch, erfc_batch};
 use crate::topology::Topology;
 use crate::units::COULOMB;
 use crate::vec3::Vec3;
@@ -85,19 +86,121 @@ impl NonbondedEnergies {
 /// Returns `(S, dS/dr)`; `S = 1` below `ron` and `0` above `roff`.
 #[inline]
 pub fn switch_fn(r: f64, ron: f64, roff: f64) -> (f64, f64) {
-    if r <= ron {
-        (1.0, 0.0)
-    } else if r >= roff {
-        (0.0, 0.0)
-    } else {
-        let r2 = r * r;
+    Switch::new(ron, roff).eval(r)
+}
+
+/// [`switch_fn`] with everything that does not depend on `r` computed
+/// once.
+struct Switch {
+    ron: f64,
+    roff: f64,
+    ron2: f64,
+    roff2: f64,
+    denom: f64,
+}
+
+impl Switch {
+    fn new(ron: f64, roff: f64) -> Self {
         let ron2 = ron * ron;
         let roff2 = roff * roff;
-        let denom = (roff2 - ron2).powi(3);
-        let a = roff2 - r2;
-        let s = a * a * (roff2 + 2.0 * r2 - 3.0 * ron2) / denom;
-        let ds = -12.0 * r * a * (r2 - ron2) / denom;
-        (s, ds)
+        Switch {
+            ron,
+            roff,
+            ron2,
+            roff2,
+            denom: (roff2 - ron2).powi(3),
+        }
+    }
+
+    #[inline]
+    fn eval(&self, r: f64) -> (f64, f64) {
+        if r <= self.ron {
+            (1.0, 0.0)
+        } else if r >= self.roff {
+            (0.0, 0.0)
+        } else {
+            let Switch {
+                ron2, roff2, denom, ..
+            } = *self;
+            let r2 = r * r;
+            let a = roff2 - r2;
+            let s = a * a * (roff2 + 2.0 * r2 - 3.0 * ron2) / denom;
+            let ds = -12.0 * r * a * (r2 - ron2) / denom;
+            (s, ds)
+        }
+    }
+}
+
+/// Pair parameters `(eps_ij, rmin_ij)` of every class pair, indexed by
+/// `AtomClass as usize`.
+fn lj_pair_table() -> [[(f64, f64); AtomClass::ALL.len()]; AtomClass::ALL.len()] {
+    AtomClass::ALL.map(|a| AtomClass::ALL.map(|b| a.lj().combine(b.lj())))
+}
+
+/// Pairs gathered, batched and accumulated at a time: large enough
+/// that a partly filled last flush of [`erfc_batch`] is a few percent
+/// of a tile's arguments, small enough that the tile stays in L1.
+const TILE: usize = 256;
+
+/// The interacting pairs of one stretch of a pair list, in list order,
+/// on the stack.
+struct Tile {
+    len: usize,
+    i: [u32; TILE],
+    j: [u32; TILE],
+    d: [Vec3; TILE],
+    r2: [f64; TILE],
+    r: [f64; TILE],
+    qq: [f64; TILE],
+    /// `beta * r` of the pairs that need `erf`/`erfc` of it, in the
+    /// same order, and beside it what the batch returned.
+    charged: usize,
+    br: [f64; TILE],
+    special: [f64; TILE],
+    gauss: [f64; TILE],
+}
+
+impl Tile {
+    fn new() -> Self {
+        Tile {
+            len: 0,
+            i: [0; TILE],
+            j: [0; TILE],
+            d: [Vec3::ZERO; TILE],
+            r2: [0.0; TILE],
+            r: [0.0; TILE],
+            qq: [0.0; TILE],
+            charged: 0,
+            br: [0.0; TILE],
+            special: [0.0; TILE],
+            gauss: [0.0; TILE],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.charged = 0;
+    }
+
+    #[inline]
+    fn push(&mut self, i: u32, j: u32, d: Vec3, r2: f64, r: f64, qq: f64) {
+        let n = self.len;
+        (self.i[n], self.j[n]) = (i, j);
+        (self.d[n], self.r2[n], self.r[n], self.qq[n]) = (d, r2, r, qq);
+        self.len += 1;
+    }
+
+    #[inline]
+    fn push_charged(&mut self, br: f64) {
+        self.br[self.charged] = br;
+        self.charged += 1;
+    }
+
+    /// Runs `batch` (`erf_batch` or `erfc_batch`) over the queued
+    /// `beta * r`.
+    fn evaluate(&mut self, batch: fn(&[f64], &mut [f64], &mut [f64])) {
+        let q = self.charged;
+        batch(&self.br[..q], &mut self.special[..q], &mut self.gauss[..q]);
     }
 }
 
@@ -105,6 +208,12 @@ pub fn switch_fn(r: f64, ron: f64, roff: f64) -> (f64, f64) {
 /// accumulating forces. Returns energies and the number of pairs whose
 /// interaction was actually computed (within the cutoff) — the figure
 /// the cost model charges for.
+///
+/// The list is walked a tile at a time in three passes — gather the
+/// in-cutoff pairs, evaluate `erfc` for all of them side by side,
+/// accumulate in list order — so the one expensive function runs in
+/// lanes while every sum keeps the order of a plain pair loop
+/// (DESIGN.md §20).
 pub fn nonbonded_energy_forces(
     topo: &Topology,
     pbox: &PbcBox,
@@ -114,55 +223,79 @@ pub fn nonbonded_energy_forces(
     forces: &mut [Vec3],
 ) -> (NonbondedEnergies, usize) {
     let cutoff2 = opts.cutoff * opts.cutoff;
+    let lj = lj_pair_table();
+    let switch = Switch::new(opts.switch_on, opts.cutoff);
+    // Read by `EwaldDirect` only.
+    let two_beta_over_sqrt_pi = match opts.elec {
+        ElecMethod::EwaldDirect { beta } => 2.0 * beta / PI.sqrt(),
+        _ => 0.0,
+    };
     let mut e = NonbondedEnergies::default();
     let mut evaluated = 0usize;
+    let mut tile = Tile::new();
 
-    for &(i, j) in pairs {
-        let i = i as usize;
-        let j = j as usize;
-        let d = pbox.min_image(positions[i], positions[j]);
-        let r2 = d.norm_sqr();
-        if r2 >= cutoff2 {
-            continue;
-        }
-        evaluated += 1;
-        let r = r2.sqrt();
-
-        // Lennard-Jones with switching.
-        let (eps, rmin) = topo.atoms[i].class.lj().combine(topo.atoms[j].class.lj());
-        let u = (rmin * rmin / r2).powi(3);
-        let e_lj = eps * (u * u - 2.0 * u);
-        let de_lj = -12.0 * eps * u * (u - 1.0) / r;
-        let (s, ds) = switch_fn(r, opts.switch_on, opts.cutoff);
-        e.vdw += e_lj * s;
-        let mut de_dr = de_lj * s + e_lj * ds;
-
-        // Electrostatics.
-        let qq = COULOMB * topo.atoms[i].charge * topo.atoms[j].charge;
-        match opts.elec {
-            ElecMethod::None => {}
-            ElecMethod::Shift => {
-                if qq != 0.0 {
-                    let roff2 = cutoff2;
-                    let t = 1.0 - r2 / roff2;
-                    e.elec += qq * t * t / r;
-                    de_dr += qq * (-t * t / r2 - 4.0 * t / roff2);
-                }
+    for chunk in pairs.chunks(TILE) {
+        // Gather.
+        tile.clear();
+        for &(i, j) in chunk {
+            let d = pbox.min_image(positions[i as usize], positions[j as usize]);
+            let r2 = d.norm_sqr();
+            if r2 >= cutoff2 {
+                continue;
             }
-            ElecMethod::EwaldDirect { beta } => {
+            let r = r2.sqrt();
+            let qq = COULOMB * topo.atoms[i as usize].charge * topo.atoms[j as usize].charge;
+            tile.push(i, j, d, r2, r, qq);
+            if let ElecMethod::EwaldDirect { beta } = opts.elec {
                 if qq != 0.0 {
-                    let br = beta * r;
-                    let ec = erfc(br);
-                    e.elec += qq * ec / r;
-                    de_dr += qq * (-ec / r2 - 2.0 * beta / PI.sqrt() * (-br * br).exp() / r);
+                    tile.push_charged(beta * r);
                 }
             }
         }
+        evaluated += tile.len;
 
-        // F_i = -dE/dr * d/r.
-        let f = d * (-de_dr / r);
-        forces[i] += f;
-        forces[j] -= f;
+        // Batch.
+        tile.evaluate(erfc_batch);
+
+        // Accumulate, strictly in list order.
+        let mut charged = 0;
+        for n in 0..tile.len {
+            let (i, j) = (tile.i[n] as usize, tile.j[n] as usize);
+            let (d, r2, r, qq) = (tile.d[n], tile.r2[n], tile.r[n], tile.qq[n]);
+
+            // Lennard-Jones with switching.
+            let (eps, rmin) = lj[topo.atoms[i].class as usize][topo.atoms[j].class as usize];
+            let u = (rmin * rmin / r2).powi(3);
+            let e_lj = eps * (u * u - 2.0 * u);
+            let de_lj = -12.0 * eps * u * (u - 1.0) / r;
+            let (s, ds) = switch.eval(r);
+            e.vdw += e_lj * s;
+            let mut de_dr = de_lj * s + e_lj * ds;
+
+            // Electrostatics.
+            if qq != 0.0 {
+                match opts.elec {
+                    ElecMethod::None => {}
+                    ElecMethod::Shift => {
+                        let roff2 = cutoff2;
+                        let t = 1.0 - r2 / roff2;
+                        e.elec += qq * t * t / r;
+                        de_dr += qq * (-t * t / r2 - 4.0 * t / roff2);
+                    }
+                    ElecMethod::EwaldDirect { .. } => {
+                        let (ec, gauss) = (tile.special[charged], tile.gauss[charged]);
+                        charged += 1;
+                        e.elec += qq * ec / r;
+                        de_dr += qq * (-ec / r2 - two_beta_over_sqrt_pi * gauss / r);
+                    }
+                }
+            }
+
+            // F_i = -dE/dr * d/r.
+            let f = d * (-de_dr / r);
+            forces[i] += f;
+            forces[j] -= f;
+        }
     }
     (e, evaluated)
 }
@@ -177,26 +310,57 @@ pub fn ewald_excluded_correction(
     beta: f64,
     forces: &mut [Vec3],
 ) -> (f64, usize) {
+    ewald_excluded_correction_range(topo, pbox, positions, beta, 0..topo.atoms.len(), forces)
+}
+
+/// [`ewald_excluded_correction`] restricted to the excluded pairs
+/// `(i, j)`, `i < j`, whose `i` lies in `atoms` — the parallel
+/// decompositions give each rank a contiguous atom block.
+pub fn ewald_excluded_correction_range(
+    topo: &Topology,
+    pbox: &PbcBox,
+    positions: &[Vec3],
+    beta: f64,
+    atoms: std::ops::Range<usize>,
+    forces: &mut [Vec3],
+) -> (f64, usize) {
+    let two_beta_over_sqrt_pi = 2.0 * beta / PI.sqrt();
     let mut energy = 0.0;
     let mut count = 0usize;
-    for (i, j) in topo.excluded_pairs() {
-        let qq = COULOMB * topo.atoms[i].charge * topo.atoms[j].charge;
-        if qq == 0.0 {
-            continue;
+    let mut tile = Tile::new();
+    let mut flush = |tile: &mut Tile| {
+        tile.evaluate(erf_batch);
+        for n in 0..tile.len {
+            let (i, j) = (tile.i[n] as usize, tile.j[n] as usize);
+            let (d, r2, r, qq) = (tile.d[n], tile.r2[n], tile.r[n], tile.qq[n]);
+            let (ef, gauss) = (tile.special[n], tile.gauss[n]);
+            energy -= qq * ef / r;
+            // E = -A erf(beta r)/r; dE/dr = -A (2 beta/sqrt(pi) e^{-b^2 r^2}/r - erf/r^2).
+            let de_dr = -qq * (two_beta_over_sqrt_pi * gauss / r - ef / r2);
+            let f = d * (-de_dr / r);
+            forces[i] += f;
+            forces[j] -= f;
         }
-        let d = pbox.min_image(positions[i], positions[j]);
-        let r2 = d.norm_sqr();
-        let r = r2.sqrt();
-        let br = beta * r;
-        let ef = erf(br);
-        energy -= qq * ef / r;
-        // E = -A erf(beta r)/r; dE/dr = -A (2 beta/sqrt(pi) e^{-b^2 r^2}/r - erf/r^2).
-        let de_dr = -qq * (2.0 * beta / PI.sqrt() * (-br * br).exp() / r - ef / r2);
-        let f = d * (-de_dr / r);
-        forces[i] += f;
-        forces[j] -= f;
-        count += 1;
+        count += tile.len;
+        tile.clear();
+    };
+    for i in atoms {
+        for &j in &topo.exclusions[i] {
+            let qq = COULOMB * topo.atoms[i].charge * topo.atoms[j as usize].charge;
+            if qq == 0.0 {
+                continue;
+            }
+            let d = pbox.min_image(positions[i], positions[j as usize]);
+            let r2 = d.norm_sqr();
+            let r = r2.sqrt();
+            tile.push(i as u32, j, d, r2, r, qq);
+            tile.push_charged(beta * r);
+            if tile.len == TILE {
+                flush(&mut tile);
+            }
+        }
     }
+    flush(&mut tile);
     (energy, count)
 }
 
@@ -210,7 +374,7 @@ pub fn ewald_self_energy(topo: &Topology, beta: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forcefield::AtomClass;
+    use crate::special::{erf, erfc};
     use crate::topology::Atom;
 
     fn two_atom_topo(q1: f64, q2: f64) -> Topology {
