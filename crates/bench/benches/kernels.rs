@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use cpc_fft::{Complex64, Dims3, Fft3d, FftPlan};
+use cpc_fft::{transform_axis, Axis, Complex64, Dims3, Direction, Fft3d, FftPlan};
 use cpc_md::builder::{myoglobin_raw, water_box};
 use cpc_md::neighbor::NeighborList;
 use cpc_md::nonbonded::{nonbonded_energy_forces, ElecMethod, NonbondedOptions};
@@ -48,6 +48,52 @@ fn bench_fft_3d_paper_grid(c: &mut Criterion) {
             BatchSize::LargeInput,
         );
     });
+}
+
+/// What a PME evaluation pays: a forward and a normalized inverse in
+/// place on one buffer (so the data stays bounded with no clone in the
+/// timed closure), on the paper mesh and on the 16^3 quick mesh of the
+/// `svc_*`/`serve_paced` workloads.
+fn bench_fft_3d_pairs(c: &mut Criterion) {
+    for (nx, ny, nz) in [(80, 36, 48), (16, 16, 16)] {
+        let dims = Dims3::new(nx, ny, nz);
+        let fft = Fft3d::new(dims);
+        let mut data = signal(dims.len());
+        c.bench_function(format!("fft_3d_pair_{nx}x{ny}x{nz}"), |b| {
+            b.iter(|| {
+                fft.forward(black_box(&mut data));
+                fft.inverse(black_box(&mut data));
+            });
+        });
+    }
+}
+
+/// The batched axis passes one rank of a p = 8 myoglobin cell runs: its
+/// 10-plane slab along z and y, and its 216-column block along x. Each
+/// iteration is a forward and an unscaled inverse divided out again.
+fn bench_transform_axis_p8(c: &mut Criterion) {
+    let mut group = c.benchmark_group("transform_axis_p8");
+    let slab = Dims3::new(10, 36, 48);
+    let cols = Dims3::new(1, 36 * 48 / 8, 80);
+    for (name, dims, axis, len) in [
+        ("z_slab_10x36x48", slab, Axis::Z, 48),
+        ("y_slab_10x36x48", slab, Axis::Y, 36),
+        ("x_cols_216x80", cols, Axis::Z, 80),
+    ] {
+        let plan = FftPlan::new(len);
+        let mut data = signal(dims.len());
+        let inv = 1.0 / len as f64;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                transform_axis(black_box(&mut data), dims, axis, &plan, Direction::Forward);
+                transform_axis(black_box(&mut data), dims, axis, &plan, Direction::Inverse);
+                for v in data.iter_mut() {
+                    *v = v.scale(inv);
+                }
+            });
+        });
+    }
+    group.finish();
 }
 
 fn bench_nonbonded(c: &mut Criterion) {
@@ -189,6 +235,8 @@ criterion_group!(
     benches,
     bench_fft_1d,
     bench_fft_3d_paper_grid,
+    bench_fft_3d_pairs,
+    bench_transform_axis_p8,
     bench_nonbonded,
     bench_nonbonded_pme_direct_myoglobin,
     bench_neighbor_build,

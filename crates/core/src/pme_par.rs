@@ -90,10 +90,67 @@ pub struct ParallelPme {
 /// Influence weights of one column block, laid out like the block's
 /// `cols` buffer (`weights[c_local * nx + mx]`), with the box and the
 /// block they were computed for.
-struct InfluenceBlock {
+pub(crate) struct InfluenceBlock {
     pbox: PbcBox,
     cols: Range<usize>,
     weights: Vec<f64>,
+}
+
+/// 1D FFT along x on one rank's columns (`cols[c_local * nx + gx]`),
+/// influence multiply with the partial reciprocal energy (returned),
+/// inverse 1D FFT. The inverse is unscaled: it matches the sequential
+/// convolution grid without any 1/N bookkeeping. The influence weights
+/// are computed on the first call and whenever the box or the block
+/// differs from the one in `cache`.
+pub(crate) fn convolve_columns(
+    params: &PmeParams,
+    moduli: [&[f64]; 3],
+    plan_x: &FftPlan,
+    pbox: &PbcBox,
+    my_cols: &Range<usize>,
+    cols: &mut [Complex64],
+    cache: &mut Option<InfluenceBlock>,
+) -> f64 {
+    if my_cols.is_empty() {
+        return 0.0;
+    }
+    let g = params.grid;
+    if !matches!(cache, Some(b) if b.pbox == *pbox && b.cols == *my_cols) {
+        let mut weights = Vec::with_capacity(my_cols.len() * g.nx);
+        for c in my_cols.clone() {
+            let (my, mz) = (c / g.nz, c % g.nz);
+            weights.extend((0..g.nx).map(|mx| {
+                influence_element(
+                    g,
+                    pbox,
+                    params.beta,
+                    moduli[0],
+                    moduli[1],
+                    moduli[2],
+                    mx,
+                    my,
+                    mz,
+                )
+            }));
+        }
+        *cache = Some(InfluenceBlock {
+            pbox: *pbox,
+            cols: my_cols.clone(),
+            weights,
+        });
+    }
+    let influence = &cache.as_ref().expect("filled above").weights;
+    // The columns are the z lines of a 1 x n_cols x nx grid, so they go
+    // through the batched kernel eight at a time like any other axis.
+    let block = Dims3::new(1, my_cols.len(), g.nx);
+    transform_axis(cols, block, Axis::Z, plan_x, Direction::Forward);
+    let mut recip_partial = 0.0;
+    for (v, &w) in cols.iter_mut().zip(influence) {
+        recip_partial += 0.5 * w * v.norm_sqr();
+        *v = v.scale(w);
+    }
+    transform_axis(cols, block, Axis::Z, plan_x, Direction::Inverse);
+    recip_partial
 }
 
 impl ParallelPme {
@@ -114,44 +171,6 @@ impl ParallelPme {
             bz: bspline_moduli(g.nz, params.order),
             influence: RefCell::new(None),
         }
-    }
-
-    /// Runs `f` over the influence weights of column block `cols`,
-    /// computing them on the first call and whenever the box or the
-    /// block differs from the stored one.
-    fn with_influence<T>(
-        &self,
-        pbox: &PbcBox,
-        cols: &Range<usize>,
-        f: impl FnOnce(&[f64]) -> T,
-    ) -> T {
-        let mut slot = self.influence.borrow_mut();
-        if !matches!(&*slot, Some(b) if b.pbox == *pbox && b.cols == *cols) {
-            let g = self.params.grid;
-            let mut weights = Vec::with_capacity(cols.len() * g.nx);
-            for c in cols.clone() {
-                let (my, mz) = (c / g.nz, c % g.nz);
-                weights.extend((0..g.nx).map(|mx| {
-                    influence_element(
-                        g,
-                        pbox,
-                        self.params.beta,
-                        &self.bx,
-                        &self.by,
-                        &self.bz,
-                        mx,
-                        my,
-                        mz,
-                    )
-                }));
-            }
-            *slot = Some(InfluenceBlock {
-                pbox: *pbox,
-                cols: cols.clone(),
-                weights,
-            });
-        }
-        f(&slot.as_ref().expect("filled above").weights)
     }
 
     /// Configured parameters.
@@ -266,15 +285,16 @@ impl ParallelPme {
             0.0
         };
 
-        // Extract my slab as complex data for the distributed FFT.
-        let mut slab = vec![Complex64::ZERO; n_planes * ny * nz];
-        for gx in my_planes.clone() {
-            let src = gx * ny * nz;
-            let dst = (gx - x0) * ny * nz;
-            for i in 0..ny * nz {
-                slab[dst + i].re = qgrid[src + i];
-            }
-        }
+        // Extract my slab as complex data for the distributed FFT. The
+        // full mesh copy is dead from here on, and every buffer below is
+        // dropped at its last use: eight rank threads each holding a
+        // replicated mesh is what sets the process's peak resident size.
+        let my_points = x0 * ny * nz..(x0 + n_planes) * ny * nz;
+        let mut slab: Vec<Complex64> = qgrid[my_points]
+            .iter()
+            .map(|&q| Complex64::from_real(q))
+            .collect();
+        drop(qgrid);
 
         // --- Forward 2D FFTs (y and z) on the local planes.
         let fft2d_flops =
@@ -289,23 +309,19 @@ impl ParallelPme {
         // --- Transpose: slab (planes x cols) -> columns (cols x nx).
         let mut cols = vec![Complex64::ZERO; n_cols * nx];
         let mut transpose_faults = self.transpose_forward(comm, &slab, &mut cols, cost);
+        drop(slab);
 
         // --- 1D FFT along x on owned columns, influence multiply with
         // the partial energy, inverse 1D FFT.
-        let mut recip_partial = 0.0;
-        self.with_influence(&system.pbox, &my_cols, |influence| {
-            let mut line = vec![Complex64::ZERO; nx];
-            for (seg, ws) in cols.chunks_exact_mut(nx).zip(influence.chunks_exact(nx)) {
-                self.plan_x.execute(seg, &mut line, Direction::Forward);
-                for (v, &w) in line.iter_mut().zip(ws) {
-                    recip_partial += 0.5 * w * v.norm_sqr();
-                    *v = v.scale(w);
-                }
-                // Unscaled inverse: matches the sequential convolution
-                // grid without any 1/N bookkeeping.
-                self.plan_x.execute(&line, seg, Direction::Inverse);
-            }
-        });
+        let recip_partial = convolve_columns(
+            &self.params,
+            [&self.bx, &self.by, &self.bz],
+            &self.plan_x,
+            &system.pbox,
+            &my_cols,
+            &mut cols,
+            &mut self.influence.borrow_mut(),
+        );
         comm.ctx().charge_compute(
             n_cols as f64 * 2.0 * flops_estimate(nx) * cost.fft_flop
                 + (n_cols * nx) as f64 * cost.conv_point,
@@ -314,6 +330,7 @@ impl ParallelPme {
         // --- Transpose back and inverse 2D FFTs.
         let mut slab_phi = vec![Complex64::ZERO; n_planes * ny * nz];
         transpose_faults += self.transpose_backward(comm, &cols, &mut slab_phi, cost);
+        drop(cols);
         if n_planes > 0 {
             let dims = Dims3::new(n_planes, ny, nz);
             transform_axis(
@@ -338,6 +355,7 @@ impl ParallelPme {
         let mut phi = vec![0.0f64; g.len()];
         {
             let mine: Vec<f64> = slab_phi.iter().map(|v| v.re).collect();
+            drop(slab_phi);
             let parts = comm.allgather(mine);
             for (s_rank, part) in parts.iter().enumerate() {
                 let planes = self.decomp.planes(s_rank);

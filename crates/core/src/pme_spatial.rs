@@ -25,13 +25,14 @@ use cpc_cluster::{CostModel, MsgClass, OpShape, Phase};
 use cpc_fft::plan::flops_estimate;
 use cpc_fft::{transform_axis, Axis, Complex64, Dims3, Direction, FftPlan};
 use cpc_md::nonbonded::ewald_excluded_correction_range;
-use cpc_md::pme::{bspline_moduli, compute_splines, influence_element, PmeParams};
+use cpc_md::pme::{bspline_moduli, compute_splines, PmeParams};
 use cpc_md::units::COULOMB;
 use cpc_md::{System, Vec3};
 use cpc_mpi::{CombineAlgo, Comm};
+use std::cell::RefCell;
 use std::f64::consts::PI;
 
-use crate::pme_par::PmeParallelResult;
+use crate::pme_par::{convolve_columns, InfluenceBlock, PmeParallelResult};
 
 /// Tag base for the halo exchanges (user tag space).
 const HALO_TAG: u64 = 0x7A10_0000;
@@ -47,6 +48,9 @@ pub struct SpatialPme {
     by: Vec<f64>,
     bz: Vec<f64>,
     force_combine: CombineAlgo,
+    /// Influence weights of the calling rank's column block, as in
+    /// [`crate::pme_par::ParallelPme`].
+    influence: RefCell<Option<InfluenceBlock>>,
 }
 
 impl SpatialPme {
@@ -63,6 +67,7 @@ impl SpatialPme {
             by: bspline_moduli(g.ny, params.order),
             bz: bspline_moduli(g.nz, params.order),
             force_combine: CombineAlgo::Flat,
+            influence: RefCell::new(None),
         }
     }
 
@@ -94,7 +99,6 @@ impl SpatialPme {
         let x0 = my_planes.start;
         let n_planes = my_planes.len();
         let my_cols = self.decomp.cols(rank);
-        let c0 = my_cols.start;
         let n_cols = my_cols.len();
 
         // --- Spatial atom assignment: owner of the spline-base plane.
@@ -211,32 +215,15 @@ impl SpatialPme {
         let mut cols = vec![Complex64::ZERO; n_cols * nx];
         crate::pme_par::transpose_forward_impl(&self.decomp, comm, &slab, &mut cols, cost, false);
 
-        let mut recip_partial = 0.0;
-        {
-            let mut line = vec![Complex64::ZERO; nx];
-            for c_local in 0..n_cols {
-                let c = c0 + c_local;
-                let (my_, mz_) = (c / nz, c % nz);
-                let seg = &mut cols[c_local * nx..(c_local + 1) * nx];
-                self.plan_x.execute(seg, &mut line, Direction::Forward);
-                for (mx, v) in line.iter_mut().enumerate() {
-                    let w = influence_element(
-                        g,
-                        &system.pbox,
-                        self.params.beta,
-                        &self.bx,
-                        &self.by,
-                        &self.bz,
-                        mx,
-                        my_,
-                        mz_,
-                    );
-                    recip_partial += 0.5 * w * v.norm_sqr();
-                    *v = v.scale(w);
-                }
-                self.plan_x.execute(&line.clone(), seg, Direction::Inverse);
-            }
-        }
+        let recip_partial = convolve_columns(
+            &self.params,
+            [&self.bx, &self.by, &self.bz],
+            &self.plan_x,
+            &system.pbox,
+            &my_cols,
+            &mut cols,
+            &mut self.influence.borrow_mut(),
+        );
         comm.ctx().charge_compute(
             n_cols as f64 * 2.0 * flops_estimate(nx) * cost.fft_flop
                 + (n_cols * nx) as f64 * cost.conv_point,

@@ -71,8 +71,10 @@ impl Complex64 {
         }
     }
 
-    /// Fused multiply-add: `self + a * b` (computed without an FMA
-    /// instruction requirement; the compiler may contract it).
+    /// `self + a * b`, each component summed left to right as written,
+    /// with two roundings per product term. Never fused: rustc does not
+    /// contract `x * y + z` into an FMA instruction, and every golden
+    /// energy depends on that (DESIGN.md §21).
     #[inline(always)]
     pub fn mul_add(self, a: Complex64, b: Complex64) -> Self {
         Complex64 {

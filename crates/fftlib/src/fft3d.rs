@@ -4,7 +4,7 @@
 //! Grid layout: `data[(x * ny + y) * nz + z]` — `z` is the fastest axis.
 
 use crate::complex::Complex64;
-use crate::plan::{flops_estimate, Direction, FftPlan};
+use crate::plan::{flops_estimate, Direction, FftPlan, LaneScratch};
 
 /// Grid dimensions for 3D transforms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +57,11 @@ pub enum Axis {
 /// `plan.len()` must equal the extent of the grid along `axis`. This is
 /// the building block the parallel PME uses on its local slabs (where
 /// `dims.nx` is the local slab thickness rather than the global extent).
+///
+/// Lines go through the plan [`LANES`](crate::LANES) at a time. Along
+/// `Y` and `X` a batch is eight z-adjacent lines, so each element of
+/// the batch is one contiguous 128-byte read instead of eight strided
+/// ones.
 pub fn transform_axis(
     data: &mut [Complex64],
     dims: Dims3,
@@ -65,58 +70,22 @@ pub fn transform_axis(
     dir: Direction,
 ) {
     assert_eq!(data.len(), dims.len(), "grid size mismatch");
-    let (len, stride, lines) = match axis {
-        Axis::Z => (dims.nz, 1, dims.nx * dims.ny),
-        Axis::Y => (dims.ny, dims.nz, dims.nx * dims.nz),
-        Axis::X => (dims.nx, dims.ny * dims.nz, dims.ny * dims.nz),
+    let Dims3 { nx, ny, nz } = dims;
+    let len = match axis {
+        Axis::X => nx,
+        Axis::Y => ny,
+        Axis::Z => nz,
     };
     assert_eq!(plan.len(), len, "plan length must match axis extent");
-
-    let mut line_in = vec![Complex64::ZERO; len];
-    let mut line_out = vec![Complex64::ZERO; len];
-
+    let scratch = &mut LaneScratch::default();
     match axis {
-        Axis::Z => {
-            for l in 0..lines {
-                let base = l * len;
-                line_in.copy_from_slice(&data[base..base + len]);
-                plan.execute(&line_in, &mut line_out, dir);
-                data[base..base + len].copy_from_slice(&line_out);
-            }
-        }
+        Axis::Z => plan.execute_lines(data, nx * ny, nz, 1, dir, scratch),
         Axis::Y => {
-            // Lines indexed by (x, z): base = x*ny*nz + z, stride nz.
-            for x in 0..dims.nx {
-                for z in 0..dims.nz {
-                    let base = x * dims.ny * dims.nz + z;
-                    gather(data, base, stride, &mut line_in);
-                    plan.execute(&line_in, &mut line_out, dir);
-                    scatter(data, base, stride, &line_out);
-                }
+            for plane in data.chunks_exact_mut(ny * nz) {
+                plan.execute_lines(plane, nz, 1, nz, dir, scratch);
             }
         }
-        Axis::X => {
-            // Lines indexed by (y, z): base = y*nz + z, stride ny*nz.
-            for yz in 0..dims.ny * dims.nz {
-                gather(data, yz, stride, &mut line_in);
-                plan.execute(&line_in, &mut line_out, dir);
-                scatter(data, yz, stride, &line_out);
-            }
-        }
-    }
-}
-
-#[inline]
-fn gather(data: &[Complex64], base: usize, stride: usize, line: &mut [Complex64]) {
-    for (i, slot) in line.iter_mut().enumerate() {
-        *slot = data[base + i * stride];
-    }
-}
-
-#[inline]
-fn scatter(data: &mut [Complex64], base: usize, stride: usize, line: &[Complex64]) {
-    for (i, &v) in line.iter().enumerate() {
-        data[base + i * stride] = v;
+        Axis::X => plan.execute_lines(data, ny * nz, 1, ny * nz, dir, scratch),
     }
 }
 

@@ -9,7 +9,6 @@
 //!   sizes, Bluestein chirp-z for everything else),
 //! * [`Fft3d`] / [`transform_axis`] — full 3D transforms and the axis-wise
 //!   batch transforms used by the slab-decomposed parallel FFT,
-//! * [`RealFft`] — real-input transforms,
 //! * [`dft()`](dft())/[`idft`] — naive reference transforms for validation.
 //!
 //! The paper's myoglobin run uses an 80 x 36 x 48 charge grid; all three
@@ -34,10 +33,8 @@ pub mod complex;
 pub mod dft;
 pub mod fft3d;
 pub mod plan;
-pub mod real;
 
 pub use complex::Complex64;
 pub use dft::{dft, idft};
 pub use fft3d::{transform_axis, Axis, Dims3, Fft3d};
-pub use plan::{factorize, flops_estimate, is_smooth, Direction, FftPlan};
-pub use real::RealFft;
+pub use plan::{factorize, flops_estimate, is_smooth, Direction, FftPlan, LANES};

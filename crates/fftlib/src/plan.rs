@@ -1,12 +1,22 @@
-//! FFT plans: precomputed factorizations and twiddle tables.
+//! FFT plans: precomputed factorizations, leaf permutations and twiddle
+//! tables.
 //!
-//! Sizes whose prime factors are all <= 7 run through a recursive
-//! mixed-radix Cooley-Tukey decimation-in-time kernel. Any other size is
-//! delegated to the Bluestein chirp-z algorithm (see [`crate::bluestein`]).
+//! Sizes whose prime factors are all <= 7 run through a table-driven
+//! mixed-radix Cooley-Tukey decimation-in-time kernel that carries a
+//! batch of independent lines side by side (DESIGN.md §21). Any other
+//! size is delegated to the Bluestein chirp-z algorithm (see
+//! [`crate::bluestein`]).
 //!
 //! The PME grids used by the molecular dynamics code (80 x 36 x 48 in the
 //! paper's myoglobin run) are all smooth sizes and take the mixed-radix
 //! path.
+//!
+//! **Bit contract.** Every lane of the kernel performs, on its own line,
+//! exactly the operation sequence of the recursive scalar kernel it
+//! replaced (frozen as the oracle in `tests/kernel_bit_identity.rs`):
+//! every twiddle product is computed, including the ones by `w^0`, in
+//! the same operand order and never fused. The energies in every golden
+//! row depend on those bits.
 
 use crate::bluestein::Bluestein;
 use crate::complex::Complex64;
@@ -14,6 +24,10 @@ use std::f64::consts::TAU;
 
 /// Largest prime handled by the mixed-radix kernel directly.
 pub const MAX_RADIX: usize = 7;
+
+/// Lines the batched kernel carries side by side (see
+/// [`crate::fft3d::transform_axis`]).
+pub const LANES: usize = 8;
 
 /// Transform direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,20 +71,47 @@ pub fn flops_estimate(n: usize) -> f64 {
     5.0 * n as f64 * (n as f64).log2()
 }
 
-/// One recursion level of the mixed-radix kernel.
+/// Twiddle tables of one stage in one direction.
+#[derive(Debug, Clone)]
+struct Twiddles {
+    /// `tw1[j * m + k] = w^(j k)`: scales output `k` of sub-transform `j`.
+    tw1: Vec<Complex64>,
+    /// `tw2[j * r + q] = w^(j q m)`: the `r x r` DFT across sub-transforms.
+    tw2: Vec<Complex64>,
+}
+
+/// One decimation level: blocks of `n` consecutive positions, each
+/// holding `radix` finished sub-transforms of size `m = n / radix`.
 #[derive(Debug, Clone)]
 struct Stage {
-    /// Transform size at this depth.
     n: usize,
-    /// Radix split off at this depth (`n = radix * (n / radix)`).
     radix: usize,
-    /// Twiddle table `w[t] = e^{-2 pi i t / n}` for `t` in `0..n`.
-    twiddle: Vec<Complex64>,
+    /// Indexed by `Direction as usize`; the inverse tables are the
+    /// conjugates of the forward ones, which is exact.
+    twiddles: [Twiddles; 2],
+}
+
+/// Plan-time tables of the mixed-radix kernel.
+#[derive(Debug, Clone)]
+struct MixedRadix {
+    /// `perm[pos]` is the input index the decimation leaves at position
+    /// `pos` before the first combine pass.
+    perm: Vec<usize>,
+    /// Outermost level first; executed in reverse.
+    stages: Vec<Stage>,
 }
 
 enum Kind {
-    MixedRadix(Vec<Stage>),
+    MixedRadix(MixedRadix),
     Bluestein(Box<Bluestein>),
+}
+
+/// Working set of one lane batch, `re[pos][lane]` and `im[pos][lane]`;
+/// one per [`crate::fft3d::transform_axis`] call, not per line.
+#[derive(Debug, Default)]
+pub(crate) struct LaneScratch {
+    re: Vec<[f64; LANES]>,
+    im: Vec<[f64; LANES]>,
 }
 
 /// A reusable plan for complex transforms of one fixed size.
@@ -97,7 +138,7 @@ impl FftPlan {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "FFT size must be positive");
         let kind = if is_smooth(n) {
-            Kind::MixedRadix(build_stages(n))
+            Kind::MixedRadix(MixedRadix::new(n))
         } else {
             Kind::Bluestein(Box::new(Bluestein::new(n)))
         };
@@ -135,8 +176,14 @@ impl FftPlan {
         assert_eq!(input.len(), self.n, "input length mismatch");
         assert_eq!(output.len(), self.n, "output length mismatch");
         match &self.kind {
-            Kind::MixedRadix(stages) => {
-                exec_recursive(stages, 0, input, 1, output, dir);
+            Kind::MixedRadix(mr) => {
+                // The one-lane instantiation of the batched kernel.
+                let mut re: Vec<[f64; 1]> = mr.perm.iter().map(|&i| [input[i].re]).collect();
+                let mut im: Vec<[f64; 1]> = mr.perm.iter().map(|&i| [input[i].im]).collect();
+                mr.run(&mut re, &mut im, dir);
+                for (out, (r, i)) in output.iter_mut().zip(re.iter().zip(&im)) {
+                    *out = Complex64::new(r[0], i[0]);
+                }
             }
             Kind::Bluestein(b) => match dir {
                 Direction::Forward => b.forward(input, output),
@@ -152,91 +199,165 @@ impl FftPlan {
         }
     }
 
-    /// In-place convenience wrapper (allocates one scratch buffer).
-    pub fn execute_in_place(&self, data: &mut [Complex64], dir: Direction) {
-        let input = data.to_vec();
-        self.execute(&input, data, dir);
-    }
-}
-
-fn build_stages(n: usize) -> Vec<Stage> {
-    let factors = factorize(n);
-    let mut stages = Vec::with_capacity(factors.len());
-    let mut size = n;
-    for &radix in &factors {
-        let twiddle = (0..size)
-            .map(|t| Complex64::cis(-TAU * t as f64 / size as f64))
-            .collect();
-        stages.push(Stage {
-            n: size,
-            radix,
-            twiddle,
-        });
-        size /= radix;
-    }
-    debug_assert_eq!(size, 1);
-    stages
-}
-
-/// Recursive decimation-in-time. Reads `input` with stride `in_stride`
-/// and writes the transform of size `stages[depth].n` contiguously into
-/// `output`.
-fn exec_recursive(
-    stages: &[Stage],
-    depth: usize,
-    input: &[Complex64],
-    in_stride: usize,
-    output: &mut [Complex64],
-    dir: Direction,
-) {
-    if depth == stages.len() {
-        // Size-1 transform: copy the single element.
-        output[0] = input[0];
-        return;
-    }
-    let stage = &stages[depth];
-    let n = stage.n;
-    let r = stage.radix;
-    let m = n / r;
-
-    // Transform the r decimated subsequences.
-    for j in 0..r {
-        exec_recursive(
-            stages,
-            depth + 1,
-            &input[j * in_stride..],
-            in_stride * r,
-            &mut output[j * m..(j + 1) * m],
-            dir,
-        );
-    }
-
-    // Combine: X[k + q m] = sum_j w_n^{jk} w_r^{jq} Y_j[k].
-    // w_r^{jq} = w_n^{j q m}, so a single table indexed mod n suffices.
-    let tw = &stage.twiddle;
-    let mut tmp = [Complex64::ZERO; MAX_RADIX];
-    for k in 0..m {
-        for (j, slot) in tmp[..r].iter_mut().enumerate() {
-            let w = twiddle_at(tw, (j * k) % n, dir);
-            *slot = output[j * m + k] * w;
-        }
-        for q in 0..r {
-            let mut acc = tmp[0];
-            for (j, &t) in tmp[..r].iter().enumerate().skip(1) {
-                let w = twiddle_at(tw, (j * q * m) % n, dir);
-                acc = acc.mul_add(t, w);
+    /// Transforms `count` lines of `data` in place, [`LANES`] at a time.
+    /// Element `i` of line `l` lives at
+    /// `data[l * line_stride + i * elem_stride]`.
+    pub(crate) fn execute_lines(
+        &self,
+        data: &mut [Complex64],
+        count: usize,
+        line_stride: usize,
+        elem_stride: usize,
+        dir: Direction,
+        scratch: &mut LaneScratch,
+    ) {
+        let n = self.n;
+        let mr = match &self.kind {
+            Kind::MixedRadix(mr) => mr,
+            Kind::Bluestein(_) => {
+                let mut line_in = vec![Complex64::ZERO; n];
+                let mut line_out = vec![Complex64::ZERO; n];
+                for l in 0..count {
+                    let base = l * line_stride;
+                    for (i, slot) in line_in.iter_mut().enumerate() {
+                        *slot = data[base + i * elem_stride];
+                    }
+                    self.execute(&line_in, &mut line_out, dir);
+                    for (i, &v) in line_out.iter().enumerate() {
+                        data[base + i * elem_stride] = v;
+                    }
+                }
+                return;
             }
-            output[q * m + k] = acc;
+        };
+        scratch.re.resize(n, [0.0; LANES]);
+        scratch.im.resize(n, [0.0; LANES]);
+        let (re, im) = (&mut scratch.re[..n], &mut scratch.im[..n]);
+        for first in (0..count).step_by(LANES) {
+            let lanes = LANES.min(count - first);
+            let base = first * line_stride;
+            // Gather through the leaf permutation; lanes past the last
+            // line of a tail batch carry zeros.
+            for ((r, i), &src) in re.iter_mut().zip(im.iter_mut()).zip(&mr.perm) {
+                let at = base + src * elem_stride;
+                (*r, *i) = ([0.0; LANES], [0.0; LANES]);
+                for l in 0..lanes {
+                    let v = data[at + l * line_stride];
+                    (r[l], i[l]) = (v.re, v.im);
+                }
+            }
+            mr.run(re, im, dir);
+            for (pos, (r, i)) in re.iter().zip(im.iter()).enumerate() {
+                let at = base + pos * elem_stride;
+                for l in 0..lanes {
+                    data[at + l * line_stride] = Complex64::new(r[l], i[l]);
+                }
+            }
         }
     }
 }
 
-#[inline(always)]
-fn twiddle_at(tw: &[Complex64], idx: usize, dir: Direction) -> Complex64 {
-    let w = tw[idx];
-    match dir {
-        Direction::Forward => w,
-        Direction::Inverse => w.conj(),
+impl MixedRadix {
+    fn new(n: usize) -> Self {
+        let mut perm = vec![0; n];
+        let mut stages = Vec::new();
+        let mut size = n;
+        for radix in factorize(n) {
+            let m = size / radix;
+            let w: Vec<Complex64> = (0..size)
+                .map(|t| Complex64::cis(-TAU * t as f64 / size as f64))
+                .collect();
+            let forward = Twiddles {
+                tw1: (0..size).map(|i| w[(i / m) * (i % m) % size]).collect(),
+                tw2: (0..radix * radix)
+                    .map(|i| w[(i / radix) * (i % radix) * m % size])
+                    .collect(),
+            };
+            let inverse = Twiddles {
+                tw1: forward.tw1.iter().map(|z| z.conj()).collect(),
+                tw2: forward.tw2.iter().map(|z| z.conj()).collect(),
+            };
+            stages.push(Stage {
+                n: size,
+                radix,
+                twiddles: [forward, inverse],
+            });
+            size = m;
+        }
+        debug_assert_eq!(size, 1);
+        fill_perm(&stages, 0, 1, &mut perm);
+        MixedRadix { perm, stages }
+    }
+
+    /// Runs every combine pass, deepest level first, over `L` lines
+    /// whose leaves are already in place.
+    fn run<const L: usize>(&self, re: &mut [[f64; L]], im: &mut [[f64; L]], dir: Direction) {
+        for stage in self.stages.iter().rev() {
+            let tw = &stage.twiddles[dir as usize];
+            match stage.radix {
+                2 => combine::<2, L>(re, im, stage.n, tw),
+                3 => combine::<3, L>(re, im, stage.n, tw),
+                5 => combine::<5, L>(re, im, stage.n, tw),
+                7 => combine::<7, L>(re, im, stage.n, tw),
+                r => unreachable!("radix {r} in a smooth size"),
+            }
+        }
+    }
+}
+
+/// Writes the decimation order into `perm`: the sub-sequence starting at
+/// `offset` with stride `stride` lands in the positions `perm` covers.
+fn fill_perm(stages: &[Stage], offset: usize, stride: usize, perm: &mut [usize]) {
+    let Some((stage, deeper)) = stages.split_first() else {
+        perm[0] = offset;
+        return;
+    };
+    let m = stage.n / stage.radix;
+    for (j, sub) in perm.chunks_exact_mut(m).enumerate() {
+        fill_perm(deeper, offset + j * stride, stride * stage.radix, sub);
+    }
+}
+
+/// One radix-`R` pass over every block of `n` positions:
+/// `X[k + q m] = sum_j w^(j q m) (w^(j k) Y_j[k])`, in place, where
+/// `Y_j` occupies positions `j m .. (j + 1) m` of the block.
+///
+/// Each lane runs the scalar sequence `t_j = y_j * w^(jk)` (also for
+/// `j = 0`), `acc = t_0`, then `acc = (acc + t_j.re * w.re) - t_j.im *
+/// w.im` (and the matching imaginary part) for `j = 1..R` in order, so
+/// the result does not depend on whether the lane loops vectorise.
+fn combine<const R: usize, const L: usize>(
+    re: &mut [[f64; L]],
+    im: &mut [[f64; L]],
+    n: usize,
+    tw: &Twiddles,
+) {
+    let m = n / R;
+    for (re, im) in re.chunks_exact_mut(n).zip(im.chunks_exact_mut(n)) {
+        for k in 0..m {
+            let mut tr = [[0.0; L]; R];
+            let mut ti = [[0.0; L]; R];
+            for j in 0..R {
+                let w = tw.tw1[j * m + k];
+                let (yr, yi) = (&re[j * m + k], &im[j * m + k]);
+                for l in 0..L {
+                    tr[j][l] = yr[l] * w.re - yi[l] * w.im;
+                    ti[j][l] = yr[l] * w.im + yi[l] * w.re;
+                }
+            }
+            for q in 0..R {
+                let (mut ar, mut ai) = (tr[0], ti[0]);
+                for j in 1..R {
+                    let w = tw.tw2[j * R + q];
+                    for l in 0..L {
+                        ar[l] = ar[l] + tr[j][l] * w.re - ti[j][l] * w.im;
+                        ai[l] = ai[l] + tr[j][l] * w.im + ti[j][l] * w.re;
+                    }
+                }
+                re[q * m + k] = ar;
+                im[q * m + k] = ai;
+            }
+        }
     }
 }
 
@@ -366,18 +487,6 @@ mod tests {
         plan.forward(&sum, &mut fs);
         let expect: Vec<Complex64> = fx.iter().zip(&fy).map(|(a, b)| *a + *b).collect();
         assert!(max_err(&fs, &expect) < 1e-9);
-    }
-
-    #[test]
-    fn in_place_matches_out_of_place() {
-        let n = 60;
-        let plan = FftPlan::new(n);
-        let x = rand_signal(n, 42);
-        let mut out = vec![Complex64::ZERO; n];
-        plan.forward(&x, &mut out);
-        let mut inplace = x.clone();
-        plan.execute_in_place(&mut inplace, Direction::Forward);
-        assert!(max_err(&out, &inplace) < 1e-12);
     }
 
     #[test]

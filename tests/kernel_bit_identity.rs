@@ -1,20 +1,29 @@
-//! The bit-identity contract of the lane-batched `erf`/`erfc` and the
-//! tiled direct-space pair kernel (DESIGN.md §20): both must return
-//! exactly the bits of the scalar code they replaced, for every
-//! argument, every pair-list slice and every electrostatics method.
+//! The bit-identity contracts of the batched kernels: the lane-batched
+//! `erf`/`erfc` and the tiled direct-space pair kernel (DESIGN.md §20),
+//! and the table-driven, lane-batched mixed-radix FFT (DESIGN.md §21).
+//! Each must return exactly the bits of the scalar code it replaced,
+//! for every argument, every pair-list slice, every electrostatics
+//! method, every smooth transform size and every slab shape.
 //!
-//! [`oracle`] is that scalar code, frozen verbatim from the commit
-//! before the kernels were batched. It is the reference, not a second
-//! implementation to keep in step: never edit it alongside
-//! `cpc_md::special` or `cpc_md::nonbonded`.
+//! [`oracle`] and [`fft_oracle`] are that scalar code, frozen verbatim
+//! from the commits before the kernels were batched. They are the
+//! reference, not second implementations to keep in step: never edit
+//! them alongside `cpc_md::special`, `cpc_md::nonbonded` or
+//! `cpc_fft::plan`.
+//!
+//! Tier-1 `cargo test -q` is a debug build, where the lane loops stay
+//! scalar; `cargo test --workspace --release` (CI) is the run that
+//! exercises the *vectorised* lanes. Keep both.
 
-use cpc_charmm::decomp::balanced_pair_cuts;
+use cpc_charmm::decomp::{balanced_pair_cuts, PmeDecomp};
+use cpc_fft::{dft, transform_axis, Axis, Complex64, Dims3, Direction, Fft3d, FftPlan};
 use cpc_md::builder::{myoglobin_raw, water_box};
 use cpc_md::forcefield::AtomClass;
 use cpc_md::neighbor::NeighborList;
 use cpc_md::nonbonded::{
     ewald_excluded_correction, nonbonded_energy_forces, ElecMethod, NonbondedOptions,
 };
+use cpc_md::pme::{compute_splines, influence_function, spread_charges, Pme, PmeParams};
 use cpc_md::special::{erf, erf_batch, erfc, erfc_batch, LANES};
 use cpc_md::{System, Vec3};
 use rand::prelude::*;
@@ -495,4 +504,458 @@ fn batched_excluded_correction_returns_the_scalar_bits() {
         assert_eq!(e_got.to_bits(), e_want.to_bits(), "system {s}");
         assert_forces_bit_equal(&got, &want, &format!("system {s}"));
     }
+}
+
+/// The recursive mixed-radix kernel and the per-line `transform_axis`
+/// of the commit before the FFT was made table-driven, verbatim.
+mod fft_oracle {
+    use cpc_fft::plan::{factorize, MAX_RADIX};
+    use cpc_fft::{Axis, Complex64, Dims3, Direction};
+    use std::f64::consts::TAU;
+
+    /// One recursion level of the mixed-radix kernel.
+    #[derive(Debug, Clone)]
+    struct Stage {
+        /// Transform size at this depth.
+        n: usize,
+        /// Radix split off at this depth (`n = radix * (n / radix)`).
+        radix: usize,
+        /// Twiddle table `w[t] = e^{-2 pi i t / n}` for `t` in `0..n`.
+        twiddle: Vec<Complex64>,
+    }
+
+    /// The parent's `FftPlan`, mixed-radix sizes only.
+    pub struct Plan {
+        n: usize,
+        stages: Vec<Stage>,
+    }
+
+    impl Plan {
+        pub fn new(n: usize) -> Self {
+            assert!(cpc_fft::is_smooth(n), "the oracle covers smooth sizes");
+            Plan {
+                n,
+                stages: build_stages(n),
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.n
+        }
+
+        pub fn execute(&self, input: &[Complex64], output: &mut [Complex64], dir: Direction) {
+            assert_eq!(input.len(), self.n, "input length mismatch");
+            assert_eq!(output.len(), self.n, "output length mismatch");
+            exec_recursive(&self.stages, 0, input, 1, output, dir);
+        }
+    }
+
+    fn build_stages(n: usize) -> Vec<Stage> {
+        let factors = factorize(n);
+        let mut stages = Vec::with_capacity(factors.len());
+        let mut size = n;
+        for &radix in &factors {
+            let twiddle = (0..size)
+                .map(|t| Complex64::cis(-TAU * t as f64 / size as f64))
+                .collect();
+            stages.push(Stage {
+                n: size,
+                radix,
+                twiddle,
+            });
+            size /= radix;
+        }
+        debug_assert_eq!(size, 1);
+        stages
+    }
+
+    /// Recursive decimation-in-time. Reads `input` with stride `in_stride`
+    /// and writes the transform of size `stages[depth].n` contiguously into
+    /// `output`.
+    fn exec_recursive(
+        stages: &[Stage],
+        depth: usize,
+        input: &[Complex64],
+        in_stride: usize,
+        output: &mut [Complex64],
+        dir: Direction,
+    ) {
+        if depth == stages.len() {
+            // Size-1 transform: copy the single element.
+            output[0] = input[0];
+            return;
+        }
+        let stage = &stages[depth];
+        let n = stage.n;
+        let r = stage.radix;
+        let m = n / r;
+
+        // Transform the r decimated subsequences.
+        for j in 0..r {
+            exec_recursive(
+                stages,
+                depth + 1,
+                &input[j * in_stride..],
+                in_stride * r,
+                &mut output[j * m..(j + 1) * m],
+                dir,
+            );
+        }
+
+        // Combine: X[k + q m] = sum_j w_n^{jk} w_r^{jq} Y_j[k].
+        // w_r^{jq} = w_n^{j q m}, so a single table indexed mod n suffices.
+        let tw = &stage.twiddle;
+        let mut tmp = [Complex64::ZERO; MAX_RADIX];
+        for k in 0..m {
+            for (j, slot) in tmp[..r].iter_mut().enumerate() {
+                let w = twiddle_at(tw, (j * k) % n, dir);
+                *slot = output[j * m + k] * w;
+            }
+            for q in 0..r {
+                let mut acc = tmp[0];
+                for (j, &t) in tmp[..r].iter().enumerate().skip(1) {
+                    let w = twiddle_at(tw, (j * q * m) % n, dir);
+                    acc = acc.mul_add(t, w);
+                }
+                output[q * m + k] = acc;
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn twiddle_at(tw: &[Complex64], idx: usize, dir: Direction) -> Complex64 {
+        let w = tw[idx];
+        match dir {
+            Direction::Forward => w,
+            Direction::Inverse => w.conj(),
+        }
+    }
+
+    /// Applies the plan along `axis` to every line of the grid.
+    pub fn transform_axis(
+        data: &mut [Complex64],
+        dims: Dims3,
+        axis: Axis,
+        plan: &Plan,
+        dir: Direction,
+    ) {
+        assert_eq!(data.len(), dims.len(), "grid size mismatch");
+        let (len, stride, lines) = match axis {
+            Axis::Z => (dims.nz, 1, dims.nx * dims.ny),
+            Axis::Y => (dims.ny, dims.nz, dims.nx * dims.nz),
+            Axis::X => (dims.nx, dims.ny * dims.nz, dims.ny * dims.nz),
+        };
+        assert_eq!(plan.len(), len, "plan length must match axis extent");
+
+        let mut line_in = vec![Complex64::ZERO; len];
+        let mut line_out = vec![Complex64::ZERO; len];
+
+        match axis {
+            Axis::Z => {
+                for l in 0..lines {
+                    let base = l * len;
+                    line_in.copy_from_slice(&data[base..base + len]);
+                    plan.execute(&line_in, &mut line_out, dir);
+                    data[base..base + len].copy_from_slice(&line_out);
+                }
+            }
+            Axis::Y => {
+                // Lines indexed by (x, z): base = x*ny*nz + z, stride nz.
+                for x in 0..dims.nx {
+                    for z in 0..dims.nz {
+                        let base = x * dims.ny * dims.nz + z;
+                        gather(data, base, stride, &mut line_in);
+                        plan.execute(&line_in, &mut line_out, dir);
+                        scatter(data, base, stride, &line_out);
+                    }
+                }
+            }
+            Axis::X => {
+                // Lines indexed by (y, z): base = y*nz + z, stride ny*nz.
+                for yz in 0..dims.ny * dims.nz {
+                    gather(data, yz, stride, &mut line_in);
+                    plan.execute(&line_in, &mut line_out, dir);
+                    scatter(data, yz, stride, &line_out);
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn gather(data: &[Complex64], base: usize, stride: usize, line: &mut [Complex64]) {
+        for (i, slot) in line.iter_mut().enumerate() {
+            *slot = data[base + i * stride];
+        }
+    }
+
+    #[inline]
+    fn scatter(data: &mut [Complex64], base: usize, stride: usize, line: &[Complex64]) {
+        for (i, &v) in line.iter().enumerate() {
+            data[base + i * stride] = v;
+        }
+    }
+
+    /// The parent's `Fft3d::execute`: z, then y, then x.
+    pub fn fft3d(data: &mut [Complex64], dims: Dims3, dir: Direction) {
+        transform_axis(data, dims, Axis::Z, &Plan::new(dims.nz), dir);
+        transform_axis(data, dims, Axis::Y, &Plan::new(dims.ny), dir);
+        transform_axis(data, dims, Axis::X, &Plan::new(dims.nx), dir);
+    }
+}
+
+const DIRECTIONS: [Direction; 2] = [Direction::Forward, Direction::Inverse];
+
+/// Mesh values the PME never produces but the kernel must still carry
+/// bit for bit: signed zeros, subnormals and magnitudes near both ends
+/// of the exponent range. Sums of 240 terms of 1e300 stay finite, so no
+/// NaN arises; NaN payload propagation is out of scope of the contract.
+fn fft_value(rng: &mut SmallRng, mode: u64) -> f64 {
+    let u = rng.gen_f64() - 0.5;
+    match (mode, rng.gen_range_usize(8)) {
+        (1, _) => 0.0,
+        (2, 0) => 0.0,
+        (2, 1) => -0.0,
+        (2, 2) => 5e-324,
+        (2, 3) => -f64::MIN_POSITIVE / 4096.0,
+        (2, 4) | (3, _) => 1e300 * u,
+        (2, 5) | (4, _) => 1e-300 * u,
+        _ => u,
+    }
+}
+
+fn fft_signal(rng: &mut SmallRng, n: usize, mode: u64) -> Vec<Complex64> {
+    (0..n)
+        .map(|_| Complex64::new(fft_value(rng, mode), fft_value(rng, mode)))
+        .collect()
+}
+
+fn assert_complex_bit_equal(got: &[Complex64], want: &[Complex64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+            "{what}: element {i}: {g:?} vs {w:?}"
+        );
+    }
+}
+
+#[test]
+fn two_hundred_seeds_of_every_smooth_size_return_the_recursive_kernel_bits() {
+    // Every smooth n <= 240 (and n = 1): radix 7, which no workload
+    // mesh uses, is covered here only.
+    for n in (1..=240).filter(|&n| cpc_fft::is_smooth(n)) {
+        let plan = FftPlan::new(n);
+        let frozen = fft_oracle::Plan::new(n);
+        let mut got = vec![Complex64::ZERO; n];
+        let mut want = vec![Complex64::ZERO; n];
+        for seed in 0..SEEDS {
+            let mut rng = SmallRng::seed_from_u64(0xFF7 ^ (seed << 8) ^ ((n as u64) << 24));
+            let x = fft_signal(&mut rng, n, seed % 6);
+            for dir in DIRECTIONS {
+                plan.execute(&x, &mut got, dir);
+                frozen.execute(&x, &mut want, dir);
+                assert_complex_bit_equal(&got, &want, &format!("n {n} seed {seed} {dir:?}"));
+            }
+        }
+    }
+}
+
+/// Runs `transform_axis` and its frozen per-line parent over the same
+/// random grid and compares every bit.
+fn assert_axis_matches_the_per_line_oracle(dims: Dims3, axis: Axis, seed: u64) {
+    let len = match axis {
+        Axis::X => dims.nx,
+        Axis::Y => dims.ny,
+        Axis::Z => dims.nz,
+    };
+    let plan = FftPlan::new(len);
+    let frozen = fft_oracle::Plan::new(len);
+    let mut rng = SmallRng::seed_from_u64(0xA715 ^ (seed << 8));
+    for dir in DIRECTIONS {
+        let x = fft_signal(&mut rng, dims.len(), seed % 6);
+        let mut got = x.clone();
+        transform_axis(&mut got, dims, axis, &plan, dir);
+        let mut want = x;
+        fft_oracle::transform_axis(&mut want, dims, axis, &frozen, dir);
+        assert_complex_bit_equal(&got, &want, &format!("{dims:?} {axis:?} {dir:?}"));
+    }
+}
+
+#[test]
+fn batched_transform_axis_returns_the_per_line_bits_on_every_shape() {
+    const FFT_LANES: usize = cpc_fft::LANES;
+    let counts = [
+        1,
+        FFT_LANES - 1,
+        FFT_LANES,
+        FFT_LANES + 1,
+        2 * FFT_LANES + 1,
+    ];
+    let mut seed = 0;
+    let mut check = |dims: Dims3, axis: Axis| {
+        seed += 1;
+        assert_axis_matches_the_per_line_oracle(dims, axis, seed);
+    };
+    // Every batch shape: full batches, a one-line batch, and tails one
+    // short of and one past a full batch, along each axis.
+    for len in [80, 36, 48, 16] {
+        for c in counts {
+            check(Dims3::new(1, c, len), Axis::Z);
+            check(Dims3::new(2, len, c), Axis::Y);
+            check(Dims3::new(len, 1, c), Axis::X);
+            check(Dims3::new(len, c, 1), Axis::X);
+        }
+    }
+    // The paper mesh, the quick mesh, and what a rank transforms: its
+    // slab along y and z and its column block along x, at every rank
+    // count the campaigns run.
+    for dims in [Dims3::new(80, 36, 48), Dims3::new(16, 16, 16)] {
+        for axis in [Axis::Z, Axis::Y, Axis::X] {
+            check(dims, axis);
+        }
+    }
+    for p in RANK_COUNTS {
+        let decomp = PmeDecomp::new(80, 36, 48, p);
+        for rank in 0..p {
+            let slab = Dims3::new(decomp.planes(rank).len(), 36, 48);
+            check(slab, Axis::Z);
+            check(slab, Axis::Y);
+            check(Dims3::new(1, decomp.cols(rank).len(), 80), Axis::Z);
+        }
+    }
+    // Zero lines: a rank that owns no plane transforms nothing.
+    let empty = Dims3 {
+        nx: 0,
+        ny: 36,
+        nz: 48,
+    };
+    for dir in DIRECTIONS {
+        transform_axis(&mut [], empty, Axis::Z, &FftPlan::new(48), dir);
+        transform_axis(&mut [], empty, Axis::Y, &FftPlan::new(36), dir);
+    }
+}
+
+#[test]
+fn a_bluestein_axis_still_matches_the_naive_dft() {
+    // 97 is prime: the batched entry falls back to one line at a time.
+    let dims = Dims3::new(3, 97, 5);
+    let mut rng = SmallRng::seed_from_u64(97);
+    let x = fft_signal(&mut rng, dims.len(), 0);
+    let mut got = x.clone();
+    transform_axis(
+        &mut got,
+        dims,
+        Axis::Y,
+        &FftPlan::new(97),
+        Direction::Forward,
+    );
+    for xi in 0..dims.nx {
+        for z in 0..dims.nz {
+            let line: Vec<Complex64> = (0..97).map(|y| x[dims.idx(xi, y, z)]).collect();
+            for (y, want) in dft(&line).iter().enumerate() {
+                let err = (got[dims.idx(xi, y, z)] - *want).abs();
+                assert!(err < 1e-8 * 97.0, "line ({xi}, {z}) bin {y}: {err:e}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fft3d_on_the_paper_grid_returns_the_recursive_kernel_bits() {
+    let dims = Dims3::new(80, 36, 48);
+    let fft = Fft3d::new(dims);
+    let x = fft_signal(&mut SmallRng::seed_from_u64(2002), dims.len(), 0);
+
+    let mut got = x.clone();
+    fft.forward(&mut got);
+    let mut want = x;
+    fft_oracle::fft3d(&mut want, dims, Direction::Forward);
+    assert_complex_bit_equal(&got, &want, "forward");
+
+    fft.inverse(&mut got);
+    fft_oracle::fft3d(&mut want, dims, Direction::Inverse);
+    let inv = 1.0 / dims.len() as f64;
+    for v in want.iter_mut() {
+        *v = v.scale(inv);
+    }
+    assert_complex_bit_equal(&got, &want, "inverse");
+}
+
+/// `Pme::energy_forces` with the parent's FFT in place of `Fft3d`: the
+/// same public spline, spreading and influence code, and the solver's
+/// convolution and interpolation loops.
+fn pme_over_the_oracle_fft(sys: &System, params: PmeParams, forces: &mut [Vec3]) -> f64 {
+    let (grid, order) = (params.grid, params.order);
+    let influence = influence_function(grid, &sys.pbox, params.beta, order);
+    let splines = compute_splines(&sys.pbox, &sys.positions, grid, order);
+    let mut mesh = vec![Complex64::ZERO; grid.len()];
+    spread_charges(&sys.topology, &splines, grid, order, &mut mesh);
+
+    fft_oracle::fft3d(&mut mesh, grid, Direction::Forward);
+    let mut energy = 0.0;
+    for (v, &w) in mesh.iter_mut().zip(&influence) {
+        energy += 0.5 * w * v.norm_sqr();
+        *v = v.scale(w);
+    }
+    fft_oracle::fft3d(&mut mesh, grid, Direction::Inverse);
+    let inv = 1.0 / grid.len() as f64;
+    for v in mesh.iter_mut() {
+        *v = v.scale(inv);
+    }
+    let scale = grid.len() as f64;
+
+    let l = sys.pbox.lengths;
+    let du = [
+        grid.nx as f64 / l.x,
+        grid.ny as f64 / l.y,
+        grid.nz as f64 / l.z,
+    ];
+    for ((a, sp), f) in sys
+        .topology
+        .atoms
+        .iter()
+        .zip(&splines)
+        .zip(forces.iter_mut())
+    {
+        let q = a.charge;
+        if q == 0.0 {
+            continue;
+        }
+        let mut grad = Vec3::ZERO;
+        for tx in 0..order {
+            let gx = (sp.base[0] + tx as i64).rem_euclid(grid.nx as i64) as usize;
+            for ty in 0..order {
+                let gy = (sp.base[1] + ty as i64).rem_euclid(grid.ny as i64) as usize;
+                let row = (gx * grid.ny + gy) * grid.nz;
+                for tz in 0..order {
+                    let gz = (sp.base[2] + tz as i64).rem_euclid(grid.nz as i64) as usize;
+                    let phi = mesh[row + gz].re * scale;
+                    grad.x += sp.dw[0][tx] * sp.w[1][ty] * sp.w[2][tz] * phi;
+                    grad.y += sp.w[0][tx] * sp.dw[1][ty] * sp.w[2][tz] * phi;
+                    grad.z += sp.w[0][tx] * sp.w[1][ty] * sp.dw[2][tz] * phi;
+                }
+            }
+        }
+        *f -= Vec3::new(grad.x * du[0], grad.y * du[1], grad.z * du[2]) * q;
+    }
+    energy
+}
+
+#[test]
+fn myoglobin_pme_returns_the_bits_of_the_pipeline_over_the_recursive_fft() {
+    let sys = myoglobin_raw();
+    let params = PmeParams::paper(0.34);
+    let preload = random_forces(&mut SmallRng::seed_from_u64(803_648), sys.n_atoms());
+
+    let mut got = preload.clone();
+    let (e_got, _) = Pme::new(params, &sys.pbox).energy_forces(
+        &sys.topology,
+        &sys.pbox,
+        &sys.positions,
+        &mut got,
+    );
+    let mut want = preload;
+    let e_want = pme_over_the_oracle_fft(&sys, params, &mut want);
+    assert_eq!(e_got.to_bits(), e_want.to_bits());
+    assert_forces_bit_equal(&got, &want, "myoglobin PME");
 }
