@@ -22,11 +22,18 @@
 //!   grants, woken by each handled request — executing them on an
 //!   N-thread work-stealing pool under `--threads N` (default 1;
 //!   results commit in task-index order, so the journal is
-//!   byte-identical at every thread count). Connections are accepted
-//!   by a bounded worker pool (the global `cpc_pool` width, clamped
-//!   to 1..=8) that reads requests and writes responses outside the
-//!   gateway lock, so a slow client stalls one worker, not the
-//!   server. `--kill-after N` arms the
+//!   byte-identical at every thread count). The gateway lock guards
+//!   bookkeeping only: the pump holds it to grant and lease a batch
+//!   and again to commit it (`Gateway::pump_shared`), never while the
+//!   cells execute, so a status poll or a submission is answered
+//!   between any two cells of a burst, not after its last. If the
+//!   pump thread ever panics the process prints the panic and exits
+//!   with code 70 rather than serve polls for campaigns that will
+//!   never advance (restart on the same `--root` resumes).
+//!   Connections are accepted by a bounded worker pool (the global
+//!   `cpc_pool` width, clamped to 1..=8) that reads requests and
+//!   writes responses outside the gateway lock, so a slow client
+//!   stalls one worker, not the server. `--kill-after N` arms the
 //!   service kill switch: the process exits with code 3 after its
 //!   N-th fresh cell, and restarting with the same `--root` resumes
 //!   from the durable queue alone.
@@ -52,6 +59,7 @@ use cpc_workload::Measurement;
 use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -59,6 +67,10 @@ const USAGE: &str = "usage: serve --root DIR [--port N] [--quick] [--threads N] 
      \x20      [--enospc-while FILE]\n\
      \x20      | --port N --get PATH | --port N --post PATH --body JSON\n\
      \x20      | --demo-campaign";
+
+/// Exit code of a server whose pump thread panicked (sysexits'
+/// EX_SOFTWARE) — distinct from `EXIT_CELL_BUDGET`, the injected kill.
+const EXIT_PUMP_PANIC: i32 = 70;
 
 fn die(msg: impl std::fmt::Display) -> ! {
     eprintln!("serve: {msg}");
@@ -173,7 +185,7 @@ fn serve(
     let mut cfg = GatewayConfig::new(root, format!("campaign steps={steps} model={model:?}"));
     cfg.threads = threads.max(1);
     cfg.kill = kill_after.map(|n| (n, KillPoint::MidCommit));
-    let deadline = cfg.limits.deadline;
+    let limits = cfg.limits.clone();
     let model = MeasurementModel {
         system,
         steps,
@@ -207,32 +219,45 @@ fn serve(
     let wake = Arc::new((Mutex::new(false), Condvar::new()));
     let pump_gw = Arc::clone(&gw);
     let pump_wake = Arc::clone(&wake);
-    std::thread::spawn(move || loop {
-        let report = pump_gw.lock().expect("gateway lock").pump(4);
-        if report.killed {
-            eprintln!(
-                "serve: injected kill fired; exiting — restart with the same --root to resume"
-            );
-            // The one exit `serve` takes on its own.
-            eprintln!("{}", cpc_charmm::KernelMemo::global().stats());
-            std::process::exit(EXIT_CELL_BUDGET);
-        }
-        if report.granted > 0 {
-            // Work flowed: pump again immediately.
-            continue;
-        }
-        let (pending, bell) = &*pump_wake;
-        let mut rung = pending.lock().expect("pump wake lock");
-        while !*rung {
-            let (guard, timeout) = bell
-                .wait_timeout(rung, Duration::from_millis(500))
-                .expect("pump wake lock");
-            rung = guard;
-            if timeout.timed_out() {
-                break;
+    std::thread::spawn(move || {
+        let pump = || loop {
+            let report = Gateway::pump_shared(&pump_gw, 4);
+            if report.killed {
+                eprintln!(
+                    "serve: injected kill fired; exiting — restart with the same --root to resume"
+                );
+                eprintln!("{}", cpc_charmm::KernelMemo::global().stats());
+                std::process::exit(EXIT_CELL_BUDGET);
             }
+            if report.granted > 0 {
+                // Work flowed: pump again immediately.
+                continue;
+            }
+            let (pending, bell) = &*pump_wake;
+            let mut rung = pending.lock().expect("pump wake lock");
+            while !*rung {
+                let (guard, timeout) = bell
+                    .wait_timeout(rung, Duration::from_millis(500))
+                    .expect("pump wake lock");
+                rung = guard;
+                if timeout.timed_out() {
+                    break;
+                }
+            }
+            *rung = false;
+        };
+        // Cells execute outside the gateway lock, so a panic on this
+        // thread need not poison it: without this boundary the accept
+        // workers would answer 200 forever for campaigns nothing
+        // advances. (A panicking *cell* never gets here — the pool
+        // contains it and the lease path re-executes it.)
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(pump)) {
+            eprintln!(
+                "serve: pump thread panicked ({}); exiting — restart with the same --root to resume",
+                cpc_pool::panic_message(payload.as_ref())
+            );
+            std::process::exit(EXIT_PUMP_PANIC);
         }
-        *rung = false;
     });
 
     // Bounded accept-worker pool: `accept` is thread-safe on a shared
@@ -249,12 +274,13 @@ fn serve(
         for _ in 0..workers {
             let gw = Arc::clone(&gw);
             let wake = Arc::clone(&wake);
+            let limits = &limits;
             s.spawn(move || loop {
                 let Ok((stream, _)) = listener.accept() else {
                     continue;
                 };
-                let mut conn = TcpConn::new(stream, deadline);
-                Gateway::handle_shared(&gw, &mut conn);
+                let mut conn = TcpConn::new(stream, limits.deadline);
+                Gateway::handle_shared(&gw, limits, &mut conn);
                 let (pending, bell) = &*wake;
                 *pending.lock().expect("pump wake lock") = true;
                 bell.notify_one();

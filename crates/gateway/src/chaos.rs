@@ -452,6 +452,8 @@ mod tests {
     use super::*;
     use crate::demo::{demo_cells, demo_flood_cells, DemoModel};
     use cpc_cluster::TransportFaultSpace;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("cpc-gwchaos-{tag}-{}", std::process::id()));
@@ -485,14 +487,60 @@ mod tests {
         }
     }
 
+    /// [`DemoModel`] whose cells hold the pump inside a ticket's
+    /// `run()` until one more connection has been handled (or no
+    /// worker is left to handle one), so the concurrent driver's
+    /// connections really land between `begin` and `finish`.
+    struct GatedDemo {
+        /// Connections handled to completion, all workers.
+        handled: Arc<AtomicUsize>,
+        /// Workers still running.
+        live: Arc<AtomicUsize>,
+        /// A cell is executing right now.
+        in_exec: Arc<AtomicBool>,
+        /// Cells released by a connection completing mid-run.
+        landed: Arc<AtomicUsize>,
+    }
+
+    impl CampaignModel for GatedDemo {
+        type Task = u64;
+        type Result = Vec<f64>;
+
+        fn parse_cells(&self, cells: &Value) -> Result<Vec<u64>, String> {
+            DemoModel.parse_cells(cells)
+        }
+        fn key_of(r: &Vec<f64>) -> String {
+            DemoModel::key_of(r)
+        }
+        fn exec(&self, task: &u64) -> (Vec<f64>, f64) {
+            let seen = self.handled.load(Ordering::SeqCst);
+            self.in_exec.store(true, Ordering::SeqCst);
+            while self.live.load(Ordering::SeqCst) > 0
+                && self.handled.load(Ordering::SeqCst) == seen
+            {
+                std::thread::yield_now();
+            }
+            if self.handled.load(Ordering::SeqCst) != seen {
+                self.landed.fetch_add(1, Ordering::SeqCst);
+            }
+            self.in_exec.store(false, Ordering::SeqCst);
+            DemoModel.exec(task)
+        }
+    }
+
     /// The fd-leak and deadline oracles extended to concurrent
     /// connections: several accept workers drive submissions, status
     /// polls and armed slowloris readers through one shared gateway
-    /// via [`Gateway::handle_shared`]. Every connection must still be
-    /// closed (opened == closed), no read may land past its deadline
-    /// on any worker, concurrent identical submissions must
-    /// deduplicate onto one campaign, and the drained artifact must
-    /// match the direct single-connection reference byte for byte.
+    /// via [`Gateway::handle_shared`] while the main thread pumps it
+    /// through [`Gateway::pump_shared`] — each worker holds its poll
+    /// back until a cell is executing, and each cell holds the pump
+    /// inside `run()` until a connection completes, so requests land
+    /// between `begin` and `finish` on every run of the test. Every
+    /// connection must still be closed (opened == closed), no read may
+    /// land past its deadline on any worker, concurrent identical
+    /// submissions must deduplicate onto one campaign, and the drained
+    /// artifact must match the direct single-connection reference byte
+    /// for byte.
     #[test]
     fn concurrent_connections_leak_no_fds_and_hold_deadlines() {
         let dir = tmp_dir("concurrent");
@@ -503,28 +551,43 @@ mod tests {
         let id = campaign_id("alice", protocol, &cells_canonical);
         let deadline = 8.0;
 
+        const WORKERS: usize = 4;
+        const CONNS_PER_WORKER: usize = 3;
+        let handled = Arc::new(AtomicUsize::new(0));
+        let live = Arc::new(AtomicUsize::new(WORKERS));
+        let in_exec = Arc::new(AtomicBool::new(false));
+        let landed = Arc::new(AtomicUsize::new(0));
+        let model = GatedDemo {
+            handled: handled.clone(),
+            live: live.clone(),
+            in_exec: in_exec.clone(),
+            landed: landed.clone(),
+        };
+
         let mut cfg = GatewayConfig::new(dir.join("gw"), protocol);
         cfg.limits = HttpLimits {
             deadline,
             ..HttpLimits::default()
         };
-        let gw = std::sync::Mutex::new(Gateway::open(cfg, DemoModel).unwrap());
+        let limits = cfg.limits.clone();
+        let gw = std::sync::Mutex::new(Gateway::open(cfg, model).unwrap());
 
-        const WORKERS: usize = 4;
-        const CONNS_PER_WORKER: usize = 3;
         let overruns: usize = cpc_pool::scope(|s| {
             let handles: Vec<_> = (0..WORKERS)
                 .map(|_| {
-                    let gw = &gw;
+                    let (gw, limits) = (&gw, &limits);
+                    let (handled, live, in_exec) = (&handled, &live, &in_exec);
                     let submission = submission.clone();
                     let id = id.clone();
                     s.spawn(move || {
-                        let mut overruns = 0;
+                        let serve = |conn: &mut ScriptedConn| {
+                            Gateway::handle_shared(gw, limits, conn);
+                            handled.fetch_add(1, Ordering::SeqCst);
+                        };
                         // Same submission from every worker: the race
                         // must deduplicate, never double-admit.
-                        let mut conn =
-                            ScriptedConn::request(http_post("/campaigns", &submission));
-                        Gateway::handle_shared(gw, &mut conn);
+                        let mut conn = ScriptedConn::request(http_post("/campaigns", &submission));
+                        serve(&mut conn);
                         assert!(
                             matches!(conn.response_status(), Some(200..=299)),
                             "submission must be admitted or deduplicated, got {:?}",
@@ -536,21 +599,33 @@ mod tests {
                         let mut slow = ScriptedConn::request(http_post("/campaigns", &submission))
                             .dribble(2, 1.0)
                             .with_deadline(deadline);
-                        Gateway::handle_shared(gw, &mut slow);
-                        overruns += slow.overruns();
-                        let mut poll =
-                            ScriptedConn::request(http_get(&format!("/campaigns/{id}")));
-                        Gateway::handle_shared(gw, &mut poll);
-                        overruns
+                        serve(&mut slow);
+                        // The poll waits for a ticket to be running.
+                        while !in_exec.load(Ordering::SeqCst) && !gw.lock().unwrap().all_done() {
+                            std::thread::yield_now();
+                        }
+                        let mut poll = ScriptedConn::request(http_get(&format!("/campaigns/{id}")));
+                        serve(&mut poll);
+                        assert_eq!(poll.response_status(), Some(200));
+                        live.fetch_sub(1, Ordering::SeqCst);
+                        slow.overruns()
                     })
                 })
                 .collect();
+            while handles.iter().any(|h| !h.is_finished()) {
+                Gateway::pump_shared(&gw, 8);
+                std::thread::yield_now();
+            }
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(overruns, 0, "no read may be issued past its deadline");
+        assert!(
+            landed.load(Ordering::SeqCst) >= 1,
+            "no connection completed while a ticket was running"
+        );
 
         while !gw.lock().unwrap().all_done() {
-            let report = gw.lock().unwrap().pump(8);
+            let report = Gateway::pump_shared(&gw, 8);
             if report.granted == 0 && !report.killed {
                 break;
             }

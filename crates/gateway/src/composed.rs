@@ -372,10 +372,7 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
             };
             // Stall and revive accounting rides the cumulative
             // gateway stats, absorbed once per incarnation.
-            match catch_unwind(AssertUnwindSafe(|| gw.pump(budget))) {
-                Ok(r) => Some(r),
-                Err(_) => None,
-            }
+            catch_unwind(AssertUnwindSafe(|| gw.pump(budget))).ok()
         };
         match report {
             Some(r) => {
@@ -732,7 +729,7 @@ where
     let rounds = eff_service.faults.len().max(eff_transport.faults.len());
     for i in 0..rounds {
         if let Some(fault) = eff_service.faults.get(i) {
-            conductor.apply_service_fault(fault.clone());
+            conductor.apply_service_fault(*fault);
         }
         conductor.pump_once(3);
         if let Some(fault) = eff_transport.faults.get(i) {

@@ -32,19 +32,21 @@ use cpc_cluster::RttEstimator;
 use cpc_pool::{Pool, SchedChaos};
 use cpc_vfs::{atomic_publish, is_enospc, real_fs, SharedFs};
 use cpc_workload::service::{
-    task_key, JobService, KillPoint, ServiceConfig, ServiceOutcome, StepOutcome,
+    task_key, Batch, JobService, KillPoint, ServiceConfig, ServiceOutcome, Settled, StepOutcome,
 };
 use serde_json::Value;
 use std::collections::HashMap;
 use std::io;
+use std::ops::DerefMut;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 /// How a campaign's task list, execution and result rendering plug
 /// into the gateway. The gateway is generic so the bench binary can
 /// serve real measurement cells while tests and the chaos harness
 /// serve a cheap deterministic model through identical code paths.
 /// `Sync` (and the `Sync`/`Send` bounds on the associated types)
-/// because [`Gateway::pump`] executes each DRR grant's batch of cells
+/// because a [`Ticket`] executes each DRR grant's batch of cells
 /// concurrently on a `cpc-pool` executor.
 pub trait CampaignModel: Sync {
     /// One cell of work, serializable for the queue key.
@@ -159,7 +161,9 @@ pub struct PumpReport {
 struct Campaign<M: CampaignModel> {
     id: String,
     tenant: String,
-    tasks: Vec<M::Task>,
+    /// Shared with the ticket in flight, which executes over them
+    /// while the gateway is unlocked.
+    tasks: Arc<[M::Task]>,
     service: JobService<M::Result>,
     done: bool,
     /// A storage failure (ENOSPC, EIO, failed fsync) interrupted a
@@ -170,14 +174,63 @@ struct Campaign<M: CampaignModel> {
     stalled: bool,
 }
 
-/// The gateway itself. Single-threaded by design: the bench binary
-/// serializes connections through a mutex and pumps execution from a
-/// worker loop; determinism of the underlying service is what makes
-/// kill-resume byte-identical through the HTTP path.
+/// One DRR grant between its two critical sections: the leased batch
+/// of one campaign plus everything needed to execute it — handles to
+/// the campaign's tasks, the model and the pool — so [`Ticket::run`]
+/// borrows nothing of the gateway and a later
+/// [`Gateway::swap_pool`]/[`Gateway::arm_sched_chaos`] cannot pull the
+/// executor away mid-ticket. [`Gateway::begin`] issues it,
+/// [`Gateway::finish`] commits it.
+pub struct Ticket<M: CampaignModel> {
+    campaign: String,
+    batch: Batch<M::Result>,
+    tasks: Arc<[M::Task]>,
+    model: Arc<M>,
+    pool: Pool,
+}
+
+impl<M: CampaignModel> Ticket<M> {
+    /// Executes the ticket's cells — the physics, and all of it. A
+    /// panicking cell is contained by the pool and re-executed after
+    /// [`Gateway::finish`] hands the ticket back.
+    pub fn run(&mut self) {
+        let model = &*self.model;
+        self.batch
+            .execute(&self.tasks, &self.pool, &|t: &M::Task| model.exec(t));
+    }
+}
+
+/// What [`Gateway::begin`] found to do.
+// Returned once per grant and matched at once; boxing the ticket would
+// be an allocation inside the critical section.
+#[allow(clippy::large_enum_variant)]
+pub enum Begun<M: CampaignModel> {
+    /// No tenant has backlog.
+    Idle,
+    /// The injected kill fired earlier; the gateway refuses work.
+    Dead,
+    /// The grant was spent without a batch: its campaign could not
+    /// be revived from a still-sick disk, revived already finished,
+    /// or stalled while leasing.
+    Skipped,
+    /// A leased batch to [`Ticket::run`] and [`Gateway::finish`].
+    Ticket(Ticket<M>),
+}
+
+/// The gateway itself: bookkeeping only. Every method takes `&mut
+/// self` and is short — a route, a DRR grant plus the leases of one
+/// batch ([`Self::begin`]), the commit of one batch ([`Self::finish`])
+/// — so a process shares it behind one mutex ([`Self::handle_shared`],
+/// [`Self::pump_shared`]) that is never held while cells execute: the
+/// physics runs on a [`Ticket`] between two holds. One ticket is in
+/// flight at a time, so journals, cache and DRR state see one
+/// sequence of mutations whatever requests interleave with it;
+/// determinism of the underlying service is what makes kill-resume
+/// byte-identical through the HTTP path.
 pub struct Gateway<M: CampaignModel> {
     cfg: GatewayConfig,
     fs: SharedFs,
-    model: M,
+    model: Arc<M>,
     sched: DrrScheduler,
     campaigns: Vec<Campaign<M>>,
     index: HashMap<String, usize>,
@@ -186,6 +239,9 @@ pub struct Gateway<M: CampaignModel> {
     rtt: RttEstimator,
     stats: GatewayStats,
     pool: Pool,
+    /// A ticket is out: commit order is ticket order, so a second
+    /// `begin` before its `finish` is a driver bug.
+    ticket_out: bool,
 }
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -240,13 +296,14 @@ impl<M: CampaignModel> Gateway<M> {
             pool: Pool::new(cfg.threads.max(1)),
             cfg,
             fs,
-            model,
+            model: Arc::new(model),
             campaigns: Vec::new(),
             index: HashMap::new(),
             draining: false,
             dead: false,
             rtt: RttEstimator::new(),
             stats: GatewayStats::default(),
+            ticket_out: false,
         };
         let mut ids: Vec<String> = gw
             .fs
@@ -270,7 +327,7 @@ impl<M: CampaignModel> Gateway<M> {
                 .get("cells")
                 .ok_or_else(|| io_err("meta.json missing cells"))?;
             let tasks = gw.model.parse_cells(cells).map_err(io_err)?;
-            gw.register(id, tenant, tasks)?;
+            gw.register(id, tenant, tasks.into())?;
         }
         Ok(gw)
     }
@@ -299,7 +356,7 @@ impl<M: CampaignModel> Gateway<M> {
         out.drained && out.completed + out.abandoned >= out.total
     }
 
-    fn register(&mut self, id: String, tenant: String, tasks: Vec<M::Task>) -> io::Result<()> {
+    fn register(&mut self, id: String, tenant: String, tasks: Arc<[M::Task]>) -> io::Result<()> {
         let service = self.open_service(&id, &tasks)?;
         let done = Self::settled(&service.outcome());
         self.sched.register(&tenant);
@@ -323,8 +380,8 @@ impl<M: CampaignModel> Gateway<M> {
         out.total.saturating_sub(out.completed + out.abandoned)
     }
 
-    fn tenant_backlog(&self, tenant: &str) -> usize {
-        self.campaigns
+    fn backlog_of(campaigns: &[Campaign<M>], tenant: &str) -> usize {
+        campaigns
             .iter()
             .filter(|c| c.tenant == tenant)
             .map(Self::remaining)
@@ -359,7 +416,6 @@ impl<M: CampaignModel> Gateway<M> {
     /// closes the connection and is accounted in [`GatewayStats`].
     pub fn handle(&mut self, conn: &mut dyn Conn) {
         self.stats.conns_opened += 1;
-        self.stats.requests += 1;
         let limits = self.cfg.limits.clone();
         let resp = match read_request(conn, &limits) {
             Ok(req) => self.route(&req.method, &req.path, &req.body),
@@ -368,54 +424,60 @@ impl<M: CampaignModel> Gateway<M> {
                 Response::json(status, reason, format!("{{\"error\":\"{reason}\"}}"))
             }
         };
-        if resp.status >= 400 {
-            self.stats.rejected += 1;
-        }
-        if resp.status == 429 || resp.status == 503 || resp.status == 507 {
-            self.stats.shed += 1;
-        }
+        self.count_response(&resp);
         // A peer that disconnected mid-response is its own problem;
         // the gateway's job is only to never wedge on it.
         let _ = write_response(conn, &resp);
         self.stats.conns_closed += 1;
     }
 
+    /// Accounts one request and its response on a connection already
+    /// counted open.
+    fn count_response(&mut self, resp: &Response) {
+        self.stats.requests += 1;
+        if resp.status >= 400 {
+            self.stats.rejected += 1;
+        }
+        if resp.status == 429 || resp.status == 503 || resp.status == 507 {
+            self.stats.shed += 1;
+        }
+    }
+
     /// [`handle`](Self::handle) for a gateway shared across accept
     /// workers: the request is read and the response written OUTSIDE
     /// the lock, so a slow or hostile peer stalls only its own worker
-    /// while the others keep routing. The lock is held exactly for
-    /// routing and the stats bumps; every exit path still closes the
-    /// connection in [`GatewayStats`], so the fd-leak oracle
-    /// (`conns_opened == conns_closed`) covers concurrent connections
-    /// unchanged.
-    pub fn handle_shared(gw: &std::sync::Mutex<Self>, conn: &mut dyn Conn) {
-        let limits = {
-            let mut g = gw.lock().expect("gateway lock");
-            g.stats.conns_opened += 1;
-            g.stats.requests += 1;
-            g.cfg.limits.clone()
-        };
-        let resp = match read_request(conn, &limits) {
-            Ok(req) => gw
-                .lock()
-                .expect("gateway lock")
-                .route(&req.method, &req.path, &req.body),
+    /// while the others keep routing. The lock is taken twice: once
+    /// the request has arrived, for routing and its accounting, and
+    /// after the write, to close the connection in [`GatewayStats`]
+    /// (a connection that never delivers a request is accounted,
+    /// opened and closed, in that second section alone). Every exit
+    /// path still closes, so the fd-leak oracle (`conns_opened ==
+    /// conns_closed` at quiescence) covers concurrent connections
+    /// unchanged. `limits` are the gateway's own
+    /// ([`GatewayConfig::limits`]), read once by the caller instead of
+    /// under the lock per request.
+    pub fn handle_shared(gw: &Mutex<Self>, limits: &HttpLimits, conn: &mut dyn Conn) {
+        let (resp, counted) = match read_request(conn, limits) {
+            Ok(req) => {
+                let mut g = gw.lock().expect("gateway lock");
+                g.stats.conns_opened += 1;
+                let resp = g.route(&req.method, &req.path, &req.body);
+                g.count_response(&resp);
+                (resp, true)
+            }
             Err(e) => {
                 let (status, reason) = e.status();
-                Response::json(status, reason, format!("{{\"error\":\"{reason}\"}}"))
+                let body = format!("{{\"error\":\"{reason}\"}}");
+                (Response::json(status, reason, body), false)
             }
         };
-        {
-            let mut g = gw.lock().expect("gateway lock");
-            if resp.status >= 400 {
-                g.stats.rejected += 1;
-            }
-            if resp.status == 429 || resp.status == 503 || resp.status == 507 {
-                g.stats.shed += 1;
-            }
-        }
         let _ = write_response(conn, &resp);
-        gw.lock().expect("gateway lock").stats.conns_closed += 1;
+        let mut g = gw.lock().expect("gateway lock");
+        if !counted {
+            g.stats.conns_opened += 1;
+            g.count_response(&resp);
+        }
+        g.stats.conns_closed += 1;
     }
 
     fn route(&mut self, method: &str, path: &str, body: &[u8]) -> Response {
@@ -515,7 +577,7 @@ impl<M: CampaignModel> Gateway<M> {
         if tasks.is_empty() {
             return bad("empty campaign");
         }
-        let backlog = self.tenant_backlog(&tenant);
+        let backlog = Self::backlog_of(&self.campaigns, &tenant);
         if backlog + tasks.len() > self.cfg.policy.max_pending_cells {
             return self.shed(429, "Too Many Requests", "tenant backlog full", backlog);
         }
@@ -537,7 +599,7 @@ impl<M: CampaignModel> Gateway<M> {
             // before the client is told anything was created.
             fs.sync_dir(&self.cfg.root.join("campaigns"))
         };
-        match write(&self.fs).and_then(|()| self.register(id.clone(), tenant, tasks)) {
+        match write(&self.fs).and_then(|()| self.register(id.clone(), tenant, tasks.into())) {
             Ok(()) => Response::json(
                 201,
                 "Created",
@@ -583,7 +645,7 @@ impl<M: CampaignModel> Gateway<M> {
         };
         let c = &self.campaigns[idx];
         let mut items: Vec<String> = Vec::new();
-        for task in &c.tasks {
+        for task in c.tasks.iter() {
             let Ok(key) = task_key(task) else { continue };
             if let Some(r) = c.service.results().get(&key) {
                 let v = M::result_json(r);
@@ -609,111 +671,184 @@ impl<M: CampaignModel> Gateway<M> {
     /// thread count the campaign journals are byte-identical. Returns
     /// how many cells advanced and whether the injected kill fired
     /// (after which the gateway refuses further work, modelling the
-    /// dead process).
+    /// dead process). This is `loop { begin; run; finish }`, the same
+    /// loop [`Self::pump_shared`] runs.
     pub fn pump(&mut self, budget: usize) -> PumpReport {
+        Self::pump_loop(self, budget, |gw, ticket| {
+            ticket.run();
+            gw
+        })
+    }
+
+    /// [`pump`](Self::pump) for a gateway shared behind a mutex: the
+    /// lock is held for [`Self::begin`] and [`Self::finish`] (one hold
+    /// covers a `finish` and the next `begin`) and released while the
+    /// ticket runs, so requests are answered between any two cells of
+    /// a burst instead of after its last.
+    pub fn pump_shared(gw: &Mutex<Self>, budget: usize) -> PumpReport {
+        let lock = || gw.lock().expect("gateway lock");
+        Self::pump_loop(lock(), budget, |held, ticket| {
+            drop(held);
+            ticket.run();
+            lock()
+        })
+    }
+
+    /// The one pump loop, over an exclusive borrow or a mutex guard.
+    /// `run` executes the ticket and returns the access it was lent —
+    /// or a fresh one, having given the gateway up meanwhile.
+    fn pump_loop<G: DerefMut<Target = Self>>(
+        mut gw: G,
+        budget: usize,
+        mut run: impl FnMut(G, &mut Ticket<M>) -> G,
+    ) -> PumpReport {
         let mut report = PumpReport::default();
         // Bounded by grants, not cells: a batch that advances nothing
         // (every cell dead-lettered mid-batch) must not spin forever.
         for _ in 0..budget {
-            if report.granted >= budget {
+            if report.granted >= budget || report.killed {
                 break;
             }
-            if self.dead {
-                report.killed = true;
-                break;
-            }
-            let backlogs: HashMap<String, usize> = self
-                .sched
-                .tenants()
-                .iter()
-                .map(|t| (t.clone(), self.tenant_backlog(t)))
-                .collect();
-            let Some(tenant) = self.sched.grant(|t| *backlogs.get(t).unwrap_or(&0)) else {
-                break;
-            };
-            let Some(idx) = self
-                .campaigns
-                .iter()
-                .position(|c| c.tenant == tenant && !c.done)
-            else {
-                continue;
-            };
-            // A stalled campaign is revived by reopening its service
-            // from disk — never by trusting the in-memory instance
-            // that saw the storage failure (its journal may be
-            // poisoned; per the fsyncgate policy a retried fsync would
-            // lie). If the disk is still sick the reopen fails and the
-            // campaign stays quiesced for a later pump.
-            if self.campaigns[idx].stalled {
-                let id = self.campaigns[idx].id.clone();
-                let tasks = self.campaigns[idx].tasks.clone();
-                match self.open_service(&id, &tasks) {
-                    Ok(service) => {
-                        self.stats.revives += 1;
-                        let c = &mut self.campaigns[idx];
-                        c.done = Self::settled(&service.outcome());
-                        c.service = service;
-                        c.stalled = false;
-                        if c.done {
-                            continue;
-                        }
-                    }
-                    Err(_) => continue,
+            let mut ticket = match gw.begin(budget - report.granted) {
+                Begun::Idle => break,
+                Begun::Dead => {
+                    report.killed = true;
+                    break;
                 }
-            }
-            let campaign = &mut self.campaigns[idx];
-            let model = &self.model;
-            let width = self.pool.threads().min(budget - report.granted).max(1);
-            let batch = campaign.service.pooled_batch(
-                &campaign.tasks,
-                &self.pool,
-                width,
-                &|t: &M::Task| model.exec(t),
-            );
-            match batch {
-                Ok(b) => {
-                    report.granted += b.advanced;
-                    // Per-cell costs feed the shed-back-pressure
-                    // estimator exactly like RTT samples, in commit
-                    // order (cache hits cost nothing, as before).
-                    for &cost in &b.exec_costs {
-                        self.rtt.observe(cost.max(1e-6));
-                    }
-                    match b.step {
-                        StepOutcome::Progress => {
-                            // The batch that completes the last cell
-                            // leaves the queue drained with zero
-                            // backlog; without marking it done here
-                            // the scheduler would never grant the
-                            // campaign again and it would idle
-                            // forever.
-                            if Self::settled(&campaign.service.outcome()) {
-                                campaign.done = true;
-                            }
-                        }
-                        StepOutcome::Drained => campaign.done = true,
-                        StepOutcome::Killed => {
-                            self.dead = true;
-                            report.killed = true;
-                            break;
-                        }
-                    }
-                }
-                Err(_) => {
-                    // A storage failure mid-batch (ENOSPC, EIO, failed
-                    // fsync): quiesce the campaign. It is NOT done —
-                    // marking it done would silently drop every
-                    // unfinished cell. The durable state on disk
-                    // decides what re-runs when a later pump revives
-                    // the service, and because recovery is
-                    // construction, the resumed artifact is
-                    // byte-identical to an unfaulted run's.
-                    campaign.stalled = true;
-                    self.stats.stalls += 1;
+                Begun::Skipped => continue,
+                Begun::Ticket(ticket) => ticket,
+            };
+            loop {
+                gw = run(gw, &mut ticket);
+                match gw.finish(ticket, &mut report) {
+                    Some(again) => ticket = again,
+                    None => break,
                 }
             }
         }
         report
+    }
+
+    /// First critical section of one pump iteration: the DRR grant,
+    /// revival of the granted campaign if a storage failure stalled
+    /// it, and the collect phase of its next batch — at most `width`
+    /// cells, and never more than the pool is wide. Nothing executes
+    /// here; the cells run on the returned ticket.
+    pub fn begin(&mut self, width: usize) -> Begun<M> {
+        assert!(!self.ticket_out, "begin() with a ticket still out");
+        if self.dead {
+            return Begun::Dead;
+        }
+        let Gateway {
+            sched, campaigns, ..
+        } = self;
+        let Some(tenant) = sched.grant(|t| Self::backlog_of(campaigns, t)) else {
+            return Begun::Idle;
+        };
+        let Some(idx) = self
+            .campaigns
+            .iter()
+            .position(|c| c.tenant == tenant && !c.done)
+        else {
+            return Begun::Skipped;
+        };
+        // A stalled campaign is revived by reopening its service
+        // from disk — never by trusting the in-memory instance
+        // that saw the storage failure (its journal may be
+        // poisoned; per the fsyncgate policy a retried fsync would
+        // lie). If the disk is still sick the reopen fails and the
+        // campaign stays quiesced for a later pump.
+        if self.campaigns[idx].stalled {
+            let Ok(service) =
+                self.open_service(&self.campaigns[idx].id, &self.campaigns[idx].tasks)
+            else {
+                return Begun::Skipped;
+            };
+            self.stats.revives += 1;
+            let c = &mut self.campaigns[idx];
+            c.done = Self::settled(&service.outcome());
+            c.service = service;
+            c.stalled = false;
+            if c.done {
+                return Begun::Skipped;
+            }
+        }
+        let campaign = &mut self.campaigns[idx];
+        let width = self.pool.threads().min(width).max(1);
+        match campaign.service.collect_batch(&campaign.tasks, width) {
+            Ok(batch) => {
+                self.ticket_out = true;
+                Begun::Ticket(Ticket {
+                    campaign: campaign.id.clone(),
+                    batch,
+                    tasks: Arc::clone(&campaign.tasks),
+                    model: Arc::clone(&self.model),
+                    pool: self.pool.clone(),
+                })
+            }
+            Err(_) => {
+                self.stall(idx);
+                Begun::Skipped
+            }
+        }
+    }
+
+    /// Second critical section: settles the ticket's batch into its
+    /// campaign — the walk-order commit, RTT samples in commit order,
+    /// the `done`/`stalled`/`dead` transitions — adding what it
+    /// advanced to `report`. Returns the ticket when panicked cells
+    /// were re-leased and it must [`Ticket::run`] again first.
+    pub fn finish(&mut self, mut ticket: Ticket<M>, report: &mut PumpReport) -> Option<Ticket<M>> {
+        let idx = self.index[&ticket.campaign];
+        let campaign = &mut self.campaigns[idx];
+        let settled = match campaign.service.settle_batch(ticket.batch) {
+            Ok(Settled::Rerun(batch)) => {
+                ticket.batch = batch;
+                return Some(ticket);
+            }
+            Ok(Settled::Done(b)) => Some(b),
+            Err(_) => None,
+        };
+        self.ticket_out = false;
+        let Some(b) = settled else {
+            self.stall(idx);
+            return None;
+        };
+        report.granted += b.advanced;
+        // Per-cell costs feed the shed-back-pressure estimator
+        // exactly like RTT samples, in commit order (cache hits cost
+        // nothing, as before).
+        for &cost in &b.exec_costs {
+            self.rtt.observe(cost.max(1e-6));
+        }
+        match b.step {
+            StepOutcome::Progress => {
+                // The batch that completes the last cell leaves the
+                // queue drained with zero backlog; without marking it
+                // done here the scheduler would never grant the
+                // campaign again and it would idle forever.
+                if Self::settled(&campaign.service.outcome()) {
+                    campaign.done = true;
+                }
+            }
+            StepOutcome::Drained => campaign.done = true,
+            StepOutcome::Killed => {
+                self.dead = true;
+                report.killed = true;
+            }
+        }
+        None
+    }
+
+    /// A storage failure mid-batch (ENOSPC, EIO, failed fsync):
+    /// quiesce the campaign. It is NOT done — marking it done would
+    /// silently drop every unfinished cell. The durable state on disk
+    /// decides what re-runs when a later pump revives the service,
+    /// and because recovery is construction, the resumed artifact is
+    /// byte-identical to an unfaulted run's.
+    fn stall(&mut self, idx: usize) {
+        self.campaigns[idx].stalled = true;
+        self.stats.stalls += 1;
     }
 
     /// True when every registered campaign has drained.
@@ -809,6 +944,8 @@ mod tests {
     use crate::chaos::{http_get, http_post, ScriptedConn};
     use crate::demo::{demo_cells, DemoModel};
     use cpc_workload::service::artifact_digest;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("cpc-gateway-{tag}-{}", std::process::id()));
@@ -822,7 +959,7 @@ mod tests {
         Gateway::open(cfg, DemoModel).unwrap()
     }
 
-    fn send(gw: &mut Gateway<DemoModel>, bytes: Vec<u8>) -> ScriptedConn {
+    fn send<M: CampaignModel>(gw: &mut Gateway<M>, bytes: Vec<u8>) -> ScriptedConn {
         let mut conn = ScriptedConn::request(bytes);
         gw.handle(&mut conn);
         conn
@@ -1055,7 +1192,6 @@ mod tests {
     fn enospc_mid_pump_quiesces_then_resumes_byte_identical() {
         use cpc_vfs::SimFs;
         use cpc_workload::service::artifact_digest_on;
-        use std::sync::Arc;
         // Reference: the same campaign driven with no faults.
         let ref_fs = Arc::new(SimFs::new());
         let mut gw =
@@ -1072,92 +1208,298 @@ mod tests {
         let want = artifact_digest_on(ref_fs.as_ref(), &journal);
         assert!(want.is_some());
 
-        // Faulted run: disk fills after two cells complete.
-        let fs = Arc::new(SimFs::new());
-        let mut gw =
-            Gateway::open_on(fs.clone(), GatewayConfig::new("gw", "demo"), DemoModel).unwrap();
-        assert_eq!(
-            send(&mut gw, submit_body("alice", &demo_cells(6))).response_status(),
-            Some(201)
-        );
-        gw.pump(2);
-        fs.set_enospc(true);
-        let r = gw.pump(4);
-        assert_eq!(r.granted, 0, "no progress on a full disk");
-        assert!(!gw.all_done(), "quiesced, never falsely done");
-        assert_eq!(
-            gw.stalled_count(),
-            1,
-            "the campaign stalls instead of dying"
-        );
-        // Pumping while still full keeps it quiesced without panicking.
-        gw.pump(4);
-        assert_eq!(gw.stalled_count(), 1);
+        // Faulted runs: the disk fills after two cells complete —
+        // before the next `begin`, or between a `begin` that leased on
+        // a healthy disk and its `finish`.
+        for between_phases in [false, true] {
+            let fs = Arc::new(SimFs::new());
+            let mut gw =
+                Gateway::open_on(fs.clone(), GatewayConfig::new("gw", "demo"), DemoModel).unwrap();
+            assert_eq!(
+                send(&mut gw, submit_body("alice", &demo_cells(6))).response_status(),
+                Some(201)
+            );
+            gw.pump(2);
+            let r = if between_phases {
+                let Begun::Ticket(mut ticket) = gw.begin(4) else {
+                    panic!("a healthy disk leases a batch");
+                };
+                ticket.run();
+                fs.set_enospc(true);
+                let mut r = PumpReport::default();
+                assert!(gw.finish(ticket, &mut r).is_none());
+                r
+            } else {
+                fs.set_enospc(true);
+                gw.pump(4)
+            };
+            assert_eq!(r.granted, 0, "no progress on a full disk");
+            assert!(!gw.all_done(), "quiesced, never falsely done");
+            assert_eq!(
+                gw.stalled_count(),
+                1,
+                "the campaign stalls instead of dying"
+            );
+            // Pumping while still full keeps it quiesced without panicking.
+            gw.pump(4);
+            assert_eq!(gw.stalled_count(), 1);
 
-        // Space returns: revival drains to the byte-identical artifact.
-        fs.set_enospc(false);
-        while !gw.all_done() {
-            assert!(gw.pump(4).granted > 0 || gw.all_done());
+            // Space returns: revival drains to the byte-identical artifact.
+            fs.set_enospc(false);
+            while !gw.all_done() {
+                assert!(gw.pump(4).granted > 0 || gw.all_done());
+            }
+            assert_eq!(gw.stalled_count(), 0);
+            assert_eq!(
+                artifact_digest_on(fs.as_ref(), &journal),
+                want,
+                "resume after ENOSPC must be byte-identical to the unfaulted run"
+            );
+            let out = gw.outcome_of(&id).unwrap();
+            assert_eq!(out.completed, 6);
         }
-        assert_eq!(gw.stalled_count(), 0);
-        assert_eq!(
-            artifact_digest_on(fs.as_ref(), &journal),
-            want,
-            "resume after ENOSPC must be byte-identical to the unfaulted run"
-        );
-        let out = gw.outcome_of(&id).unwrap();
-        assert_eq!(out.completed, 6);
+    }
+
+    /// The direct (no gateway) journal digest of a demo campaign.
+    fn direct_digest(tag: &str, n: u64) -> Option<u64> {
+        let dir = tmp_dir(tag);
+        let scfg = ServiceConfig::new(&dir, "demo");
+        let journal = scfg.journal_path();
+        let mut svc = JobService::<Vec<f64>>::open(scfg, DemoModel::key_of).unwrap();
+        let tasks: Vec<u64> = (0..n).collect();
+        svc.run(&tasks, |t| DemoModel.exec(t)).unwrap();
+        drop(svc);
+        let digest = artifact_digest(&journal);
+        let _ = std::fs::remove_dir_all(&dir);
+        digest
     }
 
     #[test]
     fn kill_resume_through_the_gateway_is_byte_identical_to_direct() {
-        // Direct path reference.
-        let ref_dir = tmp_dir("gwkill-ref");
-        let scfg = ServiceConfig::new(&ref_dir, "demo");
-        let ref_journal = scfg.journal_path();
-        let mut svc = JobService::<Vec<f64>>::open(scfg, DemoModel::key_of).unwrap();
-        let model = DemoModel;
-        let tasks: Vec<u64> = (0..6).collect();
-        svc.run(&tasks, |t| model.exec(t)).unwrap();
-        drop(svc);
-        let want = artifact_digest(&ref_journal);
-        assert!(want.is_some());
+        let want_alice = direct_digest("gwkill-ref-a", 6);
+        let want_bob = direct_digest("gwkill-ref-b", 2);
+        assert!(want_alice.is_some() && want_bob.is_some());
+        let alice = campaign_id("alice", "demo", &demo_cells(6));
+        let bob = campaign_id("bob", "demo", &demo_cells(2));
 
-        // Gateway incarnation killed mid-commit after 3 fresh cells.
-        let root = tmp_dir("gwkill");
-        let mut cfg = GatewayConfig::new(&root, "demo");
-        cfg.kill = Some((3, KillPoint::MidCommit));
-        let mut gw = Gateway::open(cfg, DemoModel).unwrap();
-        assert_eq!(
-            send(&mut gw, submit_body("alice", &demo_cells(6))).response_status(),
-            Some(201)
-        );
-        let id = campaign_id("alice", "demo", &demo_cells(6));
-        let mut killed = false;
-        for _ in 0..32 {
-            let r = gw.pump(4);
-            if r.killed {
-                killed = true;
-                break;
-            }
-        }
-        assert!(killed, "the injected kill fires");
-        drop(gw); // SIGKILL: durable state is already synced.
-
-        // Next incarnation recovers from meta.json alone — the client
-        // never resubmits — and drains to a byte-identical artifact.
-        let mut gw = Gateway::open(GatewayConfig::new(&root, "demo"), DemoModel).unwrap();
-        assert_eq!(gw.campaign_ids(), vec![id.clone()], "meta.json recovery");
-        while !gw.all_done() {
-            assert!(
-                gw.pump(8).granted > 0 || gw.all_done(),
-                "resume makes progress"
+        for (tag, point) in [
+            ("mid", KillPoint::MidCommit),
+            ("before", KillPoint::BeforeResult),
+        ] {
+            // Gateway incarnation killed at its 3rd fresh cell, driven
+            // phase by phase with a submission landing between every
+            // `begin` and its `finish` — the first one registers bob
+            // while alice's cell is leased, the rest deduplicate.
+            let root = tmp_dir(&format!("gwkill-{tag}"));
+            let mut cfg = GatewayConfig::new(&root, "demo");
+            cfg.kill = Some((3, point));
+            let mut gw = Gateway::open(cfg, DemoModel).unwrap();
+            assert_eq!(
+                send(&mut gw, submit_body("alice", &demo_cells(6))).response_status(),
+                Some(201)
             );
+            let mut report = PumpReport::default();
+            for _ in 0..32 {
+                let Begun::Ticket(mut ticket) = gw.begin(4) else {
+                    break;
+                };
+                ticket.run();
+                let conn = send(&mut gw, submit_body("bob", &demo_cells(2)));
+                assert!(matches!(conn.response_status(), Some(200 | 201)));
+                assert!(gw.finish(ticket, &mut report).is_none());
+                if report.killed {
+                    break;
+                }
+            }
+            assert!(report.killed, "{tag}: the injected kill fires in finish");
+            assert!(matches!(gw.begin(4), Begun::Dead));
+            drop(gw); // SIGKILL: durable state is already synced.
+
+            // Next incarnation recovers from meta.json alone — the
+            // clients never resubmit — and drains to byte-identical
+            // artifacts.
+            let mut gw = Gateway::open(GatewayConfig::new(&root, "demo"), DemoModel).unwrap();
+            let mut ids = vec![alice.clone(), bob.clone()];
+            ids.sort();
+            assert_eq!(gw.campaign_ids(), ids, "{tag}: meta.json recovery");
+            while !gw.all_done() {
+                assert!(
+                    gw.pump(8).granted > 0 || gw.all_done(),
+                    "{tag}: resume makes progress"
+                );
+            }
+            assert_eq!(
+                artifact_digest(gw.config().campaign_journal(&alice)),
+                want_alice,
+                "{tag}"
+            );
+            assert_eq!(
+                artifact_digest(gw.config().campaign_journal(&bob)),
+                want_bob,
+                "{tag}"
+            );
+            let conn = send(&mut gw, http_get(&format!("/campaigns/{alice}")));
+            assert!(conn.response_body().unwrap().contains("\"done\":true"));
+            let _ = std::fs::remove_dir_all(&root);
         }
-        assert_eq!(artifact_digest(gw.config().campaign_journal(&id)), want);
-        let conn = send(&mut gw, http_get(&format!("/campaigns/{id}")));
-        assert!(conn.response_body().unwrap().contains("\"done\":true"));
-        let _ = std::fs::remove_dir_all(&ref_dir);
+    }
+
+    /// [`DemoModel`] with two switches the split-phase tests need: a
+    /// gate that parks the first execution on channels the test
+    /// holds, and a one-shot panic on one cell.
+    struct TrapModel {
+        /// Armed: the next execution announces itself on `entered`
+        /// and blocks until `release` yields.
+        gate: AtomicBool,
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+        /// Armed: the next execution of cell 2 panics.
+        bomb: AtomicBool,
+    }
+
+    impl TrapModel {
+        fn new(gate: bool, bomb: bool) -> (Self, mpsc::Receiver<()>, mpsc::Sender<()>) {
+            let (entered, entered_rx) = mpsc::channel();
+            let (release_tx, release) = mpsc::channel();
+            let model = TrapModel {
+                gate: AtomicBool::new(gate),
+                entered: Mutex::new(entered),
+                release: Mutex::new(release),
+                bomb: AtomicBool::new(bomb),
+            };
+            (model, entered_rx, release_tx)
+        }
+    }
+
+    impl CampaignModel for TrapModel {
+        type Task = u64;
+        type Result = Vec<f64>;
+
+        fn parse_cells(&self, cells: &Value) -> Result<Vec<u64>, String> {
+            DemoModel.parse_cells(cells)
+        }
+        fn key_of(r: &Vec<f64>) -> String {
+            DemoModel::key_of(r)
+        }
+        fn exec(&self, task: &u64) -> (Vec<f64>, f64) {
+            if self.gate.swap(false, Ordering::SeqCst) {
+                self.entered.lock().unwrap().send(()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+            }
+            if *task == 2 && self.bomb.swap(false, Ordering::SeqCst) {
+                panic!("cell 2 panics once");
+            }
+            DemoModel.exec(task)
+        }
+    }
+
+    #[test]
+    fn the_gateway_lock_is_free_while_a_ticket_runs() {
+        // The same script through plain `pump`: the journals to match.
+        let ref_root = tmp_dir("split-ref");
+        let mut gw = open(&ref_root);
+        send(&mut gw, submit_body("alice", &demo_cells(5)));
+        gw.pump(1);
+        send(&mut gw, submit_body("bob", &demo_cells(3)));
+        send(&mut gw, http_post("/drain", "{}"));
+        while !gw.all_done() {
+            assert!(gw.pump(4).granted > 0 || gw.all_done());
+        }
+        let alice = campaign_id("alice", "demo", &demo_cells(5));
+        let bob = campaign_id("bob", "demo", &demo_cells(3));
+        let want: Vec<_> = [&alice, &bob]
+            .map(|id| artifact_digest(gw.config().campaign_journal(id)))
+            .into();
+        assert!(want.iter().all(Option::is_some));
+        drop(gw);
+
+        let root = tmp_dir("split");
+        let (model, entered, release) = TrapModel::new(true, false);
+        let mut cfg = GatewayConfig::new(&root, "demo");
+        cfg.policy.max_pending_cells = 10;
+        let limits = cfg.limits.clone();
+        let gw = Mutex::new(Gateway::open(cfg, model).unwrap());
+        let request = |bytes: Vec<u8>| {
+            let mut conn = ScriptedConn::request(bytes);
+            Gateway::handle_shared(&gw, &limits, &mut conn);
+            (conn.response_status(), conn.response_body().unwrap())
+        };
+        assert_eq!(request(submit_body("alice", &demo_cells(5))).0, Some(201));
+
+        let Begun::Ticket(mut ticket) = gw.lock().unwrap().begin(4) else {
+            panic!("a backlogged tenant is granted a ticket");
+        };
+        let mut report = PumpReport::default();
+        std::thread::scope(|s| {
+            let running = s.spawn(|| ticket.run());
+            // The first cell is executing — parked, until released —
+            // and every route answers on this thread meanwhile.
+            entered.recv().unwrap();
+            assert_eq!(request(http_get("/healthz")).0, Some(200));
+            let (status, body) = request(http_get(&format!("/campaigns/{alice}")));
+            assert_eq!(status, Some(200));
+            assert!(
+                body.contains("\"completed\":0") && body.contains("\"done\":false"),
+                "a mid-ticket status reports the pre-commit state: {body}"
+            );
+            let (status, body) = request(http_get(&format!("/campaigns/{alice}/results")));
+            assert_eq!(status, Some(200));
+            assert!(body.contains("\"results\":[]"), "{body}");
+            assert_eq!(request(submit_body("bob", &demo_cells(3))).0, Some(201));
+            assert_eq!(request(http_post("/drain", "{}")).0, Some(200));
+            assert!(!running.is_finished(), "the cell is still parked");
+            release.send(()).unwrap();
+            running.join().unwrap();
+        });
+        assert!(gw.lock().unwrap().finish(ticket, &mut report).is_none());
+        assert_eq!(report.granted, 1);
+        let (_, body) = request(http_get(&format!("/campaigns/{alice}")));
+        assert!(body.contains("\"completed\":1"), "{body}");
+
+        while !gw.lock().unwrap().all_done() {
+            assert!(Gateway::pump_shared(&gw, 4).granted > 0);
+        }
+        let gw = gw.into_inner().unwrap();
+        let got: Vec<_> = [&alice, &bob]
+            .map(|id| artifact_digest(gw.config().campaign_journal(id)))
+            .into();
+        assert_eq!(got, want, "split phases must not move a byte");
+        let stats = gw.stats();
+        assert_eq!(stats.conns_opened, stats.conns_closed);
+        let _ = std::fs::remove_dir_all(&ref_root);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_cell_that_panics_once_is_re_executed_through_the_lease_path() {
+        let want = direct_digest("panic-ref", 6);
+        let id = campaign_id("alice", "demo", &demo_cells(6));
+        for threads in [1usize, 4] {
+            let root = tmp_dir(&format!("panic-{threads}"));
+            let (model, _entered, _release) = TrapModel::new(false, true);
+            let mut cfg = GatewayConfig::new(&root, "demo");
+            cfg.threads = threads;
+            let mut gw = Gateway::open(cfg, model).unwrap();
+            assert_eq!(
+                send(&mut gw, submit_body("alice", &demo_cells(6))).response_status(),
+                Some(201)
+            );
+            let gw = Mutex::new(gw);
+            while !gw.lock().unwrap().all_done() {
+                assert!(Gateway::pump_shared(&gw, 8).granted > 0);
+            }
+            let gw = gw.into_inner().expect("a contained panic poisons nothing");
+            let out = gw.outcome_of(&id).unwrap();
+            assert_eq!(out.panicked, 1, "threads={threads}");
+            assert!(out.panic_reclaimed >= 1, "threads={threads}");
+            assert_eq!((out.completed, out.executed), (6, 6));
+            assert_eq!(gw.pool().stats().panics_caught, 1);
+            assert_eq!(
+                artifact_digest(gw.config().campaign_journal(&id)),
+                want,
+                "threads={threads}: a contained panic must not move a byte"
+            );
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 }

@@ -44,7 +44,9 @@ pub mod tenancy;
 pub use chaos::{http_get, http_post, run_gateway_chaos, GatewayChaosReport, ScriptedConn};
 pub use composed::{run_composed_chaos, ComposedChaosReport};
 pub use demo::{demo_cells, demo_flood_cells, DemoModel};
-pub use gateway::{campaign_id, CampaignModel, Gateway, GatewayConfig, GatewayStats, PumpReport};
+pub use gateway::{
+    campaign_id, Begun, CampaignModel, Gateway, GatewayConfig, GatewayStats, PumpReport, Ticket,
+};
 pub use http::{
     read_request, write_response, Conn, HttpError, HttpLimits, Request, Response, TcpConn,
 };

@@ -543,7 +543,7 @@ fn threads_from_env(sequential: Option<&str>, threads: Option<&str>, fallback: u
 }
 
 /// Render a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&str>() {

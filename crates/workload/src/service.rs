@@ -32,7 +32,7 @@ use crate::journal::Journal;
 use crate::queue::{CompleteError, LeasedTask, QueueRecovery, WorkQueue};
 use cpc_charmm::chaos::{check_service_ledger, ServiceLedger, ServiceViolation};
 use cpc_cluster::{ServiceFault, ServiceFaultPlan};
-use cpc_pool::Pool;
+use cpc_pool::{Pool, PoolError, TaskPanic};
 use cpc_vfs::{real_fs, Fs, SharedFs};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -239,6 +239,76 @@ enum BatchItem<R> {
     Skip,
 }
 
+impl<R> BatchItem<R> {
+    /// The task this item must execute, if it costs an execution.
+    fn task_index(&self) -> Option<usize> {
+        match self {
+            BatchItem::HealExec { index, .. } => Some(*index),
+            BatchItem::Exec { cell } => Some(cell.index),
+            _ => None,
+        }
+    }
+}
+
+/// What the pool made of one execute: a result or a contained panic
+/// per slot, or a conviction of the whole schedule.
+type Executed<R> = Result<Vec<Result<(R, f64), TaskPanic>>, PoolError>;
+
+/// A batch between its phases: [`JobService::collect_batch`] builds
+/// it, [`Batch::execute`] runs its cells borrowing nothing of the
+/// service, [`JobService::settle_batch`] commits it. It is an owned
+/// value so a driver may release whatever lock guards the service
+/// while the cells execute; the leases it holds expire on the queue's
+/// virtual clock only, never on wall time.
+pub struct Batch<R> {
+    items: Vec<BatchItem<R>>,
+    /// Execution results by item position.
+    results: Vec<Option<(R, f64)>>,
+    /// Item positions still awaiting a successful execution.
+    pending: Vec<usize>,
+    /// What the last [`Batch::execute`] returned, one slot per
+    /// `pending` entry, until `settle_batch` absorbs it.
+    ran: Option<Executed<R>>,
+    /// Panic-recovery rounds spent.
+    attempts: usize,
+}
+
+impl<R: Send> Batch<R> {
+    /// The execute phase: every cell still awaiting execution runs on
+    /// `pool`, each panic contained at its task boundary. `tasks` and
+    /// `exec` must be the ones the batch was collected over.
+    pub fn execute<T: Sync>(
+        &mut self,
+        tasks: &[T],
+        pool: &Pool,
+        exec: &(dyn Fn(&T) -> (R, f64) + Sync),
+    ) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let jobs: Vec<usize> = self
+            .pending
+            .iter()
+            .map(|&p| {
+                self.items[p]
+                    .task_index()
+                    .expect("pending items cost an execution")
+            })
+            .collect();
+        self.ran = Some(pool.try_par_map_indexed(&jobs, |_, &ti| exec(&tasks[ti])));
+    }
+}
+
+/// What [`JobService::settle_batch`] made of an executed batch.
+pub enum Settled<R> {
+    /// Some executions panicked: their leases were reclaimed through
+    /// the expiry path and re-granted, and the batch must
+    /// [`Batch::execute`] again before it can commit.
+    Rerun(Batch<R>),
+    /// The batch is committed.
+    Done(BatchReport),
+}
+
 /// What one [`JobService::pooled_batch`] call did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
@@ -367,21 +437,32 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         tasks: &[T],
         exec: &mut dyn FnMut(&T) -> (R, f64),
     ) -> io::Result<StepOutcome> {
-        let mut state = self.run.take().expect("prepare() before step()");
-        let res = (|| match self.acquire_inner(tasks, &mut state)? {
+        self.with_run(|svc, state| match svc.acquire_inner(tasks, state)? {
             Acquired::Progress => Ok(StepOutcome::Progress),
             Acquired::Drained => Ok(StepOutcome::Drained),
             Acquired::HealMiss { index, key, ckey } => {
                 let (result, _) = exec(&tasks[index]);
-                self.commit_heal_inner(key, ckey, result, &mut state)
+                svc.commit_heal_inner(key, ckey, result, state)
             }
             Acquired::Leased(cell) => {
                 let (result, elapsed) = exec(&tasks[cell.index]);
-                self.commit_leased_inner(cell, result, elapsed, &mut state)
+                svc.commit_leased_inner(cell, result, elapsed, state)
             }
-        })();
+        })
+    }
+
+    /// Runs `f` with the driving state split off `self` (the inner
+    /// walkers need both mutably) and puts it back before returning,
+    /// so the service is whole — [`Self::outcome`] answers — whenever
+    /// no phase is executing. Panics unless [`Self::prepare`] has run.
+    fn with_run<X>(&mut self, f: impl FnOnce(&mut Self, &mut RunState) -> X) -> X {
+        let mut state = self
+            .run
+            .take()
+            .expect("prepare() before driving the service");
+        let x = f(self, &mut state);
         self.run = Some(state);
-        res
+        x
     }
 
     /// The acquire half of a step: walk the campaign in task order to
@@ -560,13 +641,32 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         Ok(StepOutcome::Progress)
     }
 
-    /// Collects up to `width` execution-costing cells (plus any heals
-    /// and cache hits encountered on the way) in task-walk order,
-    /// leasing each pending cell. Nothing is journaled here: the
-    /// commit phase writes in this collection order, so the artifact
-    /// bytes are independent of execution interleaving.
+    /// The collect phase of a batch: up to `width` execution-costing
+    /// cells (plus any heals and cache hits encountered on the way) in
+    /// task-walk order, each pending cell leased. Nothing is journaled
+    /// here: [`Self::settle_batch`] writes in this collection order,
+    /// so the artifact bytes are independent of execution
+    /// interleaving. `tasks` must be the slice [`Self::prepare`]
+    /// staged.
+    pub fn collect_batch<T: Serialize>(
+        &mut self,
+        tasks: &[T],
+        width: usize,
+    ) -> io::Result<Batch<R>> {
+        let items = self.with_run(|svc, state| svc.collect_items(tasks, state, width.max(1)))?;
+        Ok(Batch {
+            results: items.iter().map(|_| None).collect(),
+            pending: (0..items.len())
+                .filter(|&p| items[p].task_index().is_some())
+                .collect(),
+            items,
+            ran: None,
+            attempts: 0,
+        })
+    }
+
     #[allow(clippy::needless_range_loop)]
-    fn collect_batch<T: Serialize>(
+    fn collect_items<T: Serialize>(
         &mut self,
         tasks: &[T],
         state: &mut RunState,
@@ -666,6 +766,34 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         Ok(())
     }
 
+    /// Lease-path recovery of panicked executions: the panicked
+    /// workers' leases are still outstanding. Advances the virtual
+    /// clock past every batch lease, reclaims them through the
+    /// ordinary expiry path, and re-leases the uncommitted cells.
+    fn reclaim_batch_leases(
+        &mut self,
+        items: &mut [BatchItem<R>],
+        state: &mut RunState,
+    ) -> io::Result<()> {
+        let max_expiry = items
+            .iter()
+            .filter_map(|item| match item {
+                BatchItem::Exec { cell } | BatchItem::CacheHit { cell, .. } => {
+                    Some(cell.current.expires)
+                }
+                _ => None,
+            })
+            .fold(f64::NEG_INFINITY, f64::max);
+        if max_expiry == f64::NEG_INFINITY {
+            return Ok(()); // heals only: no lease to reclaim
+        }
+        let dt = (max_expiry - self.queue.now()).max(0.0) + 1e-9;
+        self.queue.advance_clock(dt);
+        let (reclaimed, _) = self.queue.reclaim_expired()?;
+        state.outcome.panic_reclaimed += reclaimed;
+        self.refresh_leases(items, state)
+    }
+
     /// Advances the campaign by one *batch*: up to `width`
     /// execution-costing cells collected in task-walk order, executed
     /// concurrently on `pool` — each a real lease holder — and
@@ -675,6 +803,11 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
     /// by the pool; its cell's lease is expired, reclaimed through
     /// the queue's expiry path and re-granted, and the cell
     /// re-executes — the pool itself is never poisoned.
+    ///
+    /// This is the composition of the three phases a driver that must
+    /// not hold its lock across physics calls one by one:
+    /// [`Self::collect_batch`], [`Batch::execute`],
+    /// [`Self::settle_batch`].
     pub fn pooled_batch<T>(
         &mut self,
         tasks: &[T],
@@ -686,102 +819,70 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         T: Serialize + Sync,
         R: Send,
     {
-        let mut state = self.run.take().expect("prepare() before pooled_batch()");
-        let res = self.pooled_batch_inner(tasks, pool, width.max(1), exec, &mut state);
-        self.run = Some(state);
-        res
+        let mut batch = self.collect_batch(tasks, width)?;
+        loop {
+            batch.execute(tasks, pool, exec);
+            match self.settle_batch(batch)? {
+                Settled::Rerun(again) => batch = again,
+                Settled::Done(report) => return Ok(report),
+            }
+        }
     }
 
-    fn pooled_batch_inner<T>(
+    /// The settle phase of a batch. Absorbs what [`Batch::execute`]
+    /// returned: when executions panicked (and the retry budget
+    /// lasts) their leases are reclaimed through the expiry path and
+    /// re-granted, and the batch comes back for another execute;
+    /// otherwise the batch commits in collection order — byte for
+    /// byte the serial walk — and reports what it advanced.
+    pub fn settle_batch(&mut self, batch: Batch<R>) -> io::Result<Settled<R>> {
+        self.with_run(|svc, state| svc.settle_inner(batch, state))
+    }
+
+    fn settle_inner(
         &mut self,
-        tasks: &[T],
-        pool: &Pool,
-        width: usize,
-        exec: &(dyn Fn(&T) -> (R, f64) + Sync),
+        mut batch: Batch<R>,
         state: &mut RunState,
-    ) -> io::Result<BatchReport>
-    where
-        T: Serialize + Sync,
-        R: Send,
-    {
-        let mut items = self.collect_batch(tasks, state, width)?;
-        if items.is_empty() {
-            return Ok(BatchReport {
+    ) -> io::Result<Settled<R>> {
+        if batch.items.is_empty() {
+            return Ok(Settled::Done(BatchReport {
                 step: StepOutcome::Drained,
                 advanced: 0,
                 exec_costs: Vec::new(),
-            });
+            }));
         }
-
-        // Execution phase: run every exec-needing item on the pool,
-        // re-executing panicked cells (their leases reclaimed via the
-        // expiry path) until the batch is clean or the retry budget
-        // is spent.
-        let task_index_of = |item: &BatchItem<R>| match item {
-            BatchItem::HealExec { index, .. } => Some(*index),
-            BatchItem::Exec { cell } => Some(cell.index),
-            _ => None,
-        };
-        let mut results: Vec<Option<(R, f64)>> = items.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter_map(|(p, item)| task_index_of(item).map(|_| p))
-            .collect();
-        let mut attempts = 0usize;
-        while !pending.is_empty() {
-            let jobs: Vec<usize> = pending
-                .iter()
-                .map(|&p| task_index_of(&items[p]).expect("pending items cost an execution"))
-                .collect();
-            let outcomes = pool
-                .try_par_map_indexed(&jobs, |_, &ti| exec(&tasks[ti]))
-                .map_err(|e| io::Error::other(format!("pool: {e}")))?;
+        if let Some(ran) = batch.ran.take() {
+            let outcomes = ran.map_err(|e| io::Error::other(format!("pool: {e}")))?;
             let mut panicked: Vec<usize> = Vec::new();
-            for (slot, outcome) in outcomes.into_iter().enumerate() {
-                let p = pending[slot];
+            for (&p, outcome) in batch.pending.iter().zip(outcomes) {
                 match outcome {
-                    Ok(rv) => results[p] = Some(rv),
+                    Ok(rv) => batch.results[p] = Some(rv),
                     Err(_) => {
                         state.outcome.panicked += 1;
                         panicked.push(p);
                     }
                 }
             }
-            if panicked.is_empty() {
-                break;
-            }
-            attempts += 1;
-            if attempts > self.cfg.max_attempts {
-                break; // their cells stay unexecuted; commits skip them
-            }
-            // Lease-path recovery: the panicked workers' leases are
-            // still outstanding. Advance the virtual clock past every
-            // batch lease, reclaim them through the ordinary expiry
-            // path, and re-lease the uncommitted cells.
-            let max_expiry = items
-                .iter()
-                .filter_map(|item| match item {
-                    BatchItem::Exec { cell } | BatchItem::CacheHit { cell, .. } => {
-                        Some(cell.current.expires)
+            batch.pending.clear();
+            if !panicked.is_empty() {
+                batch.attempts += 1;
+                // Past the retry budget the panicked cells stay
+                // unexecuted and the commits below skip them.
+                if batch.attempts <= self.cfg.max_attempts {
+                    self.reclaim_batch_leases(&mut batch.items, state)?;
+                    panicked.retain(|&p| batch.items[p].task_index().is_some());
+                    if !panicked.is_empty() {
+                        batch.pending = panicked;
+                        return Ok(Settled::Rerun(batch));
                     }
-                    _ => None,
-                })
-                .fold(f64::NEG_INFINITY, f64::max);
-            if max_expiry > f64::NEG_INFINITY {
-                let dt = (max_expiry - self.queue.now()).max(0.0) + 1e-9;
-                self.queue.advance_clock(dt);
-                let (reclaimed, _) = self.queue.reclaim_expired()?;
-                state.outcome.panic_reclaimed += reclaimed;
-                self.refresh_leases(&mut items, state)?;
+                }
             }
-            pending = panicked
-                .into_iter()
-                .filter(|&p| task_index_of(&items[p]).is_some())
-                .collect();
         }
 
         // Commit phase: walk order, byte-identical to serial.
+        let Batch {
+            items, mut results, ..
+        } = batch;
         let mut advanced = 0usize;
         let mut exec_costs = Vec::new();
         let mut step = StepOutcome::Progress;
@@ -833,11 +934,11 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
                 BatchItem::Skip => {}
             }
         }
-        Ok(BatchReport {
+        Ok(Settled::Done(BatchReport {
             step,
             advanced,
             exec_costs,
-        })
+        }))
     }
 
     /// Runs the campaign on a `cpc-pool` executor: [`Self::prepare`]
