@@ -1,82 +1,73 @@
-//! Chaos campaign driver: samples deterministic fault schedules,
-//! checks every invariant oracle against each, and shrinks any failure
-//! to a minimal replayable reproducer.
+//! The chaos campaign driver: one loop over deterministically sampled
+//! fault schedules, each driven through the one chaos conductor
+//! ([`cpc_chaos::run_composed_chaos`]) under a layer mask, every
+//! oracle checked, any failure shrunk to a minimal replayable
+//! reproducer.
 //!
 //! ```text
-//! cargo run -p cpc-bench --bin chaos -- --schedules 50 --seed 7
-//!     [--soak] [--resume] [--out DIR] [--ranks P] [--steps N]
-//! cargo run -p cpc-bench --bin chaos -- --service 100 --seed 11 [--out DIR]
+//! cargo run -p cpc-bench --bin chaos -- --schedules 100 --seed 7
+//!     [--layers md,service,transport,disk,sched] [--soak] [--resume]
+//!     [--out DIR] [--journal FILE] [--ranks P] [--steps N]
 //! cargo run -p cpc-bench --bin chaos -- --plant [--out DIR]
-//! cargo run -p cpc-bench --bin chaos -- --replay FILE [--out DIR]
-//! cargo run -p cpc-bench --bin chaos -- --straggle-smoke [--out DIR]
+//! cargo run -p cpc-bench --bin chaos -- --plant-composed [--corpus DIR]
+//! cargo run -p cpc-bench --bin chaos -- --replay FILE
+//! cargo run -p cpc-bench --bin chaos -- --replay-corpus DIR
+//! cargo run -p cpc-bench --bin chaos -- --straggle-smoke | --abft-smoke [--out DIR]
 //! ```
 //!
-//! * **Campaign mode** (default): checks schedules `0..N` sampled from
-//!   `(seed, index)`; every verdict is journaled to `DIR/chaos.jsonl`
-//!   through the checksummed [`Journal`], so `--resume` skips already
-//!   checked schedules after a kill. Each failing schedule is
-//!   minimized and written as `DIR/repro-IIIII.json`. Exit 0 when every
-//!   oracle held, 1 otherwise. Verdicts and reproducers are fully
-//!   deterministic: the same seed produces byte-identical artifacts on
-//!   every rerun.
-//! * **Soak mode** (`--soak`): ignores the schedule budget and scans
-//!   indices upward indefinitely, stopping (exit 1) at the first
-//!   violation — kill it when you have soaked long enough.
-//! * **Plant mode** (`--plant`): self-test of the oracles and the
+//! * **The campaign** (`--schedules N`, default 50): checks schedules
+//!   `0..N`. Schedule `i` is the [`ComposedPlan`] sampled from
+//!   `(seed, i)` — every layer's faults drawn from its own seeded
+//!   sub-channel — projected through the `--layers` mask (default: all
+//!   five). A single-layer campaign is therefore the same loop under a
+//!   one-layer mask: `--layers service` drives exactly the service
+//!   schedules an all-layers run composes with the other four, through
+//!   the same conductor, into the same [`CrossLedger`], judged by the
+//!   same oracle union — each layer's own oracles plus the interaction
+//!   oracles (ground-truth executions within the exact re-execution
+//!   licence, no acked-then-lost across a disk fault and a kill, the
+//!   drained artifact byte-identical to a fault-free serial
+//!   reference). `--layers md` is the MD-engine campaign: the serve
+//!   campaign runs quiet and the MD fault schedule is checked by the
+//!   [`ChaosHarness`] (`--ranks`, `--steps` shape its workload; the
+//!   harness is built only when `md` is armed). Every verdict is
+//!   journaled to `DIR/chaos.jsonl` through the checksummed
+//!   [`Journal`](cpc_workload::Journal), so `--resume` skips schedules
+//!   already checked after a kill — and refuses a journal recorded
+//!   under a different mask. A failing schedule is minimized
+//!   layer-first (whole layers dropped, then events within the
+//!   survivors) and written as `DIR/cross-repro-IIIII.json`. The
+//!   summary prints, per armed layer, the fault totals the schedules
+//!   actually delivered, the execution book's slack, and — when two or
+//!   more layers are armed — the pairwise interaction coverage, which
+//!   must be complete. Exit 0 when every oracle held, 1 otherwise.
+//!   Verdicts and reproducers are deterministic: the same seed and
+//!   mask produce byte-identical artifacts on every rerun.
+//! * **Soak** (`--soak`): ignores the schedule budget and scans indices
+//!   upward indefinitely, stopping (exit 1) at the first violation —
+//!   kill it when you have soaked long enough.
+//! * **Plant mode** (`--plant`): self-test of the MD oracles and the
 //!   minimizer against the pre-ABFT engine. Scans the campaign sampler
 //!   for a schedule carrying a gray-zone SDC flip (neither benign nor
 //!   watchdog-visible, buried in sampled noise events), checks it with
 //!   the ABFT checksums disarmed, asserts an oracle catches it,
 //!   minimizes, and asserts the reproducer has at most 3 events and
 //!   still fails on replay. Exit 0 exactly when all of that holds.
-//! * **Replay mode** (`--replay FILE`): re-checks a reproducer
-//!   artifact. Exit 0 when it still provokes a violation (it
+//! * **Replay mode** (`--replay FILE`): re-checks the MD reproducer
+//!   `--plant` writes. Exit 0 when it still provokes a violation (it
 //!   reproduces), 1 when it no longer does.
-//! * **Service mode** (`--service N`): chaos at the *campaign job
-//!   service* layer instead of the MD engine. Samples N service fault
-//!   schedules — worker kills mid-cell, orchestrator kills mid-commit,
-//!   torn queue-shard and results-journal writes, stale leases, cache
-//!   bit flips — runs each campaign through
-//!   [`run_service_chaos`](cpc_workload::service::run_service_chaos),
-//!   and checks the two service oracles: no lost cell / no unlicensed
-//!   re-execution, and byte-identical artifacts after kill-resume.
-//!   Verdicts are journaled to `DIR/service_chaos.jsonl`; `--resume`
-//!   skips checked schedules. Exit 0 when every schedule passed.
-//! * **Disk mode** (`--disk N`): chaos at the *filesystem* layer.
-//!   Samples N disk fault schedules — transient and persistent ENOSPC,
-//!   EIO on write and fsync, short writes, rename failures, power cuts
-//!   with and without writeback reordering — runs each campaign
-//!   through [`run_disk_chaos`](cpc_workload::run_disk_chaos) on a
-//!   simulated filesystem, and checks the five crash-consistency
-//!   oracles: no acked-then-lost, no corrupt-accept, no panic, no
-//!   post-failed-fsync trust, and byte-identical artifacts once faults
-//!   clear. Verdicts are journaled to `DIR/disk_chaos.jsonl`;
-//!   `--resume` skips checked schedules. Exit 0 when every schedule
-//!   passed.
-//! * **Transport mode** (`--transport N`): chaos at the *HTTP gateway*
-//!   layer. Samples N transport fault schedules — malformed and
-//!   truncated requests, slowloris readers, mid-response disconnects,
-//!   connection floods, gateway kills — drives each campaign through
-//!   [`run_gateway_chaos`](cpc_gateway::run_gateway_chaos), and checks
-//!   the six gateway oracles: no panic, no fd leak, no deadline
-//!   overrun, no lost cell, no doubly-executed cell, byte-identical
-//!   artifacts versus the direct (no-gateway) reference. Verdicts are
-//!   journaled to `DIR/transport_chaos.jsonl`; `--resume` skips
-//!   checked schedules. Exit 0 when every schedule passed.
-//! * **Sched mode** (`--sched N`): chaos at the *work-stealing
-//!   executor* layer. Samples N adversarial thread schedules — steal
-//!   storms, worker pauses at yield points, a worker panic mid-task, a
-//!   mid-campaign thread-count change, a lease expiry racing a slow
-//!   worker — runs each campaign through
-//!   [`run_sched_chaos`](cpc_workload::run_sched_chaos) (a serial
-//!   reference, a fault-free sweep over threads {1,2,4,8}, then the
-//!   chaotic run), and checks the cross-thread determinism oracles:
-//!   byte-identical artifacts at every thread count and interleaving,
-//!   no lost or doubly-committed task, no deadlock, panicked workers
-//!   reclaimed through the lease path, the pool never poisoned, and
-//!   every stale lease rejected. Verdicts are journaled to
-//!   `DIR/sched_chaos.jsonl`; `--resume` skips checked schedules.
-//!   Exit 0 when every schedule passed.
+//! * **Plant-composed mode** (`--plant-composed [--corpus DIR]`):
+//!   self-test of the cross-layer oracles and the layer-first
+//!   minimizer. Buries a gray-zone SDC flip under sampled noise from
+//!   the other four layers, asserts the conductor convicts it, that
+//!   minimization prunes every noise layer, and that the pin replays
+//!   with a byte-identical verdict; then (re)plants that pin and a
+//!   passing determinism pin into the reproducer corpus `DIR`
+//!   (default `reproducers`).
+//! * **Replay-corpus mode** (`--replay-corpus DIR`): CI gate over the
+//!   reproducer corpus. Replays every `*.json` cross reproducer in
+//!   DIR and exits 0 only if each one's verdict (pass or the recorded
+//!   failure) is byte-identical to what the corpus recorded.
 //! * **Straggle-smoke mode** (`--straggle-smoke`): CI gate for
 //!   degraded-mode rebalancing. Runs a compute-dominated workload
 //!   under a persistent straggler, asserts the mitigation contract
@@ -91,84 +82,38 @@
 //!   at most 5% wall clock on the compute-dominated workload while
 //!   leaving fault-free physics bit-identical. Journals
 //!   `DIR/abft_smoke.json`; deterministic, CI `cmp`s two runs.
-//! * **Composed mode** (`--composed N`): the cross-layer conductor.
-//!   Samples N [`ComposedPlan`]s — a joint schedule drawing every
-//!   layer's faults from its own seeded sub-channel, so masking one
-//!   layer never perturbs another's draws — and drives each through
-//!   [`run_composed_chaos`](cpc_gateway::run_composed_chaos) with all
-//!   five layers (disk, transport, sched, service, MD) armed at once.
-//!   Every per-layer ledger is absorbed into one [`CrossLedger`] and
-//!   checked against the union of the single-layer oracles plus the
-//!   interaction oracles: global counted executions within the
-//!   composed allowance, no acked-then-lost across a disk fault + a
-//!   kill, and the drained artifact byte-identical to a fault-free
-//!   serial reference. Failures minimize layer-first (drop whole
-//!   layers, then events within survivors) and land in
-//!   `DIR/repro-cross-IIIII.json`. Verdicts journal to
-//!   `DIR/composed_chaos.jsonl`; `--resume` skips checked schedules.
-//! * **Plant-composed mode** (`--plant-composed [--corpus DIR]`):
-//!   self-test of the cross-layer oracles and the layer-first
-//!   minimizer. Buries a gray-zone SDC flip under sampled noise from
-//!   the other four layers, asserts the conductor convicts it, that
-//!   minimization prunes every noise layer, and that the pin replays
-//!   with a byte-identical verdict. With `--corpus DIR` the pin and a
-//!   passing determinism pin are (re)planted into the checked-in
-//!   reproducer corpus.
-//! * **Replay-corpus mode** (`--replay-corpus DIR`): CI gate over the
-//!   reproducer corpus. Replays every `*.json` cross reproducer in
-//!   DIR and exits 0 only if each one's verdict (pass or the recorded
-//!   failure) is byte-identical to what the corpus recorded.
-//! * **Bench mode** (`--bench [--out DIR]`): times the chaos harnesses
-//!   themselves — schedules/second for each single-layer mode and the
-//!   composed conductor — asserting every timed schedule passes its
-//!   oracles, and writes `DIR/BENCH_chaos.json`.
 
 use cpc_bench::cli::{open_verdict_journal, Args};
-use cpc_charmm::chaos::{
-    flatten, minimize_composed, ChaosHarness, CrossLedger, CrossReproducer, DiskLedger,
-    GatewayLedger, Reproducer, SchedLedger, ScheduleReport, ServiceLedger,
+use cpc_chaos::{
+    minimize_composed, run_composed_chaos, ComposedChaosReport, ComposedFaultSpace, ComposedPlan,
+    CrossLedger, CrossReproducer, DiskFaultSpace, Layer, LayerMask, SchedFaultSpace,
+    ServiceFaultSpace, TransportFaultSpace, LAYERS,
 };
+use cpc_charmm::chaos::{flatten, ChaosHarness, Reproducer, ScheduleReport};
 use cpc_charmm::{
     run_parallel_md_faulty, AbftConfig, DurableConfig, FaultConfig, MdConfig, RecoveryConfig,
 };
 use cpc_cluster::{
-    sdc_class, ClusterConfig, ComposedFaultSpace, ComposedPlan, DiskFaultSpace, FaultPlan,
-    FaultSpace, Layer, NetworkKind, SchedFaultSpace, SdcClass, SdcTarget, ServiceFaultSpace,
-    TransportFaultSpace, LAYERS,
+    sdc_class, ClusterConfig, FaultPlan, FaultSpace, NetworkKind, SdcClass, SdcTarget,
 };
-use cpc_gateway::{demo_cells, demo_flood_cells, run_composed_chaos, run_gateway_chaos, DemoModel};
+use cpc_gateway::{demo_cells, demo_flood_cells, DemoModel};
 use cpc_md::EnergyModel;
 use cpc_mpi::Middleware;
-use cpc_vfs::DiskFaultPlan;
-use cpc_workload::run_disk_chaos;
-use cpc_workload::run_sched_chaos;
-use cpc_workload::service::run_service_chaos;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
-
-/// One journaled campaign verdict.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Verdict {
-    /// Campaign seed.
-    seed: u64,
-    /// Schedule index within the campaign.
-    index: u64,
-    /// The oracle report.
-    report: ScheduleReport,
-}
 
 /// Real-time stall budget (seconds) for every chaotic run: a schedule
 /// that would hang forever instead surfaces `SimError::Stalled`, which
 /// the termination oracle reports as a violation.
 const STALL_TIMEOUT: f64 = 20.0;
 
-const USAGE: &str = "usage: chaos [--schedules N] [--seed S] [--soak] [--resume] [--out DIR]\n\
-     \x20      [--journal FILE] [--ranks P] [--steps N]\n\
-     \x20      | --service N | --transport N | --disk N | --sched N | --composed N\n\
-     \x20      | --plant | --plant-composed | --replay FILE | --replay-corpus DIR\n\
-     \x20      | --corpus DIR | --straggle-smoke | --abft-smoke | --bench";
+const USAGE: &str =
+    "usage: chaos [--schedules N] [--layers md,service,transport,disk,sched] [--seed S]\n\
+     \x20      [--soak] [--resume] [--out DIR] [--journal FILE] [--ranks P] [--steps N]\n\
+     \x20      | --plant | --plant-composed [--corpus DIR] | --replay FILE\n\
+     \x20      | --replay-corpus DIR | --straggle-smoke | --abft-smoke";
 
 /// Exit 2 (usage/environment error) with a message — the typed
 /// replacement for `expect` on malformed inputs and I/O failures.
@@ -177,54 +122,15 @@ fn die(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-/// The flags every journaled campaign mode shares: where artifacts
-/// go, which seed keys the sampler, whether to resume the verdict
-/// journal, and an optional journal-path override replacing the
-/// mode's default `DIR/<mode>_chaos.jsonl`.
-struct ModeOpts {
-    out: PathBuf,
-    seed: u64,
-    resume: bool,
-    journal: Option<PathBuf>,
-}
-
-impl ModeOpts {
-    fn journal_path(&self, default_name: &str) -> PathBuf {
-        self.journal
-            .clone()
-            .unwrap_or_else(|| self.out.join(default_name))
-    }
-}
-
-/// Splits a recovered journal prefix into the schedules already
-/// checked under `seed` and the ones among them that failed — the
-/// resume bookkeeping every campaign mode repeats.
-fn split_prior<V>(
-    prior: &[V],
-    seed: u64,
-    key: impl Fn(&V) -> (u64, u64),
-    passed: impl Fn(&V) -> bool,
-) -> (HashSet<u64>, Vec<u64>) {
-    let done = prior
-        .iter()
-        .map(&key)
-        .filter(|k| k.0 == seed)
-        .map(|k| k.1)
-        .collect();
-    let failures = prior
-        .iter()
-        .filter(|v| key(v).0 == seed && !passed(v))
-        .map(|v| key(v).1)
-        .collect();
-    (done, failures)
-}
-
-/// The chaos workload: a small water box on a uniprocessor GigE
-/// cluster — large enough to exercise every fault path, small enough
-/// that a campaign of hundreds of schedules (each run three ways)
-/// finishes in CI time.
-fn workload(ranks: usize, steps: usize) -> (cpc_md::System, MdConfig) {
-    let mut sys = cpc_md::builder::water_box(2, 3.1);
+/// An MD workload on a uniprocessor GigE cluster: a water box of
+/// `side`³ molecules. Side 2 is the chaos workload — large enough to
+/// exercise every fault path, small enough that a campaign of hundreds
+/// of schedules (each run three ways) finishes in CI time. Side 3 is
+/// compute-dominated, for the smokes that need a slow CPU to show: on
+/// the comm-bound side-2 box it hides entirely behind the collective
+/// incasts (static overhead of a 2x straggler is ~0.3%).
+fn workload(side: usize, ranks: usize, steps: usize) -> (cpc_md::System, MdConfig) {
+    let mut sys = cpc_md::builder::water_box(side, 3.1);
     cpc_md::minimize::minimize(&mut sys, EnergyModel::Classic, 40);
     sys.assign_velocities(150.0, 3);
     let cluster =
@@ -236,30 +142,38 @@ fn workload(ranks: usize, steps: usize) -> (cpc_md::System, MdConfig) {
     (sys, cfg)
 }
 
-fn make_harness(ranks: usize, steps: usize) -> ChaosHarness {
-    let (sys, cfg) = workload(ranks, steps);
-    let scratch = std::env::temp_dir().join(format!("cpc-chaos-scratch-{}", std::process::id()));
+/// The MD harness over the chaos workload. `armed` false is the
+/// pre-ABFT engine the plant self-tests must run against: an armed
+/// engine repairs the planted flip and the oracles (correctly) find
+/// nothing to catch.
+fn make_harness(ranks: usize, steps: usize, armed: bool) -> ChaosHarness {
+    let (sys, cfg) = workload(2, ranks, steps);
+    let scratch = std::env::temp_dir().join(format!(
+        "cpc-chaos-scratch-{}-{}",
+        if armed { "armed" } else { "disarmed" },
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&scratch);
-    ChaosHarness::new(sys, cfg, scratch)
+    let abft = if armed {
+        AbftConfig::armed()
+    } else {
+        AbftConfig::default()
+    };
+    ChaosHarness::with_options(sys, cfg, scratch, RecoveryConfig::default(), abft)
         .unwrap_or_else(|e| die(format!("fault-free golden run failed: {e}")))
 }
 
-/// An ABFT-disarmed harness: the pre-ABFT engine the plant self-test
-/// must run against, because an armed engine repairs the planted flip
-/// and the oracles (correctly) find nothing to catch.
-fn make_disarmed_harness(ranks: usize, steps: usize) -> ChaosHarness {
-    let (sys, cfg) = workload(ranks, steps);
-    let scratch =
-        std::env::temp_dir().join(format!("cpc-chaos-disarmed-scratch-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    ChaosHarness::with_options(
-        sys,
-        cfg,
-        scratch,
-        RecoveryConfig::default(),
-        AbftConfig::default(),
+/// The MD fault envelope of a harness's workload (24 atoms: the quick
+/// water box; SDC atom indices wrap anyway).
+fn md_space(h: &ChaosHarness) -> FaultSpace {
+    let cfg = h.cfg();
+    FaultSpace::new(
+        cfg.cluster.ranks,
+        cfg.cluster.nodes(),
+        cfg.steps as u64,
+        h.golden_wall(),
+        24,
     )
-    .unwrap_or_else(|e| die(format!("fault-free golden run failed: {e}")))
 }
 
 /// The planted known-bad schedule, drawn from the campaign sampler
@@ -288,24 +202,27 @@ fn planted_from_space(space: &FaultSpace, seed: u64) -> (u64, FaultPlan) {
     unreachable!("the sampler draws the gray zone");
 }
 
-fn write_reproducer(out: &Path, name: &str, repro: &Reproducer) -> PathBuf {
-    let path = out.join(name);
-    if let Err(e) = std::fs::write(&path, repro.to_json()) {
+/// Reads an artifact back (exit 2 when it is unreadable or does not
+/// parse): `parse` is the artifact type's `from_json`.
+fn read_artifact<T>(path: &Path, parse: fn(&str) -> Result<T, serde_json::Error>) -> T {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(format!("cannot read {}: {e}", path.display())));
+    parse(&text).unwrap_or_else(|e| die(format!("cannot parse {}: {e}", path.display())))
+}
+
+/// Writes one artifact into `dir` (exit 2 when the disk refuses) and
+/// returns where it went.
+fn write_artifact(dir: &Path, name: &str, json: String) -> PathBuf {
+    let path = dir.join(name);
+    if let Err(e) = std::fs::write(&path, json) {
         die(format!("cannot write {}: {e}", path.display()));
     }
     path
 }
 
 fn plant_mode(out: &Path) -> i32 {
-    let h = make_disarmed_harness(4, 8);
-    let space = FaultSpace::new(
-        h.cfg().cluster.ranks,
-        h.cfg().cluster.nodes(),
-        8,
-        h.golden_wall(),
-        24,
-    );
-    let (index, plan) = planted_from_space(&space, 7);
+    let h = make_harness(4, 8, false);
+    let (index, plan) = planted_from_space(&md_space(&h), 7);
     println!(
         "planted schedule: campaign index {index}, gray flip {:?} plus {} noise event(s)",
         plan.sdc[0],
@@ -322,7 +239,7 @@ fn plant_mode(out: &Path) -> i32 {
         report.violations[0]
     );
     let repro = h.minimize_to_reproducer(&plan, 7, index);
-    let path = write_reproducer(out, "planted_repro.json", &repro);
+    let path = write_artifact(out, "planted_repro.json", repro.to_json());
     println!(
         "minimized {} -> {} event(s) in {} probe(s): {}",
         flatten(&plan).len(),
@@ -338,10 +255,7 @@ fn plant_mode(out: &Path) -> i32 {
         return 1;
     }
     // The artifact must replay: parse it back and re-provoke.
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| die(format!("cannot read {}: {e}", path.display())));
-    let parsed = Reproducer::from_json(&text)
-        .unwrap_or_else(|e| die(format!("cannot parse {}: {e}", path.display())));
+    let parsed = read_artifact(&path, Reproducer::from_json);
     let replay = h.check(&parsed.plan);
     if replay.passed() {
         eprintln!("PLANT FAILURE: minimized reproducer no longer fails");
@@ -352,25 +266,6 @@ fn plant_mode(out: &Path) -> i32 {
         replay.violations[0]
     );
     0
-}
-
-/// The straggle-smoke workload: a bigger water box than the campaign's
-/// so the run is compute-dominated. On the comm-bound campaign box a
-/// slow CPU hides entirely behind the collective incasts (static
-/// overhead of a 2x straggler is ~0.3%) and there is nothing for
-/// rebalancing to reclaim; the bigger box exposes the straggler to the
-/// decomposition, which is the regime this smoke gates.
-fn compute_workload(ranks: usize, steps: usize) -> (cpc_md::System, MdConfig) {
-    let mut sys = cpc_md::builder::water_box(3, 3.1);
-    cpc_md::minimize::minimize(&mut sys, EnergyModel::Classic, 40);
-    sys.assign_velocities(150.0, 3);
-    let cluster =
-        ClusterConfig::uni(ranks, NetworkKind::ScoreGigE).with_stall_timeout(STALL_TIMEOUT);
-    let cfg = MdConfig {
-        steps,
-        ..MdConfig::paper_protocol(EnergyModel::Classic, Middleware::Mpi, cluster)
-    };
-    (sys, cfg)
 }
 
 /// The deterministic artifact the straggle smoke journals: the oracle
@@ -388,7 +283,7 @@ struct StraggleSmoke {
 fn straggle_smoke_mode(out: &Path) -> i32 {
     const SLOWDOWN: f64 = 2.5;
     const RATIO_BOUND: f64 = cpc_charmm::chaos::ADAPTIVE_OVERHEAD_RATIO;
-    let (sys, cfg) = compute_workload(4, 8);
+    let (sys, cfg) = workload(3, 4, 8);
     let scratch = std::env::temp_dir().join(format!("cpc-straggle-scratch-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     let h = ChaosHarness::new(sys, cfg, &scratch)
@@ -420,7 +315,7 @@ fn straggle_smoke_mode(out: &Path) -> i32 {
     // checkpointing, rebalancing off. check() already ran this
     // comparison inside the mitigation oracle; repeating it here puts
     // the actual overheads in the artifact.
-    let (sys2, cfg2) = compute_workload(4, 8);
+    let (sys2, cfg2) = workload(3, 4, 8);
     // ABFT armed to match the harness: the overhead ratio must compare
     // like against like.
     let static_fault = FaultConfig::new(plan)
@@ -453,11 +348,8 @@ fn straggle_smoke_mode(out: &Path) -> i32 {
         ratio,
         report,
     };
-    let path = out.join("straggle_smoke.json");
     let json = serde_json::to_string_pretty(&smoke).expect("smoke verdict serializes");
-    if let Err(e) = std::fs::write(&path, json) {
-        die(format!("cannot write {}: {e}", path.display()));
-    }
+    let path = write_artifact(out, "straggle_smoke.json", json);
     println!(
         "straggle smoke: {SLOWDOWN}x persistent straggler, {} rebalance(s), \
          {rollbacks} rollback(s), overhead {adaptive_overhead:.4} adaptive vs \
@@ -498,15 +390,8 @@ fn abft_smoke_mode(out: &Path) -> i32 {
 
     // (a) Armed engine vs the planted gray-zone schedule: every oracle
     // holds because the checksums catch the flip and repair it.
-    let armed = make_harness(4, 8);
-    let space = FaultSpace::new(
-        armed.cfg().cluster.ranks,
-        armed.cfg().cluster.nodes(),
-        8,
-        armed.golden_wall(),
-        24,
-    );
-    let (index, plan) = planted_from_space(&space, 7);
+    let armed = make_harness(4, 8, true);
+    let (index, plan) = planted_from_space(&md_space(&armed), 7);
     println!(
         "planted schedule: campaign index {index}, gray flip {:?} plus {} noise event(s)",
         plan.sdc[0],
@@ -532,13 +417,13 @@ fn abft_smoke_mode(out: &Path) -> i32 {
     // (b) Disarmed engine vs the same schedule: the corruption slips
     // through, an oracle catches the divergence, and ddmin shrinks the
     // schedule to the flip.
-    let disarmed = make_disarmed_harness(4, 8);
+    let disarmed = make_harness(4, 8, false);
     let disarmed_report = disarmed.check(&plan);
     if disarmed_report.passed() {
         bad.push("disarmed engine passed: the planted flip is not actually harmful".to_string());
     }
     let repro = disarmed.minimize_to_reproducer(&plan, 7, index);
-    write_reproducer(out, "abft_smoke_repro.json", &repro);
+    write_artifact(out, "abft_smoke_repro.json", repro.to_json());
     println!(
         "disarmed: {} violation(s), minimized to {} event(s)",
         disarmed_report.violations.len(),
@@ -550,7 +435,7 @@ fn abft_smoke_mode(out: &Path) -> i32 {
 
     // (c) Overhead gate on the compute-dominated workload: arming the
     // checksums must cost <= 5% wall clock and change no physics bit.
-    let (sys, cfg) = compute_workload(4, 8);
+    let (sys, cfg) = workload(3, 4, 8);
     let plain = run_parallel_md_faulty(&sys, &cfg, &FaultConfig::default())
         .unwrap_or_else(|e| die(format!("disarmed reference run failed: {e}")));
     let armed_run = run_parallel_md_faulty(
@@ -596,11 +481,8 @@ fn abft_smoke_mode(out: &Path) -> i32 {
         overhead,
         overhead_budget: ABFT_OVERHEAD_BUDGET,
     };
-    let path = out.join("abft_smoke.json");
     let json = serde_json::to_string_pretty(&smoke).expect("smoke verdict serializes");
-    if let Err(e) = std::fs::write(&path, json) {
-        die(format!("cannot write {}: {e}", path.display()));
-    }
+    let path = write_artifact(out, "abft_smoke.json", json);
     println!("artifact: {}", path.display());
     if bad.is_empty() {
         0
@@ -612,475 +494,14 @@ fn abft_smoke_mode(out: &Path) -> i32 {
     }
 }
 
-/// One journaled service-chaos verdict.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ServiceVerdict {
-    /// Campaign seed.
-    seed: u64,
-    /// Schedule index within the campaign.
-    index: u64,
-    /// Whether both service oracles held.
-    passed: bool,
-    /// Rendered violations (empty when passed).
-    violations: Vec<String>,
-    /// The cross-incarnation accounting the oracles checked.
-    ledger: ServiceLedger,
-}
-
-/// Cells per synthetic service campaign: small enough that hundreds of
-/// schedules (each run as reference + faulted incarnations) finish in
-/// CI time, large enough that every sampled kill/tear index lands.
-const SERVICE_CELLS: u64 = 6;
-/// Queue shards of the synthetic campaign.
-const SERVICE_SHARDS: usize = 4;
-
-/// Service-level chaos campaign: schedules `0..N` sampled from
-/// `(seed, index)`, each driving a full campaign through the crash-safe
-/// job service under kills, torn writes, stale leases and cache rot.
-fn service_mode(opts: &ModeOpts, schedules: u64) -> i32 {
-    let seed = opts.seed;
-    let journal_path = opts.journal_path("service_chaos.jsonl");
-    let (mut journal, prior) = open_verdict_journal::<ServiceVerdict, _>(
-        "chaos",
-        &journal_path,
-        opts.resume,
-        |v| (v.seed, v.index),
-    );
-    let (done, mut failures) = split_prior(&prior, seed, |v| (v.seed, v.index), |v| v.passed);
-    // Duplicates the recovery scrub dropped inside each schedule's
-    // campaign: the quiet half of the exactly-once story, surfaced in
-    // the summary so a regression in the scrub is visible in CI logs.
-    let mut duplicates_scrubbed: usize = prior
-        .iter()
-        .filter(|v| v.seed == seed)
-        .map(|v| v.ledger.duplicate_results)
-        .sum();
-
-    let space = ServiceFaultSpace::new(SERVICE_CELLS as usize, SERVICE_SHARDS);
-    let tasks: Vec<u64> = (0..SERVICE_CELLS).collect();
-    let mut exec = |t: &u64| -> (Vec<f64>, f64) { (vec![*t as f64, (*t * *t) as f64], 0.25) };
-    let key_of = |r: &Vec<f64>| serde_json::to_string(&(r[0] as u64)).expect("key serializes");
-    let scratch = std::env::temp_dir().join(format!("cpc-service-chaos-{}", std::process::id()));
-    println!(
-        "service chaos campaign: seed {seed}, {schedules} schedules, \
-         {SERVICE_CELLS} cells x {SERVICE_SHARDS} shards per campaign"
-    );
-
-    let mut checked = 0u64;
-    for index in 0..schedules {
-        if done.contains(&index) {
-            continue;
-        }
-        let plan = space.sample(seed, index);
-        let dir = scratch.join(format!("s{index:05}"));
-        let report = run_service_chaos(&dir, &tasks, "chaos-service", &plan, key_of, &mut exec)
-            .unwrap_or_else(|e| die(format!("schedule {index} I/O failure: {e}")));
-        let _ = std::fs::remove_dir_all(&dir);
-        checked += 1;
-        duplicates_scrubbed += report.ledger.duplicate_results;
-        let verdict = ServiceVerdict {
-            seed,
-            index,
-            passed: report.passed(),
-            violations: report.violations.iter().map(|v| v.to_string()).collect(),
-            ledger: report.ledger.clone(),
-        };
-        if let Err(e) = journal.append(&verdict) {
-            die(format!("cannot journal verdict {index}: {e}"));
-        }
-        if !verdict.passed {
-            println!(
-                "schedule {index} ({:?}): {} VIOLATION(S)",
-                plan.faults,
-                verdict.violations.len()
-            );
-            for v in &verdict.violations {
-                println!("  - {v}");
-            }
-            failures.push(index);
-        } else if (index + 1).is_multiple_of(25) {
-            println!(
-                "schedule {index}: ok ({} incarnation(s), {} kill(s), {} torn line(s))",
-                report.ledger.incarnations, report.ledger.kills, report.ledger.dropped_lines
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    println!(
-        "checked {checked} fresh schedule(s) ({} total), {} violation(s), \
-         {duplicates_scrubbed} duplicate result(s) scrubbed at recovery",
-        done.len() as u64 + checked,
-        failures.len()
-    );
-    if !failures.is_empty() {
-        failures.sort_unstable();
-        failures.dedup();
-        println!("failing schedules: {failures:?}");
-        return 1;
-    }
-    println!("both service oracles held on every schedule");
-    0
-}
-
-/// One journaled sched-chaos verdict.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SchedVerdict {
-    /// Campaign seed.
-    seed: u64,
-    /// Schedule index within the campaign.
-    index: u64,
-    /// Whether every cross-thread determinism oracle held.
-    passed: bool,
-    /// Rendered violations (empty when passed).
-    violations: Vec<String>,
-    /// The cross-thread accounting the oracles checked.
-    ledger: SchedLedger,
-}
-
-/// Cells per synthetic sched-chaos campaign: enough that every sampled
-/// fault position (panic latches, pause points, the thread-change
-/// commit threshold, the lease-race lease index) lands inside the run,
-/// small enough that each schedule's six runs (reference + four-count
-/// sweep + chaos) finish in CI time.
-const SCHED_CELLS: u64 = 8;
-
-/// Executor-level chaos campaign: schedules `0..N` sampled from
-/// `(seed, index)`, each driving a full campaign through the
-/// work-stealing pool under an adversarial interleaving.
-fn sched_mode(opts: &ModeOpts, schedules: u64) -> i32 {
-    let seed = opts.seed;
-    let journal_path = opts.journal_path("sched_chaos.jsonl");
-    let (mut journal, prior) = open_verdict_journal::<SchedVerdict, _>(
-        "chaos",
-        &journal_path,
-        opts.resume,
-        |v| (v.seed, v.index),
-    );
-    let (done, mut failures) = split_prior(&prior, seed, |v| (v.seed, v.index), |v| v.passed);
-
-    let space = SchedFaultSpace::new(SCHED_CELLS as usize);
-    let tasks: Vec<u64> = (0..SCHED_CELLS).collect();
-    let exec = |t: &u64| -> (Vec<f64>, f64) { (vec![*t as f64, (*t * *t) as f64], 0.25) };
-    let key_of = |r: &Vec<f64>| serde_json::to_string(&(r[0] as u64)).expect("key serializes");
-    let scratch = std::env::temp_dir().join(format!("cpc-sched-chaos-{}", std::process::id()));
-    println!(
-        "sched chaos campaign: seed {seed}, {schedules} schedules, \
-         {SCHED_CELLS} cells per campaign on the work-stealing pool"
-    );
-
-    let mut checked = 0u64;
-    let mut panics_total = 0usize;
-    let mut pauses_total = 0usize;
-    let mut steals_total = 0usize;
-    for index in 0..schedules {
-        if done.contains(&index) {
-            continue;
-        }
-        let plan = space.sample(seed, index);
-        let dir = scratch.join(format!("x{index:05}"));
-        let report = run_sched_chaos(&dir, &tasks, "chaos-sched", &plan, key_of, exec)
-            .unwrap_or_else(|e| die(format!("schedule {index} I/O failure: {e}")));
-        let _ = std::fs::remove_dir_all(&dir);
-        checked += 1;
-        panics_total += report.ledger.panics_injected;
-        pauses_total += report.ledger.pauses_taken;
-        steals_total += report.ledger.steals;
-        let verdict = SchedVerdict {
-            seed,
-            index,
-            passed: report.passed(),
-            violations: report.violations.iter().map(|v| v.to_string()).collect(),
-            ledger: report.ledger.clone(),
-        };
-        if let Err(e) = journal.append(&verdict) {
-            die(format!("cannot journal verdict {index}: {e}"));
-        }
-        if !verdict.passed {
-            println!(
-                "schedule {index} ({} thread(s), {:?}): {} VIOLATION(S)",
-                plan.threads,
-                plan.faults,
-                verdict.violations.len()
-            );
-            for v in &verdict.violations {
-                println!("  - {v}");
-            }
-            failures.push(index);
-        } else if (index + 1).is_multiple_of(25) {
-            println!(
-                "schedule {index}: ok ({} thread(s), {} steal(s), {} pause(s), {} panic(s) contained)",
-                report.ledger.threads,
-                report.ledger.steals,
-                report.ledger.pauses_taken,
-                report.ledger.panics_caught
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    println!(
-        "checked {checked} fresh schedule(s) ({} total), {} violation(s); \
-         {steals_total} steal(s), {pauses_total} forced pause(s), \
-         {panics_total} injected panic(s) contained",
-        done.len() as u64 + checked,
-        failures.len()
-    );
-    if !failures.is_empty() {
-        failures.sort_unstable();
-        failures.dedup();
-        println!("failing schedules: {failures:?}");
-        return 1;
-    }
-    println!("every cross-thread determinism oracle held on every schedule");
-    0
-}
-
-/// One journaled disk-chaos verdict.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct DiskVerdict {
-    /// Campaign seed.
-    seed: u64,
-    /// Schedule index within the campaign.
-    index: u64,
-    /// Whether all five crash-consistency oracles held.
-    passed: bool,
-    /// Rendered violations (empty when passed).
-    violations: Vec<String>,
-    /// The cross-incarnation accounting the oracles checked.
-    ledger: DiskLedger,
-}
-
-/// Cells per synthetic disk-chaos campaign, matching the service-chaos
-/// campaign so the two layers exercise the same workload.
-const DISK_CELLS: u64 = 6;
-
-/// Disk-level chaos campaign: schedules `0..N` sampled from
-/// `(seed, index)`, each driving a full campaign through the job
-/// service on a simulated filesystem injecting ENOSPC, EIO, short
-/// writes, rename failures and power cuts.
-fn disk_mode(opts: &ModeOpts, schedules: u64) -> i32 {
-    let seed = opts.seed;
-    let journal_path = opts.journal_path("disk_chaos.jsonl");
-    let (mut journal, prior) = open_verdict_journal::<DiskVerdict, _>(
-        "chaos",
-        &journal_path,
-        opts.resume,
-        |v| (v.seed, v.index),
-    );
-    let (done, mut failures) = split_prior(&prior, seed, |v| (v.seed, v.index), |v| v.passed);
-
-    let tasks: Vec<u64> = (0..DISK_CELLS).collect();
-    let exec = |t: &u64| -> (Vec<f64>, f64) { (vec![*t as f64, (*t * *t) as f64], 0.25) };
-    let key_of = |r: &Vec<f64>| serde_json::to_string(&(r[0] as u64)).expect("key serializes");
-
-    // Probe the fault-free mutating-op horizon: the index space every
-    // sampled fault position is drawn from. Entirely in memory — the
-    // disk campaign touches no real filesystem beyond its own journal.
-    let probe = run_disk_chaos(&tasks, "chaos-disk", &DiskFaultPlan::none(), key_of, exec)
-        .unwrap_or_else(|e| die(format!("fault-free probe failed: {e}")));
-    if !probe.passed() {
-        println!("fault-free probe FAILED its own oracles:");
-        for v in &probe.violations {
-            println!("  - {v}");
-        }
-        return 1;
-    }
-    let space = DiskFaultSpace::new(probe.ledger.disk.ops);
-    println!(
-        "disk chaos campaign: seed {seed}, {schedules} schedules, \
-         {DISK_CELLS} cells per campaign over a {}-op filesystem horizon",
-        probe.ledger.disk.ops
-    );
-
-    let mut checked = 0u64;
-    let mut power_losses = 0u64;
-    let mut enospc_total = 0u64;
-    let mut restarts_total = 0usize;
-    for index in 0..schedules {
-        if done.contains(&index) {
-            continue;
-        }
-        let plan = space.sample(seed, index);
-        let report = run_disk_chaos(&tasks, "chaos-disk", &plan, key_of, exec)
-            .unwrap_or_else(|e| die(format!("schedule {index} I/O failure: {e}")));
-        checked += 1;
-        power_losses += report.ledger.disk.power_losses;
-        enospc_total += report.ledger.disk.enospc_failures;
-        restarts_total += report.ledger.restarts;
-        let verdict = DiskVerdict {
-            seed,
-            index,
-            passed: report.passed(),
-            violations: report.violations.iter().map(|v| v.to_string()).collect(),
-            ledger: report.ledger.clone(),
-        };
-        if let Err(e) = journal.append(&verdict) {
-            die(format!("cannot journal verdict {index}: {e}"));
-        }
-        if !verdict.passed {
-            println!(
-                "schedule {index} ({:?}): {} VIOLATION(S)",
-                plan.faults,
-                verdict.violations.len()
-            );
-            for v in &verdict.violations {
-                println!("  - {v}");
-            }
-            failures.push(index);
-        } else if (index + 1).is_multiple_of(25) {
-            println!(
-                "schedule {index}: ok ({} incarnation(s), {} restart(s), {} ENOSPC, {} lift(s))",
-                report.ledger.incarnations,
-                report.ledger.restarts,
-                report.ledger.disk.enospc_failures,
-                report.ledger.enospc_lifts
-            );
-        }
-    }
-
-    println!(
-        "checked {checked} fresh schedule(s) ({} total), {} violation(s); \
-         {power_losses} power cut(s) and {enospc_total} ENOSPC failure(s) absorbed \
-         across {restarts_total} restart(s)",
-        done.len() as u64 + checked,
-        failures.len()
-    );
-    if !failures.is_empty() {
-        failures.sort_unstable();
-        failures.dedup();
-        println!("failing schedules: {failures:?}");
-        return 1;
-    }
-    println!("all five crash-consistency oracles held on every schedule");
-    0
-}
-
-/// One journaled transport-chaos verdict.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TransportVerdict {
-    /// Campaign seed.
-    seed: u64,
-    /// Schedule index within the campaign.
-    index: u64,
-    /// Whether all six gateway oracles held.
-    passed: bool,
-    /// Rendered violations (empty when passed).
-    violations: Vec<String>,
-    /// The cross-incarnation transport accounting the oracles checked.
-    ledger: GatewayLedger,
-}
-
-/// Cells per synthetic gateway campaign, matching the service-chaos
-/// campaign so the two layers exercise the same workload.
-const TRANSPORT_CELLS: u64 = 6;
-
-/// Transport-level chaos campaign: schedules `0..N` sampled from
-/// `(seed, index)`, each driving a full campaign through the HTTP
-/// gateway under malformed requests, slowloris readers, disconnects,
-/// floods and process kills.
-fn transport_mode(opts: &ModeOpts, schedules: u64) -> i32 {
-    let seed = opts.seed;
-    let journal_path = opts.journal_path("transport_chaos.jsonl");
-    let (mut journal, prior) = open_verdict_journal::<TransportVerdict, _>(
-        "chaos",
-        &journal_path,
-        opts.resume,
-        |v| (v.seed, v.index),
-    );
-    let (done, mut failures) = split_prior(&prior, seed, |v| (v.seed, v.index), |v| v.passed);
-
-    let space = TransportFaultSpace::new(TRANSPORT_CELLS as usize);
-    let cells = demo_cells(TRANSPORT_CELLS);
-    let scratch = std::env::temp_dir().join(format!("cpc-transport-chaos-{}", std::process::id()));
-    println!(
-        "transport chaos campaign: seed {seed}, {schedules} schedules, \
-         {TRANSPORT_CELLS} cells per campaign through the HTTP gateway"
-    );
-
-    let mut checked = 0u64;
-    let mut shed_total = 0usize;
-    let mut rejected_total = 0usize;
-    let mut kills_total = 0usize;
-    for index in 0..schedules {
-        if done.contains(&index) {
-            continue;
-        }
-        let plan = space.sample(seed, index);
-        let dir = scratch.join(format!("t{index:05}"));
-        let report =
-            run_gateway_chaos(&dir, || DemoModel, &cells, "demo", &plan, &demo_flood_cells)
-                .unwrap_or_else(|e| die(format!("schedule {index} I/O failure: {e}")));
-        let _ = std::fs::remove_dir_all(&dir);
-        checked += 1;
-        shed_total += report.ledger.shed;
-        rejected_total += report.ledger.rejected;
-        kills_total += report.ledger.kills;
-        let verdict = TransportVerdict {
-            seed,
-            index,
-            passed: report.passed(),
-            violations: report.violations.iter().map(|v| v.to_string()).collect(),
-            ledger: report.ledger.clone(),
-        };
-        if let Err(e) = journal.append(&verdict) {
-            die(format!("cannot journal verdict {index}: {e}"));
-        }
-        if !verdict.passed {
-            println!(
-                "schedule {index} ({:?}): {} VIOLATION(S)",
-                plan.faults,
-                verdict.violations.len()
-            );
-            for v in &verdict.violations {
-                println!("  - {v}");
-            }
-            failures.push(index);
-        } else if (index + 1).is_multiple_of(25) {
-            println!(
-                "schedule {index}: ok ({} conn(s), {} rejected, {} shed, {} incarnation(s))",
-                report.ledger.conns_opened,
-                report.ledger.rejected,
-                report.ledger.shed,
-                report.ledger.incarnations
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    println!(
-        "checked {checked} fresh schedule(s) ({} total), {} violation(s); \
-         {rejected_total} malformed rejected, {shed_total} shed, {kills_total} kill(s) survived",
-        done.len() as u64 + checked,
-        failures.len()
-    );
-    if !failures.is_empty() {
-        failures.sort_unstable();
-        failures.dedup();
-        println!("failing schedules: {failures:?}");
-        return 1;
-    }
-    println!("all six gateway oracles held on every schedule");
-    0
-}
-
 fn replay_mode(file: &str) -> i32 {
-    let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
-        eprintln!("cannot read {file}: {e}");
-        std::process::exit(2);
-    });
-    let repro = Reproducer::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {file}: {e}");
-        std::process::exit(2);
-    });
+    let repro = read_artifact(Path::new(file), Reproducer::from_json);
     // Replay under the engine that produced the artifact: a disarmed
     // reproducer replayed armed would be repaired, not reproduced.
-    let h = if repro.abft {
-        make_harness(repro.ranks, repro.steps)
-    } else {
+    if !repro.abft {
         println!("reproducer was minimized with ABFT disarmed; replaying disarmed");
-        make_disarmed_harness(repro.ranks, repro.steps)
-    };
+    }
+    let h = make_harness(repro.ranks, repro.steps, repro.abft);
     let report = h.check(&repro.plan);
     if report.passed() {
         println!("reproducer did NOT reproduce: every oracle held");
@@ -1094,27 +515,13 @@ fn replay_mode(file: &str) -> i32 {
     }
 }
 
-/// One journaled composed-chaos verdict.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ComposedVerdict {
-    /// Campaign seed.
-    seed: u64,
-    /// Schedule index within the campaign.
-    index: u64,
-    /// Whether the full cross-layer oracle union held.
-    passed: bool,
-    /// Layers the schedule exercised (unmasked and non-empty).
-    armed: Vec<String>,
-    /// Rendered violations (empty when passed).
-    violations: Vec<String>,
-    /// The unified cross-layer book the oracles checked.
-    ledger: CrossLedger,
-}
-
-/// Cells per composed campaign, matching the single-layer service,
-/// disk and transport campaigns so the conductor stresses the same
-/// workload they do — just all at once.
+/// Cells per campaign: small enough that hundreds of schedules (each
+/// a reference run plus every faulted incarnation) finish in CI time,
+/// large enough that every sampled kill, tear and lease index lands.
 const COMPOSED_CELLS: u64 = 6;
+/// Queue journal shards per campaign (the gateway default), which
+/// bounds the service sampler's torn-shard targets.
+const SHARDS: usize = 4;
 
 /// Probes the fault-free composed campaign for its disk-op horizon
 /// (the index space disk faults are drawn from), then assembles the
@@ -1136,38 +543,77 @@ fn composed_space(md: FaultSpace) -> ComposedFaultSpace {
         }
         die("fault-free composed probe failed its own oracles");
     }
-    ComposedFaultSpace::new(
+    ComposedFaultSpace {
         md,
-        ServiceFaultSpace::new(COMPOSED_CELLS as usize, SERVICE_SHARDS),
-        TransportFaultSpace::new(COMPOSED_CELLS as usize),
-        DiskFaultSpace::new(probe.ledger.disk.disk.ops),
-        SchedFaultSpace::new(COMPOSED_CELLS as usize),
-    )
+        service: ServiceFaultSpace::new(COMPOSED_CELLS as usize, SHARDS),
+        transport: TransportFaultSpace::new(COMPOSED_CELLS as usize),
+        disk: DiskFaultSpace::new(probe.ledger.disk.disk.ops),
+        sched: SchedFaultSpace::new(COMPOSED_CELLS as usize),
+    }
 }
 
 /// Runs one composed schedule through the conductor, wiring the MD
-/// layer to `harness` when one is supplied (corpus entries and bench
-/// rows that never arm the MD layer skip the engine entirely).
+/// layer to `harness` when one is supplied (campaigns and corpus
+/// entries that never arm the MD layer skip the engine entirely).
 fn run_composed(
     harness: Option<&ChaosHarness>,
     cells: &str,
     plan: &ComposedPlan,
-) -> cpc_gateway::ComposedChaosReport {
-    let result = match harness {
-        Some(h) => {
-            let mut md_check = |p: &FaultPlan| h.check(p);
-            run_composed_chaos(
-                || DemoModel,
-                cells,
-                "demo",
-                plan,
-                &demo_flood_cells,
-                Some(&mut md_check),
-            )
-        }
-        None => run_composed_chaos(|| DemoModel, cells, "demo", plan, &demo_flood_cells, None),
-    };
-    result.unwrap_or_else(|e| die(format!("composed campaign I/O failure: {e}")))
+) -> ComposedChaosReport {
+    let mut md_check = harness.map(|h| move |p: &FaultPlan| h.check(p));
+    let md_check = md_check
+        .as_mut()
+        .map(|check| check as &mut dyn FnMut(&FaultPlan) -> ScheduleReport);
+    run_composed_chaos(
+        || DemoModel,
+        cells,
+        "demo",
+        plan,
+        &demo_flood_cells,
+        md_check,
+    )
+    .unwrap_or_else(|e| die(format!("composed campaign I/O failure: {e}")))
+}
+
+/// The one failure-to-reproducer path: shrinks a failing composed
+/// schedule layer-first against the conductor and packages the minimal
+/// plan, the verdict it still provokes and the MD workload replay
+/// needs as a corpus entry that must keep failing.
+fn cross_reproducer(
+    harness: Option<&ChaosHarness>,
+    (ranks, steps, abft): (usize, usize, bool),
+    cells: &str,
+    plan: &ComposedPlan,
+    (seed, index): (u64, u64),
+) -> CrossReproducer {
+    let (min_plan, probes) =
+        minimize_composed(plan, |cand| !run_composed(harness, cells, cand).passed());
+    let min_report = run_composed(harness, cells, &min_plan);
+    let survivors: Vec<&str> = min_plan.armed_layers().iter().map(|l| l.name()).collect();
+    println!(
+        "minimized {} -> {} event(s) in layer(s) [{}] in {probes} probe(s)",
+        plan.events(),
+        min_plan.events(),
+        survivors.join(", ")
+    );
+    CrossReproducer {
+        seed,
+        index,
+        cells: COMPOSED_CELLS as usize,
+        ranks,
+        nodes: ranks, // the workload is a uniprocessor cluster
+        steps,
+        abft,
+        expect_fail: true,
+        events: min_plan.events(),
+        probes,
+        violations: min_report
+            .violations
+            .iter()
+            .map(|v| v.to_string())
+            .collect(),
+        plan: min_plan,
+    }
 }
 
 /// Accumulates pairwise interaction coverage: a schedule covers the
@@ -1180,148 +626,6 @@ fn cover_pairs(pairs: &mut [[u64; 5]; 5], events: &[usize; 5]) {
             }
         }
     }
-}
-
-/// Composed-chaos campaign (`--composed N`): every schedule arms all
-/// five fault layers against one serve-backed campaign, the unified
-/// `CrossLedger` is checked against the union of the single-layer
-/// oracles plus the interaction oracles, failures are triaged by the
-/// cross-layer minimizer (whole layers dropped first, then events
-/// within the survivors) into `DIR/cross-repro-IIIII.json`, and the
-/// run fails unless every pairwise layer interaction was exercised at
-/// least once.
-fn composed_mode(opts: &ModeOpts, schedules: u64) -> i32 {
-    let seed = opts.seed;
-    let journal_path = opts.journal_path("composed_chaos.jsonl");
-    let (mut journal, prior) = open_verdict_journal::<ComposedVerdict, _>(
-        "chaos",
-        &journal_path,
-        opts.resume,
-        |v| (v.seed, v.index),
-    );
-    let (done, mut failures) = split_prior(&prior, seed, |v| (v.seed, v.index), |v| v.passed);
-
-    let h = make_harness(4, 8);
-    let md_space = FaultSpace::new(
-        h.cfg().cluster.ranks,
-        h.cfg().cluster.nodes(),
-        8,
-        h.golden_wall(),
-        24,
-    );
-    let space = composed_space(md_space);
-    let cells = demo_cells(COMPOSED_CELLS);
-    println!(
-        "composed chaos campaign: seed {seed}, {schedules} schedules, all five layers \
-         armed against one {COMPOSED_CELLS}-cell campaign"
-    );
-
-    let mut pairs = [[0u64; 5]; 5];
-    for v in prior.iter().filter(|v| v.seed == seed) {
-        cover_pairs(&mut pairs, &v.ledger.layer_events);
-    }
-    let mut checked = 0u64;
-    for index in 0..schedules {
-        if done.contains(&index) {
-            continue;
-        }
-        let plan = space.sample(seed, index);
-        let report = run_composed(Some(&h), &cells, &plan);
-        checked += 1;
-        cover_pairs(&mut pairs, &report.ledger.layer_events);
-        let verdict = ComposedVerdict {
-            seed,
-            index,
-            passed: report.passed(),
-            armed: plan
-                .armed_layers()
-                .iter()
-                .map(|l| l.name().to_string())
-                .collect(),
-            violations: report.violations.iter().map(|v| v.to_string()).collect(),
-            ledger: report.ledger.clone(),
-        };
-        if let Err(e) = journal.append(&verdict) {
-            die(format!("cannot journal verdict {index}: {e}"));
-        }
-        if !verdict.passed {
-            println!("schedule {index}: {} VIOLATION(S)", verdict.violations.len());
-            for v in &verdict.violations {
-                println!("  - {v}");
-            }
-            let (min_plan, probes) =
-                minimize_composed(&plan, |cand| !run_composed(Some(&h), &cells, cand).passed());
-            let min_report = run_composed(Some(&h), &cells, &min_plan);
-            let survivors: Vec<&str> = min_plan.armed_layers().iter().map(|l| l.name()).collect();
-            let repro = CrossReproducer {
-                seed,
-                index,
-                cells: COMPOSED_CELLS as usize,
-                ranks: h.cfg().cluster.ranks,
-                nodes: h.cfg().cluster.nodes(),
-                steps: 8,
-                abft: true,
-                expect_fail: true,
-                events: min_plan.events(),
-                probes,
-                violations: min_report.violations.iter().map(|v| v.to_string()).collect(),
-                plan: min_plan,
-            };
-            let path = opts.out.join(format!("cross-repro-{index:05}.json"));
-            if let Err(e) = std::fs::write(&path, repro.to_json()) {
-                die(format!("cannot write {}: {e}", path.display()));
-            }
-            println!(
-                "  minimized to {} event(s) in layer(s) [{}] in {} probe(s): {}",
-                repro.events,
-                survivors.join(", "),
-                probes,
-                path.display()
-            );
-            failures.push(index);
-        } else if (index + 1).is_multiple_of(10) {
-            println!(
-                "schedule {index}: ok ({} incarnation(s), {} kill(s), executed {} within license {})",
-                report.ledger.gateway.incarnations,
-                report.ledger.service.kills + report.ledger.gateway.kills,
-                report.ledger.executed_true,
-                report.ledger.exec_allowance
-            );
-        }
-    }
-
-    let mut coverage = Vec::new();
-    let mut missing = Vec::new();
-    for a in 0..5 {
-        for b in (a + 1)..5 {
-            let pair = format!("{}x{}", LAYERS[a].name(), LAYERS[b].name());
-            coverage.push(format!("{pair} {}", pairs[a][b]));
-            if pairs[a][b] == 0 {
-                missing.push(pair);
-            }
-        }
-    }
-    println!("pairwise interaction coverage: {}", coverage.join(", "));
-    println!(
-        "checked {checked} fresh schedule(s) ({} total), {} violation(s)",
-        done.len() as u64 + checked,
-        failures.len()
-    );
-    if !failures.is_empty() {
-        failures.sort_unstable();
-        failures.dedup();
-        println!("failing schedules: {failures:?}");
-        return 1;
-    }
-    if done.len() as u64 + checked > 0 && !missing.is_empty() {
-        println!(
-            "COVERAGE FAILURE: pairwise interaction(s) never exercised: {}",
-            missing.join(", ")
-        );
-        return 1;
-    }
-    println!("the full cross-layer oracle union held on every schedule");
-    0
 }
 
 /// Composed plant self-test (`--plant-composed`): proves the
@@ -1339,15 +643,8 @@ fn plant_composed_mode(corpus: &Path) -> i32 {
     // uses, checked with ABFT disarmed so it is actually harmful —
     // buried under sampled noise in the other four layers, so the
     // minimizer has whole layers to discard before it can shrink.
-    let h = make_disarmed_harness(4, 8);
-    let md_space = FaultSpace::new(
-        h.cfg().cluster.ranks,
-        h.cfg().cluster.nodes(),
-        8,
-        h.golden_wall(),
-        24,
-    );
-    let space = composed_space(md_space);
+    let h = make_harness(4, 8, false);
+    let space = composed_space(md_space(&h));
     let (index, planted_md) = planted_from_space(&space.md, 7);
     let mut plan = space.sample(7, index);
     plan.md = planted_md;
@@ -1367,53 +664,23 @@ fn plant_composed_mode(corpus: &Path) -> i32 {
         report.violations.len(),
         report.violations[0]
     );
-    let (min_plan, probes) =
-        minimize_composed(&plan, |cand| !run_composed(Some(&h), &cells, cand).passed());
-    let min_report = run_composed(Some(&h), &cells, &min_plan);
-    if min_report.passed() {
+    let repro = cross_reproducer(Some(&h), (4, 8, false), &cells, &plan, (7, index));
+    if repro.violations.is_empty() {
         eprintln!("PLANT FAILURE: minimized reproducer no longer fails");
         return 1;
     }
-    let survivors: Vec<&str> = min_plan.armed_layers().iter().map(|l| l.name()).collect();
-    println!(
-        "minimized {} -> {} event(s) in layer(s) [{}] in {} probe(s)",
-        plan.events(),
-        min_plan.events(),
-        survivors.join(", "),
-        probes
-    );
-    if min_plan.events() > 10 {
+    if repro.events > 10 {
         eprintln!(
             "PLANT FAILURE: reproducer kept {} events (> 10)",
-            min_plan.events()
+            repro.events
         );
         return 1;
     }
-    let repro = CrossReproducer {
-        seed: 7,
-        index,
-        cells: COMPOSED_CELLS as usize,
-        ranks: h.cfg().cluster.ranks,
-        nodes: h.cfg().cluster.nodes(),
-        steps: 8,
-        abft: false,
-        expect_fail: true,
-        events: min_plan.events(),
-        probes,
-        violations: min_report.violations.iter().map(|v| v.to_string()).collect(),
-        plan: min_plan,
-    };
-    let path = corpus.join("planted_cross.json");
-    if let Err(e) = std::fs::write(&path, repro.to_json()) {
-        die(format!("cannot write {}: {e}", path.display()));
-    }
+    let path = write_artifact(corpus, "planted_cross.json", repro.to_json());
     println!("regression pin: {}", path.display());
 
     // The artifact must replay with a byte-identical verdict.
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| die(format!("cannot read {}: {e}", path.display())));
-    let parsed = CrossReproducer::from_json(&text)
-        .unwrap_or_else(|e| die(format!("cannot parse {}: {e}", path.display())));
+    let parsed = read_artifact(&path, CrossReproducer::from_json);
     let replayed = run_composed(Some(&h), &cells, &parsed.plan);
     let rendered: Vec<String> = replayed.violations.iter().map(|v| v.to_string()).collect();
     if replayed.passed() || rendered != repro.violations {
@@ -1425,15 +692,8 @@ fn plant_composed_mode(corpus: &Path) -> i32 {
     // (b) Determinism pin: a passing sampled schedule with all five
     // layers armed and ABFT armed; replay must pass with an empty,
     // byte-identical verdict.
-    let armed = make_harness(4, 8);
-    let armed_space = composed_space(FaultSpace::new(
-        armed.cfg().cluster.ranks,
-        armed.cfg().cluster.nodes(),
-        8,
-        armed.golden_wall(),
-        24,
-    ));
-    let pin_plan = armed_space.sample(7, 0);
+    let armed = make_harness(4, 8, true);
+    let pin_plan = composed_space(md_space(&armed)).sample(7, 0);
     let pin_report = run_composed(Some(&armed), &cells, &pin_plan);
     if !pin_report.passed() {
         eprintln!("PLANT FAILURE: the determinism-pin schedule fails its oracles:");
@@ -1456,10 +716,7 @@ fn plant_composed_mode(corpus: &Path) -> i32 {
         violations: Vec::new(),
         plan: pin_plan,
     };
-    let path = corpus.join("determinism_pin.json");
-    if let Err(e) = std::fs::write(&path, pin.to_json()) {
-        die(format!("cannot write {}: {e}", path.display()));
-    }
+    let path = write_artifact(corpus, "determinism_pin.json", pin.to_json());
     println!("determinism pin: {}", path.display());
     0
 }
@@ -1484,21 +741,12 @@ fn replay_corpus_mode(dir: &Path) -> i32 {
     let mut harnesses: HashMap<(usize, usize, bool), ChaosHarness> = HashMap::new();
     let mut bad = 0usize;
     for path in &paths {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(format!("cannot read {}: {e}", path.display())));
-        let repro = CrossReproducer::from_json(&text)
-            .unwrap_or_else(|e| die(format!("cannot parse {}: {e}", path.display())));
+        let repro = read_artifact(path, CrossReproducer::from_json);
         let cells = demo_cells(repro.cells as u64);
         let report = if repro.plan.armed(Layer::Md) {
             let h = harnesses
                 .entry((repro.ranks, repro.steps, repro.abft))
-                .or_insert_with(|| {
-                    if repro.abft {
-                        make_harness(repro.ranks, repro.steps)
-                    } else {
-                        make_disarmed_harness(repro.ranks, repro.steps)
-                    }
-                });
+                .or_insert_with(|| make_harness(repro.ranks, repro.steps, repro.abft));
             run_composed(Some(h), &cells, &repro.plan)
         } else {
             run_composed(None, &cells, &repro.plan)
@@ -1524,7 +772,11 @@ fn replay_corpus_mode(dir: &Path) -> i32 {
             );
         }
     }
-    println!("replayed {} reproducer(s), {} mismatch(es)", paths.len(), bad);
+    println!(
+        "replayed {} reproducer(s), {} mismatch(es)",
+        paths.len(),
+        bad
+    );
     if bad == 0 {
         0
     } else {
@@ -1532,127 +784,279 @@ fn replay_corpus_mode(dir: &Path) -> i32 {
     }
 }
 
-/// One timed row of `BENCH_chaos.json`.
-#[derive(Debug, Clone, Serialize)]
-struct BenchRow {
-    mode: &'static str,
-    schedules: u64,
-    wall_s: f64,
-    schedules_per_sec: f64,
+/// One journaled campaign verdict.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Verdict {
+    /// Campaign seed.
+    seed: u64,
+    /// Schedule index within the campaign.
+    index: u64,
+    /// The layer mask the schedule ran under, as `--layers` spells it.
+    layers: String,
+    /// Rendered violations (empty: the full oracle union held).
+    violations: Vec<String>,
+    /// The unified cross-layer book the oracles checked (its
+    /// `layer_events` say which layers the schedule exercised).
+    ledger: CrossLedger,
 }
 
-/// The `BENCH_chaos.json` artifact.
-#[derive(Debug, Clone, Serialize)]
-struct BenchOut {
-    host_cpus: usize,
-    note: &'static str,
-    modes: Vec<BenchRow>,
+/// The faults one schedule actually delivered, as `(layer, counter,
+/// count)` rows in a fixed order: the classes each layer's sampler
+/// draws often enough that a 100-schedule window reading 0 means the
+/// class stopped landing, which CI greps for.
+fn delivered(l: &CrossLedger) -> Vec<(Layer, &'static str, usize)> {
+    let md = l.md.as_ref();
+    let (svc, gw, disk, sched) = (&l.service, &l.gateway, &l.disk, &l.sched);
+    vec![
+        (Layer::Md, "events", md.map_or(0, |m| m.events)),
+        (Layer::Md, "crashed_ranks", md.map_or(0, |m| m.crashed)),
+        (Layer::Md, "sdc_events", md.map_or(0, |m| m.sdc_events)),
+        (Layer::Service, "kills", svc.kills),
+        (Layer::Service, "destroyed_lines", svc.destroyed_results),
+        (Layer::Service, "dropped_lines", svc.dropped_lines),
+        (Layer::Service, "stale_presented", svc.stale_presented),
+        (Layer::Service, "stale_rejected", svc.stale_rejected),
+        (Layer::Service, "reclaimed_leases", svc.reclaimed_leases),
+        (Layer::Transport, "kills", gw.kills),
+        (Layer::Transport, "rejected", gw.rejected),
+        (Layer::Transport, "shed", gw.shed),
+        (Layer::Disk, "restarts", disk.restarts),
+        (Layer::Disk, "enospc_lifts", disk.enospc_lifts),
+        (Layer::Disk, "io_retries", disk.io_retries),
+        (Layer::Disk, "power_cuts", disk.disk.power_losses as usize),
+        (
+            Layer::Disk,
+            "enospc_failures",
+            disk.disk.enospc_failures as usize,
+        ),
+        (Layer::Sched, "panics_injected", sched.panics_injected),
+        (Layer::Sched, "panics_caught", sched.panics_caught),
+        (Layer::Sched, "pauses", sched.pauses_taken),
+        (Layer::Sched, "stale_presented", sched.stale_presented),
+        (Layer::Sched, "stale_rejected", sched.stale_rejected),
+    ]
 }
 
-/// Throughput snapshot (`--bench`): schedules/second for each
-/// single-layer chaos harness and for the composed conductor, written
-/// to `DIR/BENCH_chaos.json`. The composed rows drive the full
-/// five-layer conductor but skip the MD engine (the campaign rows of
-/// the MD harness are what price that layer).
-fn bench_mode(out: &Path) -> i32 {
-    use std::time::Instant;
-    const K: u64 = 12;
-    let scratch = std::env::temp_dir().join(format!("cpc-bench-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let mut rows: Vec<BenchRow> = Vec::new();
-    let time = |mode: &'static str, n: u64, run: &mut dyn FnMut(u64)| -> BenchRow {
-        let t0 = Instant::now();
-        for i in 0..n {
-            run(i);
+/// What the checked schedules delivered and cost, summed over a
+/// campaign: [`delivered`] row by row, the execution book's two
+/// sides, and the pairwise interaction coverage.
+#[derive(Default)]
+struct Totals {
+    delivered: Vec<(Layer, &'static str, usize)>,
+    executed: usize,
+    licensed: usize,
+    pairs: [[u64; 5]; 5],
+}
+
+impl Totals {
+    fn add(&mut self, l: &CrossLedger) {
+        let rows = delivered(l);
+        if self.delivered.is_empty() {
+            self.delivered = rows;
+        } else {
+            for (sum, row) in self.delivered.iter_mut().zip(rows) {
+                sum.2 += row.2;
+            }
         }
-        let wall_s = t0.elapsed().as_secs_f64();
-        let row = BenchRow {
-            mode,
-            schedules: n,
-            wall_s,
-            schedules_per_sec: n as f64 / wall_s,
-        };
-        println!(
-            "{mode}: {n} schedule(s) in {wall_s:.3} s = {:.1} schedules/s",
-            row.schedules_per_sec
-        );
-        row
-    };
-
-    let key_of = |r: &Vec<f64>| serde_json::to_string(&(r[0] as u64)).expect("key serializes");
-    let exec = |t: &u64| -> (Vec<f64>, f64) { (vec![*t as f64, (*t * *t) as f64], 0.25) };
-
-    let tasks: Vec<u64> = (0..SERVICE_CELLS).collect();
-    let sspace = ServiceFaultSpace::new(SERVICE_CELLS as usize, SERVICE_SHARDS);
-    let mut sexec = exec;
-    let row = time("service", K, &mut |i| {
-        let dir = scratch.join(format!("sv{i}"));
-        let plan = sspace.sample(7, i);
-        let r = run_service_chaos(&dir, &tasks, "bench-service", &plan, key_of, &mut sexec)
-            .unwrap_or_else(|e| die(format!("service bench schedule {i} failed: {e}")));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(r.passed(), "service bench schedule {i} violated an oracle");
-    });
-    rows.push(row);
-
-    let probe = run_disk_chaos(&tasks, "bench-disk", &DiskFaultPlan::none(), key_of, exec)
-        .unwrap_or_else(|e| die(format!("disk bench probe failed: {e}")));
-    let dspace = DiskFaultSpace::new(probe.ledger.disk.ops);
-    let row = time("disk", K, &mut |i| {
-        let plan = dspace.sample(7, i);
-        let r = run_disk_chaos(&tasks, "bench-disk", &plan, key_of, exec)
-            .unwrap_or_else(|e| die(format!("disk bench schedule {i} failed: {e}")));
-        assert!(r.passed(), "disk bench schedule {i} violated an oracle");
-    });
-    rows.push(row);
-
-    let cells = demo_cells(COMPOSED_CELLS);
-    let tspace = TransportFaultSpace::new(COMPOSED_CELLS as usize);
-    let row = time("transport", K, &mut |i| {
-        let dir = scratch.join(format!("tr{i}"));
-        let plan = tspace.sample(7, i);
-        let r = run_gateway_chaos(&dir, || DemoModel, &cells, "demo", &plan, &demo_flood_cells)
-            .unwrap_or_else(|e| die(format!("transport bench schedule {i} failed: {e}")));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(r.passed(), "transport bench schedule {i} violated an oracle");
-    });
-    rows.push(row);
-
-    let stasks: Vec<u64> = (0..SCHED_CELLS).collect();
-    let xspace = SchedFaultSpace::new(SCHED_CELLS as usize);
-    let row = time("sched", K, &mut |i| {
-        let dir = scratch.join(format!("sc{i}"));
-        let plan = xspace.sample(7, i);
-        let r = run_sched_chaos(&dir, &stasks, "bench-sched", &plan, key_of, exec)
-            .unwrap_or_else(|e| die(format!("sched bench schedule {i} failed: {e}")));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(r.passed(), "sched bench schedule {i} violated an oracle");
-    });
-    rows.push(row);
-
-    let cspace = composed_space(FaultSpace::new(4, 4, 8, 2.0, 24));
-    let row = time("composed", K, &mut |i| {
-        let plan = cspace.sample(7, i);
-        let r = run_composed(None, &cells, &plan);
-        assert!(r.passed(), "composed bench schedule {i} violated an oracle");
-    });
-    rows.push(row);
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    let artifact = BenchOut {
-        host_cpus: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        note: "schedules/second per chaos harness; composed rows drive the full \
-               five-layer conductor with the MD engine unwired",
-        modes: rows,
-    };
-    let path = out.join("BENCH_chaos.json");
-    let json = serde_json::to_string_pretty(&artifact).expect("bench artifact serializes");
-    if let Err(e) = std::fs::write(&path, json) {
-        die(format!("cannot write {}: {e}", path.display()));
+        self.executed += l.executed_true;
+        self.licensed += l.exec_allowance;
+        cover_pairs(&mut self.pairs, &l.layer_events);
     }
-    println!("artifact: {}", path.display());
+
+    /// One `delivered[layer]: k=v ...` line per armed layer and the
+    /// execution book's slack.
+    fn print(&self, mask: LayerMask) {
+        for layer in LAYERS.into_iter().filter(|&l| mask.get(l)) {
+            let counters: Vec<String> = self
+                .delivered
+                .iter()
+                .filter(|row| row.0 == layer)
+                .map(|row| format!("{}={}", row.1, row.2))
+                .collect();
+            println!("delivered[{}]: {}", layer.name(), counters.join(" "));
+        }
+        let slack = self.licensed.saturating_sub(self.executed);
+        println!(
+            "execution book: {} executed within {} licensed (slack {slack}, {:.2}% of executed)",
+            self.executed,
+            self.licensed,
+            100.0 * slack as f64 / self.executed.max(1) as f64
+        );
+    }
+}
+
+/// What one campaign invocation was asked to do.
+struct Campaign {
+    out: PathBuf,
+    journal: Option<PathBuf>,
+    seed: u64,
+    mask: LayerMask,
+    schedules: u64,
+    soak: bool,
+    resume: bool,
+    ranks: usize,
+    steps: usize,
+}
+
+/// The campaign: schedules `0..N` (or unbounded under `--soak`)
+/// sampled from `(seed, index)`, projected through the layer mask,
+/// driven through the conductor and checked by the full oracle union;
+/// failures minimized layer-first into cross reproducers.
+fn campaign_mode(c: &Campaign) -> i32 {
+    let (seed, mask) = (c.seed, c.mask);
+    let layers = mask.to_string();
+    let journal_path = c
+        .journal
+        .clone()
+        .unwrap_or_else(|| c.out.join("chaos.jsonl"));
+    let (mut journal, prior) =
+        open_verdict_journal::<Verdict, _>("chaos", &journal_path, c.resume, |v| (v.seed, v.index));
+    let prior: Vec<Verdict> = prior.into_iter().filter(|v| v.seed == seed).collect();
+    if let Some(other) = prior.iter().find(|v| v.layers != layers) {
+        die(format!(
+            "{} records schedule {} of seed {seed} under --layers {}; resuming it under \
+             --layers {layers} would skip indices checked with other layers armed",
+            journal_path.display(),
+            other.index,
+            other.layers
+        ));
+    }
+    let done: HashSet<u64> = prior.iter().map(|v| v.index).collect();
+    let mut failures: Vec<u64> = prior
+        .iter()
+        .filter(|v| !v.violations.is_empty())
+        .map(|v| v.index)
+        .collect();
+    let mut totals = Totals::default();
+    for v in &prior {
+        totals.add(&v.ledger);
+    }
+
+    // The MD engine is built only when its layer is armed; masked, its
+    // sampled schedule is never run and any envelope will do.
+    let harness = mask.md.then(|| make_harness(c.ranks, c.steps, true));
+    let space = composed_space(harness.as_ref().map_or_else(
+        || FaultSpace::new(c.ranks, c.ranks, c.steps as u64, 1.0, 24),
+        md_space,
+    ));
+    let cells = demo_cells(COMPOSED_CELLS);
+    println!(
+        "chaos campaign: seed {seed}, {}, layers [{layers}] armed against one \
+         {COMPOSED_CELLS}-cell campaign{}",
+        if c.soak {
+            "unbounded soak".to_string()
+        } else {
+            format!("{} schedules", c.schedules)
+        },
+        match &harness {
+            Some(h) => format!(
+                "; MD workload p = {}, {} steps, horizon {:.4} s",
+                c.ranks,
+                c.steps,
+                h.golden_wall()
+            ),
+            None => String::new(),
+        }
+    );
+
+    let mut checked = 0u64;
+    for index in 0u64.. {
+        if !c.soak && index >= c.schedules {
+            break;
+        }
+        if done.contains(&index) {
+            continue;
+        }
+        let plan = space.sample(seed, index).masked(mask);
+        let report = run_composed(harness.as_ref(), &cells, &plan);
+        checked += 1;
+        totals.add(&report.ledger);
+        let mut verdict = Verdict {
+            seed,
+            index,
+            layers: layers.clone(),
+            violations: report.violations.iter().map(|v| v.to_string()).collect(),
+            ledger: report.ledger,
+        };
+        // How often a thief stole or a worker reached its pause point
+        // describes this machine's scheduler under this load, not the
+        // campaign: no oracle reads either, and journaled they would
+        // make a rerun's `cmp` depend on what else the host is doing.
+        verdict.ledger.sched.steals = 0;
+        verdict.ledger.sched.pauses_taken = 0;
+        if let Err(e) = journal.append(&verdict) {
+            die(format!("cannot journal verdict {index}: {e}"));
+        }
+        let ledger = &verdict.ledger;
+        if !verdict.violations.is_empty() {
+            println!(
+                "schedule {index}: {} VIOLATION(S)",
+                verdict.violations.len()
+            );
+            for v in &verdict.violations {
+                println!("  - {v}");
+            }
+            let repro = cross_reproducer(
+                harness.as_ref(),
+                (c.ranks, c.steps, true),
+                &cells,
+                &plan,
+                (seed, index),
+            );
+            let name = format!("cross-repro-{index:05}.json");
+            let path = write_artifact(&c.out, &name, repro.to_json());
+            println!("reproducer: {}", path.display());
+            failures.push(index);
+            if c.soak {
+                break;
+            }
+        } else if (index + 1).is_multiple_of(10) {
+            println!(
+                "schedule {index}: ok ({} incarnation(s), {} kill(s), executed {} within license {})",
+                ledger.gateway.incarnations,
+                ledger.gateway.kills,
+                ledger.executed_true,
+                ledger.exec_allowance
+            );
+        }
+    }
+
+    totals.print(mask);
+    let mut missing = Vec::new();
+    if mask.armed() >= 2 {
+        let mut coverage = Vec::new();
+        for (a, first) in LAYERS.into_iter().enumerate() {
+            for (b, second) in LAYERS.into_iter().enumerate().skip(a + 1) {
+                if mask.get(first) && mask.get(second) {
+                    let pair = format!("{}x{}", first.name(), second.name());
+                    coverage.push(format!("{pair} {}", totals.pairs[a][b]));
+                    if totals.pairs[a][b] == 0 {
+                        missing.push(pair);
+                    }
+                }
+            }
+        }
+        println!("pairwise interaction coverage: {}", coverage.join(", "));
+    }
+    println!(
+        "checked {checked} fresh schedule(s) ({} total), {} violation(s)",
+        done.len() as u64 + checked,
+        failures.len()
+    );
+    if !failures.is_empty() {
+        failures.sort_unstable();
+        failures.dedup();
+        println!("failing schedules: {failures:?}");
+        return 1;
+    }
+    if done.len() as u64 + checked > 0 && !missing.is_empty() {
+        println!(
+            "COVERAGE FAILURE: pairwise interaction(s) never exercised: {}",
+            missing.join(", ")
+        );
+        return 1;
+    }
+    println!("the full oracle union held on every schedule");
     0
 }
 
@@ -1670,15 +1074,13 @@ fn main() {
     let plant_composed = args.flag("--plant-composed");
     let straggle_smoke = args.flag("--straggle-smoke");
     let abft_smoke = args.flag("--abft-smoke");
-    let bench = args.flag("--bench");
-    let service: Option<u64> = args.parsed("--service", "an integer schedule count");
-    let transport: Option<u64> = args.parsed("--transport", "an integer schedule count");
-    let disk: Option<u64> = args.parsed("--disk", "an integer schedule count");
-    let sched: Option<u64> = args.parsed("--sched", "an integer schedule count");
-    let composed: Option<u64> = args.parsed("--composed", "an integer schedule count");
-    let schedules: u64 = args
-        .parsed("--schedules", "an integer schedule count")
-        .unwrap_or(50);
+    let schedules: Option<u64> = args.parsed("--schedules", "an integer schedule count");
+    let mask: LayerMask = args
+        .parsed(
+            "--layers",
+            "a comma-separated subset of md,service,transport,disk,sched",
+        )
+        .unwrap_or_default();
     let seed: u64 = args.parsed("--seed", "an integer seed").unwrap_or(7);
     let ranks: usize = args.parsed("--ranks", "an integer rank count").unwrap_or(4);
     let steps: usize = args.parsed("--steps", "an integer step count").unwrap_or(8);
@@ -1686,18 +1088,13 @@ fn main() {
     let resume = args.flag("--resume");
     let journal = args.value("--journal").map(PathBuf::from);
     args.exclusive(&[
-        ("--service", service.is_some()),
-        ("--transport", transport.is_some()),
-        ("--disk", disk.is_some()),
-        ("--sched", sched.is_some()),
-        ("--composed", composed.is_some()),
+        ("--schedules", schedules.is_some()),
         ("--plant", plant),
         ("--plant-composed", plant_composed),
         ("--replay", replay.is_some()),
         ("--replay-corpus", replay_corpus.is_some()),
         ("--straggle-smoke", straggle_smoke),
         ("--abft-smoke", abft_smoke),
-        ("--bench", bench),
     ]);
     args.finish();
 
@@ -1705,12 +1102,6 @@ fn main() {
     if let Err(e) = std::fs::create_dir_all(&out) {
         die(format!("cannot create {}: {e}", out.display()));
     }
-    let opts = ModeOpts {
-        out: out.clone(),
-        seed,
-        resume,
-        journal,
-    };
 
     if let Some(file) = replay {
         std::process::exit(replay_mode(&file));
@@ -1730,115 +1121,15 @@ fn main() {
     if abft_smoke {
         std::process::exit(abft_smoke_mode(&out));
     }
-    if bench {
-        std::process::exit(bench_mode(&out));
-    }
-    if let Some(n) = service {
-        std::process::exit(service_mode(&opts, n));
-    }
-    if let Some(n) = transport {
-        std::process::exit(transport_mode(&opts, n));
-    }
-    if let Some(n) = disk {
-        std::process::exit(disk_mode(&opts, n));
-    }
-    if let Some(n) = sched {
-        std::process::exit(sched_mode(&opts, n));
-    }
-    if let Some(n) = composed {
-        std::process::exit(composed_mode(&opts, n));
-    }
-    std::process::exit(campaign_mode(&opts, schedules, soak, ranks, steps));
-}
-
-/// The default MD-layer campaign: schedules `0..N` (or unbounded under
-/// `--soak`) sampled from `(seed, index)`, checked by the full oracle
-/// suite, failures minimized to reproducer artifacts.
-fn campaign_mode(opts: &ModeOpts, schedules: u64, soak: bool, ranks: usize, steps: usize) -> i32 {
-    let seed = opts.seed;
-    let out = &opts.out;
-    let journal_path = opts.journal_path("chaos.jsonl");
-    let (mut journal, prior) =
-        open_verdict_journal::<Verdict, _>("chaos", &journal_path, opts.resume, |v| {
-            (v.seed, v.index)
-        });
-    let (done, mut failures) =
-        split_prior(&prior, seed, |v| (v.seed, v.index), |v| v.report.passed());
-
-    let h = make_harness(ranks, steps);
-    let space = FaultSpace::new(
-        h.cfg().cluster.ranks,
-        h.cfg().cluster.nodes(),
-        steps as u64,
-        h.golden_wall(),
-        24, // atoms of the quick water box; SDC atom indices wrap anyway
-    );
-    println!(
-        "chaos campaign: seed {seed}, {} schedules{}, p = {ranks}, {steps} steps, horizon {:.4} s",
-        schedules,
-        if soak {
-            " per soak round (unbounded)"
-        } else {
-            ""
-        },
-        h.golden_wall()
-    );
-
-    let mut checked = 0u64;
-    let mut index = 0u64;
-    loop {
-        if !soak && index >= schedules {
-            break;
-        }
-        if done.contains(&index) {
-            index += 1;
-            continue;
-        }
-        let plan = space.sample(seed, index);
-        let report = h.check(&plan);
-        checked += 1;
-        let failed = !report.passed();
-        if let Err(e) = journal.append(&Verdict {
-            seed,
-            index,
-            report: report.clone(),
-        }) {
-            die(format!("cannot journal verdict {index}: {e}"));
-        }
-        if failed {
-            println!("schedule {index}: {} VIOLATION(S)", report.violations.len());
-            for v in &report.violations {
-                println!("  - {v}");
-            }
-            let repro = h.minimize_to_reproducer(&plan, seed, index);
-            let path = write_reproducer(out, &format!("repro-{index:05}.json"), &repro);
-            println!(
-                "  minimized to {} event(s) in {} probe(s): {}",
-                repro.events,
-                repro.probes,
-                path.display()
-            );
-            failures.push(index);
-            if soak {
-                break;
-            }
-        } else if (index + 1).is_multiple_of(10) {
-            println!("schedule {index}: ok ({} events)", report.events);
-        }
-        index += 1;
-    }
-
-    println!(
-        "checked {checked} fresh schedule(s) ({} total), {} violation(s)",
-        done.len() as u64 + checked,
-        failures.len()
-    );
-    if !failures.is_empty() {
-        failures.sort_unstable();
-        failures.dedup();
-        println!("failing schedules: {failures:?}");
-        return 1;
-    }
-    println!("all oracles held");
-    0
+    std::process::exit(campaign_mode(&Campaign {
+        out,
+        journal,
+        seed,
+        mask,
+        schedules: schedules.unwrap_or(50),
+        soak,
+        resume,
+        ranks,
+        steps,
+    }));
 }

@@ -1,8 +1,8 @@
 //! The usage discipline, end to end: every malformed invocation of a
 //! bench binary must exit 2 (never 0, never a panic) with the usage
 //! string on stderr, and `--help` must exit 0. Driven through the
-//! `serve` and `trace_demo` binaries, whose error paths run before
-//! any workload is built — so these stay fast.
+//! `serve`, `trace_demo` and `chaos` binaries, whose error paths run
+//! before any workload is built — so these stay fast.
 
 use std::process::{Command, Output};
 
@@ -73,6 +73,24 @@ fn zero_ranks_is_a_conflict_in_trace_demo() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--ranks must be at least 1"), "{err}");
+}
+
+#[test]
+fn an_unknown_chaos_layer_exits_2_with_the_usage_text() {
+    let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
+        .args(["--layers", "nope"])
+        .output()
+        .expect("chaos binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--layers") && err.contains("\"nope\""),
+        "{err}"
+    );
+    assert!(
+        err.contains("usage: chaos") && err.contains("md,service,transport,disk,sched"),
+        "stderr must carry usage: {err}"
+    );
 }
 
 #[test]

@@ -1,12 +1,9 @@
-//! The cross-layer chaos conductor: one serve-backed campaign driven
-//! with **all five fault layers armed at once**.
+//! The chaos conductor: one serve-backed campaign driven with any
+//! subset of the five fault layers armed — all of them at once, or one
+//! alone.
 //!
-//! The single-layer harnesses each attack one seam in isolation —
-//! [`run_gateway_chaos`](crate::run_gateway_chaos) the transport,
-//! `run_service_chaos` the orchestrator, `run_disk_chaos` the disk,
-//! `run_sched_chaos` the executor, and the MD harness the simulated
-//! cluster. Real outages do not take turns. [`run_composed_chaos`]
-//! runs one campaign on a simulated disk carrying a
+//! Real outages do not take turns. [`run_composed_chaos`] runs one
+//! campaign on a simulated disk carrying a
 //! [`DiskFaultPlan`](cpc_vfs::DiskFaultPlan), through a gateway whose
 //! pool carries a `SchedFaultPlan`, attacked over the wire by a
 //! `TransportFaultPlan` while an orchestrator-level
@@ -15,20 +12,27 @@
 //! [`check_cross_ledger`]: the union of the single-layer oracles plus
 //! the interaction oracles (acked-then-lost across disk fault ×
 //! kill, the global execution bound, end-to-end byte identity) that
-//! only a composed schedule can exercise.
+//! only a composed schedule can exercise. The plan's
+//! [`LayerMask`](crate::LayerMask) decides which of those schedules
+//! run, so each layer's own harness is this function under
+//! [`LayerMask::only`](crate::LayerMask::only): there is no other
+//! driver.
 //!
 //! ## Accounting discipline
 //!
-//! * **Ground truth executions** come from a counting model wrapper:
-//!   every `exec` across every incarnation, revival and flood
+//! * **One execution book.** Ground truth comes from a counting model
+//!   wrapper: every `exec` across every incarnation, revival and flood
 //!   campaign increments one shared counter
-//!   ([`CrossLedger::executed_true`]). The composed license
-//!   ([`CrossLedger::exec_allowance`]) grants `total_cells`, the
-//!   flood campaigns' cells, one stranded batch (pool width) per
-//!   abnormal boundary (incarnation, crash restart, I/O retry,
-//!   ENOSPC lift, stall revival), and one re-execution per destroyed
-//!   or dropped durable line, reclaimed lease, presented stale lease
-//!   and injected panic.
+//!   ([`CrossLedger::executed_true`]). The conductor walks every pump
+//!   phase by phase (`begin` → `run` → `finish`) and charges a loss
+//!   where it happens: a ticket licenses exactly the executions it ran
+//!   minus the results it committed (zero unless a kill fired or a
+//!   storage error stalled the commit walk), plus one for the commit
+//!   that was in flight when a storage error hit (its durability is
+//!   unknown). Each durable line a torn results journal destroyed
+//!   licenses one more. Nothing else re-executes a cell, so nothing
+//!   else is licensed — [`CrossLedger::post_executions`] posts that one
+//!   book to every layer's duplicate-execution oracle.
 //! * **Acked-then-lost** replays the committed result *keys* (the
 //!   service records a key only after its journal append fsynced)
 //!   across every reopen; a torn results journal legitimately
@@ -37,10 +41,7 @@
 //! * **Per-layer books** are filled from absorbed outcome snapshots
 //!   (an incarnation's counters are read once, just before its
 //!   gateway is dropped), so the single-layer oracles keep holding
-//!   verbatim under composition; where a cross-layer fault creates a
-//!   re-execution the single-layer book cannot see coming (a torn
-//!   journal behind the gateway, a crash-stranded batch), the
-//!   conductor adds the corresponding license term to that book.
+//!   verbatim under composition.
 
 use std::collections::HashSet;
 use std::io::{self, Write};
@@ -49,17 +50,20 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cpc_charmm::{check_cross_ledger, CrossLedger, CrossViolation, ScheduleReport};
-use cpc_cluster::{ComposedPlan, FaultPlan, ServiceFault, TransportFault, Layer, LAYERS};
+use cpc_charmm::ScheduleReport;
+use cpc_cluster::FaultPlan;
+use cpc_gateway::{
+    campaign_id, drive, http_get, http_post, Begun, CampaignModel, Gateway, GatewayConfig,
+    HttpLimits, PumpReport, ScriptedConn, TenantPolicy,
+};
 use cpc_pool::{quiet_injected_panics, SchedChaos};
 use cpc_vfs::{Fs, SharedFs, SimFs};
 use cpc_workload::service::{artifact_digest_on, JobService, KillPoint, ServiceConfig};
+use cpc_workload::{ResultCache, ServiceOutcome};
 use serde_json::Value;
 
-use crate::chaos::{drive, http_get, http_post, kill_point, ScriptedConn};
-use crate::gateway::{campaign_id, CampaignModel, Gateway, GatewayConfig, PumpReport};
-use crate::http::HttpLimits;
-use crate::tenancy::TenantPolicy;
+use crate::ledger::{check_cross_ledger, CrossLedger, CrossViolation, GatewayLedger};
+use crate::plan::{ComposedPlan, Layer, ServiceFault, TransportFault, LAYERS};
 
 /// Queue journal shards per campaign (the gateway default; the final
 /// direct-service verification must reopen with the same layout).
@@ -82,8 +86,6 @@ pub struct ComposedChaosReport {
     pub ledger: CrossLedger,
     /// Oracle verdicts ([`check_cross_ledger`] over the ledger).
     pub violations: Vec<CrossViolation>,
-    /// The campaign id the schedule attacked.
-    pub campaign: String,
 }
 
 impl ComposedChaosReport {
@@ -95,8 +97,9 @@ impl ComposedChaosReport {
 
 /// Model wrapper counting ground-truth executions. Injected pool
 /// panics fire *before* the task closure runs, so a panicked attempt
-/// never increments the counter — only its post-reclaim re-execution
-/// does (which the allowance's `panics_injected` term licenses).
+/// never increments the counter — only its post-reclaim execution
+/// does, and that is the cell's first: a contained panic licenses
+/// nothing.
 struct Counted<M: CampaignModel> {
     inner: M,
     executed: Arc<AtomicUsize>,
@@ -124,9 +127,8 @@ impl<M: CampaignModel> CampaignModel for Counted<M> {
     }
 }
 
-/// Truncates `path` on `fs` to `keep_frac` of its bytes (the same
-/// torn-write model as the single-layer service harness, lifted onto
-/// the injectable filesystem). Returns the number of complete lines
+/// Truncates `path` on `fs` to `keep_frac` of its bytes (a torn
+/// write at rest). Returns the number of complete lines
 /// destroyed; when the rewrite itself fails under an active disk
 /// fault the whole file is assumed destroyed (over-licensing a
 /// re-execution weakens the bound, under-licensing would falsify it).
@@ -158,6 +160,32 @@ fn rewrite_on(fs: &dyn Fs, path: &Path, bytes: &[u8]) {
     }
 }
 
+/// One scripted connection through the gateway, its misbehaviour
+/// charged to the transport book: a handler panic, every read issued
+/// past the deadline, and — a policy violation charged as a panic —
+/// a 429 shed without `Retry-After`.
+fn land<M: CampaignModel>(
+    gw: &mut Gateway<M>,
+    conn: ScriptedConn,
+    ledger: &mut GatewayLedger,
+) -> ScriptedConn {
+    let (conn, panicked) = drive(gw, conn);
+    let unadvised =
+        conn.response_status() == Some(429) && conn.response_header("Retry-After").is_none();
+    ledger.panics += panicked as usize + unadvised as usize;
+    ledger.deadline_overruns += conn.overruns();
+    conn
+}
+
+/// The commit point a transport plan's gateway kill names.
+fn kill_point(point: u8) -> KillPoint {
+    match point % 3 {
+        0 => KillPoint::BeforeResult,
+        1 => KillPoint::MidCommit,
+        _ => KillPoint::AfterCommit,
+    }
+}
+
 struct Conductor<M: CampaignModel, F: Fn() -> M> {
     make_model: F,
     sim: Arc<SimFs>,
@@ -170,14 +198,20 @@ struct Conductor<M: CampaignModel, F: Fn() -> M> {
     journal: PathBuf,
     total: usize,
     threads: usize,
-    max_width: usize,
     base_stale: Option<usize>,
     pending_stale: Option<usize>,
+    /// The scheduled mid-campaign thread-count change, until it lands.
     thread_change: Option<(usize, usize)>,
-    thread_changed: bool,
     flood_serial: usize,
-    revivals: usize,
-    extra_cells: usize,
+    /// Re-executions licensed so far: the allowance side of the one
+    /// execution book (see the module docs).
+    licensed: usize,
+    /// The canonical campaign's stalled service instance already folded
+    /// into the books (see [`Self::fold_if_stalled`]).
+    folded: Option<ServiceOutcome>,
+    /// Requests waiting to land between the `begin` and `finish` of the
+    /// next ticket.
+    window: Vec<ScriptedConn>,
     fuel: usize,
     ledger: CrossLedger,
     acked: HashSet<String>,
@@ -207,8 +241,8 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
         self.dir.join(format!("queue-{:02}.jsonl", shard % SHARDS))
     }
 
-    /// Applies the disk-fault posture after a failed filesystem
-    /// operation, mirroring the single-layer disk supervisor: a crash
+    /// Applies the supervisor's disk-fault posture after a failed
+    /// filesystem operation: a crash
     /// is handled at the reopen loop head, an active persistent
     /// ENOSPC is lifted once, anything else is a transient retried
     /// past.
@@ -291,8 +325,76 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
 
     fn drive_conn(&mut self, conn: ScriptedConn) -> ScriptedConn {
         match self.gw.as_mut() {
-            Some(gw) => drive(gw, conn, &mut self.ledger.gateway),
+            Some(gw) => land(gw, conn, &mut self.ledger.gateway),
             None => conn,
+        }
+    }
+
+    /// Every campaign's committed fresh executions in the live
+    /// gateway: the "results committed" side of a ticket's balance.
+    fn committed(gw: &Gateway<Counted<M>>) -> usize {
+        gw.campaign_ids()
+            .iter()
+            .filter_map(|id| gw.outcome_of(id))
+            .map(|o| o.executed - o.lost_executions)
+            .sum()
+    }
+
+    /// Folds one instance of the canonical campaign's service into the
+    /// per-layer books.
+    fn fold_service(ledger: &mut CrossLedger, out: &ServiceOutcome) {
+        let s = &mut ledger.service;
+        s.incarnations += 1;
+        s.journal_preseeded += out.journal_preseeded;
+        s.cache_hits += out.cache_hits;
+        s.cache_corruption_caught += out.cache_stats.corrupt;
+        s.reclaimed_leases += out.reclaimed;
+        s.dropped_lines += out.dropped_lines;
+        s.duplicate_results += out.duplicates_dropped;
+        s.stale_presented += out.stale_presented;
+        s.stale_rejected += out.stale_rejected;
+        s.kills += out.killed as usize;
+        // A lease stranded by a contained panic is normally
+        // reclaimed through in-batch expiry, but a composed
+        // storage fault can abort the batch first; the reclaim
+        // then lands at the next recovery boundary (queue open).
+        // Both paths contain the panic.
+        ledger.sched.panic_reclaimed += out.panic_reclaimed + out.reclaimed;
+    }
+
+    /// Folds the live gateway's instance of the canonical campaign's
+    /// service into the books, unless it is the one `folded` remembers
+    /// (a dead instance's outcome never changes, so equality is
+    /// identity).
+    fn fold_once(
+        ledger: &mut CrossLedger,
+        folded: &mut Option<ServiceOutcome>,
+        gw: &Gateway<Counted<M>>,
+        id: &str,
+    ) {
+        let out = gw.outcome_of(id);
+        if out != *folded {
+            if let Some(out) = &out {
+                Self::fold_service(ledger, out);
+            }
+            *folded = out;
+        }
+    }
+
+    /// A stalled service is dead: the grant that revives its campaign
+    /// replaces it, counters and all, so it is folded into the books
+    /// the first time it is seen stalled, and remembered until the
+    /// campaign is seen running again.
+    fn fold_if_stalled(
+        ledger: &mut CrossLedger,
+        folded: &mut Option<ServiceOutcome>,
+        gw: &Gateway<Counted<M>>,
+        id: &str,
+    ) {
+        if gw.is_stalled(id) {
+            Self::fold_once(ledger, folded, gw, id);
+        } else {
+            *folded = None;
         }
     }
 
@@ -302,29 +404,8 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
     /// a mid-run thread-count swap).
     fn absorb(&mut self) {
         let Some(gw) = self.gw.as_ref() else { return };
-        if let Some(out) = gw.outcome_of(&self.id) {
-            let s = &mut self.ledger.service;
-            s.incarnations += 1;
-            s.executed += out.executed;
-            s.lost_executions += out.lost_executions;
-            s.journal_preseeded += out.journal_preseeded;
-            s.cache_hits += out.cache_hits;
-            s.cache_corruption_caught += out.cache_stats.corrupt;
-            s.reclaimed_leases += out.reclaimed;
-            s.dropped_lines += out.dropped_lines;
-            s.duplicate_results += out.duplicates_dropped;
-            s.stale_presented += out.stale_presented;
-            s.stale_rejected += out.stale_rejected;
-            s.kills += out.killed as usize;
-            self.ledger.gateway.executed += out.executed;
-            self.ledger.gateway.lost_executions += out.lost_executions;
-            // A lease stranded by a contained panic is normally
-            // reclaimed through in-batch expiry, but a composed
-            // storage fault can abort the batch first; the reclaim
-            // then lands at the next recovery boundary (queue open).
-            // Both paths contain the panic.
-            self.ledger.sched.panic_reclaimed += out.panic_reclaimed + out.reclaimed;
-        }
+        Self::fold_once(&mut self.ledger, &mut self.folded, gw, &self.id);
+        self.folded = None;
         let st = gw.stats();
         let g = &mut self.ledger.gateway;
         g.conns_opened += st.conns_opened;
@@ -332,63 +413,90 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
         g.requests += st.requests;
         g.rejected += st.rejected;
         g.shed += st.shed;
-        // Every storage-fault stall strands up to a pool width of
-        // in-flight executions whose commits never became durable;
-        // the revived service re-runs them, so the per-layer books
-        // must license the re-executions. Revives are incarnation
-        // boundaries for the cross allowance, same as reopens.
-        self.revivals += st.revives;
-        let stranded = st.stalls * self.max_width.max(self.threads);
-        self.ledger.service.lost_executions += stranded;
-        self.ledger.gateway.lost_executions += stranded;
-        let ps = gw.pool().stats();
-        self.ledger.sched.pool_tasks += ps.tasks as usize;
-        self.ledger.sched.steals += ps.steals as usize;
-        self.ledger.sched.panics_caught += ps.panics_caught as usize;
+        Self::absorb_pool(&mut self.ledger, gw);
     }
 
-    /// Absorb → drop → reopen. When the teardown is abnormal (the
-    /// disk is power-cut under the live gateway) the final in-memory
-    /// counters may include executions whose commits never became
-    /// durable; the books get one stranded batch licensed, matching
-    /// the width term the global allowance charges per boundary.
+    /// Reads a retiring pool's counters into the scheduler book.
+    fn absorb_pool(ledger: &mut CrossLedger, gw: &Gateway<Counted<M>>) {
+        let ps = gw.pool().stats();
+        ledger.sched.pool_tasks += ps.tasks as usize;
+        ledger.sched.steals += ps.steals as usize;
+        ledger.sched.panics_caught += ps.panics_caught as usize;
+    }
+
+    /// Absorb → drop → reopen.
     fn cycle(&mut self, kill: Option<(usize, KillPoint)>) {
-        let abnormal = self.sim.crashed();
         self.absorb();
-        if abnormal {
-            self.ledger.service.lost_executions += self.threads;
-            self.ledger.gateway.lost_executions += self.threads;
-        }
         self.gw = None;
         self.reopen(kill);
     }
 
-    /// One pump with stall-revival tracking, panic containment and
-    /// acked-key snapshotting.
+    /// One pump of up to `budget` cells with panic containment and
+    /// acked-key snapshotting, walked phase by phase — the loop
+    /// [`Gateway::pump`] runs, opened up for two reasons. The requests
+    /// in `self.window` land while the first ticket is out (after its
+    /// `begin`, before its `run` and `finish`), so every layer's
+    /// faults meet a request in that window, not only the concurrent
+    /// transport test's. And the execution book is settled per ticket:
+    /// what the ticket ran minus what it committed is licensed, plus
+    /// the in-flight commit when a storage error stalled the walk.
     fn pump_tracked(&mut self, budget: usize) -> PumpReport {
-        let report = {
-            let Some(gw) = self.gw.as_mut() else {
-                return PumpReport::default();
-            };
-            // Stall and revive accounting rides the cumulative
-            // gateway stats, absorbed once per incarnation.
-            catch_unwind(AssertUnwindSafe(|| gw.pump(budget))).ok()
+        let Some(mut gw) = self.gw.take() else {
+            return PumpReport::default();
         };
-        match report {
-            Some(r) => {
-                self.snapshot_acked();
-                r
+        let mut report = PumpReport::default();
+        let walked = catch_unwind(AssertUnwindSafe(|| {
+            for _ in 0..budget {
+                if report.granted >= budget || report.killed {
+                    break;
+                }
+                let begun = gw.begin(budget - report.granted);
+                Self::fold_if_stalled(&mut self.ledger, &mut self.folded, &gw, &self.id);
+                // Whatever `begin` found, the waiting requests land
+                // now: with a ticket out, that is the window.
+                for conn in self.window.drain(..) {
+                    land(&mut gw, conn, &mut self.ledger.gateway);
+                }
+                let mut ticket = match begun {
+                    Begun::Idle => break,
+                    Begun::Dead => {
+                        report.killed = true;
+                        break;
+                    }
+                    Begun::Skipped => continue,
+                    Begun::Ticket(ticket) => ticket,
+                };
+                let ran = self.executed.load(Ordering::Relaxed);
+                let committed = Self::committed(&gw);
+                let stalls = gw.stats().stalls;
+                loop {
+                    ticket.run();
+                    match gw.finish(ticket, &mut report) {
+                        Some(again) => ticket = again,
+                        None => break,
+                    }
+                }
+                let ran = self.executed.load(Ordering::Relaxed) - ran;
+                let committed = Self::committed(&gw) - committed;
+                let stranded = ran
+                    .checked_sub(committed)
+                    .expect("a ticket commits only what it ran");
+                self.licensed += stranded + (gw.stats().stalls - stalls);
+                Self::fold_if_stalled(&mut self.ledger, &mut self.folded, &gw, &self.id);
             }
-            None => {
+        }));
+        self.gw = Some(gw);
+        self.ledger.gateway.kills += report.killed as usize;
+        match walked {
+            Ok(()) => self.snapshot_acked(),
+            Err(_) => {
                 // A pump panic is a genuine violation (the disk book
                 // convicts on it); the incarnation is untrustworthy.
                 self.ledger.disk.panics += 1;
-                self.absorb();
-                self.gw = None;
-                self.reopen(None);
-                PumpReport::default()
+                self.cycle(None);
             }
         }
+        report
     }
 
     fn snapshot_acked(&mut self) {
@@ -411,15 +519,11 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
     /// on it.
     fn supervise(&mut self) {
         if let Some((after, to)) = self.thread_change {
-            if !self.thread_changed && self.completed() >= after {
-                self.thread_changed = true;
+            if self.completed() >= after {
+                self.thread_change = None;
                 self.threads = to.max(1);
-                self.max_width = self.max_width.max(self.threads);
                 if let Some(gw) = self.gw.as_mut() {
-                    let ps = gw.pool().stats();
-                    self.ledger.sched.pool_tasks += ps.tasks as usize;
-                    self.ledger.sched.steals += ps.steals as usize;
-                    self.ledger.sched.panics_caught += ps.panics_caught as usize;
+                    Self::absorb_pool(&mut self.ledger, gw);
                     gw.swap_pool(self.threads, Some(self.chaos.clone()));
                 }
             }
@@ -439,9 +543,7 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
 
     fn pump_once(&mut self, budget: usize) {
         self.supervise();
-        let r = self.pump_tracked(budget);
-        if r.killed {
-            self.ledger.gateway.kills += 1;
+        if self.pump_tracked(budget).killed {
             self.cycle(None);
         }
         self.supervise();
@@ -456,9 +558,7 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
             if self.gw.as_ref().is_none_or(|g| g.all_done()) {
                 break;
             }
-            let r = self.pump_tracked(8);
-            if r.killed {
-                self.ledger.gateway.kills += 1;
+            if self.pump_tracked(8).killed {
                 break;
             }
         }
@@ -477,9 +577,12 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
                 self.kill_incarnation(cells, KillPoint::AfterCommit);
             }
             ServiceFault::StaleLease { at_lease } => {
-                // Landed at the next incarnation boundary (the drain
-                // forces one if no kill arrives first).
+                // A fresh incarnation armed with it now: parked until
+                // some later boundary, most of the campaign's leases
+                // have been granted and the stale one is never
+                // presented.
                 self.pending_stale = Some(at_lease);
+                self.cycle(None);
             }
             ServiceFault::TornQueueWrite { shard, keep_frac } => {
                 // At-rest damage semantics: tear between incarnations,
@@ -502,19 +605,30 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
                 self.reopen(None);
             }
             ServiceFault::CacheBitFlip { entry, byte, bit } => {
-                // Campaign services behind the gateway keep their
-                // cache under the campaign dir, but the at-rest
-                // damage oracle is the same for any checksummed
-                // durable line — land the flip on a queue shard,
+                // At-rest rot between incarnations: one bit of one
+                // result-cache entry, whose checksum must quarantine it
+                // on the next read, and one bit of a queue shard,
                 // whose recovery must drop (never trust) the line.
                 self.absorb();
                 self.gw = None;
-                let path = self.queue_path(entry);
-                if let Ok(mut bytes) = self.sim.read(&path) {
-                    if !bytes.is_empty() {
-                        let at = byte % bytes.len();
-                        bytes[at] ^= 1 << (bit % 8);
-                        rewrite_on(self.sim.as_ref(), &path, &bytes);
+                let cached = ResultCache::open_on(
+                    self.sim.clone() as SharedFs,
+                    ServiceConfig::new(self.dir.clone(), self.protocol.as_str()).cache_dir(),
+                )
+                .map(|cache| cache.entry_paths())
+                .unwrap_or_default();
+                let shard = self.queue_path(entry);
+                for path in cached
+                    .get(entry % cached.len().max(1))
+                    .into_iter()
+                    .chain([&shard])
+                {
+                    if let Ok(mut bytes) = self.sim.read(path) {
+                        if !bytes.is_empty() {
+                            let at = byte % bytes.len();
+                            bytes[at] ^= 1 << (bit % 8);
+                            rewrite_on(self.sim.as_ref(), path, &bytes);
+                        }
                     }
                 }
                 self.reopen(None);
@@ -522,7 +636,14 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
         }
     }
 
-    fn apply_transport_fault(&mut self, fault: &TransportFault, flood_cells: &dyn Fn(usize) -> String) {
+    /// A hostile client's connections wait in `self.window` for the
+    /// next ticket (see [`Self::pump_tracked`]); a gateway kill is an
+    /// incarnation of its own.
+    fn apply_transport_fault(
+        &mut self,
+        fault: &TransportFault,
+        flood_cells: &dyn Fn(usize) -> String,
+    ) {
         match *fault {
             TransportFault::MalformedRequest { variant } => {
                 let bytes: Vec<u8> = match variant % 6 {
@@ -536,7 +657,7 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
                     }
                     _ => b"POST /campaigns HTTP/1.1\r\n\r\n".to_vec(),
                 };
-                self.drive_conn(ScriptedConn::request(bytes));
+                self.window.push(ScriptedConn::request(bytes));
             }
             TransportFault::TruncatedBody { keep_frac } => {
                 let full = http_post("/campaigns", &self.submission);
@@ -546,32 +667,27 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
                     .map_or(full.len(), |p| p + 4);
                 let body_len = full.len() - head_end;
                 let keep = head_end + ((body_len as f64) * keep_frac.clamp(0.0, 1.0)) as usize;
-                self.drive_conn(ScriptedConn::request(full[..keep.min(full.len())].to_vec()));
+                self.window
+                    .push(ScriptedConn::request(full[..keep.min(full.len())].to_vec()));
             }
             TransportFault::SlowReader { chunk, delay } => {
                 let conn = ScriptedConn::request(http_post("/campaigns", &self.submission))
                     .dribble(chunk.max(1), delay)
                     .with_deadline(DEADLINE);
-                self.drive_conn(conn);
+                self.window.push(conn);
             }
             TransportFault::MidResponseDisconnect { after } => {
                 let conn = ScriptedConn::request(http_get(&format!("/campaigns/{}", self.id)))
                     .disconnect_after(after);
-                self.drive_conn(conn);
+                self.window.push(conn);
             }
             TransportFault::ConnectionFlood { conns } => {
                 for _ in 0..conns {
                     let cells = flood_cells(self.flood_serial);
                     self.flood_serial += 1;
                     let body = format!("{{\"tenant\":\"flood\",\"cells\":{cells}}}");
-                    let conn = self.drive_conn(ScriptedConn::request(http_post("/campaigns", &body)));
-                    if conn.response_status() == Some(429)
-                        && conn.response_header("Retry-After").is_none()
-                    {
-                        // Shedding without a Retry-After is a policy
-                        // violation the ledger charges as a panic.
-                        self.ledger.gateway.panics += 1;
-                    }
+                    self.window
+                        .push(ScriptedConn::request(http_post("/campaigns", &body)));
                 }
             }
             TransportFault::GatewayKill { cells, point } => {
@@ -580,12 +696,9 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
         }
     }
 
-    /// Drives the drain protocol, settles any still-pending stale
-    /// injection first, and pumps to completion under supervision.
+    /// Drives the drain protocol and pumps to completion under
+    /// supervision.
     fn drain(&mut self, total_faults: usize) {
-        if self.pending_stale.is_some() {
-            self.cycle(None);
-        }
         self.drive_conn(ScriptedConn::request(http_post("/drain", "{}")));
         self.drive_conn(ScriptedConn::request(http_get("/readyz")));
         let budget = 64 + 24 * total_faults;
@@ -600,9 +713,7 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
             if self.gw.as_ref().is_some_and(|g| g.all_done()) {
                 break;
             }
-            let r = self.pump_tracked(16);
-            if r.killed {
-                self.ledger.gateway.kills += 1;
+            if self.pump_tracked(16).killed {
                 self.cycle(None);
             }
         }
@@ -642,11 +753,8 @@ where
     M: CampaignModel,
     F: Fn() -> M,
 {
-    let eff_service = plan.effective_service();
-    let eff_transport = plan.effective_transport();
-    let eff_disk = plan.effective_disk();
-    let eff_sched = plan.effective_sched();
-    if eff_sched.panic_count() > 0 {
+    let eff = plan.effective();
+    if eff.sched.panic_count() > 0 {
         quiet_injected_panics();
     }
 
@@ -672,28 +780,24 @@ where
     drop(reference);
     let reference_digest = artifact_digest_on(ref_fs.as_ref(), &ref_journal);
 
-    let mut ledger = CrossLedger::default();
-    for (slot, layer) in LAYERS.iter().enumerate() {
-        ledger.layer_events[slot] = if plan.mask.get(*layer) {
-            plan.events_in(*layer)
-        } else {
-            0
-        };
-    }
+    let mut ledger = CrossLedger {
+        layer_events: LAYERS.map(|layer| eff.events_in(layer)),
+        ..CrossLedger::default()
+    };
     // The MD layer runs first and independently: its fault stream
     // attacks the simulated cluster, not the campaign's disk.
     if plan.mask.get(Layer::Md) {
         if let Some(check) = md_check {
-            ledger.md = Some(check(&plan.effective_md()));
+            ledger.md = Some(check(&eff.md));
         }
     }
 
-    let threads = eff_sched.threads.max(1);
-    let chaos = SchedChaos::new(eff_sched.clone());
+    let threads = eff.sched.threads.max(1);
+    let chaos = SchedChaos::new(eff.sched.clone());
     let probe_cfg = GatewayConfig::new("/gw", protocol);
     let mut conductor = Conductor {
         make_model,
-        sim: Arc::new(SimFs::with_plan(&eff_disk)),
+        sim: Arc::new(SimFs::with_plan(&eff.disk)),
         chaos,
         executed: Arc::new(AtomicUsize::new(0)),
         protocol: protocol.to_string(),
@@ -703,18 +807,13 @@ where
         journal: probe_cfg.campaign_journal(&id),
         total,
         threads,
-        max_width: threads.max(
-            eff_sched
-                .thread_change()
-                .map_or(0, |(_, to)| to),
-        ),
-        base_stale: eff_sched.stale_lease_at(),
+        base_stale: eff.sched.stale_lease_at(),
         pending_stale: None,
-        thread_change: eff_sched.thread_change(),
-        thread_changed: false,
+        thread_change: eff.sched.thread_change(),
         flood_serial: 0,
-        revivals: 0,
-        extra_cells: 0,
+        licensed: 0,
+        folded: None,
+        window: Vec::new(),
         fuel: REOPEN_FUEL,
         ledger,
         acked: HashSet::new(),
@@ -726,27 +825,24 @@ where
     // Interleave the service and transport streams round-robin, with
     // supervised pumping between injections so every fault lands on a
     // live, mid-flight campaign.
-    let rounds = eff_service.faults.len().max(eff_transport.faults.len());
+    let rounds = eff.service.faults.len().max(eff.transport.faults.len());
     for i in 0..rounds {
-        if let Some(fault) = eff_service.faults.get(i) {
+        if let Some(fault) = eff.service.faults.get(i) {
             conductor.apply_service_fault(*fault);
         }
         conductor.pump_once(3);
-        if let Some(fault) = eff_transport.faults.get(i) {
+        if let Some(fault) = eff.transport.faults.get(i) {
             conductor.apply_transport_fault(fault, flood_cells);
         }
         conductor.pump_once(3);
     }
 
-    let total_faults = eff_service.faults.len()
-        + eff_transport.faults.len()
-        + eff_disk.faults.len()
-        + eff_sched.faults.len();
-    conductor.drain(total_faults);
+    conductor.drain(eff.events() - eff.events_in(Layer::Md));
 
     // Final accounting: completion counts and the pool-reusability
-    // probe from the surviving gateway, flood campaigns' cells into
-    // the execution license, then the last absorb.
+    // probe from the surviving gateway, the flood campaigns' cells (one
+    // execution each is theirs by right), then the last absorb.
+    let mut extra_cells = 0;
     if let Some(gw) = conductor.gw.as_ref() {
         if let Some(out) = gw.outcome_of(&id) {
             conductor.ledger.service.completed = out.completed;
@@ -757,11 +853,9 @@ where
             conductor.ledger.sched.abandoned = out.abandoned;
         }
         let probe: Vec<u64> = vec![1, 2, 3];
-        conductor.ledger.sched.pool_reusable = gw
-            .pool()
-            .try_par_map_indexed(&probe, |_, x| *x * 2)
-            .is_ok();
-        conductor.extra_cells = gw
+        conductor.ledger.sched.pool_reusable =
+            gw.pool().try_par_map_indexed(&probe, |_, x| *x * 2).is_ok();
+        extra_cells = gw
             .campaign_ids()
             .iter()
             .filter(|c| **c != id)
@@ -772,8 +866,8 @@ where
     conductor.absorb();
     conductor.gw = None;
 
-    // Post-mortem verification straight from the disk, like the
-    // single-layer disk harness: reopen the campaign's service
+    // Post-mortem verification straight from the disk, never from the
+    // in-memory instance that drained: reopen the campaign's service
     // directly (construction is recovery), replay the acked-key
     // oracle one last time, and compare every recovered result
     // byte-for-byte against a fresh execution.
@@ -825,10 +919,22 @@ where
     ledger.artifact_digest = artifact_digest;
     ledger.reference_digest = reference_digest;
     for (a, r) in [
-        (&mut ledger.service.artifact_digest, &mut ledger.service.reference_digest),
-        (&mut ledger.gateway.artifact_digest, &mut ledger.gateway.reference_digest),
-        (&mut ledger.disk.artifact_digest, &mut ledger.disk.reference_digest),
-        (&mut ledger.sched.artifact_digest, &mut ledger.sched.reference_digest),
+        (
+            &mut ledger.service.artifact_digest,
+            &mut ledger.service.reference_digest,
+        ),
+        (
+            &mut ledger.gateway.artifact_digest,
+            &mut ledger.gateway.reference_digest,
+        ),
+        (
+            &mut ledger.disk.artifact_digest,
+            &mut ledger.disk.reference_digest,
+        ),
+        (
+            &mut ledger.sched.artifact_digest,
+            &mut ledger.sched.reference_digest,
+        ),
     ] {
         *a = artifact_digest;
         *r = reference_digest;
@@ -842,7 +948,6 @@ where
     ledger.disk.incarnations = ledger.gateway.incarnations;
     ledger.disk.abandoned = ledger.service.abandoned;
     ledger.sched.threads = conductor.threads;
-    ledger.sched.executed = ledger.service.executed;
     ledger.sched.panics_injected = conductor.chaos.injected_panics();
     ledger.sched.pauses_taken = conductor.chaos.pauses_taken();
     ledger.sched.stale_presented = ledger.service.stale_presented;
@@ -854,50 +959,27 @@ where
         .unwrap_or(0);
     ledger.sched.stalled = false;
     ledger.disk.disk = conductor.sim.counters();
-
-    // A torn results journal behind the gateway creates re-executions
-    // the transport-layer book cannot see coming; license them there
-    // the same way the service book does.
-    ledger.gateway.lost_executions += ledger.service.destroyed_results;
-    // The disk book's execution columns mirror the absorbed service
-    // counters (ground truth lives in `executed_true` below).
-    ledger.disk.executed = ledger.service.executed;
-    ledger.disk.lost_executions = ledger.service.lost_executions
-        + ledger.service.destroyed_results
-        + ledger.service.dropped_lines;
-
-    // The composed execution license: see the module docs.
-    let boundaries = ledger.gateway.incarnations
-        + ledger.disk.restarts
-        + ledger.disk.io_retries
-        + ledger.disk.enospc_lifts
-        + conductor.revivals;
-    ledger.exec_allowance = total
-        + conductor.extra_cells
-        + conductor.max_width * boundaries
-        + ledger.service.destroyed_results
-        + ledger.service.dropped_lines
-        + ledger.service.reclaimed_leases
-        + ledger.service.stale_presented
-        + ledger.sched.panics_injected;
-    ledger.executed_true = conductor.executed.load(Ordering::Relaxed);
+    ledger.post_executions(
+        conductor.executed.load(Ordering::Relaxed),
+        extra_cells,
+        conductor.licensed,
+    );
 
     let violations = check_cross_ledger(&ledger);
-    Ok(ComposedChaosReport {
-        ledger,
-        violations,
-        campaign: id,
-    })
+    Ok(ComposedChaosReport { ledger, violations })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demo::{demo_cells, demo_flood_cells, DemoModel};
-    use cpc_cluster::{
-        ComposedFaultSpace, DiskFaultSpace, FaultSpace, LayerMask, SchedFaultSpace,
-        ServiceFaultSpace, TransportFaultSpace,
+    use crate::plan::{
+        ComposedFaultSpace, DiskFaultSpace, LayerMask, SchedFaultSpace, ServiceFaultPlan,
+        ServiceFaultSpace, TransportFaultPlan, TransportFaultSpace,
     };
+    use cpc_cluster::FaultSpace;
+    use cpc_gateway::{demo_cells, demo_flood_cells, DemoModel};
+    use cpc_pool::SchedFault;
+    use cpc_vfs::DiskFault;
 
     const PROTOCOL: &str = "steps=8;model=demo";
     const CELLS: usize = 6;
@@ -915,13 +997,13 @@ mod tests {
     }
 
     fn space() -> ComposedFaultSpace {
-        ComposedFaultSpace::new(
-            FaultSpace::new(4, 4, 8, 60.0, 64),
-            ServiceFaultSpace::new(CELLS, SHARDS),
-            TransportFaultSpace::new(CELLS),
-            DiskFaultSpace::new(400),
-            SchedFaultSpace::new(CELLS),
-        )
+        ComposedFaultSpace {
+            md: FaultSpace::new(4, 4, 8, 60.0, 64),
+            service: ServiceFaultSpace::new(CELLS, SHARDS),
+            transport: TransportFaultSpace::new(CELLS),
+            disk: DiskFaultSpace::new(400),
+            sched: SchedFaultSpace::new(CELLS),
+        }
     }
 
     #[test]
@@ -934,6 +1016,14 @@ mod tests {
         assert_eq!(l.executed_true, CELLS);
         assert!(l.artifact_digest.is_some());
         assert_eq!(l.artifact_digest, l.reference_digest);
+        // Every layer's fault-free baseline: one incarnation and no
+        // restart on the disk book, one journal line per cell and a
+        // reusable pool on the scheduler's, every cell executed exactly
+        // once on each.
+        assert_eq!((l.disk.incarnations, l.disk.restarts), (1, 0));
+        assert_eq!((l.disk.completed, l.disk.executed), (CELLS, CELLS));
+        assert_eq!((l.sched.completed, l.sched.journal_lines), (CELLS, CELLS));
+        assert!(l.sched.pool_reusable);
     }
 
     #[test]
@@ -945,7 +1035,10 @@ mod tests {
         let report = run(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.ledger.executed_true, CELLS);
-        assert_eq!(report.ledger.artifact_digest, report.ledger.reference_digest);
+        assert_eq!(
+            report.ledger.artifact_digest,
+            report.ledger.reference_digest
+        );
         assert_eq!(report.ledger.layer_events, [0, 0, 0, 0, 0]);
     }
 
@@ -959,7 +1052,7 @@ mod tests {
         let space = space();
         for (seed, index) in [(11u64, 3u64), (29, 1)] {
             let mut plan = space.sample(seed, index);
-            plan.mask = plan.mask.without(cpc_cluster::Layer::Transport);
+            plan.mask = plan.mask.without(Layer::Transport);
             let json = serde_json::to_string(&plan).expect("plan serializes");
             let revived: ComposedPlan = serde_json::from_str(&json).expect("plan revives");
             let fresh = run(&plan);
@@ -971,7 +1064,10 @@ mod tests {
             );
             assert_eq!(fresh.ledger.layer_events, replay.ledger.layer_events);
             assert_eq!(fresh.ledger.artifact_digest, replay.ledger.artifact_digest);
-            assert_eq!(fresh.ledger.reference_digest, replay.ledger.reference_digest);
+            assert_eq!(
+                fresh.ledger.reference_digest,
+                replay.ledger.reference_digest
+            );
         }
     }
 
@@ -999,30 +1095,37 @@ mod tests {
         // Two back-to-back journal tears that each destroy every
         // committed line: the drain must heal all of them back.
         let mut plan = ComposedPlan::quiet(2);
-        plan.service = cpc_cluster::ServiceFaultPlan {
+        plan.service = ServiceFaultPlan {
             faults: vec![
-                cpc_cluster::ServiceFault::TornResultWrite { keep_frac: 0.12 },
-                cpc_cluster::ServiceFault::TornResultWrite { keep_frac: 0.11 },
+                ServiceFault::TornResultWrite { keep_frac: 0.12 },
+                ServiceFault::TornResultWrite { keep_frac: 0.11 },
             ],
         };
         let report = run(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.ledger.service.completed, CELLS);
-        assert_eq!(report.ledger.artifact_digest, report.ledger.reference_digest);
+        assert_eq!(
+            report.ledger.artifact_digest,
+            report.ledger.reference_digest
+        );
     }
 
     #[test]
     fn double_tear_under_a_service_only_mask_heals() {
-        // Regression (found by `chaos --composed`): a campaign that
+        // Regression (found by the all-layers campaign): a campaign that
         // completed, then lost its whole results journal to a tear,
         // must not latch `done` from the still-drained queue at the
         // recovery that follows — the heal path needs pump grants.
         let mut plan = ComposedPlan::quiet(2);
-        plan.mask = LayerMask::none().set(Layer::Service, true);
-        plan.service = cpc_cluster::ServiceFaultPlan {
+        plan.mask = LayerMask::only(Layer::Service);
+        plan.service = ServiceFaultPlan {
             faults: vec![
-                cpc_cluster::ServiceFault::TornResultWrite { keep_frac: 0.12248394148650728 },
-                cpc_cluster::ServiceFault::TornResultWrite { keep_frac: 0.11895633382522722 },
+                ServiceFault::TornResultWrite {
+                    keep_frac: 0.12248394148650728,
+                },
+                ServiceFault::TornResultWrite {
+                    keep_frac: 0.11895633382522722,
+                },
             ],
         };
         let report = run(&plan);
@@ -1032,15 +1135,15 @@ mod tests {
 
     #[test]
     fn high_bit_flip_in_a_queue_shard_recovers() {
-        // Regression (found by `chaos --composed`): a bit-7 flip
+        // Regression (found by the all-layers campaign): a bit-7 flip
         // leaves the shard invalid UTF-8; recovery must read it as
         // that line's checksum damage, not an unreadable journal —
         // the wedge here was every reopen failing until the fuel ran
         // out, stranding the campaign at 0 of 6 cells.
         let mut plan = ComposedPlan::quiet(2);
-        plan.mask = LayerMask::none().set(Layer::Service, true);
-        plan.service = cpc_cluster::ServiceFaultPlan {
-            faults: vec![cpc_cluster::ServiceFault::CacheBitFlip {
+        plan.mask = LayerMask::only(Layer::Service);
+        plan.service = ServiceFaultPlan {
+            faults: vec![ServiceFault::CacheBitFlip {
                 entry: 5,
                 byte: 1439,
                 bit: 7,
@@ -1049,12 +1152,15 @@ mod tests {
         let report = run(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.ledger.service.completed, CELLS);
-        assert_eq!(report.ledger.artifact_digest, report.ledger.reference_digest);
+        assert_eq!(
+            report.ledger.artifact_digest,
+            report.ledger.reference_digest
+        );
     }
 
     #[test]
     fn task_panic_composed_with_persistent_enospc_is_contained() {
-        // Regression (found by `chaos --composed`): the storage fault
+        // Regression (found by the all-layers campaign): the storage fault
         // aborts the batch before the in-batch lease-expiry reclaim
         // can land, so the panicked task's lease is reclaimed at the
         // next recovery boundary instead — which must satisfy the
@@ -1063,17 +1169,24 @@ mod tests {
         plan.mask = LayerMask::none()
             .set(Layer::Disk, true)
             .set(Layer::Sched, true);
-        plan.disk.faults.push(cpc_vfs::DiskFault::EnospcPersistent { at: 136 });
-        plan.sched.faults.push(cpc_pool::SchedFault::TaskPanic { at_start: 3 });
+        plan.disk
+            .faults
+            .push(DiskFault::EnospcPersistent { at: 136 });
+        plan.sched
+            .faults
+            .push(SchedFault::TaskPanic { at_start: 3 });
         let report = run(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.ledger.service.completed, CELLS);
-        assert_eq!(report.ledger.artifact_digest, report.ledger.reference_digest);
+        assert_eq!(
+            report.ledger.artifact_digest,
+            report.ledger.reference_digest
+        );
     }
 
     #[test]
     fn stall_under_kill_and_transient_enospc_licenses_stranded_executions() {
-        // Regression (found by `chaos --composed`): a transient
+        // Regression (found by the all-layers campaign): a transient
         // ENOSPC mid-batch strands executions whose commits were
         // discarded; the revived service legitimately re-runs them,
         // and the per-layer duplicate-execution books must carry the
@@ -1087,12 +1200,19 @@ mod tests {
             shard: 2,
             keep_frac: 0.8225311486056455,
         });
-        plan.transport.faults.push(TransportFault::GatewayKill { cells: 1, point: 1 });
-        plan.disk.faults.push(cpc_vfs::DiskFault::EnospcTransient { at: 132, ops: 5 });
+        plan.transport
+            .faults
+            .push(TransportFault::GatewayKill { cells: 1, point: 1 });
+        plan.disk
+            .faults
+            .push(DiskFault::EnospcTransient { at: 132, ops: 5 });
         let report = run(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.ledger.service.completed, CELLS);
-        assert_eq!(report.ledger.artifact_digest, report.ledger.reference_digest);
+        assert_eq!(
+            report.ledger.artifact_digest,
+            report.ledger.reference_digest
+        );
     }
 
     #[test]
@@ -1103,9 +1223,13 @@ mod tests {
         // replay must survive the restart and the artifact must stay
         // byte-identical.
         let mut plan = ComposedPlan::quiet(2);
-        plan.service.faults.push(ServiceFault::WorkerKill { cells: 2 });
-        plan.transport.faults.push(TransportFault::GatewayKill { cells: 1, point: 1 });
-        plan.disk.faults.push(cpc_vfs::DiskFault::PowerLoss {
+        plan.service
+            .faults
+            .push(ServiceFault::WorkerKill { cells: 2 });
+        plan.transport
+            .faults
+            .push(TransportFault::GatewayKill { cells: 1, point: 1 });
+        plan.disk.faults.push(DiskFault::PowerLoss {
             at: 60,
             reorder: true,
             keep_seed: 7,
@@ -1116,5 +1240,217 @@ mod tests {
         assert!(l.gateway.incarnations >= 3, "kills must cycle incarnations");
         assert!(l.service.kills + l.gateway.kills >= 2);
         assert_eq!(l.artifact_digest, l.reference_digest);
+    }
+
+    // ---- One layer at a time: the conductor under a one-layer mask
+    // is that layer's whole harness. ----
+
+    /// A hand-built schedule for `layer` alone.
+    fn one_layer(
+        layer: Layer,
+        threads: usize,
+        fill: impl FnOnce(&mut ComposedPlan),
+    ) -> ComposedPlan {
+        let mut plan = ComposedPlan::quiet(threads).masked(LayerMask::only(layer));
+        fill(&mut plan);
+        plan
+    }
+
+    /// The fault-free mutating-op horizon disk fault positions are
+    /// drawn from.
+    fn horizon() -> u64 {
+        run(&ComposedPlan::quiet(2)).ledger.disk.disk.ops
+    }
+
+    #[test]
+    fn sampled_one_layer_schedules_uphold_every_oracle() {
+        let space = ComposedFaultSpace {
+            disk: DiskFaultSpace::new(horizon()),
+            ..space()
+        };
+        for (layer, seed, count) in [
+            (Layer::Service, 11, 10),
+            (Layer::Transport, 23, 10),
+            (Layer::Disk, 0xD15C, 100),
+            (Layer::Sched, 23, 8),
+        ] {
+            for index in 0..count {
+                let plan = space.sample(seed, index).masked(LayerMask::only(layer));
+                let report = run(&plan);
+                assert!(
+                    report.passed(),
+                    "{} schedule {index} ({plan:?}) violated: {:?}\nledger: {:?}",
+                    layer.name(),
+                    report.violations,
+                    report.ledger
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_kill_heavy_transport_plan_survives_and_counts_its_incarnations() {
+        let plan = one_layer(Layer::Transport, 2, |p| {
+            p.transport = TransportFaultPlan {
+                faults: vec![
+                    TransportFault::GatewayKill { cells: 1, point: 1 },
+                    TransportFault::GatewayKill { cells: 2, point: 0 },
+                    TransportFault::GatewayKill { cells: 1, point: 2 },
+                ],
+            }
+        });
+        let report = run(&plan);
+        assert!(report.passed(), "{:?}", report.violations);
+        assert!(
+            report.ledger.gateway.incarnations >= 4,
+            "each kill adds incarnations"
+        );
+        assert_eq!(report.ledger.gateway.completed, CELLS);
+    }
+
+    #[test]
+    fn a_power_cut_mid_campaign_restarts_and_stays_byte_identical() {
+        let plan = one_layer(Layer::Disk, 2, |p| {
+            p.disk.faults.push(DiskFault::PowerLoss {
+                at: horizon() / 2,
+                reorder: false,
+                keep_seed: 7,
+            })
+        });
+        let report = run(&plan);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        assert_eq!(report.ledger.disk.disk.power_losses, 1);
+        assert!(report.ledger.disk.restarts >= 1);
+        assert_eq!(report.ledger.disk.completed, CELLS);
+        assert_eq!(
+            report.ledger.artifact_digest,
+            report.ledger.reference_digest
+        );
+    }
+
+    #[test]
+    fn injected_panic_is_reclaimed_and_invisible_in_the_artifact() {
+        let plan = one_layer(Layer::Sched, 4, |p| {
+            p.sched.faults.push(SchedFault::TaskPanic { at_start: 3 })
+        });
+        let report = run(&plan);
+        assert!(
+            report.passed(),
+            "panic plan violated: {:?}\nledger: {:?}",
+            report.violations,
+            report.ledger
+        );
+        let l = &report.ledger.sched;
+        assert_eq!((l.panics_injected, l.panics_caught), (1, 1));
+        assert!(l.panic_reclaimed >= 1);
+        assert_eq!(
+            report.ledger.executed_true, CELLS,
+            "a contained panic re-runs nothing"
+        );
+    }
+
+    #[test]
+    fn thread_change_and_lease_race_pass_under_one_schedule() {
+        let plan = one_layer(Layer::Sched, 2, |p| {
+            p.sched.faults = vec![
+                SchedFault::ThreadCountChange {
+                    after_commits: 3,
+                    threads: 8,
+                },
+                SchedFault::LeaseExpiryRace { at_lease: 2 },
+                SchedFault::StealStorm { from_task: 1 },
+            ]
+        });
+        let report = run(&plan);
+        assert!(
+            report.passed(),
+            "mixed plan violated: {:?}\nledger: {:?}",
+            report.violations,
+            report.ledger
+        );
+        let l = &report.ledger.sched;
+        assert_eq!(l.threads, 8, "the change took effect");
+        assert_eq!((l.stale_presented, l.stale_rejected), (1, 1));
+    }
+
+    // ---- Coverage the one-layer masks gained in this crate. ----
+
+    #[test]
+    fn a_service_only_stale_lease_is_presented_and_rejected() {
+        // With only this layer armed there is no other incarnation
+        // boundary to ride: the fault must open its own, early enough
+        // that the lease it names is still to be granted.
+        let plan = one_layer(Layer::Service, 2, |p| {
+            p.service
+                .faults
+                .push(ServiceFault::StaleLease { at_lease: 2 })
+        });
+        let report = run(&plan);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        let l = &report.ledger.service;
+        assert_eq!((l.stale_presented, l.stale_rejected), (1, 1));
+    }
+
+    #[test]
+    fn a_cache_bit_flip_rots_a_real_entry_and_the_checksum_quarantines_it() {
+        // Four cells commit and cache; the flip rots entry 0 at rest;
+        // the tear then destroys every journal line, so the heal probes
+        // the cache for each — and must quarantine the rotten entry and
+        // re-execute that one cell instead of serving its bytes.
+        let plan = one_layer(Layer::Service, 2, |p| {
+            p.service.faults = vec![
+                ServiceFault::OrchestratorKillAfterCommit { cells: 4 },
+                ServiceFault::CacheBitFlip {
+                    entry: 0,
+                    byte: 40,
+                    bit: 3,
+                },
+                ServiceFault::TornResultWrite { keep_frac: 0.0 },
+            ]
+        });
+        let report = run(&plan);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        let l = &report.ledger;
+        assert!(l.service.cache_corruption_caught >= 1, "{:?}", l.service);
+        assert!(l.service.destroyed_results >= 1);
+        assert_eq!(l.disk.corrupt_accepted, 0);
+        assert_eq!(l.artifact_digest, l.reference_digest);
+    }
+
+    #[test]
+    fn a_revived_service_keeps_the_panic_reclaim_it_recorded_before_the_stall() {
+        // Regression (found at seed 7, schedule 223 of the all-layers
+        // window): the panic's leases are reclaimed in incarnation one's
+        // service; a later ENOSPC stalls that service and the gateway
+        // revives the campaign in place with a fresh one, whose
+        // counters start at zero. The first one's must already be in
+        // the books, or the containment oracle convicts a contained
+        // panic.
+        let mut plan = ComposedPlan::quiet(4);
+        plan.mask = LayerMask::all().without(Layer::Md);
+        plan.service.faults.push(ServiceFault::CacheBitFlip {
+            entry: 2,
+            byte: 3081,
+            bit: 4,
+        });
+        plan.transport.faults = vec![
+            TransportFault::ConnectionFlood { conns: 3 },
+            TransportFault::MalformedRequest { variant: 2 },
+            TransportFault::MidResponseDisconnect { after: 3 },
+        ];
+        plan.disk
+            .faults
+            .push(DiskFault::EnospcTransient { at: 194, ops: 8 });
+        plan.sched
+            .faults
+            .push(SchedFault::TaskPanic { at_start: 2 });
+        let report = run(&plan);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        let l = &report.ledger;
+        assert!(l.sched.panic_reclaimed >= 1);
+        assert!(
+            l.service.incarnations > l.gateway.incarnations,
+            "the schedule must exercise an in-place revival: {l:?}"
+        );
     }
 }

@@ -36,13 +36,7 @@ pub mod pme_spatial;
 pub mod recover;
 pub mod report;
 
-pub use chaos::{
-    check_cross_ledger, check_disk_ledger, check_gateway_ledger, check_sched_ledger,
-    check_service_ledger, minimize, minimize_composed, ChaosHarness, CrossLedger, CrossReproducer,
-    CrossViolation, DiskLedger, DiskViolation, GatewayLedger, GatewayViolation, Reproducer,
-    SchedLedger, SchedViolation, ScheduleReport, ServiceLedger, ServiceViolation, ThreadDigest,
-    Violation,
-};
+pub use chaos::{ddmin, minimize, ChaosHarness, Reproducer, ScheduleReport, Violation};
 pub use ckpt::{CheckpointStore, DurableConfig, FallbackNote, RestoreError, SaveError};
 pub use classic::{classic_energy_parallel, ClassicResult};
 pub use driver::{run_parallel_md, CommTuning, MdConfig, PmeImpl};

@@ -862,6 +862,16 @@ impl<M: CampaignModel> Gateway<M> {
         self.campaigns.iter().filter(|c| c.stalled).count()
     }
 
+    /// Whether campaign `id` is quiesced right now. Its in-memory
+    /// service is dead — the grant that revives the campaign replaces
+    /// it, counters and all — so a chaos driver that wants those
+    /// counters must read them while this still answers true.
+    pub fn is_stalled(&self, id: &str) -> bool {
+        self.index
+            .get(id)
+            .is_some_and(|&i| self.campaigns[i].stalled)
+    }
+
     /// Rebuilds the pump executor with an adversarial-schedule
     /// injector armed (chaos harness): steal storms, worker pauses and
     /// injected panics now land inside the gateway's own pump batches.

@@ -19,30 +19,24 @@
 //!   RTO estimator over per-cell costs), content-addressed idempotent
 //!   submission dedup, graceful drain, and `kill -9` recovery from
 //!   per-campaign `meta.json` + journals,
-//! * [`chaos`] — a deterministic transport fault injector
-//!   ([`ScriptedConn`]) and the [`run_gateway_chaos`] driver proving
-//!   the gateway oracles: no panic, no fd leak, no I/O past a
-//!   deadline, no lost or doubly-executed cell, and byte-identical
-//!   artifacts after kill-resume through the HTTP path,
-//! * [`composed`] — the cross-layer chaos conductor
-//!   ([`run_composed_chaos`]): one campaign with the disk, scheduler,
-//!   service, and transport fault layers armed simultaneously,
-//!   absorbed into a single `CrossLedger` checked by the union of the
-//!   single-layer oracles plus the cross-layer interaction oracles,
+//! * [`chaos`] — the gateway's `Conn` test double: [`ScriptedConn`]
+//!   plays hostile clients deterministically on a virtual clock and
+//!   [`drive`] pushes one through a gateway with panics contained (the
+//!   chaos conductor that turns fault plans into such connections, and
+//!   the oracles that judge the result, live above this crate in
+//!   `cpc-chaos`),
 //! * [`demo`] — the cheap deterministic campaign model tests and CI
 //!   gates drive through the full stack.
 
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod composed;
 pub mod demo;
 pub mod gateway;
 pub mod http;
 pub mod tenancy;
 
-pub use chaos::{http_get, http_post, run_gateway_chaos, GatewayChaosReport, ScriptedConn};
-pub use composed::{run_composed_chaos, ComposedChaosReport};
+pub use chaos::{drive, http_get, http_post, ScriptedConn};
 pub use demo::{demo_cells, demo_flood_cells, DemoModel};
 pub use gateway::{
     campaign_id, Begun, CampaignModel, Gateway, GatewayConfig, GatewayStats, PumpReport, Ticket,

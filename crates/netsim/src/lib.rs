@@ -59,11 +59,7 @@ pub use faults::{
     FaultPlan, LinkDegradation, LinkFault, RankCrash, SdcFault, SdcTarget, StorageFault,
     StorageFaultKind, Straggler,
 };
-pub use fuzz::{
-    sdc_class, ComposedFaultSpace, ComposedPlan, DiskFaultSpace, FaultSpace, Layer, LayerMask,
-    SchedFaultSpace, SdcClass, ServiceFault, ServiceFaultPlan, ServiceFaultSpace, TransportFault,
-    TransportFaultPlan, TransportFaultSpace, LAYERS,
-};
+pub use fuzz::{sdc_class, FaultSpace, SdcClass};
 pub use netmodel::{
     FaultyTransfer, NetworkKind, NetworkParams, OpShape, TransferCtx, TransferTime,
 };

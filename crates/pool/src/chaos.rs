@@ -5,13 +5,12 @@
 //! pauses at instrumented yield points, a worker panic mid-task,
 //! thread-count changes mid-campaign, a lease expiring under a slow
 //! worker. The plan *types* live here so the executor can interpret
-//! them without depending on the cluster crate; the seeded *sampler*
-//! (`SchedFaultSpace`) lives in `cpc-cluster::fuzz` next to the disk,
-//! transport and service fault spaces, keyed by the same
-//! `SplitMix64::for_message` discipline.
+//! them; the seeded *sampler* (`SchedFaultSpace`) lives in
+//! `cpc-chaos::plan` next to the disk, transport and service fault
+//! spaces, keyed by the same `SplitMix64::for_message` discipline.
 //!
 //! Faults perturb only the *schedule*. The determinism oracles in
-//! `cpc-charmm` then convict any output byte that moved: a correct
+//! `cpc-chaos` then convict any output byte that moved: a correct
 //! executor commits in task-index order, so no interleaving — however
 //! adversarial — may change what is written.
 

@@ -681,14 +681,17 @@ mod tests {
     fn watchdog_convicts_a_pause_longer_than_its_budget() {
         let chaos = SchedChaos::new(SchedFaultPlan {
             threads: 2,
-            // Worker 0's first yield point stalls for 300 ms against a
-            // 5-tick x 10 ms budget: conviction, not a hang. (Worker 0
-            // is the target because on a one-core host worker 1 may
-            // never claim anything before the work is gone.)
+            // Worker 0's first yield point stalls for a full second
+            // (the longest pause the pool honors) against a 5-tick x
+            // 10 ms budget: conviction, not a hang — with margin enough
+            // that a loaded host descheduling the watchdog for a few
+            // hundred milliseconds cannot let the pause end first.
+            // (Worker 0 is the target because on a one-core host worker
+            // 1 may never claim anything before the work is gone.)
             faults: vec![SchedFault::WorkerPause {
                 worker: 0,
                 at_point: 1,
-                micros: 300_000,
+                micros: 1_000_000,
             }],
         });
         let pool = Pool::new(2)

@@ -1,8 +1,7 @@
 //! Disk fault schedules: the data model [`SimFs`](crate::SimFs)
 //! interprets. The sampler that draws these deterministically lives
-//! with its siblings in `cpc-cluster` (`DiskFaultSpace`); the types
-//! live here so the filesystem can interpret a plan without a
-//! dependency cycle.
+//! with its siblings in `cpc-chaos` (`DiskFaultSpace`); the types
+//! live here so the filesystem can interpret a plan.
 
 use serde::{Deserialize, Serialize};
 

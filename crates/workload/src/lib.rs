@@ -23,7 +23,6 @@
 pub mod analysis;
 pub mod ascii;
 pub mod cache;
-pub mod disk_chaos;
 pub mod expectations;
 pub mod factors;
 pub mod figures;
@@ -31,15 +30,12 @@ pub mod journal;
 pub mod queue;
 pub mod report;
 pub mod runner;
-pub mod sched;
 pub mod service;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
-pub use disk_chaos::{run_disk_chaos, DiskChaosReport};
 pub use factors::{full_factorial, one_factor_at_a_time, ExperimentPoint, NodeConfig};
 pub use figures::Lab;
 pub use journal::{Journal, Recovery};
 pub use queue::{LeasedTask, QueueEvent, QueueRecovery, WorkQueue};
 pub use runner::{measure, measure_with_model, myoglobin_shared, Measurement};
-pub use sched::{run_sched_chaos, SchedChaosReport, SWEEP_THREADS};
 pub use service::{BatchReport, JobService, ServiceConfig, ServiceOutcome};

@@ -22,16 +22,15 @@
 //! enqueue order) and every simulation is deterministic, the resumed
 //! journal is **byte-identical** to an uninterrupted run's.
 //!
-//! [`run_service_chaos`] drives whole campaigns through sampled
-//! [`ServiceFaultPlan`]s — kills at every commit point, torn queue and
-//! journal writes, stale leases, cache bit flips — building the
-//! [`ServiceLedger`] that the `cpc-charmm` service oracles check.
+//! The chaos conductor (`cpc-chaos`) drives whole campaigns through
+//! sampled fault plans — kills at every commit point
+//! ([`ServiceConfig::kill`]), stale leases
+//! ([`ServiceConfig::stale_lease_at`]), torn queue and journal writes,
+//! cache bit flips — and judges this service's [`ServiceOutcome`]s.
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::journal::Journal;
 use crate::queue::{CompleteError, LeasedTask, QueueRecovery, WorkQueue};
-use cpc_charmm::chaos::{check_service_ledger, ServiceLedger, ServiceViolation};
-use cpc_cluster::{ServiceFault, ServiceFaultPlan};
 use cpc_pool::{Pool, PoolError, TaskPanic};
 use cpc_vfs::{real_fs, Fs, SharedFs};
 use serde::{Deserialize, Serialize};
@@ -1038,176 +1037,9 @@ pub fn artifact_digest_on(fs: &dyn Fs, path: impl AsRef<Path>) -> Option<u64> {
     Some(h)
 }
 
-/// Everything a service chaos schedule produced: the aggregated
-/// ledger and the oracle verdicts over it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceChaosReport {
-    /// Cross-incarnation accounting.
-    pub ledger: ServiceLedger,
-    /// Oracle violations (empty = the schedule passed).
-    pub violations: Vec<ServiceViolation>,
-}
-
-impl ServiceChaosReport {
-    /// True when every oracle held.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Truncates `path` to `keep_frac` of its bytes (a torn write) and
-/// returns how many complete lines were destroyed.
-fn tear_file(path: &Path, keep_frac: f64) -> usize {
-    let Ok(bytes) = std::fs::read(path) else {
-        return 0;
-    };
-    let lines_before = bytes.iter().filter(|&&b| b == b'\n').count();
-    let keep = ((bytes.len() as f64) * keep_frac.clamp(0.0, 1.0)) as usize;
-    let kept = &bytes[..keep.min(bytes.len())];
-    let lines_after = kept.iter().filter(|&&b| b == b'\n').count();
-    let _ = std::fs::write(path, kept);
-    lines_before - lines_after
-}
-
-/// Runs one campaign twice — an uninterrupted reference in
-/// `dir/reference` and a faulted run in `dir/chaos` driven through
-/// `plan` — and checks the service oracles over the result.
-///
-/// Kills end an incarnation (the [`JobService`] is dropped exactly as
-/// a `SIGKILL` would leave it: every durable write is already synced);
-/// storage faults damage the on-disk state between incarnations;
-/// stale-lease faults ride into the next incarnation's config. A
-/// final fault-free incarnation drains the campaign.
-pub fn run_service_chaos<T, R>(
-    dir: impl Into<PathBuf>,
-    tasks: &[T],
-    protocol: &str,
-    plan: &ServiceFaultPlan,
-    key_of: impl Fn(&R) -> String + Copy,
-    mut exec: impl FnMut(&T) -> (R, f64),
-) -> io::Result<ServiceChaosReport>
-where
-    T: Serialize,
-    R: Serialize + Deserialize + Clone,
-{
-    let dir = dir.into();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Reference: one uninterrupted incarnation.
-    let ref_cfg = ServiceConfig::new(dir.join("reference"), protocol);
-    let ref_journal = ref_cfg.journal_path();
-    let mut reference = JobService::<R>::open(ref_cfg, key_of)?;
-    let ref_outcome = reference.run(tasks, &mut exec)?;
-    drop(reference);
-    debug_assert!(ref_outcome.drained);
-    let reference_digest = artifact_digest(&ref_journal);
-
-    // Chaos: incarnations punctuated by the plan's faults.
-    let chaos_dir = dir.join("chaos");
-    let base_cfg = ServiceConfig::new(&chaos_dir, protocol);
-    let journal_path = base_cfg.journal_path();
-    let mut ledger = ServiceLedger {
-        total_cells: tasks.len(),
-        reference_digest,
-        ..ServiceLedger::default()
-    };
-    let mut pending_stale: Option<usize> = None;
-
-    let run_incarnation = |kill: Option<(usize, KillPoint)>,
-                           stale: Option<usize>,
-                           ledger: &mut ServiceLedger,
-                           exec: &mut dyn FnMut(&T) -> (R, f64)|
-     -> io::Result<ServiceOutcome> {
-        let cfg = ServiceConfig {
-            kill,
-            stale_lease_at: stale,
-            ..base_cfg.clone()
-        };
-        let mut service = JobService::<R>::open(cfg, key_of)?;
-        let outcome = service.run(tasks, exec)?;
-        ledger.incarnations += 1;
-        ledger.executed += outcome.executed;
-        ledger.lost_executions += outcome.lost_executions;
-        ledger.journal_preseeded += outcome.journal_preseeded;
-        ledger.cache_hits += outcome.cache_hits;
-        ledger.cache_corruption_caught += outcome.cache_stats.corrupt;
-        ledger.reclaimed_leases += outcome.reclaimed;
-        ledger.dropped_lines += outcome.dropped_lines;
-        ledger.duplicate_results += outcome.duplicates_dropped;
-        ledger.stale_presented += outcome.stale_presented;
-        ledger.stale_rejected += outcome.stale_rejected;
-        ledger.kills += outcome.killed as usize;
-        Ok(outcome)
-    };
-
-    for fault in &plan.faults {
-        match *fault {
-            ServiceFault::WorkerKill { cells } => {
-                run_incarnation(
-                    Some((cells, KillPoint::BeforeResult)),
-                    pending_stale.take(),
-                    &mut ledger,
-                    &mut exec,
-                )?;
-            }
-            ServiceFault::OrchestratorKillMidCommit { cells } => {
-                run_incarnation(
-                    Some((cells, KillPoint::MidCommit)),
-                    pending_stale.take(),
-                    &mut ledger,
-                    &mut exec,
-                )?;
-            }
-            ServiceFault::OrchestratorKillAfterCommit { cells } => {
-                run_incarnation(
-                    Some((cells, KillPoint::AfterCommit)),
-                    pending_stale.take(),
-                    &mut ledger,
-                    &mut exec,
-                )?;
-            }
-            ServiceFault::StaleLease { at_lease } => {
-                pending_stale = Some(at_lease);
-            }
-            ServiceFault::TornQueueWrite { shard, keep_frac } => {
-                let shard = shard % base_cfg.shards.max(1);
-                let path = chaos_dir.join(format!("queue-{shard:02}.jsonl"));
-                tear_file(&path, keep_frac);
-            }
-            ServiceFault::TornResultWrite { keep_frac } => {
-                ledger.destroyed_results += tear_file(&journal_path, keep_frac);
-            }
-            ServiceFault::CacheBitFlip { entry, byte, bit } => {
-                let cache = ResultCache::open(base_cfg.cache_dir())?;
-                let entries = cache.entry_paths();
-                if !entries.is_empty() {
-                    let path = &entries[entry % entries.len()];
-                    if let Ok(mut bytes) = std::fs::read(path) {
-                        if !bytes.is_empty() {
-                            let at = byte % bytes.len();
-                            bytes[at] ^= 1 << (bit % 8);
-                            let _ = std::fs::write(path, &bytes);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Final incarnation: drain to completion.
-    let last = run_incarnation(None, pending_stale.take(), &mut ledger, &mut exec)?;
-    ledger.completed = last.completed;
-    ledger.abandoned = last.abandoned;
-    ledger.artifact_digest = artifact_digest(&journal_path);
-
-    let violations = check_service_ledger(&ledger);
-    Ok(ServiceChaosReport { ledger, violations })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpc_cluster::ServiceFaultSpace;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("cpc-service-{tag}-{}", std::process::id()));
@@ -1458,22 +1290,5 @@ mod tests {
         assert_eq!(out.completed, 6);
         assert_eq!((out.stale_presented, out.stale_rejected), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sampled_service_schedules_uphold_both_oracles() {
-        let space = ServiceFaultSpace::new(6, 4);
-        for index in 0..10 {
-            let plan = space.sample(11, index);
-            let dir = tmp_dir(&format!("chaos-{index}"));
-            let report = run_service_chaos(&dir, &tasks(6), "p", &plan, key_of, exec).unwrap();
-            assert!(
-                report.passed(),
-                "schedule {index} ({plan:?}) violated: {:?}\nledger: {:?}",
-                report.violations,
-                report.ledger
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 }

@@ -84,7 +84,7 @@ impl Serialize for u64 {
         if *self <= i64::MAX as u64 {
             Value::Int(*self as i64)
         } else {
-            Value::Float(*self as f64)
+            Value::UInt(*self)
         }
     }
 }
@@ -94,6 +94,9 @@ impl Deserialize for u64 {
         match v {
             Value::Int(n) if *n >= 0 => Ok(*n as u64),
             Value::Int(n) => Err(Error::custom(format!("negative integer {n} for u64"))),
+            Value::UInt(n) => Ok(*n),
+            // Journals written before `UInt` existed carry such values
+            // rounded through `f64`; they still load (saturating).
             Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 => Ok(*f as u64),
             other => Err(Error::custom(format!("expected u64, got {other:?}"))),
         }
@@ -111,6 +114,7 @@ impl Deserialize for f64 {
         match v {
             Value::Float(f) => Ok(*f),
             Value::Int(n) => Ok(*n as f64),
+            Value::UInt(n) => Ok(*n as f64),
             // serde_json writes non-finite floats as null.
             Value::Null => Ok(f64::NAN),
             other => Err(Error::custom(format!("expected float, got {other:?}"))),

@@ -11,6 +11,10 @@ pub enum Value {
     Bool(bool),
     /// Integer (JSON number without fraction or exponent).
     Int(i64),
+    /// An integer above `i64::MAX` — a `u64` digest or seed with its
+    /// top bit set, which `Int` cannot hold and `Float` would round.
+    /// Anything that fits `Int` is an `Int`, never this.
+    UInt(u64),
     /// Floating-point number.
     Float(f64),
     /// JSON string.
@@ -47,6 +51,7 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Int(n) if *n >= 0 => Some(*n as u64),
+            Value::UInt(n) => Some(*n),
             _ => None,
         }
     }
@@ -55,6 +60,7 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(n) => Some(*n as f64),
+            Value::UInt(n) => Some(*n as f64),
             Value::Float(f) => Some(*f),
             _ => None,
         }

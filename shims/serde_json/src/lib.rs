@@ -2,7 +2,8 @@
 //! shim's [`Value`] tree. Follows serde_json's observable conventions:
 //! struct → object with fields in declaration order, non-finite floats
 //! → `null`, floats printed via Rust's shortest-roundtrip `{}` format,
-//! numbers without fraction/exponent parsed as integers.
+//! numbers without fraction/exponent parsed as integers (`i64`, then
+//! `u64`, and only past `u64::MAX` as a float).
 
 pub use serde::value::Value;
 
@@ -100,6 +101,7 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Int(n) => out.push_str(&n.to_string()),
+        Value::UInt(n) => out.push_str(&n.to_string()),
         Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_escaped(s, out),
         Value::Array(items) => {
@@ -304,6 +306,7 @@ impl<'a> Parser<'a> {
         } else {
             text.parse::<i64>()
                 .map(Value::Int)
+                .or_else(|_| text.parse::<u64>().map(Value::UInt))
                 .or_else(|_| text.parse::<f64>().map(Value::Float))
                 .map_err(|_| Error::new(format!("invalid number `{text}`")))
         }
@@ -384,6 +387,32 @@ mod tests {
             let v2 = parse_value(&out).unwrap();
             assert_eq!(v, v2, "{src}");
         }
+    }
+
+    #[test]
+    fn u64_above_i64_max_is_exact_end_to_end() {
+        for n in [u64::MAX, 1 << 63, i64::MAX as u64 + 1] {
+            for text in [to_string(&n).unwrap(), to_string_pretty(&n).unwrap()] {
+                assert_eq!(text, n.to_string(), "printed digit for digit");
+                assert_eq!(from_str::<u64>(&text).unwrap(), n);
+            }
+        }
+        // Everything `i64` holds keeps its `Int` representation and bytes.
+        assert_eq!(
+            parse_value("9223372036854775807").unwrap(),
+            Value::Int(i64::MAX)
+        );
+        assert_eq!(
+            to_string(&(i64::MAX as u64)).unwrap(),
+            "9223372036854775807"
+        );
+        // A digest rounded through `f64` by the old writer still loads.
+        assert_eq!(
+            from_str::<Option<u64>>("11195938974252812000").unwrap(),
+            Some(11195938974252812000)
+        );
+        assert_eq!(from_str::<u64>("18446744073709551616").unwrap(), u64::MAX);
+        assert!(from_str::<usize>("-1").is_err());
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //!    leases and cache rot, the drained results journal is
 //!    byte-for-byte the uninterrupted run's.
 
-use cpc_cluster::ServiceFaultSpace;
-use cpc_workload::service::{
-    artifact_digest, run_service_chaos, JobService, KillPoint, ServiceConfig,
-};
+use cpc_chaos::{run_composed_chaos, ComposedPlan, Layer, LayerMask, ServiceFaultSpace};
+use cpc_gateway::{demo_cells, demo_flood_cells, DemoModel};
+use cpc_workload::service::{artifact_digest, JobService, KillPoint, ServiceConfig};
 use std::path::PathBuf;
 
 const CELLS: u64 = 6;
@@ -50,21 +49,29 @@ fn key_of(r: &Vec<f64>) -> String {
 /// ≥50 seeded service fault schedules — worker kills mid-cell,
 /// orchestrator kills mid-commit, torn queue-shard and results-journal
 /// writes, stale leases, cache bit flips, composed up to three per
-/// schedule — must uphold both service oracles.
+/// schedule — must uphold both service oracles, judged by the one
+/// chaos conductor under a service-only mask (the campaign runs behind
+/// the gateway, on the demo model: the same `[id, id^2]` cells).
 #[test]
 fn fifty_seeded_service_schedules_uphold_both_oracles() {
     let space = ServiceFaultSpace::new(CELLS as usize, SHARDS);
-    let base = tmp_dir("matrix");
     for (seed, count) in [(41u64, 30u64), (2002, 20)] {
         for index in 0..count {
-            let plan = space.sample(seed, index);
-            let dir = base.join(format!("s{seed}-{index:03}"));
-            let report = run_service_chaos(&dir, &tasks(), "svc", &plan, key_of, exec)
-                .expect("service chaos I/O");
+            let mut plan = ComposedPlan::quiet(2).masked(LayerMask::only(Layer::Service));
+            plan.service = space.sample(seed, index);
+            let report = run_composed_chaos(
+                || DemoModel,
+                &demo_cells(CELLS),
+                "svc",
+                &plan,
+                &demo_flood_cells,
+                None,
+            )
+            .expect("service chaos I/O");
             assert!(
                 report.passed(),
                 "seed {seed} schedule {index} ({:?}) violated: {:?}\nledger: {:?}",
-                plan.faults,
+                plan.service.faults,
                 report.violations,
                 report.ledger
             );
@@ -78,7 +85,6 @@ fn fifty_seeded_service_schedules_uphold_both_oracles() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// The explicit kill matrix: a kill at every commit point of every

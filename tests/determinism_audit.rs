@@ -40,23 +40,7 @@ fn allowed(rel_path: &str, pattern: &str) -> bool {
     // never flow through it deterministically: chaos schedules and
     // tests drive the handler through ScriptedConn, whose elapsed
     // time is scripted.
-    if rel_path == "gateway/src/http.rs" && pattern == "Instant::now" {
-        return true;
-    }
-    // The pool throughput benchmark exists to measure real wall-clock
-    // rates (cells/sec, schedules/sec) for BENCH_pool.json. Nothing it
-    // times flows back into a journal or a chaos verdict — it checks
-    // the artifact digests it produces are thread-count-invariant and
-    // then throws the artifacts away.
-    if rel_path == "bench/src/bin/bench_pool.rs" && pattern == "Instant::now" {
-        return true;
-    }
-    // Same role in the chaos binary: `chaos --bench` times the chaos
-    // harnesses themselves (schedules/sec) for BENCH_chaos.json. The
-    // timed runs are asserted to PASS their oracles and the wall
-    // clock touches only the throughput rows, never a verdict,
-    // journal or reproducer.
-    rel_path == "bench/src/bin/chaos.rs" && pattern == "Instant::now"
+    rel_path == "gateway/src/http.rs" && pattern == "Instant::now"
 }
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {

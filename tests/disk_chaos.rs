@@ -13,35 +13,38 @@
 //! 5. **Graceful completion**: once faults clear, the campaign drains
 //!    and its artifact is byte-identical to a fault-free reference.
 
-use cpc_cluster::DiskFaultSpace;
+use cpc_chaos::{
+    run_composed_chaos, ComposedChaosReport, ComposedPlan, DiskFaultSpace, Layer, LayerMask,
+};
+use cpc_gateway::{demo_cells, demo_flood_cells, DemoModel};
 use cpc_vfs::{atomic_publish, explore_crashes, DiskFault, DiskFaultPlan, Fs, SimFs};
-use cpc_workload::run_disk_chaos;
 use std::path::Path;
 
 const CELLS: u64 = 6;
 
-fn tasks() -> Vec<u64> {
-    (0..CELLS).collect()
-}
-
-fn exec(t: &u64) -> (Vec<f64>, f64) {
-    (vec![*t as f64, (*t * *t) as f64], 0.25)
-}
-
-// The signature must be exactly `Fn(&R)` with `R = Vec<f64>` to match
-// the service's key extractor; a slice would not unify.
-#[allow(clippy::ptr_arg)]
-fn key_of(r: &Vec<f64>) -> String {
-    serde_json::to_string(&(r[0] as u64)).expect("key serializes")
+/// One campaign (the demo model's `[id, id^2]` cells behind the
+/// gateway) on a simulated filesystem interpreting `disk`, judged by
+/// the one chaos conductor under a disk-only mask.
+fn run(disk: DiskFaultPlan) -> ComposedChaosReport {
+    let mut plan = ComposedPlan::quiet(2).masked(LayerMask::only(Layer::Disk));
+    plan.disk = disk;
+    run_composed_chaos(
+        || DemoModel,
+        &demo_cells(CELLS),
+        "e2e-disk",
+        &plan,
+        &demo_flood_cells,
+        None,
+    )
+    .expect("schedules never fail at the driver level")
 }
 
 /// The fault-free mutating-op horizon of the campaign: the index space
 /// every sampled fault position is drawn from.
 fn horizon() -> u64 {
-    let probe = run_disk_chaos(&tasks(), "e2e-disk", &DiskFaultPlan::none(), key_of, exec)
-        .expect("fault-free probe");
+    let probe = run(DiskFaultPlan::none());
     assert!(probe.passed(), "probe violations: {:?}", probe.violations);
-    probe.ledger.disk.ops
+    probe.ledger.disk.disk.ops
 }
 
 /// ≥50 seeded disk fault schedules — every fault class the sampler
@@ -53,9 +56,7 @@ fn fifty_seeded_disk_schedules_uphold_every_oracle() {
     let mut failed = Vec::new();
     for (seed, count) in [(41u64, 30u64), (2002, 20)] {
         for index in 0..count {
-            let plan = space.sample(seed, index);
-            let report = run_disk_chaos(&tasks(), "e2e-disk", &plan, key_of, exec)
-                .expect("schedules never fail at the driver level");
+            let report = run(space.sample(seed, index));
             if !report.passed() {
                 failed.push((seed, index, report.violations.clone()));
             }
@@ -70,11 +71,12 @@ fn fifty_seeded_disk_schedules_uphold_every_oracle() {
 #[test]
 fn persistent_enospc_quiesces_then_resumes_byte_identical() {
     let plan = DiskFaultPlan::none().with(DiskFault::EnospcPersistent { at: horizon() / 2 });
-    let report = run_disk_chaos(&tasks(), "e2e-disk", &plan, key_of, exec).unwrap();
+    let report = run(plan);
     assert!(report.passed(), "violations: {:?}", report.violations);
-    assert!(report.ledger.disk.enospc_failures >= 1, "the disk filled");
-    assert!(report.ledger.enospc_lifts >= 1, "the supervisor lifted it");
-    assert_eq!(report.ledger.completed as u64, CELLS);
+    let disk = &report.ledger.disk;
+    assert!(disk.disk.enospc_failures >= 1, "the disk filled");
+    assert!(disk.enospc_lifts >= 1, "the supervisor lifted it");
+    assert_eq!(disk.completed as u64, CELLS);
     assert_eq!(
         report.ledger.artifact_digest,
         report.ledger.reference_digest
@@ -94,10 +96,10 @@ fn reordered_power_cut_after_failed_fsync_loses_nothing_acked() {
             reorder: true,
             keep_seed: 0xFEED,
         });
-    let report = run_disk_chaos(&tasks(), "e2e-disk", &plan, key_of, exec).unwrap();
+    let report = run(plan);
     assert!(report.passed(), "violations: {:?}", report.violations);
-    assert_eq!(report.ledger.acked_then_lost, 0);
-    assert_eq!(report.ledger.disk.poisoned_publishes, 0);
+    assert_eq!(report.ledger.disk.acked_then_lost, 0);
+    assert_eq!(report.ledger.disk.disk.poisoned_publishes, 0);
 }
 
 /// The crash-point explorer proves the audited publish helper leaves a
@@ -135,9 +137,10 @@ fn disk_chaos_is_deterministic_in_seed_and_index() {
     let space = DiskFaultSpace::new(horizon());
     for index in [0u64, 7, 19] {
         let plan = space.sample(9, index);
-        let a = run_disk_chaos(&tasks(), "e2e-disk", &plan, key_of, exec).unwrap();
-        let b = run_disk_chaos(&tasks(), "e2e-disk", &plan, key_of, exec).unwrap();
-        assert_eq!(a.ledger, b.ledger, "index {index} diverged");
+        let (a, b) = (run(plan.clone()), run(plan));
+        assert_eq!(a.ledger.disk, b.ledger.disk, "index {index} diverged");
+        assert_eq!(a.ledger.executed_true, b.ledger.executed_true);
+        assert_eq!(a.ledger.exec_allowance, b.ledger.exec_allowance);
     }
 }
 
@@ -146,7 +149,7 @@ fn disk_chaos_is_deterministic_in_seed_and_index() {
 /// campaign otherwise drains cleanly.
 #[test]
 fn a_poisoned_publish_is_always_convicted() {
-    use cpc_charmm::chaos::{check_disk_ledger, DiskLedger, DiskViolation};
+    use cpc_chaos::{check_disk_ledger, DiskLedger, DiskViolation};
     let mut ledger = DiskLedger {
         total_cells: 1,
         completed: 1,

@@ -5,16 +5,16 @@
 //!    pooled run at any sweep thread count produces an artifact
 //!    byte-for-byte identical to the serial run's — the index-ordered
 //!    commit means the interleaving can never reach the journal.
-//! 2. **Replayable chaos verdicts**: a `chaos --sched` schedule is
-//!    fully described by `(seed, index)`. Re-running the same
+//! 2. **Replayable chaos verdicts**: a `chaos --layers sched` schedule
+//!    is fully described by `(seed, index)`. Re-running the same
 //!    schedule must reproduce the same verdict, the same violations,
 //!    and the same artifact digests — real-scheduler noise (steal
 //!    counts, pause timing) may differ between runs, but nothing the
 //!    oracles judge may.
 
-use cpc_cluster::SchedFaultSpace;
+use cpc_chaos::{run_composed_chaos, ComposedPlan, Layer, LayerMask, SchedFaultSpace};
+use cpc_gateway::{demo_cells, demo_flood_cells, DemoModel};
 use cpc_pool::Pool;
-use cpc_workload::run_sched_chaos;
 use cpc_workload::service::{artifact_digest, JobService, ServiceConfig};
 use std::path::PathBuf;
 
@@ -82,36 +82,30 @@ fn two_hundred_seeds_of_fault_free_byte_identity_across_thread_counts() {
 
 /// Sched-chaos schedules replayed from `(seed, index)` must reproduce
 /// everything the oracles judge: the verdict, the rendered violations,
-/// the artifact digests across the whole thread sweep, and the count
-/// of injected panics. Scheduler-noise counters (steals, pauses) are
-/// deliberately exempt — they describe the real machine, not the
-/// campaign.
+/// the artifact and reference digests, and the count of injected
+/// panics. Scheduler-noise counters (steals, pauses) are deliberately
+/// exempt — they describe the real machine, not the campaign. (That a
+/// fault-free pooled run is byte-identical at every thread count is the
+/// 200-shape property above, not a per-schedule sweep.)
 #[test]
 fn sched_chaos_verdicts_replay_deterministically_from_seed() {
     let space = SchedFaultSpace::new(6);
-    let tasks: Vec<u64> = (0..6).collect();
-    let base = tmp_dir("replay");
     for (seed, count) in [(1702u64, 12u64), (9, 12)] {
         for index in 0..count {
-            let plan = space.sample(seed, index);
-            let first = run_sched_chaos(
-                base.join(format!("a-{seed}-{index}")),
-                &tasks,
-                "replay",
-                &plan,
-                key_of,
-                exec,
-            )
-            .expect("first run");
-            let second = run_sched_chaos(
-                base.join(format!("b-{seed}-{index}")),
-                &tasks,
-                "replay",
-                &plan,
-                key_of,
-                exec,
-            )
-            .expect("replay");
+            let mut plan = ComposedPlan::quiet(2).masked(LayerMask::only(Layer::Sched));
+            plan.sched = space.sample(seed, index);
+            let run = || {
+                run_composed_chaos(
+                    || DemoModel,
+                    &demo_cells(6),
+                    "replay",
+                    &plan,
+                    &demo_flood_cells,
+                    None,
+                )
+            };
+            let first = run().expect("first run");
+            let second = run().expect("replay");
 
             assert_eq!(
                 first.passed(),
@@ -131,11 +125,7 @@ fn sched_chaos_verdicts_replay_deterministically_from_seed() {
                 "seed {seed} index {index}: serial reference diverged on replay"
             );
             assert_eq!(
-                first.ledger.thread_digests, second.ledger.thread_digests,
-                "seed {seed} index {index}: fault-free sweep diverged on replay"
-            );
-            assert_eq!(
-                first.ledger.panics_injected, second.ledger.panics_injected,
+                first.ledger.sched.panics_injected, second.ledger.sched.panics_injected,
                 "seed {seed} index {index}: panic injection count changed on replay"
             );
             assert!(
@@ -145,5 +135,4 @@ fn sched_chaos_verdicts_replay_deterministically_from_seed() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&base);
 }
