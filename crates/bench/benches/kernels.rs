@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the compute kernels that dominate the
 //! CHARMM energy calculation: FFTs, the nonbonded pair loop, PME charge
-//! spreading/interpolation and neighbour-list construction.
+//! spreading/interpolation, neighbour-list construction and the mesh
+//! collectives of a p = 8 PME step.
 //!
 //! These measure *real* host time (the simulator charges virtual time
 //! from operation counts; these benches document how fast the actual
@@ -9,12 +10,16 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use cpc_charmm::decomp::PmeDecomp;
+use cpc_charmm::pme_par::{transpose_backward_impl, transpose_forward_impl};
+use cpc_cluster::{run_cluster, ClusterConfig, NetworkKind, PIII_1GHZ};
 use cpc_fft::{transform_axis, Axis, Complex64, Dims3, Direction, Fft3d, FftPlan};
 use cpc_md::builder::{myoglobin_raw, water_box};
 use cpc_md::neighbor::NeighborList;
 use cpc_md::nonbonded::{nonbonded_energy_forces, ElecMethod, NonbondedOptions};
 use cpc_md::pme::{compute_splines, spread_charges, Pme, PmeParams};
 use cpc_md::{EnergyModel, Evaluator, System, Vec3};
+use cpc_mpi::{Comm, Middleware};
 use cpc_workload::runner::paper_pme_params;
 
 fn signal(n: usize) -> Vec<Complex64> {
@@ -143,17 +148,54 @@ fn bench_nonbonded_pme_direct_myoglobin(c: &mut Criterion) {
     });
 }
 
+/// The three regimes of the neighbour build. A 648-atom water box is a
+/// 2x2x2 grid at reach 12 A, i.e. the O(N^2) fallback every quick-system
+/// cell takes; myoglobin at reach 12 A is the dense linked-cell case
+/// (5x3x4 cells, ~59 atoms each) a p = 8 cell pays once; reach 0.95 A is
+/// the sparse one `relieve_clashes` builds on (63x37x50 cells, nearly
+/// all empty).
 fn bench_neighbor_build(c: &mut Criterion) {
-    let sys = water_box(6, 3.1);
-    c.bench_function("neighbor_list_build_648_atoms", |b| {
+    let water = water_box(6, 3.1);
+    let myoglobin = myoglobin_raw();
+    for (name, sys, cutoff, skin) in [
+        ("neighbor_list_build_648_atoms_fallback", &water, 10.0, 2.0),
+        ("neighbor_list_build_myoglobin", &myoglobin, 10.0, 2.0),
+        (
+            "neighbor_list_build_myoglobin_reach_0p95",
+            &myoglobin,
+            0.9,
+            0.05,
+        ),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                NeighborList::build(
+                    &sys.topology,
+                    &sys.pbox,
+                    black_box(&sys.positions),
+                    cutoff,
+                    skin,
+                )
+            });
+        });
+    }
+}
+
+/// The gather half of the pair kernel: the minimum-image displacement
+/// of every entry of the myoglobin list.
+fn bench_min_image_gather(c: &mut Criterion) {
+    let (sys, list, _) = myoglobin_pme_direct();
+    c.bench_function("min_image_gather_myoglobin", |b| {
         b.iter(|| {
-            NeighborList::build(
-                &sys.topology,
-                &sys.pbox,
-                black_box(&sys.positions),
-                10.0,
-                2.0,
-            )
+            let positions = black_box(&sys.positions);
+            list.pairs
+                .iter()
+                .map(|&(i, j)| {
+                    sys.pbox
+                        .min_image(positions[i as usize], positions[j as usize])
+                        .norm_sqr()
+                })
+                .sum::<f64>()
         });
     });
 }
@@ -231,6 +273,58 @@ fn bench_special_functions(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three collectives that move the 80x36x48 mesh (138 240 words) in
+/// a p = 8 PME evaluation, each timed as one `run_cluster` of eight rank
+/// threads — spawn, the collective, join: the wall time of the slowest
+/// rank, with however many CPUs the host has under the eight threads.
+fn bench_mesh_collectives_p8(c: &mut Criterion) {
+    const P: usize = 8;
+    let decomp = PmeDecomp::new(80, 36, 48, P);
+    let plane = decomp.ny * decomp.nz;
+    let mesh = decomp.nx * plane;
+    let cfg = ClusterConfig::uni(P, NetworkKind::MyrinetGm);
+
+    c.bench_function("allreduce_ring_p8_mesh", |b| {
+        b.iter(|| {
+            run_cluster(cfg, |ctx| {
+                let mut comm = Comm::new(ctx, Middleware::Mpi);
+                let mut qgrid = vec![comm.rank() as f64; mesh];
+                comm.allreduce_ring(&mut qgrid);
+                qgrid[mesh / 2]
+            })
+        });
+    });
+
+    c.bench_function("allgather_p8_phi", |b| {
+        b.iter(|| {
+            run_cluster(cfg, |ctx| {
+                let mut comm = Comm::new(ctx, Middleware::Mpi);
+                let mine = vec![comm.rank() as f64; decomp.planes(comm.rank()).len() * plane];
+                let mut phi = vec![0.0f64; mesh];
+                comm.allgather_with(mine, |src, part| {
+                    let base = decomp.planes(src).start * plane;
+                    phi[base..base + part.len()].copy_from_slice(part);
+                });
+                phi[mesh / 2]
+            })
+        });
+    });
+
+    c.bench_function("pme_transpose_p8", |b| {
+        b.iter(|| {
+            run_cluster(cfg, |ctx| {
+                let mut comm = Comm::new(ctx, Middleware::Mpi);
+                let rank = comm.rank();
+                let mut slab = signal(decomp.planes(rank).len() * plane);
+                let mut cols = vec![Complex64::ZERO; decomp.cols(rank).len() * decomp.nx];
+                transpose_forward_impl(&decomp, &mut comm, &slab, &mut cols, &PIII_1GHZ, false);
+                transpose_backward_impl(&decomp, &mut comm, &cols, &mut slab, &PIII_1GHZ, false);
+                slab[0]
+            })
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_fft_1d,
@@ -240,9 +334,11 @@ criterion_group!(
     bench_nonbonded,
     bench_nonbonded_pme_direct_myoglobin,
     bench_neighbor_build,
+    bench_min_image_gather,
     bench_pme_spread,
     bench_pme_full,
     bench_full_energy,
-    bench_special_functions
+    bench_special_functions,
+    bench_mesh_collectives_p8
 );
 criterion_main!(benches);

@@ -334,8 +334,14 @@ mod tests {
 
     #[test]
     fn exclusive_modes_conflict_only_when_two_are_chosen() {
-        assert_eq!(Args::try_exclusive(&[("--a", false), ("--b", false)]), Ok(()));
-        assert_eq!(Args::try_exclusive(&[("--a", true), ("--b", false)]), Ok(()));
+        assert_eq!(
+            Args::try_exclusive(&[("--a", false), ("--b", false)]),
+            Ok(())
+        );
+        assert_eq!(
+            Args::try_exclusive(&[("--a", true), ("--b", false)]),
+            Ok(())
+        );
         assert_eq!(
             Args::try_exclusive(&[("--a", true), ("--b", true), ("--c", false)]),
             Err(CliError::Conflict {

@@ -356,12 +356,10 @@ impl ParallelPme {
         {
             let mine: Vec<f64> = slab_phi.iter().map(|v| v.re).collect();
             drop(slab_phi);
-            let parts = comm.allgather(mine);
-            for (s_rank, part) in parts.iter().enumerate() {
-                let planes = self.decomp.planes(s_rank);
-                let base = planes.start * ny * nz;
+            comm.allgather_with(mine, |s_rank, part| {
+                let base = self.decomp.planes(s_rank).start * ny * nz;
                 phi[base..base + part.len()].copy_from_slice(part);
-            }
+            });
         }
 
         // --- Force interpolation for my atom block over the full mesh.
@@ -484,10 +482,42 @@ fn open_block(block: &[f64]) -> (&[f64], bool) {
     }
 }
 
+/// Appends `points` to an outgoing transpose block, re then im.
+fn pack<'a>(block: &mut Vec<f64>, points: impl Iterator<Item = &'a Complex64>) {
+    for v in points {
+        block.push(v.re);
+        block.push(v.im);
+    }
+}
+
+/// Writes the re/im pairs of `run`, a stretch of a received transpose
+/// block, over `points`.
+fn unpack<'a>(points: impl Iterator<Item = &'a mut Complex64>, run: &[f64]) {
+    for (point, v) in points.zip(run.chunks_exact(2)) {
+        *point = Complex64::new(v[0], v[1]);
+    }
+}
+
+/// A received transpose block's payload: as it is, or (when `abft` is
+/// armed) verified and stripped of its seal, a failure counted into
+/// `faults`.
+fn open_received<'a>(block: &'a [f64], abft: bool, faults: &mut usize) -> &'a [f64] {
+    if !abft {
+        return block;
+    }
+    let (payload, ok) = open_block(block);
+    *faults += usize::from(!ok);
+    payload
+}
+
 /// Shared slab -> columns transpose (also used by the spatial PME).
 /// When `abft` is armed every block carries a trailing checksum;
 /// returns the number of blocks that failed verification.
-pub(crate) fn transpose_forward_impl(
+///
+/// A column index *is* the offset inside a plane (`c = y * nz + z`), so
+/// the columns of one destination are one contiguous run of each of my
+/// planes: packing copies runs, and only the unpack strides.
+pub fn transpose_forward_impl(
     decomp: &PmeDecomp,
     comm: &mut Comm<'_>,
     slab: &[Complex64],
@@ -495,77 +525,59 @@ pub(crate) fn transpose_forward_impl(
     cost: &CostModel,
     abft: bool,
 ) -> usize {
-    {
-        let p = decomp.p;
-        let (ny, nz, nx) = (decomp.ny, decomp.nz, decomp.nx);
-        let rank = comm.rank();
-        let my_planes = decomp.planes(rank);
-        let x0 = my_planes.start;
-        let my_cols = decomp.cols(rank);
-        let c0 = my_cols.start;
+    let p = decomp.p;
+    let (plane, nx) = (decomp.ny * decomp.nz, decomp.nx);
+    let rank = comm.rank();
+    let n_planes = decomp.planes(rank).len();
+    let n_cols = decomp.cols(rank).len();
 
-        let mut sends: Vec<Vec<f64>> = Vec::with_capacity(p);
-        let mut packed = 0usize;
-        for d in 0..p {
-            let dst_cols = decomp.cols(d);
-            let mut block = Vec::with_capacity(2 * my_planes.len() * dst_cols.len() + 1);
-            for gx in my_planes.clone() {
-                for c in dst_cols.clone() {
-                    let (y, z) = (c / nz, c % nz);
-                    let v = slab[((gx - x0) * ny + y) * nz + z];
-                    block.push(v.re);
-                    block.push(v.im);
-                }
-            }
-            packed += block.len() / 2;
-            if abft {
-                seal_block(&mut block);
-            }
-            sends.push(block);
+    let mut sends: Vec<Vec<f64>> = Vec::with_capacity(p);
+    let mut packed = 0usize;
+    for d in 0..p {
+        let dst_cols = decomp.cols(d);
+        let mut block = Vec::with_capacity(2 * n_planes * dst_cols.len() + 1);
+        for px in 0..n_planes {
+            pack(&mut block, slab[px * plane..][dst_cols.clone()].iter());
         }
-        comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+        packed += block.len() / 2;
         if abft {
-            // Sealing digests every packed element once more.
-            comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+            seal_block(&mut block);
         }
-
-        let recvs = comm.alltoallv(sends);
-
-        let mut faults = 0usize;
-        let mut unpacked = 0usize;
-        for (s, block) in recvs.iter().enumerate() {
-            let payload = if abft {
-                let (payload, ok) = open_block(block);
-                if !ok {
-                    faults += 1;
-                }
-                payload
-            } else {
-                block.as_slice()
-            };
-            let src_planes = decomp.planes(s);
-            let mut it = payload.iter();
-            for gx in src_planes {
-                for c in my_cols.clone() {
-                    let re = *it.next().expect("block size matches");
-                    let im = *it.next().expect("block size matches");
-                    cols[(c - c0) * nx + gx] = Complex64::new(re, im);
-                    unpacked += 1;
-                }
-            }
-        }
-        comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
-        if abft {
-            comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
-        }
-        faults
+        sends.push(block);
     }
+    comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+    if abft {
+        // Sealing digests every packed element once more.
+        comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+    }
+
+    let recvs = comm.alltoallv(sends);
+
+    let mut faults = 0usize;
+    let mut unpacked = 0usize;
+    for (s, block) in recvs.iter().enumerate() {
+        // The block holds the source's planes one after another, my
+        // columns side by side in each.
+        let payload = open_received(block, abft, &mut faults);
+        let src_planes = decomp.planes(s);
+        assert_eq!(payload.len(), 2 * src_planes.len() * n_cols, "block size");
+        for (gx, run) in src_planes.zip(payload.chunks_exact(2 * n_cols.max(1))) {
+            unpack(cols.iter_mut().skip(gx).step_by(nx), run);
+        }
+        unpacked += payload.len() / 2;
+    }
+    comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+    if abft {
+        comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+    }
+    faults
 }
 
-/// Shared columns -> slab transpose (also used by the spatial PME).
-/// When `abft` is armed every block carries a trailing checksum;
-/// returns the number of blocks that failed verification.
-pub(crate) fn transpose_backward_impl(
+/// Shared columns -> slab transpose (also used by the spatial PME), the
+/// exact mirror of the forward one: the pack strides, the unpack copies
+/// contiguous runs. When `abft` is armed every block carries a trailing
+/// checksum; returns the number of blocks that failed verification.
+pub fn transpose_backward_impl(
     decomp: &PmeDecomp,
     comm: &mut Comm<'_>,
     cols: &[Complex64],
@@ -573,70 +585,49 @@ pub(crate) fn transpose_backward_impl(
     cost: &CostModel,
     abft: bool,
 ) -> usize {
-    {
-        let p = decomp.p;
-        let (ny, nz, nx) = (decomp.ny, decomp.nz, decomp.nx);
-        let rank = comm.rank();
-        let my_planes = decomp.planes(rank);
-        let x0 = my_planes.start;
-        let my_cols = decomp.cols(rank);
-        let c0 = my_cols.start;
+    let p = decomp.p;
+    let (plane, nx) = (decomp.ny * decomp.nz, decomp.nx);
+    let rank = comm.rank();
+    let n_planes = decomp.planes(rank).len();
+    let n_cols = decomp.cols(rank).len();
 
-        let mut sends: Vec<Vec<f64>> = Vec::with_capacity(p);
-        let mut packed = 0usize;
-        for d in 0..p {
-            let dst_planes = decomp.planes(d);
-            let mut block = Vec::with_capacity(2 * dst_planes.len() * my_cols.len() + 1);
-            for gx in dst_planes {
-                for c in my_cols.clone() {
-                    let v = cols[(c - c0) * nx + gx];
-                    block.push(v.re);
-                    block.push(v.im);
-                }
-            }
-            packed += block.len() / 2;
-            if abft {
-                seal_block(&mut block);
-            }
-            sends.push(block);
+    let mut sends: Vec<Vec<f64>> = Vec::with_capacity(p);
+    let mut packed = 0usize;
+    for d in 0..p {
+        let dst_planes = decomp.planes(d);
+        let mut block = Vec::with_capacity(2 * dst_planes.len() * n_cols + 1);
+        for gx in dst_planes {
+            pack(&mut block, cols.iter().skip(gx).step_by(nx));
         }
-        comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+        packed += block.len() / 2;
         if abft {
-            comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+            seal_block(&mut block);
         }
-
-        let recvs = comm.alltoallv(sends);
-
-        let mut faults = 0usize;
-        let mut unpacked = 0usize;
-        for (s, block) in recvs.iter().enumerate() {
-            let payload = if abft {
-                let (payload, ok) = open_block(block);
-                if !ok {
-                    faults += 1;
-                }
-                payload
-            } else {
-                block.as_slice()
-            };
-            let src_cols = decomp.cols(s);
-            let mut it = payload.iter();
-            for gx in my_planes.clone() {
-                for c in src_cols.clone() {
-                    let re = *it.next().expect("block size matches");
-                    let im = *it.next().expect("block size matches");
-                    let (y, z) = (c / nz, c % nz);
-                    slab[((gx - x0) * ny + y) * nz + z] = Complex64::new(re, im);
-                    unpacked += 1;
-                }
-            }
-        }
-        comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
-        if abft {
-            comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
-        }
-        faults
+        sends.push(block);
     }
+    comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+    if abft {
+        comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+    }
+
+    let recvs = comm.alltoallv(sends);
+
+    let mut faults = 0usize;
+    let mut unpacked = 0usize;
+    for (s, block) in recvs.iter().enumerate() {
+        let payload = open_received(block, abft, &mut faults);
+        let src_cols = decomp.cols(s);
+        assert_eq!(payload.len(), 2 * n_planes * src_cols.len(), "block size");
+        for (px, run) in payload.chunks_exact(2 * src_cols.len().max(1)).enumerate() {
+            unpack(slab[px * plane..][src_cols.clone()].iter_mut(), run);
+        }
+        unpacked += payload.len() / 2;
+    }
+    comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+    if abft {
+        comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+    }
+    faults
 }
 
 #[cfg(test)]
@@ -748,6 +739,258 @@ mod tests {
             // (24/4) x (576*3/4) complex points ~ 41 KB, plus the
             // combine: at least ~60 KB from each rank.
             assert!(o.stats.bytes_sent > 60_000, "bytes {}", o.stats.bytes_sent);
+        }
+    }
+
+    /// The two transposes of the commit before they packed contiguous
+    /// runs, verbatim: an index rebuilt from `c / nz, c % nz` per
+    /// element on one side, an iterator `expect` per value on the other.
+    /// Frozen — never edit alongside the functions under test.
+    mod transpose_oracle {
+        use super::super::{open_block, seal_block};
+        use crate::decomp::PmeDecomp;
+        use cpc_cluster::CostModel;
+        use cpc_fft::Complex64;
+        use cpc_mpi::Comm;
+
+        pub fn transpose_forward(
+            decomp: &PmeDecomp,
+            comm: &mut Comm<'_>,
+            slab: &[Complex64],
+            cols: &mut [Complex64],
+            cost: &CostModel,
+            abft: bool,
+        ) -> usize {
+            {
+                let p = decomp.p;
+                let (ny, nz, nx) = (decomp.ny, decomp.nz, decomp.nx);
+                let rank = comm.rank();
+                let my_planes = decomp.planes(rank);
+                let x0 = my_planes.start;
+                let my_cols = decomp.cols(rank);
+                let c0 = my_cols.start;
+
+                let mut sends: Vec<Vec<f64>> = Vec::with_capacity(p);
+                let mut packed = 0usize;
+                for d in 0..p {
+                    let dst_cols = decomp.cols(d);
+                    let mut block = Vec::with_capacity(2 * my_planes.len() * dst_cols.len() + 1);
+                    for gx in my_planes.clone() {
+                        for c in dst_cols.clone() {
+                            let (y, z) = (c / nz, c % nz);
+                            let v = slab[((gx - x0) * ny + y) * nz + z];
+                            block.push(v.re);
+                            block.push(v.im);
+                        }
+                    }
+                    packed += block.len() / 2;
+                    if abft {
+                        seal_block(&mut block);
+                    }
+                    sends.push(block);
+                }
+                comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+                if abft {
+                    // Sealing digests every packed element once more.
+                    comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+                }
+
+                let recvs = comm.alltoallv(sends);
+
+                let mut faults = 0usize;
+                let mut unpacked = 0usize;
+                for (s, block) in recvs.iter().enumerate() {
+                    let payload = if abft {
+                        let (payload, ok) = open_block(block);
+                        if !ok {
+                            faults += 1;
+                        }
+                        payload
+                    } else {
+                        block.as_slice()
+                    };
+                    let src_planes = decomp.planes(s);
+                    let mut it = payload.iter();
+                    for gx in src_planes {
+                        for c in my_cols.clone() {
+                            let re = *it.next().expect("block size matches");
+                            let im = *it.next().expect("block size matches");
+                            cols[(c - c0) * nx + gx] = Complex64::new(re, im);
+                            unpacked += 1;
+                        }
+                    }
+                }
+                comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+                if abft {
+                    comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+                }
+                faults
+            }
+        }
+
+        pub fn transpose_backward(
+            decomp: &PmeDecomp,
+            comm: &mut Comm<'_>,
+            cols: &[Complex64],
+            slab: &mut [Complex64],
+            cost: &CostModel,
+            abft: bool,
+        ) -> usize {
+            {
+                let p = decomp.p;
+                let (ny, nz, nx) = (decomp.ny, decomp.nz, decomp.nx);
+                let rank = comm.rank();
+                let my_planes = decomp.planes(rank);
+                let x0 = my_planes.start;
+                let my_cols = decomp.cols(rank);
+                let c0 = my_cols.start;
+
+                let mut sends: Vec<Vec<f64>> = Vec::with_capacity(p);
+                let mut packed = 0usize;
+                for d in 0..p {
+                    let dst_planes = decomp.planes(d);
+                    let mut block = Vec::with_capacity(2 * dst_planes.len() * my_cols.len() + 1);
+                    for gx in dst_planes {
+                        for c in my_cols.clone() {
+                            let v = cols[(c - c0) * nx + gx];
+                            block.push(v.re);
+                            block.push(v.im);
+                        }
+                    }
+                    packed += block.len() / 2;
+                    if abft {
+                        seal_block(&mut block);
+                    }
+                    sends.push(block);
+                }
+                comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+                if abft {
+                    comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+                }
+
+                let recvs = comm.alltoallv(sends);
+
+                let mut faults = 0usize;
+                let mut unpacked = 0usize;
+                for (s, block) in recvs.iter().enumerate() {
+                    let payload = if abft {
+                        let (payload, ok) = open_block(block);
+                        if !ok {
+                            faults += 1;
+                        }
+                        payload
+                    } else {
+                        block.as_slice()
+                    };
+                    let src_cols = decomp.cols(s);
+                    let mut it = payload.iter();
+                    for gx in my_planes.clone() {
+                        for c in src_cols.clone() {
+                            let re = *it.next().expect("block size matches");
+                            let im = *it.next().expect("block size matches");
+                            let (y, z) = (c / nz, c % nz);
+                            slab[((gx - x0) * ny + y) * nz + z] = Complex64::new(re, im);
+                            unpacked += 1;
+                        }
+                    }
+                }
+                comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+                if abft {
+                    comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+                }
+                faults
+            }
+        }
+    }
+
+    /// Everything the simulation reads off a rank, bit for bit.
+    fn observable<T: Clone>(o: &cpc_cluster::RankOutcome<T>) -> (T, u64, u64, u64, Vec<[u64; 3]>) {
+        (
+            o.result.clone(),
+            o.finish_time.to_bits(),
+            o.stats.msgs_sent,
+            o.stats.bytes_sent,
+            Phase::ALL
+                .iter()
+                .map(|&ph| {
+                    let b = o.stats.bucket(ph);
+                    [b.comp.to_bits(), b.comm.to_bits(), b.sync.to_bits()]
+                })
+                .collect(),
+        )
+    }
+
+    /// A rank's input to a transpose: distinct, sign-mixed values.
+    fn mesh_values(rank: usize, len: usize) -> Vec<Complex64> {
+        (0..len)
+            .map(|k| {
+                let t = (rank * 100_003 + k) as f64;
+                Complex64::new((0.37 * t).sin() * 1e3, -(0.11 * t).cos() * 1e-3)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_copying_transposes_are_the_per_element_ones_on_every_observable() {
+        type Transpose = fn(
+            &PmeDecomp,
+            &mut Comm<'_>,
+            &[Complex64],
+            &mut [Complex64],
+            &CostModel,
+            bool,
+        ) -> usize;
+        // The paper mesh at every rank count of the campaigns, the quick
+        // mesh, a mesh with fewer planes (4) and columns (6) than ranks,
+        // and plane slabs reweighted until a rank owns none.
+        let mut decomps = Vec::new();
+        for p in [1usize, 2, 3, 4, 8] {
+            decomps.push(PmeDecomp::new(80, 36, 48, p));
+        }
+        decomps.push(PmeDecomp::new(16, 16, 16, 8));
+        decomps.push(PmeDecomp::new(4, 3, 2, 8));
+        decomps.push(PmeDecomp::new(12, 5, 7, 4).with_plane_weights(&[1.0, 1e-9, 3.0, 1.0]));
+        for decomp in &decomps {
+            let p = decomp.p;
+            for mw in Middleware::ALL {
+                for abft in [false, true] {
+                    let run = |forward: Transpose, backward: Transpose| {
+                        let cfg = ClusterConfig::dual(p, NetworkKind::TcpGigE);
+                        run_cluster(cfg, |ctx| {
+                            let mut comm = Comm::new(ctx, mw);
+                            comm.ctx().set_phase(Phase::Pme);
+                            let rank = comm.rank();
+                            let (n_planes, n_cols) =
+                                (decomp.planes(rank).len(), decomp.cols(rank).len());
+                            let slab = mesh_values(rank, n_planes * decomp.ny * decomp.nz);
+                            let mut cols = vec![Complex64::ZERO; n_cols * decomp.nx];
+                            let mut faults =
+                                forward(decomp, &mut comm, &slab, &mut cols, &PIII_1GHZ, abft);
+                            let mut back = vec![Complex64::ZERO; slab.len()];
+                            faults +=
+                                backward(decomp, &mut comm, &cols, &mut back, &PIII_1GHZ, abft);
+                            assert_eq!(faults, 0);
+                            assert!(back == slab, "there and back is the identity");
+                            cols.iter()
+                                .flat_map(|v| [v.re.to_bits(), v.im.to_bits()])
+                                .collect::<Vec<u64>>()
+                        })
+                    };
+                    let got = run(transpose_forward_impl, transpose_backward_impl);
+                    let want = run(
+                        transpose_oracle::transpose_forward,
+                        transpose_oracle::transpose_backward,
+                    );
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(
+                            observable(g),
+                            observable(w),
+                            "{decomp:?} {mw:?} abft={abft} rank {}",
+                            g.rank
+                        );
+                    }
+                }
+            }
         }
     }
 }

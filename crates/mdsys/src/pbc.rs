@@ -28,10 +28,36 @@ impl PbcBox {
         self.lengths.x * self.lengths.y * self.lengths.z
     }
 
-    /// Minimum-image displacement `a - b` (the shortest periodic image).
+    /// Minimum-image displacement `a - b` (the shortest periodic image):
+    /// `d - L * round(d / L)` per component.
+    ///
+    /// Points within one box length of each other — every pair any
+    /// caller passes once a run has started — never reach the division
+    /// or `round`: there the image count is `+1`, `-1` or a zero with
+    /// the sign of `d`, read off two comparisons against `L / 2`
+    /// (DESIGN.md §24 proves the result is the same double, sign of
+    /// zero included).
     #[inline]
     pub fn min_image(&self, a: Vec3, b: Vec3) -> Vec3 {
-        let mut d = a - b;
+        let d = a - b;
+        let l = self.lengths;
+        if d.x.abs() <= l.x && d.y.abs() <= l.y && d.z.abs() <= l.z {
+            Vec3::new(
+                nearest_image(d.x, l.x),
+                nearest_image(d.y, l.y),
+                nearest_image(d.z, l.z),
+            )
+        } else {
+            self.min_image_far(d)
+        }
+    }
+
+    /// [`min_image`](Self::min_image) of a raw difference with a
+    /// component beyond one box length (or not a number). Kept out of
+    /// line so the near case stays branch-light where it is inlined.
+    #[cold]
+    #[inline(never)]
+    fn min_image_far(&self, mut d: Vec3) -> Vec3 {
         d.x -= self.lengths.x * (d.x / self.lengths.x).round();
         d.y -= self.lengths.y * (d.y / self.lengths.y).round();
         d.z -= self.lengths.z * (d.z / self.lengths.z).round();
@@ -72,6 +98,21 @@ impl PbcBox {
     }
 }
 
+/// `d - l * round(d / l)` for `|d| <= l`, without the division: `d / l`
+/// rounds to at least one half exactly when `d >= l / 2`.
+#[inline]
+fn nearest_image(d: f64, l: f64) -> f64 {
+    let half = 0.5 * l;
+    let images = if d >= half {
+        1.0
+    } else if d <= -half {
+        -1.0
+    } else {
+        0.0_f64.copysign(d)
+    };
+    d - l * images
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,6 +132,42 @@ mod tests {
         for (a, c) in [(0.1, 9.9), (4.9, 5.1), (0.0, 5.0)] {
             let d = b.min_image(Vec3::splat(a), Vec3::splat(c));
             assert!(d.x.abs() <= 5.0 + 1e-12);
+        }
+    }
+
+    #[test]
+    fn min_image_by_comparison_is_the_division_and_round_form() {
+        // Both sides of half a box and of a whole one, the zeros, and a
+        // difference that leaves the fast path: the same bits, the sign
+        // of a zero result included. (200 seeds and the whole myoglobin
+        // list: tests/kernel_bit_identity.rs.)
+        let b = PbcBox::new(64.0, 0.3, 47.9);
+        let next = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let prev = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for c in 0..3 {
+            let l = b.lengths[c];
+            let h = 0.5 * l;
+            for d in [
+                0.0,
+                1e-300,
+                0.25 * l,
+                prev(h),
+                h,
+                next(h),
+                prev(l),
+                l,
+                next(l),
+                2.5 * l,
+            ] {
+                for d in [d, -d] {
+                    let mut a = Vec3::ZERO;
+                    a[c] = d;
+                    let (got, want) = (b.min_image(a, Vec3::ZERO), b.min_image_far(a));
+                    for k in 0..3 {
+                        assert_eq!(got[k].to_bits(), want[k].to_bits(), "d = {d:e} on axis {c}");
+                    }
+                }
+            }
         }
     }
 

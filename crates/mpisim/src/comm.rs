@@ -643,45 +643,59 @@ impl<'a> Comm<'a> {
             return;
         }
         let rank = self.rank();
+        let n = data.len();
+        let block = |b: usize| crate::block_range(n, p, b % p);
+
+        // Reduce-scatter: each step passes on the block that just
+        // arrived with the local share added in, so after p-1 steps the
+        // block in hand is the complete sum of block (r+1) mod p. The
+        // partial sums in between live only in the travelling block.
+        let own = data[block(rank)].to_vec();
+        let sum = self.ring_steps(tag, 0, own, |ctx, s, arrived| {
+            let local = &data[block(rank + p - s - 1)];
+            assert_eq!(arrived.len(), local.len());
+            for (a, l) in arrived.iter_mut().zip(local) {
+                // `local + arrived`, the operand order of the in-place
+                // `local += arrived` this replaces.
+                let sum = *l + *a;
+                *a = sum;
+            }
+            ctx.charge_compute(4e-9 * arrived.len() as f64);
+        });
+        data[block(rank + 1)].copy_from_slice(&sum);
+        // Allgather the summed blocks around the ring.
+        self.ring_steps(tag, p, sum, |_, s, arrived| {
+            data[block(rank + p - s)].copy_from_slice(arrived);
+        });
+        self.close_split_group();
+    }
+
+    /// The loop all ring collectives share: `p - 1` times, send the
+    /// block in hand to the right neighbour, receive the left
+    /// neighbour's, let `arrive(ctx, step, block)` read or update it,
+    /// and carry it into the next step. A block is allocated by the rank
+    /// that produces it, *moved* when forwarded and copied only into its
+    /// final destination (by `arrive`). Steps are tagged
+    /// `tag + (first_step + s) << 40`; the last arrival is returned.
+    fn ring_steps(
+        &mut self,
+        tag: u64,
+        first_step: usize,
+        mut block: Vec<f64>,
+        mut arrive: impl FnMut(&mut RankCtx, usize, &mut [f64]),
+    ) -> Vec<f64> {
+        let p = self.size();
+        let rank = self.rank();
         let right = self.g((rank + 1) % p);
         let left = self.g((rank + p - 1) % p);
-        let n = data.len();
-        let block = |b: usize| crate::block_range(n, p, b);
-
-        // Reduce-scatter: after p-1 steps rank r holds the complete sum
-        // of block (r+1) mod p.
         for s in 0..p - 1 {
-            let send_b = (rank + p - s) % p;
-            let recv_b = (rank + p - s - 1) % p;
-            let payload = data[block(send_b)].to_vec();
-            self.ctx.send(
-                right,
-                tag + ((s as u64) << 40),
-                payload,
-                MsgClass::Payload,
-                OpShape::new(1, p),
-            );
-            let msg = self.ctx.recv(left, tag + ((s as u64) << 40));
-            let r = block(recv_b);
-            assert_eq!(msg.data.len(), r.len());
-            for (a, b) in data[r].iter_mut().zip(&msg.data) {
-                *a += b;
-            }
-            self.ctx.charge_compute(4e-9 * msg.data.len() as f64);
-        }
-        // Allgather the summed blocks around the ring.
-        for s in 0..p - 1 {
-            let send_b = (rank + 1 + p - s) % p;
-            let recv_b = (rank + p - s) % p;
-            let payload = data[block(send_b)].to_vec();
-            let t = tag + (((p + s) as u64) << 40);
+            let t = tag + (((first_step + s) as u64) << 40);
             self.ctx
-                .send(right, t, payload, MsgClass::Payload, OpShape::new(1, p));
-            let msg = self.ctx.recv(left, t);
-            let r = block(recv_b);
-            data[r].copy_from_slice(&msg.data);
+                .send(right, t, block, MsgClass::Payload, OpShape::new(1, p));
+            block = self.ctx.recv(left, t).data;
+            arrive(self.ctx, s, &mut block);
         }
-        self.close_split_group();
+        block
     }
 
     /// Flat master-based global sum, the structure of early parallel
@@ -814,33 +828,28 @@ impl<'a> Comm<'a> {
 
     /// All ranks end up with every rank's vector (ring allgather).
     pub fn allgather(&mut self, data: Vec<f64>) -> Vec<Vec<f64>> {
+        let mut parts: Vec<Vec<f64>> = vec![Vec::new(); self.size()];
+        self.allgather_with(data, |src, part| parts[src] = part.to_vec());
+        parts
+    }
+
+    /// Ring allgather that hands every rank's vector — the caller's own
+    /// included — to `land(source rank, vector)` as it passes through,
+    /// for callers that unpack each part into a destination of their
+    /// own: one copy per part, and no `Vec` of parts in between.
+    pub fn allgather_with(&mut self, data: Vec<f64>, mut land: impl FnMut(usize, &[f64])) {
         let p = self.size();
         let tag = self.next_epoch(op::ALLGATHER);
         let rank = self.rank();
-        let mut parts: Vec<Vec<f64>> = vec![Vec::new(); p];
-        parts[rank] = data;
+        land(rank, &data);
         if p == 1 {
-            return parts;
+            return;
         }
-        let right = self.g((rank + 1) % p);
-        let left = self.g((rank + p - 1) % p);
-        // Ring: in step s, forward the block received in step s-1.
-        let mut cursor = rank;
-        for s in 0..p - 1 {
-            let block = parts[cursor].clone();
-            self.ctx.send(
-                right,
-                tag + ((s as u64) << 40),
-                block,
-                MsgClass::Payload,
-                OpShape::new(1, p),
-            );
-            let msg = self.ctx.recv(left, tag + ((s as u64) << 40));
-            cursor = (cursor + p - 1) % p;
-            parts[cursor] = msg.data;
-        }
+        // In step s the block of rank (rank - s - 1) mod p arrives.
+        self.ring_steps(tag, 0, data, |_, s, arrived| {
+            land((rank + p - s - 1) % p, arrived);
+        });
         self.close_split_group();
-        parts
     }
 
     /// Scatters rank-indexed blocks from `root`: rank `r` receives

@@ -1,15 +1,18 @@
 //! The bit-identity contracts of the batched kernels: the lane-batched
 //! `erf`/`erfc` and the tiled direct-space pair kernel (DESIGN.md §20),
-//! and the table-driven, lane-batched mixed-radix FFT (DESIGN.md §21).
+//! the table-driven, lane-batched mixed-radix FFT (DESIGN.md §21), and
+//! the compare-and-select `min_image` with the ordered, sort-free
+//! neighbour build on top of it (DESIGN.md §24).
 //! Each must return exactly the bits of the scalar code it replaced,
 //! for every argument, every pair-list slice, every electrostatics
-//! method, every smooth transform size and every slab shape.
+//! method, every smooth transform size and every slab shape — and the
+//! neighbour build exactly the parent's `Vec`, content and order.
 //!
-//! [`oracle`] and [`fft_oracle`] are that scalar code, frozen verbatim
-//! from the commits before the kernels were batched. They are the
-//! reference, not second implementations to keep in step: never edit
-//! them alongside `cpc_md::special`, `cpc_md::nonbonded` or
-//! `cpc_fft::plan`.
+//! [`oracle`], [`list_oracle`] and [`fft_oracle`] are that scalar code,
+//! frozen verbatim from the commits before the kernels were batched.
+//! They are the reference, not second implementations to keep in step:
+//! never edit them alongside `cpc_md::special`, `cpc_md::nonbonded`,
+//! `cpc_md::pbc`, `cpc_md::neighbor` or `cpc_fft::plan`.
 //!
 //! Tier-1 `cargo test -q` is a debug build, where the lane loops stay
 //! scalar; `cargo test --workspace --release` (CI) is the run that
@@ -17,7 +20,10 @@
 
 use cpc_charmm::decomp::{balanced_pair_cuts, PmeDecomp};
 use cpc_fft::{dft, transform_axis, Axis, Complex64, Dims3, Direction, Fft3d, FftPlan};
-use cpc_md::builder::{myoglobin_raw, water_box};
+use cpc_md::builder::{
+    myoglobin_raw, myoglobin_system_with, relieve_clashes, water_box, MyoglobinOptions,
+};
+use cpc_md::forcefield::params::BOND_HEAVY;
 use cpc_md::forcefield::AtomClass;
 use cpc_md::neighbor::NeighborList;
 use cpc_md::nonbonded::{
@@ -25,7 +31,8 @@ use cpc_md::nonbonded::{
 };
 use cpc_md::pme::{compute_splines, influence_function, spread_charges, Pme, PmeParams};
 use cpc_md::special::{erf, erf_batch, erfc, erfc_batch, LANES};
-use cpc_md::{System, Vec3};
+use cpc_md::topology::{Atom, Bond, Topology};
+use cpc_md::{PbcBox, System, Vec3};
 use rand::prelude::*;
 
 mod oracle {
@@ -37,6 +44,16 @@ mod oracle {
     use std::f64::consts::PI;
 
     pub const CROSSOVER: f64 = 2.0;
+
+    /// `PbcBox::min_image` as it was before it became compare + select:
+    /// three divisions, three `round` calls.
+    pub fn min_image(pbox: &PbcBox, a: Vec3, b: Vec3) -> Vec3 {
+        let mut d = a - b;
+        d.x -= pbox.lengths.x * (d.x / pbox.lengths.x).round();
+        d.y -= pbox.lengths.y * (d.y / pbox.lengths.y).round();
+        d.z -= pbox.lengths.z * (d.z / pbox.lengths.z).round();
+        d
+    }
 
     pub fn erf(x: f64) -> f64 {
         if x < 0.0 {
@@ -133,7 +150,7 @@ mod oracle {
         for &(i, j) in pairs {
             let i = i as usize;
             let j = j as usize;
-            let d = pbox.min_image(positions[i], positions[j]);
+            let d = min_image(pbox, positions[i], positions[j]);
             let r2 = d.norm_sqr();
             if r2 >= cutoff2 {
                 continue;
@@ -194,7 +211,7 @@ mod oracle {
             if qq == 0.0 {
                 continue;
             }
-            let d = pbox.min_image(positions[i], positions[j]);
+            let d = min_image(pbox, positions[i], positions[j]);
             let r2 = d.norm_sqr();
             let r = r2.sqrt();
             let br = beta * r;
@@ -504,6 +521,513 @@ fn batched_excluded_correction_returns_the_scalar_bits() {
         assert_eq!(e_got.to_bits(), e_want.to_bits(), "system {s}");
         assert_forces_bit_equal(&got, &want, &format!("system {s}"));
     }
+}
+
+/// The neighbour build of the commit before it became ordered and
+/// sort-free, verbatim, over the frozen `min_image`: every candidate of
+/// the half stencil through the division-and-`round` form, then one
+/// global `sort_unstable` + `dedup`.
+mod list_oracle {
+    use super::oracle::min_image;
+    use cpc_md::pbc::PbcBox;
+    use cpc_md::topology::Topology;
+    use cpc_md::vec3::Vec3;
+
+    pub fn build_pairs(
+        topo: &Topology,
+        pbox: &PbcBox,
+        positions: &[Vec3],
+        reach: f64,
+    ) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        build_pairs_into(topo, pbox, positions, reach, &mut pairs);
+        pairs
+    }
+
+    fn build_pairs_into(
+        topo: &Topology,
+        pbox: &PbcBox,
+        positions: &[Vec3],
+        reach: f64,
+        pairs: &mut Vec<(u32, u32)>,
+    ) {
+        let n = positions.len();
+        let reach2 = reach * reach;
+
+        // Grid resolution: cells at least `reach` wide in each dimension.
+        let ncx = (pbox.lengths.x / reach).floor().max(1.0) as usize;
+        let ncy = (pbox.lengths.y / reach).floor().max(1.0) as usize;
+        let ncz = (pbox.lengths.z / reach).floor().max(1.0) as usize;
+        let ncell = ncx * ncy * ncz;
+
+        if ncell < 27 {
+            // Too few cells for the stencil to prune anything; do the O(N^2)
+            // sweep (still exact).
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if min_image(pbox, positions[i], positions[j]).norm_sqr() < reach2
+                        && !topo.is_excluded(i, j)
+                    {
+                        pairs.push((i as u32, j as u32));
+                    }
+                }
+            }
+            return;
+        }
+
+        // Bin atoms.
+        let mut head: Vec<i32> = vec![-1; ncell];
+        let mut next: Vec<i32> = vec![-1; n];
+        let cell_of = |p: Vec3| -> usize {
+            let f = pbox.fractional(p);
+            let cx = ((f.x * ncx as f64) as usize).min(ncx - 1);
+            let cy = ((f.y * ncy as f64) as usize).min(ncy - 1);
+            let cz = ((f.z * ncz as f64) as usize).min(ncz - 1);
+            (cx * ncy + cy) * ncz + cz
+        };
+        for (i, &p) in positions.iter().enumerate() {
+            let c = cell_of(p);
+            next[i] = head[c];
+            head[c] = i as i32;
+        }
+
+        // Precompute the (deduplicated) half stencil of neighbour cells.
+        let mut stencil: Vec<usize> = Vec::with_capacity(14);
+        for cx in 0..ncx {
+            for cy in 0..ncy {
+                for cz in 0..ncz {
+                    let c = (cx * ncy + cy) * ncz + cz;
+                    stencil.clear();
+                    for dx in -1i64..=1 {
+                        for dy in -1i64..=1 {
+                            for dz in -1i64..=1 {
+                                let nx = (cx as i64 + dx).rem_euclid(ncx as i64) as usize;
+                                let ny = (cy as i64 + dy).rem_euclid(ncy as i64) as usize;
+                                let nz = (cz as i64 + dz).rem_euclid(ncz as i64) as usize;
+                                let nc = (nx * ncy + ny) * ncz + nz;
+                                // Half stencil: only visit cells with index
+                                // >= c; the self cell handles i<j itself.
+                                if nc >= c && !stencil.contains(&nc) {
+                                    stencil.push(nc);
+                                }
+                            }
+                        }
+                    }
+                    for &nc in &stencil {
+                        let mut i = head[c];
+                        while i >= 0 {
+                            let iu = i as usize;
+                            let mut j = if nc == c { next[iu] } else { head[nc] };
+                            while j >= 0 {
+                                let ju = j as usize;
+                                let (a, b) = if iu < ju { (iu, ju) } else { (ju, iu) };
+                                if min_image(pbox, positions[a], positions[b]).norm_sqr() < reach2
+                                    && !topo.is_excluded(a, b)
+                                {
+                                    pairs.push((a as u32, b as u32));
+                                }
+                                j = next[ju];
+                            }
+                            i = next[iu];
+                        }
+                    }
+                }
+            }
+        }
+        // Cross-cell visits can see a pair from both sides when the periodic
+        // stencil wraps; dedup to keep the list exact.
+        pairs.sort_unstable();
+        pairs.dedup();
+    }
+}
+
+/// The values where `min_image` could pick another image, another zero
+/// or another rounding than the division-and-`round` form: both sides
+/// of half a box and of a whole one, the zeros, far images, NaN.
+fn image_edge_differences(l: f64) -> Vec<f64> {
+    let around = |x: f64| {
+        [
+            f64::from_bits(x.to_bits() - 1),
+            x,
+            f64::from_bits(x.to_bits() + 1),
+        ]
+    };
+    let mut d = vec![0.0, 5e-324, f64::MIN_POSITIVE, 1e-9, 0.25 * l, f64::NAN];
+    for x in [0.5 * l, l, 1.5 * l, 2.5 * l, 7.5 * l, 1e6 * l] {
+        d.extend(around(x));
+    }
+    d.iter().flat_map(|&x| [x, -x]).collect()
+}
+
+#[test]
+fn min_image_returns_the_bits_of_the_division_and_round_form() {
+    let assert_same = |pbox: &PbcBox, a: Vec3, b: Vec3| {
+        let got = pbox.min_image(a, b);
+        let want = oracle::min_image(pbox, a, b);
+        for c in 0..3 {
+            assert_eq!(
+                got[c].to_bits(),
+                want[c].to_bits(),
+                "{pbox:?}: min_image({a:?}, {b:?}) component {c}: {} vs {}",
+                got[c],
+                want[c]
+            );
+        }
+    };
+    // 64 is a power of two (half of it has the shorter gap below), 0.3
+    // and the myoglobin edges are not.
+    for pbox in [
+        PbcBox::new(64.0, 0.3, 56.1),
+        PbcBox::new(36.3, 47.9, 1.0),
+        PbcBox::new(1e-3, 1e3, 24.2),
+    ] {
+        let l = pbox.lengths;
+        let edges: [Vec<f64>; 3] = [0, 1, 2].map(|c| image_edge_differences(l[c]));
+        // Every edge difference in every component, against the zero
+        // vector (the difference is then exact) and with the two other
+        // components at unrelated edges.
+        for k in 0..edges[0].len() {
+            for c in 0..3 {
+                let mut a = Vec3::ZERO;
+                a[c] = edges[c][k];
+                assert_same(&pbox, a, Vec3::ZERO);
+                assert_same(&pbox, Vec3::ZERO, a);
+                a[(c + 1) % 3] = edges[(c + 1) % 3][(7 * k + 3) % edges[0].len()];
+                a[(c + 2) % 3] = edges[(c + 2) % 3][(11 * k + 5) % edges[0].len()];
+                assert_same(&pbox, a, Vec3::ZERO);
+            }
+        }
+        for seed in 0..SEEDS {
+            let mut rng = SmallRng::seed_from_u64(0x1A6E ^ (seed << 8));
+            // Within the primary cell, within a few boxes, far outside.
+            let span = [1.0, 3.0, 40.0][seed as usize % 3];
+            let mut point = || {
+                Vec3::new(
+                    span * l.x * (rng.gen_f64() - 0.5),
+                    span * l.y * (rng.gen_f64() - 0.5),
+                    span * l.z * (rng.gen_f64() - 0.5),
+                )
+            };
+            for _ in 0..50 {
+                assert_same(&pbox, point(), point());
+            }
+        }
+    }
+}
+
+#[test]
+fn min_image_returns_the_parent_bits_on_every_myoglobin_list_entry() {
+    let sys = myoglobin_raw();
+    let list = NeighborList::build(&sys.topology, &sys.pbox, &sys.positions, 10.0, 2.0);
+    for &(i, j) in &list.pairs {
+        let (a, b) = (sys.positions[i as usize], sys.positions[j as usize]);
+        let (got, want) = (sys.pbox.min_image(a, b), oracle::min_image(&sys.pbox, a, b));
+        assert!(
+            (0..3).all(|c| got[c].to_bits() == want[c].to_bits()),
+            "pair ({i}, {j}): {got:?} vs {want:?}"
+        );
+    }
+}
+
+/// `n` free atoms, every fifth bonded to its successor and every
+/// eleventh to the atom three on, so rows lose 1-2 and 1-3 partners.
+fn chained_topology(n: usize) -> Topology {
+    let mut topo = Topology {
+        atoms: vec![
+            Atom {
+                class: AtomClass::CT,
+                charge: 0.0
+            };
+            n
+        ],
+        ..Default::default()
+    };
+    for i in 0..n {
+        for step in [1, 3] {
+            if i % (4 * step + 1) == 0 && i + step < n {
+                topo.bonds.push(Bond {
+                    i,
+                    j: i + step,
+                    param: BOND_HEAVY,
+                });
+            }
+        }
+    }
+    topo.rebuild_exclusions();
+    topo
+}
+
+/// The list under test against the frozen build: the same `Vec`,
+/// content and order, from `build` and from `rebuild` into a list that
+/// already holds another system's pairs.
+fn assert_list_matches_the_sorted_oracle(
+    topo: &Topology,
+    pbox: &PbcBox,
+    positions: &[Vec3],
+    cutoff: f64,
+    skin: f64,
+    recycled: &mut NeighborList,
+    what: &str,
+) -> usize {
+    let want = list_oracle::build_pairs(topo, pbox, positions, cutoff + skin);
+    let got = NeighborList::build(topo, pbox, positions, cutoff, skin);
+    if let Some(at) =
+        (0..want.len().max(got.pairs.len())).find(|&k| got.pairs.get(k) != want.get(k))
+    {
+        panic!(
+            "{what}: entry {at} is {:?}, the parent's is {:?} ({} vs {} entries)",
+            got.pairs.get(at),
+            want.get(at),
+            got.pairs.len(),
+            want.len()
+        );
+    }
+    assert_eq!(
+        (recycled.cutoff(), recycled.skin()),
+        (cutoff, skin),
+        "the recycled list rebuilds at its own reach"
+    );
+    recycled.rebuild(topo, pbox, positions);
+    assert!(recycled.pairs == want, "{what}: rebuild into a used list");
+    want.len()
+}
+
+/// Boxes whose grid at reach 10 A is 3x3x3 (cells exactly one reach wide,
+/// and wider), 5x3x4 (myoglobin's), 2x4x4 (the +1 and -1 neighbours
+/// alias along x, the parent's dedup case; the first at reach = half
+/// the edge) and 2x2x7 (28 cells: the smallest grid past the fallback).
+const LIST_BOXES: [(f64, f64, f64); 7] = [
+    (30.0, 30.0, 30.0),
+    (33.7, 39.9, 31.2),
+    (56.1, 36.3, 47.9),
+    (20.0, 40.0, 49.9),
+    (27.3, 44.4, 41.0),
+    (25.0, 29.0, 70.0),
+    (20.0, 20.0, 77.7),
+];
+
+/// Positions that stress the binning and the cut-off decision.
+fn list_positions(rng: &mut SmallRng, pbox: &PbcBox, n: usize, reach: f64, mode: u64) -> Vec<Vec3> {
+    let l = pbox.lengths;
+    let cells = [0, 1, 2].map(|c| (l[c] / reach).floor());
+    let mut positions: Vec<Vec3> = if mode.is_multiple_of(2) {
+        (0..n)
+            .map(|_| {
+                Vec3::new(
+                    rng.gen_f64() * l.x,
+                    rng.gen_f64() * l.y,
+                    rng.gen_f64() * l.z,
+                )
+            })
+            .collect()
+    } else {
+        // A jittered lattice: near-uniform density, many equal gaps.
+        let side = (n as f64).cbrt().ceil() as usize;
+        (0..n)
+            .map(|k| {
+                let (a, b, c) = (k % side, (k / side) % side, k / (side * side));
+                let jitter = |rng: &mut SmallRng| 0.3 * (rng.gen_f64() - 0.5);
+                Vec3::new(
+                    (a as f64 + 0.5 + jitter(rng)) * l.x / side as f64,
+                    (b as f64 + 0.5 + jitter(rng)) * l.y / side as f64,
+                    (c as f64 + 0.5 + jitter(rng)) * l.z / side as f64,
+                )
+            })
+            .collect()
+    };
+    for k in 0..n {
+        let other = positions[rng.gen_range_usize(n)];
+        let p = &mut positions[k];
+        match rng.gen_range_usize(12) {
+            // Exactly on a cell face, along one axis or all three.
+            0 => {
+                let c = rng.gen_range_usize(3);
+                p[c] = rng.gen_range_usize(cells[c] as usize + 1) as f64 * (l[c] / cells[c]);
+            }
+            1 => {
+                for c in 0..3 {
+                    p[c] = rng.gen_range_usize(cells[c] as usize + 1) as f64 * (l[c] / cells[c]);
+                }
+            }
+            // Just below zero: `rem_euclid` rounds the wrap up to `L`.
+            2 => p[rng.gen_range_usize(3)] = -1e-17,
+            // Coincident with another atom.
+            3 => *p = other,
+            // A planted neighbour at the cut-off distance itself, a hair
+            // inside and outside it (within the band the exact predicate
+            // decides) and clear of the band on either side.
+            4 | 5 => {
+                let scale = [0.0, 1e-12, -1e-12, 3e-10, -3e-10, 1e-8, -1e-8, 1e-5, -1e-5]
+                    [rng.gen_range_usize(9)];
+                let dir = if rng.gen_range_usize(2) == 0 {
+                    let mut axis = Vec3::ZERO;
+                    axis[rng.gen_range_usize(3)] = 1.0;
+                    axis
+                } else {
+                    Vec3::new(
+                        rng.gen_f64() - 0.5,
+                        rng.gen_f64() - 0.5,
+                        rng.gen_f64() - 0.5,
+                    )
+                    .normalized()
+                };
+                *p = other + dir * (reach * (1.0 + scale));
+            }
+            _ => {}
+        }
+    }
+    if mode.is_multiple_of(3) {
+        // Unwrapped coordinates: up to several boxes out, or (every
+        // other time) millions of boxes out, where the parent's own
+        // subtraction keeps seven digits of a distance and only a band
+        // that grows with the coordinates still holds every
+        // disagreement.
+        let boxes = if mode.is_multiple_of(2) { 4.0 } else { 4e6 };
+        for p in &mut positions {
+            for c in 0..3 {
+                p[c] += ((rng.gen_f64() - 0.5) * 2.0 * boxes).round() * l[c];
+            }
+        }
+    }
+    positions
+}
+
+#[test]
+fn two_hundred_seeds_of_linked_cell_builds_return_the_sorted_list_in_order() {
+    let (cutoff, skin) = (8.0, 2.0);
+    let n = 160;
+    let topo = chained_topology(n);
+    let mut recycled = NeighborList::build(
+        &topo,
+        &PbcBox::new(40.0, 40.0, 40.0),
+        &vec![Vec3::ZERO; n],
+        cutoff,
+        skin,
+    );
+    let mut entries = 0;
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(0x11C7 ^ (seed << 8));
+        for (b, &(lx, ly, lz)) in LIST_BOXES.iter().enumerate() {
+            let pbox = PbcBox::new(lx, ly, lz);
+            let positions = list_positions(&mut rng, &pbox, n, cutoff + skin, seed + b as u64);
+            entries += assert_list_matches_the_sorted_oracle(
+                &topo,
+                &pbox,
+                &positions,
+                cutoff,
+                skin,
+                &mut recycled,
+                &format!("seed {seed}, box {:?}", (lx, ly, lz)),
+            );
+        }
+    }
+    assert!(entries > 1_000_000, "only {entries} entries compared");
+}
+
+/// Minimised a few steps, given 300 K velocities and moved along them:
+/// the state a rank rebuilds its list from in the middle of a run.
+fn drifted_myoglobin() -> System {
+    let mut sys = myoglobin_system_with(MyoglobinOptions {
+        minimize_steps: 3,
+        temperature: 300.0,
+        seed: 19,
+    });
+    for (p, v) in sys.positions.iter_mut().zip(&sys.velocities) {
+        *p += *v * 0.02;
+    }
+    sys
+}
+
+#[test]
+fn myoglobin_lists_return_the_sorted_list_in_order_at_both_reaches() {
+    for (sys, what) in [
+        (myoglobin_raw(), "raw"),
+        (drifted_myoglobin(), "relaxed and drifted"),
+    ] {
+        // The engine's list and the 116 550-cell grid `relieve_clashes`
+        // builds on (0.9 + 0.05 A), where nearly every cell is empty.
+        for (cutoff, skin) in [(10.0, 2.0), (0.9, 0.05), (2.4, 0.0)] {
+            let mut recycled =
+                NeighborList::build(&sys.topology, &sys.pbox, &sys.positions[..1], cutoff, skin);
+            assert_list_matches_the_sorted_oracle(
+                &sys.topology,
+                &sys.pbox,
+                &sys.positions,
+                cutoff,
+                skin,
+                &mut recycled,
+                &format!("{what} myoglobin, reach {}", cutoff + skin),
+            );
+        }
+    }
+}
+
+/// `relieve_clashes` over the frozen list and the frozen `min_image`.
+fn relieve_clashes_over_the_oracle(
+    topo: &Topology,
+    pbox: &PbcBox,
+    positions: &mut [Vec3],
+    limit: f64,
+    max_iter: usize,
+) {
+    let limit2 = limit * limit;
+    for _ in 0..max_iter {
+        let pairs = list_oracle::build_pairs(topo, pbox, positions, limit + 0.05);
+        let mut moved = false;
+        for &(i, j) in &pairs {
+            let (i, j) = (i as usize, j as usize);
+            let d = oracle::min_image(pbox, positions[i], positions[j]);
+            let r2 = d.norm_sqr();
+            if r2 < limit2 {
+                let r = r2.sqrt().max(1e-6);
+                let push = (limit - r) * 0.55;
+                let dir = if r > 1e-5 {
+                    d / r
+                } else {
+                    // Coincident points: separate along a deterministic axis.
+                    Vec3::new(1.0, 0.0, 0.0)
+                };
+                positions[i] += dir * push;
+                positions[j] -= dir * push;
+                moved = true;
+            }
+        }
+        if !moved {
+            break;
+        }
+    }
+}
+
+#[test]
+fn relieve_clashes_returns_the_positions_of_the_sorted_list() {
+    // The pushes are applied one pair after another in list order, each
+    // reading what the previous ones moved: the golden system depends on
+    // the order of the list, not only on its content.
+    let mut sys = myoglobin_raw();
+    let mut rng = SmallRng::seed_from_u64(0xC1A5);
+    for p in &mut sys.positions {
+        *p += Vec3::new(
+            rng.gen_f64() - 0.5,
+            rng.gen_f64() - 0.5,
+            rng.gen_f64() - 0.5,
+        ) * 2.4;
+    }
+    let n = sys.n_atoms();
+    sys.positions[n - 1] = sys.positions[n - 7];
+    let mut want = sys.positions.clone();
+    relieve_clashes_over_the_oracle(&sys.topology, &sys.pbox, &mut want, 0.9, 6);
+    let mut got = sys.positions.clone();
+    relieve_clashes(&sys.topology, &sys.pbox, &mut got, 0.9, 6);
+    let moved = got
+        .iter()
+        .zip(&sys.positions)
+        .filter(|(a, b)| a != b)
+        .count();
+    assert!(
+        moved > 100,
+        "the jitter planted too few clashes to tell orders apart: {moved} atoms moved"
+    );
+    assert_forces_bit_equal(&got, &want, "relieved positions");
 }
 
 /// The recursive mixed-radix kernel and the per-line `transform_axis`
