@@ -30,8 +30,8 @@
 //!   pump thread ever panics the process prints the panic and exits
 //!   with code 70 rather than serve polls for campaigns that will
 //!   never advance (restart on the same `--root` resumes).
-//!   Connections are accepted by a bounded worker pool (the global
-//!   `cpc_pool` width, clamped to 1..=8) that reads requests and
+//!   Connections are accepted by a bounded worker pool (the host's
+//!   available parallelism, clamped to 1..=8) that reads requests and
 //!   writes responses outside the gateway lock, so a slow client
 //!   stalls one worker, not the server. `--kill-after N` arms the
 //!   service kill switch: the process exits with code 3 after its
@@ -267,10 +267,10 @@ fn serve(
     // only its own worker; routing itself stays serialized, which
     // keeps admission order — and therefore the journal bytes —
     // identical to the single-threaded accept loop's.
-    let workers = cpc_pool::global().threads().clamp(1, 8);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
     eprintln!("serve: {workers} accept worker(s)");
     let listener = &listener;
-    cpc_pool::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
             let gw = Arc::clone(&gw);
             let wake = Arc::clone(&wake);

@@ -3,9 +3,7 @@
 //! bonded terms, then partial forces and energies are combined with an
 //! all-to-all collective (CHARMM's global force combine).
 
-use crate::decomp::{
-    balanced_pair_cuts, balanced_pair_cuts_weighted, classic_partition, ClassicPartition,
-};
+use crate::decomp::{classic_partition, pair_cuts, ClassicPartition};
 use crate::memo::{classic_key, KernelMemo, KernelOutput};
 use cpc_cluster::{CostModel, Phase};
 use cpc_md::bonded::{bonded_energy_forces_range, BondedEnergies};
@@ -162,10 +160,7 @@ pub fn classic_energy_parallel_weighted(
     // i, with atom blocks weighted by neighbour count so the pair work
     // is balanced (granularity leaves a small residual imbalance that
     // shows up as wait time at the combine, as in the real code).
-    let cuts = match caps {
-        Some(c) => balanced_pair_cuts_weighted(pairs, p, c),
-        None => balanced_pair_cuts(pairs, p),
-    };
+    let cuts = pair_cuts(pairs, p, caps);
     let my_block = cuts[r]..cuts[r + 1];
     let kernel = || rank_kernel(system, &pairs[my_block.clone()], &part, opts);
     let (computed, stored);

@@ -94,6 +94,15 @@ pub fn balanced_pair_cuts(pairs: &[(u32, u32)], p: usize) -> Vec<usize> {
     cuts
 }
 
+/// The cuts the classic phase works under: [`balanced_pair_cuts`], or
+/// its weighted variant once capacity weights are in force.
+pub(crate) fn pair_cuts(pairs: &[(u32, u32)], p: usize, caps: Option<&[f64]>) -> Vec<usize> {
+    match caps {
+        Some(c) => balanced_pair_cuts_weighted(pairs, p, c),
+        None => balanced_pair_cuts(pairs, p),
+    }
+}
+
 /// Capacity-weighted variant of [`balanced_pair_cuts`]: rank `r`
 /// receives a pair share proportional to `caps[r]` (a straggling rank
 /// gets a capacity below 1 and correspondingly fewer pairs). Uniform

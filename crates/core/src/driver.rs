@@ -2,19 +2,13 @@
 //! replicated-data MD on the virtual cluster and collects the
 //! phase-resolved timings the paper reports.
 
-use crate::classic::classic_energy_parallel_weighted;
 use crate::memo::KernelMemo;
-use crate::pme_par::ParallelPme;
-use crate::pme_spatial::SpatialPme;
+use crate::rank::{initial_list, RankMd};
 use crate::report::{RunReport, StepEnergies};
-use cpc_cluster::{run_cluster, ClusterConfig, Phase};
+use cpc_cluster::{run_cluster, ClusterConfig};
 use cpc_md::energy::EnergyModel;
-use cpc_md::neighbor::NeighborList;
-use cpc_md::nonbonded::NonbondedOptions;
-use cpc_md::units::ACCEL_CONV;
-use cpc_md::{System, Vec3};
+use cpc_md::System;
 use cpc_mpi::{CombineAlgo, Comm, Middleware};
-use std::borrow::Cow;
 
 /// Tunable collective-algorithm choices (the design decisions the
 /// ablation benches compare). Defaults model the paper-era CHARMM:
@@ -85,14 +79,6 @@ impl MdConfig {
     }
 }
 
-/// Neighbour-list skin used by the parallel engine (matches the
-/// sequential [`cpc_md::Evaluator`]).
-const SKIN: f64 = 2.0;
-
-/// A rank's pair list: the cell's shared one until the rank has to
-/// rebuild, its own copy from then on.
-type PairList<'a> = Cow<'a, NeighborList>;
-
 /// Smallest system [`run_parallel_md`] memoises. The 192-atom `--quick`
 /// water box stays below it on purpose: it is the repo's stand-in load
 /// of known cost (CI smokes, the service and gateway harnesses, the
@@ -125,175 +111,33 @@ pub(crate) fn run_parallel_md_memo(
     cfg: &MdConfig,
     memo: Option<&KernelMemo>,
 ) -> RunReport {
-    let opts = match cfg.model {
-        EnergyModel::Classic => NonbondedOptions::classic(),
-        EnergyModel::Pme(p) => NonbondedOptions::pme_direct(p.beta),
-    };
-    let p = cfg.cluster.ranks;
-    let model = cfg.model;
-    let steps = cfg.steps;
-    let dt = cfg.dt;
-    let middleware = cfg.middleware;
-    let tuning = cfg.tuning;
-    let pme_impl = cfg.pme_impl;
-
-    // Every rank starts from the same replicated coordinates, so the
-    // initial pair list is built once per cell and borrowed by all
-    // ranks.
-    let shared_list = NeighborList::build(
-        &system.topology,
-        &system.pbox,
-        &system.positions,
-        opts.cutoff,
-        SKIN,
-    );
-
+    let list = initial_list(system, cfg.model);
     let outcomes = run_cluster(cfg.cluster, |ctx| {
-        let cost = ctx.config().cost;
-        let mut comm = Comm::new(ctx, middleware);
-        let mut sys = system.clone();
-        enum PmeEngine {
-            Replicated(ParallelPme),
-            Spatial(SpatialPme),
-        }
-        let ppme = match model {
-            EnergyModel::Pme(params) => Some(match pme_impl {
-                PmeImpl::Replicated => PmeEngine::Replicated(
-                    ParallelPme::new(params, p)
-                        .with_grid_sum(tuning.grid_sum)
-                        .with_force_combine(tuning.force_combine),
-                ),
-                PmeImpl::Spatial => PmeEngine::Spatial(
-                    SpatialPme::new(params, p).with_force_combine(tuning.force_combine),
-                ),
-            }),
-            EnergyModel::Classic => None,
-        };
-
-        // Initial neighbour list (cost shared: the list build is
-        // distributed across ranks in parallel CHARMM).
-        comm.ctx().set_phase(Phase::Classic);
-        let mut list: PairList<'_> = Cow::Borrowed(&shared_list);
-        comm.ctx()
-            .charge_compute(list.pairs.len() as f64 * 2.5 * cost.list_build_pair / p as f64);
-
-        let mut energies_log = Vec::with_capacity(steps);
-
-        // One full force evaluation before the loop (velocity Verlet
-        // needs forces at t = 0).
-        let eval =
-            |comm: &mut Comm<'_>, sys: &System, list: &mut PairList<'_>| -> (Vec<Vec3>, f64, f64) {
-                // List maintenance.
-                comm.ctx().set_phase(Phase::Classic);
-                if list.needs_rebuild(&sys.pbox, &sys.positions) {
-                    list.to_mut()
-                        .rebuild(&sys.topology, &sys.pbox, &sys.positions);
-                    comm.ctx().charge_compute(
-                        list.pairs.len() as f64 * 2.5 * cost.list_build_pair / p as f64,
-                    );
-                }
-                // Synchronization point entering the energy calculation.
-                comm.barrier();
-                let classic = classic_energy_parallel_weighted(
-                    comm,
-                    sys,
-                    &list.pairs,
-                    &opts,
-                    &cost,
-                    tuning.force_combine,
-                    None,
-                    memo,
-                );
-                let classic_energy = classic.energy();
-                let mut forces = classic.forces;
-                let mut pme_energy = 0.0;
-                if let Some(ppme) = &ppme {
-                    let kr = match ppme {
-                        PmeEngine::Replicated(e) => e.energy_forces(comm, sys, &cost),
-                        PmeEngine::Spatial(e) => e.energy_forces(comm, sys, &cost),
-                    };
-                    for (f, kf) in forces.iter_mut().zip(&kr.forces) {
-                        *f += *kf;
-                    }
-                    pme_energy = kr.energy();
-                    comm.barrier();
-                }
-                (forces, classic_energy, pme_energy)
-            };
-
-        let (mut forces, _, _) = eval(&mut comm, &sys, &mut list);
-
-        for _ in 0..steps {
-            // Half kick + drift. As in parallel CHARMM, each rank
-            // integrates its own atom block, then the updated
-            // coordinates are exchanged globally.
-            comm.ctx().set_phase(Phase::Integrate);
-            let n = sys.n_atoms();
-            let my_atoms = crate::decomp::block_range(n, p, comm.rank());
-            for i in my_atoms.clone() {
-                let inv_m = ACCEL_CONV / sys.topology.atoms[i].class.mass();
-                let v_half = sys.velocities[i] + forces[i] * (0.5 * dt * inv_m);
-                sys.velocities[i] = v_half;
-                sys.positions[i] += v_half * dt;
-            }
-            comm.ctx()
-                .charge_compute(my_atoms.len() as f64 * cost.integrate_atom);
-
-            // Coordinate exchange: every rank needs all positions for
-            // the replicated energy evaluation.
-            let mine: Vec<f64> = sys.positions[my_atoms.clone()]
-                .iter()
-                .flat_map(|v| [v.x, v.y, v.z])
-                .collect();
-            let parts = comm.allgather(mine);
-            for (src, part) in parts.iter().enumerate() {
-                let range = crate::decomp::block_range(n, p, src);
-                for (k, i) in range.enumerate() {
-                    sys.positions[i] = Vec3::new(part[3 * k], part[3 * k + 1], part[3 * k + 2]);
-                }
-            }
-
-            // New forces.
-            let (new_forces, e_classic, e_pme) = eval(&mut comm, &sys, &mut list);
-            forces = new_forces;
-
-            // Second half kick (own block), then velocity exchange so
-            // the kinetic energy below is globally consistent.
-            comm.ctx().set_phase(Phase::Integrate);
-            for i in my_atoms.clone() {
-                let inv_m = ACCEL_CONV / sys.topology.atoms[i].class.mass();
-                sys.velocities[i] += forces[i] * (0.5 * dt * inv_m);
-            }
-            comm.ctx()
-                .charge_compute(my_atoms.len() as f64 * cost.integrate_atom);
-            let mine: Vec<f64> = sys.velocities[my_atoms.clone()]
-                .iter()
-                .flat_map(|v| [v.x, v.y, v.z])
-                .collect();
-            let parts = comm.allgather(mine);
-            for (src, part) in parts.iter().enumerate() {
-                let range = crate::decomp::block_range(n, p, src);
-                for (k, i) in range.enumerate() {
-                    sys.velocities[i] = Vec3::new(part[3 * k], part[3 * k + 1], part[3 * k + 2]);
-                }
-            }
-
+        let mut comm = Comm::new(ctx, cfg.middleware);
+        let mut rank = RankMd::new(&mut comm, cfg, system, &list, memo, false);
+        // Velocity Verlet needs forces at t = 0.
+        rank.forces = rank.evaluate(&mut comm).forces;
+        let mut energies_log = Vec::with_capacity(cfg.steps);
+        for _ in 0..cfg.steps {
+            rank.drift(&mut comm);
+            let eval = rank.evaluate(&mut comm);
+            rank.forces = eval.forces;
+            rank.kick(&mut comm);
             energies_log.push(StepEnergies {
-                classic: e_classic,
-                pme: e_pme,
-                kinetic: sys.kinetic_energy(),
+                classic: eval.classic,
+                pme: eval.pme,
+                kinetic: rank.sys.kinetic_energy(),
             });
         }
-        (energies_log, sys.positions, sys.velocities)
+        (energies_log, rank.sys.positions, rank.sys.velocities)
     });
-
     RunReport::from_outcomes(cfg, outcomes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpc_cluster::NetworkKind;
+    use cpc_cluster::{NetworkKind, Phase};
     use cpc_fft::Dims3;
     use cpc_md::builder::water_box;
     use cpc_md::dynamics::Simulation;

@@ -12,7 +12,9 @@
 //!   decomposition of the mesh, parallel 3D FFTs via all-to-all
 //!   personalized transposes, and its own closing collective,
 //! * [`driver`] — the velocity-Verlet measurement loop (the paper runs
-//!   10 steps per measurement),
+//!   10 steps per measurement), over the three moves of one rank type
+//!   (`rank::RankMd`: evaluate, drift, kick) that [`recover`] — the
+//!   same loop with fault-tolerance hooks between the moves — shares,
 //! * [`memo`] — the content-addressed memo that lets platform cells
 //!   sharing one decomposition compute the classic kernel once,
 //! * [`report`] — aggregation into the paper's response variables:
@@ -33,6 +35,7 @@ pub mod driver;
 pub mod memo;
 pub mod pme_par;
 pub mod pme_spatial;
+mod rank;
 pub mod recover;
 pub mod report;
 

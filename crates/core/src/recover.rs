@@ -12,26 +12,17 @@
 //! reports can separate it from productive work.
 
 use crate::ckpt::{CheckpointStore, DurableConfig, RestoreError};
-use crate::classic::classic_energy_parallel_weighted;
-use crate::decomp::{balanced_pair_cuts, balanced_pair_cuts_weighted};
-use crate::driver::{CommTuning, MdConfig, PmeImpl};
-use crate::pme_par::ParallelPme;
-use crate::pme_spatial::SpatialPme;
+use crate::driver::MdConfig;
+use crate::rank::{initial_list, EvalProbe, RankMd};
 use crate::report::{RunReport, StepEnergies};
-use cpc_cluster::{run_cluster_faulty, CostModel, FaultPlan, Phase, SdcFault, SdcTarget, SimError};
-use cpc_md::energy::EnergyModel;
-use cpc_md::neighbor::NeighborList;
-use cpc_md::nonbonded::NonbondedOptions;
-use cpc_md::units::ACCEL_CONV;
+use cpc_cluster::{run_cluster_faulty, FaultPlan, Phase, SdcFault, SdcTarget, SimError};
 use cpc_md::{MdSnapshot, System, Vec3};
 use cpc_mpi::{Comm, DetectorConfig, FailureDetector};
+use std::borrow::Cow;
 
 /// Cost of writing or reading checkpoint state, seconds per byte
 /// (~1 GB/s: a local memory/disk copy, not a network operation).
 const CKPT_BYTE_COST: f64 = 1e-9;
-
-/// Neighbour-list skin (matches [`crate::driver`]).
-const SKIN: f64 = 2.0;
 
 /// Numerical-watchdog configuration: treats a blown-up trajectory
 /// (NaN/inf coordinates or runaway energy drift) as a fault and rolls
@@ -310,6 +301,42 @@ impl FtReport {
             None
         }
     }
+
+    /// The report of a run that was never started because its durable
+    /// state could not be restored: classified as diverged, because
+    /// silently restarting from step 0 would masquerade as recovery.
+    fn unrecoverable(cfg: &MdConfig, restore_failure: String) -> Self {
+        FtReport {
+            report: RunReport {
+                cluster: cfg.cluster,
+                middleware: cfg.middleware,
+                steps: cfg.steps,
+                per_rank: Vec::new(),
+                wall_time: 0.0,
+                step_energies: Vec::new(),
+                final_positions: Vec::new(),
+                final_velocities: Vec::new(),
+            },
+            crashed_ranks: Vec::new(),
+            survivors: cfg.cluster.ranks,
+            recoveries: 0,
+            recovery_time: 0.0,
+            watchdog_trips: 0,
+            diverged: true,
+            resumed_from: None,
+            sdc_events: 0,
+            restore_failure: Some(restore_failure),
+            completed: false,
+            rebalances: 0,
+            evictions: 0,
+            evicted_ranks: Vec::new(),
+            phi_max: 0.0,
+            srtt_max: 0.0,
+            abft_detections: 0,
+            abft_recomputes: 0,
+            corruptions: Vec::new(),
+        }
+    }
 }
 
 /// State captured at a checkpoint. Replicated on every rank, so
@@ -327,71 +354,70 @@ impl Checkpoint {
         // Three Vec3 arrays of f64.
         72.0 * self.positions.len() as f64
     }
-}
 
-/// Builds the durable on-disk snapshot corresponding to an in-memory
-/// checkpoint: full MD state plus the per-step energy log (carried in
-/// the AUX section so a resumed run reports the complete trajectory).
-fn durable_snapshot(
-    sys: &System,
-    forces: &[Vec3],
-    energies_log: &[StepEnergies],
-    step: usize,
-) -> MdSnapshot {
-    let mut snap = MdSnapshot::capture(sys, forces, step as u64);
-    snap.aux = energies_log
-        .iter()
-        .map(|e| [e.classic, e.pme, e.kinetic])
-        .collect();
-    snap
-}
+    /// Captures `rank` at `step`: a local copy, charged like one under
+    /// [`Phase::Other`]. The lowest live member also persists it
+    /// through `store` — real file I/O outside the virtual clock.
+    fn take(
+        comm: &mut Comm<'_>,
+        rank: &RankMd<'_>,
+        step: usize,
+        energies: &[StepEnergies],
+        store: Option<&mut CheckpointStore>,
+    ) -> Self {
+        let ckpt = Checkpoint {
+            step,
+            positions: rank.sys.positions.clone(),
+            velocities: rank.sys.velocities.clone(),
+            forces: rank.forces.clone(),
+        };
+        comm.ctx().set_phase(Phase::Other);
+        comm.ctx().charge_compute(CKPT_BYTE_COST * ckpt.bytes());
+        if let (0, Some(store)) = (comm.rank(), store) {
+            // Full MD state plus the per-step energy log (carried in
+            // the AUX section so a resumed run reports the complete
+            // trajectory).
+            let mut snap = MdSnapshot::capture(&rank.sys, &rank.forces, step as u64);
+            snap.aux = energies
+                .iter()
+                .map(|e| [e.classic, e.pme, e.kinetic])
+                .collect();
+            let now = comm.ctx().now();
+            store.save(&snap, now).expect("durable checkpoint write");
+        }
+        ckpt
+    }
 
-enum PmeEngine {
-    Replicated(ParallelPme),
-    Spatial(SpatialPme),
-}
-
-fn make_pme(
-    model: EnergyModel,
-    pme_impl: PmeImpl,
-    tuning: CommTuning,
-    p: usize,
-    caps: Option<&[f64]>,
-    abft: bool,
-) -> Option<PmeEngine> {
-    match model {
-        EnergyModel::Pme(params) => Some(match pme_impl {
-            PmeImpl::Replicated => {
-                let mut engine = ParallelPme::new(params, p)
-                    .with_grid_sum(tuning.grid_sum)
-                    .with_force_combine(tuning.force_combine)
-                    .with_abft(abft);
-                if let Some(caps) = caps {
-                    engine = engine.with_plane_weights(caps);
-                }
-                PmeEngine::Replicated(engine)
-            }
-            // The spatial engine balances through its own domain
-            // decomposition; capacity weights apply to slab planes only.
-            PmeImpl::Spatial => PmeEngine::Spatial(
-                SpatialPme::new(params, p).with_force_combine(tuning.force_combine),
-            ),
-        }),
-        EnergyModel::Classic => None,
+    /// Rolls `rank` and the energy log back to this checkpoint, in the
+    /// caller's phase: the restore is charged as the local copy it is
+    /// and the pair list is brought back in step with the restored
+    /// coordinates. Returns the step to resume from and the watchdog's
+    /// drift reference for the truncated log — the reference must roll
+    /// back with the state: one taken from a now-truncated (possibly
+    /// corrupted) step would condemn a perfectly clean re-run.
+    fn rewind(
+        &self,
+        comm: &mut Comm<'_>,
+        rank: &mut RankMd<'_>,
+        energies: &mut Vec<StepEnergies>,
+    ) -> (usize, Option<f64>) {
+        rank.sys.positions.clone_from(&self.positions);
+        rank.sys.velocities.clone_from(&self.velocities);
+        rank.forces.clone_from(&self.forces);
+        energies.truncate(self.step);
+        comm.ctx().charge_compute(CKPT_BYTE_COST * self.bytes());
+        rank.refresh_list(comm);
+        (self.step, drift_reference(energies))
     }
 }
 
-/// ABFT evidence gathered as side reads during one force evaluation.
-#[derive(Debug, Clone, Copy, Default)]
-struct EvalProbe {
-    /// Digest over the combined classic partial energies and forces.
-    classic_digest: u64,
-    /// Newton's-third-law residual over the classic (pairwise) forces.
-    force_sum_residual: f64,
-    /// PME grid-charge residual (0 without PME).
-    grid_residual: f64,
-    /// Corrupted distributed-FFT transpose blocks (0 without PME).
-    transpose_faults: usize,
+/// The total energy the watchdog measures drift against: the first
+/// recorded step's, once it is finite.
+fn drift_reference(energies: &[StepEnergies]) -> Option<f64> {
+    energies
+        .first()
+        .map(StepEnergies::total)
+        .filter(|e| e.is_finite())
 }
 
 /// Classifies probe evidence against the armed tolerances.
@@ -428,73 +454,6 @@ fn probe_corruption(
     None
 }
 
-/// One full force evaluation over the *current* communicator (same
-/// structure as the closure in [`crate::driver::run_parallel_md`], but
-/// a free function so the PME engine can be rebuilt after a shrink).
-#[allow(clippy::too_many_arguments)]
-fn eval_forces(
-    comm: &mut Comm<'_>,
-    sys: &System,
-    list: &mut NeighborList,
-    opts: &NonbondedOptions,
-    cost: &CostModel,
-    tuning: CommTuning,
-    ppme: Option<&PmeEngine>,
-    caps: Option<&[f64]>,
-    abft: &AbftConfig,
-) -> (Vec<Vec3>, f64, f64, EvalProbe) {
-    let p = comm.size();
-    comm.ctx().set_phase(Phase::Classic);
-    if list.needs_rebuild(&sys.pbox, &sys.positions) {
-        list.rebuild(&sys.topology, &sys.pbox, &sys.positions);
-        comm.ctx()
-            .charge_compute(list.pairs.len() as f64 * 2.5 * cost.list_build_pair / p as f64);
-    }
-    comm.barrier();
-    let classic = classic_energy_parallel_weighted(
-        comm,
-        sys,
-        &list.pairs,
-        opts,
-        cost,
-        tuning.force_combine,
-        caps,
-        // Faults, SDC and ABFT repairs change state out of band: a
-        // perturbed run always computes.
-        None,
-    );
-    let mut probe = EvalProbe::default();
-    if abft.enabled {
-        // Side reads over the reduced array: a digest for replica
-        // voting and the Newton invariant. The pairwise forces cancel
-        // exactly up to reassociation noise; PME interpolation forces
-        // do not, so the invariant is checked on the classic part.
-        comm.ctx()
-            .charge_compute(2.0 * sys.n_atoms() as f64 * cost.conv_point);
-        probe.classic_digest = classic.abft_digest();
-        probe.force_sum_residual = cpc_md::abft::force_sum_residual(&classic.forces);
-    }
-    let classic_energy = classic.energy();
-    let mut forces = classic.forces;
-    let mut pme_energy = 0.0;
-    if let Some(ppme) = ppme {
-        let kr = match ppme {
-            PmeEngine::Replicated(e) => e.energy_forces(comm, sys, cost),
-            PmeEngine::Spatial(e) => e.energy_forces(comm, sys, cost),
-        };
-        for (f, kf) in forces.iter_mut().zip(&kr.forces) {
-            *f += *kf;
-        }
-        pme_energy = kr.energy();
-        if let Some(p) = kr.abft {
-            probe.grid_residual = p.grid_residual;
-            probe.transpose_faults = p.transpose_faults;
-        }
-        comm.barrier();
-    }
-    (forces, classic_energy, pme_energy, probe)
-}
-
 /// Per-rank payload returned by the fault-tolerant closure.
 struct RankRun {
     energies: Vec<StepEnergies>,
@@ -503,7 +462,6 @@ struct RankRun {
     recoveries: usize,
     watchdog_trips: usize,
     diverged: bool,
-    resumed_from: Option<u64>,
     sdc_fired: usize,
     evicted: bool,
     rebalances: usize,
@@ -521,8 +479,11 @@ struct RankRun {
 ///
 /// Each step: poll for this rank's own scheduled crash, exchange
 /// heartbeats, recover if anyone died, then run one velocity-Verlet
-/// step. Recovery (membership shrink, checkpoint restore, engine
-/// rebuild, re-synchronization) is booked under [`Phase::Recovery`].
+/// step — the three moves of [`crate::rank`], the same ones
+/// [`crate::driver::run_parallel_md`] loops over, with this driver's
+/// hooks between them. Recovery (membership shrink, checkpoint restore,
+/// engine rebuild, re-synchronization) is booked under
+/// [`Phase::Recovery`].
 ///
 /// With an all-zero plan the trajectory is bit-identical to
 /// [`crate::driver::run_parallel_md`]'s (the heartbeats add control
@@ -543,18 +504,9 @@ pub fn run_parallel_md_faulty(
     cfg: &MdConfig,
     fault: &FaultConfig,
 ) -> Result<FtReport, SimError> {
-    let opts = match cfg.model {
-        EnergyModel::Classic => NonbondedOptions::classic(),
-        EnergyModel::Pme(p) => NonbondedOptions::pme_direct(p.beta),
-    };
-    let model = cfg.model;
     let steps = cfg.steps;
-    let dt = cfg.dt;
-    let middleware = cfg.middleware;
-    let tuning = cfg.tuning;
-    let pme_impl = cfg.pme_impl;
     let ckpt_every = fault.checkpoint_interval.max(1);
-    let durable = fault.durable.clone();
+    let durable = fault.durable.as_ref();
     let watchdog = fault.watchdog;
     let recovery = fault.recovery;
     let hb_interval = recovery.heartbeat_interval.max(1);
@@ -562,47 +514,30 @@ pub fn run_parallel_md_faulty(
     let storage_schedule = fault.plan.storage_schedule();
     let sdc_schedule = fault.plan.sdc_schedule();
 
-    // Pre-flight for resume requests: distinguish "nothing durable yet"
-    // (a fresh start is the correct behaviour) from "generations exist
-    // and every one is corrupt" (restarting from step 0 would silently
-    // discard the durable state, so the run is classified as diverged
-    // before a single step is taken).
-    if let Some(d) = durable.as_ref().filter(|d| d.resume) {
-        let store =
-            CheckpointStore::open(&d.dir, d.keep).expect("checkpoint directory must be creatable");
-        if let Err(e @ RestoreError::NoIntactGeneration { .. }) = store.restore_strict() {
-            return Ok(FtReport {
-                report: RunReport {
-                    cluster: cfg.cluster,
-                    middleware: cfg.middleware,
-                    steps: cfg.steps,
-                    per_rank: Vec::new(),
-                    wall_time: 0.0,
-                    step_energies: Vec::new(),
-                    final_positions: Vec::new(),
-                    final_velocities: Vec::new(),
-                },
-                crashed_ranks: Vec::new(),
-                survivors: cfg.cluster.ranks,
-                recoveries: 0,
-                recovery_time: 0.0,
-                watchdog_trips: 0,
-                diverged: true,
-                resumed_from: None,
-                sdc_events: 0,
-                restore_failure: Some(e.to_string()),
-                completed: false,
-                rebalances: 0,
-                evictions: 0,
-                evicted_ranks: Vec::new(),
-                phi_max: 0.0,
-                srtt_max: 0.0,
-                abft_detections: 0,
-                abft_recomputes: 0,
-                corruptions: Vec::new(),
-            });
+    // A resume request is resolved once, before any rank exists, so
+    // every rank fast-forwards from the same snapshot without any
+    // communication. "Nothing durable yet" is a fresh start; a store
+    // that cannot be read, or whose every generation is corrupt, is
+    // not — restarting from step 0 would silently discard the durable
+    // state, so the run is classified before a single step is taken.
+    let mut resumed: Option<(u64, MdSnapshot)> = None;
+    if let Some(d) = durable.filter(|d| d.resume) {
+        let hit = CheckpointStore::open(&d.dir, d.keep)
+            .map_err(RestoreError::from)
+            .and_then(|store| store.restore_strict());
+        match hit {
+            Ok(hit) => resumed = hit.filter(|(_, s)| s.positions.len() == system.n_atoms()),
+            Err(e) => return Ok(FtReport::unrecoverable(cfg, e.to_string())),
         }
     }
+    let resumed_from = resumed.as_ref().map(|(gen, _)| *gen);
+    // The pair list is built from the start state — the restored
+    // coordinates on a resume — once, and borrowed by every rank.
+    let mut start = Cow::Borrowed(system);
+    if let Some((_, snap)) = &resumed {
+        snap.restore_into(start.to_mut());
+    }
+    let list = initial_list(&start, cfg.model);
 
     // One storage-fault cursor for the whole run: the per-rank stores
     // all model the same disk, and the writer role migrates after a
@@ -612,28 +547,27 @@ pub fn run_parallel_md_faulty(
 
     let outcomes = run_cluster_faulty(cfg.cluster, fault.plan.clone(), |ctx| {
         let cost = ctx.config().cost;
-        let mut comm = Comm::new(ctx, middleware);
-        let mut sys = system.clone();
-        let mut ppme = make_pme(model, pme_impl, tuning, comm.size(), None, abft.enabled);
+        let mut comm = Comm::new(ctx, cfg.middleware);
+        // Faults, SDC and ABFT repairs change state out of band: a
+        // perturbed run always computes, so no kernel memo.
+        let mut rank = RankMd::new(&mut comm, cfg, &start, &list, None, abft.enabled);
+        let n = rank.sys.n_atoms();
 
         // Adaptive-degradation state. The detector is indexed by engine
         // rank (stable across shrinks) and replicated by construction:
         // every member folds the identical set of heartbeat reports, so
         // suspect/evict/rebalance verdicts agree without any extra
-        // agreement round. `caps` are the current capacity weights of
-        // the live members in logical-rank order (`None` = uniform,
-        // the exact legacy cuts).
+        // agreement round.
         let mut det = FailureDetector::new(comm.size(), recovery.detector);
-        let mut caps: Option<Vec<f64>> = None;
         let mut last_unit_cost = -1.0f64; // "no data yet" sentinel
         let mut rebalances = 0usize;
         let mut evictions = 0usize;
         let mut evicted = false;
 
-        // Durable store, when configured: every rank opens it (and can
-        // read for resume), only the lowest live member writes. All
-        // store I/O is real file I/O outside the virtual clock.
-        let mut store = durable.as_ref().map(|d| {
+        // Durable store, when configured: every rank opens it, only the
+        // lowest live member writes. All store I/O is real file I/O
+        // outside the virtual clock.
+        let mut store = durable.map(|d| {
             CheckpointStore::open(&d.dir, d.keep)
                 .expect("checkpoint directory must be creatable")
                 .with_fault_cursor(storage_schedule.clone(), storage_cursor.clone())
@@ -644,18 +578,10 @@ pub fn run_parallel_md_faulty(
         // even across watchdog or crash rollbacks: the cosmic ray hit
         // once, and a re-run of the rolled-back window replays clean
         // state.
-        let sdc_positions: Vec<SdcFault> = sdc_schedule
+        let (sdc_positions, sdc_forces): (Vec<SdcFault>, Vec<SdcFault>) = sdc_schedule
             .iter()
             .copied()
-            .filter(|s| s.target == SdcTarget::Positions)
-            .collect();
-        let sdc_forces: Vec<SdcFault> = sdc_schedule
-            .iter()
-            .copied()
-            .filter(|s| s.target == SdcTarget::Forces)
-            .collect();
-        let mut next_sdc_pos = 0usize;
-        let mut next_sdc_frc = 0usize;
+            .partition(|s| s.target == SdcTarget::Positions);
         let mut sdc_fired = 0usize;
 
         // ABFT bookkeeping: typed verdicts, counters, and the digest of
@@ -666,105 +592,40 @@ pub fn run_parallel_md_faulty(
         let mut corruptions: Vec<cpc_md::abft::Corruption> = Vec::new();
         let mut last_digest = -1.0f64;
 
-        // Resume happens before the first neighbour-list build so the
-        // list is built from the restored coordinates. Every rank reads
-        // the same newest intact snapshot, so all fast-forward
-        // identically without any communication.
-        let mut resume_snap: Option<(u64, MdSnapshot)> = None;
-        if durable.as_ref().is_some_and(|d| d.resume) {
-            if let Some(store) = store.as_ref() {
-                let (hit, _skipped) = store
-                    .restore_newest_intact()
-                    .expect("checkpoint directory must be readable");
-                if let Some((gen, snap)) = hit {
-                    if snap.positions.len() == sys.n_atoms() {
-                        snap.restore_into(&mut sys);
-                        resume_snap = Some((gen, snap));
-                    }
-                }
-            }
-        }
-
-        comm.ctx().set_phase(Phase::Classic);
-        let mut list =
-            NeighborList::build(&sys.topology, &sys.pbox, &sys.positions, opts.cutoff, SKIN);
-        let build_cost = list.pairs.len() as f64 * 2.5 * cost.list_build_pair / comm.size() as f64;
-        comm.ctx().charge_compute(build_cost);
-
         let mut energies_log: Vec<StepEnergies> = Vec::with_capacity(steps);
         let mut step = 0usize;
-        let mut resumed_from: Option<u64> = None;
-        let mut forces: Vec<Vec3>;
-        let mut ckpt: Checkpoint;
-        if let Some((gen, snap)) = resume_snap {
+        if let Some((_, snap)) = &resumed {
             // Fast-forward: the snapshot replaces the initial force
-            // evaluation; reading it back is charged like a checkpoint
-            // restore.
-            forces = snap.forces.clone();
+            // evaluation.
+            rank.forces.clone_from(&snap.forces);
             step = snap.step as usize;
             energies_log.extend(snap.aux.iter().map(|e| StepEnergies {
                 classic: e[0],
                 pme: e[1],
                 kinetic: e[2],
             }));
-            ckpt = Checkpoint {
-                step,
-                positions: sys.positions.clone(),
-                velocities: sys.velocities.clone(),
-                forces: forces.clone(),
-            };
-            comm.ctx().set_phase(Phase::Other);
-            comm.ctx().charge_compute(CKPT_BYTE_COST * ckpt.bytes());
-            resumed_from = Some(gen);
         } else {
-            let (f, _, _, _) = eval_forces(
-                &mut comm,
-                &sys,
-                &mut list,
-                &opts,
-                &cost,
-                tuning,
-                ppme.as_ref(),
-                None,
-                &abft,
-            );
-            forces = f;
-
-            // Step-0 checkpoint, so even an immediate crash is recoverable.
-            ckpt = Checkpoint {
-                step: 0,
-                positions: sys.positions.clone(),
-                velocities: sys.velocities.clone(),
-                forces: forces.clone(),
-            };
-            comm.ctx().set_phase(Phase::Other);
-            comm.ctx().charge_compute(CKPT_BYTE_COST * ckpt.bytes());
-            if comm.rank() == 0 {
-                if let Some(store) = store.as_mut() {
-                    let snap = durable_snapshot(&sys, &forces, &energies_log, 0);
-                    let now = comm.ctx().now();
-                    store.save(&snap, now).expect("durable checkpoint write");
-                }
-            }
+            rank.forces = rank.evaluate(&mut comm).forces;
         }
+        // First checkpoint, so even an immediate crash is recoverable.
+        // On a resume it is what was just read back: charged like a
+        // restore, and already durable.
+        let persist = if resumed.is_some() {
+            None
+        } else {
+            store.as_mut()
+        };
+        let mut ckpt = Checkpoint::take(&mut comm, &rank, step, &energies_log, persist);
 
         // SDC events from steps a previous process already completed
         // fired in that process; a resumed run must not re-fire them.
-        while next_sdc_pos < sdc_positions.len() && sdc_positions[next_sdc_pos].step <= step as u64
-        {
-            next_sdc_pos += 1;
-        }
-        while next_sdc_frc < sdc_forces.len() && sdc_forces[next_sdc_frc].step <= step as u64 {
-            next_sdc_frc += 1;
-        }
+        let mut next_sdc_pos = sdc_positions.partition_point(|s| s.step <= step as u64);
+        let mut next_sdc_frc = sdc_forces.partition_point(|s| s.step <= step as u64);
 
         let mut recoveries = 0usize;
         let mut watchdog_trips = 0usize;
         let mut diverged = false;
-        let mut e_ref: Option<f64> = energies_log
-            .first()
-            .map(|e| e.classic + e.pme + e.kinetic)
-            .filter(|e| e.is_finite());
+        let mut e_ref = drift_reference(&energies_log);
         loop {
             // Failure-detection epoch, gated to the heartbeat cadence:
             // my own scheduled crash first (a rank either heartbeats or
@@ -803,35 +664,15 @@ pub fn run_parallel_md_faulty(
                     }
                 }
                 if !dead.is_empty() {
-                    // Recovery: agree on membership, roll back, rebuild.
+                    // Recovery: agree on membership, re-derive the
+                    // uniform decomposition over the survivors (capacity
+                    // weights are stale for the new membership, and the
+                    // slab-partitioned PME state has the old width),
+                    // roll back.
                     comm.ctx().set_phase(Phase::Recovery);
                     comm.shrink(&dead);
-                    sys.positions.clone_from(&ckpt.positions);
-                    sys.velocities.clone_from(&ckpt.velocities);
-                    forces.clone_from(&ckpt.forces);
-                    step = ckpt.step;
-                    energies_log.truncate(step);
-                    // The drift reference must roll back with the state: a
-                    // reference taken from a now-truncated (possibly
-                    // corrupted) step would keep tripping the watchdog on
-                    // a perfectly clean re-run.
-                    e_ref = energies_log
-                        .first()
-                        .map(|e| e.classic + e.pme + e.kinetic)
-                        .filter(|e| e.is_finite());
-                    comm.ctx().charge_compute(CKPT_BYTE_COST * ckpt.bytes());
-                    // The decomposition width changed: capacity weights
-                    // are stale for the new membership and the
-                    // slab-partitioned PME state must be rebuilt for
-                    // the surviving ranks.
-                    caps = None;
-                    ppme = make_pme(model, pme_impl, tuning, comm.size(), None, abft.enabled);
-                    if list.needs_rebuild(&sys.pbox, &sys.positions) {
-                        list.rebuild(&sys.topology, &sys.pbox, &sys.positions);
-                        let rebuild_cost = list.pairs.len() as f64 * 2.5 * cost.list_build_pair
-                            / comm.size() as f64;
-                        comm.ctx().charge_compute(rebuild_cost);
-                    }
+                    rank.repartition(comm.size(), None);
+                    (step, e_ref) = ckpt.rewind(&mut comm, &mut rank, &mut energies_log);
                     recoveries += 1;
                     // Re-synchronize the survivors before resuming; a
                     // straggling crash notice must not be mistaken for
@@ -847,51 +688,23 @@ pub fn run_parallel_md_faulty(
 
             // One velocity-Verlet step over the current members.
             let computing = (step + 1) as u64;
-            let p = comm.size();
             comm.ctx().set_phase(Phase::Integrate);
-            let n = sys.n_atoms();
-            let my_atoms = crate::decomp::block_range(n, p, comm.rank());
 
             // ABFT redundant integration: predict the post-drift
             // positions of *all* atoms from the replicated prior state
-            // with element-wise identical arithmetic, so the prediction
-            // is bit-exact equal to what the owners publish below.
-            // Verified against per-tile checksums after the exchange
-            // (and after any scheduled corruption lands), it both
-            // detects a flipped bit and doubles as the repair source.
+            // with the owners' own arithmetic, so the prediction is
+            // bit-exact equal to what they publish below. Verified
+            // against per-tile checksums after the exchange (and after
+            // any scheduled corruption lands), it both detects a
+            // flipped bit and doubles as the repair source.
             let abft_pred: Vec<Vec3> = if abft.enabled {
                 comm.ctx().charge_compute(n as f64 * cost.integrate_atom);
-                (0..n)
-                    .map(|i| {
-                        let inv_m = ACCEL_CONV / sys.topology.atoms[i].class.mass();
-                        let v_half = sys.velocities[i] + forces[i] * (0.5 * dt * inv_m);
-                        sys.positions[i] + v_half * dt
-                    })
-                    .collect()
+                (0..n).map(|i| rank.drifted(i)).collect()
             } else {
                 Vec::new()
             };
 
-            for i in my_atoms.clone() {
-                let inv_m = ACCEL_CONV / sys.topology.atoms[i].class.mass();
-                let v_half = sys.velocities[i] + forces[i] * (0.5 * dt * inv_m);
-                sys.velocities[i] = v_half;
-                sys.positions[i] += v_half * dt;
-            }
-            comm.ctx()
-                .charge_compute(my_atoms.len() as f64 * cost.integrate_atom);
-
-            let mine: Vec<f64> = sys.positions[my_atoms.clone()]
-                .iter()
-                .flat_map(|v| [v.x, v.y, v.z])
-                .collect();
-            let parts = comm.allgather(mine);
-            for (src, part) in parts.iter().enumerate() {
-                let range = crate::decomp::block_range(n, p, src);
-                for (k, i) in range.enumerate() {
-                    sys.positions[i] = Vec3::new(part[3 * k], part[3 * k + 1], part[3 * k + 2]);
-                }
-            }
+            rank.drift(&mut comm);
 
             // Scheduled position corruption lands on the fully
             // replicated post-exchange array: every rank applies the
@@ -899,11 +712,11 @@ pub fn run_parallel_md_faulty(
             // fault is silent by construction. The flip is pure bit
             // arithmetic — no RNG draw, no virtual time — so timing
             // figures are untouched.
-            while next_sdc_pos < sdc_positions.len()
-                && sdc_positions[next_sdc_pos].step <= computing
+            while let Some(s) = sdc_positions
+                .get(next_sdc_pos)
+                .filter(|s| s.step <= computing)
             {
-                let s = sdc_positions[next_sdc_pos];
-                cpc_md::sdc::flip_vec3_bit(&mut sys.positions, s.atom, s.axis, s.bit);
+                cpc_md::sdc::flip_vec3_bit(&mut rank.sys.positions, s.atom, s.axis, s.bit);
                 next_sdc_pos += 1;
                 sdc_fired += 1;
             }
@@ -917,7 +730,7 @@ pub fn run_parallel_md_faulty(
             if abft.enabled {
                 comm.ctx().charge_compute(2.0 * n as f64 * cost.conv_point);
                 let want = cpc_md::abft::tile_digests(&abft_pred, abft.tile);
-                let got = cpc_md::abft::tile_digests(&sys.positions, abft.tile);
+                let got = cpc_md::abft::tile_digests(&rank.sys.positions, abft.tile);
                 for t in cpc_md::abft::mismatched_tiles(&want, &got) {
                     abft_detections += 1;
                     abft_recomputes += 1;
@@ -927,23 +740,13 @@ pub fn run_parallel_md_faulty(
                     });
                     let lo = t * abft.tile.max(1);
                     let hi = (lo + abft.tile.max(1)).min(n);
-                    sys.positions[lo..hi].copy_from_slice(&abft_pred[lo..hi]);
+                    rank.sys.positions[lo..hi].copy_from_slice(&abft_pred[lo..hi]);
                     comm.ctx()
                         .charge_compute((hi - lo) as f64 * cost.integrate_atom);
                 }
             }
 
-            let (mut new_forces, mut e_classic, mut e_pme, mut probe) = eval_forces(
-                &mut comm,
-                &sys,
-                &mut list,
-                &opts,
-                &cost,
-                tuning,
-                ppme.as_ref(),
-                caps.as_deref(),
-                &abft,
-            );
+            let mut eval = rank.evaluate(&mut comm);
 
             // ABFT in-evaluation invariants (Newton force sum, PME grid
             // charge, transpose block checksums): a violation means the
@@ -952,7 +755,7 @@ pub fn run_parallel_md_faulty(
             // rollback rung when the budget is exhausted.
             if abft.enabled {
                 let mut attempts = 0usize;
-                while let Some(c) = probe_corruption(&probe, &abft, computing) {
+                while let Some(c) = probe_corruption(&eval.probe, &abft, computing) {
                     abft_detections += 1;
                     corruptions.push(c);
                     if attempts >= abft.max_recomputes {
@@ -961,17 +764,7 @@ pub fn run_parallel_md_faulty(
                     }
                     attempts += 1;
                     abft_recomputes += 1;
-                    (new_forces, e_classic, e_pme, probe) = eval_forces(
-                        &mut comm,
-                        &sys,
-                        &mut list,
-                        &opts,
-                        &cost,
-                        tuning,
-                        ppme.as_ref(),
-                        caps.as_deref(),
-                        &abft,
-                    );
+                    eval = rank.evaluate(&mut comm);
                 }
             }
 
@@ -980,18 +773,17 @@ pub fn run_parallel_md_faulty(
             // right before the kick consumes it.
             let abft_force_digests = if abft.enabled {
                 comm.ctx().charge_compute(n as f64 * cost.conv_point);
-                cpc_md::abft::tile_digests(&new_forces, abft.tile)
+                cpc_md::abft::tile_digests(&eval.forces, abft.tile)
             } else {
                 Vec::new()
             };
-            forces = new_forces;
+            rank.forces = std::mem::take(&mut eval.forces);
 
             // Force corruption strikes the freshly evaluated array
             // before the second half-kick, so the corrupted value
             // propagates into the velocities exactly once.
-            while next_sdc_frc < sdc_forces.len() && sdc_forces[next_sdc_frc].step <= computing {
-                let s = sdc_forces[next_sdc_frc];
-                cpc_md::sdc::flip_vec3_bit(&mut forces, s.atom, s.axis, s.bit);
+            while let Some(s) = sdc_forces.get(next_sdc_frc).filter(|s| s.step <= computing) {
+                cpc_md::sdc::flip_vec3_bit(&mut rank.forces, s.atom, s.axis, s.bit);
                 next_sdc_frc += 1;
                 sdc_fired += 1;
             }
@@ -1003,7 +795,7 @@ pub fn run_parallel_md_faulty(
             // to the rollback rung of the degradation ladder.
             if abft.enabled {
                 comm.ctx().charge_compute(n as f64 * cost.conv_point);
-                let got = cpc_md::abft::tile_digests(&forces, abft.tile);
+                let got = cpc_md::abft::tile_digests(&rank.forces, abft.tile);
                 let bad = cpc_md::abft::mismatched_tiles(&abft_force_digests, &got);
                 if !bad.is_empty() {
                     for &t in &bad {
@@ -1014,54 +806,25 @@ pub fn run_parallel_md_faulty(
                         });
                     }
                     abft_recomputes += 1;
-                    let (rf, rc, rp, rprobe) = eval_forces(
-                        &mut comm,
-                        &sys,
-                        &mut list,
-                        &opts,
-                        &cost,
-                        tuning,
-                        ppme.as_ref(),
-                        caps.as_deref(),
-                        &abft,
-                    );
-                    let again = cpc_md::abft::tile_digests(&rf, abft.tile);
-                    if cpc_md::abft::mismatched_tiles(&abft_force_digests, &again).is_empty()
-                        && probe_corruption(&rprobe, &abft, computing).is_none()
+                    let mut again = rank.evaluate(&mut comm);
+                    let redone = cpc_md::abft::tile_digests(&again.forces, abft.tile);
+                    if cpc_md::abft::mismatched_tiles(&abft_force_digests, &redone).is_empty()
+                        && probe_corruption(&again.probe, &abft, computing).is_none()
                     {
-                        forces = rf;
-                        e_classic = rc;
-                        e_pme = rp;
-                        probe = rprobe;
+                        rank.forces = std::mem::take(&mut again.forces);
+                        eval = again;
                     } else {
                         abft_escalate = true;
                     }
                 }
             }
 
-            comm.ctx().set_phase(Phase::Integrate);
-            for i in my_atoms.clone() {
-                let inv_m = ACCEL_CONV / sys.topology.atoms[i].class.mass();
-                sys.velocities[i] += forces[i] * (0.5 * dt * inv_m);
-            }
-            comm.ctx()
-                .charge_compute(my_atoms.len() as f64 * cost.integrate_atom);
-            let mine: Vec<f64> = sys.velocities[my_atoms.clone()]
-                .iter()
-                .flat_map(|v| [v.x, v.y, v.z])
-                .collect();
-            let parts = comm.allgather(mine);
-            for (src, part) in parts.iter().enumerate() {
-                let range = crate::decomp::block_range(n, p, src);
-                for (k, i) in range.enumerate() {
-                    sys.velocities[i] = Vec3::new(part[3 * k], part[3 * k + 1], part[3 * k + 2]);
-                }
-            }
+            rank.kick(&mut comm);
 
             energies_log.push(StepEnergies {
-                classic: e_classic,
-                pme: e_pme,
-                kinetic: sys.kinetic_energy(),
+                classic: eval.classic,
+                pme: eval.pme,
+                kinetic: rank.sys.kinetic_energy(),
             });
             step += 1;
 
@@ -1072,9 +835,9 @@ pub fn run_parallel_md_faulty(
             if abft.enabled {
                 comm.ctx().charge_compute(n as f64 * cost.conv_point);
                 let step_digest = cpc_md::abft::combine_digests(&[
-                    probe.classic_digest,
-                    cpc_md::abft::vec3_digest(&forces),
-                    cpc_md::abft::scalar_digest(&[e_classic, e_pme]),
+                    eval.probe.classic_digest,
+                    cpc_md::abft::vec3_digest(&rank.forces),
+                    cpc_md::abft::scalar_digest(&[eval.classic, eval.pme]),
                 ]);
                 last_digest = (step_digest & cpc_md::abft::DIGEST_MASK) as f64;
             }
@@ -1085,11 +848,7 @@ pub fn run_parallel_md_faulty(
             // assignment (half the pairs on a 2x-slow node still cost
             // 2x per pair), so it localizes the *node*, not the cut.
             // Pure host-side arithmetic: no virtual time is charged.
-            let cuts = match &caps {
-                Some(c) => balanced_pair_cuts_weighted(&list.pairs, p, c),
-                None => balanced_pair_cuts(&list.pairs, p),
-            };
-            let units = (cuts[comm.rank() + 1] - cuts[comm.rank()]).max(1) as f64;
+            let units = rank.pair_share(&comm).max(1) as f64;
             let comp_after = comm.ctx().stats.total().comp;
             last_unit_cost = (comp_after - comp_before) / units;
 
@@ -1098,13 +857,14 @@ pub fn run_parallel_md_faulty(
             // like any other — roll back to the last good checkpoint
             // rather than checkpointing garbage. The check itself is
             // FT machinery and charges no virtual time.
-            let e_total = e_classic + e_pme + energies_log.last().map_or(0.0, |e| e.kinetic);
+            let e_total = eval.classic + eval.pme + energies_log.last().map_or(0.0, |e| e.kinetic);
             if e_ref.is_none() && e_total.is_finite() {
                 e_ref = Some(e_total);
             }
             let blown_up = abft_escalate
                 || !e_total.is_finite()
-                || sys
+                || rank
+                    .sys
                     .positions
                     .iter()
                     .any(|p| !(p.x.is_finite() && p.y.is_finite() && p.z.is_finite()))
@@ -1120,26 +880,7 @@ pub fn run_parallel_md_faulty(
                     break;
                 }
                 comm.ctx().set_phase(Phase::Recovery);
-                sys.positions.clone_from(&ckpt.positions);
-                sys.velocities.clone_from(&ckpt.velocities);
-                forces.clone_from(&ckpt.forces);
-                step = ckpt.step;
-                energies_log.truncate(step);
-                // Roll the drift reference back too: if the blow-up
-                // corrupted the reference step itself (an SDC flip on
-                // step 1), keeping the stale reference would condemn
-                // the clean re-run as diverged.
-                e_ref = energies_log
-                    .first()
-                    .map(|e| e.classic + e.pme + e.kinetic)
-                    .filter(|e| e.is_finite());
-                comm.ctx().charge_compute(CKPT_BYTE_COST * ckpt.bytes());
-                if list.needs_rebuild(&sys.pbox, &sys.positions) {
-                    list.rebuild(&sys.topology, &sys.pbox, &sys.positions);
-                    let rebuild_cost =
-                        list.pairs.len() as f64 * 2.5 * cost.list_build_pair / comm.size() as f64;
-                    comm.ctx().charge_compute(rebuild_cost);
-                }
+                (step, e_ref) = ckpt.rewind(&mut comm, &mut rank, &mut energies_log);
                 continue;
             }
 
@@ -1174,8 +915,7 @@ pub fn run_parallel_md_faulty(
                     comm.ctx().set_phase(Phase::Recovery);
                     comm.shrink(&[victim]);
                     det.forget(victim);
-                    caps = None;
-                    ppme = make_pme(model, pme_impl, tuning, comm.size(), None, abft.enabled);
+                    rank.repartition(comm.size(), None);
                     comm.ctx().charge_compute(CKPT_BYTE_COST * ckpt.bytes());
                     let _ = comm.try_barrier();
                 } else if recovery.rebalance {
@@ -1192,52 +932,29 @@ pub fn run_parallel_md_faulty(
                             let ratio = if cur > w { cur / w } else { w / cur };
                             ratio > recovery.rebalance_trigger
                         };
-                        let fire = match &caps {
+                        let fire = match rank.caps() {
                             Some(cur) => cur.iter().zip(&want).any(|(&c, &w)| off(c, w)),
                             None => want.iter().any(|&w| off(1.0, w)),
                         };
                         if fire {
                             rebalances += 1;
-                            ppme = make_pme(
-                                model,
-                                pme_impl,
-                                tuning,
-                                comm.size(),
-                                Some(&want),
-                                abft.enabled,
-                            );
-                            caps = Some(want);
+                            rank.repartition(comm.size(), Some(want));
                         }
                     }
                 }
             }
 
             if step.is_multiple_of(ckpt_every) {
-                ckpt = Checkpoint {
-                    step,
-                    positions: sys.positions.clone(),
-                    velocities: sys.velocities.clone(),
-                    forces: forces.clone(),
-                };
-                comm.ctx().set_phase(Phase::Other);
-                comm.ctx().charge_compute(CKPT_BYTE_COST * ckpt.bytes());
-                if comm.rank() == 0 {
-                    if let Some(store) = store.as_mut() {
-                        let snap = durable_snapshot(&sys, &forces, &energies_log, step);
-                        let now = comm.ctx().now();
-                        store.save(&snap, now).expect("durable checkpoint write");
-                    }
-                }
+                ckpt = Checkpoint::take(&mut comm, &rank, step, &energies_log, store.as_mut());
             }
         }
         RankRun {
             energies: energies_log,
-            positions: sys.positions,
-            velocities: sys.velocities,
+            positions: rank.sys.positions,
+            velocities: rank.sys.velocities,
             recoveries,
             watchdog_trips,
             diverged,
-            resumed_from,
             sdc_fired,
             evicted,
             rebalances,
@@ -1277,7 +994,6 @@ pub fn run_parallel_md_faulty(
     let mut recoveries = 0usize;
     let mut watchdog_trips = 0usize;
     let mut diverged = false;
-    let mut resumed_from = None;
     let mut sdc_events = 0usize;
     let mut rebalances = 0usize;
     let mut evictions = 0usize;
@@ -1298,9 +1014,6 @@ pub fn run_parallel_md_faulty(
             srtt_max = srtt_max.max(r.srtt_max);
             abft_detections = abft_detections.max(r.abft_detections);
             abft_recomputes = abft_recomputes.max(r.abft_recomputes);
-            if resumed_from.is_none() {
-                resumed_from = r.resumed_from;
-            }
             // Physics comes from the first rank that ran to the end; an
             // evicted member left at a boundary with a truncated log.
             if step_energies.is_empty() && !r.evicted {
@@ -1351,6 +1064,7 @@ mod tests {
     use super::*;
     use crate::driver::run_parallel_md;
     use cpc_cluster::{ClusterConfig, NetworkKind};
+    use cpc_md::energy::EnergyModel;
     use cpc_mpi::Middleware;
 
     fn test_system() -> System {
@@ -1389,6 +1103,21 @@ mod tests {
         // Heartbeats change timing, never physics: bit-identical state.
         assert_eq!(ft.report.final_positions, plain.final_positions);
         assert_eq!(ft.report.final_velocities, plain.final_velocities);
+        // The two loops differ by their hooks only: per rank the same
+        // payload, the same messages plus one heartbeat to every peer
+        // per epoch, and the same compute in every phase of the step.
+        let heartbeats = ((cfg.steps + 1) * (cfg.cluster.ranks - 1)) as u64;
+        for (a, b) in ft.report.per_rank.iter().zip(&plain.per_rank) {
+            assert_eq!(a.bytes_sent, b.bytes_sent);
+            assert_eq!(a.msgs_sent, b.msgs_sent + heartbeats);
+            for phase in [Phase::Classic, Phase::Pme, Phase::Integrate] {
+                assert_eq!(
+                    a.bucket(phase).comp.to_bits(),
+                    b.bucket(phase).comp.to_bits(),
+                    "{phase:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1871,6 +1600,23 @@ mod tests {
         assert!(reason.contains("corrupt"), "reason: {reason}");
         assert_eq!(ft.resumed_from, None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_from_a_path_that_is_a_regular_file_reports_restore_failure() {
+        // The store cannot even be opened: same classification as the
+        // all-corrupt case, not a panic in every rank thread.
+        let path = tmp_ckpt_dir("notadir");
+        std::fs::write(&path, b"not a directory").unwrap();
+        let resumed_cfg =
+            FaultConfig::default().with_durable(DurableConfig::new(&path).with_resume(true));
+        let ft = run_parallel_md_faulty(&test_system(), &test_cfg(3, 4), &resumed_cfg).unwrap();
+        assert!(ft.diverged);
+        assert!(!ft.completed);
+        assert_eq!(ft.resumed_from, None);
+        let reason = ft.restore_failure.expect("the failure is reported");
+        assert!(reason.contains("unreadable"), "reason: {reason}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

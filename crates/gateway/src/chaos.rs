@@ -269,7 +269,7 @@ mod tests {
         let limits = cfg.limits.clone();
         let gw = std::sync::Mutex::new(Gateway::open(cfg, model).unwrap());
 
-        let overruns: usize = cpc_pool::scope(|s| {
+        let overruns: usize = std::thread::scope(|s| {
             let handles: Vec<_> = (0..WORKERS)
                 .map(|_| {
                     let (gw, limits) = (&gw, &limits);

@@ -30,7 +30,7 @@ use crate::http::{read_request, write_response, Conn, HttpLimits, Response};
 use crate::tenancy::{DrrScheduler, TenantPolicy};
 use cpc_cluster::RttEstimator;
 use cpc_pool::{Pool, SchedChaos};
-use cpc_vfs::{atomic_publish, is_enospc, real_fs, SharedFs};
+use cpc_vfs::{atomic_publish, fnv1a64, is_enospc, real_fs, SharedFs};
 use cpc_workload::service::{
     task_key, Batch, JobService, KillPoint, ServiceConfig, ServiceOutcome, Settled, StepOutcome,
 };
@@ -244,15 +244,6 @@ pub struct Gateway<M: CampaignModel> {
     ticket_out: bool,
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn io_err(msg: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
@@ -351,7 +342,7 @@ impl<M: CampaignModel> Gateway<M> {
     /// dead-letter. A drained queue alone is not enough — a torn
     /// result-journal write can destroy committed results while the
     /// queue still carries their done markers, and such a campaign
-    /// must keep pumping so [`JobService::step`] heals the misses.
+    /// must keep pumping so [`JobService::collect_batch`] heals the misses.
     fn settled(out: &ServiceOutcome) -> bool {
         out.drained && out.completed + out.abandoned >= out.total
     }
@@ -937,9 +928,14 @@ impl<M: CampaignModel> Gateway<M> {
     /// acknowledged — chaos drivers replay this set across restarts
     /// for the acked-then-lost oracle.
     pub fn result_keys(&self, id: &str) -> Option<Vec<String>> {
-        self.index
-            .get(id)
-            .map(|&i| self.campaigns[i].service.results().keys().cloned().collect())
+        self.index.get(id).map(|&i| {
+            self.campaigns[i]
+                .service
+                .results()
+                .keys()
+                .cloned()
+                .collect()
+        })
     }
 
     /// The gateway configuration.

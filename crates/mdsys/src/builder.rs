@@ -542,12 +542,9 @@ fn add_sulfate(topo: &mut Topology, positions: &mut Vec<Vec3>, at: Vec3) {
     }
 }
 
-/// Lattice points at least 3.0 A away from every existing atom.
-///
-/// The candidate scan is embarrassingly parallel; rayon's ordered
-/// `filter`/`collect` keeps the result deterministic.
+/// Lattice points at least 3.0 A away from every existing atom, in
+/// lattice order.
 fn solvent_sites(pbox: &PbcBox, occupied: &[Vec3]) -> Vec<Vec3> {
-    use rayon::prelude::*;
     let spacing = 3.1;
     let clear = 3.0;
     let clear2 = clear * clear;
@@ -558,7 +555,6 @@ fn solvent_sites(pbox: &PbcBox, occupied: &[Vec3]) -> Vec<Vec3> {
     ];
     let total = counts[0] * counts[1] * counts[2];
     (0..total)
-        .into_par_iter()
         .filter_map(|idx| {
             let ix = idx / (counts[1] * counts[2]);
             let iy = (idx / counts[2]) % counts[1];

@@ -27,9 +27,8 @@ use crate::faults::{FaultPlan, LinkFault};
 use crate::netmodel::{NetworkParams, OpShape, TransferCtx};
 use crate::rng::SplitMix64;
 use crate::stats::{MsgClass, Phase, RankStats, ThroughputSample};
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Reserved tag carried by crash notices. User code must not send with
 /// this tag.
@@ -202,9 +201,39 @@ fn stall_unwind(rank: usize, tag: u64, waited: f64) -> ! {
     }));
 }
 
+#[derive(Default)]
 struct Mailbox {
     queue: Mutex<VecDeque<Msg>>,
     cv: Condvar,
+}
+
+impl Mailbox {
+    /// Locks the queue, poisoned or not. A stalled receive unwinds
+    /// with its own mailbox guard held, and its peers must keep
+    /// posting to it (sends in flight, crash notices) rather than die
+    /// of the poison; every update is one `push_back` or `remove`, so
+    /// the queue is whole wherever a holder unwound.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Msg>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn post(&self, msg: Msg) {
+        self.lock().push_back(msg);
+        self.cv.notify_all();
+    }
+
+    /// Gives `q` up until the next post, or `timeout`.
+    fn wait<'a>(
+        &self,
+        q: MutexGuard<'a, VecDeque<Msg>>,
+        timeout: std::time::Duration,
+    ) -> MutexGuard<'a, VecDeque<Msg>> {
+        let (q, _) = self
+            .cv
+            .wait_timeout(q, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        q
+    }
 }
 
 struct Shared {
@@ -317,8 +346,7 @@ impl RankCtx {
             if dst == self.rank {
                 continue;
             }
-            let mb = &self.shared.mailboxes[dst];
-            mb.queue.lock().push_back(Msg {
+            self.shared.mailboxes[dst].post(Msg {
                 src: self.rank,
                 tag: CRASH_TAG,
                 data: Vec::new(),
@@ -328,7 +356,6 @@ impl RankCtx {
                 arrival: self.clock,
                 lost: false,
             });
-            mb.cv.notify_all();
         }
         // resume_unwind skips the panic hook: a simulated crash is not
         // a bug and must not spam stderr with backtraces.
@@ -430,9 +457,7 @@ impl RankCtx {
             arrival,
             lost: !t.delivered,
         };
-        let mb = &self.shared.mailboxes[dst];
-        mb.queue.lock().push_back(msg);
-        mb.cv.notify_all();
+        self.shared.mailboxes[dst].post(msg);
         SendOutcome {
             delivered: t.delivered,
             retransmits: t.retransmits,
@@ -458,7 +483,7 @@ impl RankCtx {
             let stall_limit = std::time::Duration::from_secs_f64(self.shared.config.stall_timeout);
             let started = std::time::Instant::now();
             let mb = &self.shared.mailboxes[self.rank];
-            let mut q = mb.queue.lock();
+            let mut q = mb.lock();
             loop {
                 if let Some(pos) = q
                     .iter()
@@ -470,7 +495,7 @@ impl RankCtx {
                 if waited >= stall_limit {
                     stall_unwind(self.rank, tag, waited.as_secs_f64());
                 }
-                mb.cv.wait_for(&mut q, stall_limit - waited);
+                q = mb.wait(q, stall_limit - waited);
             }
         };
         self.complete_recv(msg)
@@ -492,7 +517,7 @@ impl RankCtx {
             let stall_limit = std::time::Duration::from_secs_f64(self.shared.config.stall_timeout);
             let started = std::time::Instant::now();
             let mb = &self.shared.mailboxes[self.rank];
-            let mut q = mb.queue.lock();
+            let mut q = mb.lock();
             loop {
                 // FIFO per channel: take the first matching message,
                 // delivered or tombstone, in arrival order.
@@ -518,7 +543,7 @@ impl RankCtx {
                 if waited >= stall_limit {
                     stall_unwind(self.rank, tag, waited.as_secs_f64());
                 }
-                mb.cv.wait_for(&mut q, stall_limit - waited);
+                q = mb.wait(q, stall_limit - waited);
             }
         };
         let watchdog = self.shared.plan.watchdog_timeout;
@@ -573,11 +598,8 @@ impl RankCtx {
     /// Non-blocking probe: is a (delivered) message from `src` with
     /// `tag` already queued? (Does not advance time.)
     pub fn probe(&self, src: usize, tag: u64) -> bool {
-        let mb = &self.shared.mailboxes[self.rank];
-        mb.queue
-            .lock()
-            .iter()
-            .any(|m| m.src == src && m.tag == tag && !m.lost)
+        let q = self.shared.mailboxes[self.rank].lock();
+        q.iter().any(|m| m.src == src && m.tag == tag && !m.lost)
     }
 }
 
@@ -705,21 +727,13 @@ where
         net: config.network.params(),
         plan,
         crash_at,
-        mailboxes: (0..config.ranks)
-            .map(|_| Mailbox {
-                queue: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-            })
-            .collect(),
+        mailboxes: (0..config.ranks).map(|_| Mailbox::default()).collect(),
     });
 
     let mut outcomes: Vec<Option<FaultyOutcome<T>>> = (0..config.ranks).map(|_| None).collect();
     let mut panic_error: Option<SimError> = None;
     let mut stall_error: Option<SimError> = None;
-    // Per-rank stepping goes through the instrumented cpc-pool scope:
-    // same structured concurrency as std::thread::scope, but spawns
-    // are counted so harnesses can assert the parallel path ran.
-    cpc_pool::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(config.ranks);
         for rank in 0..config.ranks {
             let shared = Arc::clone(&shared);

@@ -45,14 +45,8 @@ pub use chaos::{quiet_injected_panics, SchedChaos, SchedFault, SchedFaultPlan, I
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Env var selecting the worker-thread count (`CPC_THREADS=4`).
-pub const ENV_THREADS: &str = "CPC_THREADS";
-/// Env var forcing the sequential fallback for bisection
-/// (`CPC_POOL_SEQUENTIAL=1` beats `CPC_THREADS`).
-pub const ENV_SEQUENTIAL: &str = "CPC_POOL_SEQUENTIAL";
 
 /// Default watchdog tick and strike budget: ~10 s of zero progress
 /// before a schedule is convicted as stalled.
@@ -153,17 +147,6 @@ impl Pool {
     /// The sequential fallback: every map runs inline on the caller.
     pub fn sequential() -> Self {
         Self::new(1)
-    }
-
-    /// Honor `CPC_POOL_SEQUENTIAL` / `CPC_THREADS`, defaulting to the
-    /// host's available parallelism.
-    pub fn from_env() -> Self {
-        let fallback = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::new(threads_from_env(
-            std::env::var(ENV_SEQUENTIAL).ok().as_deref(),
-            std::env::var(ENV_THREADS).ok().as_deref(),
-            fallback,
-        ))
     }
 
     /// Attach an interleaving-fuzz plan. The `Arc` is shared so global
@@ -523,25 +506,6 @@ impl Pool {
     }
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
-/// Pure resolution of the env toggles (separated for testability):
-/// sequential override beats an explicit thread count beats the host
-/// fallback. Unparseable values fall back rather than panic.
-fn threads_from_env(sequential: Option<&str>, threads: Option<&str>, fallback: usize) -> usize {
-    if sequential.is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true")) {
-        return 1;
-    }
-    threads
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(fallback)
-}
-
 /// Render a caught panic payload.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
@@ -551,48 +515,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-/// The process-wide default pool, resolved from the environment once.
-/// The `shims/rayon` facade maps through this, so `CPC_THREADS` /
-/// `CPC_POOL_SEQUENTIAL` govern every `into_par_iter()` in the
-/// workspace.
-pub fn global() -> &'static Pool {
-    static GLOBAL: OnceLock<Pool> = OnceLock::new();
-    GLOBAL.get_or_init(Pool::from_env)
-}
-
-/// Instrumented scope: a drop-in for `std::thread::scope` whose spawns
-/// are counted in [`scoped_threads_spawned`], so harnesses can assert
-/// that the parallel path actually ran.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce() -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        SCOPE_SPAWNS.fetch_add(1, Ordering::Relaxed);
-        self.inner.spawn(f)
-    }
-}
-
-static SCOPE_SPAWNS: AtomicU64 = AtomicU64::new(0);
-
-/// Threads spawned through [`scope`] over the process lifetime.
-pub fn scoped_threads_spawned() -> u64 {
-    SCOPE_SPAWNS.load(Ordering::Relaxed)
-}
-
-/// Structured-concurrency entry point mirroring `std::thread::scope`.
-pub fn scope<'env, F, T>(f: F) -> T
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }))
 }
 
 #[cfg(test)]
@@ -712,27 +634,5 @@ mod tests {
             .with_stall_budget(STALL_TICK, STALL_STRIKES)
             .par_map_indexed(&items, square);
         assert_eq!(ok, vec![0, 2]);
-    }
-
-    #[test]
-    fn env_resolution_is_sequential_beats_threads_beats_fallback() {
-        assert_eq!(threads_from_env(Some("1"), Some("8"), 4), 1);
-        assert_eq!(threads_from_env(Some("true"), None, 4), 1);
-        assert_eq!(threads_from_env(Some("0"), Some("8"), 4), 8);
-        assert_eq!(threads_from_env(None, Some("3"), 4), 3);
-        assert_eq!(threads_from_env(None, Some("junk"), 4), 4);
-        assert_eq!(threads_from_env(None, Some("0"), 4), 4);
-        assert_eq!(threads_from_env(None, None, 4), 4);
-    }
-
-    #[test]
-    fn scope_spawns_are_counted() {
-        let before = scoped_threads_spawned();
-        let total: u64 = scope(|s| {
-            let hs: Vec<_> = (0..3u64).map(|i| s.spawn(move || i * i)).collect();
-            hs.into_iter().map(|h| h.join().expect("worker")).sum()
-        });
-        assert_eq!(total, 5);
-        assert_eq!(scoped_threads_spawned() - before, 3);
     }
 }

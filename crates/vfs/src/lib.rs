@@ -128,6 +128,19 @@ pub fn is_eio(e: &io::Error) -> bool {
     e.raw_os_error() == Some(5)
 }
 
+/// 64-bit FNV-1a: the one checksum of the service stack — journal and
+/// cache lines, cache and campaign addresses, queue shard choice,
+/// artifact fingerprints. It catches torn and bit-damaged bytes; it
+/// is not a defence against crafted collisions.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Publishes `bytes` at `path` atomically and durably: write
 /// `path.tmp` → fsync the file → rename over `path` → fsync the
 /// directory. A crash at any byte leaves either the old content or
@@ -299,6 +312,13 @@ impl Fs for EnospcTrigger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn published_fnv1a_vectors_hold() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn tmp_names_extend_the_final_name() {

@@ -20,7 +20,7 @@
 //! counter, so the same plan against the same workload fails at the
 //! same byte every time.
 
-use crate::{eio_error, enospc_error, DiskFault, DiskFaultPlan, Fs, VfsFile};
+use crate::{eio_error, enospc_error, fnv1a64, DiskFault, DiskFaultPlan, Fs, VfsFile};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, Write};
@@ -235,15 +235,6 @@ impl State {
             Some(p) => self.dirs.contains(p),
         }
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn splitmix(seed: u64) -> u64 {

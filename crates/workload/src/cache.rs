@@ -18,7 +18,7 @@
 //! All I/O goes through an injected [`cpc_vfs::Fs`], so the disk-fault
 //! campaigns can subject the cache to ENOSPC, EIO, and power loss.
 
-use cpc_vfs::{atomic_publish, real_fs, SharedFs};
+use cpc_vfs::{atomic_publish, fnv1a64, real_fs, SharedFs};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -38,16 +38,6 @@ pub fn code_version() -> String {
         env!("CARGO_PKG_VERSION"),
         CACHE_FORMAT_VERSION
     )
-}
-
-/// FNV-1a over a byte string (the same function the journal uses).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A content address: `hash(task, protocol, code-version)`.

@@ -10,22 +10,10 @@
 //! deterministic, a killed-then-resumed campaign produces a manifest
 //! byte-identical to an uninterrupted run's.
 
-use cpc_vfs::{Fs, SharedFs, VfsFile};
+use cpc_vfs::{fnv1a64, Fs, SharedFs, VfsFile};
 use serde::{Deserialize, Serialize};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-
-/// FNV-1a over the serialized line payload (same function the snapshot
-/// container uses; collisions are irrelevant here — the checksum only
-/// needs to catch torn or bit-damaged lines).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Result of recovering a journal from disk.
 #[derive(Debug)]

@@ -25,7 +25,7 @@
 
 use crate::journal::Journal;
 use cpc_cluster::RttEstimator;
-use cpc_vfs::{real_fs, SharedFs};
+use cpc_vfs::{fnv1a64, real_fs, SharedFs};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -37,16 +37,6 @@ pub const DEFAULT_MAX_ATTEMPTS: usize = 4;
 /// Floor on the adaptive lease timeout (virtual seconds): with no
 /// service-time samples yet, leases expire after this long.
 pub const LEASE_FLOOR: f64 = 1.0;
-
-/// FNV-1a, used to pick a task's shard from its key.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One durable queue state change. The event log *is* the queue: the
 /// in-memory table is always reconstructible by replaying shard

@@ -32,7 +32,7 @@ use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::journal::Journal;
 use crate::queue::{CompleteError, LeasedTask, QueueRecovery, WorkQueue};
 use cpc_pool::{Pool, PoolError, TaskPanic};
-use cpc_vfs::{real_fs, Fs, SharedFs};
+use cpc_vfs::{fnv1a64, real_fs, Fs, SharedFs};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -61,10 +61,10 @@ pub struct ServiceConfig {
     /// Queue journal shards.
     pub shards: usize,
     /// Logical workers (leases rotate across worker ids). Under
-    /// [`JobService::step`] execution is sequential; under
-    /// [`JobService::pooled_batch`] the leased cells of a batch
-    /// execute concurrently on a `cpc-pool` executor, each worker
-    /// holding a real lease whose expiry races its execution.
+    /// [`JobService::run`] a batch is one cell executed in place; under
+    /// [`JobService::run_pooled`] the leased cells of a batch execute
+    /// concurrently on a `cpc-pool` executor, each worker holding a
+    /// real lease whose expiry races its execution.
     pub workers: usize,
     /// Protocol string folded into every cache key (step count,
     /// energy model — whatever the task type leaves implicit).
@@ -154,13 +154,13 @@ pub struct ServiceOutcome {
     pub drained: bool,
 }
 
-/// What one [`JobService::step`] call did.
+/// What one batch did to the campaign (see [`BatchReport::step`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
-    /// One cell advanced: a fresh execution, a cache hit, or a heal
-    /// of a journal-destroyed result.
+    /// Cells advanced: fresh executions, cache hits, or heals of
+    /// journal-destroyed results.
     Progress,
-    /// The configured kill fired mid-step; the incarnation must end
+    /// The configured kill fired mid-commit; the incarnation must end
     /// now (the process would be dead).
     Killed,
     /// Nothing left to do: every cell is durable or dead-lettered.
@@ -193,31 +193,9 @@ struct LeasedCell {
     stale: Option<LeasedTask>,
 }
 
-/// What [`JobService::acquire_inner`] found at the next actionable
-/// cell.
-enum Acquired {
-    /// A heal or cache hit committed in place.
-    Progress,
-    /// Nothing actionable remains.
-    Drained,
-    /// A queue-done cell whose durable result was destroyed and is
-    /// absent from the cache: it must be re-executed, then committed
-    /// through [`JobService::commit_heal_inner`] (no lease — the
-    /// queue already considers it done).
-    HealMiss {
-        index: usize,
-        key: String,
-        ckey: CacheKey,
-    },
-    /// A leased cell for the caller to execute and commit through
-    /// [`JobService::commit_leased_inner`].
-    Leased(LeasedCell),
-}
-
-/// One cell of a pooled batch, collected in task-walk order. Journal
-/// writes are deferred to the commit phase so the artifact's byte
-/// layout is identical to the serial walk's regardless of which
-/// worker finishes first.
+/// One cell of a batch, collected in task-walk order. Journal writes
+/// are deferred to the commit phase so the artifact's byte layout is
+/// the walk's own, whichever worker finishes first.
 enum BatchItem<R> {
     /// Heal served from the cache; commit journals it.
     HealHit { key: String, result: R },
@@ -228,8 +206,8 @@ enum BatchItem<R> {
         ckey: CacheKey,
     },
     /// Leased cell served from the cache; commit journals and
-    /// completes it (the injected stale token, if any, is dropped —
-    /// exactly as in the serial cache-hit path).
+    /// completes it (the injected stale token, if any, is dropped:
+    /// nothing ran under it).
     CacheHit { cell: LeasedCell, result: R },
     /// Leased cell needing execution on the pool.
     Exec { cell: LeasedCell },
@@ -298,6 +276,20 @@ impl<R: Send> Batch<R> {
     }
 }
 
+impl<R> Batch<R> {
+    /// [`Batch::execute`] on the calling thread, in collection order.
+    /// A panic in `exec` unwinds through the caller: containment is
+    /// the pool's job, and an `FnMut` cannot cross into it.
+    fn execute_inline<T>(&mut self, tasks: &[T], exec: &mut dyn FnMut(&T) -> (R, f64)) {
+        for p in std::mem::take(&mut self.pending) {
+            let task = self.items[p]
+                .task_index()
+                .expect("pending items cost an execution");
+            self.results[p] = Some(exec(&tasks[task]));
+        }
+    }
+}
+
 /// What [`JobService::settle_batch`] made of an executed batch.
 pub enum Settled<R> {
     /// Some executions panicked: their leases were reclaimed through
@@ -308,7 +300,7 @@ pub enum Settled<R> {
     Done(BatchReport),
 }
 
-/// What one [`JobService::pooled_batch`] call did.
+/// What one settled batch did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// Batch-level outcome: [`StepOutcome::Drained`] when nothing was
@@ -318,8 +310,7 @@ pub struct BatchReport {
     /// Cells this batch made durable (journal lines appended).
     pub advanced: usize,
     /// Virtual cost of every fresh execution committed by this batch,
-    /// in commit order — the stream a driver feeds its RTT estimator,
-    /// matching what the serial `exec` closure would have reported.
+    /// in commit order — the stream a driver feeds its RTT estimator.
     pub exec_costs: Vec<f64>,
 }
 
@@ -383,8 +374,9 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
 
     /// Stages the campaign without draining it: enqueues every task
     /// (idempotent) and pre-seeds done cells from the recovered
-    /// journal. After this, [`Self::step`] advances one cell at a time
-    /// — the hook an external scheduler (the gateway's deficit
+    /// journal. After this, [`Self::collect_batch`] /
+    /// [`Batch::execute`] / [`Self::settle_batch`] advance one batch at
+    /// a time — the hook an external scheduler (the gateway's deficit
     /// round-robin) uses to interleave several campaigns fairly.
     pub fn prepare<T: Serialize>(&mut self, tasks: &[T]) -> io::Result<()> {
         let mut outcome = ServiceOutcome {
@@ -420,36 +412,6 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         Ok(())
     }
 
-    /// Advances the campaign by one cell and returns what happened.
-    /// `tasks` must be the same slice [`Self::prepare`] staged (the
-    /// key list indexes into it). The walk is in the service's own
-    /// task order, not the queue's recovered internal order: the byte
-    /// layout of the results artifact must survive any scrambling a
-    /// torn shard write could inflict on the queue. Healing
-    /// (queue-done cells whose durable result a torn journal write
-    /// destroyed) interleaves with fresh dispatch, because either may
-    /// need to rebuild any position of the artifact — a separate
-    /// healing pass would write healed cells ahead of
-    /// resurrected-pending earlier ones and scramble the byte layout.
-    pub fn step<T: Serialize>(
-        &mut self,
-        tasks: &[T],
-        exec: &mut dyn FnMut(&T) -> (R, f64),
-    ) -> io::Result<StepOutcome> {
-        self.with_run(|svc, state| match svc.acquire_inner(tasks, state)? {
-            Acquired::Progress => Ok(StepOutcome::Progress),
-            Acquired::Drained => Ok(StepOutcome::Drained),
-            Acquired::HealMiss { index, key, ckey } => {
-                let (result, _) = exec(&tasks[index]);
-                svc.commit_heal_inner(key, ckey, result, state)
-            }
-            Acquired::Leased(cell) => {
-                let (result, elapsed) = exec(&tasks[cell.index]);
-                svc.commit_leased_inner(cell, result, elapsed, state)
-            }
-        })
-    }
-
     /// Runs `f` with the driving state split off `self` (the inner
     /// walkers need both mutably) and puts it back before returning,
     /// so the service is whole — [`Self::outcome`] answers — whenever
@@ -462,78 +424,6 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         let x = f(self, &mut state);
         self.run = Some(state);
         x
-    }
-
-    /// The acquire half of a step: walk the campaign in task order to
-    /// the next actionable cell. Heals and cache hits commit in place
-    /// (they never need fresh execution); a pending cell is leased —
-    /// with the injected stale-lease episode applied at grant time —
-    /// and returned for the caller to execute and
-    /// [`commit_leased_inner`](Self::commit_leased_inner).
-    //
-    // Indexed loop: iterating `state.keys` would hold a borrow of
-    // `state` across the `&mut state.outcome` updates below.
-    #[allow(clippy::needless_range_loop)]
-    fn acquire_inner<T: Serialize>(
-        &mut self,
-        tasks: &[T],
-        state: &mut RunState,
-    ) -> io::Result<Acquired> {
-        for i in 0..state.keys.len() {
-            let key = state.keys[i].clone();
-            if self.recovered.contains_key(&key) {
-                continue;
-            }
-            self.queue.reclaim_expired()?;
-            let task = &tasks[i];
-            let ckey = CacheKey::of(task, &self.cfg.protocol)?;
-            let outcome = &mut state.outcome;
-
-            if self.queue.is_done(&key) {
-                // Heal: re-derive the destroyed result — cache
-                // first, simulate on a miss — in place. The hit
-                // commits here; the miss needs execution, which
-                // the caller owns.
-                if let Some(result) = self.cache.get::<R>(&ckey) {
-                    outcome.cache_hits += 1;
-                    self.journal.append(&result)?;
-                    self.recovered.insert(key, result);
-                    return Ok(Acquired::Progress);
-                }
-                return Ok(Acquired::HealMiss {
-                    index: i,
-                    key,
-                    ckey,
-                });
-            }
-            if !self.queue.is_pending(&key) {
-                continue; // dead-lettered
-            }
-
-            let (current, stale) = self.grant_lease(&key, state)?;
-            let cell = LeasedCell {
-                index: i,
-                key,
-                ckey,
-                current,
-                stale,
-            };
-
-            // Cache probe: a hit is journaled (keeping the
-            // artifact complete and ordered) but never
-            // re-simulated.
-            if let Some(result) = self.cache.get::<R>(&cell.ckey) {
-                self.journal.append(&result)?;
-                let _ = self
-                    .queue
-                    .complete(&cell.current.key, cell.current.lease, 0.0);
-                self.recovered.insert(cell.key.clone(), result);
-                state.outcome.cache_hits += 1;
-                return Ok(Acquired::Progress);
-            }
-            return Ok(Acquired::Leased(cell));
-        }
-        Ok(Acquired::Drained)
     }
 
     /// Grants the lease for `key`, rotating the worker label and
@@ -566,11 +456,10 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         }
     }
 
-    /// The commit half of a step: take an executed cell through the
-    /// three-step commit (journal → cache → queue) with the configured
-    /// kill points applied. The result of a `BeforeResult` kill is
-    /// discarded — the execution happened and is lost with the
-    /// process, exactly as in the serial path.
+    /// Takes an executed cell through the three-step commit (journal →
+    /// cache → queue) with the configured kill points applied. The
+    /// result of a `BeforeResult` kill is discarded — the execution
+    /// happened and is lost with the process.
     fn commit_leased_inner(
         &mut self,
         cell: LeasedCell,
@@ -623,7 +512,8 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
 
     /// Commits a re-executed heal (queue-done cell whose durable
     /// result was destroyed): journal, cache backfill, recovered map.
-    /// No lease and no kill points — exactly the serial heal path.
+    /// No lease — the queue already considers it done — and no kill
+    /// points.
     fn commit_heal_inner(
         &mut self,
         key: String,
@@ -646,7 +536,17 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
     /// here: [`Self::settle_batch`] writes in this collection order,
     /// so the artifact bytes are independent of execution
     /// interleaving. `tasks` must be the slice [`Self::prepare`]
-    /// staged.
+    /// staged (the key list indexes into it).
+    ///
+    /// The walk is in the service's own task order, not the queue's
+    /// recovered internal order: the byte layout of the results
+    /// artifact must survive any scrambling a torn shard write could
+    /// inflict on the queue. Healing (queue-done cells whose durable
+    /// result a torn journal write destroyed) interleaves with fresh
+    /// dispatch, because either may need to rebuild any position of
+    /// the artifact — a separate healing pass would write healed cells
+    /// ahead of resurrected-pending earlier ones and scramble the byte
+    /// layout.
     pub fn collect_batch<T: Serialize>(
         &mut self,
         tasks: &[T],
@@ -677,14 +577,16 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
             if execs >= width {
                 break;
             }
-            let key = state.keys[i].clone();
-            if self.recovered.contains_key(&key) {
+            if self.recovered.contains_key(&state.keys[i]) {
                 continue;
             }
+            let key = state.keys[i].clone();
             self.queue.reclaim_expired()?;
             let ckey = CacheKey::of(&tasks[i], &self.cfg.protocol)?;
 
             if self.queue.is_done(&key) {
+                // Heal: re-derive the destroyed result — cache first,
+                // simulate on a miss.
                 match self.cache.get::<R>(&ckey) {
                     Some(result) => items.push(BatchItem::HealHit { key, result }),
                     None => {
@@ -711,6 +613,8 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
                 current,
                 stale,
             };
+            // Cache probe: a hit is journaled (keeping the artifact
+            // complete and ordered) but never re-simulated.
             match self.cache.get::<R>(&cell.ckey) {
                 Some(result) => items.push(BatchItem::CacheHit { cell, result }),
                 None => {
@@ -793,47 +697,13 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         self.refresh_leases(items, state)
     }
 
-    /// Advances the campaign by one *batch*: up to `width`
-    /// execution-costing cells collected in task-walk order, executed
-    /// concurrently on `pool` — each a real lease holder — and
-    /// committed in collection order. The artifact bytes are
-    /// therefore identical to the serial [`Self::step`] walk whatever
-    /// the thread count or interleaving. A worker panic is contained
-    /// by the pool; its cell's lease is expired, reclaimed through
-    /// the queue's expiry path and re-granted, and the cell
-    /// re-executes — the pool itself is never poisoned.
-    ///
-    /// This is the composition of the three phases a driver that must
-    /// not hold its lock across physics calls one by one:
-    /// [`Self::collect_batch`], [`Batch::execute`],
-    /// [`Self::settle_batch`].
-    pub fn pooled_batch<T>(
-        &mut self,
-        tasks: &[T],
-        pool: &Pool,
-        width: usize,
-        exec: &(dyn Fn(&T) -> (R, f64) + Sync),
-    ) -> io::Result<BatchReport>
-    where
-        T: Serialize + Sync,
-        R: Send,
-    {
-        let mut batch = self.collect_batch(tasks, width)?;
-        loop {
-            batch.execute(tasks, pool, exec);
-            match self.settle_batch(batch)? {
-                Settled::Rerun(again) => batch = again,
-                Settled::Done(report) => return Ok(report),
-            }
-        }
-    }
-
     /// The settle phase of a batch. Absorbs what [`Batch::execute`]
     /// returned: when executions panicked (and the retry budget
     /// lasts) their leases are reclaimed through the expiry path and
-    /// re-granted, and the batch comes back for another execute;
-    /// otherwise the batch commits in collection order — byte for
-    /// byte the serial walk — and reports what it advanced.
+    /// re-granted — the pool itself is never poisoned — and the batch
+    /// comes back for another execute; otherwise the batch commits in
+    /// collection order, whatever the thread count or interleaving,
+    /// and reports what it advanced.
     pub fn settle_batch(&mut self, batch: Batch<R>) -> io::Result<Settled<R>> {
         self.with_run(|svc, state| svc.settle_inner(batch, state))
     }
@@ -878,7 +748,7 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
             }
         }
 
-        // Commit phase: walk order, byte-identical to serial.
+        // Commit phase: walk order.
         let Batch {
             items, mut results, ..
         } = batch;
@@ -940,10 +810,10 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         }))
     }
 
-    /// Runs the campaign on a `cpc-pool` executor: [`Self::prepare`]
-    /// then [`Self::pooled_batch`] at the pool's width until the
-    /// queue drains or the configured kill fires. Produces an
-    /// artifact byte-identical to [`Self::run`] at any thread count.
+    /// Runs the campaign on a `cpc-pool` executor, batches as wide as
+    /// the pool, until the queue drains or the configured kill fires.
+    /// Produces an artifact byte-identical to [`Self::run`] at any
+    /// thread count.
     pub fn run_pooled<T>(
         &mut self,
         tasks: &[T],
@@ -954,16 +824,52 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         T: Serialize + Sync,
         R: Send,
     {
+        self.drain(tasks, pool.threads(), |batch| {
+            batch.execute(tasks, pool, &exec)
+        })
+    }
+
+    /// Runs the campaign on the calling thread, one cell per batch,
+    /// until the queue drains or the configured kill fires (check
+    /// [`ServiceOutcome::killed`]). `exec` simulates one cell,
+    /// returning the result and its virtual cost in seconds.
+    pub fn run<T: Serialize>(
+        &mut self,
+        tasks: &[T],
+        mut exec: impl FnMut(&T) -> (R, f64),
+    ) -> io::Result<ServiceOutcome> {
+        self.drain(tasks, 1, |batch| batch.execute_inline(tasks, &mut exec))
+    }
+
+    /// The one way a campaign drains: [`Self::prepare`], then collect →
+    /// `execute` → settle, batch after batch, until a batch reports the
+    /// queue drained or the incarnation killed.
+    fn drain<T: Serialize>(
+        &mut self,
+        tasks: &[T],
+        width: usize,
+        mut execute: impl FnMut(&mut Batch<R>),
+    ) -> io::Result<ServiceOutcome> {
         self.prepare(tasks)?;
-        while self.pooled_batch(tasks, pool, pool.threads(), &exec)?.step == StepOutcome::Progress {
+        loop {
+            let mut batch = self.collect_batch(tasks, width)?;
+            let report = loop {
+                execute(&mut batch);
+                match self.settle_batch(batch)? {
+                    Settled::Rerun(again) => batch = again,
+                    Settled::Done(report) => break report,
+                }
+            };
+            if report.step != StepOutcome::Progress {
+                return Ok(self.outcome());
+            }
         }
-        Ok(self.outcome())
     }
 
     /// A snapshot of this incarnation's accounting: live counters plus
     /// the completed/abandoned/drained state re-derived from the queue.
-    /// Call after the step loop ends for the final outcome, or at any
-    /// point between steps for progress reporting. Panics unless
+    /// Call after the drive ends for the final outcome, or between any
+    /// two phases of a batch for progress reporting. Panics unless
     /// [`Self::prepare`] has run.
     pub fn outcome(&self) -> ServiceOutcome {
         let state = self.run.as_ref().expect("prepare() before outcome()");
@@ -977,20 +883,6 @@ impl<R: Serialize + Deserialize + Clone> JobService<R> {
         outcome.cache_stats = self.cache.stats();
         outcome.drained = self.queue.drained();
         outcome
-    }
-
-    /// Runs the campaign: [`Self::prepare`] then [`Self::step`] until
-    /// the queue drains or the configured kill fires (check
-    /// [`ServiceOutcome::killed`]). `exec` simulates one cell,
-    /// returning the result and its virtual cost in seconds.
-    pub fn run<T: Serialize>(
-        &mut self,
-        tasks: &[T],
-        mut exec: impl FnMut(&T) -> (R, f64),
-    ) -> io::Result<ServiceOutcome> {
-        self.prepare(tasks)?;
-        while let StepOutcome::Progress = self.step(tasks, &mut exec)? {}
-        Ok(self.outcome())
     }
 
     /// The recovered + newly-completed results, by task key.
@@ -1028,13 +920,7 @@ pub fn artifact_digest(path: impl AsRef<Path>) -> Option<u64> {
 /// [`artifact_digest`] on an injected filesystem, so the disk-fault
 /// campaigns can fingerprint artifacts living inside a [`SimFs`] image.
 pub fn artifact_digest_on(fs: &dyn Fs, path: impl AsRef<Path>) -> Option<u64> {
-    let bytes = fs.read(path.as_ref()).ok()?;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    Some(h)
+    fs.read(path.as_ref()).ok().map(|bytes| fnv1a64(&bytes))
 }
 
 #[cfg(test)]
@@ -1203,48 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn stepped_drive_matches_run_byte_for_byte() {
-        // prepare() + step() under an external driver must reproduce
-        // run() exactly: same artifact bytes, same accounting. This is
-        // the contract the gateway's round-robin scheduler relies on.
-        let ref_dir = tmp_dir("step-ref");
-        let ref_cfg = ServiceConfig::new(&ref_dir, "p");
-        let ref_journal = ref_cfg.journal_path();
-        let mut svc = JobService::<Vec<f64>>::open(ref_cfg, key_of).unwrap();
-        let want_outcome = svc.run(&tasks(7), exec).unwrap();
-        drop(svc);
-        let want = artifact_digest(&ref_journal);
-        assert!(want.is_some());
-
-        let dir = tmp_dir("step-drv");
-        let cfg = ServiceConfig::new(&dir, "p");
-        let journal = cfg.journal_path();
-        let mut svc = JobService::<Vec<f64>>::open(cfg, key_of).unwrap();
-        let campaign = tasks(7);
-        svc.prepare(&campaign).unwrap();
-        let mut steps = 0usize;
-        let exec_fn = exec;
-        loop {
-            // outcome() is callable between steps without disturbing
-            // the drive.
-            let _ = svc.outcome();
-            match svc.step(&campaign, &mut |t: &u64| exec_fn(t)).unwrap() {
-                StepOutcome::Progress => steps += 1,
-                StepOutcome::Killed => panic!("no kill configured"),
-                StepOutcome::Drained => break,
-            }
-        }
-        let got_outcome = svc.outcome();
-        assert_eq!(steps, 7, "one step per cell");
-        assert!(got_outcome.drained);
-        assert_eq!(got_outcome.completed, want_outcome.completed);
-        assert_eq!(got_outcome.executed, want_outcome.executed);
-        assert_eq!(artifact_digest(&journal), want, "byte-identical artifact");
-        let _ = std::fs::remove_dir_all(&ref_dir);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn pooled_run_matches_serial_artifact_at_every_thread_count() {
         let ref_dir = tmp_dir("pool-ref");
         let ref_cfg = ServiceConfig::new(&ref_dir, "p");
@@ -1272,6 +1116,32 @@ mod tests {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+
+        // An external driver (the gateway) takes the phases one by one;
+        // the service is whole — `outcome()` answers — between them.
+        let dir = tmp_dir("pool-phases");
+        let cfg = ServiceConfig::new(&dir, "p");
+        let journal = cfg.journal_path();
+        let mut svc = JobService::<Vec<f64>>::open(cfg, key_of).unwrap();
+        let (campaign, pool) = (tasks(9), Pool::new(2));
+        svc.prepare(&campaign).unwrap();
+        let mut done = 0;
+        loop {
+            let mut batch = svc.collect_batch(&campaign, 2).unwrap();
+            assert_eq!(svc.outcome().completed, done, "leased, not yet durable");
+            batch.execute(&campaign, &pool, &exec);
+            let Settled::Done(report) = svc.settle_batch(batch).unwrap() else {
+                panic!("nothing panicked");
+            };
+            done += report.advanced;
+            assert_eq!(svc.outcome().completed, done);
+            if report.step == StepOutcome::Drained {
+                break;
+            }
+        }
+        assert_eq!(done, 9);
+        assert_eq!(artifact_digest(&journal), want, "phase-driven artifact");
+        let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&ref_dir);
     }
 

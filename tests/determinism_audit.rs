@@ -1,8 +1,9 @@
-//! Determinism audit: no ambient randomness or wall-clock time may
-//! reach simulation or chaos code paths. Every random draw must flow
-//! from the seeded `cpc-cluster` RNG and every timestamp from the
-//! virtual clock — that is what makes fault schedules, campaign
-//! journals and reproducers byte-identical across reruns.
+//! Determinism audit: no ambient randomness, wall-clock time or
+//! environment variable may reach simulation or chaos code paths.
+//! Every random draw must flow from the seeded `cpc-cluster` RNG,
+//! every timestamp from the virtual clock and every setting from an
+//! argument — that is what makes fault schedules, campaign journals
+//! and reproducers byte-identical across reruns.
 //!
 //! The audit greps the workspace crates' sources (shims are external
 //! stand-ins and are exempt) for the usual escape hatches. The only
@@ -21,6 +22,7 @@ const FORBIDDEN: &[&str] = &[
     "from_entropy",
     "rand::random",
     "getrandom",
+    "env::var",
 ];
 
 /// Files allowed to use a specific pattern, with the reason on record.
