@@ -24,7 +24,7 @@
 //! incarnation's leases, and produces byte-identical artifacts.
 //! `--cache DIR` points the result cache at a shared directory so
 //! identical cells flow between campaigns without re-simulation.
-//! `--threads N` executes cells on an N-thread work-stealing pool;
+//! `--threads N` executes cells on an N-thread pool (`cpc-pool`);
 //! results still commit in task-index order, so the journal is
 //! byte-identical to a `--threads 1` (or plain serial) run.
 use cpc_bench::attach_journal;

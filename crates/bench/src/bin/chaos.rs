@@ -104,11 +104,6 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-/// Real-time stall budget (seconds) for every chaotic run: a schedule
-/// that would hang forever instead surfaces `SimError::Stalled`, which
-/// the termination oracle reports as a violation.
-const STALL_TIMEOUT: f64 = 20.0;
-
 const USAGE: &str =
     "usage: chaos [--schedules N] [--layers md,service,transport,disk,sched] [--seed S]\n\
      \x20      [--soak] [--resume] [--out DIR] [--journal FILE] [--ranks P] [--steps N]\n\
@@ -133,8 +128,7 @@ fn workload(side: usize, ranks: usize, steps: usize) -> (cpc_md::System, MdConfi
     let mut sys = cpc_md::builder::water_box(side, 3.1);
     cpc_md::minimize::minimize(&mut sys, EnergyModel::Classic, 40);
     sys.assign_velocities(150.0, 3);
-    let cluster =
-        ClusterConfig::uni(ranks, NetworkKind::ScoreGigE).with_stall_timeout(STALL_TIMEOUT);
+    let cluster = ClusterConfig::uni(ranks, NetworkKind::ScoreGigE);
     let cfg = MdConfig {
         steps,
         ..MdConfig::paper_protocol(EnergyModel::Classic, Middleware::Mpi, cluster)
@@ -978,11 +972,10 @@ fn campaign_mode(c: &Campaign) -> i32 {
             violations: report.violations.iter().map(|v| v.to_string()).collect(),
             ledger: report.ledger,
         };
-        // How often a thief stole or a worker reached its pause point
-        // describes this machine's scheduler under this load, not the
-        // campaign: no oracle reads either, and journaled they would
-        // make a rerun's `cmp` depend on what else the host is doing.
-        verdict.ledger.sched.steals = 0;
+        // How often a worker reached its pause point describes this
+        // machine's scheduler under this load, not the campaign: no
+        // oracle reads it, and journaled it would make a rerun's `cmp`
+        // depend on what else the host is doing.
         verdict.ledger.sched.pauses_taken = 0;
         if let Err(e) = journal.append(&verdict) {
             die(format!("cannot journal verdict {index}: {e}"));

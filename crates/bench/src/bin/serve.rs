@@ -20,7 +20,7 @@
 //!   byte-identical to the direct path's. A pump thread advances
 //!   DRR-granted cells as they arrive — parked on a condvar between
 //!   grants, woken by each handled request — executing them on an
-//!   N-thread work-stealing pool under `--threads N` (default 1;
+//!   N-thread `cpc-pool` under `--threads N` (default 1;
 //!   results commit in task-index order, so the journal is
 //!   byte-identical at every thread count). The gateway lock guards
 //!   bookkeeping only: the pump holds it to grant and lease a batch

@@ -420,7 +420,6 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
     fn absorb_pool(ledger: &mut CrossLedger, gw: &Gateway<Counted<M>>) {
         let ps = gw.pool().stats();
         ledger.sched.pool_tasks += ps.tasks as usize;
-        ledger.sched.steals += ps.steals as usize;
         ledger.sched.panics_caught += ps.panics_caught as usize;
     }
 
@@ -1358,7 +1357,6 @@ mod tests {
                     threads: 8,
                 },
                 SchedFault::LeaseExpiryRace { at_lease: 2 },
-                SchedFault::StealStorm { from_task: 1 },
             ]
         });
         let report = run(&plan);

@@ -2,7 +2,7 @@
 //!
 //! Four layers sit between a campaign submission and its bytes on
 //! disk — the crash-safe job service, the HTTP gateway in front of it,
-//! the filesystem under it and the work-stealing pool that executes
+//! the filesystem under it and the thread pool that executes
 //! it — and each has a ledger (what one schedule did to it), a
 //! violation enum (what must never happen) and a `check_*_ledger`
 //! function (a pure function from the one to the other). The
@@ -215,10 +215,10 @@ pub fn check_service_ledger(ledger: &ServiceLedger) -> Vec<ServiceViolation> {
     violations
 }
 
-/// Accounting for one campaign run on the `cpc-pool` work-stealing
-/// executor under an adversarial schedule (steal storms, injected
-/// worker pauses and panics, thread-count changes mid-campaign, lease
-/// expiry racing a slow worker). Aggregates the pooled service
+/// Accounting for one campaign run on the `cpc-pool` executor under
+/// an adversarial schedule (injected worker pauses and panics,
+/// thread-count changes mid-campaign, lease expiry racing a slow
+/// worker). Aggregates the pooled service
 /// outcome, the pool's own counters and the post-chaos reusability
 /// probe. [`check_sched_ledger`] turns a
 /// ledger into oracle verdicts.
@@ -238,8 +238,6 @@ pub struct SchedLedger {
     pub threads: usize,
     /// Tasks the pool executed across the chaos run.
     pub pool_tasks: usize,
-    /// Successful steals the pool observed (organic + storm).
-    pub steals: usize,
     /// Worker panics the plan injected.
     pub panics_injected: usize,
     /// Panics the pool contained (must equal the injected count —
@@ -900,7 +898,7 @@ pub struct CrossLedger {
     pub gateway: GatewayLedger,
     /// Disk-layer book (restarts, ENOSPC lifts, acked-then-lost).
     pub disk: DiskLedger,
-    /// Scheduler-layer book (steals, pauses, panic containment).
+    /// Scheduler-layer book (pauses, panic containment).
     pub sched: SchedLedger,
     /// Armed events per layer, in [`LAYERS`] order
     /// (md, service, transport, disk, sched) — the pairwise
@@ -1227,7 +1225,6 @@ mod tests {
             panics_injected: 1,
             panics_caught: 1,
             panic_reclaimed: 3,
-            steals: 12,
             pauses_taken: 2,
             stale_presented: 1,
             stale_rejected: 1,

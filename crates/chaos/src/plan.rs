@@ -359,15 +359,12 @@ impl SchedFaultSpace {
         let n = 1 + choose(&mut rng, 3);
         for _ in 0..n {
             let fault = match rng.next_u64() % 6 {
-                0 => SchedFault::StealStorm {
-                    from_task: 1 + (rng.next_u64() as usize) % cells,
-                },
-                // Pauses get two lanes: they are the workhorse that
-                // actually reorders completions. A per-worker yield
-                // point fires once per claimed task and once per
-                // failed claim, so 4x cells over-arms safely (a pause
-                // armed past the end of the run simply never fires).
-                1 | 2 => SchedFault::WorkerPause {
+                // Pauses get three of the six lanes: they are the
+                // workhorse that actually reorders completions. A
+                // per-worker yield point fires once per claimed task,
+                // so 4x cells over-arms safely (a pause armed past the
+                // end of the run simply never fires).
+                0..=2 => SchedFault::WorkerPause {
                     worker: (rng.next_u64() as usize) % threads,
                     at_point: 1 + rng.next_u64() % (4 * cells as u64),
                     micros: 1 + rng.next_u64() % 20_000,
@@ -391,8 +388,8 @@ impl SchedFaultSpace {
 
 /// One of the five chaos layers the composed conductor arms: the MD
 /// simulation itself, the campaign job service, the HTTP transport,
-/// the durable storage underneath everything, and the work-stealing
-/// scheduler driving execution.
+/// the durable storage underneath everything, and the thread pool
+/// driving execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Layer {
     /// MD/network fault schedule ([`FaultPlan`]).
@@ -405,7 +402,7 @@ pub enum Layer {
     Transport,
     /// Disk faults on the simulated filesystem ([`DiskFaultPlan`]).
     Disk,
-    /// Scheduling chaos on the work-stealing pool
+    /// Scheduling chaos on the thread pool
     /// ([`SchedFaultPlan`]).
     Sched,
 }
@@ -841,9 +838,6 @@ mod tests {
             assert!((1..=3).contains(&plan.faults.len()));
             for f in &plan.faults {
                 match *f {
-                    SchedFault::StealStorm { from_task } => {
-                        assert!((1..=s.cells).contains(&from_task));
-                    }
                     SchedFault::WorkerPause {
                         worker,
                         at_point,
@@ -872,7 +866,6 @@ mod tests {
         // Every fault class appears somewhere in the stream.
         let has =
             |pred: &dyn Fn(&SchedFault) -> bool| plans.iter().flat_map(|p| &p.faults).any(pred);
-        assert!(has(&|f| matches!(f, SchedFault::StealStorm { .. })));
         assert!(has(&|f| matches!(f, SchedFault::WorkerPause { .. })));
         assert!(has(&|f| matches!(f, SchedFault::TaskPanic { .. })));
         assert!(has(&|f| matches!(f, SchedFault::ThreadCountChange { .. })));

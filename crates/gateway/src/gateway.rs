@@ -864,8 +864,8 @@ impl<M: CampaignModel> Gateway<M> {
     }
 
     /// Rebuilds the pump executor with an adversarial-schedule
-    /// injector armed (chaos harness): steal storms, worker pauses and
-    /// injected panics now land inside the gateway's own pump batches.
+    /// injector armed (chaos harness): worker pauses and injected
+    /// panics now land inside the gateway's own pump batches.
     /// The injector's counters are shared, so one `SchedChaos` can
     /// span every incarnation of a composed schedule.
     pub fn arm_sched_chaos(&mut self, chaos: std::sync::Arc<SchedChaos>) {
@@ -885,7 +885,7 @@ impl<M: CampaignModel> Gateway<M> {
     }
 
     /// The pump executor — exposed so chaos drivers can absorb its
-    /// panic/steal counters and probe post-chaos reusability.
+    /// task/panic counters and probe post-chaos reusability.
     pub fn pool(&self) -> &Pool {
         &self.pool
     }

@@ -400,22 +400,6 @@ impl<'a> Comm<'a> {
         USER_TAG_BASE | tag
     }
 
-    /// Blocking receive on a raw (already namespaced) tag addressed by
-    /// *engine* rank.
-    pub(crate) fn raw_recv(&mut self, src: usize, tag: u64) -> cpc_cluster::Msg {
-        self.ctx.recv(src, tag)
-    }
-
-    /// Probe on a raw tag (no time advance), addressed by engine rank.
-    pub(crate) fn raw_probe(&self, src: usize, tag: u64) -> bool {
-        self.ctx_ref().probe(src, tag)
-    }
-
-    /// Immutable access to the context.
-    pub(crate) fn ctx_ref(&self) -> &RankCtx {
-        self.ctx
-    }
-
     /// Global synchronization. MPI: binomial-tree barrier with control
     /// messages. CMPI: `p - 1` rounds of 1-byte ring exchanges.
     pub fn barrier(&mut self) {
@@ -1508,9 +1492,9 @@ mod tests {
     fn half_entered_collective_surfaces_stalled_not_hang() {
         // Rank 2 never joins the barrier: the ranks that did enter wait
         // on peers that will never arrive. The termination oracle
-        // depends on this surfacing as a typed SimError::Stalled within
-        // the configured stall budget instead of hanging the process.
-        let cfg = ClusterConfig::uni(3, NetworkKind::ScoreGigE).with_stall_timeout(0.2);
+        // depends on this surfacing as a typed SimError::Stalled
+        // instead of hanging the process.
+        let cfg = ClusterConfig::uni(3, NetworkKind::ScoreGigE);
         let result = run_cluster_faulty(cfg, FaultPlan::none(), |ctx| {
             let mut comm = Comm::new(ctx, Middleware::Mpi);
             if comm.rank() != 2 {
@@ -1518,16 +1502,15 @@ mod tests {
             }
         });
         match result {
-            Err(cpc_cluster::SimError::Stalled { rank, waited, .. }) => {
+            Err(cpc_cluster::SimError::Stalled { rank, .. }) => {
                 assert!(rank != 2, "a rank stuck inside the barrier stalls");
-                assert!(waited >= 0.2);
             }
             other => panic!("expected Stalled, got {other:?}"),
         }
 
         // Same for a value-moving collective with inconsistent
         // membership.
-        let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE).with_stall_timeout(0.2);
+        let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE);
         let result = run_cluster_faulty(cfg, FaultPlan::none(), |ctx| {
             let mut comm = Comm::new(ctx, Middleware::Mpi);
             if comm.rank() == 0 {

@@ -33,15 +33,12 @@ pub mod comm;
 pub mod detector;
 pub mod group;
 pub mod middleware;
-pub mod nonblocking;
 
 pub use comm::{Comm, RetryPolicy};
 pub use cpc_cluster::CommError;
 pub use detector::{DetectorConfig, FailureDetector, PHI_SCALE};
 pub use group::GroupComm;
 pub use middleware::{CombineAlgo, Middleware};
-pub use nonblocking::PollStats;
-pub use nonblocking::{RecvRequest, SendRequest};
 
 /// Splits `n` items into `p` contiguous, maximally even blocks and
 /// returns block `r` (first `n % p` blocks get one extra item).

@@ -29,14 +29,6 @@ pub struct ClusterConfig {
     pub slow_nodes: usize,
     /// Clock multiplier for the slow nodes (1.0 = homogeneous).
     pub slow_factor: f64,
-    /// Stall watchdog: *real* (wall-clock) seconds a blocked receive
-    /// may wait with no matching message before the engine declares the
-    /// run stalled and unwinds with
-    /// [`SimError::Stalled`](crate::engine::SimError::Stalled). Virtual
-    /// time is untouched — a healthy run never waits anywhere near this
-    /// long in real time, so the default is generous; chaos harnesses
-    /// lower it to fail fast on schedules that deadlock the collectives.
-    pub stall_timeout: f64,
 }
 
 impl ClusterConfig {
@@ -52,14 +44,7 @@ impl ClusterConfig {
             record_trace: false,
             slow_nodes: 0,
             slow_factor: 1.0,
-            stall_timeout: 60.0,
         }
-    }
-
-    /// Overrides the real-time stall-watchdog timeout (seconds).
-    pub fn with_stall_timeout(mut self, seconds: f64) -> Self {
-        self.stall_timeout = seconds;
-        self
     }
 
     /// Marks the first `slow_nodes` nodes as running at `slow_factor`
@@ -130,12 +115,6 @@ impl ClusterConfig {
         }
         if self.slow_factor <= 0.0 {
             return Err("slow_factor must be positive".into());
-        }
-        if !(self.stall_timeout.is_finite() && self.stall_timeout > 0.0) {
-            return Err(format!(
-                "stall_timeout {} must be finite and positive",
-                self.stall_timeout
-            ));
         }
         Ok(())
     }

@@ -28,7 +28,8 @@ use crate::netmodel::{NetworkParams, OpShape, TransferCtx};
 use crate::rng::SplitMix64;
 use crate::stats::{MsgClass, Phase, RankStats, ThroughputSample};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Reserved tag carried by crash notices. User code must not send with
 /// this tag.
@@ -124,12 +125,14 @@ pub enum SimError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A blocked receive made no progress for the configured
-    /// [`stall_timeout`](ClusterConfig::stall_timeout) of *real* time:
-    /// the awaited peers never arrived (e.g. a collective entered with
+    /// No rank can move: every rank has finished, crashed, panicked or
+    /// is blocked in a receive that nothing queued satisfies, so no
+    /// message can ever be sent again (e.g. a collective entered with
     /// inconsistent membership, or an infallible receive on a message
-    /// the transport gave up on). This is the termination oracle's
-    /// evidence that a run would otherwise hang forever.
+    /// the transport gave up on). Detected exactly, the moment the last
+    /// rank blocks or leaves — host time plays no part. This is the
+    /// termination oracle's evidence that a run would otherwise hang
+    /// forever; the lowest blocked rank is the one named.
     Stalled {
         /// The rank whose receive stalled.
         rank: usize,
@@ -137,8 +140,6 @@ pub enum SimError {
         /// collectives this is the collective epoch, so it locates the
         /// stuck operation.
         step: u64,
-        /// Real seconds the receive waited before giving up.
-        waited: f64,
     },
 }
 
@@ -150,11 +151,8 @@ impl std::fmt::Display for SimError {
             SimError::RankPanicked { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
             }
-            SimError::Stalled { rank, step, waited } => {
-                write!(
-                    f,
-                    "rank {rank} stalled in epoch {step} after {waited:.1}s of real time"
-                )
+            SimError::Stalled { rank, step } => {
+                write!(f, "rank {rank} stalled in epoch {step}: no rank can move")
             }
         }
     }
@@ -186,53 +184,30 @@ struct CrashUnwind {
 struct StallUnwind {
     rank: usize,
     step: u64,
-    waited: f64,
 }
 
-/// Unwinds the calling rank because a blocked receive exceeded the
-/// configured real-time stall budget. Uses `resume_unwind` so the
-/// panic hook stays silent: a stall is a diagnosed outcome, not a bug
-/// in the harness.
-fn stall_unwind(rank: usize, tag: u64, waited: f64) -> ! {
-    std::panic::resume_unwind(Box::new(StallUnwind {
-        rank,
-        step: tag >> 8,
-        waited,
-    }));
+#[derive(Default)]
+struct Inbox {
+    queue: VecDeque<Msg>,
+    /// Set by the owner when it looked and found nothing to take;
+    /// cleared by the next post. While it is set the owner is counted
+    /// in [`Shared::quiescent`].
+    waiting: bool,
 }
 
 #[derive(Default)]
 struct Mailbox {
-    queue: Mutex<VecDeque<Msg>>,
+    inbox: Mutex<Inbox>,
     cv: Condvar,
 }
 
 impl Mailbox {
-    /// Locks the queue, poisoned or not. A stalled receive unwinds
-    /// with its own mailbox guard held, and its peers must keep
-    /// posting to it (sends in flight, crash notices) rather than die
-    /// of the poison; every update is one `push_back` or `remove`, so
-    /// the queue is whole wherever a holder unwound.
-    fn lock(&self) -> MutexGuard<'_, VecDeque<Msg>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn post(&self, msg: Msg) {
-        self.lock().push_back(msg);
-        self.cv.notify_all();
-    }
-
-    /// Gives `q` up until the next post, or `timeout`.
-    fn wait<'a>(
-        &self,
-        q: MutexGuard<'a, VecDeque<Msg>>,
-        timeout: std::time::Duration,
-    ) -> MutexGuard<'a, VecDeque<Msg>> {
-        let (q, _) = self
-            .cv
-            .wait_timeout(q, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        q
+    /// No holder panics — every critical section is a queue edit, a
+    /// flag and a counter — so the mutex is never poisoned.
+    fn lock(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox
+            .lock()
+            .expect("mailbox critical sections do not panic")
     }
 }
 
@@ -243,6 +218,106 @@ struct Shared {
     /// Per-rank scheduled crash time, if any.
     crash_at: Vec<Option<f64>>,
     mailboxes: Vec<Mailbox>,
+    /// Ranks that cannot post: those that have left their body
+    /// (finished, crashed, panicked) plus those whose inbox is
+    /// `waiting`. A set flag means nothing was posted since its owner
+    /// looked, so when this reaches `ranks` nobody can ever post again.
+    quiescent: AtomicUsize,
+    /// Set once by whoever made `quiescent` reach `ranks`.
+    stalled: AtomicBool,
+}
+
+impl Shared {
+    fn post(&self, dst: usize, msg: Msg) {
+        let mb = &self.mailboxes[dst];
+        let was_waiting = {
+            let mut inbox = mb.lock();
+            inbox.queue.push_back(msg);
+            // Uncounted in the same critical section as the push: the
+            // receiver cannot be both counted and about to find a
+            // message.
+            let was_waiting = std::mem::take(&mut inbox.waiting);
+            if was_waiting {
+                self.quiescent.fetch_sub(1, Ordering::SeqCst);
+            }
+            was_waiting
+        };
+        // Only a flagged receiver can be in `wait`, and the post that
+        // clears the flag wakes it to rescan the whole queue — after
+        // the unlock, so it does not wake into a held mutex.
+        if was_waiting {
+            mb.cv.notify_all();
+        }
+    }
+
+    /// Blocks `rank` until `pick` takes something out of its inbox, or
+    /// unwinds it with [`StallUnwind`] once no rank can move.
+    fn take<R>(
+        &self,
+        rank: usize,
+        tag: u64,
+        mut pick: impl FnMut(&mut VecDeque<Msg>) -> Option<R>,
+    ) -> R {
+        let mb = &self.mailboxes[rank];
+        let mut inbox = mb.lock();
+        loop {
+            if let Some(found) = pick(&mut inbox.queue) {
+                return found;
+            }
+            // A spurious wake-up leaves the flag set and this rank counted.
+            if !inbox.waiting {
+                inbox.waiting = true;
+                if self.count_quiescent() {
+                    drop(inbox);
+                    self.declare_stalled();
+                    stall_unwind(rank, tag);
+                }
+            }
+            if self.stalled.load(Ordering::SeqCst) {
+                drop(inbox);
+                stall_unwind(rank, tag);
+            }
+            inbox = mb
+                .cv
+                .wait(inbox)
+                .expect("mailbox critical sections do not panic");
+        }
+    }
+
+    /// Counts the caller as unable to post; true when that completes
+    /// the count, i.e. the caller has proved that nobody can.
+    fn count_quiescent(&self) -> bool {
+        self.quiescent.fetch_add(1, Ordering::SeqCst) + 1 == self.config.ranks
+    }
+
+    /// Counts a rank that has left its body (finished, crashed or
+    /// panicked) and will never post again.
+    fn retire(&self) {
+        if self.count_quiescent() {
+            self.declare_stalled();
+        }
+    }
+
+    /// Wakes every blocked receive to unwind. Each wake-up is sent
+    /// under the mailbox lock, so a rank between its look at `stalled`
+    /// and its `wait` cannot miss it.
+    fn declare_stalled(&self) {
+        self.stalled.store(true, Ordering::SeqCst);
+        for mb in &self.mailboxes {
+            let _inbox = mb.lock();
+            mb.cv.notify_all();
+        }
+    }
+}
+
+/// Unwinds the calling rank out of a receive nothing will ever
+/// satisfy. Uses `resume_unwind` so the panic hook stays silent: a
+/// stall is a diagnosed outcome, not a bug in the harness.
+fn stall_unwind(rank: usize, tag: u64) -> ! {
+    std::panic::resume_unwind(Box::new(StallUnwind {
+        rank,
+        step: tag >> 8,
+    }));
 }
 
 /// Per-rank execution context handed to the rank body.
@@ -346,16 +421,19 @@ impl RankCtx {
             if dst == self.rank {
                 continue;
             }
-            self.shared.mailboxes[dst].post(Msg {
-                src: self.rank,
-                tag: CRASH_TAG,
-                data: Vec::new(),
-                bytes: 0,
-                class: MsgClass::Control,
-                departure: self.clock,
-                arrival: self.clock,
-                lost: false,
-            });
+            self.shared.post(
+                dst,
+                Msg {
+                    src: self.rank,
+                    tag: CRASH_TAG,
+                    data: Vec::new(),
+                    bytes: 0,
+                    class: MsgClass::Control,
+                    departure: self.clock,
+                    arrival: self.clock,
+                    lost: false,
+                },
+            );
         }
         // resume_unwind skips the panic hook: a simulated crash is not
         // a bug and must not spam stderr with backtraces.
@@ -457,7 +535,7 @@ impl RankCtx {
             arrival,
             lost: !t.delivered,
         };
-        self.shared.mailboxes[dst].post(msg);
+        self.shared.post(dst, msg);
         SendOutcome {
             delivered: t.delivered,
             retransmits: t.retransmits,
@@ -476,28 +554,12 @@ impl RankCtx {
     pub fn recv(&mut self, src: usize, tag: u64) -> Msg {
         assert!(src < self.size(), "invalid source {src}");
         assert_ne!(src, self.rank, "self-receive not supported");
-        let msg = {
-            // Real-time stall watchdog: measures *wall* time only, so
-            // virtual results stay deterministic (a run either
-            // completes with bit-identical state or stalls).
-            let stall_limit = std::time::Duration::from_secs_f64(self.shared.config.stall_timeout);
-            let started = std::time::Instant::now();
-            let mb = &self.shared.mailboxes[self.rank];
-            let mut q = mb.lock();
-            loop {
-                if let Some(pos) = q
-                    .iter()
-                    .position(|m| m.src == src && m.tag == tag && !m.lost)
-                {
-                    break q.remove(pos).expect("position valid");
-                }
-                let waited = started.elapsed();
-                if waited >= stall_limit {
-                    stall_unwind(self.rank, tag, waited.as_secs_f64());
-                }
-                q = mb.wait(q, stall_limit - waited);
-            }
-        };
+        let msg = self.shared.take(self.rank, tag, |q| {
+            let pos = q
+                .iter()
+                .position(|m| m.src == src && m.tag == tag && !m.lost)?;
+            q.remove(pos)
+        });
         self.complete_recv(msg)
     }
 
@@ -513,39 +575,24 @@ impl RankCtx {
             Tombstone(Msg),
             Dead(f64),
         }
-        let got = {
-            let stall_limit = std::time::Duration::from_secs_f64(self.shared.config.stall_timeout);
-            let started = std::time::Instant::now();
-            let mb = &self.shared.mailboxes[self.rank];
-            let mut q = mb.lock();
-            loop {
-                // FIFO per channel: take the first matching message,
-                // delivered or tombstone, in arrival order.
-                if let Some(pos) = q.iter().position(|m| m.src == src && m.tag == tag) {
-                    let m = q.remove(pos).expect("position valid");
-                    break if m.lost {
-                        Got::Tombstone(m)
-                    } else {
-                        Got::Delivered(m)
-                    };
-                }
-                // No matching message: a crash notice from the peer
-                // means none will ever come. The notice is *not*
-                // consumed — every later receive must see it too.
-                if let Some(at) = q
-                    .iter()
-                    .find(|m| m.src == src && m.tag == CRASH_TAG)
-                    .map(|m| m.arrival)
-                {
-                    break Got::Dead(at);
-                }
-                let waited = started.elapsed();
-                if waited >= stall_limit {
-                    stall_unwind(self.rank, tag, waited.as_secs_f64());
-                }
-                q = mb.wait(q, stall_limit - waited);
+        let got = self.shared.take(self.rank, tag, |q| {
+            // FIFO per channel: take the first matching message,
+            // delivered or tombstone, in arrival order.
+            if let Some(pos) = q.iter().position(|m| m.src == src && m.tag == tag) {
+                let m = q.remove(pos)?;
+                return Some(if m.lost {
+                    Got::Tombstone(m)
+                } else {
+                    Got::Delivered(m)
+                });
             }
-        };
+            // No matching message: a crash notice from the peer means
+            // none will ever come. The notice is *not* consumed — every
+            // later receive must see it too.
+            q.iter()
+                .find(|m| m.src == src && m.tag == CRASH_TAG)
+                .map(|m| Got::Dead(m.arrival))
+        });
         let watchdog = self.shared.plan.watchdog_timeout;
         match got {
             Got::Delivered(msg) => Ok(self.complete_recv(msg)),
@@ -593,13 +640,6 @@ impl RankCtx {
             MsgClass::Control => self.stats.bucket_mut(self.phase).book_sync(elapsed),
         }
         msg
-    }
-
-    /// Non-blocking probe: is a (delivered) message from `src` with
-    /// `tag` already queued? (Does not advance time.)
-    pub fn probe(&self, src: usize, tag: u64) -> bool {
-        let q = self.shared.mailboxes[self.rank].lock();
-        q.iter().any(|m| m.src == src && m.tag == tag && !m.lost)
     }
 }
 
@@ -728,6 +768,8 @@ where
         plan,
         crash_at,
         mailboxes: (0..config.ranks).map(|_| Mailbox::default()).collect(),
+        quiescent: AtomicUsize::new(0),
+        stalled: AtomicBool::new(false),
     });
 
     let mut outcomes: Vec<Option<FaultyOutcome<T>>> = (0..config.ranks).map(|_| None).collect();
@@ -749,6 +791,10 @@ where
                 };
                 let result =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
+                // A stalled rank was counted when its receive blocked.
+                if !matches!(&result, Err(payload) if payload.is::<StallUnwind>()) {
+                    ctx.shared.retire();
+                }
                 match result {
                     Ok(value) => Ok(FaultyOutcome {
                         rank,
@@ -778,7 +824,6 @@ where
                     stall_error.get_or_insert(SimError::Stalled {
                         rank: s.rank,
                         step: s.step,
-                        waited: s.waited,
                     });
                 }
                 Ok(Err(StallOrPanic::Panic(message))) => {
@@ -1042,28 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_does_not_advance_time() {
-        let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE);
-        let out = run_cluster(cfg, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 5, vec![1.0], MsgClass::Payload, OpShape::new(1, 1));
-                0.0
-            } else {
-                // Spin (real time) until the message is queued; virtual
-                // clock must not move.
-                while !ctx.probe(0, 5) {
-                    std::thread::yield_now();
-                }
-                let before = ctx.now();
-                assert_eq!(before, 0.0);
-                ctx.recv(0, 5);
-                ctx.now()
-            }
-        });
-        assert!(out[1].result > 0.0);
-    }
-
-    #[test]
     fn invalid_config_is_a_typed_error() {
         let cfg = ClusterConfig::uni(0, NetworkKind::TcpGigE);
         match try_run_cluster(cfg, |_ctx| ()) {
@@ -1101,21 +1124,77 @@ mod tests {
 
     #[test]
     fn stalled_receive_surfaces_typed_error() {
-        let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE).with_stall_timeout(0.2);
-        // Nobody ever sends tag 9<<8: the real-time watchdog must fire
-        // instead of hanging the test forever.
+        let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE);
+        // Nobody ever sends tag 9<<8, and rank 0 finishes while rank 1
+        // waits on it: the run must end in a typed error, at once.
         let result = run_cluster_faulty(cfg, FaultPlan::none(), |ctx| {
             if ctx.rank() == 1 {
                 let _ = ctx.recv(0, 9 << 8);
             }
         });
-        match result {
-            Err(SimError::Stalled { rank, step, waited }) => {
-                assert_eq!(rank, 1);
-                assert_eq!(step, 9);
-                assert!(waited >= 0.2);
+        let err = result.expect_err("rank 1 can never be served");
+        assert_eq!(err, SimError::Stalled { rank: 1, step: 9 });
+        assert_eq!(
+            err.to_string(),
+            "rank 1 stalled in epoch 9: no rank can move"
+        );
+    }
+
+    #[test]
+    fn a_cycle_of_receives_names_the_lowest_blocked_rank() {
+        let cfg = ClusterConfig::uni(3, NetworkKind::ScoreGigE);
+        let result = run_cluster_faulty(cfg, FaultPlan::none(), |ctx| {
+            let from = (ctx.rank() + 1) % ctx.size();
+            let _ = ctx.recv_result(from, (ctx.rank() as u64 + 4) << 8);
+        });
+        assert_eq!(result.err(), Some(SimError::Stalled { rank: 0, step: 4 }));
+    }
+
+    #[test]
+    fn a_message_for_another_tag_wakes_but_does_not_save_the_receiver() {
+        let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE);
+        let result = run_cluster_faulty(cfg, FaultPlan::none(), |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 1 << 8, vec![1.0], MsgClass::Payload, OpShape::p2p());
+            } else {
+                let _ = ctx.recv(0, 2 << 8);
             }
-            other => panic!("expected Stalled, got {other:?}"),
+        });
+        assert_eq!(result.err(), Some(SimError::Stalled { rank: 1, step: 2 }));
+    }
+
+    #[test]
+    fn a_slow_host_thread_is_not_a_stall() {
+        let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE);
+        // The sender dawdles in *host* time, which the engine cannot
+        // see: its receiver waits, and the virtual clocks do not move.
+        let out = run_cluster(cfg, |ctx| {
+            if ctx.rank() == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(300));
+                ctx.send(1, 5, vec![1.0], MsgClass::Payload, OpShape::p2p());
+            } else {
+                ctx.recv(0, 5);
+            }
+            ctx.now()
+        });
+        assert!(out[1].result > 0.0 && out[1].result < 0.01);
+    }
+
+    #[test]
+    fn a_panic_outranks_the_stalls_it_strands() {
+        let cfg = ClusterConfig::uni(3, NetworkKind::ScoreGigE);
+        let result = run_cluster_faulty(cfg, FaultPlan::none(), |ctx| {
+            if ctx.rank() == 2 {
+                panic!("deliberate test panic");
+            }
+            let _ = ctx.recv(2, 7 << 8);
+        });
+        match result {
+            Err(SimError::RankPanicked { rank, message }) => {
+                assert_eq!(rank, 2);
+                assert!(message.contains("deliberate test panic"));
+            }
+            other => panic!("expected RankPanicked, got {other:?}"),
         }
     }
 

@@ -1,8 +1,51 @@
 //! Property-based tests of the virtual cluster: model monotonicity and
 //! determinism over arbitrary parameters.
 
-use cpc_cluster::{ClusterConfig, MsgClass, NetworkKind, OpShape, Phase, SplitMix64, TransferCtx};
+use cpc_cluster::{
+    run_cluster_faulty, ClusterConfig, FaultPlan, MsgClass, NetworkKind, OpShape, Phase, SimError,
+    SplitMix64, TransferCtx,
+};
 use proptest::prelude::*;
+
+/// One step of a rank's script in the stall-detector property.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Op {
+    Send { dst: usize, tag: u64 },
+    Recv { src: usize, tag: u64 },
+}
+
+/// Serial reference for the engine's blocking semantics: runs each
+/// rank's script until it blocks or ends, lowest rank first, until no
+/// rank can move. `Err` names the lowest rank left blocked and the tag
+/// it waits on.
+fn run_to_block(scripts: &[Vec<Op>]) -> Result<(), (usize, u64)> {
+    let mut pc = vec![0; scripts.len()];
+    let mut inbox = vec![Vec::new(); scripts.len()];
+    let mut moved = true;
+    while std::mem::take(&mut moved) {
+        for (rank, script) in scripts.iter().enumerate() {
+            while let Some(&op) = script.get(pc[rank]) {
+                match op {
+                    Op::Send { dst, tag } => inbox[dst].push((rank, tag)),
+                    Op::Recv { src, tag } => {
+                        match inbox[rank].iter().position(|&m| m == (src, tag)) {
+                            Some(at) => drop(inbox[rank].remove(at)),
+                            None => break,
+                        }
+                    }
+                }
+                pc[rank] += 1;
+                moved = true;
+            }
+        }
+    }
+    for (rank, script) in scripts.iter().enumerate() {
+        if let Some(&Op::Recv { tag, .. }) = script.get(pc[rank]) {
+            return Err((rank, tag));
+        }
+    }
+    Ok(())
+}
 
 fn ctx(shape: OpShape) -> TransferCtx {
     TransferCtx {
@@ -133,5 +176,63 @@ proptest! {
             .collect::<Vec<_>>()
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The stall detector is exact: over arbitrary send/receive
+    /// scripts the threaded engine completes iff the serial reference
+    /// does, and otherwise names the same rank and tag epoch.
+    #[test]
+    fn engine_stalls_exactly_when_the_serial_reference_blocks(
+        p in 2usize..=6,
+        events in proptest::collection::vec((0usize..6, 0usize..5, 0u64..6), 0..14),
+        dropped in proptest::collection::vec(0usize..64, 0..3),
+        reversed in proptest::collection::vec(proptest::bool::ANY, 6..7),
+    ) {
+        // Matched pairs in one global order always complete (sends are
+        // eager); dropping ops and reversing whole scripts then breaks
+        // some of them: orphaned receives, and cycles of receives.
+        let mut scripts = vec![Vec::new(); p];
+        for (a, b, t) in events {
+            let (src, tag) = (a % p, (t / 2) << 8 | (t % 2));
+            let dst = (src + 1 + b % (p - 1)) % p;
+            scripts[src].push(Op::Send { dst, tag });
+            scripts[dst].push(Op::Recv { src, tag });
+        }
+        for d in dropped {
+            let script = &mut scripts[d % p];
+            if !script.is_empty() {
+                script.remove(d % script.len());
+            }
+        }
+        for (script, rev) in scripts.iter_mut().zip(reversed) {
+            if rev {
+                script.reverse();
+            }
+        }
+
+        let cfg = ClusterConfig::uni(p, NetworkKind::ScoreGigE);
+        let result = run_cluster_faulty(cfg, FaultPlan::none(), |ctx| {
+            for &op in &scripts[ctx.rank()] {
+                match op {
+                    Op::Send { dst, tag } => {
+                        ctx.send(dst, tag, vec![1.0], MsgClass::Payload, OpShape::p2p());
+                    }
+                    // Both blocking paths share the detector.
+                    Op::Recv { src, tag } if tag % 2 == 0 => drop(ctx.recv(src, tag)),
+                    Op::Recv { src, tag } => drop(ctx.recv_result(src, tag)),
+                }
+            }
+        });
+        match run_to_block(&scripts) {
+            Ok(()) => prop_assert!(result.is_ok(), "reference completes, engine: {result:?}"),
+            Err((rank, tag)) => prop_assert_eq!(
+                result.err(),
+                Some(SimError::Stalled { rank, step: tag >> 8 })
+            ),
+        }
     }
 }

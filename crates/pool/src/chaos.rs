@@ -1,11 +1,10 @@
 //! Interleaving-fuzz fault plans for the executor.
 //!
 //! A [`SchedFaultPlan`] is a seeded, bounded description of an
-//! adversarial schedule: steal storms that shred locality, timed
-//! pauses at instrumented yield points, a worker panic mid-task,
-//! thread-count changes mid-campaign, a lease expiring under a slow
-//! worker. The plan *types* live here so the executor can interpret
-//! them; the seeded *sampler* (`SchedFaultSpace`) lives in
+//! adversarial schedule: timed pauses at instrumented yield points, a
+//! worker panic mid-task, thread-count changes mid-campaign, a lease
+//! expiring under a slow worker. The plan *types* live here so the
+//! executor can interpret them; the seeded *sampler* (`SchedFaultSpace`) lives in
 //! `cpc-chaos::plan` next to the disk, transport and service fault
 //! spaces, keyed by the same `SplitMix64::for_message` discipline.
 //!
@@ -30,10 +29,6 @@ const PAUSE_CEIL: Duration = Duration::from_secs(1);
 /// One adversarial scheduling event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedFault {
-    /// From the `from_task`-th task start onward, thieves take one
-    /// task at a time instead of half a victim's range, maximizing
-    /// claim churn and cross-thread interleaving.
-    StealStorm { from_task: usize },
     /// The `at_point`-th instrumented yield point that worker `worker`
     /// passes stalls for `micros` of real time, letting every other
     /// thread race past it.
@@ -118,7 +113,6 @@ pub struct SchedChaos {
     points: Vec<AtomicU64>,
     injected_panics: AtomicUsize,
     pauses_taken: AtomicUsize,
-    storm_steals: AtomicUsize,
 }
 
 /// Upper bound on per-worker instrumentation slots.
@@ -134,7 +128,6 @@ impl SchedChaos {
             points: (0..MAX_WORKERS).map(|_| AtomicU64::new(0)).collect(),
             injected_panics: AtomicUsize::new(0),
             pauses_taken: AtomicUsize::new(0),
-            storm_steals: AtomicUsize::new(0),
         })
     }
 
@@ -178,20 +171,6 @@ impl SchedChaos {
         }
     }
 
-    /// True while a steal storm is active: thieves must take one task
-    /// at a time.
-    pub fn steal_one(&self) -> bool {
-        let started = self.started.load(Ordering::Relaxed);
-        let storm =
-            self.plan.faults.iter().any(
-                |f| matches!(*f, SchedFault::StealStorm { from_task } if started >= from_task),
-            );
-        if storm {
-            self.storm_steals.fetch_add(1, Ordering::Relaxed);
-        }
-        storm
-    }
-
     /// Panics injected so far (each fires at most once).
     pub fn injected_panics(&self) -> usize {
         self.injected_panics.load(Ordering::Relaxed)
@@ -200,11 +179,6 @@ impl SchedChaos {
     /// Pauses actually taken so far.
     pub fn pauses_taken(&self) -> usize {
         self.pauses_taken.load(Ordering::Relaxed)
-    }
-
-    /// Steal decisions made under an active storm.
-    pub fn storm_steals(&self) -> usize {
-        self.storm_steals.load(Ordering::Relaxed)
     }
 
     /// Task starts observed (re-executions included).
@@ -255,19 +229,6 @@ mod tests {
         assert_eq!(fired, vec![false, false, true, false, false]);
         assert_eq!(chaos.injected_panics(), 1);
         assert_eq!(chaos.task_starts(), 5);
-    }
-
-    #[test]
-    fn storm_activates_at_its_task_threshold() {
-        let chaos = SchedChaos::new(SchedFaultPlan {
-            threads: 2,
-            faults: vec![SchedFault::StealStorm { from_task: 2 }],
-        });
-        assert!(!chaos.steal_one(), "no starts yet: storm dormant");
-        chaos.on_task_start();
-        chaos.on_task_start();
-        assert!(chaos.steal_one());
-        assert_eq!(chaos.storm_steals(), 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! cpc-pool: a work-stealing executor behind a deterministic-reduction
+//! cpc-pool: a scoped-thread executor behind a deterministic-reduction
 //! API.
 //!
 //! The paper's cluster runs found no easy parallelism across commodity
@@ -9,49 +9,37 @@
 //! bit-identical determinism, so the executor enforces one rule:
 //!
 //! **Index-ordered commit.** [`Pool::par_map_indexed`] runs tasks on
-//! whatever thread steals them, in whatever order the scheduler and
+//! whatever thread claims them, in whatever order the scheduler and
 //! the chaos layer conspire to produce, but the results are merged
 //! into the output vector by *task index*, never by completion order.
 //! Reduction order — and therefore every byte any caller writes from
 //! the results — is fixed across thread counts and interleavings.
 //!
-//! Scheduling is classic range stealing without `unsafe`: each worker
-//! owns a mutex-guarded index range, pops from the front of its own
-//! range, and steals the back half of a victim's range when empty
-//! (one task at a time under a chaos steal storm). Each index is
-//! claimed exactly once by construction; the merge step still audits
-//! for lost or doubly-claimed tasks and convicts with a typed
-//! [`PoolError`] rather than trusting the construction.
+//! Scheduling is one shared cursor: worker `w` (the caller is worker
+//! 0) starts on task `w` and then claims the next unclaimed index with
+//! a `fetch_add` until the cursor passes the end. Every production
+//! caller hands the pool a batch no wider than its thread count, so
+//! each worker runs exactly one task and there is nothing to balance
+//! (DESIGN.md §26). Each index is claimed exactly once by construction; the merge
+//! step still audits for lost or doubly-claimed tasks and convicts
+//! with a typed [`PoolError`] rather than trusting the construction.
 //!
 //! Worker panics are caught at the task boundary and surfaced as
 //! [`TaskPanic`] values so a campaign driver can reclaim the task via
 //! the lease path; the pool spawns scoped threads per call, so a
-//! poisoned long-lived pool is structurally impossible. A stall
-//! watchdog on the calling thread counts fixed-length
-//! `Condvar::wait_timeout` ticks with no task completions and convicts
-//! a deadlocked schedule as [`PoolError::Stalled`] instead of hanging
-//! the harness. (Tick counting, not the ambient clock — the
-//! determinism audit allows none in `crates/`; the watchdog measures
-//! real time only in units of its own timeouts. Its scope is
-//! scheduler-level stalls: a task that blocks forever *inside* user
-//! code is the harness-level watchdog's job, same as under any
-//! work-stealing runtime.)
+//! poisoned long-lived pool is structurally impossible. No worker ever
+//! waits for another — a claim is one atomic add — so there is no
+//! scheduler-level stall to watch for: a task that blocks forever
+//! *inside* user code hangs `thread::scope` and is the harness's
+//! problem, as under any executor.
 
-mod backoff;
 pub mod chaos;
 
-pub use backoff::Backoff;
 pub use chaos::{quiet_injected_panics, SchedChaos, SchedFault, SchedFaultPlan, INJECTED_PANIC};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
-
-/// Default watchdog tick and strike budget: ~10 s of zero progress
-/// before a schedule is convicted as stalled.
-const STALL_TICK: Duration = Duration::from_millis(100);
-const STALL_STRIKES: u32 = 100;
+use std::sync::Arc;
 
 /// A task that panicked mid-execution (caught at the task boundary).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,13 +56,10 @@ impl std::fmt::Display for TaskPanic {
     }
 }
 
-/// Scheduler-level failure of a whole `par_map` call. `LostTask` and
-/// `DoubleClaim` indict the executor itself and should be impossible;
-/// `Stalled` convicts a schedule that stopped making progress.
+/// Scheduler-level failure of a whole `par_map` call. Both variants
+/// indict the executor itself and should be impossible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PoolError {
-    /// No task completed for the full strike budget of watchdog ticks.
-    Stalled { completed: usize, total: usize },
     /// An index was never claimed by any worker.
     LostTask { task: usize },
     /// An index was claimed (and executed) by two workers.
@@ -84,11 +69,6 @@ pub enum PoolError {
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PoolError::Stalled { completed, total } => write!(
-                f,
-                "schedule stalled: {completed}/{total} tasks completed, then no progress \
-                 for the watchdog's full strike budget"
-            ),
             PoolError::LostTask { task } => write!(f, "task {task} was never claimed"),
             PoolError::DoubleClaim { task } => write!(f, "task {task} was claimed twice"),
         }
@@ -101,24 +81,18 @@ impl std::error::Error for PoolError {}
 #[derive(Debug, Default)]
 struct StatCells {
     tasks: AtomicU64,
-    steals: AtomicU64,
     panics_caught: AtomicU64,
-    spins: AtomicU64,
-    yields: AtomicU64,
-    parks: AtomicU64,
-    stalls: AtomicU64,
 }
 
 /// Point-in-time snapshot of a pool's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     pub tasks: u64,
+    /// Always 0: a cursor has nothing to steal. Kept only because
+    /// `benchmark/src/layers.rs` reads it for `pool.steals_per_1k_tasks`;
+    /// goes with that row in a harness-alone PR.
     pub steals: u64,
     pub panics_caught: u64,
-    pub backoff_spins: u64,
-    pub backoff_yields: u64,
-    pub backoff_parks: u64,
-    pub stalls: u64,
 }
 
 /// The executor. Cheap to construct; worker threads are scoped to each
@@ -126,8 +100,6 @@ pub struct PoolStats {
 #[derive(Debug, Clone)]
 pub struct Pool {
     threads: usize,
-    stall_tick: Duration,
-    stall_strikes: u32,
     chaos: Option<Arc<SchedChaos>>,
     stats: Arc<StatCells>,
 }
@@ -137,8 +109,6 @@ impl Pool {
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            stall_tick: STALL_TICK,
-            stall_strikes: STALL_STRIKES,
             chaos: None,
             stats: Arc::new(StatCells::default()),
         }
@@ -153,14 +123,6 @@ impl Pool {
     /// counters survive mid-campaign pool swaps.
     pub fn with_chaos(mut self, chaos: Arc<SchedChaos>) -> Self {
         self.chaos = Some(chaos);
-        self
-    }
-
-    /// Override the stall watchdog's tick length and strike budget
-    /// (conviction after `strikes` consecutive no-progress ticks).
-    pub fn with_stall_budget(mut self, tick: Duration, strikes: u32) -> Self {
-        self.stall_tick = tick;
-        self.stall_strikes = strikes.max(1);
         self
     }
 
@@ -179,12 +141,8 @@ impl Pool {
         let c = &self.stats;
         PoolStats {
             tasks: c.tasks.load(Ordering::Relaxed),
-            steals: c.steals.load(Ordering::Relaxed),
+            steals: 0,
             panics_caught: c.panics_caught.load(Ordering::Relaxed),
-            backoff_spins: c.spins.load(Ordering::Relaxed),
-            backoff_yields: c.yields.load(Ordering::Relaxed),
-            backoff_parks: c.parks.load(Ordering::Relaxed),
-            stalls: c.stalls.load(Ordering::Relaxed),
         }
     }
 
@@ -211,7 +169,10 @@ impl Pool {
     /// Map `f` over `items`, returning one `Result` per task in
     /// task-index order: `Ok(r)` for completed tasks, `Err(TaskPanic)`
     /// for tasks whose execution panicked. The outer error convicts
-    /// the *schedule* (stall) or the executor (lost/double claim).
+    /// the executor (lost/double claim).
+    ///
+    /// The caller is worker 0; `min(threads, n) - 1` scoped threads are
+    /// spawned beside it, none for a sequential pool or a single task.
     pub fn try_par_map_indexed<T, R, F>(
         &self,
         items: &[T],
@@ -223,29 +184,44 @@ impl Pool {
         F: Fn(usize, &T) -> R + Sync,
     {
         let n = items.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return Ok(self.run_inline(items, &f));
-        }
-        self.run_stealing(items, &f, workers)
-    }
-
-    /// Sequential path: same chaos instrumentation, same task-boundary
-    /// panic containment, zero threads.
-    fn run_inline<T, R, F>(&self, items: &[T], f: &F) -> Vec<Result<R, TaskPanic>>
-    where
-        F: Fn(usize, &T) -> R,
-    {
+        let workers = self.threads.min(n).max(1);
         let chaos = self.chaos.as_deref();
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
+        // Relaxed: the cursor publishes nothing but itself — `items` is
+        // borrowed before the scope and results return through `join`.
+        let cursor = AtomicUsize::new(workers);
+        let work = |me: usize| {
+            let mut local = Vec::new();
+            let mut i = me;
+            while i < n {
                 if let Some(c) = chaos {
-                    c.at_yield_point(0);
+                    c.at_yield_point(me);
                 }
-                self.execute(f, i, item, chaos)
-            })
+                local.push((i, self.execute(&f, i, &items[i], chaos)));
+                i = cursor.fetch_add(1, Ordering::Relaxed);
+            }
+            local
+        };
+        let locals: Vec<Vec<(usize, Result<R, TaskPanic>)>> = std::thread::scope(|s| {
+            let work = &work;
+            let spawned: Vec<_> = (1..workers).map(|me| s.spawn(move || work(me))).collect();
+            let mut locals = vec![work(0)];
+            for handle in spawned {
+                locals.push(handle.join().expect("pool worker thread must not die"));
+            }
+            locals
+        });
+
+        let mut slots: Vec<Option<Result<R, TaskPanic>>> =
+            std::iter::repeat_with(|| None).take(n).collect();
+        for (task, res) in locals.into_iter().flatten() {
+            if slots[task].replace(res).is_some() {
+                return Err(PoolError::DoubleClaim { task });
+            }
+        }
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(task, slot)| slot.ok_or(PoolError::LostTask { task }))
             .collect()
     }
 
@@ -277,232 +253,6 @@ impl Pool {
                 message: panic_message(payload.as_ref()),
             }
         })
-    }
-
-    fn run_stealing<T, R, F>(
-        &self,
-        items: &[T],
-        f: &F,
-        workers: usize,
-    ) -> Result<Vec<Result<R, TaskPanic>>, PoolError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let n = items.len();
-        // Contiguous initial partition: worker w owns [w*n/W, (w+1)*n/W).
-        let ranges: Vec<Mutex<(usize, usize)>> = (0..workers)
-            .map(|w| Mutex::new((w * n / workers, (w + 1) * n / workers)))
-            .collect();
-        let remaining = AtomicUsize::new(n);
-        let completions = AtomicU64::new(0);
-        let stalled = AtomicUsize::new(0); // 0 = live, 1 = convicted
-        let wake = (Mutex::new(()), Condvar::new());
-        let chaos = self.chaos.as_deref();
-
-        let locals: Vec<Vec<(usize, Result<R, TaskPanic>)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|me| {
-                    let ranges = &ranges;
-                    let remaining = &remaining;
-                    let completions = &completions;
-                    let stalled = &stalled;
-                    let wake = &wake;
-                    s.spawn(move || {
-                        self.worker_loop(
-                            me,
-                            items,
-                            f,
-                            ranges,
-                            remaining,
-                            completions,
-                            stalled,
-                            wake,
-                            chaos,
-                        )
-                    })
-                })
-                .collect();
-
-            self.watch(&remaining, &completions, &stalled, &wake);
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker thread must not die"))
-                .collect()
-        });
-
-        let mut slots: Vec<Option<Result<R, TaskPanic>>> =
-            std::iter::repeat_with(|| None).take(n).collect();
-        let mut double_claim = None;
-        for (i, res) in locals.into_iter().flatten() {
-            if slots[i].is_some() {
-                double_claim = Some(i);
-            }
-            slots[i] = Some(res);
-        }
-        if stalled.load(Ordering::Acquire) != 0 {
-            self.stats.stalls.fetch_add(1, Ordering::Relaxed);
-            let completed = slots.iter().filter(|s| s.is_some()).count();
-            return Err(PoolError::Stalled {
-                completed,
-                total: n,
-            });
-        }
-        if let Some(task) = double_claim {
-            return Err(PoolError::DoubleClaim { task });
-        }
-        let mut out = Vec::with_capacity(n);
-        for (task, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(res) => out.push(res),
-                None => return Err(PoolError::LostTask { task }),
-            }
-        }
-        Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn worker_loop<T, R, F>(
-        &self,
-        me: usize,
-        items: &[T],
-        f: &F,
-        ranges: &[Mutex<(usize, usize)>],
-        remaining: &AtomicUsize,
-        completions: &AtomicU64,
-        stalled: &AtomicUsize,
-        wake: &(Mutex<()>, Condvar),
-        chaos: Option<&SchedChaos>,
-    ) -> Vec<(usize, Result<R, TaskPanic>)>
-    where
-        F: Fn(usize, &T) -> R,
-    {
-        let mut local = Vec::new();
-        let mut backoff = Backoff::new();
-        loop {
-            if stalled.load(Ordering::Acquire) != 0 {
-                break;
-            }
-            match self.claim(me, ranges, chaos) {
-                Some(i) => {
-                    backoff.reset();
-                    if let Some(c) = chaos {
-                        c.at_yield_point(me);
-                    }
-                    local.push((i, self.execute(f, i, &items[i], chaos)));
-                    completions.fetch_add(1, Ordering::Release);
-                    if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        // Last task: wake the watchdog. Notifying under
-                        // the lock pairs with its atomic unlock-and-wait,
-                        // so the wakeup cannot be lost.
-                        let _guard = wake.0.lock().expect("pool wake lock");
-                        wake.1.notify_all();
-                    }
-                }
-                None => {
-                    if remaining.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    if let Some(c) = chaos {
-                        c.at_yield_point(me);
-                    }
-                    backoff.snooze();
-                }
-            }
-        }
-        self.stats
-            .spins
-            .fetch_add(backoff.spins(), Ordering::Relaxed);
-        self.stats
-            .yields
-            .fetch_add(backoff.yields(), Ordering::Relaxed);
-        self.stats
-            .parks
-            .fetch_add(backoff.parks(), Ordering::Relaxed);
-        local
-    }
-
-    /// Claim one task index: pop the front of our own range, else
-    /// steal the back half (one task under a storm) of the first
-    /// non-empty victim.
-    fn claim(
-        &self,
-        me: usize,
-        ranges: &[Mutex<(usize, usize)>],
-        chaos: Option<&SchedChaos>,
-    ) -> Option<usize> {
-        {
-            let mut own = ranges[me].lock().expect("pool range lock");
-            if own.0 < own.1 {
-                let i = own.0;
-                own.0 += 1;
-                return Some(i);
-            }
-        }
-        let workers = ranges.len();
-        for offset in 1..workers {
-            let victim = (me + offset) % workers;
-            let (lo, hi) = {
-                let mut v = ranges[victim].lock().expect("pool range lock");
-                let avail = v.1 - v.0;
-                if avail == 0 {
-                    continue;
-                }
-                let take = if chaos.is_some_and(|c| c.steal_one()) {
-                    1
-                } else {
-                    avail - avail / 2
-                };
-                let lo = v.1 - take;
-                let hi = v.1;
-                v.1 = lo;
-                (lo, hi)
-            };
-            self.stats.steals.fetch_add(1, Ordering::Relaxed);
-            if hi - lo > 1 {
-                // Our range is empty (checked above) and only we ever
-                // refill it, so the overwrite cannot drop tasks.
-                let mut own = ranges[me].lock().expect("pool range lock");
-                *own = (lo + 1, hi);
-            }
-            return Some(lo);
-        }
-        None
-    }
-
-    /// Caller-side stall watchdog: sleep on the condvar in fixed
-    /// ticks; `strikes` consecutive ticks with zero completions
-    /// convict the schedule and tell the workers to bail.
-    fn watch(
-        &self,
-        remaining: &AtomicUsize,
-        completions: &AtomicU64,
-        stalled: &AtomicUsize,
-        wake: &(Mutex<()>, Condvar),
-    ) {
-        let mut strikes = 0u32;
-        let mut last = completions.load(Ordering::Acquire);
-        let mut guard = wake.0.lock().expect("pool wake lock");
-        while remaining.load(Ordering::Acquire) > 0 {
-            let (g, timeout) = wake
-                .1
-                .wait_timeout(guard, self.stall_tick)
-                .expect("pool wake wait");
-            guard = g;
-            let now = completions.load(Ordering::Acquire);
-            if now != last {
-                last = now;
-                strikes = 0;
-            } else if timeout.timed_out() {
-                strikes += 1;
-                if strikes >= self.stall_strikes {
-                    stalled.store(1, Ordering::Release);
-                    break;
-                }
-            }
-        }
     }
 }
 
@@ -543,17 +293,34 @@ mod tests {
     }
 
     #[test]
-    fn steal_storm_does_not_move_a_byte() {
-        let chaos = SchedChaos::new(SchedFaultPlan {
-            threads: 4,
-            faults: vec![SchedFault::StealStorm { from_task: 1 }],
-        });
-        let items: Vec<u64> = (0..200).collect();
-        let reference = Pool::sequential().par_map_indexed(&items, square);
-        let stormy = Pool::new(4)
-            .with_chaos(chaos)
-            .par_map_indexed(&items, square);
-        assert_eq!(stormy, reference);
+    fn the_caller_is_worker_zero_and_runs_task_zero() {
+        let caller = std::thread::current().id();
+        for threads in [2, 3, 8] {
+            let items: Vec<u64> = (0..threads as u64).collect();
+            let ran_on =
+                Pool::new(threads).par_map_indexed(&items, |_, _| std::thread::current().id());
+            assert_eq!(ran_on[0], caller, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn every_index_is_executed_exactly_once() {
+        for threads in [1usize, 2, 4] {
+            for n in [0, 1, threads.saturating_sub(1), threads, 10 * threads] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let pool = Pool::new(threads);
+                let out = pool.par_map_indexed(&runs, |i, run| {
+                    run.fetch_add(1, Ordering::Relaxed);
+                    i
+                });
+                assert_eq!(out, (0..n).collect::<Vec<_>>(), "threads={threads} n={n}");
+                assert!(
+                    runs.iter().all(|run| run.load(Ordering::Relaxed) == 1),
+                    "threads={threads} n={n}: {runs:?}"
+                );
+                assert_eq!(pool.stats().tasks, n as u64);
+            }
+        }
     }
 
     #[test]
@@ -597,42 +364,5 @@ mod tests {
             .expect("no pool error");
         assert!(results[2].is_err());
         assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 3);
-    }
-
-    #[test]
-    fn watchdog_convicts_a_pause_longer_than_its_budget() {
-        let chaos = SchedChaos::new(SchedFaultPlan {
-            threads: 2,
-            // Worker 0's first yield point stalls for a full second
-            // (the longest pause the pool honors) against a 5-tick x
-            // 10 ms budget: conviction, not a hang — with margin enough
-            // that a loaded host descheduling the watchdog for a few
-            // hundred milliseconds cannot let the pause end first.
-            // (Worker 0 is the target because on a one-core host worker
-            // 1 may never claim anything before the work is gone.)
-            faults: vec![SchedFault::WorkerPause {
-                worker: 0,
-                at_point: 1,
-                micros: 1_000_000,
-            }],
-        });
-        let pool = Pool::new(2)
-            .with_chaos(chaos)
-            .with_stall_budget(Duration::from_millis(10), 5);
-        let items: Vec<u64> = (0..2).collect();
-        let err = pool
-            .try_par_map_indexed(&items, square)
-            .expect_err("pause outlives the stall budget");
-        assert!(
-            matches!(err, PoolError::Stalled { total: 2, .. }),
-            "got {err:?}"
-        );
-        assert_eq!(pool.stats().stalls, 1);
-
-        // A stalled verdict must not wedge the next call either.
-        let ok = pool
-            .with_stall_budget(STALL_TICK, STALL_STRIKES)
-            .par_map_indexed(&items, square);
-        assert_eq!(ok, vec![0, 2]);
     }
 }

@@ -149,15 +149,24 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
 
 // ---- parser ---------------------------------------------------------
 
+/// Deepest nesting of arrays and objects the parser follows (the real
+/// serde_json's limit). The parser recurses per level, and documents
+/// arrive from outside the program: unbounded, a body of `[` characters
+/// overflows the stack — an abort no `catch_unwind` sees.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -210,8 +219,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -219,6 +228,52 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
+    /// Four hex digits at `pos`, consumed.
+    fn hex4(&mut self) -> Result<u32> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::new("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in hex {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| Error::new("bad \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// The scalar a `\u` escape names, `pos` just past the `u`. A high
+    /// surrogate must be followed by the escaped low half of its pair;
+    /// a lone or reversed half names no scalar.
+    fn unicode_escape(&mut self) -> Result<char> {
+        let mut code = self.hex4()?;
+        if (0xd800..0xdc00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&low) {
+                return Err(Error::new("bad \\u surrogate pair"));
+            }
+            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+        }
+        char::from_u32(code).ok_or_else(|| Error::new("bad \\u code point"))
     }
 
     fn string(&mut self) -> Result<String> {
@@ -243,21 +298,9 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{0008}'),
                         Some(b'f') => out.push('\u{000c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
+                            self.pos += 1;
+                            out.push(self.unicode_escape()?);
+                            continue;
                         }
                         other => {
                             return Err(Error::new(format!("bad escape {other:?}")));
@@ -424,5 +467,53 @@ mod tests {
         let compact = to_string(&v).unwrap();
         let v2: Value = from_str(&compact).unwrap();
         assert_eq!(v, v2);
+    }
+
+    fn nest(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_into_the_guard_page() {
+        assert!(parse_value(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse_value(&objects).is_err());
+        // Siblings are not nesting.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 4].join(","));
+        assert!(parse_value(&wide).is_ok());
+        // The gateway's largest body, all `[`, on a stack an eighth of
+        // the default: an `Err`, not a dead process.
+        let verdict = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| parse_value(&"[".repeat(262_144)).is_err())
+            .expect("spawn")
+            .join()
+            .expect("the parser thread survives");
+        assert!(verdict);
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_halves_are_rejected() {
+        let grin: String = from_str(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(grin, "\u{1F600}");
+        assert_eq!(grin.chars().count(), 1);
+        let text = to_string(&grin).unwrap();
+        assert_eq!(from_str::<String>(&text).unwrap(), grin);
+        assert_eq!(
+            from_str::<String>(r#""a\uD83D\uDE00b""#).unwrap(),
+            "a\u{1F600}b"
+        );
+        for bad in [
+            r#""\ud83d""#,       // lone high half
+            r#""\ud83dx""#,      // high half, then no escape
+            r#""\ude00""#,       // lone low half
+            r#""\ude00\ud83d""#, // reversed pair
+            r#""\ud83d\u0041""#, // high half, then a non-surrogate
+            r#""\ud83d\ud83d""#, // two high halves
+            r#""\u+123""#,       // sign is not a hex digit
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad}");
+        }
     }
 }

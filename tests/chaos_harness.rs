@@ -12,7 +12,7 @@ fn system_and_config(n_side: usize, ranks: usize, steps: usize) -> (System, MdCo
     let mut sys = cpc_md::builder::water_box(n_side, 3.1);
     cpc_md::minimize::minimize(&mut sys, EnergyModel::Classic, 40);
     sys.assign_velocities(150.0, 3);
-    let cluster = ClusterConfig::uni(ranks, NetworkKind::ScoreGigE).with_stall_timeout(20.0);
+    let cluster = ClusterConfig::uni(ranks, NetworkKind::ScoreGigE);
     let cfg = MdConfig {
         steps,
         ..MdConfig::paper_protocol(EnergyModel::Classic, Middleware::Mpi, cluster)

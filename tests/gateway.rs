@@ -280,6 +280,22 @@ fn kill_resume_through_http_reproduces_the_direct_journal() {
 /// mid-response disconnects, connection floods, gateway kills — and
 /// every one must uphold all six gateway oracles, judged by the one
 /// chaos conductor under a transport-only mask.
+/// The JSON parser recurses per nesting level, and `POST /campaigns`
+/// hands it bodies of up to `max_body_bytes`: the largest admissible
+/// body of nothing but `[` must come back as a 400, not overflow the
+/// handler's stack (an abort that no `catch_unwind` would see).
+#[test]
+fn a_body_of_a_quarter_million_open_brackets_is_a_400_not_a_dead_gateway() {
+    let root = tmp_dir("deep-json");
+    let mut gw = demo_gateway(&root, 64);
+    let conn = send(&mut gw, http_post("/campaigns", &"[".repeat(256 * 1024)));
+    assert_eq!(conn.response_status(), Some(400));
+    let conn = send(&mut gw, http_get("/healthz"));
+    assert_eq!(conn.response_status(), Some(200));
+    assert_eq!(submit(&mut gw, "ci", "[1]").response_status(), Some(201));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn a_hundred_sampled_transport_schedules_uphold_every_gateway_oracle() {
     let space = TransportFaultSpace::new(6);
