@@ -4,7 +4,7 @@
 //! all-to-all collective (CHARMM's global force combine).
 
 use crate::decomp::{classic_partition, pair_cuts, ClassicPartition};
-use crate::memo::{classic_key, KernelMemo, KernelOutput};
+use crate::memo::{classic_prefix, Digest, KernelMemo, KernelOutput};
 use cpc_cluster::{CostModel, Phase};
 use cpc_md::bonded::{bonded_energy_forces_range, BondedEnergies};
 use cpc_md::nonbonded::{nonbonded_energy_forces, NonbondedEnergies, NonbondedOptions};
@@ -140,6 +140,31 @@ pub fn classic_energy_parallel_weighted(
     caps: Option<&[f64]>,
     memo: Option<&KernelMemo>,
 ) -> ClassicResult {
+    classic_energy_keyed(
+        comm, system, pairs, opts, cost, combine, caps, memo, &mut None,
+    )
+    .0
+}
+
+/// [`classic_energy_parallel_weighted`] for a caller that keeps the
+/// static part of its content key between evaluations. `prefix` is
+/// filled on the first memoised call ([`classic_prefix`] of this rank's
+/// share) and continued with the box and the positions on every one;
+/// the caller must empty it whenever `pairs`, the rank count or `caps`
+/// change. Also returns the evaluation's key state when the partials
+/// were served from the memo, for the PME tail to continue.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn classic_energy_keyed(
+    comm: &mut Comm<'_>,
+    system: &System,
+    pairs: &[(u32, u32)],
+    opts: &NonbondedOptions,
+    cost: &CostModel,
+    combine: CombineAlgo,
+    caps: Option<&[f64]>,
+    memo: Option<&KernelMemo>,
+    prefix: &mut Option<Digest>,
+) -> (ClassicResult, Option<Digest>) {
     let p = comm.size();
     let r = comm.rank();
     comm.ctx().set_phase(Phase::Classic);
@@ -164,10 +189,15 @@ pub fn classic_energy_parallel_weighted(
     let my_block = cuts[r]..cuts[r + 1];
     let kernel = || rank_kernel(system, &pairs[my_block.clone()], &part, opts);
     let (computed, stored);
+    let mut served = None;
     let out: &KernelOutput = match memo {
         Some(memo) => {
-            let key = classic_key(system, pairs, &my_block, &part, opts);
-            stored = memo.get_or_compute(key, platform_of(comm), kernel);
+            let eval = prefix
+                .get_or_insert_with(|| classic_prefix(system, pairs, &my_block, &part, opts))
+                .at(system);
+            let hit;
+            (stored, hit) = memo.serve_or_compute(eval.finish(), platform_of(comm), kernel);
+            served = hit.then_some(eval);
             &stored
         }
         None => {
@@ -201,7 +231,7 @@ pub fn classic_energy_parallel_weighted(
     comm.allreduce_with(combine, &mut buf);
 
     let (f, e) = buf.split_at(3 * n);
-    ClassicResult {
+    let result = ClassicResult {
         bonded: BondedEnergies {
             bond: e[0],
             angle: e[1],
@@ -216,7 +246,8 @@ pub fn classic_energy_parallel_weighted(
             .chunks_exact(3)
             .map(|c| Vec3::new(c[0], c[1], c[2]))
             .collect(),
-    }
+    };
+    (result, served)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! A content-addressed memo of per-rank classic-kernel outputs.
+//! A content-addressed memo of per-rank classic-kernel outputs and PME
+//! tails.
 //!
 //! The paper's factorial varies *platform* factors (network,
 //! middleware, CPUs per node) at each processor count, and those
@@ -12,13 +13,23 @@
 //! identical partials to the live combine. Nothing downstream of the
 //! kernel is stored or skipped.
 //!
+//! The rank's PME *tail* — force interpolation over the gathered
+//! potential mesh plus the exclusion correction, the one part of the
+//! PME routine that feeds no message — is held beside it as a
+//! [`TailOutput`], under the same evaluation's key continued with what
+//! only the tail reads ([`tail_key`]). The mesh stages in front of it
+//! are the payloads a cell exists to time and always run.
+//!
 //! Sharing is *across* platform cells only. Every entry remembers the
 //! platform of the cell that computed it, and a lookup from that same
 //! platform computes again until some other platform has asked for the
 //! entry: running one cell twice is a repeat measurement (a timing
 //! loop, a determinism check) and must cost, and test, what the first
 //! run did. Were it a replay, the cost of a cell would depend on what
-//! the process happened to run before it.
+//! the process happened to run before it. Tails follow the classic
+//! partials of their evaluation: one is looked up, and stored, only by
+//! an evaluation whose partials were served, so a process that runs a
+//! single platform holds none.
 //!
 //! The payload budget is a fixed constant with oldest-first eviction;
 //! there is no switch: callers that must measure or perturb the kernel
@@ -27,14 +38,18 @@
 use crate::decomp::ClassicPartition;
 use cpc_md::bonded::BondedEnergies;
 use cpc_md::nonbonded::{ElecMethod, NonbondedEnergies, NonbondedOptions};
+use cpc_md::pme::PmeParams;
+use cpc_md::topology::Topology;
 use cpc_md::{System, Vec3};
+use cpc_mpi::CombineAlgo;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Payload budget of a memo: 32 MiB holds the four paper trajectories
-/// (p = 1, 2, 4, 8 on myoglobin, about 14 MiB) twice over.
+/// (p = 1, 2, 4, 8 on myoglobin: 165 classic partials, 13.4 MiB, and
+/// 165 tails, 3.6 MiB) with 15 MiB to spare.
 const BUDGET_BYTES: usize = 32 << 20;
 
 /// What one rank's classic kernel produces, before the combine.
@@ -58,36 +73,123 @@ impl KernelOutput {
     }
 }
 
+/// What one rank's PME tail produces, before the closing combine: the
+/// k-space partial forces of its atom block (interpolation plus
+/// exclusion correction), held block-dense, and the few atoms past the
+/// block that the exclusion correction pushes back on. Every other atom
+/// of the rank's partial array is `+0.0`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TailOutput {
+    /// Partial forces of the atoms `block_start..`, one per block atom.
+    block_forces: Vec<Vec3>,
+    /// `(atom, partial force)` of every atom outside the block whose
+    /// partial force is not all `+0.0` bits.
+    partners: Vec<(u32, Vec3)>,
+    /// This rank's partial excluded-pair energy.
+    pub excl_energy: f64,
+    /// Mesh points interpolated (charged at `interp_point`).
+    pub interp_points: usize,
+    /// Excluded pairs corrected (charged at `excl_pair`).
+    pub excl_count: usize,
+}
+
+fn is_positive_zero(f: &Vec3) -> bool {
+    f.x.to_bits() | f.y.to_bits() | f.z.to_bits() == 0
+}
+
+impl TailOutput {
+    /// The sparse form of `forces`, a rank's partial k-space force array
+    /// in which only `block` and its exclusion partners were written.
+    pub fn extract(
+        forces: &[Vec3],
+        block: &Range<usize>,
+        excl_energy: f64,
+        interp_points: usize,
+        excl_count: usize,
+    ) -> Self {
+        let outside = (0..block.start).chain(block.end..forces.len());
+        TailOutput {
+            block_forces: forces[block.clone()].to_vec(),
+            partners: outside
+                .filter(|&i| !is_positive_zero(&forces[i]))
+                .map(|i| (i as u32, forces[i]))
+                .collect(),
+            excl_energy,
+            interp_points,
+            excl_count,
+        }
+    }
+
+    /// Writes the stored bits back into `forces`, an all-`+0.0` array:
+    /// the array [`Self::extract`] read, bit for bit.
+    pub fn scatter_into(&self, forces: &mut [Vec3], block_start: usize) {
+        forces[block_start..][..self.block_forces.len()].copy_from_slice(&self.block_forces);
+        for &(i, f) in &self.partners {
+            forces[i as usize] = f;
+        }
+    }
+
+    fn payload_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + std::mem::size_of_val(self.block_forces.as_slice())
+            + std::mem::size_of_val(self.partners.as_slice())
+    }
+}
+
+/// Counters of one kind of entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KindStats {
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that computed.
+    pub misses: u64,
+    /// Payload bytes currently held.
+    pub bytes: usize,
+}
+
 /// Counters of a [`KernelMemo`], as printed by `campaign` and `serve`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoStats {
-    /// Lookups answered from the memo.
-    pub hits: u64,
-    /// Lookups that ran the kernel.
-    pub misses: u64,
-    /// Entries dropped to stay inside the budget.
+    /// Classic-kernel partials.
+    pub classic: KindStats,
+    /// PME tails. One is looked up only by an evaluation whose classic
+    /// partials were served, so these never exceed `classic.hits`.
+    pub tail: KindStats,
+    /// Entries of either kind dropped to stay inside the budget.
     pub evictions: u64,
-    /// Payload bytes currently held.
-    pub bytes: usize,
-    /// Entries currently held.
+    /// Entries of either kind currently held.
     pub entries: usize,
+}
+
+impl MemoStats {
+    /// Payload bytes currently held, both kinds.
+    pub fn bytes(&self) -> usize {
+        self.classic.bytes + self.tail.bytes
+    }
 }
 
 impl fmt::Display for MemoStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mib = |bytes: usize| bytes as f64 / (1u64 << 20) as f64;
+        write!(f, "kernel memo:")?;
+        for (kind, s) in [("classic", &self.classic), ("tail", &self.tail)] {
+            write!(
+                f,
+                " {kind} {} hit(s) {} miss(es) {:.1} MiB,",
+                s.hits,
+                s.misses,
+                mib(s.bytes)
+            )?;
+        }
         write!(
             f,
-            "kernel memo: {} hit(s), {} miss(es), {} eviction(s), {} entries, {:.1} MiB",
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.entries,
-            self.bytes as f64 / (1u64 << 20) as f64
+            " {} eviction(s), {} entries",
+            self.evictions, self.entries
         )
     }
 }
 
-/// A stored output and who may be served it.
+/// A stored classic output and who may be served it.
 struct Entry {
     out: Arc<KernelOutput>,
     /// Platform of the cell that computed the output.
@@ -96,16 +198,49 @@ struct Entry {
     shared: bool,
 }
 
+#[derive(Clone, Copy)]
+enum Kind {
+    Classic,
+    Tail,
+}
+
 #[derive(Default)]
 struct Inner {
-    map: HashMap<u128, Entry>,
-    /// Keys in insertion order, oldest first.
-    order: VecDeque<u128>,
-    /// `entries` is left at zero here and read off `map` on request.
+    classic: HashMap<u128, Entry>,
+    tails: HashMap<u128, Arc<TailOutput>>,
+    /// Keys of both kinds in insertion order, oldest first.
+    order: VecDeque<(Kind, u128)>,
+    /// `entries` is left at zero here and read off the maps on request.
     stats: MemoStats,
 }
 
-/// Thread-safe, byte-budgeted store of [`KernelOutput`]s by content key.
+impl Inner {
+    fn bytes_of(&mut self, kind: Kind) -> &mut usize {
+        match kind {
+            Kind::Classic => &mut self.stats.classic.bytes,
+            Kind::Tail => &mut self.stats.tail.bytes,
+        }
+    }
+
+    /// Evicts oldest-first until `bytes` more fit under `budget`, then
+    /// books them to `kind` under `key`. The caller inserts the entry.
+    fn make_room(&mut self, budget: usize, kind: Kind, key: u128, bytes: usize) {
+        while self.stats.bytes() + bytes > budget {
+            let (old_kind, oldest) = self.order.pop_front().expect("bytes held imply an entry");
+            let freed = match old_kind {
+                Kind::Classic => self.classic.remove(&oldest).map(|e| e.out.payload_bytes()),
+                Kind::Tail => self.tails.remove(&oldest).map(|t| t.payload_bytes()),
+            };
+            *self.bytes_of(old_kind) -= freed.expect("ordered keys are stored");
+            self.stats.evictions += 1;
+        }
+        self.order.push_back((kind, key));
+        *self.bytes_of(kind) += bytes;
+    }
+}
+
+/// Thread-safe, byte-budgeted store of [`KernelOutput`]s and PME tails
+/// by content key.
 pub struct KernelMemo {
     budget: usize,
     inner: Mutex<Inner>,
@@ -140,13 +275,13 @@ impl KernelMemo {
     pub fn stats(&self) -> MemoStats {
         let inner = self.lock();
         MemoStats {
-            entries: inner.map.len(),
+            entries: inner.classic.len() + inner.tails.len(),
             ..inner.stats
         }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // The kernel runs outside the lock, so only a panic in the
+        // The kernels run outside the lock, so only a panic in the
         // bookkeeping below could poison it.
         self.inner.lock().expect("kernel memo bookkeeping panicked")
     }
@@ -163,45 +298,75 @@ impl KernelMemo {
         platform: u64,
         kernel: impl FnOnce() -> KernelOutput,
     ) -> Arc<KernelOutput> {
+        self.serve_or_compute(key, platform, kernel).0
+    }
+
+    /// [`Self::get_or_compute`], and whether the output was served from
+    /// the memo rather than computed by this call.
+    pub(crate) fn serve_or_compute(
+        &self,
+        key: u128,
+        platform: u64,
+        kernel: impl FnOnce() -> KernelOutput,
+    ) -> (Arc<KernelOutput>, bool) {
         {
             let mut inner = self.lock();
-            if let Some(entry) = inner.map.get_mut(&key) {
+            if let Some(entry) = inner.classic.get_mut(&key) {
                 if entry.shared || entry.origin != platform {
                     entry.shared = true;
                     let hit = Arc::clone(&entry.out);
-                    inner.stats.hits += 1;
-                    return hit;
+                    inner.stats.classic.hits += 1;
+                    return (hit, true);
                 }
             }
-            inner.stats.misses += 1;
+            inner.stats.classic.misses += 1;
         }
         let out = Arc::new(kernel());
         let bytes = out.payload_bytes();
         if bytes > self.budget {
-            return out;
+            return (out, false);
         }
         let mut inner = self.lock();
-        if let Some(first) = inner.map.get_mut(&key) {
+        if let Some(first) = inner.classic.get_mut(&key) {
             // A repeat from the origin platform leaves the entry as it
             // is; a concurrent miss from another platform shares it.
             first.shared |= first.origin != platform;
-            return Arc::clone(&first.out);
+            return (Arc::clone(&first.out), false);
         }
-        while inner.stats.bytes + bytes > self.budget {
-            let oldest = inner.order.pop_front().expect("bytes held imply an entry");
-            let gone = inner.map.remove(&oldest).expect("ordered keys are stored");
-            inner.stats.bytes -= gone.out.payload_bytes();
-            inner.stats.evictions += 1;
-        }
+        inner.make_room(self.budget, Kind::Classic, key, bytes);
         let entry = Entry {
             out: Arc::clone(&out),
             origin: platform,
             shared: false,
         };
-        inner.map.insert(key, entry);
-        inner.order.push_back(key);
-        inner.stats.bytes += bytes;
-        out
+        inner.classic.insert(key, entry);
+        (out, false)
+    }
+
+    /// The tail stored under `key`, if any. Only an evaluation whose
+    /// classic partials were served asks, which is what keeps tails
+    /// under the across-platforms-only rule.
+    pub(crate) fn tail(&self, key: u128) -> Option<Arc<TailOutput>> {
+        let mut inner = self.lock();
+        let hit = inner.tails.get(&key).map(Arc::clone);
+        match hit {
+            Some(_) => inner.stats.tail.hits += 1,
+            None => inner.stats.tail.misses += 1,
+        }
+        hit
+    }
+
+    /// Stores the tail a missed [`Self::tail`] lookup went on to compute.
+    /// Of two threads that missed on one key the first to store wins;
+    /// both computed the same bits.
+    pub(crate) fn store_tail(&self, key: u128, out: TailOutput) {
+        let bytes = out.payload_bytes();
+        let mut inner = self.lock();
+        if bytes > self.budget || inner.tails.contains_key(&key) {
+            return;
+        }
+        inner.make_room(self.budget, Kind::Tail, key, bytes);
+        inner.tails.insert(key, Arc::new(out));
     }
 }
 
@@ -209,14 +374,16 @@ impl KernelMemo {
 /// lanes that both see every word. Each step is a bijection of its
 /// lane for a fixed word and injective in the word for a fixed lane,
 /// so two streams of equal length that differ in one word never
-/// collide.
-struct Digest {
+/// collide. A value is the state after a stream's prefix and can be
+/// cloned and continued.
+#[derive(Clone)]
+pub(crate) struct Digest {
     a: u64,
     b: u64,
 }
 
 impl Digest {
-    fn new() -> Self {
+    pub fn new() -> Self {
         Digest {
             a: 0x243f_6a88_85a3_08d3,
             b: 0x1319_8a2e_0370_7344,
@@ -240,28 +407,42 @@ impl Digest {
         self.word(r.end as u64);
     }
 
+    /// This state continued with what moves between two evaluations:
+    /// the box and the bits of every position.
+    pub fn at(&self, system: &System) -> Digest {
+        let mut d = self.clone();
+        let l = system.pbox.lengths;
+        for x in [l.x, l.y, l.z] {
+            d.f64(x);
+        }
+        d.word(system.positions.len() as u64);
+        for p in &system.positions {
+            d.f64(p.x);
+            d.f64(p.y);
+            d.f64(p.z);
+        }
+        d
+    }
+
     /// The lane pair as is: the map re-hashes its keys, so no final
     /// avalanche is needed.
-    fn finish(self) -> u128 {
+    pub fn finish(&self) -> u128 {
         u128::from(self.a) << 64 | u128::from(self.b)
     }
 }
 
-/// Content key of one rank's classic kernel call: the bits of
-/// everything `nonbonded_energy_forces` over `pairs[pair_block]` and
-/// `bonded_energy_forces_range` over `part` read — the nonbonded
-/// options, the box, every position, every atom's class and charge
-/// (LJ parameters are compile-time constants of the class), the rank's
-/// pair block with its bounds, and the rank's bonded terms with their
-/// ranges, indices and parameters. Exclusions are not read by the
-/// kernel (they are baked into the pair list), nor are velocities.
-pub fn classic_key(
+/// The part of a rank's [`classic_key`] that stands still between two
+/// list builds of one decomposition: the nonbonded options, every
+/// atom's class and charge (LJ parameters are compile-time constants of
+/// the class), the rank's pair block with its bounds, and the rank's
+/// bonded terms with their ranges, indices and parameters.
+pub(crate) fn classic_prefix(
     system: &System,
     pairs: &[(u32, u32)],
     pair_block: &Range<usize>,
     part: &ClassicPartition,
     opts: &NonbondedOptions,
-) -> u128 {
+) -> Digest {
     let mut d = Digest::new();
     d.f64(opts.cutoff);
     d.f64(opts.switch_on);
@@ -272,16 +453,6 @@ pub fn classic_key(
             d.word(2);
             d.f64(beta);
         }
-    }
-    let l = system.pbox.lengths;
-    for x in [l.x, l.y, l.z] {
-        d.f64(x);
-    }
-    d.word(system.positions.len() as u64);
-    for p in &system.positions {
-        d.f64(p.x);
-        d.f64(p.y);
-        d.f64(p.z);
     }
     let topo = &system.topology;
     d.word(topo.atoms.len() as u64);
@@ -327,6 +498,64 @@ pub fn classic_key(
         d.f64(t.param.k);
         d.f64(t.param.psi0);
     }
+    d
+}
+
+/// Content key of one rank's classic kernel call: the bits of
+/// everything `nonbonded_energy_forces` over `pairs[pair_block]` and
+/// `bonded_energy_forces_range` over `part` read — [`classic_prefix`],
+/// then the box and every position ([`Digest::at`]). Exclusions are not
+/// read by the kernel (they are baked into the pair list), nor are
+/// velocities.
+pub fn classic_key(
+    system: &System,
+    pairs: &[(u32, u32)],
+    pair_block: &Range<usize>,
+    part: &ClassicPartition,
+    opts: &NonbondedOptions,
+) -> u128 {
+    classic_prefix(system, pairs, pair_block, part, opts)
+        .at(system)
+        .finish()
+}
+
+/// What, beyond its evaluation's classic key, one rank's PME tail
+/// depends on and no evaluation moves: beta, the mesh and the spline
+/// order; the rank count and the charge-mesh sum algorithm (they fix
+/// the order the mesh is summed in, and so the bits of the potential
+/// the tail interpolates); the rank's atom block and that block's
+/// exclusion lists. Charges are in the classic key already.
+pub(crate) fn tail_statics(
+    params: &PmeParams,
+    grid_sum: CombineAlgo,
+    p: usize,
+    atom_block: &Range<usize>,
+    topo: &Topology,
+) -> u128 {
+    let mut d = Digest::new();
+    d.f64(params.beta);
+    for n in [params.grid.nx, params.grid.ny, params.grid.nz, params.order] {
+        d.word(n as u64);
+    }
+    d.word(grid_sum as u64);
+    d.word(p as u64);
+    d.range(atom_block);
+    for partners in &topo.exclusions[atom_block.clone()] {
+        d.word(partners.len() as u64);
+        for &j in partners {
+            d.word(u64::from(j));
+        }
+    }
+    d.finish()
+}
+
+/// Content key of one rank's PME tail: `eval`, the state whose
+/// [`Digest::finish`] is the evaluation's classic key, continued with
+/// the engine's [`tail_statics`].
+pub(crate) fn tail_key(eval: &Digest, statics: u128) -> u128 {
+    let mut d = eval.clone();
+    d.word((statics >> 64) as u64);
+    d.word(statics as u64);
     d.finish()
 }
 
@@ -365,7 +594,9 @@ mod tests {
     /// and run through one memo in the order A, A, B, B, A: every run
     /// yields the byte-identical report of its cell; A's repeat computes
     /// (no other platform has asked yet), B replays A's kernels, and
-    /// from then on every run replays, A's included.
+    /// from then on every run replays, A's included. Under PME, B's
+    /// first run — the first whose partials are served — computes and
+    /// stores the tails, and the two runs after it are served them.
     #[test]
     fn cold_warm_and_unmemoised_reports_are_byte_identical() {
         let networks = [
@@ -411,30 +642,34 @@ mod tests {
 
             let memo = KernelMemo::new();
             let lookups = (p * (steps + 1)) as u64;
-            // (cell, misses, hits) of each run in turn.
+            let tails = if model == pme { lookups } else { 0 };
+            // (cell, classic misses, classic hits, tail misses, tail
+            // hits) of each run in turn.
             let runs = [
-                (0, lookups, 0),
-                (0, lookups, 0),
-                (1, 0, lookups),
-                (1, 0, lookups),
-                (0, 0, lookups),
+                (0, lookups, 0, 0, 0),
+                (0, lookups, 0, 0, 0),
+                (1, 0, lookups, tails, 0),
+                (1, 0, lookups, 0, tails),
+                (0, 0, lookups, 0, tails),
             ];
-            for (run, (which, misses, hits)) in runs.into_iter().enumerate() {
+            for (run, (which, misses, hits, tail_misses, tail_hits)) in runs.into_iter().enumerate()
+            {
                 let before = memo.stats();
                 let got = format!(
                     "{:?}",
                     run_parallel_md_memo(&sys, &cells[which], Some(&memo))
                 );
                 let after = memo.stats();
-                assert_eq!(got, plain[which], "seed {seed} run {run}");
-                assert_eq!(
-                    after.misses - before.misses,
-                    misses,
-                    "seed {seed} run {run}"
-                );
-                assert_eq!(after.hits - before.hits, hits, "seed {seed} run {run}");
+                let at = format!("seed {seed} run {run}");
+                assert_eq!(got, plain[which], "{at}");
+                assert_eq!(after.classic.misses - before.classic.misses, misses, "{at}");
+                assert_eq!(after.classic.hits - before.classic.hits, hits, "{at}");
+                assert_eq!(after.tail.misses - before.tail.misses, tail_misses, "{at}");
+                assert_eq!(after.tail.hits - before.tail.hits, tail_hits, "{at}");
             }
-            assert_eq!(memo.stats().entries as u64, lookups, "seed {seed}");
+            let held = memo.stats();
+            assert_eq!(held.entries as u64, lookups + tails, "seed {seed}");
+            assert_eq!(held.tail.bytes == 0, tails == 0, "seed {seed}");
         }
     }
 
@@ -498,6 +733,58 @@ mod tests {
         wider.pbox.lengths.z += 1e-9;
         keys.push(classic_key(&wider, &list.pairs, &block, &part(1), &opts));
 
+        // The tail's key continues the evaluation's, so everything
+        // above separates it too — one charge, say — and then what only
+        // the tail reads does.
+        let eval = |sys: &System| classic_prefix(sys, &list.pairs, &block, &part(1), &opts).at(sys);
+        assert_eq!(eval(&sys).finish(), base, "prefix, then positions");
+        let params = PmeParams {
+            grid: Dims3::new(16, 18, 20),
+            order: 4,
+            beta: 0.34,
+        };
+        let atoms = crate::decomp::block_range(t.n_atoms(), p, 1);
+        let tail = |params: &PmeParams, algo, p, atoms: &Range<usize>, topo: &Topology| {
+            tail_key(&eval(&sys), tail_statics(params, algo, p, atoms, topo))
+        };
+        let ring = CombineAlgo::Ring;
+        keys.push(tail(&params, ring, p, &atoms, t));
+        keys.push(tail_key(
+            &eval(&charged),
+            tail_statics(&params, ring, p, &atoms, &charged.topology),
+        ));
+        // One exclusion of the block: dropped, and renamed.
+        let mut unbonded = t.clone();
+        let excluded = atoms.clone().find(|&i| !t.exclusions[i].is_empty());
+        let excluded = excluded.expect("water has 1-2 exclusions");
+        unbonded.exclusions[excluded].pop();
+        keys.push(tail(&params, ring, p, &atoms, &unbonded));
+        let mut renamed = t.clone();
+        renamed.exclusions[excluded][0] += 1;
+        keys.push(tail(&params, ring, p, &atoms, &renamed));
+        // beta, each mesh dimension, the order.
+        let mut other = params;
+        other.beta += f64::EPSILON;
+        keys.push(tail(&other, ring, p, &atoms, t));
+        for bump in [
+            |g: &mut Dims3| g.nx += 2,
+            |g: &mut Dims3| g.ny += 2,
+            |g: &mut Dims3| g.nz += 2,
+        ] {
+            let mut other = params;
+            bump(&mut other.grid);
+            keys.push(tail(&other, ring, p, &atoms, t));
+        }
+        other = params;
+        other.order = 6;
+        keys.push(tail(&other, ring, p, &atoms, t));
+        // The order the charge mesh is summed in.
+        keys.push(tail(&params, CombineAlgo::Tree, p, &atoms, t));
+        keys.push(tail(&params, ring, p + 1, &atoms, t));
+        // The block bounds, at either end.
+        keys.push(tail(&params, ring, p, &(atoms.start..atoms.end - 1), t));
+        keys.push(tail(&params, ring, p, &(atoms.start + 1..atoms.end), t));
+
         let mut distinct = keys.clone();
         distinct.sort_unstable();
         distinct.dedup();
@@ -512,9 +799,9 @@ mod tests {
         for key in 0..10u128 {
             memo.get_or_compute(key, 0, || output(n_atoms, key as f64));
             let s = memo.stats();
-            assert!(s.bytes <= 3 * one + one / 2, "over budget: {s:?}");
+            assert!(s.bytes() <= 3 * one + one / 2, "over budget: {s:?}");
             assert_eq!(s.entries, (key as usize + 1).min(3));
-            assert_eq!(s.bytes, s.entries * one);
+            assert_eq!(s.bytes(), s.entries * one);
             assert_eq!(s.evictions, (key as u64 + 1).saturating_sub(3));
         }
         // Keys 7, 8, 9 survive; 6 was the last one evicted.
@@ -523,23 +810,80 @@ mod tests {
             let hit = memo.get_or_compute(key, 1, || unreachable!("key {key} is held"));
             assert_eq!(hit.forces[0].x, key as f64);
         }
-        assert_eq!(memo.stats().hits, before.hits + 3);
+        assert_eq!(memo.stats().classic.hits, before.classic.hits + 3);
         memo.get_or_compute(6, 0, || output(n_atoms, 6.0));
         let s = memo.stats();
         assert_eq!(
-            (s.misses, s.evictions),
-            (before.misses + 1, before.evictions + 1)
+            (s.classic.misses, s.evictions),
+            (before.classic.misses + 1, before.evictions + 1)
         );
         // ... which pushed out 7, the oldest of the three.
         memo.get_or_compute(8, 1, || unreachable!("8 is still held"));
         memo.get_or_compute(7, 0, || output(n_atoms, 7.0));
-        assert_eq!(memo.stats().misses, before.misses + 2);
+        assert_eq!(memo.stats().classic.misses, before.classic.misses + 2);
 
         // An output larger than the whole budget is returned, not held.
         let big = memo.get_or_compute(99, 0, || output(10 * n_atoms, 1.0));
         assert_eq!(big.forces.len(), 10 * n_atoms);
         let s = memo.stats();
-        assert!(s.bytes <= 3 * one + one / 2 && s.entries == 3, "{s:?}");
+        assert!(s.bytes() <= 3 * one + one / 2 && s.entries == 3, "{s:?}");
+
+        // Tails draw on the same budget and the same queue: half a
+        // classic output's worth of them fits beside the three, the
+        // next one pushes out the oldest entry, of whichever kind.
+        let tail = |tag: f64| TailOutput::extract(&output(16, tag).forces, &(0..16), tag, 8, 0);
+        let small = tail(0.0).payload_bytes();
+        assert!(2 * small <= one / 2 && one / 2 < 3 * small);
+        let held = memo.stats();
+        for key in 0..3u128 {
+            assert!(memo.tail(key).is_none());
+            memo.store_tail(key, tail(key as f64));
+        }
+        let s = memo.stats();
+        assert_eq!((s.tail.misses, s.tail.bytes), (3, 3 * small));
+        assert_eq!((s.classic.bytes, s.entries), (2 * one, 5));
+        assert_eq!(s.evictions, held.evictions + 1);
+        assert_eq!(memo.tail(1).expect("held").excl_energy, 1.0);
+        assert_eq!(memo.stats().tail.hits, 1);
+        // A classic output now evicts its way through the other two
+        // classic entries and the oldest tail.
+        memo.get_or_compute(50, 0, || output(n_atoms, 50.0));
+        memo.get_or_compute(51, 0, || output(n_atoms, 51.0));
+        memo.get_or_compute(52, 0, || output(n_atoms, 52.0));
+        let s = memo.stats();
+        assert!(s.bytes() <= 3 * one + one / 2, "over budget: {s:?}");
+        assert_eq!((s.classic.bytes, s.tail.bytes), (3 * one, 2 * small));
+        assert!(memo.tail(0).is_none() && memo.tail(2).is_some());
+    }
+
+    /// A tail is stored sparse and served dense: the block, the touched
+    /// atoms outside it (a `-0.0` is touched) and nothing else.
+    #[test]
+    fn a_stored_tail_restores_every_bit_of_the_partial_force_array() {
+        let mut forces = vec![Vec3::ZERO; 40];
+        for (i, f) in forces.iter_mut().enumerate().take(20).skip(10) {
+            *f = Vec3::new(i as f64, -0.0, 1e-300 * i as f64);
+        }
+        forces[12] = Vec3::ZERO;
+        forces[3] = Vec3::new(0.0, -0.0, 0.0);
+        forces[20] = Vec3::new(0.0, 0.0, -7.5);
+        forces[39] = Vec3::new(f64::MIN_POSITIVE, 0.0, 0.0);
+        let tail = TailOutput::extract(&forces, &(10..20), -1.25, 640, 9);
+        assert_eq!(tail.block_forces.len(), 10);
+        let outside: Vec<u32> = tail.partners.iter().map(|&(i, _)| i).collect();
+        assert_eq!(outside, [3, 20, 39]);
+        let mut restored = vec![Vec3::ZERO; 40];
+        tail.scatter_into(&mut restored, 10);
+        let bits = |fs: &[Vec3]| -> Vec<[u64; 3]> {
+            fs.iter()
+                .map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()])
+                .collect()
+        };
+        assert_eq!(bits(&restored), bits(&forces));
+        assert_eq!(
+            tail.payload_bytes(),
+            std::mem::size_of::<TailOutput>() + 10 * 24 + 3 * 32
+        );
     }
 
     /// `JobService::run_pooled` and `serve --threads N` run cells of one
@@ -564,8 +908,8 @@ mod tests {
         });
         assert_eq!(*a, *b);
         let s = memo.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 1));
-        assert_eq!(s.bytes, a.payload_bytes());
+        assert_eq!((s.classic.hits, s.classic.misses, s.entries), (0, 2, 1));
+        assert_eq!(s.bytes(), a.payload_bytes());
         // Whichever stored first, the other platform's miss shared it.
         for platform in [0, 1] {
             let held = memo.get_or_compute(42, platform, || unreachable!("the key is held"));
@@ -581,7 +925,7 @@ mod tests {
         let memo = KernelMemo::new();
         let counts = |memo: &KernelMemo| {
             let s = memo.stats();
-            (s.hits, s.misses, s.entries)
+            (s.classic.hits, s.classic.misses, s.entries)
         };
         for repeat in 1..=3 {
             let out = memo.get_or_compute(7, 0xa, || output(8, 1.5));

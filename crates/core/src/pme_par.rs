@@ -19,6 +19,7 @@
 //! the better networks".
 
 use crate::decomp::{block_range, PmeDecomp};
+use crate::memo::{tail_key, tail_statics, Digest, KernelMemo, TailOutput};
 use cpc_cluster::{CostModel, Phase};
 use cpc_fft::plan::flops_estimate;
 use cpc_fft::{transform_axis, Axis, Complex64, Dims3, Direction, FftPlan};
@@ -27,7 +28,7 @@ use cpc_md::pme::{bspline_moduli, compute_splines, influence_element, PmeParams}
 use cpc_md::units::COULOMB;
 use cpc_md::{PbcBox, System, Vec3};
 use cpc_mpi::{CombineAlgo, Comm};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::f64::consts::PI;
 use std::ops::Range;
 
@@ -85,6 +86,11 @@ pub struct ParallelPme {
     /// engine serves one rank, so after the first evaluation this is a
     /// hit until the box changes.
     influence: RefCell<Option<InfluenceBlock>>,
+    /// [`tail_statics`] of the calling rank, digested by the first
+    /// evaluation that looks its tail up. One engine serves one rank
+    /// of one topology, and `RankMd::repartition` — the one place the
+    /// rank count or the atom block can change — builds a new engine.
+    tail_statics: OnceCell<u128>,
 }
 
 /// Influence weights of one column block, laid out like the block's
@@ -170,6 +176,7 @@ impl ParallelPme {
             by: bspline_moduli(g.ny, params.order),
             bz: bspline_moduli(g.nz, params.order),
             influence: RefCell::new(None),
+            tail_statics: OnceCell::new(),
         }
     }
 
@@ -214,6 +221,23 @@ impl ParallelPme {
         comm: &mut Comm<'_>,
         system: &System,
         cost: &CostModel,
+    ) -> PmeParallelResult {
+        self.energy_forces_served(comm, system, cost, None)
+    }
+
+    /// [`Self::energy_forces`] inside an evaluation whose classic
+    /// partials were `served` from a memo under the given key state:
+    /// the tail — interpolation and exclusion correction, which feed no
+    /// message — is looked up under that key continued with this
+    /// engine's [`tail_statics`], and stored there when absent. Every
+    /// mesh stage runs, every message is sent and every compute charge
+    /// is made either way. An ABFT-armed engine never looks.
+    pub(crate) fn energy_forces_served(
+        &self,
+        comm: &mut Comm<'_>,
+        system: &System,
+        cost: &CostModel,
+        served: Option<(&KernelMemo, Digest)>,
     ) -> PmeParallelResult {
         comm.ctx().set_phase(Phase::Pme);
         let p = comm.size();
@@ -350,60 +374,86 @@ impl ParallelPme {
         }
         comm.ctx().charge_compute(fft2d_flops * cost.fft_flop);
 
+        let n = system.n_atoms();
+        let beta = self.params.beta;
+        let lookup = served.filter(|_| !self.abft).map(|(memo, eval)| {
+            let statics = *self
+                .tail_statics
+                .get_or_init(|| tail_statics(&self.params, self.grid_sum, p, &atom_block, topo));
+            (memo, tail_key(&eval, statics))
+        });
+        let stored_tail = lookup.and_then(|(memo, key)| memo.tail(key));
+
         // --- Allgather the convolution mesh: every rank needs phi
         // everywhere because its atoms are block-decomposed.
-        let mut phi = vec![0.0f64; g.len()];
-        {
-            let mine: Vec<f64> = slab_phi.iter().map(|v| v.re).collect();
-            drop(slab_phi);
+        let mine: Vec<f64> = slab_phi.iter().map(|v| v.re).collect();
+        drop(slab_phi);
+        let mut forces = vec![Vec3::ZERO; n];
+        let mut interp_points = 0usize;
+        let (excl_partial, excl_count);
+        if let Some(tail) = &stored_tail {
+            // Served: the parts still travel the ring, nothing lands.
+            comm.allgather_with(mine, |_, _| {});
+            tail.scatter_into(&mut forces, atom_block.start);
+            interp_points = tail.interp_points;
+            (excl_partial, excl_count) = (tail.excl_energy, tail.excl_count);
+        } else {
+            let mut phi = vec![0.0f64; g.len()];
             comm.allgather_with(mine, |s_rank, part| {
                 let base = self.decomp.planes(s_rank).start * ny * nz;
                 phi[base..base + part.len()].copy_from_slice(part);
             });
-        }
 
-        // --- Force interpolation for my atom block over the full mesh.
-        let n = system.n_atoms();
-        let mut forces = vec![Vec3::ZERO; n];
-        let l = system.pbox.lengths;
-        let du = [nx as f64 / l.x, ny as f64 / l.y, nz as f64 / l.z];
-        let mut interp_points = 0usize;
-        for (i, sp) in atom_block.clone().zip(&splines) {
-            let q = topo.atoms[i].charge;
-            if q == 0.0 {
-                continue;
-            }
-            let mut grad = Vec3::ZERO;
-            for tx in 0..order {
-                let gx = (sp.base[0] + tx as i64).rem_euclid(nx as i64) as usize;
-                for ty in 0..order {
-                    let gy = (sp.base[1] + ty as i64).rem_euclid(ny as i64) as usize;
-                    let row = (gx * ny + gy) * nz;
-                    for tz in 0..order {
-                        let gz = (sp.base[2] + tz as i64).rem_euclid(nz as i64) as usize;
-                        let ph = phi[row + gz];
-                        grad.x += sp.dw[0][tx] * sp.w[1][ty] * sp.w[2][tz] * ph;
-                        grad.y += sp.w[0][tx] * sp.dw[1][ty] * sp.w[2][tz] * ph;
-                        grad.z += sp.w[0][tx] * sp.w[1][ty] * sp.dw[2][tz] * ph;
-                        interp_points += 1;
+            // --- Force interpolation for my atom block over the full mesh.
+            let l = system.pbox.lengths;
+            let du = [nx as f64 / l.x, ny as f64 / l.y, nz as f64 / l.z];
+            for (i, sp) in atom_block.clone().zip(&splines) {
+                let q = topo.atoms[i].charge;
+                if q == 0.0 {
+                    continue;
+                }
+                let mut grad = Vec3::ZERO;
+                for tx in 0..order {
+                    let gx = (sp.base[0] + tx as i64).rem_euclid(nx as i64) as usize;
+                    for ty in 0..order {
+                        let gy = (sp.base[1] + ty as i64).rem_euclid(ny as i64) as usize;
+                        let row = (gx * ny + gy) * nz;
+                        for tz in 0..order {
+                            let gz = (sp.base[2] + tz as i64).rem_euclid(nz as i64) as usize;
+                            let ph = phi[row + gz];
+                            grad.x += sp.dw[0][tx] * sp.w[1][ty] * sp.w[2][tz] * ph;
+                            grad.y += sp.w[0][tx] * sp.dw[1][ty] * sp.w[2][tz] * ph;
+                            grad.z += sp.w[0][tx] * sp.w[1][ty] * sp.dw[2][tz] * ph;
+                            interp_points += 1;
+                        }
                     }
                 }
+                forces[i] -= Vec3::new(grad.x * du[0], grad.y * du[1], grad.z * du[2]) * q;
             }
-            forces[i] -= Vec3::new(grad.x * du[0], grad.y * du[1], grad.z * du[2]) * q;
+            drop(phi);
+
+            // --- Excluded-pair corrections over this rank's atom block.
+            (excl_partial, excl_count) = ewald_excluded_correction_range(
+                topo,
+                &system.pbox,
+                &system.positions,
+                beta,
+                atom_block.clone(),
+                &mut forces,
+            );
+            if let Some((memo, key)) = lookup {
+                let tail = TailOutput::extract(
+                    &forces,
+                    &atom_block,
+                    excl_partial,
+                    interp_points,
+                    excl_count,
+                );
+                memo.store_tail(key, tail);
+            }
         }
         comm.ctx()
             .charge_compute(interp_points as f64 * cost.interp_point);
-
-        // --- Excluded-pair corrections over this rank's atom block.
-        let beta = self.params.beta;
-        let (excl_partial, excl_count) = ewald_excluded_correction_range(
-            topo,
-            &system.pbox,
-            &system.positions,
-            beta,
-            atom_block.clone(),
-            &mut forces,
-        );
         comm.ctx()
             .charge_compute(excl_count as f64 * cost.excl_pair);
 
@@ -739,6 +789,90 @@ mod tests {
             // (24/4) x (576*3/4) complex points ~ 41 KB, plus the
             // combine: at least ~60 KB from each rank.
             assert!(o.stats.bytes_sent > 60_000, "bytes {}", o.stats.bytes_sent);
+        }
+    }
+
+    /// p in {1, 2, 3, 4, 8} x both middlewares on dual TCP nodes: a
+    /// rank whose tail is served finishes at the same virtual instant,
+    /// with the same phase buckets and the same messages and bytes
+    /// sent, and returns the same bits, as one that computes it — and
+    /// as one that computes and stores it.
+    #[test]
+    fn a_served_tail_is_the_computed_one_on_every_observable() {
+        // 375 atoms: every p > 1 cuts its atom blocks through water
+        // molecules, so exclusion partners fall outside their block.
+        let system = water_box(5, 3.1);
+        let params = PmeParams {
+            grid: Dims3::new(24, 20, 16),
+            order: 4,
+            beta: 0.34,
+        };
+        let sys = &system;
+        for p in [1usize, 2, 3, 4, 8] {
+            for mw in Middleware::ALL {
+                let memo = KernelMemo::new();
+                let run = |memo: Option<&KernelMemo>| {
+                    let cfg = ClusterConfig::dual(p, NetworkKind::TcpGigE);
+                    run_cluster(cfg, |ctx| {
+                        let mut comm = Comm::new(ctx, mw);
+                        let engine = ParallelPme::new(params, p);
+                        let served = memo.map(|memo| (memo, Digest::new().at(sys)));
+                        let r = engine.energy_forces_served(&mut comm, sys, &PIII_1GHZ, served);
+                        assert!(r.abft.is_none());
+                        let mut bits = vec![
+                            r.recip.to_bits(),
+                            r.self_term.to_bits(),
+                            r.excluded.to_bits(),
+                        ];
+                        for f in &r.forces {
+                            bits.extend([f.x.to_bits(), f.y.to_bits(), f.z.to_bits()]);
+                        }
+                        bits
+                    })
+                };
+                let computed = run(None);
+                let tails = |memo: &KernelMemo| {
+                    let s = memo.stats();
+                    (s.tail.misses, s.tail.hits, s.entries, s.classic.misses)
+                };
+                let stored = run(Some(&memo));
+                assert_eq!(tails(&memo), (p as u64, 0, p, 0));
+                let dense = p * std::mem::size_of::<TailOutput>() + 24 * sys.n_atoms();
+                let partners = memo.stats().tail.bytes - dense;
+                assert_eq!(partners > 0, p > 1, "p={p}: {partners} B");
+                let served = run(Some(&memo));
+                assert_eq!(tails(&memo), (p as u64, p as u64, p, 0));
+                for ((c, st), sv) in computed.iter().zip(&stored).zip(&served) {
+                    let at = format!("p={p} {mw:?} rank {}", c.rank);
+                    assert_eq!(observable(st), observable(c), "{at}: stored");
+                    assert_eq!(observable(sv), observable(c), "{at}: served");
+                }
+            }
+        }
+    }
+
+    /// An ABFT-armed engine never looks: handed a memo that holds its
+    /// tail, it computes, and the counters stand still.
+    #[test]
+    fn an_abft_armed_engine_never_looks_its_tail_up() {
+        let system = water_box(2, 3.1);
+        let params = PmeParams {
+            grid: Dims3::new(16, 16, 16),
+            order: 4,
+            beta: 0.34,
+        };
+        let (sys, p) = (&system, 2);
+        let memo = KernelMemo::new();
+        for armed in [false, true, true] {
+            run_cluster(ClusterConfig::uni(p, NetworkKind::MyrinetGm), |ctx| {
+                let mut comm = Comm::new(ctx, Middleware::Mpi);
+                let engine = ParallelPme::new(params, p).with_abft(armed);
+                let served = Some((&memo, Digest::new().at(sys)));
+                let r = engine.energy_forces_served(&mut comm, sys, &PIII_1GHZ, served);
+                assert_eq!(r.abft.is_some(), armed);
+            });
+            let s = memo.stats();
+            assert_eq!((s.tail.misses, s.tail.hits, s.entries), (2, 0, 2));
         }
     }
 

@@ -9,10 +9,10 @@
 //! drift away from the measured step: there is one list upkeep, one
 //! classic call, one PME dispatch, one coordinate exchange.
 
-use crate::classic::classic_energy_parallel_weighted;
+use crate::classic::classic_energy_keyed;
 use crate::decomp::{block_range, pair_cuts};
 use crate::driver::{MdConfig, PmeImpl};
-use crate::memo::KernelMemo;
+use crate::memo::{Digest, KernelMemo};
 use crate::pme_par::ParallelPme;
 use crate::pme_spatial::SpatialPme;
 use cpc_cluster::{CostModel, Phase};
@@ -90,6 +90,11 @@ pub(crate) struct RankMd<'a> {
     /// (`None` = uniform, the exact unweighted cuts).
     caps: Option<Vec<f64>>,
     memo: Option<&'a KernelMemo>,
+    /// The static part of this rank's classic content key, saved by the
+    /// first memoised evaluation after a list build or a repartition —
+    /// the only two places that write what it digests — and emptied by
+    /// both.
+    prefix: Option<Digest>,
     /// Whether evaluations gather ABFT evidence (and charge for it).
     abft: bool,
     cfg: &'a MdConfig,
@@ -117,6 +122,7 @@ impl<'a> RankMd<'a> {
             pme: None,
             caps: None,
             memo,
+            prefix: None,
             abft,
             cfg,
             opts: nonbonded_options(cfg.model),
@@ -154,6 +160,7 @@ impl<'a> RankMd<'a> {
             }),
         };
         self.caps = caps;
+        self.prefix = None;
     }
 
     /// The current capacity weights (`None` = uniform).
@@ -180,6 +187,7 @@ impl<'a> RankMd<'a> {
             self.list
                 .to_mut()
                 .rebuild(&self.sys.topology, &self.sys.pbox, &self.sys.positions);
+            self.prefix = None;
             self.charge_list_share(comm);
         }
     }
@@ -192,7 +200,7 @@ impl<'a> RankMd<'a> {
         comm.ctx().set_phase(Phase::Classic);
         self.refresh_list(comm);
         comm.barrier();
-        let classic = classic_energy_parallel_weighted(
+        let (classic, served) = classic_energy_keyed(
             comm,
             &self.sys,
             &self.list.pairs,
@@ -201,6 +209,7 @@ impl<'a> RankMd<'a> {
             self.cfg.tuning.force_combine,
             self.caps.as_deref(),
             self.memo,
+            &mut self.prefix,
         );
         let mut probe = EvalProbe::default();
         if self.abft {
@@ -218,7 +227,9 @@ impl<'a> RankMd<'a> {
         let mut pme_energy = 0.0;
         if let Some(pme) = &self.pme {
             let kr = match pme {
-                PmeEngine::Replicated(e) => e.energy_forces(comm, &self.sys, &self.cost),
+                PmeEngine::Replicated(e) => {
+                    e.energy_forces_served(comm, &self.sys, &self.cost, self.memo.zip(served))
+                }
                 PmeEngine::Spatial(e) => e.energy_forces(comm, &self.sys, &self.cost),
             };
             for (f, kf) in forces.iter_mut().zip(&kr.forces) {
@@ -298,4 +309,105 @@ fn publish(comm: &mut Comm<'_>, xs: &mut [Vec3]) {
             *x = Vec3::new(c[0], c[1], c[2]);
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::decomp::classic_partition;
+    use crate::memo::classic_key;
+    use cpc_cluster::{run_cluster, ClusterConfig, NetworkKind};
+    use cpc_fft::Dims3;
+    use cpc_md::builder::water_box;
+    use cpc_md::pme::PmeParams;
+    use cpc_mpi::Middleware;
+
+    /// What the rank's next memoised evaluation would look up: its saved
+    /// prefix, then the positions.
+    fn saved_key(rank: &RankMd<'_>) -> u128 {
+        let prefix = rank
+            .prefix
+            .as_ref()
+            .expect("a memoised evaluation saves it");
+        prefix.at(&rank.sys).finish()
+    }
+
+    /// The same key from scratch: cuts, bonded ranges and every word.
+    fn scratch_key(rank: &RankMd<'_>, comm: &Comm<'_>) -> u128 {
+        let (pairs, t) = (&rank.list.pairs, &rank.sys.topology);
+        let (p, r) = (comm.size(), comm.rank());
+        let cuts = pair_cuts(pairs, p, rank.caps());
+        let part = classic_partition(
+            pairs.len(),
+            t.bonds.len(),
+            t.angles.len(),
+            t.dihedrals.len(),
+            t.impropers.len(),
+            t.n_atoms(),
+            p,
+            r,
+        );
+        classic_key(&rank.sys, pairs, &(cuts[r]..cuts[r + 1]), &part, &rank.opts)
+    }
+
+    /// The saved prefix is dropped wherever what it digests is written:
+    /// through a list rebuild (a box hot enough to outrun the 2 A skin
+    /// inside the run) and through a repartition under non-uniform
+    /// capacities, prefix-then-positions is the from-scratch key after
+    /// every evaluation — and the prefix a skipped invalidation would
+    /// have left behind is not.
+    #[test]
+    fn the_saved_prefix_never_outlives_what_it_digests() {
+        // 15.5 A of box: wider than the 12 A reach, so the list is a
+        // proper subset of all pairs and a rebuild changes it.
+        let mut start = water_box(5, 3.1);
+        start.assign_velocities(6000.0, 11);
+        let model = EnergyModel::Pme(PmeParams {
+            grid: Dims3::new(16, 16, 16),
+            order: 4,
+            beta: 0.34,
+        });
+        let p = 3;
+        let cluster = ClusterConfig::uni(p, NetworkKind::ScoreGigE);
+        let cfg = MdConfig::paper_protocol(model, Middleware::Mpi, cluster);
+        let list = initial_list(&start, model);
+        let memo = KernelMemo::new();
+        let steps_to_rebuild = run_cluster(cluster, |ctx| {
+            let mut comm = Comm::new(ctx, cfg.middleware);
+            let mut rank = RankMd::new(&mut comm, &cfg, &start, &list, Some(&memo), false);
+            assert!(rank.prefix.is_none());
+            rank.forces = rank.evaluate(&mut comm).forces;
+            assert_eq!(saved_key(&rank), scratch_key(&rank, &comm));
+
+            let mut steps = 0;
+            while matches!(rank.list, Cow::Borrowed(_)) {
+                steps += 1;
+                assert!(steps <= 60, "the box never outran its skin");
+                let kept = rank.prefix.clone().expect("saved by the last evaluation");
+                rank.drift(&mut comm);
+                rank.forces = rank.evaluate(&mut comm).forces;
+                rank.kick(&mut comm);
+                assert_eq!(saved_key(&rank), scratch_key(&rank, &comm), "step {steps}");
+                // Planted: `refresh_list` forgetting to drop the prefix.
+                let stale = kept.at(&rank.sys).finish();
+                let rebuilt = matches!(rank.list, Cow::Owned(_));
+                assert_eq!(stale != scratch_key(&rank, &comm), rebuilt, "step {steps}");
+            }
+
+            let kept = rank.prefix.clone().expect("saved by the last evaluation");
+            rank.repartition(p, Some(vec![1.0, 0.4, 2.0]));
+            assert!(rank.prefix.is_none());
+            rank.evaluate(&mut comm);
+            assert_eq!(saved_key(&rank), scratch_key(&rank, &comm));
+            // Planted: `repartition` forgetting to.
+            assert_ne!(kept.at(&rank.sys).finish(), scratch_key(&rank, &comm));
+            steps
+        });
+        assert!(steps_to_rebuild.iter().all(|o| o.result >= 2));
+        assert_eq!(
+            memo.stats().classic.hits,
+            0,
+            "one platform: nothing is served"
+        );
+    }
 }

@@ -192,9 +192,23 @@ pub fn read_request(conn: &mut dyn Conn, limits: &HttpLimits) -> Result<Request,
         let (name, value) = line
             .split_once(':')
             .ok_or(HttpError::Malformed("bad header line"))?;
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            let n: usize = value
-                .trim()
+        // A field name is a token: `Content-Length : 5` must not read
+        // as a length here and as an unknown header at a proxy.
+        if name.is_empty() || name.bytes().any(|b| b.is_ascii_whitespace()) {
+            return Err(HttpError::Malformed("whitespace in header name"));
+        }
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            // The body is framed by Content-Length alone; a chunked one
+            // would be read as that many bytes of chunk framing.
+            return Err(HttpError::Malformed("transfer-encoding not supported"));
+        }
+        if name.eq_ignore_ascii_case("content-length") {
+            // 1*DIGIT: `usize::from_str` would also take `+5`.
+            let digits = value.trim();
+            if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(HttpError::Malformed("bad content-length"));
+            }
+            let n: usize = digits
                 .parse()
                 .map_err(|_| HttpError::Malformed("bad content-length"))?;
             if content_length.replace(n).is_some() {
@@ -404,6 +418,60 @@ mod tests {
         ));
         // Empty connection.
         assert_eq!(parse(b""), Err(HttpError::Disconnect));
+    }
+
+    #[test]
+    fn content_length_is_digits_and_nothing_else() {
+        for length in ["+5", "-0", "+0", "5 5", "0x5", ""] {
+            let head = format!("POST / HTTP/1.1\r\nContent-Length: {length}\r\n\r\nhello");
+            let got = parse(head.as_bytes());
+            assert!(
+                matches!(got, Err(HttpError::Malformed("bad content-length"))),
+                "{length:?}: {got:?}"
+            );
+        }
+        // Optional whitespace round the digits is the grammar's own.
+        let req = parse(b"POST / HTTP/1.1\r\nContent-Length:\t 5 \r\n\r\nhello").unwrap();
+        assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
+    fn whitespace_before_the_colon_is_rejected() {
+        for head in [
+            "POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello",
+            "POST / HTTP/1.1\r\nContent-Length\t: 5\r\n\r\nhello",
+            "GET / HTTP/1.1\r\nX-Trace : 1\r\n\r\n",
+            "GET / HTTP/1.1\r\nHost: a\r\n folded: 1\r\n\r\n",
+            "GET / HTTP/1.1\r\n: 1\r\n\r\n",
+        ] {
+            let got = parse(head.as_bytes());
+            assert!(
+                matches!(got, Err(HttpError::Malformed("whitespace in header name"))),
+                "{head:?}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn any_transfer_encoding_is_rejected() {
+        // Read by Content-Length, the first five bytes of this body
+        // would be chunk framing.
+        let chunked = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        for head in [
+            &chunked[..],
+            b"POST / HTTP/1.1\r\ntransfer-encoding: gzip, chunked\r\n\r\n",
+            b"GET / HTTP/1.1\r\nTransfer-Encoding: identity\r\n\r\n",
+        ] {
+            let got = parse(head);
+            assert!(
+                matches!(
+                    got,
+                    Err(HttpError::Malformed("transfer-encoding not supported"))
+                ),
+                "{got:?}"
+            );
+            assert_eq!(got.unwrap_err().status().0, 400);
+        }
     }
 
     #[test]

@@ -132,9 +132,10 @@ fn detectable_sdc_recovers_bit_identically_through_the_oracles() {
 }
 
 /// The fault-tolerant driver never consults the kernel memo: a run
-/// with planted flips reports the same thing before and after a
-/// fault-free cell of the same system warmed the process-wide memo
-/// with exactly the keys its first evaluations would look up, and the
+/// with planted flips reports the same thing before and after
+/// fault-free cells of the same system warmed the process-wide memo
+/// with exactly the keys its first evaluations would look up — classic
+/// partials and PME tails, both shared and being served — and the
 /// memo's counters stand still while it runs. (No other test in this
 /// binary calls `run_parallel_md`, so nothing else moves them.)
 #[test]
@@ -142,8 +143,10 @@ fn planted_flips_are_never_served_from_a_warmed_kernel_memo() {
     use cpc_charmm::{run_parallel_md_faulty, FaultConfig, KernelMemo};
 
     // 375 atoms: `run_parallel_md` leaves smaller systems unmemoised.
+    // PME, so that there are tails to warm.
     let (ranks, steps) = (4, 6);
-    let (sys, cfg) = system_and_config(5, ranks, steps);
+    let (sys, mut cfg) = system_and_config(5, ranks, steps);
+    cfg.model = EnergyModel::Pme(cpc_workload::runner::quick_pme_params());
     let plan = FaultPlan::none()
         .with_sdc(SdcFault {
             step: 2,
@@ -172,10 +175,24 @@ fn planted_flips_are_never_served_from_a_warmed_kernel_memo() {
         "a faulty run touched the memo"
     );
 
+    // The faulty run's own platform computes, another one is served
+    // the partials and stores the tails, and is then served both.
     let fault_free = run_parallel_md(&sys, &cfg);
+    let mut elsewhere = cfg;
+    elsewhere.cluster.network = NetworkKind::MyrinetGm;
+    assert_ne!(elsewhere.cluster.network, cfg.cluster.network);
+    for _ in 0..2 {
+        let served = run_parallel_md(&sys, &elsewhere);
+        assert_eq!(served.final_positions, fault_free.final_positions);
+    }
     let warmed = memo.stats();
-    assert_eq!(warmed.misses, (ranks * (steps + 1)) as u64);
-    assert_eq!(warmed.entries, ranks * (steps + 1));
+    let lookups = (ranks * (steps + 1)) as u64;
+    assert_eq!(
+        (warmed.classic.misses, warmed.classic.hits),
+        (lookups, 2 * lookups)
+    );
+    assert_eq!((warmed.tail.misses, warmed.tail.hits), (lookups, lookups));
+    assert_eq!(warmed.entries as u64, 2 * lookups);
 
     let after_warming = [faulty(AbftConfig::default()), faulty(AbftConfig::armed())];
     assert_eq!(memo.stats(), warmed, "a faulty run touched the memo");

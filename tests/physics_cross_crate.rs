@@ -152,7 +152,9 @@ fn virtual_time_is_reproducible_but_physics_independent_of_seed() {
 /// reproduce the same bits whether its kernels ran or were replayed.
 /// It memoises nothing as small as the quick system, so the default
 /// tuning runs a second time on a 375-atom box, where only the first
-/// platform cell of each p computes and the other eleven replay.
+/// platform cell of each p computes the classic kernel and the other
+/// eleven replay it; the second cell — the first one served — computes
+/// and stores the PME tails, and the other ten are served those too.
 #[test]
 fn platform_factors_never_move_a_bit_of_the_trajectory() {
     use cpc_charmm::{run_parallel_md_faulty, CommTuning, FaultConfig, KernelMemo};
@@ -204,9 +206,13 @@ fn platform_factors_never_move_a_bit_of_the_trajectory() {
     }
     // No other test of this binary reaches the 256-atom floor, so the
     // process-wide counters are this test's: nothing from the quick
-    // system, one computing cell in twelve on the larger one.
+    // system; on the larger one, one cell in twelve computes the
+    // classic kernel, the next one the tails, and ten compute neither.
     let stats = KernelMemo::global().stats();
     assert_eq!(cells, 48);
-    assert_eq!(stats.hits + stats.misses, lookups);
-    assert_eq!(stats.misses * 12, lookups);
+    assert_eq!(stats.classic.hits + stats.classic.misses, lookups);
+    assert_eq!(stats.classic.misses * 12, lookups);
+    assert_eq!(stats.tail.hits + stats.tail.misses, stats.classic.hits);
+    assert_eq!(stats.tail.misses * 12, lookups);
+    assert_eq!(stats.tail.hits * 12, 10 * lookups);
 }
