@@ -317,8 +317,10 @@ fn bench_mesh_collectives_p8(c: &mut Criterion) {
                 let rank = comm.rank();
                 let mut slab = signal(decomp.planes(rank).len() * plane);
                 let mut cols = vec![Complex64::ZERO; decomp.cols(rank).len() * decomp.nx];
-                transpose_forward_impl(&decomp, &mut comm, &slab, &mut cols, &PIII_1GHZ, false);
-                transpose_backward_impl(&decomp, &mut comm, &cols, &mut slab, &PIII_1GHZ, false);
+                let forward = Some((&slab[..], &mut cols[..]));
+                transpose_forward_impl(&decomp, &mut comm, forward, &PIII_1GHZ, false);
+                let backward = Some((&cols[..], &mut slab[..]));
+                transpose_backward_impl(&decomp, &mut comm, backward, &PIII_1GHZ, false);
                 slab[0]
             })
         });

@@ -213,7 +213,13 @@ impl SpatialPme {
         comm.ctx().charge_compute(fft2d_flops * cost.fft_flop);
 
         let mut cols = vec![Complex64::ZERO; n_cols * nx];
-        crate::pme_par::transpose_forward_impl(&self.decomp, comm, &slab, &mut cols, cost, false);
+        crate::pme_par::transpose_forward_impl(
+            &self.decomp,
+            comm,
+            Some((&slab, &mut cols)),
+            cost,
+            false,
+        );
 
         let recip_partial = convolve_columns(
             &self.params,
@@ -233,8 +239,7 @@ impl SpatialPme {
         crate::pme_par::transpose_backward_impl(
             &self.decomp,
             comm,
-            &cols,
-            &mut slab_phi,
+            Some((&cols, &mut slab_phi)),
             cost,
             false,
         );

@@ -16,8 +16,8 @@
 //! * velocity-Verlet dynamics ([`dynamics`]) with Berendsen/Langevin
 //!   thermostats ([`thermostat`]) and steepest-descent minimization
 //!   ([`minimize`]),
-//! * virial/pressure ([`pressure`]), trajectory observables
-//!   ([`observe`]) and checkpoint/XYZ I/O ([`io`]),
+//! * virial/pressure ([`pressure`]) and trajectory observables
+//!   ([`observe`]),
 //! * synthetic workload builders ([`builder`]), including the
 //!   3552-atom myoglobin-class system the paper benchmarks.
 //!
@@ -44,7 +44,6 @@ pub mod dynamics;
 pub mod energy;
 pub mod ewald;
 pub mod forcefield;
-pub mod io;
 pub mod minimize;
 pub mod neighbor;
 pub mod nonbonded;
