@@ -151,8 +151,8 @@ pub fn classic_energy_parallel_weighted(
 /// filled on the first memoised call ([`classic_prefix`] of this rank's
 /// share) and continued with the box and the positions on every one;
 /// the caller must empty it whenever `pairs`, the rank count or `caps`
-/// change. Also returns the evaluation's key state when the partials
-/// were served from the memo, for the PME tail to continue.
+/// change. Also returns whether the partials were served from the memo,
+/// which the PME tail plan follows.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn classic_energy_keyed(
     comm: &mut Comm<'_>,
@@ -164,7 +164,7 @@ pub(crate) fn classic_energy_keyed(
     caps: Option<&[f64]>,
     memo: Option<&KernelMemo>,
     prefix: &mut Option<Digest>,
-) -> (ClassicResult, Option<Digest>) {
+) -> (ClassicResult, bool) {
     let p = comm.size();
     let r = comm.rank();
     comm.ctx().set_phase(Phase::Classic);
@@ -189,15 +189,14 @@ pub(crate) fn classic_energy_keyed(
     let my_block = cuts[r]..cuts[r + 1];
     let kernel = || rank_kernel(system, &pairs[my_block.clone()], &part, opts);
     let (computed, stored);
-    let mut served = None;
+    let mut served = false;
     let out: &KernelOutput = match memo {
         Some(memo) => {
-            let eval = prefix
+            let key = prefix
                 .get_or_insert_with(|| classic_prefix(system, pairs, &my_block, &part, opts))
-                .at(system);
-            let hit;
-            (stored, hit) = memo.serve_or_compute(eval.finish(), platform_of(comm), kernel);
-            served = hit.then_some(eval);
+                .at(system)
+                .finish();
+            (stored, served) = memo.serve_or_compute(key, platform_of(comm), kernel);
             &stored
         }
         None => {

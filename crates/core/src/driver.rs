@@ -112,9 +112,10 @@ pub(crate) fn run_parallel_md_memo(
     memo: Option<&KernelMemo>,
 ) -> RunReport {
     let list = initial_list(system, cfg.model);
+    let cell = memo.map(KernelMemo::cell);
     let outcomes = run_cluster(cfg.cluster, |ctx| {
         let mut comm = Comm::new(ctx, cfg.middleware);
-        let mut rank = RankMd::new(&mut comm, cfg, system, &list, memo, false);
+        let mut rank = RankMd::new(&mut comm, cfg, system, &list, cell.as_ref(), false);
         // Velocity Verlet needs forces at t = 0.
         rank.forces = rank.evaluate(&mut comm).forces;
         let mut energies_log = Vec::with_capacity(cfg.steps);

@@ -12,7 +12,7 @@
 use crate::classic::classic_energy_keyed;
 use crate::decomp::{block_range, pair_cuts};
 use crate::driver::{MdConfig, PmeImpl};
-use crate::memo::{Digest, KernelMemo};
+use crate::memo::{CellMemo, Digest};
 use crate::pme_par::ParallelPme;
 use crate::pme_spatial::SpatialPme;
 use cpc_cluster::{CostModel, Phase};
@@ -89,7 +89,7 @@ pub(crate) struct RankMd<'a> {
     /// Capacity weights of the live members in logical-rank order
     /// (`None` = uniform, the exact unweighted cuts).
     caps: Option<Vec<f64>>,
-    memo: Option<&'a KernelMemo>,
+    memo: Option<&'a CellMemo<'a>>,
     /// The static part of this rank's classic content key, saved by the
     /// first memoised evaluation after a list build or a repartition —
     /// the only two places that write what it digests — and emptied by
@@ -112,7 +112,7 @@ impl<'a> RankMd<'a> {
         cfg: &'a MdConfig,
         start: &System,
         list: &'a NeighborList,
-        memo: Option<&'a KernelMemo>,
+        memo: Option<&'a CellMemo<'a>>,
         abft: bool,
     ) -> Self {
         let mut rank = RankMd {
@@ -208,7 +208,7 @@ impl<'a> RankMd<'a> {
             &self.cost,
             self.cfg.tuning.force_combine,
             self.caps.as_deref(),
-            self.memo,
+            self.memo.map(|cell| cell.memo),
             &mut self.prefix,
         );
         let mut probe = EvalProbe::default();
@@ -228,7 +228,8 @@ impl<'a> RankMd<'a> {
         if let Some(pme) = &self.pme {
             let kr = match pme {
                 PmeEngine::Replicated(e) => {
-                    e.energy_forces_served(comm, &self.sys, &self.cost, self.memo.zip(served))
+                    let memo = self.memo.map(|cell| (cell, served));
+                    e.energy_forces_served(comm, &self.sys, &self.cost, memo)
                 }
                 PmeEngine::Spatial(e) => e.energy_forces(comm, &self.sys, &self.cost),
             };
@@ -315,7 +316,7 @@ fn publish(comm: &mut Comm<'_>, xs: &mut [Vec3]) {
 mod tests {
     use super::*;
     use crate::decomp::classic_partition;
-    use crate::memo::classic_key;
+    use crate::memo::{classic_key, KernelMemo};
     use cpc_cluster::{run_cluster, ClusterConfig, NetworkKind};
     use cpc_fft::Dims3;
     use cpc_md::builder::water_box;
@@ -372,9 +373,10 @@ mod tests {
         let cfg = MdConfig::paper_protocol(model, Middleware::Mpi, cluster);
         let list = initial_list(&start, model);
         let memo = KernelMemo::new();
+        let cell = memo.cell();
         let steps_to_rebuild = run_cluster(cluster, |ctx| {
             let mut comm = Comm::new(ctx, cfg.middleware);
-            let mut rank = RankMd::new(&mut comm, &cfg, &start, &list, Some(&memo), false);
+            let mut rank = RankMd::new(&mut comm, &cfg, &start, &list, Some(&cell), false);
             assert!(rank.prefix.is_none());
             rank.forces = rank.evaluate(&mut comm).forces;
             assert_eq!(saved_key(&rank), scratch_key(&rank, &comm));
