@@ -4,7 +4,7 @@
 //! all-to-all collective (CHARMM's global force combine).
 
 use crate::decomp::{classic_partition, pair_cuts, ClassicPartition};
-use crate::memo::{classic_prefix, Digest, KernelMemo, KernelOutput};
+use crate::memo::{classic_prefix, positions_digest, Digest, KernelMemo, KernelOutput};
 use cpc_cluster::{CostModel, Phase};
 use cpc_md::bonded::{bonded_energy_forces_range, BondedEnergies};
 use cpc_md::nonbonded::{nonbonded_energy_forces, NonbondedEnergies, NonbondedOptions};
@@ -140,6 +140,7 @@ pub fn classic_energy_parallel_weighted(
     caps: Option<&[f64]>,
     memo: Option<&KernelMemo>,
 ) -> ClassicResult {
+    let memo = memo.map(|memo| (memo, positions_digest(system)));
     classic_energy_keyed(
         comm, system, pairs, opts, cost, combine, caps, memo, &mut None,
     )
@@ -147,12 +148,13 @@ pub fn classic_energy_parallel_weighted(
 }
 
 /// [`classic_energy_parallel_weighted`] for a caller that keeps the
-/// static part of its content key between evaluations. `prefix` is
-/// filled on the first memoised call ([`classic_prefix`] of this rank's
-/// share) and continued with the box and the positions on every one;
-/// the caller must empty it whenever `pairs`, the rank count or `caps`
-/// change. Also returns whether the partials were served from the memo,
-/// which the PME tail plan follows.
+/// static part of its content key between evaluations and has digested
+/// the box and the positions ([`positions_digest`]), which `memo` holds
+/// beside the memo. `prefix` is filled on the first memoised call
+/// ([`classic_prefix`] of this rank's share) and continued with that
+/// digest on every one; the caller must empty it whenever `pairs`, the
+/// rank count or `caps` change. Also returns whether the partials were
+/// served from the memo, which the PME tail plan follows.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn classic_energy_keyed(
     comm: &mut Comm<'_>,
@@ -162,7 +164,7 @@ pub(crate) fn classic_energy_keyed(
     cost: &CostModel,
     combine: CombineAlgo,
     caps: Option<&[f64]>,
-    memo: Option<&KernelMemo>,
+    memo: Option<(&KernelMemo, u128)>,
     prefix: &mut Option<Digest>,
 ) -> (ClassicResult, bool) {
     let p = comm.size();
@@ -191,10 +193,10 @@ pub(crate) fn classic_energy_keyed(
     let (computed, stored);
     let mut served = false;
     let out: &KernelOutput = match memo {
-        Some(memo) => {
+        Some((memo, positions)) => {
             let key = prefix
                 .get_or_insert_with(|| classic_prefix(system, pairs, &my_block, &part, opts))
-                .at(system)
+                .at(positions)
                 .finish();
             (stored, served) = memo.serve_or_compute(key, platform_of(comm), kernel);
             &stored

@@ -82,7 +82,7 @@ impl MdConfig {
 /// Smallest system [`run_parallel_md`] memoises. The 192-atom `--quick`
 /// water box stays below it on purpose: it is the repo's stand-in load
 /// of known cost (CI smokes, the service and gateway harnesses, the
-/// benchmark's 12-30 ms quick cells). A replayed quick cell is thread
+/// benchmark's 4-7 ms quick cells). A replayed quick cell is thread
 /// wake-ups and journal fsyncs only, and its host time spread about
 /// twice as wide from run to run as a computed one's when the repo
 /// benchmark measured both (DESIGN.md §19).
@@ -94,11 +94,13 @@ const MEMO_MIN_ATOMS: usize = 256;
 /// exactly as in replicated-data CHARMM. The trajectory is identical
 /// (up to floating-point reassociation) to the sequential engine.
 ///
-/// Per-rank classic-kernel outputs are served from the process-wide
-/// [`KernelMemo`] when an earlier cell that differs only in platform
-/// factors already computed the same bits; messages, reductions and
-/// virtual time always run live. Systems of fewer than 256 atoms never
-/// consult it.
+/// Per-rank classic-kernel outputs, and the PME tails of whole
+/// evaluations, are served from the process-wide [`KernelMemo`] when an
+/// earlier cell that differs only in platform factors already computed
+/// the same bits. A served evaluation computes no mesh stage, but every
+/// message still goes out at its size (a mesh message as its length
+/// alone), and every compute charge and virtual time is the live one.
+/// Systems of fewer than 256 atoms never consult it.
 pub fn run_parallel_md(system: &System, cfg: &MdConfig) -> RunReport {
     let memo = (system.n_atoms() >= MEMO_MIN_ATOMS).then(KernelMemo::global);
     run_parallel_md_memo(system, cfg, memo)

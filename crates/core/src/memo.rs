@@ -22,12 +22,13 @@
 //! the positions). A served evaluation looks them up before it spreads
 //! a charge and then computes nothing: the mesh messages a cell exists
 //! to time still go out, in their order and at their sizes, carrying
-//! zeros, because the network model costs a message by its length and
-//! never reads a value. A rank that computed would sum those zeros
-//! into its mesh, so serving is all ranks or none: the ranks of a cell
-//! share one [`CellMemo`], whose first rank to reach an evaluation
-//! draws the [`TailPlan`] every other rank of it is handed, whatever a
-//! concurrent cell stores or the budget evicts in between.
+//! their lengths alone, because the network model costs a message by
+//! its length and never reads a value. A rank that computed would find
+//! no values in them to sum into its mesh, so serving is all ranks or
+//! none: the ranks of a cell share one [`CellMemo`], whose first rank
+//! to reach an evaluation draws the [`TailPlan`] every other rank of it
+//! is handed, whatever a concurrent cell stores or the budget evicts in
+//! between.
 //!
 //! Sharing is *across* platform cells only. Every entry remembers the
 //! platform of the cell that computed it, and a lookup from that same
@@ -509,20 +510,12 @@ impl Digest {
         self.word(r.end as u64);
     }
 
-    /// This state continued with what moves between two evaluations:
-    /// the box and the bits of every position.
-    pub fn at(&self, system: &System) -> Digest {
+    /// This state continued with what moves between two evaluations,
+    /// `positions` ([`positions_digest`]).
+    pub fn at(&self, positions: u128) -> Digest {
         let mut d = self.clone();
-        let l = system.pbox.lengths;
-        for x in [l.x, l.y, l.z] {
-            d.f64(x);
-        }
-        d.word(system.positions.len() as u64);
-        for p in &system.positions {
-            d.f64(p.x);
-            d.f64(p.y);
-            d.f64(p.z);
-        }
+        d.word((positions >> 64) as u64);
+        d.word(positions as u64);
         d
     }
 
@@ -531,6 +524,24 @@ impl Digest {
     pub fn finish(&self) -> u128 {
         u128::from(self.a) << 64 | u128::from(self.b)
     }
+}
+
+/// What moves between two evaluations, the box and the bits of every
+/// position, in 128 bits: digested once per rank and evaluation, and
+/// continued into both of its content keys ([`Digest::at`]).
+pub(crate) fn positions_digest(system: &System) -> u128 {
+    let mut d = Digest::new();
+    let l = system.pbox.lengths;
+    for x in [l.x, l.y, l.z] {
+        d.f64(x);
+    }
+    d.word(system.positions.len() as u64);
+    for p in &system.positions {
+        d.f64(p.x);
+        d.f64(p.y);
+        d.f64(p.z);
+    }
+    d.finish()
 }
 
 /// The part of a rank's [`classic_key`] that stands still between two
@@ -606,9 +617,9 @@ pub(crate) fn classic_prefix(
 /// Content key of one rank's classic kernel call: the bits of
 /// everything `nonbonded_energy_forces` over `pairs[pair_block]` and
 /// `bonded_energy_forces_range` over `part` read — [`classic_prefix`],
-/// then the box and every position ([`Digest::at`]). Exclusions are not
-/// read by the kernel (they are baked into the pair list), nor are
-/// velocities.
+/// then the box and every position ([`positions_digest`]). Exclusions
+/// are not read by the kernel (they are baked into the pair list), nor
+/// are velocities.
 pub fn classic_key(
     system: &System,
     pairs: &[(u32, u32)],
@@ -617,7 +628,7 @@ pub fn classic_key(
     opts: &NonbondedOptions,
 ) -> u128 {
     classic_prefix(system, pairs, pair_block, part, opts)
-        .at(system)
+        .at(positions_digest(system))
         .finish()
 }
 
@@ -972,11 +983,11 @@ mod tests {
             topo: t,
         };
         let prefix = |s: &Statics| tail_prefix(&s.params, s.algo, &s.blocks, s.topo);
-        let tail = |s: Statics| prefix(&s).at(&sys).finish();
+        let tail = |s: Statics| prefix(&s).at(positions_digest(&sys)).finish();
         keys.push(tail(base.clone()));
         // One position bit, the box, one charge.
-        keys.push(prefix(&base).at(&moved).finish());
-        keys.push(prefix(&base).at(&wider).finish());
+        keys.push(prefix(&base).at(positions_digest(&moved)).finish());
+        keys.push(prefix(&base).at(positions_digest(&wider)).finish());
         keys.push(tail(Statics {
             topo: &charged.topology,
             ..base.clone()

@@ -226,25 +226,28 @@ impl ParallelPme {
         self.energy_forces_served(comm, system, cost, None)
     }
 
-    /// [`Self::energy_forces`] inside a memoised cell, given whether this
-    /// rank's classic partials were `served`: before anything is
+    /// [`Self::energy_forces`] inside a memoised cell, given the rank's
+    /// digest of the box and the positions
+    /// ([`positions_digest`](crate::memo::positions_digest)) and
+    /// whether its classic partials were `served`: before anything is
     /// computed, the cell hands the rank its evaluation's [`TailPlan`],
     /// the one every rank of the evaluation is handed. Served, the rank
     /// takes its tail — its share of the reciprocal energy, its
     /// interpolated forces and its exclusion correction — and runs no
-    /// mesh arithmetic, yet every message goes out in its order at its
-    /// planned size (a message is costed by its length, never by its
-    /// values, so the mesh messages carry zeros, which no peer sums
-    /// because no peer computes), every compute charge is made from
-    /// sizes and stored counts, and the closing combine carries the
-    /// stored bits. Otherwise the evaluation computes, and hands its
-    /// tail in when the plan stores. An ABFT-armed engine never looks.
+    /// mesh arithmetic and builds no mesh buffer, yet every message goes
+    /// out in its order at its planned size (a message is costed by its
+    /// length, never by its values, so the mesh messages carry their
+    /// lengths alone, and no peer reads a value because no peer
+    /// computes), every compute charge is made from sizes and stored
+    /// counts, and the closing combine carries the stored bits.
+    /// Otherwise the evaluation computes, and hands its tail in when the
+    /// plan stores. An ABFT-armed engine never looks.
     pub(crate) fn energy_forces_served(
         &self,
         comm: &mut Comm<'_>,
         system: &System,
         cost: &CostModel,
-        memo: Option<(&CellMemo<'_>, bool)>,
+        memo: Option<(&CellMemo<'_>, u128, bool)>,
     ) -> PmeParallelResult {
         comm.ctx().set_phase(Phase::Pme);
         let p = comm.size();
@@ -261,23 +264,25 @@ impl ParallelPme {
         let n_cols = my_cols.len();
         let atom_block = block_range(system.n_atoms(), p, rank);
 
-        let plan = memo.filter(|_| !self.abft).map(|(cell, served)| {
-            let prefix = self.tail_prefix.get_or_init(|| {
-                let n = system.n_atoms();
-                let blocks: Vec<_> = (0..p)
-                    .map(|r| {
-                        [
-                            block_range(n, p, r),
-                            self.decomp.cols(r),
-                            self.decomp.planes(r),
-                        ]
-                    })
-                    .collect();
-                tail_prefix(&self.params, self.grid_sum, &blocks, topo)
+        let plan = memo
+            .filter(|_| !self.abft)
+            .map(|(cell, positions, served)| {
+                let prefix = self.tail_prefix.get_or_init(|| {
+                    let n = system.n_atoms();
+                    let blocks: Vec<_> = (0..p)
+                        .map(|r| {
+                            [
+                                block_range(n, p, r),
+                                self.decomp.cols(r),
+                                self.decomp.planes(r),
+                            ]
+                        })
+                        .collect();
+                    tail_prefix(&self.params, self.grid_sum, &blocks, topo)
+                });
+                let key = prefix.at(positions).finish();
+                (cell, key, cell.tail_plan(key, p, served))
             });
-            let key = prefix.at(system).finish();
-            (cell, key, cell.tail_plan(key, p, served))
-        });
         let stored_tail = match &plan {
             Some((_, _, TailPlan::Serve(group))) => Some(&group[rank]),
             _ => None,
@@ -287,7 +292,7 @@ impl ParallelPme {
         // --- Charge spreading: my atom block onto a full local mesh.
         // Only this block's splines are ever read (here and in the
         // interpolation below); `splines[k]` belongs to atom
-        // `atom_block.start + k`. Served, the mesh stays zero and the
+        // `atom_block.start + k`. Served, there is no mesh and the
         // charge replays the interpolation count, which visits the same
         // points.
         let splines = if live {
@@ -300,7 +305,7 @@ impl ParallelPme {
         } else {
             Vec::new()
         };
-        let mut qgrid = vec![0.0f64; g.len()];
+        let mut qgrid = mesh_buffer(live, g.len(), 0.0);
         let spread_points = match stored_tail {
             Some(tail) => tail.interp_points,
             None => self.spread(topo, &atom_block, &splines, &mut qgrid),
@@ -310,7 +315,11 @@ impl ParallelPme {
 
         // --- Global charge-mesh sum (CHARMM applies its global-combine
         // machinery to the whole mesh).
-        comm.allreduce_with(self.grid_sum, &mut qgrid);
+        if live {
+            comm.allreduce_with(self.grid_sum, &mut qgrid);
+        } else {
+            comm.allreduce_len(self.grid_sum, g.len());
+        }
 
         // ABFT grid-charge invariant: B-spline weights partition unity,
         // so the summed mesh must hold exactly the total system charge
@@ -330,10 +339,14 @@ impl ParallelPme {
         // dropped at its last use: eight rank threads each holding a
         // replicated mesh is what sets the process's peak resident size.
         let my_points = x0 * ny * nz..(x0 + n_planes) * ny * nz;
-        let mut slab: Vec<Complex64> = qgrid[my_points]
-            .iter()
-            .map(|&q| Complex64::from_real(q))
-            .collect();
+        let mut slab: Vec<Complex64> = if live {
+            qgrid[my_points]
+                .iter()
+                .map(|&q| Complex64::from_real(q))
+                .collect()
+        } else {
+            Vec::new()
+        };
         drop(qgrid);
 
         // --- Forward 2D FFTs (y and z) on the local planes.
@@ -347,8 +360,8 @@ impl ParallelPme {
         comm.ctx().charge_compute(fft2d_flops * cost.fft_flop);
 
         // --- Transpose: slab (planes x cols) -> columns (cols x nx).
-        // Served, blocks of zeros go out and nothing lands.
-        let mut cols = vec![Complex64::ZERO; n_cols * nx];
+        // Served, the blocks' lengths go out and nothing lands.
+        let mut cols = mesh_buffer(live, n_cols * nx, Complex64::ZERO);
         let mut transpose_faults =
             self.transpose_forward(comm, live.then_some((&slab[..], &mut cols[..])), cost);
         drop(slab);
@@ -373,7 +386,7 @@ impl ParallelPme {
         );
 
         // --- Transpose back and inverse 2D FFTs.
-        let mut slab_phi = vec![Complex64::ZERO; n_planes * ny * nz];
+        let mut slab_phi = mesh_buffer(live, n_planes * ny * nz, Complex64::ZERO);
         transpose_faults +=
             self.transpose_backward(comm, live.then_some((&cols[..], &mut slab_phi[..])), cost);
         drop(cols);
@@ -401,17 +414,17 @@ impl ParallelPme {
 
         // --- Allgather the convolution mesh: every rank needs phi
         // everywhere because its atoms are block-decomposed.
-        let mine: Vec<f64> = slab_phi.iter().map(|v| v.re).collect();
-        drop(slab_phi);
         let mut forces = vec![Vec3::ZERO; n];
         let (interp_points, excl_partial, excl_count);
         if let Some(tail) = stored_tail {
-            // Served: the parts still travel the ring, nothing lands.
-            comm.allgather_with(mine, |_, _| {});
+            // Served: the parts' lengths still travel the ring.
+            comm.allgather_len(n_planes * ny * nz);
             tail.scatter_into(&mut forces, atom_block.start);
             (interp_points, excl_partial, excl_count) =
                 (tail.interp_points, tail.excl_energy, tail.excl_count);
         } else {
+            let mine: Vec<f64> = slab_phi.iter().map(|v| v.re).collect();
+            drop(slab_phi);
             let mut phi = vec![0.0f64; g.len()];
             comm.allgather_with(mine, |s_rank, part| {
                 let base = self.decomp.planes(s_rank).start * ny * nz;
@@ -581,6 +594,16 @@ impl ParallelPme {
     }
 }
 
+/// `len` copies of `zero` for an evaluation that computes; none for a
+/// served one, whose mesh messages carry their lengths alone.
+fn mesh_buffer<T: Clone>(live: bool, len: usize, zero: T) -> Vec<T> {
+    if live {
+        vec![zero; len]
+    } else {
+        Vec::new()
+    }
+}
+
 /// Appends a 52-bit block checksum as the trailing `f64` of an outgoing
 /// transpose block (only when ABFT is armed).
 fn seal_block(block: &mut Vec<f64>) {
@@ -628,13 +651,78 @@ fn open_received<'a>(block: &'a [f64], abft: bool, faults: &mut usize) -> &'a [f
     payload
 }
 
+/// The all-to-all both transposes run: to every rank `d` a block of
+/// `sent(d)` points, two `f64` each, that `bufs.0` packs; from every
+/// rank `s` a block of `received(s)` points that `bufs.1` lands. `None`
+/// sends each block's length alone, reads no source and lands nothing:
+/// a served evaluation's transpose, whose messages are costed by their
+/// length alone. Every point packed and every point received is charged
+/// one `conv_point`, whichever form travels; when `abft` is armed every
+/// block carries a trailing checksum, digested once more on each side.
+/// Returns the number of blocks that failed verification.
+fn exchange_blocks(
+    comm: &mut Comm<'_>,
+    cost: &CostModel,
+    abft: bool,
+    sent: impl Fn(usize) -> usize,
+    received: impl Fn(usize) -> usize,
+    bufs: Option<(impl FnMut(usize, &mut Vec<f64>), impl FnMut(usize, &[f64]))>,
+) -> usize {
+    let p = comm.size();
+    let seal = usize::from(abft);
+    let packed: usize = (0..p).map(&sent).sum();
+    comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+    if abft {
+        // Sealing digests every packed element once more.
+        comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+    }
+
+    let mut faults = 0usize;
+    let lens: Vec<usize> = match bufs {
+        Some((mut pack_for, mut land_from)) => {
+            let sends = (0..p)
+                .map(|d| {
+                    let mut block = Vec::with_capacity(2 * sent(d) + seal);
+                    pack_for(d, &mut block);
+                    if abft {
+                        seal_block(&mut block);
+                    }
+                    block
+                })
+                .collect();
+            let recvs = comm.alltoallv(sends);
+            (recvs.iter().enumerate())
+                .map(|(s, block)| {
+                    let payload = open_received(block, abft, &mut faults);
+                    land_from(s, payload);
+                    payload.len()
+                })
+                .collect()
+        }
+        None => {
+            let lens: Vec<usize> = (0..p).map(|d| 2 * sent(d) + seal).collect();
+            let recvs = comm.alltoallv_len(&lens);
+            recvs.into_iter().map(|len| len - seal).collect()
+        }
+    };
+
+    let mut unpacked = 0usize;
+    for (s, len) in lens.into_iter().enumerate() {
+        assert_eq!(len, 2 * received(s), "block size");
+        unpacked += len / 2;
+    }
+    comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+    if abft {
+        comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+    }
+    faults
+}
+
 /// Shared slab -> columns transpose (also used by the spatial PME) from
-/// `slab` into `cols`, given as `Some((slab, cols))`. `None` sends
-/// blocks of zeros of the same sizes, reads no source and lands
-/// nothing: a served evaluation's transpose, whose messages are costed
-/// by their length alone. When `abft` is armed every block carries a
-/// trailing checksum; returns the number of blocks that failed
-/// verification.
+/// `slab` into `cols`, given as `Some((slab, cols))`; `None` carries
+/// the blocks' lengths alone and lands nothing (`exchange_blocks`).
+/// When `abft` is armed every block carries a trailing checksum;
+/// returns the number of blocks that failed verification.
 ///
 /// A column index *is* the offset inside a plane (`c = y * nz + z`), so
 /// the columns of one destination are one contiguous run of each of my
@@ -642,138 +730,87 @@ fn open_received<'a>(block: &'a [f64], abft: bool, faults: &mut usize) -> &'a [f
 pub fn transpose_forward_impl(
     decomp: &PmeDecomp,
     comm: &mut Comm<'_>,
-    mut slab_cols: Option<(&[Complex64], &mut [Complex64])>,
+    slab_cols: Option<(&[Complex64], &mut [Complex64])>,
     cost: &CostModel,
     abft: bool,
 ) -> usize {
-    let p = decomp.p;
     let (plane, nx) = (decomp.ny * decomp.nz, decomp.nx);
     let rank = comm.rank();
     let n_planes = decomp.planes(rank).len();
     let n_cols = decomp.cols(rank).len();
-
-    let mut sends: Vec<Vec<f64>> = Vec::with_capacity(p);
-    let mut packed = 0usize;
-    for d in 0..p {
-        let dst_cols = decomp.cols(d);
-        let len = 2 * n_planes * dst_cols.len();
-        let mut block = match &slab_cols {
-            Some((slab, _)) => {
-                let mut block = Vec::with_capacity(len + 1);
-                for px in 0..n_planes {
-                    pack(&mut block, slab[px * plane..][dst_cols.clone()].iter());
-                }
-                block
+    // A block holds its source's planes one after another, its
+    // destination's columns side by side in each.
+    let bufs = slab_cols.map(|(slab, cols)| {
+        let pack_for = move |d: usize, block: &mut Vec<f64>| {
+            for px in 0..n_planes {
+                pack(block, slab[px * plane..][decomp.cols(d)].iter());
             }
-            None => vec![0.0; len],
         };
-        packed += block.len() / 2;
-        if abft {
-            seal_block(&mut block);
-        }
-        sends.push(block);
-    }
-    comm.ctx().charge_compute(packed as f64 * cost.conv_point);
-    if abft {
-        // Sealing digests every packed element once more.
-        comm.ctx().charge_compute(packed as f64 * cost.conv_point);
-    }
-
-    let recvs = comm.alltoallv(sends);
-
-    let mut faults = 0usize;
-    let mut unpacked = 0usize;
-    for (s, block) in recvs.iter().enumerate() {
-        // The block holds the source's planes one after another, my
-        // columns side by side in each.
-        let payload = open_received(block, abft, &mut faults);
-        let src_planes = decomp.planes(s);
-        assert_eq!(payload.len(), 2 * src_planes.len() * n_cols, "block size");
-        if let Some((_, cols)) = &mut slab_cols {
-            for (gx, run) in src_planes.zip(payload.chunks_exact(2 * n_cols.max(1))) {
+        let land_from = move |s: usize, payload: &[f64]| {
+            for (gx, run) in decomp
+                .planes(s)
+                .zip(payload.chunks_exact(2 * n_cols.max(1)))
+            {
                 unpack(cols.iter_mut().skip(gx).step_by(nx), run);
             }
-        }
-        unpacked += payload.len() / 2;
-    }
-    comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
-    if abft {
-        comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
-    }
-    faults
+        };
+        (pack_for, land_from)
+    });
+    exchange_blocks(
+        comm,
+        cost,
+        abft,
+        |d| n_planes * decomp.cols(d).len(),
+        |s| decomp.planes(s).len() * n_cols,
+        bufs,
+    )
 }
 
 /// Shared columns -> slab transpose (also used by the spatial PME), the
 /// exact mirror of the forward one, from `cols` into `slab` given as
-/// `Some((cols, slab))` (`None`: zeros out, nothing lands): the pack
+/// `Some((cols, slab))` (`None`: lengths out, nothing lands): the pack
 /// strides, the unpack copies contiguous runs. When `abft` is armed
 /// every block carries a trailing checksum; returns the number of
 /// blocks that failed verification.
 pub fn transpose_backward_impl(
     decomp: &PmeDecomp,
     comm: &mut Comm<'_>,
-    mut cols_slab: Option<(&[Complex64], &mut [Complex64])>,
+    cols_slab: Option<(&[Complex64], &mut [Complex64])>,
     cost: &CostModel,
     abft: bool,
 ) -> usize {
-    let p = decomp.p;
     let (plane, nx) = (decomp.ny * decomp.nz, decomp.nx);
     let rank = comm.rank();
     let n_planes = decomp.planes(rank).len();
     let n_cols = decomp.cols(rank).len();
-
-    let mut sends: Vec<Vec<f64>> = Vec::with_capacity(p);
-    let mut packed = 0usize;
-    for d in 0..p {
-        let dst_planes = decomp.planes(d);
-        let len = 2 * dst_planes.len() * n_cols;
-        let mut block = match &cols_slab {
-            Some((cols, _)) => {
-                let mut block = Vec::with_capacity(len + 1);
-                for gx in dst_planes {
-                    pack(&mut block, cols.iter().skip(gx).step_by(nx));
-                }
-                block
+    let bufs = cols_slab.map(|(cols, slab)| {
+        let pack_for = move |d: usize, block: &mut Vec<f64>| {
+            for gx in decomp.planes(d) {
+                pack(block, cols.iter().skip(gx).step_by(nx));
             }
-            None => vec![0.0; len],
         };
-        packed += block.len() / 2;
-        if abft {
-            seal_block(&mut block);
-        }
-        sends.push(block);
-    }
-    comm.ctx().charge_compute(packed as f64 * cost.conv_point);
-    if abft {
-        comm.ctx().charge_compute(packed as f64 * cost.conv_point);
-    }
-
-    let recvs = comm.alltoallv(sends);
-
-    let mut faults = 0usize;
-    let mut unpacked = 0usize;
-    for (s, block) in recvs.iter().enumerate() {
-        let payload = open_received(block, abft, &mut faults);
-        let src_cols = decomp.cols(s);
-        assert_eq!(payload.len(), 2 * n_planes * src_cols.len(), "block size");
-        if let Some((_, slab)) = &mut cols_slab {
+        let land_from = move |s: usize, payload: &[f64]| {
+            let src_cols = decomp.cols(s);
             for (px, run) in payload.chunks_exact(2 * src_cols.len().max(1)).enumerate() {
                 unpack(slab[px * plane..][src_cols.clone()].iter_mut(), run);
             }
-        }
-        unpacked += payload.len() / 2;
-    }
-    comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
-    if abft {
-        comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
-    }
-    faults
+        };
+        (pack_for, land_from)
+    });
+    exchange_blocks(
+        comm,
+        cost,
+        abft,
+        |d| decomp.planes(d).len() * n_cols,
+        |s| n_planes * decomp.cols(s).len(),
+        bufs,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memo::KernelMemo;
+    use crate::memo::{positions_digest, KernelMemo};
     use cpc_cluster::{run_cluster, ClusterConfig, NetworkKind, PIII_1GHZ};
     use cpc_md::builder::water_box;
     use cpc_md::nonbonded::{ewald_excluded_correction, ewald_self_energy};
@@ -883,13 +920,14 @@ mod tests {
         }
     }
 
-    /// p in {1, 2, 3, 4, 8} x both middlewares on dual TCP nodes: a
-    /// rank whose evaluation is served — no mesh stage runs — finishes
-    /// at the same virtual instant, with the same phase buckets and the
-    /// same message trace (source, destination, size, class, departure
-    /// and arrival of every message), and returns the same recip,
-    /// self-term, excluded and force bits, as one that computes — and
-    /// as one that computes and stores.
+    /// p in {1, 2, 3, 4, 8} x both middlewares x every charge-mesh sum
+    /// algorithm on dual TCP nodes: a rank whose evaluation is served —
+    /// no mesh stage runs, no mesh buffer exists — finishes at the same
+    /// virtual instant, with the same phase buckets and the same message
+    /// trace (source, destination, size, class, departure and arrival of
+    /// every message), and returns the same recip, self-term, excluded
+    /// and force bits, as one that computes — and as one that computes
+    /// and stores.
     #[test]
     fn a_served_tail_is_the_computed_one_on_every_observable() {
         // 375 atoms: every p > 1 cuts its atom blocks through water
@@ -909,13 +947,14 @@ mod tests {
             ..params
         };
         let cases = [1usize, 2, 3, 4, 8].map(|p| (&water, params, p));
-        for (sys, params, p) in cases.into_iter().chain([(&molecule, thin, 8)]) {
+        let cases = cases.into_iter().chain([(&molecule, thin, 8)]);
+        for ((sys, params, p), algo) in cases.flat_map(|c| CombineAlgo::ALL.map(|a| (c, a))) {
             for mw in Middleware::ALL {
                 let memo = KernelMemo::new();
                 let run = |memo: Option<&KernelMemo>| {
                     let mut cfg = ClusterConfig::dual(p, NetworkKind::TcpGigE);
                     cfg.record_trace = true;
-                    evaluate(cfg, mw, sys, params, memo, |_| true)
+                    evaluate(cfg, mw, algo, sys, params, memo, |_| true)
                 };
                 let computed = run(None);
                 let tails = |memo: &KernelMemo| {
@@ -930,7 +969,7 @@ mod tests {
                 let served = run(Some(&memo));
                 assert_eq!(tails(&memo), (p as u64, p as u64, p, 0));
                 for ((c, st), sv) in computed.iter().zip(&stored).zip(&served) {
-                    let at = format!("p={p} n={} {mw:?} rank {}", sys.n_atoms(), c.rank);
+                    let at = format!("p={p} n={} {algo:?} {mw:?} rank {}", sys.n_atoms(), c.rank);
                     assert!(!c.stats.trace.is_empty() || p == 1, "{at}: traced");
                     assert_eq!(observable(st), observable(c), "{at}: stored");
                     assert_eq!(observable(sv), observable(c), "{at}: served");
@@ -939,13 +978,14 @@ mod tests {
         }
     }
 
-    /// Runs one PME evaluation per rank through `memo` (when given; one
-    /// cell's handle, rank `r` told `served(r)` about its classic
-    /// partials) and returns each rank's recip, self-term, excluded and
-    /// force bits.
+    /// Runs one PME evaluation per rank, its charge mesh summed by
+    /// `grid_sum`, through `memo` (when given; one cell's handle, rank
+    /// `r` told `served(r)` about its classic partials) and returns each
+    /// rank's recip, self-term, excluded and force bits.
     fn evaluate(
         cfg: ClusterConfig,
         mw: Middleware,
+        grid_sum: CombineAlgo,
         sys: &System,
         params: PmeParams,
         memo: Option<&KernelMemo>,
@@ -954,8 +994,9 @@ mod tests {
         let cell = memo.map(KernelMemo::cell);
         run_cluster(cfg, |ctx| {
             let mut comm = Comm::new(ctx, mw);
-            let engine = ParallelPme::new(params, cfg.ranks);
-            let memo = cell.as_ref().map(|cell| (cell, served(comm.rank())));
+            let engine = ParallelPme::new(params, cfg.ranks).with_grid_sum(grid_sum);
+            let memo =
+                (cell.as_ref()).map(|cell| (cell, positions_digest(sys), served(comm.rank())));
             let r = engine.energy_forces_served(&mut comm, sys, &PIII_1GHZ, memo);
             assert!(r.abft.is_none());
             let mut bits = vec![
@@ -988,7 +1029,15 @@ mod tests {
         let cfg = ClusterConfig::uni(p, NetworkKind::MyrinetGm);
         type Served = dyn Fn(usize) -> bool + Sync;
         let run = |memo, served: &Served| {
-            let out = evaluate(cfg, Middleware::Mpi, &system, params, memo, served);
+            let out = evaluate(
+                cfg,
+                Middleware::Mpi,
+                CombineAlgo::Ring,
+                &system,
+                params,
+                memo,
+                served,
+            );
             out.into_iter().map(|o| o.result).collect::<Vec<_>>()
         };
         let computed = run(None, &|_| true);
@@ -1027,7 +1076,12 @@ mod tests {
         run_cluster(cfg(), |ctx| {
             let mut comm = Comm::new(ctx, Middleware::Mpi);
             let engine = ParallelPme::new(params, p);
-            engine.energy_forces_served(&mut comm, sys, &PIII_1GHZ, Some((&cell, true)));
+            engine.energy_forces_served(
+                &mut comm,
+                sys,
+                &PIII_1GHZ,
+                Some((&cell, positions_digest(sys), true)),
+            );
             assert!(engine.influence.borrow().is_some(), "a miss computes");
         });
         let cell = memo.cell();
@@ -1035,7 +1089,12 @@ mod tests {
             let mut comm = Comm::new(ctx, Middleware::Mpi);
             let engine = ParallelPme::new(params, p);
             for _ in 0..3 {
-                engine.energy_forces_served(&mut comm, sys, &PIII_1GHZ, Some((&cell, true)));
+                engine.energy_forces_served(
+                    &mut comm,
+                    sys,
+                    &PIII_1GHZ,
+                    Some((&cell, positions_digest(sys), true)),
+                );
                 assert!(engine.influence.borrow().is_none(), "served");
             }
             engine.energy_forces(&mut comm, sys, &PIII_1GHZ);
@@ -1062,7 +1121,7 @@ mod tests {
             run_cluster(ClusterConfig::uni(p, NetworkKind::MyrinetGm), |ctx| {
                 let mut comm = Comm::new(ctx, Middleware::Mpi);
                 let engine = ParallelPme::new(params, p).with_abft(armed);
-                let memo = Some((&cell, true));
+                let memo = Some((&cell, positions_digest(sys), true));
                 let r = engine.energy_forces_served(&mut comm, sys, &PIII_1GHZ, memo);
                 assert_eq!(r.abft.is_some(), armed);
             });
@@ -1276,8 +1335,8 @@ mod tests {
 
     /// The run-copying transposes land what the frozen per-element ones
     /// land, with the same messages at the same virtual times; handed
-    /// no buffers they send those same messages, at those same times,
-    /// and land nothing.
+    /// no buffers they send those messages as their lengths alone, at
+    /// those same times, and land nothing.
     #[test]
     fn run_copying_transposes_are_the_per_element_ones_on_every_observable() {
         type Transpose = fn(

@@ -12,7 +12,7 @@
 use crate::classic::classic_energy_keyed;
 use crate::decomp::{block_range, pair_cuts};
 use crate::driver::{MdConfig, PmeImpl};
-use crate::memo::{CellMemo, Digest};
+use crate::memo::{positions_digest, CellMemo, Digest};
 use crate::pme_par::ParallelPme;
 use crate::pme_spatial::SpatialPme;
 use cpc_cluster::{CostModel, Phase};
@@ -200,6 +200,8 @@ impl<'a> RankMd<'a> {
         comm.ctx().set_phase(Phase::Classic);
         self.refresh_list(comm);
         comm.barrier();
+        // The box and the positions, digested once for both content keys.
+        let keyed = self.memo.map(|cell| (cell, positions_digest(&self.sys)));
         let (classic, served) = classic_energy_keyed(
             comm,
             &self.sys,
@@ -208,7 +210,7 @@ impl<'a> RankMd<'a> {
             &self.cost,
             self.cfg.tuning.force_combine,
             self.caps.as_deref(),
-            self.memo.map(|cell| cell.memo),
+            keyed.map(|(cell, positions)| (cell.memo, positions)),
             &mut self.prefix,
         );
         let mut probe = EvalProbe::default();
@@ -228,7 +230,7 @@ impl<'a> RankMd<'a> {
         if let Some(pme) = &self.pme {
             let kr = match pme {
                 PmeEngine::Replicated(e) => {
-                    let memo = self.memo.map(|cell| (cell, served));
+                    let memo = keyed.map(|(cell, positions)| (cell, positions, served));
                     e.energy_forces_served(comm, &self.sys, &self.cost, memo)
                 }
                 PmeEngine::Spatial(e) => e.energy_forces(comm, &self.sys, &self.cost),
@@ -330,7 +332,7 @@ mod tests {
             .prefix
             .as_ref()
             .expect("a memoised evaluation saves it");
-        prefix.at(&rank.sys).finish()
+        prefix.at(positions_digest(&rank.sys)).finish()
     }
 
     /// The same key from scratch: cuts, bonded ranges and every word.
@@ -391,7 +393,7 @@ mod tests {
                 rank.kick(&mut comm);
                 assert_eq!(saved_key(&rank), scratch_key(&rank, &comm), "step {steps}");
                 // Planted: `refresh_list` forgetting to drop the prefix.
-                let stale = kept.at(&rank.sys).finish();
+                let stale = kept.at(positions_digest(&rank.sys)).finish();
                 let rebuilt = matches!(rank.list, Cow::Owned(_));
                 assert_eq!(stale != scratch_key(&rank, &comm), rebuilt, "step {steps}");
             }
@@ -402,7 +404,10 @@ mod tests {
             rank.evaluate(&mut comm);
             assert_eq!(saved_key(&rank), scratch_key(&rank, &comm));
             // Planted: `repartition` forgetting to.
-            assert_ne!(kept.at(&rank.sys).finish(), scratch_key(&rank, &comm));
+            assert_ne!(
+                kept.at(positions_digest(&rank.sys)).finish(),
+                scratch_key(&rank, &comm)
+            );
             steps
         });
         assert!(steps_to_rebuild.iter().all(|o| o.result >= 2));

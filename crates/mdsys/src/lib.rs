@@ -16,8 +16,6 @@
 //! * velocity-Verlet dynamics ([`dynamics`]) with Berendsen/Langevin
 //!   thermostats ([`thermostat`]) and steepest-descent minimization
 //!   ([`minimize`]),
-//! * virial/pressure ([`pressure`]) and trajectory observables
-//!   ([`observe`]),
 //! * synthetic workload builders ([`builder`]), including the
 //!   3552-atom myoglobin-class system the paper benchmarks.
 //!
@@ -47,10 +45,8 @@ pub mod forcefield;
 pub mod minimize;
 pub mod neighbor;
 pub mod nonbonded;
-pub mod observe;
 pub mod pbc;
 pub mod pme;
-pub mod pressure;
 pub mod sdc;
 pub mod snapshot;
 pub mod special;

@@ -1,8 +1,5 @@
 //! Energy minimization: steepest descent with adaptive step control
-//! (CHARMM `MINI SD`) and Polak-Ribiere conjugate gradients with
-//! backtracking line search (CHARMM `MINI CONJ`). Fresh synthetic
-//! systems are relaxed with SD; CG converges much faster near a
-//! minimum.
+//! (CHARMM `MINI SD`), which relaxes fresh synthetic systems.
 
 use crate::energy::{EnergyModel, Evaluator};
 use crate::system::System;
@@ -72,102 +69,6 @@ pub fn minimize(system: &mut System, model: EnergyModel, steps: usize) -> Minimi
     }
 }
 
-/// Polak-Ribiere conjugate-gradient minimization with a backtracking
-/// line search. Restarts the direction on loss of descent.
-pub fn minimize_cg(system: &mut System, model: EnergyModel, steps: usize) -> MinimizeResult {
-    let n = system.n_atoms();
-    let mut evaluator = Evaluator::new(model);
-    let mut forces = vec![Vec3::ZERO; n];
-    let (report, _) = evaluator.evaluate(system, &mut forces);
-    let initial_energy = report.total();
-    let mut energy = initial_energy;
-
-    // Search direction starts along the force (negative gradient).
-    let mut direction = forces.clone();
-    let mut prev_forces = forces.clone();
-    let mut taken = 0usize;
-    let mut alpha: f64 = 1e-4;
-    let max_disp = 0.25;
-
-    for _ in 0..steps {
-        let fmax = forces.iter().map(|f| f.norm()).fold(0.0f64, f64::max);
-        if fmax < 1e-8 {
-            break;
-        }
-        let dmax = direction
-            .iter()
-            .map(|d| d.norm())
-            .fold(0.0f64, f64::max)
-            .max(1e-300);
-        // Descent check: restart along the gradient if the conjugate
-        // direction stopped pointing downhill.
-        let descent: f64 = direction.iter().zip(&forces).map(|(d, f)| d.dot(*f)).sum();
-        if descent <= 0.0 {
-            direction.copy_from_slice(&forces);
-        }
-
-        // Backtracking line search along `direction`.
-        let start_positions = system.positions.clone();
-        let mut step = alpha.min(max_disp / dmax);
-        let mut accepted = false;
-        for _ in 0..20 {
-            for (p, (s0, d)) in system
-                .positions
-                .iter_mut()
-                .zip(start_positions.iter().zip(&direction))
-            {
-                *p = *s0 + *d * step;
-            }
-            let mut trial_forces = vec![Vec3::ZERO; n];
-            let (r, _) = evaluator.evaluate(system, &mut trial_forces);
-            if r.total() < energy {
-                energy = r.total();
-                prev_forces.copy_from_slice(&forces);
-                forces = trial_forces;
-                accepted = true;
-                alpha = step * 1.5;
-                break;
-            }
-            step *= 0.4;
-        }
-        if !accepted {
-            system.positions.copy_from_slice(&start_positions);
-            // Re-evaluate forces at the restored point and restart SD.
-            let (r, _) = evaluator.evaluate(system, &mut forces);
-            energy = r.total();
-            direction.copy_from_slice(&forces);
-            alpha *= 0.5;
-            if alpha < 1e-12 {
-                break;
-            }
-            continue;
-        }
-        taken += 1;
-
-        // Polak-Ribiere beta (in force convention g = -F):
-        // beta = F_new . (F_new - F_old) / |F_old|^2.
-        let num: f64 = forces
-            .iter()
-            .zip(&prev_forces)
-            .map(|(f, p)| f.dot(*f - *p))
-            .sum();
-        let den: f64 = prev_forces
-            .iter()
-            .map(|p| p.norm_sqr())
-            .sum::<f64>()
-            .max(1e-300);
-        let beta = (num / den).max(0.0);
-        for (d, f) in direction.iter_mut().zip(&forces) {
-            *d = *f + *d * beta;
-        }
-    }
-    MinimizeResult {
-        initial_energy,
-        final_energy: energy,
-        steps_taken: taken,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,47 +100,6 @@ mod tests {
         // Second round starts near a minimum: little further descent.
         assert!(r2.initial_energy <= r1.initial_energy);
         assert!(r1.final_energy - r2.final_energy >= -1e-6);
-    }
-
-    #[test]
-    fn conjugate_gradient_lowers_energy() {
-        let mut sys = water_box(2, 3.0);
-        for (i, p) in sys.positions.iter_mut().enumerate() {
-            p.x += 0.06 * ((i * 7 % 13) as f64 - 6.0) / 6.0;
-            p.z += 0.05 * ((i * 3 % 11) as f64 - 5.0) / 5.0;
-        }
-        let result = minimize_cg(&mut sys, EnergyModel::Classic, 80);
-        assert!(result.final_energy < result.initial_energy);
-        assert!(result.steps_taken > 0);
-    }
-
-    #[test]
-    fn cg_converges_at_least_as_low_as_sd_in_same_budget() {
-        let perturbed = || {
-            let mut sys = water_box(2, 3.0);
-            for (i, p) in sys.positions.iter_mut().enumerate() {
-                p.y += 0.08 * ((i * 5 % 17) as f64 - 8.0) / 8.0;
-            }
-            sys
-        };
-        let mut a = perturbed();
-        let sd = minimize(&mut a, EnergyModel::Classic, 60);
-        let mut b = perturbed();
-        let cg = minimize_cg(&mut b, EnergyModel::Classic, 60);
-        assert!(
-            cg.final_energy <= sd.final_energy + 1.0,
-            "CG {} vs SD {}",
-            cg.final_energy,
-            sd.final_energy
-        );
-    }
-
-    #[test]
-    fn cg_near_minimum_is_stable() {
-        let mut sys = water_box(2, 3.0);
-        minimize(&mut sys, EnergyModel::Classic, 100);
-        let r = minimize_cg(&mut sys, EnergyModel::Classic, 30);
-        assert!(r.final_energy <= r.initial_energy + 1e-9);
     }
 
     #[test]

@@ -42,8 +42,12 @@ pub struct Msg {
     pub src: usize,
     /// User tag.
     pub tag: u64,
-    /// Payload (possibly empty for control messages).
+    /// Payload (possibly empty for control messages; always empty for a
+    /// [length-only](RankCtx::send_len) one).
     pub data: Vec<f64>,
+    /// Number of values the message stands for: `data.len()`, or the
+    /// length alone of a message sent without its values.
+    pub len: usize,
     /// Modeled size in bytes (may exceed `data` size, e.g. headers).
     pub bytes: usize,
     /// Classification for the comm/sync split.
@@ -427,6 +431,7 @@ impl RankCtx {
                     src: self.rank,
                     tag: CRASH_TAG,
                     data: Vec::new(),
+                    len: 0,
                     bytes: 0,
                     class: MsgClass::Control,
                     departure: self.clock,
@@ -458,12 +463,37 @@ impl RankCtx {
         class: MsgClass,
         shape: OpShape,
     ) -> SendOutcome {
+        let len = data.len();
+        self.transfer(dst, tag, data, len, class, shape)
+    }
+
+    /// Sends a payload message that carries only its length: `len`
+    /// values' worth of bytes, none of the values. The network costs a
+    /// message by its length alone, so it is costed, jittered, traced,
+    /// counted and delivered exactly as [`send`](Self::send) would a
+    /// message of `len` values; the receiver reads [`Msg::len`] and an
+    /// empty [`Msg::data`].
+    pub fn send_len(&mut self, dst: usize, tag: u64, len: usize, shape: OpShape) -> SendOutcome {
+        self.transfer(dst, tag, Vec::new(), len, MsgClass::Payload, shape)
+    }
+
+    /// The one transfer path of both sends: a message standing for `len`
+    /// values, `data` holding them or nothing.
+    fn transfer(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        data: Vec<f64>,
+        len: usize,
+        class: MsgClass,
+        shape: OpShape,
+    ) -> SendOutcome {
         assert!(dst < self.size(), "invalid destination {dst}");
         assert_ne!(dst, self.rank, "self-send not supported");
         debug_assert_ne!(tag, CRASH_TAG, "CRASH_TAG is reserved");
         let cfg = &self.shared.config;
         let bytes = match class {
-            MsgClass::Payload => (data.len() * 8).max(1),
+            MsgClass::Payload => (len * 8).max(1),
             MsgClass::Control => 1,
         };
         let ctx = TransferCtx {
@@ -529,6 +559,7 @@ impl RankCtx {
             src: self.rank,
             tag,
             data,
+            len,
             bytes,
             class,
             departure,
@@ -1084,6 +1115,74 @@ mod tests {
             }
         });
         assert!(out2[0].stats.trace.is_empty());
+    }
+
+    /// A message sent as its length alone is, on the wire, the message
+    /// with its values: same jitter draws, loss and retransmissions, trace,
+    /// counters and clocks on both ends. The receiver reads the length.
+    #[test]
+    fn a_length_only_payload_is_the_message_with_its_values() {
+        let lens = [0usize, 1, 3, 100, 4096];
+        let run = |values: bool| {
+            let mut cfg = ClusterConfig::uni(2, NetworkKind::TcpGigE);
+            cfg.record_trace = true;
+            let plan = FaultPlan::none().with_loss(0.5).with_max_retransmits(1);
+            run_cluster_faulty(cfg, plan, |ctx| {
+                let peer = 1 - ctx.rank();
+                let mut got = Vec::new();
+                for (k, &len) in lens.iter().enumerate() {
+                    let tag = k as u64 + 1;
+                    if values {
+                        ctx.send(
+                            peer,
+                            tag,
+                            vec![0.0; len],
+                            MsgClass::Payload,
+                            OpShape::new(1, 2),
+                        );
+                    } else {
+                        ctx.send_len(peer, tag, len, OpShape::new(1, 2));
+                    }
+                    got.push(ctx.recv_result(peer, tag).map(|m| (m.len, m.data.len())));
+                }
+                got
+            })
+            .unwrap()
+        };
+        let (with, without) = (run(true), run(false));
+        let mut lost = 0;
+        for (w, o) in with.iter().zip(&without) {
+            assert_eq!(w.finish_time.to_bits(), o.finish_time.to_bits());
+            let (ws, os) = (&w.stats, &o.stats);
+            assert_eq!(
+                (ws.msgs_sent, ws.bytes_sent, ws.msgs_lost, ws.retransmits),
+                (os.msgs_sent, os.bytes_sent, os.msgs_lost, os.retransmits)
+            );
+            let wire = |s: &RankStats| -> Vec<_> {
+                (s.trace.iter())
+                    .map(|e| (e.dst, e.bytes, e.departure.to_bits(), e.arrival.to_bits()))
+                    .collect()
+            };
+            assert_eq!(wire(ws), wire(os));
+            for (k, (a, b)) in w
+                .result
+                .iter()
+                .flatten()
+                .zip(o.result.iter().flatten())
+                .enumerate()
+            {
+                lost += usize::from(a.is_err());
+                match (a, b) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(*a, (lens[k], lens[k]), "with values");
+                        assert_eq!(*b, (lens[k], 0), "length only");
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a, b),
+                    other => panic!("delivered on one side only: {other:?}"),
+                }
+            }
+        }
+        assert!(lost > 0, "the plan dropped some message");
     }
 
     #[test]
