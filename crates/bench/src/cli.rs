@@ -16,9 +16,9 @@ use std::path::Path;
 use std::str::FromStr;
 
 /// Exit code for usage and environment errors.
-pub const EXIT_USAGE: i32 = 2;
+pub(crate) const EXIT_USAGE: i32 = 2;
 
-/// A typed usage error. Every variant is fatal with [`EXIT_USAGE`];
+/// A typed usage error. Every variant is fatal with `EXIT_USAGE`;
 /// the type exists so tests (and callers that want to recover) see
 /// *which* way an invocation was malformed, not a formatted string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +83,7 @@ impl Args {
     }
 
     /// Scans an explicit vector (tests).
-    pub fn from_vec(tool: &'static str, usage: &'static str, argv: Vec<String>) -> Self {
+    pub(crate) fn from_vec(tool: &'static str, usage: &'static str, argv: Vec<String>) -> Self {
         if argv.iter().any(|a| a == "--help" || a == "-h") {
             println!("{usage}");
             std::process::exit(0);
@@ -97,7 +97,7 @@ impl Args {
         }
     }
 
-    /// Reports `err` and the usage line, then exits with [`EXIT_USAGE`].
+    /// Reports `err` and the usage line, then exits with `EXIT_USAGE`.
     pub fn die(&self, err: CliError) -> ! {
         eprintln!("{}: {err}\n{}", self.tool, self.usage);
         std::process::exit(EXIT_USAGE);
@@ -218,7 +218,7 @@ impl Args {
 /// intact prefix through [`Journal::resume_keyed`] (torn tails
 /// discarded and counted, duplicate verdicts scrubbed first-wins) and
 /// reports what recovery did on stderr; a fresh run truncates. Any
-/// journal I/O failure is a [`EXIT_USAGE`] environment error — the
+/// journal I/O failure is a `EXIT_USAGE` environment error — the
 /// campaign never validly started.
 pub fn open_verdict_journal<V, K>(
     tool: &str,

@@ -9,7 +9,7 @@
 //! `TransportFaultPlan` while an orchestrator-level
 //! `ServiceFaultPlan` kills and tears it — and absorbs every layer's
 //! accounting into one [`CrossLedger`] checked by
-//! [`check_cross_ledger`]: the union of the single-layer oracles plus
+//! `check_cross_ledger`: the union of the single-layer oracles plus
 //! the interaction oracles (acked-then-lost across disk fault ×
 //! kill, the global execution bound, end-to-end byte identity) that
 //! only a composed schedule can exercise. The plan's
@@ -31,7 +31,7 @@
 //!   that was in flight when a storage error hit (its durability is
 //!   unknown). Each durable line a torn results journal destroyed
 //!   licenses one more. Nothing else re-executes a cell, so nothing
-//!   else is licensed — [`CrossLedger::post_executions`] posts that one
+//!   else is licensed — `CrossLedger::post_executions` posts that one
 //!   book to every layer's duplicate-execution oracle.
 //! * **Acked-then-lost** replays the committed result *keys* (the
 //!   service records a key only after its journal append fsynced)
@@ -84,7 +84,7 @@ const REOPEN_FUEL: usize = 64;
 pub struct ComposedChaosReport {
     /// The unified ledger absorbed from every layer.
     pub ledger: CrossLedger,
-    /// Oracle verdicts ([`check_cross_ledger`] over the ledger).
+    /// Oracle verdicts (`check_cross_ledger` over the ledger).
     pub violations: Vec<CrossViolation>,
 }
 
@@ -731,7 +731,7 @@ impl<M: CampaignModel, F: Fn() -> M> Conductor<M, F> {
 /// `/reference`, then the gateway campaign in `/gw` on a disk
 /// carrying the plan's disk faults, a pool carrying its scheduler
 /// faults, attacked by its service and transport faults — and checks
-/// [`check_cross_ledger`] over the absorbed [`CrossLedger`].
+/// `check_cross_ledger` over the absorbed [`CrossLedger`].
 ///
 /// `make_model` builds a fresh model per incarnation. `cells_json` is
 /// the campaign's cells array; `flood_cells(i)` renders the i-th

@@ -8,7 +8,7 @@
 //! function (a pure function from the one to the other). The
 //! [`CrossLedger`] holds all four plus the MD layer's
 //! [`ScheduleReport`] and the one ground-truth execution book;
-//! [`check_cross_ledger`] is the union of the per-layer oracles plus
+//! `check_cross_ledger` is the union of the per-layer oracles plus
 //! the interaction oracles only a composed schedule can exercise.
 //!
 //! Oracles are safety code: every check here judges a hand-built
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// hit, journal pre-seed, reclaimed lease and injected-fault side
 /// effect, summed over all incarnations of the service, plus the
 /// FNV-1a digests of the final results artifact and of an
-/// uninterrupted reference run. [`check_service_ledger`] turns a
+/// uninterrupted reference run. `check_service_ledger` turns a
 /// ledger into oracle verdicts.
 ///
 /// Concrete (non-generic) and serializable so chaos campaigns can
@@ -179,7 +179,7 @@ fn fmt_digest(d: Option<u64>) -> String {
 ///
 /// Stale-lease accounting rides along: every stale completion
 /// presented must have been rejected.
-pub fn check_service_ledger(ledger: &ServiceLedger) -> Vec<ServiceViolation> {
+pub(crate) fn check_service_ledger(ledger: &ServiceLedger) -> Vec<ServiceViolation> {
     let mut violations = Vec::new();
     if ledger.completed + ledger.abandoned < ledger.total_cells || ledger.abandoned > 0 {
         violations.push(ServiceViolation::LostCell {
@@ -220,7 +220,7 @@ pub fn check_service_ledger(ledger: &ServiceLedger) -> Vec<ServiceViolation> {
 /// thread-count changes mid-campaign, lease expiry racing a slow
 /// worker). Aggregates the pooled service
 /// outcome, the pool's own counters and the post-chaos reusability
-/// probe. [`check_sched_ledger`] turns a
+/// probe. `check_sched_ledger` turns a
 /// ledger into oracle verdicts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct SchedLedger {
@@ -403,7 +403,7 @@ impl std::fmt::Display for SchedViolation {
 /// 4. **Contained panics.** Every injected worker panic is caught at
 ///    the task boundary, its cell reclaimed through the lease-expiry
 ///    path, and the pool stays usable afterward.
-pub fn check_sched_ledger(ledger: &SchedLedger) -> Vec<SchedViolation> {
+pub(crate) fn check_sched_ledger(ledger: &SchedLedger) -> Vec<SchedViolation> {
     let mut violations = Vec::new();
     if ledger.completed + ledger.abandoned < ledger.total_cells || ledger.abandoned > 0 {
         violations.push(SchedViolation::LostTask {
@@ -465,7 +465,7 @@ pub fn check_sched_ledger(ledger: &SchedLedger) -> Vec<SchedViolation> {
 /// the service-level cell accounting of [`ServiceLedger`] plus the
 /// transport book — connections opened/closed, requests parsed,
 /// malformed/overload rejections, deadline discipline, panics.
-/// [`check_gateway_ledger`] turns a ledger into oracle verdicts.
+/// `check_gateway_ledger` turns a ledger into oracle verdicts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct GatewayLedger {
     /// Cells the campaign comprises.
@@ -611,7 +611,7 @@ impl std::fmt::Display for GatewayViolation {
 ///    through the gateway (including kill-resume through HTTP)
 ///    digests identically to the direct-path reference; an unreadable
 ///    artifact is a violation, never a match.
-pub fn check_gateway_ledger(ledger: &GatewayLedger) -> Vec<GatewayViolation> {
+pub(crate) fn check_gateway_ledger(ledger: &GatewayLedger) -> Vec<GatewayViolation> {
     let mut violations = Vec::new();
     if ledger.panics > 0 {
         violations.push(GatewayViolation::Panic {
@@ -878,14 +878,14 @@ pub fn check_disk_ledger(ledger: &DiskLedger) -> Vec<DiskViolation> {
 /// into a single book, plus the conductor's own ground-truth
 /// execution accounting. Filled by
 /// [`run_composed_chaos`](crate::run_composed_chaos), convicted by
-/// [`check_cross_ledger`].
+/// `check_cross_ledger`.
 ///
 /// The sub-ledgers are kept to their own layers' contracts, with one
 /// exception made on purpose: executions. There is **one execution
 /// book** — `executed_true` counts every model execution across every
 /// incarnation and revival via the conductor's counting wrapper,
 /// `exec_allowance` is the exact re-execution licence the conductor
-/// charged loss by loss — and [`CrossLedger::post_executions`] posts
+/// charged loss by loss — and `CrossLedger::post_executions` posts
 /// it into every layer's `executed` / `lost_executions` columns, so
 /// each layer's own duplicate-execution oracle judges ground truth.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -900,7 +900,7 @@ pub struct CrossLedger {
     pub disk: DiskLedger,
     /// Scheduler-layer book (pauses, panic containment).
     pub sched: SchedLedger,
-    /// Armed events per layer, in [`LAYERS`] order
+    /// Armed events per layer, in [`LAYERS`](crate::LAYERS) order
     /// (md, service, transport, disk, sched) — the pairwise
     /// interaction-coverage record of this schedule.
     pub layer_events: [usize; 5],
@@ -932,7 +932,7 @@ impl CrossLedger {
     /// books carry the destroyed lines inside `lost_executions`, and
     /// the scheduler book — one execution per cell, no licence term —
     /// counts executions net of the licensed ones.
-    pub fn post_executions(&mut self, executed: usize, extra_cells: usize, lost: usize) {
+    pub(crate) fn post_executions(&mut self, executed: usize, extra_cells: usize, lost: usize) {
         let destroyed = self.service.destroyed_results;
         self.executed_true = executed;
         self.exec_allowance = self.service.total_cells + extra_cells + lost + destroyed;
@@ -1045,7 +1045,7 @@ impl std::fmt::Display for CrossViolation {
 
 /// Checks the union of every single-layer oracle, verbatim, plus the
 /// cross-layer interaction oracles over one [`CrossLedger`].
-pub fn check_cross_ledger(ledger: &CrossLedger) -> Vec<CrossViolation> {
+pub(crate) fn check_cross_ledger(ledger: &CrossLedger) -> Vec<CrossViolation> {
     let mut violations = Vec::new();
     if let Some(md) = &ledger.md {
         violations.extend(

@@ -9,7 +9,7 @@
 //! fault layers — MD, job service, HTTP transport, disk, scheduler — so
 //! a single-layer campaign *is* the composed conductor under a
 //! one-layer mask: the same loop, the same [`CrossLedger`], the same
-//! oracles ([`check_cross_ledger`]), the same minimizer
+//! oracles (`check_cross_ledger`), the same minimizer
 //! ([`minimize_composed`]) and reproducer ([`CrossReproducer`]).
 //!
 //! The MD layer's own harness (`ChaosHarness`, its `Violation`s and
@@ -27,9 +27,8 @@ pub mod plan;
 
 pub use conductor::{run_composed_chaos, ComposedChaosReport};
 pub use ledger::{
-    check_cross_ledger, check_disk_ledger, check_gateway_ledger, check_sched_ledger,
-    check_service_ledger, CrossLedger, CrossViolation, DiskLedger, DiskViolation, GatewayLedger,
-    GatewayViolation, SchedLedger, SchedViolation, ServiceLedger, ServiceViolation,
+    check_disk_ledger, CrossLedger, CrossViolation, DiskLedger, DiskViolation, GatewayLedger,
+    SchedLedger, ServiceLedger,
 };
 pub use minimize::{minimize_composed, CrossReproducer};
 pub use plan::{

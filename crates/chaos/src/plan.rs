@@ -4,7 +4,7 @@
 //! Every sampler draws schedule `index` of a campaign keyed by `seed`
 //! through [`SplitMix64::for_message`] on its own sentinel channel —
 //! the discipline `cpc-cluster`'s MD
-//! [`FaultSpace`](cpc_cluster::FaultSpace) set — so the five draws of a
+//! [`FaultSpace`] set — so the five draws of a
 //! [`ComposedFaultSpace`] are independent by construction and masking
 //! a layer is a pure projection.
 
@@ -594,7 +594,7 @@ impl ComposedPlan {
     }
 
     /// Raw event count of one layer's schedule, ignoring the mask.
-    pub fn events_in(&self, layer: Layer) -> usize {
+    pub(crate) fn events_in(&self, layer: Layer) -> usize {
         match layer {
             Layer::Md => {
                 (self.md.loss > 0.0) as usize

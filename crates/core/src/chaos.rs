@@ -12,9 +12,9 @@
 //! 2. **Completion / golden match** — a survivable run finishes all
 //!    steps and its final state matches the golden trajectory within a
 //!    tolerance derived from the plan: bit-identical when nothing
-//!    perturbed the physics, [`CRASH_RECOVERY_TOLERANCE`] when a
+//!    perturbed the physics, `CRASH_RECOVERY_TOLERANCE` when a
 //!    communicator shrink reassociated the floating-point reductions,
-//!    [`BENIGN_SDC_TOLERANCE`] when a benign bit flip fired.
+//!    `BENIGN_SDC_TOLERANCE` when a benign bit flip fired.
 //! 3. **Resume equivalence** — a run interrupted at the halfway point
 //!    and resumed from its durable checkpoints ends within the same
 //!    tolerance of the uninterrupted run.
@@ -60,7 +60,7 @@ use std::path::PathBuf;
 /// see. Relative errors of ~6e-11 per flip grow only polynomially over
 /// the short chaotic workloads, so anything past this bound means a
 /// non-benign corruption went undetected.
-pub const BENIGN_SDC_TOLERANCE: f64 = 1e-7;
+pub(crate) const BENIGN_SDC_TOLERANCE: f64 = 1e-7;
 
 /// Maximum final-state deviation attributable to crash recovery: after
 /// a communicator shrink the force reductions reassociate, so re-run
@@ -68,13 +68,13 @@ pub const BENIGN_SDC_TOLERANCE: f64 = 1e-7;
 /// ~1e-7 on the reference workloads; the bound leaves two orders of
 /// headroom without masking real corruption, which shows up orders of
 /// magnitude larger).
-pub const CRASH_RECOVERY_TOLERANCE: f64 = 1e-5;
+pub(crate) const CRASH_RECOVERY_TOLERANCE: f64 = 1e-5;
 
 /// Maximum final-state deviation attributable to degraded-mode
 /// rebalancing: moving the pair-list cuts reassociates the per-rank
 /// force partial sums exactly like a communicator shrink does, so the
 /// bound matches [`CRASH_RECOVERY_TOLERANCE`] in magnitude.
-pub const REBALANCE_TOLERANCE: f64 = 1e-5;
+pub(crate) const REBALANCE_TOLERANCE: f64 = 1e-5;
 
 /// The straggler-mitigation oracle's bar: with a persistent straggler
 /// active from step 0, the adaptive run's wall-time overhead must stay
@@ -359,7 +359,7 @@ pub enum ChaosEvent {
 
 /// Flattens a plan into its atomic fault events (the plan-wide
 /// `watchdog_timeout` / `max_retransmits` knobs are carried separately
-/// by [`rebuild`]).
+/// by `rebuild`).
 pub fn flatten(plan: &FaultPlan) -> Vec<ChaosEvent> {
     let mut events = Vec::new();
     if plan.loss > 0.0 {
@@ -385,7 +385,7 @@ pub fn flatten(plan: &FaultPlan) -> Vec<ChaosEvent> {
 
 /// Rebuilds a plan from a subset of events, inheriting the plan-wide
 /// knobs from `template`.
-pub fn rebuild(events: &[ChaosEvent], template: &FaultPlan) -> FaultPlan {
+pub(crate) fn rebuild(events: &[ChaosEvent], template: &FaultPlan) -> FaultPlan {
     let mut plan = FaultPlan::none();
     plan.watchdog_timeout = template.watchdog_timeout;
     plan.max_retransmits = template.max_retransmits;

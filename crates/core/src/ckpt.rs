@@ -19,7 +19,7 @@
 //!   bounding disk use over arbitrarily long campaigns.
 //! * **Verified fallback** — restore walks generations newest-first,
 //!   decoding and checksum-verifying each; corrupt or truncated files
-//!   are skipped (with a [`FallbackNote`] saying why) until an intact
+//!   are skipped (with a `FallbackNote` saying why) until an intact
 //!   snapshot is found.
 //!
 //! Storage faults from a [`FaultPlan`](cpc_cluster::FaultPlan) are
@@ -33,17 +33,17 @@ use cpc_cluster::{StorageFault, StorageFaultKind};
 use cpc_md::{MdSnapshot, SnapshotError};
 use cpc_vfs::{real_fs, SharedFs};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// File extension of stored snapshot generations.
-pub const CHECKPOINT_EXT: &str = "cpcsnap";
+pub(crate) const CHECKPOINT_EXT: &str = "cpcsnap";
 
 /// Result of a newest-first restore walk: the first intact
 /// `(generation, snapshot)` if any, plus a note for every generation
 /// skipped on the way down.
-pub type RestoreOutcome = (Option<(u64, MdSnapshot)>, Vec<FallbackNote>);
+pub(crate) type RestoreOutcome = (Option<(u64, MdSnapshot)>, Vec<FallbackNote>);
 
 /// Configuration of the durable checkpoint layer of a fault-tolerant
 /// run (see [`crate::recover::FaultConfig::durable`]).
@@ -84,7 +84,7 @@ impl DurableConfig {
 
 /// Why a generation was skipped during a fallback restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FallbackNote {
+pub(crate) struct FallbackNote {
     /// Generation (step index) of the skipped snapshot.
     pub generation: u64,
     /// Human-readable cause: checksum mismatch, truncation, I/O error.
@@ -94,7 +94,7 @@ pub struct FallbackNote {
 /// Typed failure of a strict restore (see
 /// [`CheckpointStore::restore_strict`]).
 #[derive(Debug)]
-pub enum RestoreError {
+pub(crate) enum RestoreError {
     /// The store directory itself could not be read.
     Io(io::Error),
     /// Generations were present on disk but every one of them failed
@@ -180,7 +180,7 @@ impl SaveError {
 }
 
 /// A directory of rotated, checksummed snapshot generations.
-pub struct CheckpointStore {
+pub(crate) struct CheckpointStore {
     dir: PathBuf,
     fs: SharedFs,
     keep: usize,
@@ -228,16 +228,6 @@ impl CheckpointStore {
         })
     }
 
-    /// Attaches a storage-fault schedule (use
-    /// [`FaultPlan::storage_schedule`](cpc_cluster::FaultPlan::storage_schedule),
-    /// which sorts by trigger time). The consumption cursor is private
-    /// to this store instance.
-    pub fn with_fault_schedule(mut self, schedule: Vec<StorageFault>) -> Self {
-        self.fault_schedule = schedule;
-        self.next_fault = Arc::new(AtomicUsize::new(0));
-        self
-    }
-
     /// Attaches a storage-fault schedule whose consumption cursor is
     /// shared with other store instances. Per-rank stores of one run
     /// all point at the same directory — the same modeled disk — and
@@ -245,7 +235,7 @@ impl CheckpointStore {
     /// the cursor keeps each scheduled fault to exactly one fired
     /// corruption plan-wide instead of re-firing under every new
     /// writer.
-    pub fn with_fault_cursor(
+    pub(crate) fn with_fault_cursor(
         mut self,
         schedule: Vec<StorageFault>,
         cursor: Arc<AtomicUsize>,
@@ -255,18 +245,13 @@ impl CheckpointStore {
         self
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn path_for(&self, generation: u64) -> PathBuf {
         self.dir
             .join(format!("ckpt-{generation:010}.{CHECKPOINT_EXT}"))
     }
 
     /// Generations currently on disk, ascending.
-    pub fn generations(&self) -> io::Result<Vec<u64>> {
+    pub(crate) fn generations(&self) -> io::Result<Vec<u64>> {
         let mut gens = Vec::new();
         for path in self.fs.read_dir(&self.dir)? {
             let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
@@ -342,7 +327,7 @@ impl CheckpointStore {
     }
 
     /// Restores a specific generation, verifying every checksum.
-    pub fn restore_generation(&self, generation: u64) -> Result<MdSnapshot, FallbackNote> {
+    pub(crate) fn restore_generation(&self, generation: u64) -> Result<MdSnapshot, FallbackNote> {
         let path = self.path_for(generation);
         let bytes = self.fs.read(&path).map_err(|e| FallbackNote {
             generation,
@@ -357,7 +342,7 @@ impl CheckpointStore {
     /// Walks generations newest-first and returns the first one that
     /// decodes and verifies, together with notes on every generation
     /// skipped on the way. `Ok(None)` means no intact snapshot exists.
-    pub fn restore_newest_intact(&self) -> io::Result<RestoreOutcome> {
+    pub(crate) fn restore_newest_intact(&self) -> io::Result<RestoreOutcome> {
         let mut notes = Vec::new();
         for &g in self.generations()?.iter().rev() {
             match self.restore_generation(g) {
@@ -374,7 +359,7 @@ impl CheckpointStore {
     /// corrupt" ([`RestoreError::NoIntactGeneration`], the run must be
     /// classified as unrecoverable rather than silently restarted from
     /// step 0).
-    pub fn restore_strict(&self) -> Result<Option<(u64, MdSnapshot)>, RestoreError> {
+    pub(crate) fn restore_strict(&self) -> Result<Option<(u64, MdSnapshot)>, RestoreError> {
         let (hit, notes) = self.restore_newest_intact()?;
         match hit {
             Some(found) => Ok(Some(found)),
@@ -427,7 +412,7 @@ mod tests {
             .with_storage_fault(2.0, StorageFaultKind::BitFlip { byte: 999, bit: 2 });
         let mut store = CheckpointStore::open(&dir, 3)
             .unwrap()
-            .with_fault_schedule(plan.storage_schedule());
+            .with_fault_cursor(plan.storage_schedule(), Default::default());
         store.save(&snap(1, 1.0), 1.0).unwrap(); // clean
         store.save(&snap(2, 2.0), 2.5).unwrap(); // bit-flipped
         let (hit, notes) = store.restore_newest_intact().unwrap();
@@ -452,7 +437,7 @@ mod tests {
             .with_storage_fault(2.0, StorageFaultKind::Missing);
         let mut store = CheckpointStore::open(&dir, 3)
             .unwrap()
-            .with_fault_schedule(plan.storage_schedule());
+            .with_fault_cursor(plan.storage_schedule(), Default::default());
         store.save(&snap(0, 0.0), 0.0).unwrap(); // clean: before any fault
         store.save(&snap(1, 1.0), 1.0).unwrap(); // torn
         store.save(&snap(2, 2.0), 2.0).unwrap(); // missing
@@ -476,7 +461,7 @@ mod tests {
             .with_storage_fault(3.0, StorageFaultKind::Missing);
         let mut store = CheckpointStore::open(&dir, 3)
             .unwrap()
-            .with_fault_schedule(plan.storage_schedule());
+            .with_fault_cursor(plan.storage_schedule(), Default::default());
         store.save(&snap(1, 1.0), 1.0).unwrap(); // torn
         store.save(&snap(2, 2.0), 2.0).unwrap(); // bit-flipped
         store.save(&snap(3, 3.0), 3.0).unwrap(); // missing
@@ -511,7 +496,7 @@ mod tests {
             .with_storage_fault(1.0, StorageFaultKind::Missing);
         let mut store = CheckpointStore::open(&dir, 3)
             .unwrap()
-            .with_fault_schedule(plan.storage_schedule());
+            .with_fault_cursor(plan.storage_schedule(), Default::default());
         store.save(&snap(1, 0.5), 0.5).unwrap();
         store.save(&snap(2, 1.5), 1.5).unwrap();
         assert!(store.generations().unwrap().is_empty());
@@ -526,7 +511,7 @@ mod tests {
             .with_storage_fault(2.0, StorageFaultKind::BitFlip { byte: 50, bit: 1 });
         let mut store = CheckpointStore::open(&dir, 3)
             .unwrap()
-            .with_fault_schedule(plan.storage_schedule());
+            .with_fault_cursor(plan.storage_schedule(), Default::default());
         store.save(&snap(1, 1.0), 1.0).unwrap(); // clean
         store.save(&snap(2, 2.0), 2.0).unwrap(); // corrupt
         let (gen, restored) = store.restore_strict().unwrap().expect("gen 1 intact");

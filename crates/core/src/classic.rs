@@ -58,7 +58,7 @@ pub fn classic_energy_parallel(
 
 /// [`classic_energy_parallel`] with an explicit combine algorithm (the
 /// ablation hook).
-pub fn classic_energy_parallel_with(
+pub(crate) fn classic_energy_parallel_with(
     comm: &mut Comm<'_>,
     system: &System,
     pairs: &[(u32, u32)],
@@ -130,7 +130,7 @@ fn platform_of(comm: &mut Comm<'_>) -> u64 {
 /// either way. Callers that measure the kernel or may perturb its
 /// inputs or outputs out of band (faults, SDC, ABFT) pass `None`.
 #[allow(clippy::too_many_arguments)]
-pub fn classic_energy_parallel_weighted(
+pub(crate) fn classic_energy_parallel_weighted(
     comm: &mut Comm<'_>,
     system: &System,
     pairs: &[(u32, u32)],

@@ -19,7 +19,7 @@ pub fn block_range(n: usize, p: usize, r: usize) -> Range<usize> {
 
 /// Partition of one rank's share of the classic energy calculation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClassicPartition {
+pub(crate) struct ClassicPartition {
     /// Pair-list index range evaluated by this rank.
     pub pairs: Range<usize>,
     /// Bond index range.
@@ -37,7 +37,7 @@ pub struct ClassicPartition {
 
 /// Computes rank `r`'s classic-phase share.
 #[allow(clippy::too_many_arguments)]
-pub fn classic_partition(
+pub(crate) fn classic_partition(
     n_pairs: usize,
     n_bonds: usize,
     n_angles: usize,
@@ -55,17 +55,6 @@ pub fn classic_partition(
         impropers: block_range(n_impropers, p, r),
         excl_atoms: block_range(n_atoms, p, r),
     }
-}
-
-/// Range of a sorted half pair list `(i, j)` (ordered by `i`) whose
-/// `i` atoms fall in `atoms` — CHARMM's atom-block decomposition of the
-/// nonbonded work. Blocks of equal atom count carry *unequal* pair
-/// counts (dense protein regions vs sparse solvent), reproducing the
-/// real code's load imbalance.
-pub fn pair_range_by_atom_block(pairs: &[(u32, u32)], atoms: &Range<usize>) -> Range<usize> {
-    let start = pairs.partition_point(|&(i, _)| (i as usize) < atoms.start);
-    let end = pairs.partition_point(|&(i, _)| (i as usize) < atoms.end);
-    start..end
 }
 
 /// Pair-list cut points for `p` ranks, aligned to atom boundaries and
@@ -110,7 +99,11 @@ pub(crate) fn pair_cuts(pairs: &[(u32, u32)], p: usize, caps: Option<&[f64]>) ->
 /// case delegates to the integer arithmetic of [`balanced_pair_cuts`]
 /// so a rebalance back to uniform is bit-identical to never having
 /// rebalanced.
-pub fn balanced_pair_cuts_weighted(pairs: &[(u32, u32)], p: usize, caps: &[f64]) -> Vec<usize> {
+pub(crate) fn balanced_pair_cuts_weighted(
+    pairs: &[(u32, u32)],
+    p: usize,
+    caps: &[f64],
+) -> Vec<usize> {
     assert!(p > 0);
     assert_eq!(caps.len(), p, "one capacity per rank");
     assert!(
@@ -142,7 +135,7 @@ pub fn balanced_pair_cuts_weighted(pairs: &[(u32, u32)], p: usize, caps: &[f64])
 /// Capacity-proportional cut points splitting `n` items across `p`
 /// owners: `p + 1` monotone indices with `cuts[0] == 0` and
 /// `cuts[p] == n`. Shared by the weighted PME plane assignment.
-pub fn weighted_cuts(n: usize, caps: &[f64]) -> Vec<usize> {
+pub(crate) fn weighted_cuts(n: usize, caps: &[f64]) -> Vec<usize> {
     let p = caps.len();
     assert!(p > 0);
     assert!(
@@ -196,7 +189,7 @@ impl PmeDecomp {
 
     /// Reassigns plane slabs proportionally to per-rank capacities.
     /// Uniform capacities restore the unweighted decomposition exactly.
-    pub fn with_plane_weights(mut self, caps: &[f64]) -> Self {
+    pub(crate) fn with_plane_weights(mut self, caps: &[f64]) -> Self {
         assert_eq!(caps.len(), self.p, "one capacity per rank");
         if caps.iter().all(|&c| c == caps[0]) {
             self.plane_cuts = None;
@@ -221,7 +214,7 @@ impl PmeDecomp {
     }
 
     /// Which rank owns x-plane `gx`.
-    pub fn plane_owner(&self, gx: usize) -> usize {
+    pub(crate) fn plane_owner(&self, gx: usize) -> usize {
         debug_assert!(gx < self.nx);
         // Inverse of block_range; linear scan is fine for p <= 16.
         for r in 0..self.p {
@@ -294,29 +287,6 @@ mod tests {
         let d = PmeDecomp::new(80, 36, 48, 1);
         assert_eq!(d.planes(0), 0..80);
         assert_eq!(d.cols(0), 0..(36 * 48));
-    }
-
-    #[test]
-    fn pair_range_by_atom_block_covers_and_orders() {
-        let pairs: Vec<(u32, u32)> = vec![
-            (0, 1),
-            (0, 2),
-            (1, 2),
-            (1, 3),
-            (3, 4),
-            (3, 5),
-            (3, 6),
-            (5, 6),
-        ];
-        let r1 = pair_range_by_atom_block(&pairs, &(0..2));
-        assert_eq!(r1, 0..4);
-        let r2 = pair_range_by_atom_block(&pairs, &(2..4));
-        assert_eq!(r2, 4..7);
-        let r3 = pair_range_by_atom_block(&pairs, &(4..7));
-        assert_eq!(r3, 7..8);
-        // Full coverage, no overlap.
-        assert_eq!(r1.end, r2.start);
-        assert_eq!(r2.end, r3.start);
     }
 
     #[test]

@@ -34,13 +34,13 @@ pub mod decomp;
 pub mod driver;
 pub mod memo;
 pub mod pme_par;
-pub mod pme_spatial;
+mod pme_spatial;
 mod rank;
 pub mod recover;
 pub mod report;
 
 pub use chaos::{ddmin, minimize, ChaosHarness, Reproducer, ScheduleReport, Violation};
-pub use ckpt::{CheckpointStore, DurableConfig, FallbackNote, RestoreError, SaveError};
+pub use ckpt::{DurableConfig, SaveError};
 pub use classic::{classic_energy_parallel, ClassicResult};
 pub use driver::{run_parallel_md, CommTuning, MdConfig, PmeImpl};
 pub use memo::{KernelMemo, MemoStats};

@@ -8,7 +8,8 @@
 //! bits in every platform cell. [`KernelMemo`] stores what one rank's
 //! kernel produced — its partial forces *before* the combine, its six
 //! partial energies and the op counts the cost model charges — under a
-//! 128-bit digest of everything that kernel reads ([`classic_key`]),
+//! 128-bit digest of everything that kernel reads (`classic_prefix`,
+//! then the box and the positions),
 //! so a later cell replays the identical compute charge and hands the
 //! identical partials to the live combine. No message downstream of
 //! the kernel is stored or skipped.
@@ -16,17 +17,17 @@
 //! What each rank's PME evaluation hands *its* closing combine — the
 //! partial reciprocal energy of its mesh columns, the forces
 //! interpolated over the gathered potential mesh plus the exclusion
-//! correction, and the op counts — is a [`TailOutput`]. The tails of
+//! correction, and the op counts — is a `TailOutput`. The tails of
 //! all ranks of one evaluation are held beside the partials as one
-//! entry, under a key no rank enters ([`tail_prefix`], then the box and
+//! entry, under a key no rank enters (`tail_prefix`, then the box and
 //! the positions). A served evaluation looks them up before it spreads
 //! a charge and then computes nothing: the mesh messages a cell exists
 //! to time still go out, in their order and at their sizes, carrying
 //! their lengths alone, because the network model costs a message by
 //! its length and never reads a value. A rank that computed would find
 //! no values in them to sum into its mesh, so serving is all ranks or
-//! none: the ranks of a cell share one [`CellMemo`], whose first rank
-//! to reach an evaluation draws the [`TailPlan`] every other rank of it
+//! none: the ranks of a cell share one `CellMemo`, whose first rank
+//! to reach an evaluation draws the `TailPlan` every other rank of it
 //! is handed, whatever a concurrent cell stores or the budget evicts in
 //! between.
 //!
@@ -64,7 +65,7 @@ const BUDGET_BYTES: usize = 32 << 20;
 
 /// What one rank's classic kernel produces, before the combine.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KernelOutput {
+pub(crate) struct KernelOutput {
     /// This rank's partial force array.
     pub forces: Vec<Vec3>,
     /// This rank's partial bonded energies.
@@ -115,7 +116,7 @@ fn is_positive_zero(f: &Vec3) -> bool {
 impl TailOutput {
     /// The sparse form of `forces`, a rank's partial k-space force array
     /// in which only `block` and its exclusion partners were written.
-    pub fn extract(
+    pub(crate) fn extract(
         forces: &[Vec3],
         block: &Range<usize>,
         recip_partial: f64,
@@ -139,7 +140,7 @@ impl TailOutput {
 
     /// Writes the stored bits back into `forces`, an all-`+0.0` array:
     /// the array [`Self::extract`] read, bit for bit.
-    pub fn scatter_into(&self, forces: &mut [Vec3], block_start: usize) {
+    pub(crate) fn scatter_into(&self, forces: &mut [Vec3], block_start: usize) {
         forces[block_start..][..self.block_forces.len()].copy_from_slice(&self.block_forces);
         for &(i, f) in &self.partners {
             forces[i as usize] = f;
@@ -274,7 +275,7 @@ impl Inner {
     }
 }
 
-/// Thread-safe, byte-budgeted store of [`KernelOutput`]s and PME tails
+/// Thread-safe, byte-budgeted store of `KernelOutput`s and PME tails
 /// by content key.
 pub struct KernelMemo {
     budget: usize,
@@ -332,20 +333,11 @@ impl KernelMemo {
     /// Returns the output stored under `key` when a cell of another
     /// `platform` than the one that computed it has asked for it (now or
     /// before); otherwise runs `kernel`, stores its output if the key is
-    /// new, and returns it. The kernel runs outside the lock: two
-    /// threads that miss on one key both compute (the same bits) and
-    /// the first stored entry is the one later readers see.
-    pub fn get_or_compute(
-        &self,
-        key: u128,
-        platform: u64,
-        kernel: impl FnOnce() -> KernelOutput,
-    ) -> Arc<KernelOutput> {
-        self.serve_or_compute(key, platform, kernel).0
-    }
-
-    /// [`Self::get_or_compute`], and whether the output was served from
-    /// the memo rather than computed by this call.
+    /// new, and returns it. The flag says whether the output was served
+    /// from the memo rather than computed by this call. The kernel runs
+    /// outside the lock: two threads that miss on one key both compute
+    /// (the same bits) and the first stored entry is the one later
+    /// readers see.
     pub(crate) fn serve_or_compute(
         &self,
         key: u128,
@@ -430,7 +422,7 @@ impl CellMemo<'_> {
     /// every later rank of the evaluation is handed that same plan. Each
     /// rank handed [`TailPlan::Serve`] counts a tail hit, each handed
     /// [`TailPlan::Store`] a miss.
-    pub fn tail_plan(&self, key: u128, p: usize, served: bool) -> TailPlan {
+    pub(crate) fn tail_plan(&self, key: u128, p: usize, served: bool) -> TailPlan {
         let plan = self
             .plans
             .lock()
@@ -457,7 +449,7 @@ impl CellMemo<'_> {
 
     /// Hands in `rank`'s tail under a [`TailPlan::Store`] keyed `key`;
     /// the last rank to hand in stores them all.
-    pub fn hand_in(&self, key: u128, pending: &PendingTails, rank: usize, tail: TailOutput) {
+    pub(crate) fn hand_in(&self, key: u128, pending: &PendingTails, rank: usize, tail: TailOutput) {
         let group = {
             let mut slots = pending.lock().expect("tail hand-in panicked");
             slots[rank] = Some(tail);
@@ -544,11 +536,17 @@ pub(crate) fn positions_digest(system: &System) -> u128 {
     d.finish()
 }
 
-/// The part of a rank's [`classic_key`] that stands still between two
+/// The content key of one rank's classic kernel call — the bits of
+/// everything `nonbonded_energy_forces` over `pairs[pair_block]` and
+/// `bonded_energy_forces_range` over `part` read — less the box and
+/// the positions, which [`Digest::at`] continues it with
+/// ([`positions_digest`]). What it digests stands still between two
 /// list builds of one decomposition: the nonbonded options, every
 /// atom's class and charge (LJ parameters are compile-time constants of
 /// the class), the rank's pair block with its bounds, and the rank's
-/// bonded terms with their ranges, indices and parameters.
+/// bonded terms with their ranges, indices and parameters. Exclusions
+/// are not read by the kernel (they are baked into the pair list), nor
+/// are velocities.
 pub(crate) fn classic_prefix(
     system: &System,
     pairs: &[(u32, u32)],
@@ -612,24 +610,6 @@ pub(crate) fn classic_prefix(
         d.f64(t.param.psi0);
     }
     d
-}
-
-/// Content key of one rank's classic kernel call: the bits of
-/// everything `nonbonded_energy_forces` over `pairs[pair_block]` and
-/// `bonded_energy_forces_range` over `part` read — [`classic_prefix`],
-/// then the box and every position ([`positions_digest`]). Exclusions
-/// are not read by the kernel (they are baked into the pair list), nor
-/// are velocities.
-pub fn classic_key(
-    system: &System,
-    pairs: &[(u32, u32)],
-    pair_block: &Range<usize>,
-    part: &ClassicPartition,
-    opts: &NonbondedOptions,
-) -> u128 {
-    classic_prefix(system, pairs, pair_block, part, opts)
-        .at(positions_digest(system))
-        .finish()
 }
 
 /// The part of an evaluation's tail key that no evaluation moves: beta,
@@ -913,10 +893,21 @@ mod tests {
         };
         let cuts = balanced_pair_cuts(&list.pairs, p);
         let block = cuts[1]..cuts[2];
-        let base = classic_key(&sys, &list.pairs, &block, &part(1), &opts);
+        // Composed as `RankMd::evaluate` composes it: the saved prefix,
+        // continued with the positions.
+        let key = |sys: &System,
+                   pairs: &[(u32, u32)],
+                   block: &Range<usize>,
+                   part: &ClassicPartition,
+                   opts: &NonbondedOptions| {
+            classic_prefix(sys, pairs, block, part, opts)
+                .at(positions_digest(sys))
+                .finish()
+        };
+        let base = key(&sys, &list.pairs, &block, &part(1), &opts);
         assert_eq!(
             base,
-            classic_key(&sys.clone(), &list.pairs.clone(), &block, &part(1), &opts),
+            key(&sys.clone(), &list.pairs.clone(), &block, &part(1), &opts),
             "the key is a function of content, not of addresses"
         );
 
@@ -924,33 +915,33 @@ mod tests {
         // One position bit.
         let mut moved = sys.clone();
         moved.positions[7].y = f64::from_bits(moved.positions[7].y.to_bits() ^ 1);
-        keys.push(classic_key(&moved, &list.pairs, &block, &part(1), &opts));
+        keys.push(key(&moved, &list.pairs, &block, &part(1), &opts));
         // One pair of the block.
         let mut pairs = list.pairs.clone();
         pairs[block.start + 3].1 ^= 1;
-        keys.push(classic_key(&sys, &pairs, &block, &part(1), &opts));
+        keys.push(key(&sys, &pairs, &block, &part(1), &opts));
         // The block bounds, at either end.
         let shorter = block.start..block.end - 1;
-        keys.push(classic_key(&sys, &list.pairs, &shorter, &part(1), &opts));
+        keys.push(key(&sys, &list.pairs, &shorter, &part(1), &opts));
         let later = block.start + 1..block.end;
-        keys.push(classic_key(&sys, &list.pairs, &later, &part(1), &opts));
+        keys.push(key(&sys, &list.pairs, &later, &part(1), &opts));
         // The bonded ranges.
-        keys.push(classic_key(&sys, &list.pairs, &block, &part(2), &opts));
+        keys.push(key(&sys, &list.pairs, &block, &part(2), &opts));
         // beta, and the electrostatics method.
         let beta = NonbondedOptions::pme_direct(0.34 + f64::EPSILON);
-        keys.push(classic_key(&sys, &list.pairs, &block, &part(1), &beta));
+        keys.push(key(&sys, &list.pairs, &block, &part(1), &beta));
         let shift = NonbondedOptions::classic();
-        keys.push(classic_key(&sys, &list.pairs, &block, &part(1), &shift));
+        keys.push(key(&sys, &list.pairs, &block, &part(1), &shift));
         // One atom charge, one bonded parameter, the box.
         let mut charged = sys.clone();
         charged.topology.atoms[0].charge += 1e-12;
-        keys.push(classic_key(&charged, &list.pairs, &block, &part(1), &opts));
+        keys.push(key(&charged, &list.pairs, &block, &part(1), &opts));
         let mut stiffer = sys.clone();
         stiffer.topology.bonds[part(1).bonds.start].param.k += 1e-9;
-        keys.push(classic_key(&stiffer, &list.pairs, &block, &part(1), &opts));
+        keys.push(key(&stiffer, &list.pairs, &block, &part(1), &opts));
         let mut wider = sys.clone();
         wider.pbox.lengths.z += 1e-9;
-        keys.push(classic_key(&wider, &list.pairs, &block, &part(1), &opts));
+        keys.push(key(&wider, &list.pairs, &block, &part(1), &opts));
 
         // The tails' key: what no evaluation moves, for every rank at
         // once, then the box and every position.
@@ -1058,7 +1049,7 @@ mod tests {
         let one = output(n_atoms, 0.0).payload_bytes();
         let memo = KernelMemo::with_budget(3 * one + one / 2);
         for key in 0..10u128 {
-            memo.get_or_compute(key, 0, || output(n_atoms, key as f64));
+            memo.serve_or_compute(key, 0, || output(n_atoms, key as f64));
             let s = memo.stats();
             assert!(s.bytes() <= 3 * one + one / 2, "over budget: {s:?}");
             assert_eq!(s.entries, (key as usize + 1).min(3));
@@ -1068,23 +1059,25 @@ mod tests {
         // Keys 7, 8, 9 survive; 6 was the last one evicted.
         let before = memo.stats();
         for key in 7..10u128 {
-            let hit = memo.get_or_compute(key, 1, || unreachable!("key {key} is held"));
+            let hit = memo
+                .serve_or_compute(key, 1, || unreachable!("key {key} is held"))
+                .0;
             assert_eq!(hit.forces[0].x, key as f64);
         }
         assert_eq!(memo.stats().classic.hits, before.classic.hits + 3);
-        memo.get_or_compute(6, 0, || output(n_atoms, 6.0));
+        memo.serve_or_compute(6, 0, || output(n_atoms, 6.0));
         let s = memo.stats();
         assert_eq!(
             (s.classic.misses, s.evictions),
             (before.classic.misses + 1, before.evictions + 1)
         );
         // ... which pushed out 7, the oldest of the three.
-        memo.get_or_compute(8, 1, || unreachable!("8 is still held"));
-        memo.get_or_compute(7, 0, || output(n_atoms, 7.0));
+        memo.serve_or_compute(8, 1, || unreachable!("8 is still held"));
+        memo.serve_or_compute(7, 0, || output(n_atoms, 7.0));
         assert_eq!(memo.stats().classic.misses, before.classic.misses + 2);
 
         // An output larger than the whole budget is returned, not held.
-        let big = memo.get_or_compute(99, 0, || output(10 * n_atoms, 1.0));
+        let big = memo.serve_or_compute(99, 0, || output(10 * n_atoms, 1.0)).0;
         assert_eq!(big.forces.len(), 10 * n_atoms);
         let s = memo.stats();
         assert!(s.bytes() <= 3 * one + one / 2 && s.entries == 3, "{s:?}");
@@ -1110,9 +1103,9 @@ mod tests {
         assert_eq!(group(1).expect("held")[1].excl_energy, -1.0);
         // A classic output now evicts its way through the other two
         // classic entries and the oldest group ...
-        memo.get_or_compute(50, 0, || output(n_atoms, 50.0));
-        memo.get_or_compute(51, 0, || output(n_atoms, 51.0));
-        memo.get_or_compute(52, 0, || output(n_atoms, 52.0));
+        memo.serve_or_compute(50, 0, || output(n_atoms, 50.0));
+        memo.serve_or_compute(51, 0, || output(n_atoms, 51.0));
+        memo.serve_or_compute(52, 0, || output(n_atoms, 52.0));
         let s = memo.stats();
         assert!(s.bytes() <= 3 * one + one / 2, "over budget: {s:?}");
         assert_eq!(
@@ -1122,7 +1115,7 @@ mod tests {
         assert!(group(0).is_none() && group(1).is_some());
         // ... and the next one through both tails of the other at once.
         let before = memo.stats().evictions;
-        memo.get_or_compute(53, 0, || output(n_atoms, 53.0));
+        memo.serve_or_compute(53, 0, || output(n_atoms, 53.0));
         let s = memo.stats();
         assert_eq!((s.tail.bytes, s.entries, s.evictions), (0, 3, before + 3));
         assert!(group(1).is_none());
@@ -1171,8 +1164,8 @@ mod tests {
             output(64, 3.25)
         };
         let (a, b) = std::thread::scope(|s| {
-            let a = s.spawn(|| memo.get_or_compute(42, 0, kernel));
-            let b = s.spawn(|| memo.get_or_compute(42, 1, kernel));
+            let a = s.spawn(|| memo.serve_or_compute(42, 0, kernel).0);
+            let b = s.spawn(|| memo.serve_or_compute(42, 1, kernel).0);
             (
                 a.join().expect("the first lookup returns"),
                 b.join().expect("the second lookup returns"),
@@ -1184,7 +1177,9 @@ mod tests {
         assert_eq!(s.bytes(), a.payload_bytes());
         // Whichever stored first, the other platform's miss shared it.
         for platform in [0, 1] {
-            let held = memo.get_or_compute(42, platform, || unreachable!("the key is held"));
+            let held = memo
+                .serve_or_compute(42, platform, || unreachable!("the key is held"))
+                .0;
             assert!(Arc::ptr_eq(&held, &a) || Arc::ptr_eq(&held, &b));
         }
     }
@@ -1200,13 +1195,13 @@ mod tests {
             (s.classic.hits, s.classic.misses, s.entries)
         };
         for repeat in 1..=3 {
-            let out = memo.get_or_compute(7, 0xa, || output(8, 1.5));
+            let out = memo.serve_or_compute(7, 0xa, || output(8, 1.5)).0;
             assert_eq!(out.forces[0].x, 1.5);
             assert_eq!(counts(&memo), (0, repeat, 1));
         }
-        memo.get_or_compute(7, 0xb, || unreachable!("another platform replays"));
-        memo.get_or_compute(7, 0xb, || unreachable!("and keeps replaying"));
-        memo.get_or_compute(7, 0xa, || unreachable!("the entry is shared now"));
+        memo.serve_or_compute(7, 0xb, || unreachable!("another platform replays"));
+        memo.serve_or_compute(7, 0xb, || unreachable!("and keeps replaying"));
+        memo.serve_or_compute(7, 0xa, || unreachable!("the entry is shared now"));
         assert_eq!(counts(&memo), (3, 3, 1));
     }
 }

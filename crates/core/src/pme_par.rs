@@ -187,13 +187,13 @@ impl ParallelPme {
     }
 
     /// Overrides the charge-grid sum algorithm (ablation hook).
-    pub fn with_grid_sum(mut self, algo: CombineAlgo) -> Self {
+    pub(crate) fn with_grid_sum(mut self, algo: CombineAlgo) -> Self {
         self.grid_sum = algo;
         self
     }
 
     /// Overrides the closing force-combine algorithm (ablation hook).
-    pub fn with_force_combine(mut self, algo: CombineAlgo) -> Self {
+    pub(crate) fn with_force_combine(mut self, algo: CombineAlgo) -> Self {
         self.force_combine = algo;
         self
     }
@@ -210,7 +210,7 @@ impl ParallelPme {
     /// Reassigns mesh plane slabs proportionally to per-rank capacities
     /// (straggler rebalancing). All ranks must apply identical weights;
     /// uniform weights restore the original decomposition exactly.
-    pub fn with_plane_weights(mut self, caps: &[f64]) -> Self {
+    pub(crate) fn with_plane_weights(mut self, caps: &[f64]) -> Self {
         self.decomp = self.decomp.with_plane_weights(caps);
         self
     }

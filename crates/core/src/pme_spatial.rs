@@ -72,7 +72,7 @@ impl SpatialPme {
     }
 
     /// Overrides the closing combine algorithm.
-    pub fn with_force_combine(mut self, algo: CombineAlgo) -> Self {
+    pub(crate) fn with_force_combine(mut self, algo: CombineAlgo) -> Self {
         self.force_combine = algo;
         self
     }

@@ -139,7 +139,7 @@ impl<'a> RankMd<'a> {
     /// slab-partitioned PME state is rebuilt here. (The spatial engine
     /// balances through its own domain decomposition; capacity weights
     /// apply to slab planes only.)
-    pub fn repartition(&mut self, p: usize, caps: Option<Vec<f64>>) {
+    pub(crate) fn repartition(&mut self, p: usize, caps: Option<Vec<f64>>) {
         let tuning = self.cfg.tuning;
         self.pme = match self.cfg.model {
             EnergyModel::Classic => None,
@@ -164,12 +164,12 @@ impl<'a> RankMd<'a> {
     }
 
     /// The current capacity weights (`None` = uniform).
-    pub fn caps(&self) -> Option<&[f64]> {
+    pub(crate) fn caps(&self) -> Option<&[f64]> {
         self.caps.as_deref()
     }
 
     /// Pairs the current cuts assign to this rank.
-    pub fn pair_share(&self, comm: &Comm<'_>) -> usize {
+    pub(crate) fn pair_share(&self, comm: &Comm<'_>) -> usize {
         let cuts = pair_cuts(&self.list.pairs, comm.size(), self.caps());
         cuts[comm.rank() + 1] - cuts[comm.rank()]
     }
@@ -182,7 +182,7 @@ impl<'a> RankMd<'a> {
 
     /// List upkeep: rebuilds the pair list when an atom has outrun the
     /// skin and charges this rank's share to the current phase.
-    pub fn refresh_list(&mut self, comm: &mut Comm<'_>) {
+    pub(crate) fn refresh_list(&mut self, comm: &mut Comm<'_>) {
         if self.list.needs_rebuild(&self.sys.pbox, &self.sys.positions) {
             self.list
                 .to_mut()
@@ -318,7 +318,7 @@ fn publish(comm: &mut Comm<'_>, xs: &mut [Vec3]) {
 mod tests {
     use super::*;
     use crate::decomp::classic_partition;
-    use crate::memo::{classic_key, KernelMemo};
+    use crate::memo::{classic_prefix, KernelMemo};
     use cpc_cluster::{run_cluster, ClusterConfig, NetworkKind};
     use cpc_fft::Dims3;
     use cpc_md::builder::water_box;
@@ -350,7 +350,9 @@ mod tests {
             p,
             r,
         );
-        classic_key(&rank.sys, pairs, &(cuts[r]..cuts[r + 1]), &part, &rank.opts)
+        classic_prefix(&rank.sys, pairs, &(cuts[r]..cuts[r + 1]), &part, &rank.opts)
+            .at(positions_digest(&rank.sys))
+            .finish()
     }
 
     /// The saved prefix is dropped wherever what it digests is written:

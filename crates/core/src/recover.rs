@@ -479,7 +479,7 @@ struct RankRun {
 ///
 /// Each step: poll for this rank's own scheduled crash, exchange
 /// heartbeats, recover if anyone died, then run one velocity-Verlet
-/// step — the three moves of [`crate::rank`], the same ones
+/// step — the three moves of `crate::rank`, the same ones
 /// [`crate::driver::run_parallel_md`] loops over, with this driver's
 /// hooks between them. Recovery (membership shrink, checkpoint restore,
 /// engine rebuild, re-synchronization) is booked under
@@ -490,7 +490,7 @@ struct RankRun {
 /// traffic, so *timing* differs; physics does not).
 ///
 /// When [`FaultConfig::durable`] is set, the lowest live member also
-/// persists each checkpoint through a [`CheckpointStore`] — real file
+/// persists each checkpoint through a `CheckpointStore` — real file
 /// I/O outside the virtual clock, so enabling it leaves both timing
 /// and physics bit-identical. With `durable.resume`, the run first
 /// restores the newest intact snapshot and continues from its step,

@@ -52,7 +52,7 @@ type RankPayload = (Vec<StepEnergies>, Vec<Vec3>, Vec<Vec3>);
 
 impl RunReport {
     /// Builds a report from the raw cluster outcomes.
-    pub fn from_outcomes(cfg: &MdConfig, outcomes: Vec<RankOutcome<RankPayload>>) -> Self {
+    pub(crate) fn from_outcomes(cfg: &MdConfig, outcomes: Vec<RankOutcome<RankPayload>>) -> Self {
         let wall_time = outcomes.iter().map(|o| o.finish_time).fold(0.0, f64::max);
         let mut step_energies = Vec::new();
         let mut final_positions = Vec::new();
@@ -81,7 +81,7 @@ impl RunReport {
 
     /// Wall time of a phase: the maximum over ranks of that phase's
     /// total (the paper's per-component wall-clock bars).
-    pub fn phase_time(&self, phase: Phase) -> f64 {
+    pub(crate) fn phase_time(&self, phase: Phase) -> f64 {
         self.per_rank
             .iter()
             .map(|s| s.bucket(phase).total())
@@ -137,11 +137,6 @@ impl RunReport {
     /// Per-node average/min/max communication speed (Figure 7).
     pub fn throughput_summary(&self) -> Option<ThroughputSummary> {
         summarize_throughput(self.per_rank.iter().flat_map(|s| s.throughput.iter()))
-    }
-
-    /// Total payload bytes sent by all ranks.
-    pub fn total_bytes_sent(&self) -> u64 {
-        self.per_rank.iter().map(|s| s.bytes_sent).sum()
     }
 }
 

@@ -55,16 +55,6 @@ impl Bluestein {
         }
     }
 
-    /// Transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Forward DFT of `input` into `output` (both length `n`).
     pub fn forward(&self, input: &[Complex64], output: &mut [Complex64]) {
         assert_eq!(input.len(), self.n);

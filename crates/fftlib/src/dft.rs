@@ -12,17 +12,12 @@ pub fn dft(input: &[Complex64]) -> Vec<Complex64> {
     transform(input, -1.0)
 }
 
-/// Computes the unnormalized inverse DFT
-/// `x[j] = sum_k X[k] e^{+2 pi i j k / n}` (no 1/n scaling).
-pub fn idft_unscaled(input: &[Complex64]) -> Vec<Complex64> {
-    transform(input, 1.0)
-}
-
-/// Computes the normalized inverse DFT (with the 1/n factor), so that
-/// `idft(dft(x)) == x`.
+/// Computes the normalized inverse DFT
+/// `x[j] = (1/n) sum_k X[k] e^{+2 pi i j k / n}`, so that
+/// `idft(dft(x)) == x`: the reference the inverse plans are judged against.
 pub fn idft(input: &[Complex64]) -> Vec<Complex64> {
     let n = input.len();
-    let mut out = idft_unscaled(input);
+    let mut out = transform(input, 1.0);
     let inv = 1.0 / n as f64;
     for v in &mut out {
         *v = v.scale(inv);

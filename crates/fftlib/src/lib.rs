@@ -28,7 +28,7 @@
 
 #![warn(missing_docs)]
 
-pub mod bluestein;
+mod bluestein;
 pub mod complex;
 pub mod dft;
 pub mod fft3d;

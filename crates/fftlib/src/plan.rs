@@ -5,7 +5,7 @@
 //! mixed-radix Cooley-Tukey decimation-in-time kernel that carries a
 //! batch of independent lines side by side (DESIGN.md §21). Any other
 //! size is delegated to the Bluestein chirp-z algorithm (see
-//! [`crate::bluestein`]).
+//! `crate::bluestein`).
 //!
 //! The PME grids used by the molecular dynamics code (80 x 36 x 48 in the
 //! paper's myoglobin run) are all smooth sizes and take the mixed-radix

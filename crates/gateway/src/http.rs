@@ -272,7 +272,7 @@ impl Response {
     }
 
     /// Adds one header.
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.push((name.into(), value.into()));
         self
     }
@@ -281,7 +281,7 @@ impl Response {
 /// Serializes and writes `resp`. A mid-response disconnect surfaces
 /// as the `io::Error`; callers that cannot do anything about a dead
 /// peer swallow it.
-pub fn write_response(conn: &mut dyn Conn, resp: &Response) -> io::Result<()> {
+pub(crate) fn write_response(conn: &mut dyn Conn, resp: &Response) -> io::Result<()> {
     let mut out = format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason);
     out.push_str("Content-Type: application/json\r\n");
     out.push_str(&format!("Content-Length: {}\r\n", resp.body.len()));

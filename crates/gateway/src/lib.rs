@@ -11,7 +11,7 @@
 //!   deadlines defeating slowloris clients, explicit size limits for
 //!   request line / headers / body, typed errors mapping to exact
 //!   status codes,
-//! * [`tenancy`] — deficit-round-robin fair scheduling across tenants
+//! * `tenancy` — deficit-round-robin fair scheduling across tenants
 //!   with priority aging, so a flooding tenant cannot starve a
 //!   well-behaved one,
 //! * [`gateway`] — routes, per-tenant bounded admission with 429/503
@@ -34,14 +34,12 @@ pub mod chaos;
 pub mod demo;
 pub mod gateway;
 pub mod http;
-pub mod tenancy;
+mod tenancy;
 
 pub use chaos::{drive, http_get, http_post, ScriptedConn};
 pub use demo::{demo_cells, demo_flood_cells, DemoModel};
 pub use gateway::{
     campaign_id, Begun, CampaignModel, Gateway, GatewayConfig, GatewayStats, PumpReport, Ticket,
 };
-pub use http::{
-    read_request, write_response, Conn, HttpError, HttpLimits, Request, Response, TcpConn,
-};
-pub use tenancy::{DrrScheduler, TenantPolicy};
+pub use http::{read_request, Conn, HttpLimits, Request, Response, TcpConn};
+pub use tenancy::TenantPolicy;

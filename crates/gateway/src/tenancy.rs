@@ -45,7 +45,7 @@ struct Credit {
 
 /// The deficit-round-robin grant loop over registered tenants.
 #[derive(Debug)]
-pub struct DrrScheduler {
+pub(crate) struct DrrScheduler {
     quantum: usize,
     aging_rounds: usize,
     order: Vec<String>,
@@ -67,16 +67,11 @@ impl DrrScheduler {
 
     /// Registers a tenant (idempotent); round-robin order is
     /// first-registration order.
-    pub fn register(&mut self, tenant: &str) {
+    pub(crate) fn register(&mut self, tenant: &str) {
         if !self.state.contains_key(tenant) {
             self.order.push(tenant.to_string());
             self.state.insert(tenant.to_string(), Credit::default());
         }
-    }
-
-    /// Registered tenants in round-robin order.
-    pub fn tenants(&self) -> &[String] {
-        &self.order
     }
 
     /// Picks the tenant whose campaign may advance one cell, or `None`
@@ -232,7 +227,7 @@ mod tests {
         let mut s = sched(4, 8);
         s.register("a");
         s.register("a");
-        assert_eq!(s.tenants().len(), 1);
+        assert_eq!(s.order.len(), 1);
         assert_eq!(s.grant(|_| 0), None);
     }
 }

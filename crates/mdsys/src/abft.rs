@@ -24,7 +24,7 @@
 //! [`Corruption`] verdicts by construction, and a single flipped bit
 //! anywhere in a checked array is detected with certainty (up to a
 //! 2^-64 hash collision). Digests that travel between ranks are masked
-//! to [`DIGEST_BITS`] bits so they are exactly representable as `f64`
+//! to `DIGEST_BITS` bits so they are exactly representable as `f64`
 //! payloads on the existing control channel.
 
 use crate::vec3::Vec3;
@@ -37,9 +37,9 @@ pub const DEFAULT_TILE: usize = 8;
 /// Digests exchanged between ranks are masked to this many bits so the
 /// value round-trips exactly through an `f64` control-message payload
 /// (integers below 2^53 are exactly representable).
-pub const DIGEST_BITS: u32 = 52;
+pub(crate) const DIGEST_BITS: u32 = 52;
 
-/// Mask selecting the low [`DIGEST_BITS`] bits of a digest.
+/// Mask selecting the low `DIGEST_BITS` bits of a digest.
 pub const DIGEST_MASK: u64 = (1u64 << DIGEST_BITS) - 1;
 
 /// SplitMix64 finalizer: a cheap avalanche so a single flipped input

@@ -3,7 +3,7 @@
 //! The paper's workload is myoglobin (153 residues, alpha-helical) with
 //! a carbon monoxide molecule, 337 waters and one sulfate ion — 3552
 //! atoms, PME grid 80 x 36 x 48. We cannot redistribute CHARMM input
-//! files, so [`myoglobin_system`] generates a myoglobin-*class* system:
+//! files, so [`myoglobin_system_with`] generates a myoglobin-*class* system:
 //! the same atom count, the same box/grid, an 8-helix bundle of 153
 //! residues with pseudo-sidechains, the same solvation-shell setup.
 //! Workload characterization depends on atom count, pair density within
@@ -24,7 +24,7 @@ pub const MYOGLOBIN_WATERS: usize = 337;
 
 /// Box edge lengths matched to the paper's 80 x 36 x 48 PME grid
 /// (mesh spacings 0.75 / 1.0 / 1.0 A).
-pub const MYOGLOBIN_BOX: (f64, f64, f64) = (60.0, 36.0, 48.0);
+pub(crate) const MYOGLOBIN_BOX: (f64, f64, f64) = (60.0, 36.0, 48.0);
 
 /// Builds a periodic box of flexible TIP3P-like waters on a cubic
 /// lattice: `n_side^3` molecules spaced by `spacing`.
@@ -126,12 +126,6 @@ impl Default for MyoglobinOptions {
             seed: 2002,
         }
     }
-}
-
-/// Builds the full 3552-atom myoglobin-class system with default
-/// options (relaxed, 300 K velocities).
-pub fn myoglobin_system() -> System {
-    myoglobin_system_with(MyoglobinOptions::default())
 }
 
 /// Builds the raw (unrelaxed, zero-velocity) system — cheap enough for

@@ -2,10 +2,8 @@
 //! the [`Evaluator`]. This is the single-processor reference that the
 //! parallel engine in `cpc-charmm` must reproduce exactly.
 
-use crate::constraints::Shake;
 use crate::energy::{EnergyModel, EnergyReport, Evaluator, OpCounts};
 use crate::system::System;
-use crate::thermostat::{Thermostat, ThermostatState};
 use crate::units::ACCEL_CONV;
 use crate::vec3::Vec3;
 
@@ -38,8 +36,6 @@ pub struct Simulation {
     dt: f64,
     step_count: usize,
     have_forces: bool,
-    thermostat: ThermostatState,
-    constraints: Option<Shake>,
 }
 
 impl Simulation {
@@ -54,20 +50,7 @@ impl Simulation {
             dt,
             step_count: 0,
             have_forces: false,
-            thermostat: ThermostatState::new(Thermostat::None, 0),
-            constraints: None,
         }
-    }
-
-    /// Installs SHAKE/RATTLE constraints, applied at every step.
-    pub fn set_constraints(&mut self, shake: Shake) {
-        self.constraints = Some(shake);
-    }
-
-    /// Installs a thermostat (applied after every step) with a
-    /// deterministic noise seed.
-    pub fn set_thermostat(&mut self, kind: Thermostat, seed: u64) {
-        self.thermostat = ThermostatState::new(kind, seed);
     }
 
     /// Timestep in ps.
@@ -97,31 +80,11 @@ impl Simulation {
         let n = self.system.n_atoms();
 
         // Half-kick + drift.
-        let reference = self
-            .constraints
-            .is_some()
-            .then(|| self.system.positions.clone());
         for i in 0..n {
             let inv_m = ACCEL_CONV / self.system.topology.atoms[i].class.mass();
             let v_half = self.system.velocities[i] + self.forces[i] * (0.5 * dt * inv_m);
             self.system.velocities[i] = v_half;
             self.system.positions[i] += v_half * dt;
-        }
-        // SHAKE the drift back onto the constraint manifold, folding
-        // the position correction into the velocities.
-        if let Some(shake) = &self.constraints {
-            let reference = reference.as_ref().expect("saved above");
-            let pre = self.system.positions.clone();
-            shake.apply_positions(&self.system.pbox, reference, &mut self.system.positions);
-            for ((v, &corrected), &drifted) in self
-                .system
-                .velocities
-                .iter_mut()
-                .zip(&self.system.positions)
-                .zip(&pre)
-            {
-                *v += (corrected - drifted) * (1.0 / dt);
-            }
         }
 
         // New forces.
@@ -132,16 +95,6 @@ impl Simulation {
             let inv_m = ACCEL_CONV / self.system.topology.atoms[i].class.mass();
             self.system.velocities[i] += self.forces[i] * (0.5 * dt * inv_m);
         }
-        // RATTLE: remove velocity components along the constraints.
-        if let Some(shake) = &self.constraints {
-            shake.apply_velocities(
-                &self.system.pbox,
-                &self.system.positions,
-                &mut self.system.velocities,
-            );
-        }
-
-        self.thermostat.apply(&mut self.system, dt);
 
         self.step_count += 1;
         StepReport {
@@ -226,66 +179,6 @@ mod tests {
             .map(|(a, b)| (*a - *b).norm())
             .fold(0.0f64, f64::max);
         assert!(max_dev < 1e-6, "max deviation {max_dev}");
-    }
-
-    #[test]
-    fn shake_dynamics_keeps_bonds_rigid_at_large_timestep() {
-        // Flexible TIP3P water at dt = 2 fs is unstable (O-H vibration
-        // period ~10 fs); with SHAKE on X-H bonds it runs fine and the
-        // constrained lengths stay exact.
-        let mut sys = water_box(2, 3.1);
-        minimize(&mut sys, EnergyModel::Classic, 80);
-        sys.assign_velocities(300.0, 21);
-        let shake = crate::constraints::Shake::bonds_with_hydrogen(&sys.topology);
-        let bonds: Vec<_> = sys.topology.bonds.clone();
-        let mut sim = Simulation::new(sys, EnergyModel::Classic, 0.002);
-        sim.set_constraints(shake);
-        let reports = sim.run(100);
-        for b in &bonds {
-            let r = sim
-                .system
-                .pbox
-                .distance(sim.system.positions[b.i], sim.system.positions[b.j]);
-            assert!(
-                (r - b.param.r0).abs() / b.param.r0 < 1e-3,
-                "bond {}-{} drifted to {r}",
-                b.i,
-                b.j
-            );
-        }
-        // Energy stays bounded (no blow-up).
-        let last = reports.last().unwrap();
-        assert!(last.total_energy().is_finite());
-        assert!(
-            sim.system.temperature() < 2000.0,
-            "T = {}",
-            sim.system.temperature()
-        );
-    }
-
-    #[test]
-    fn thermostatted_run_controls_temperature() {
-        let mut sys = water_box(3, 3.1);
-        minimize(&mut sys, EnergyModel::Classic, 60);
-        sys.assign_velocities(500.0, 4);
-        let mut sim = Simulation::new(sys, EnergyModel::Classic, 0.001);
-        sim.set_thermostat(
-            crate::thermostat::Thermostat::Berendsen {
-                target: 300.0,
-                tau: 0.02,
-            },
-            7,
-        );
-        sim.run(300);
-        // Average over a window: instantaneous T fluctuates ~10% for a
-        // system this small, and the relaxing lattice releases heat.
-        let avg: f64 = sim
-            .run(200)
-            .iter()
-            .map(|_| sim.system.temperature())
-            .sum::<f64>()
-            / 200.0;
-        assert!((avg - 300.0).abs() < 60.0, "mean temperature {avg}");
     }
 
     #[test]

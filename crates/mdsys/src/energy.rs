@@ -97,14 +97,13 @@ impl EnergyReport {
 pub struct Evaluator {
     model: EnergyModel,
     opts: NonbondedOptions,
-    skin: f64,
     nblist: Option<NeighborList>,
     pme: Option<Pme>,
 }
 
 impl Evaluator {
-    /// Default neighbour-list skin in Angstrom.
-    pub const DEFAULT_SKIN: f64 = 2.0;
+    /// Neighbour-list skin in Angstrom.
+    const SKIN: f64 = 2.0;
 
     /// Creates an evaluator for the given model.
     pub fn new(model: EnergyModel) -> Self {
@@ -115,7 +114,6 @@ impl Evaluator {
         Evaluator {
             model,
             opts,
-            skin: Self::DEFAULT_SKIN,
             nblist: None,
             pme: None,
         }
@@ -131,16 +129,9 @@ impl Evaluator {
         &self.opts
     }
 
-    /// Overrides the neighbour-list skin (drops any existing list).
-    pub fn set_skin(&mut self, skin: f64) {
-        assert!(skin >= 0.0);
-        self.skin = skin;
-        self.nblist = None;
-    }
-
     /// Ensures the neighbour list is valid for the given coordinates;
     /// returns true if it was (re)built.
-    pub fn refresh_neighbor_list(&mut self, system: &System) -> bool {
+    pub(crate) fn refresh_neighbor_list(&mut self, system: &System) -> bool {
         match &mut self.nblist {
             Some(list) => {
                 if list.needs_rebuild(&system.pbox, &system.positions) {
@@ -156,7 +147,7 @@ impl Evaluator {
                     &system.pbox,
                     &system.positions,
                     self.opts.cutoff,
-                    self.skin,
+                    Self::SKIN,
                 ));
                 true
             }

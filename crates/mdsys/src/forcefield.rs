@@ -39,7 +39,7 @@ pub struct AngleParam {
 
 impl AngleParam {
     /// Pure harmonic angle without a UB component.
-    pub const fn harmonic(k: f64, theta0: f64) -> Self {
+    pub(crate) const fn harmonic(k: f64, theta0: f64) -> Self {
         AngleParam {
             k,
             theta0,
@@ -49,7 +49,7 @@ impl AngleParam {
     }
 
     /// CHARMM angle with a Urey-Bradley 1-3 spring.
-    pub const fn with_ub(k: f64, theta0: f64, kub: f64, s0: f64) -> Self {
+    pub(crate) const fn with_ub(k: f64, theta0: f64, kub: f64, s0: f64) -> Self {
         AngleParam { k, theta0, kub, s0 }
     }
 }
@@ -196,34 +196,34 @@ pub mod params {
     /// Generic heavy-atom/heavy-atom bond.
     pub const BOND_HEAVY: BondParam = BondParam { k: 300.0, r0: 1.5 };
     /// Peptide C-N bond.
-    pub const BOND_PEPTIDE: BondParam = BondParam { k: 370.0, r0: 1.33 };
+    pub(crate) const BOND_PEPTIDE: BondParam = BondParam { k: 370.0, r0: 1.33 };
     /// X-H bond.
-    pub const BOND_XH: BondParam = BondParam { k: 450.0, r0: 1.0 };
+    pub(crate) const BOND_XH: BondParam = BondParam { k: 450.0, r0: 1.0 };
     /// C=O bond.
-    pub const BOND_CO_DOUBLE: BondParam = BondParam { k: 620.0, r0: 1.23 };
+    pub(crate) const BOND_CO_DOUBLE: BondParam = BondParam { k: 620.0, r0: 1.23 };
     /// Water O-H bond (TIP3P flexible).
-    pub const BOND_WATER_OH: BondParam = BondParam {
+    pub(crate) const BOND_WATER_OH: BondParam = BondParam {
         k: 450.0,
         r0: 0.9572,
     };
     /// Carbon monoxide C=O bond.
-    pub const BOND_CARBON_MONOXIDE: BondParam = BondParam {
+    pub(crate) const BOND_CARBON_MONOXIDE: BondParam = BondParam {
         k: 1115.0,
         r0: 1.128,
     };
     /// Sulfate S-O bond.
-    pub const BOND_SULFATE: BondParam = BondParam { k: 540.0, r0: 1.48 };
+    pub(crate) const BOND_SULFATE: BondParam = BondParam { k: 540.0, r0: 1.48 };
 
     /// Generic heavy-atom angle (tetrahedral-ish).
     pub const ANGLE_HEAVY: AngleParam = AngleParam::harmonic(50.0, 1.911);
     /// Backbone angle around CA.
-    pub const ANGLE_BACKBONE: AngleParam = AngleParam::with_ub(60.0, 1.939, 12.0, 2.4);
+    pub(crate) const ANGLE_BACKBONE: AngleParam = AngleParam::with_ub(60.0, 1.939, 12.0, 2.4);
     /// Angle involving hydrogen.
-    pub const ANGLE_XH: AngleParam = AngleParam::harmonic(35.0, 1.911);
+    pub(crate) const ANGLE_XH: AngleParam = AngleParam::harmonic(35.0, 1.911);
     /// Water H-O-H angle (TIP3P flexible).
-    pub const ANGLE_WATER: AngleParam = AngleParam::harmonic(55.0, 1.82421813);
+    pub(crate) const ANGLE_WATER: AngleParam = AngleParam::harmonic(55.0, 1.82421813);
     /// Sulfate O-S-O angle (tetrahedral).
-    pub const ANGLE_SULFATE: AngleParam = AngleParam::harmonic(140.0, 1.9106332);
+    pub(crate) const ANGLE_SULFATE: AngleParam = AngleParam::harmonic(140.0, 1.9106332);
 
     /// Backbone phi/psi-style dihedral.
     pub const DIHEDRAL_BACKBONE: DihedralParam = DihedralParam {
@@ -232,20 +232,20 @@ pub mod params {
         delta: 0.0,
     };
     /// Sidechain chain dihedral.
-    pub const DIHEDRAL_SIDECHAIN: DihedralParam = DihedralParam {
+    pub(crate) const DIHEDRAL_SIDECHAIN: DihedralParam = DihedralParam {
         k: 0.2,
         n: 3,
         delta: 0.0,
     };
     /// Peptide omega dihedral (trans planar).
-    pub const DIHEDRAL_OMEGA: DihedralParam = DihedralParam {
+    pub(crate) const DIHEDRAL_OMEGA: DihedralParam = DihedralParam {
         k: 2.5,
         n: 2,
         delta: PI,
     };
 
     /// Planarity improper on carbonyl carbons.
-    pub const IMPROPER_CARBONYL: ImproperParam = ImproperParam {
+    pub(crate) const IMPROPER_CARBONYL: ImproperParam = ImproperParam {
         k: 120.0,
         psi0: 0.0,
     };

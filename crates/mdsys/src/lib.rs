@@ -13,9 +13,10 @@
 //! * smooth particle mesh Ewald ([`pme`]) validated against a naive
 //!   Ewald sum ([`ewald`]) — the paper's "PME" model,
 //! * cell-list Verlet neighbour lists ([`neighbor`]),
-//! * velocity-Verlet dynamics ([`dynamics`]) with Berendsen/Langevin
-//!   thermostats ([`thermostat`]) and steepest-descent minimization
-//!   ([`minimize`]),
+//! * velocity-Verlet dynamics ([`dynamics`]) and steepest-descent
+//!   minimization ([`minimize`]),
+//! * versioned, checksummed binary snapshots of MD state ([`snapshot`])
+//!   for the fault-tolerant driver's checkpoints,
 //! * synthetic workload builders ([`builder`]), including the
 //!   3552-atom myoglobin-class system the paper benchmarks.
 //!
@@ -37,7 +38,6 @@
 pub mod abft;
 pub mod bonded;
 pub mod builder;
-pub mod constraints;
 pub mod dynamics;
 pub mod energy;
 pub mod ewald;
@@ -51,7 +51,6 @@ pub mod sdc;
 pub mod snapshot;
 pub mod special;
 pub mod system;
-pub mod thermostat;
 pub mod topology;
 pub mod units;
 pub mod vec3;

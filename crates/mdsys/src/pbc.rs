@@ -93,7 +93,7 @@ impl PbcBox {
 
     /// The shortest half-edge; pair cutoffs must not exceed this for the
     /// minimum-image convention to be valid.
-    pub fn min_half_edge(&self) -> f64 {
+    pub(crate) fn min_half_edge(&self) -> f64 {
         0.5 * self.lengths.x.min(self.lengths.y).min(self.lengths.z)
     }
 }

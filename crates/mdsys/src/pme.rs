@@ -21,7 +21,7 @@ use cpc_fft::{Complex64, Dims3, Fft3d};
 use std::f64::consts::{PI, TAU};
 
 /// Maximum supported B-spline order.
-pub const MAX_ORDER: usize = 8;
+pub(crate) const MAX_ORDER: usize = 8;
 
 /// PME configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,30 +40,6 @@ impl PmeParams {
         PmeParams {
             grid: Dims3::new(80, 36, 48),
             order: 4,
-            beta,
-        }
-    }
-
-    /// Chooses a mesh for `pbox` with spacing at most `max_spacing`
-    /// Angstrom per point, rounding each extent up to the next
-    /// FFT-smooth size.
-    pub fn for_box(pbox: &PbcBox, max_spacing: f64, order: usize, beta: f64) -> Self {
-        assert!(max_spacing > 0.0);
-        let pick = |len: f64| {
-            let mut n = (len / max_spacing).ceil() as usize;
-            n = n.max(order + 1);
-            while !cpc_fft::is_smooth(n) {
-                n += 1;
-            }
-            n
-        };
-        PmeParams {
-            grid: Dims3::new(
-                pick(pbox.lengths.x),
-                pick(pbox.lengths.y),
-                pick(pbox.lengths.z),
-            ),
-            order,
             beta,
         }
     }
@@ -294,7 +270,7 @@ pub fn influence_element(
 
 /// Maps a mesh index to its signed frequency (`m` or `m - K`).
 #[inline]
-pub fn wrap_freq(m: usize, k: usize) -> f64 {
+pub(crate) fn wrap_freq(m: usize, k: usize) -> f64 {
     if m <= k / 2 {
         m as f64
     } else {
@@ -628,28 +604,6 @@ mod tests {
         let w = influence_function(Dims3::new(8, 8, 8), &pbox, 0.4, 4);
         assert_eq!(w[0], 0.0);
         assert!(w.iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn for_box_picks_smooth_grids_at_spacing() {
-        let pbox = PbcBox::new(61.3, 37.1, 45.0);
-        let p = PmeParams::for_box(&pbox, 1.0, 4, 0.35);
-        for (n, l) in [
-            (p.grid.nx, pbox.lengths.x),
-            (p.grid.ny, pbox.lengths.y),
-            (p.grid.nz, pbox.lengths.z),
-        ] {
-            assert!(cpc_fft::is_smooth(n), "{n} not smooth");
-            assert!(
-                l / n as f64 <= 1.0 + 1e-12,
-                "spacing too coarse: {}",
-                l / n as f64
-            );
-        }
-        // The paper's own box maps exactly to the paper grid spacing class.
-        let paper_box = PbcBox::new(60.0, 36.0, 48.0);
-        let q = PmeParams::for_box(&paper_box, 1.0, 4, 0.35);
-        assert_eq!((q.grid.ny, q.grid.nz), (36, 48));
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Versioned binary snapshots of full MD state with per-section
-//! integrity checksums.
+//! integrity checksums: the fault-tolerant driver's checkpoints.
 //!
-//! The JSON checkpoints in [`crate::io`] are human-readable but have
-//! two durability problems: a partially written file parses as a hard
-//! error with no diagnosis, and a flipped bit inside a coordinate can
-//! parse *successfully* into silently wrong physics. This module is
-//! the durable counterpart: a little-endian binary container whose
-//! sections — positions, velocities, forces, thermostat RNG cursor,
-//! auxiliary per-step energy log — each carry an FNV-1a 64-bit
-//! checksum, so truncation and bit flips are detected at restore time
-//! and classified precisely. All floats are stored via
+//! A partially written file must be diagnosed, not half-parsed, and a
+//! flipped bit inside a coordinate must not restore into silently wrong
+//! physics. So the container is little-endian binary and each of its
+//! sections — step and atom count, box, positions, velocities, forces,
+//! the THRM record, the auxiliary per-step energy log — carries an
+//! FNV-1a 64-bit checksum: truncation and bit flips are detected at
+//! restore time and classified precisely. All floats are stored via
 //! `f64::to_le_bytes`, so a decode→encode round trip is bit-identical
 //! (NaN payloads included) and restore reproduces the saved
 //! trajectory exactly.
+//!
+//! THRM is a fixed record of 25 zero bytes ("no thermostat, noise
+//! cursor 0"): the only one any writer ever produced. It stays on disk
+//! so that every checkpoint keeps its bytes and its format version;
+//! a decoder rejects any other THRM payload as malformed.
 //!
 //! Layout:
 //!
@@ -25,13 +28,15 @@
 
 use crate::pbc::PbcBox;
 use crate::system::System;
-use crate::thermostat::Thermostat;
 use crate::vec3::Vec3;
 
 /// File magic for snapshot containers.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CPCSNAP\0";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"CPCSNAP\0";
 /// Current container format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
+/// Payload of the THRM section, the only one ever written: a zero tag
+/// byte, two zero `f64` parameters and a zero `u64` noise cursor.
+const THRM_RECORD: [u8; 25] = [0; 25];
 
 /// Why a snapshot failed to decode. Distinguishing truncation from
 /// corruption from format drift lets the checkpoint store report
@@ -43,7 +48,7 @@ pub enum SnapshotError {
         /// What was being read when the data ran out.
         context: &'static str,
     },
-    /// The file does not start with [`SNAPSHOT_MAGIC`].
+    /// The file does not start with `SNAPSHOT_MAGIC`.
     BadMagic,
     /// The container version is newer than this code understands.
     UnsupportedVersion(u32),
@@ -53,7 +58,7 @@ pub enum SnapshotError {
         section: String,
     },
     /// A section decoded but its contents are inconsistent (wrong
-    /// element count, unknown thermostat tag, ...).
+    /// element count, a THRM payload other than the zero record, ...).
     Malformed {
         /// Human-readable description of the inconsistency.
         detail: String,
@@ -113,18 +118,13 @@ pub struct MdSnapshot {
     pub velocities: Vec<Vec3>,
     /// Forces at `step`, so integration resumes without re-evaluating.
     pub forces: Vec<Vec3>,
-    /// Thermostat configuration.
-    pub thermostat: Thermostat,
-    /// Thermostat RNG stream cursor: restoring it makes the stochastic
-    /// noise sequence continue exactly where the snapshot left off.
-    pub rng_cursor: u64,
     /// Auxiliary per-step log carried through restarts (the parallel
     /// driver stores `[classic, pme, kinetic]` energies per step).
     pub aux: Vec<[f64; 3]>,
 }
 
 impl MdSnapshot {
-    /// Captures a snapshot of `system` (plus integrator side state).
+    /// Captures a snapshot of `system` and its `forces` at `step`.
     pub fn capture(system: &System, forces: &[Vec3], step: u64) -> Self {
         MdSnapshot {
             step,
@@ -132,8 +132,6 @@ impl MdSnapshot {
             positions: system.positions.clone(),
             velocities: system.velocities.clone(),
             forces: forces.to_vec(),
-            thermostat: Thermostat::None,
-            rng_cursor: 0,
             aux: Vec::new(),
         }
     }
@@ -156,7 +154,7 @@ impl MdSnapshot {
     }
 
     /// Serialized size in bytes (exact).
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         let vec3_payload = |v: &Vec<Vec3>| v.len() * 24;
         let section = |payload: usize| 4 + 8 + payload + 8;
         16 + section(16)
@@ -164,7 +162,7 @@ impl MdSnapshot {
             + section(vec3_payload(&self.positions))
             + section(vec3_payload(&self.velocities))
             + section(vec3_payload(&self.forces))
-            + section(25)
+            + section(THRM_RECORD.len())
             + section(8 + self.aux.len() * 24)
     }
 
@@ -188,17 +186,7 @@ impl MdSnapshot {
         push_section(&mut out, *b"VEL_", &encode_vec3s(&self.velocities));
         push_section(&mut out, *b"FRC_", &encode_vec3s(&self.forces));
 
-        let mut th = Vec::with_capacity(25);
-        let (tag, a, b) = match self.thermostat {
-            Thermostat::None => (0u8, 0.0, 0.0),
-            Thermostat::Berendsen { target, tau } => (1, target, tau),
-            Thermostat::Langevin { target, gamma } => (2, target, gamma),
-        };
-        th.push(tag);
-        th.extend_from_slice(&a.to_le_bytes());
-        th.extend_from_slice(&b.to_le_bytes());
-        th.extend_from_slice(&self.rng_cursor.to_le_bytes());
-        push_section(&mut out, *b"THRM", &th);
+        push_section(&mut out, *b"THRM", &THRM_RECORD);
 
         let mut aux = Vec::with_capacity(8 + self.aux.len() * 24);
         aux.extend_from_slice(&(self.aux.len() as u64).to_le_bytes());
@@ -231,8 +219,7 @@ impl MdSnapshot {
         let mut positions = None;
         let mut velocities = None;
         let mut forces = None;
-        let mut thermostat = None;
-        let mut rng_cursor = 0u64;
+        let mut thrm = None;
         let mut aux = Vec::new();
 
         for _ in 0..nsect {
@@ -253,23 +240,15 @@ impl MdSnapshot {
                 b"VEL_" => velocities = Some(decode_vec3s(payload, "VEL_")?),
                 b"FRC_" => forces = Some(decode_vec3s(payload, "FRC_")?),
                 b"THRM" => {
-                    let kind = p.take(1, "THRM.kind")?[0];
-                    let a = p.f64("THRM.a")?;
-                    let b = p.f64("THRM.b")?;
-                    rng_cursor = p.u64("THRM.rng")?;
-                    thermostat = Some(match kind {
-                        0 => Thermostat::None,
-                        1 => Thermostat::Berendsen { target: a, tau: b },
-                        2 => Thermostat::Langevin {
-                            target: a,
-                            gamma: b,
-                        },
-                        other => {
-                            return Err(SnapshotError::Malformed {
-                                detail: format!("unknown thermostat tag {other}"),
-                            });
-                        }
-                    });
+                    if payload != THRM_RECORD {
+                        return Err(SnapshotError::Malformed {
+                            detail: format!(
+                                "THRM is not the {}-byte zero record",
+                                THRM_RECORD.len()
+                            ),
+                        });
+                    }
+                    thrm = Some(());
                 }
                 b"AUX_" => {
                     let n = p.u64("AUX_.count")? as usize;
@@ -298,10 +277,9 @@ impl MdSnapshot {
             positions: positions.ok_or(SnapshotError::MissingSection { section: "POS_" })?,
             velocities: velocities.ok_or(SnapshotError::MissingSection { section: "VEL_" })?,
             forces: forces.ok_or(SnapshotError::MissingSection { section: "FRC_" })?,
-            thermostat: thermostat.ok_or(SnapshotError::MissingSection { section: "THRM" })?,
-            rng_cursor,
             aux,
         };
+        thrm.ok_or(SnapshotError::MissingSection { section: "THRM" })?;
         let expect = n_atoms.ok_or(SnapshotError::MissingSection { section: "META" })?;
         for (name, len) in [
             ("POS_", snapshot.positions.len()),
@@ -424,22 +402,34 @@ mod tests {
     use super::*;
     use crate::builder::water_box;
 
+    /// A fixed snapshot whose every input is exact arithmetic, so its
+    /// bytes are the same on every host.
     fn sample() -> MdSnapshot {
         let mut sys = water_box(2, 3.1);
-        sys.assign_velocities(300.0, 7);
+        for (i, v) in sys.velocities.iter_mut().enumerate() {
+            let k = i as f64;
+            *v = Vec3::new(0.125 * k, -0.5 * k, 1.0 / (k + 1.0));
+        }
         let forces: Vec<Vec3> = sys
             .positions
             .iter()
-            .map(|p| Vec3::new(p.x * 0.5, -p.y, p.z.sin()))
+            .map(|p| Vec3::new(p.x * 0.5, -p.y, p.z - 1.0))
             .collect();
         let mut snap = MdSnapshot::capture(&sys, &forces, 42);
-        snap.thermostat = Thermostat::Langevin {
-            target: 300.0,
-            gamma: 2.0,
-        };
-        snap.rng_cursor = 0xDEADBEEFCAFE;
         snap.aux = vec![[1.5, -2.25, 3.125], [f64::NAN, 0.0, -0.0]];
         snap
+    }
+
+    /// `fnv1a64` of `sample().encode()`, recorded when the container
+    /// still had writable thermostat fields. The encoder must keep
+    /// every byte, the THRM record included.
+    const SAMPLE_FNV: u64 = 0xc3f5138abfcb52dc;
+
+    #[test]
+    fn the_encoded_bytes_are_pinned() {
+        let bytes = sample().encode();
+        assert_eq!(bytes.len(), 2005);
+        assert_eq!(fnv1a64(&bytes), SAMPLE_FNV, "snapshot bytes moved");
     }
 
     #[test]
@@ -454,7 +444,6 @@ mod tests {
         assert_eq!(back.step, 42);
         assert_eq!(back.positions, snap.positions);
         assert_eq!(back.velocities, snap.velocities);
-        assert_eq!(back.rng_cursor, snap.rng_cursor);
     }
 
     #[test]
@@ -510,19 +499,35 @@ mod tests {
 
     #[test]
     fn unknown_thermostat_tag_is_malformed() {
-        let snap = sample();
-        let mut bytes = snap.encode();
-        // Find the THRM section and corrupt its kind byte *and* refresh
-        // the checksum, simulating a future writer.
-        let pos = bytes
-            .windows(4)
-            .position(|w| w == b"THRM")
-            .expect("THRM present");
-        bytes[pos + 12] = 9;
-        let len = 25usize;
-        let checksum = fnv1a64(&bytes[pos..pos + 12 + len]);
-        bytes[pos + 12 + len..pos + 12 + len + 8].copy_from_slice(&checksum.to_le_bytes());
-        let err = MdSnapshot::decode(&bytes).unwrap_err();
-        assert!(matches!(err, SnapshotError::Malformed { .. }), "{err:?}");
+        // Re-seal the THRM section around a replacement payload, as a
+        // writer with a thermostat would have: only the checksum-valid
+        // zero record may decode.
+        let reseal = |payload: &[u8]| {
+            let clean = sample().encode();
+            let pos = clean
+                .windows(4)
+                .position(|w| w == b"THRM")
+                .expect("THRM present");
+            let end = pos + 12 + THRM_RECORD.len() + 8;
+            let mut section = Vec::new();
+            push_section(&mut section, *b"THRM", payload);
+            [&clean[..pos], &section[..], &clean[end..]].concat()
+        };
+        assert!(MdSnapshot::decode(&reseal(&THRM_RECORD)).is_ok());
+        let mut berendsen = THRM_RECORD;
+        berendsen[0] = 1;
+        let mut cursor = THRM_RECORD;
+        cursor[17] = 1;
+        for (case, payload) in [
+            ("tag 1", &berendsen[..]),
+            ("tag 0, cursor 1", &cursor[..]),
+            ("24-byte record", &THRM_RECORD[..24]),
+        ] {
+            let err = MdSnapshot::decode(&reseal(payload)).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Malformed { .. }),
+                "{case}: {err:?}"
+            );
+        }
     }
 }

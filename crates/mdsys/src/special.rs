@@ -7,8 +7,8 @@
 //! converged in double precision.
 //!
 //! Both recurrences are latency-bound chains of dependent divisions, so
-//! each is written once over `L` independent lanes ([`erf_series`],
-//! [`erfc_cf`]). The lane contract: a lane *is* the scalar operation
+//! each is written once over `L` independent lanes (`erf_series`,
+//! `erfc_cf`). The lane contract: a lane *is* the scalar operation
 //! sequence on its own argument, run to its own stopping iteration and
 //! then frozen while slower lanes continue — no lane ever sees another
 //! lane's data, and IEEE `+ - * /` are exact lane-wise, so the result

@@ -89,7 +89,7 @@ impl System {
     }
 
     /// Removes centre-of-mass translational velocity.
-    pub fn remove_com_motion(&mut self) {
+    pub(crate) fn remove_com_motion(&mut self) {
         let total_mass = self.topology.total_mass();
         let mut p = Vec3::ZERO;
         for (a, v) in self.topology.atoms.iter().zip(&self.velocities) {
@@ -98,13 +98,6 @@ impl System {
         let v_com = p / total_mass;
         for v in &mut self.velocities {
             *v -= v_com;
-        }
-    }
-
-    /// Wraps all positions into the primary cell.
-    pub fn wrap_positions(&mut self) {
-        for p in &mut self.positions {
-            *p = self.pbox.wrap(*p);
         }
     }
 }

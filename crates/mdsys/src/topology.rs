@@ -97,7 +97,7 @@ impl Topology {
     }
 
     /// Total mass in amu.
-    pub fn total_mass(&self) -> f64 {
+    pub(crate) fn total_mass(&self) -> f64 {
         self.atoms.iter().map(|a| a.class.mass()).sum()
     }
 

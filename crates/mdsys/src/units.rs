@@ -6,14 +6,11 @@
 pub const COULOMB: f64 = 332.0637;
 
 /// Boltzmann constant in kcal/(mol*K).
-pub const K_BOLTZMANN: f64 = 0.001987191;
+pub(crate) const K_BOLTZMANN: f64 = 0.001987191;
 
 /// Conversion from force in kcal/(mol*A) over mass in amu to
 /// acceleration in A/ps^2.
 pub const ACCEL_CONV: f64 = 418.4;
-
-/// Default MD timestep used by the paper-scale simulations, in ps (1 fs).
-pub const DEFAULT_DT: f64 = 0.001;
 
 #[cfg(test)]
 mod tests {

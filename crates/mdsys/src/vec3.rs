@@ -37,7 +37,7 @@ impl Vec3 {
 
     /// Dot product.
     #[inline(always)]
-    pub fn dot(self, rhs: Vec3) -> f64 {
+    pub(crate) fn dot(self, rhs: Vec3) -> f64 {
         self.x * rhs.x + self.y * rhs.y + self.z * rhs.z
     }
 
@@ -72,16 +72,6 @@ impl Vec3 {
         let n = self.norm();
         debug_assert!(n > 1e-300, "cannot normalize a zero vector");
         self / n
-    }
-
-    /// Component-wise multiplication.
-    #[inline(always)]
-    pub fn mul_elem(self, rhs: Vec3) -> Vec3 {
-        Vec3 {
-            x: self.x * rhs.x,
-            y: self.y * rhs.y,
-            z: self.z * rhs.z,
-        }
     }
 
     /// Distance to another point.

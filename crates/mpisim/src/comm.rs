@@ -13,7 +13,7 @@
 
 use crate::detector::FailureDetector;
 use crate::middleware::{CombineAlgo, Middleware};
-use cpc_cluster::{CommError, Msg, MsgClass, OpShape, RankCtx, RttEstimator};
+use cpc_cluster::{CommError, Msg, MsgClass, OpShape, RankCtx};
 use std::ops::Range;
 
 /// Tag space layout: collectives use `epoch << 8 | op`, user messages
@@ -22,35 +22,15 @@ const USER_TAG_BASE: u64 = 1 << 63;
 
 /// Operation ids inside a collective epoch.
 mod op {
-    pub const BARRIER_UP: u64 = 1;
-    pub const BARRIER_DOWN: u64 = 2;
-    pub const REDUCE: u64 = 3;
-    pub const BCAST: u64 = 4;
-    pub const ALLTOALL: u64 = 5;
-    pub const GATHER: u64 = 6;
-    pub const SYNC_RING: u64 = 7;
-    pub const ALLGATHER: u64 = 8;
-    pub const HEARTBEAT: u64 = 9;
-}
-
-/// Bounded-retry policy for reliable user-level point-to-point
-/// messaging over lossy links (used with
-/// [`Comm::send_with_retry`] / [`Comm::recv_with_retry`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included); at least 1.
-    pub max_attempts: u32,
-    /// Backoff growth factor between attempts (sender-side timer).
-    pub backoff: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff: 2.0,
-        }
-    }
+    pub(crate) const BARRIER_UP: u64 = 1;
+    pub(crate) const BARRIER_DOWN: u64 = 2;
+    pub(crate) const REDUCE: u64 = 3;
+    pub(crate) const BCAST: u64 = 4;
+    pub(crate) const ALLTOALL: u64 = 5;
+    pub(crate) const GATHER: u64 = 6;
+    pub(crate) const SYNC_RING: u64 = 7;
+    pub(crate) const ALLGATHER: u64 = 8;
+    pub(crate) const HEARTBEAT: u64 = 9;
 }
 
 /// An MPI-like communicator bound to one rank's execution context.
@@ -63,10 +43,6 @@ pub struct Comm<'a> {
     members: Vec<usize>,
     /// This rank's index in `members` (its logical rank).
     my_local: usize,
-    /// Per-engine-rank Jacobson/Karels RTT estimators fed by delivered
-    /// payload sends; drive the adaptive retry timer of
-    /// [`send_with_retry`](Comm::send_with_retry).
-    rtt: Vec<RttEstimator>,
 }
 
 impl<'a> Comm<'a> {
@@ -74,20 +50,13 @@ impl<'a> Comm<'a> {
     pub fn new(ctx: &'a mut RankCtx, middleware: Middleware) -> Self {
         let members: Vec<usize> = (0..ctx.size()).collect();
         let my_local = ctx.rank();
-        let rtt = vec![RttEstimator::new(); ctx.size()];
         Comm {
             ctx,
             middleware,
             epoch: 0,
             members,
             my_local,
-            rtt,
         }
-    }
-
-    /// The RTT estimator of the channel toward engine rank `gdst`.
-    pub fn rtt_estimate(&self, gdst: usize) -> &RttEstimator {
-        &self.rtt[gdst]
     }
 
     /// This rank's logical rank within the (possibly shrunken)
@@ -199,38 +168,27 @@ impl<'a> Comm<'a> {
     /// Liveness exchange with observation: like
     /// [`heartbeat`](Comm::heartbeat), but each heartbeat piggybacks
     /// the sender's `report` (its last normalized per-unit step cost;
-    /// pass a negative sentinel when no data exists yet) and the
-    /// received reports are folded into the failure detector.
+    /// pass a negative sentinel when no data exists yet) and an ABFT
+    /// replica `digest`, and the received reports and heartbeat wire
+    /// times are folded into the failure detector.
+    ///
+    /// `digest` must be a non-negative integer below 2^53 rendered as
+    /// `f64` (see `cpc_md::abft::DIGEST_MASK`), or a negative sentinel
+    /// when the caller has no digest to contribute.
     ///
     /// Control messages are modeled at one byte regardless of payload,
     /// so this exchange is **timing- and RNG-identical** to the plain
     /// heartbeat — piggybacking costs nothing and perturbs nothing.
     /// Every member receives the same set of reports (its own is fed
     /// directly), so detector state stays replicated across ranks and
-    /// suspect/evict verdicts need no extra agreement round.
+    /// rebalance/evict verdicts need no extra agreement round.
     ///
-    /// Returns the engine ranks of members found dead, exactly as
-    /// [`heartbeat`](Comm::heartbeat) does; dead peers are
-    /// [forgotten](FailureDetector::forget) by the detector.
-    pub fn heartbeat_observed(&mut self, det: &mut FailureDetector, report: f64) -> Vec<usize> {
-        self.heartbeat_observed_with(det, report, -1.0).0
-    }
-
-    /// Liveness exchange that additionally piggybacks an ABFT replica
-    /// `digest` on the same heartbeat control messages.
-    ///
-    /// `digest` must be a non-negative integer below 2^53 rendered as
-    /// `f64` (see `cpc_md::abft::DIGEST_MASK`), or a negative sentinel
-    /// when the caller has no digest to contribute. Control messages
-    /// are modeled at one byte regardless of payload, so piggybacking
-    /// the digest keeps control traffic, timing and RNG draws exactly
-    /// identical to the plain heartbeat.
-    ///
-    /// Returns `(dead, votes)`: `dead` exactly as
-    /// [`heartbeat_observed`](Comm::heartbeat_observed), and `votes`
-    /// the `(engine_rank, digest)` pairs collected this epoch —
-    /// including the caller's own — sorted by rank and omitting
-    /// sentinel entries, ready for `cpc_md::abft::vote`.
+    /// Returns `(dead, votes)`: `dead` the engine ranks of members found
+    /// dead, exactly as [`heartbeat`](Comm::heartbeat) returns them
+    /// (dead peers are [forgotten](FailureDetector::forget) by the
+    /// detector), and `votes` the `(engine_rank, digest)` pairs collected
+    /// this epoch — including the caller's own — sorted by rank and
+    /// omitting sentinel entries, ready for `cpc_md::abft::vote`.
     pub fn heartbeat_observed_with(
         &mut self,
         det: &mut FailureDetector,
@@ -288,117 +246,19 @@ impl<'a> Comm<'a> {
     /// Blocking user-level send.
     pub fn send(&mut self, dst: usize, tag: u64, data: Vec<f64>) {
         let gdst = self.g(dst);
-        let outcome = self.ctx.send(
+        self.ctx.send(
             gdst,
             USER_TAG_BASE | tag,
             data,
             MsgClass::Payload,
             OpShape::p2p(),
         );
-        if outcome.delivered {
-            self.rtt[gdst].observe(outcome.wire);
-        }
     }
 
     /// Blocking user-level receive.
     pub fn recv(&mut self, src: usize, tag: u64) -> Vec<f64> {
         let gsrc = self.g(src);
         self.ctx.recv(gsrc, USER_TAG_BASE | tag).data
-    }
-
-    /// Fault-aware user-level receive: surfaces
-    /// [`CommError::Timeout`] for a message the transport gave up on
-    /// and [`CommError::PeerDead`] for a crashed sender, instead of
-    /// blocking forever.
-    pub fn try_recv(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        let gsrc = self.g(src);
-        self.ctx
-            .recv_result(gsrc, USER_TAG_BASE | tag)
-            .map(|m| m.data)
-    }
-
-    /// Reliable user-level send over a lossy link: bounded retries with
-    /// sender-side exponential backoff between attempts. Returns the
-    /// number of *extra* attempts used (0 = first try delivered).
-    ///
-    /// The per-attempt timer is adaptive (Jacobson/Karels): once the
-    /// channel's RTT estimator has a sample, the base timer is
-    /// `SRTT + 4·RTTVAR` clamped to the network's `[rto_floor,
-    /// rto_max]` envelope, so retries under an injected degradation
-    /// track the observed channel instead of a worst-case constant.
-    /// With no samples yet the static `rto_floor` is used — identical
-    /// to the legacy behaviour.
-    ///
-    /// Pair with [`recv_with_retry`](Comm::recv_with_retry) using the
-    /// same tag and policy. Retry tags use bits 48..56 of the user tag
-    /// space, so `tag` must be below 2^48.
-    pub fn send_with_retry(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        data: Vec<f64>,
-        policy: RetryPolicy,
-    ) -> Result<u32, CommError> {
-        debug_assert!(tag < (1 << 48), "retry tags use bits 48..56");
-        let gdst = self.g(dst);
-        let floor = self.ctx.net().rto_floor();
-        let rto_max = self.ctx.net().rto_max;
-        let attempts = policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            let t = self.user_tag(tag) | ((attempt as u64) << 48);
-            let outcome = self
-                .ctx
-                .send(gdst, t, data.clone(), MsgClass::Payload, OpShape::p2p());
-            if outcome.delivered {
-                self.rtt[gdst].observe(outcome.wire);
-                return Ok(attempt);
-            }
-            // Wait out the (backed-off) application-level timer before
-            // the next attempt. Undelivered transfers never feed the
-            // estimator: their "wire" time is the give-up time.
-            let base = self.rtt[gdst]
-                .rto()
-                .map_or(floor, |r| r.clamp(floor, rto_max.max(floor)));
-            self.ctx
-                .charge_wait(base * policy.backoff.powi(attempt as i32));
-        }
-        Err(CommError::Timeout {
-            peer: gdst,
-            tag,
-            at: self.ctx.now(),
-        })
-    }
-
-    /// Receiving side of [`send_with_retry`](Comm::send_with_retry):
-    /// consumes tombstones attempt by attempt until a delivery, a dead
-    /// peer, or the policy is exhausted.
-    pub fn recv_with_retry(
-        &mut self,
-        src: usize,
-        tag: u64,
-        policy: RetryPolicy,
-    ) -> Result<Vec<f64>, CommError> {
-        debug_assert!(tag < (1 << 48), "retry tags use bits 48..56");
-        let gsrc = self.g(src);
-        let attempts = policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            let t = self.user_tag(tag) | ((attempt as u64) << 48);
-            match self.ctx.recv_result(gsrc, t) {
-                Ok(m) => return Ok(m.data),
-                Err(e @ CommError::PeerDead { .. }) => return Err(e),
-                Err(_) => {} // tombstone for this attempt: wait for the next
-            }
-        }
-        Err(CommError::Timeout {
-            peer: gsrc,
-            tag,
-            at: self.ctx.now(),
-        })
-    }
-
-    /// Maps a user tag into the reserved user tag space.
-    pub(crate) fn user_tag(&self, tag: u64) -> u64 {
-        USER_TAG_BASE | tag
     }
 
     /// Global synchronization. MPI: binomial-tree barrier with control
@@ -704,18 +564,13 @@ impl<'a> Comm<'a> {
         block
     }
 
-    /// Flat master-based global sum, the structure of early parallel
-    /// CHARMM's `GCOMB`/`VDGSUM`: every rank sends its contribution to
-    /// rank 0 (an incast), rank 0 reduces and sends the result back to
+    /// Flat master-based global sum over `data`'s values or its length
+    /// alone, the structure of early parallel CHARMM's
+    /// `GCOMB`/`VDGSUM`: every rank sends its contribution to rank 0
+    /// (an incast), rank 0 reduces and sends the result back to
     /// everyone (an outcast). On TCP the incast congestion makes this
     /// visibly worse than a tree at scale — part of the classic
     /// calculation's overhead growth the paper measures.
-    pub fn allreduce_flat(&mut self, data: &mut Vec<f64>) {
-        on_values(data, |block| self.fold_flat(block));
-    }
-
-    /// [`allreduce_flat`](Self::allreduce_flat) over `data`'s values or
-    /// its length alone.
     fn fold_flat(&mut self, data: &mut Block) {
         let p = self.size();
         let tag = self.next_epoch(op::REDUCE);
@@ -763,13 +618,6 @@ impl<'a> Comm<'a> {
             CombineAlgo::Tree => self.fold_tree(data),
             CombineAlgo::Ring => self.ring_sum(data),
         }
-    }
-
-    /// Scalar convenience wrapper over [`Comm::allreduce_sum`].
-    pub fn allreduce_scalar(&mut self, x: f64) -> f64 {
-        let mut v = vec![x];
-        self.allreduce_sum(&mut v);
-        v[0]
     }
 
     /// Broadcast `data` from `root` to all ranks (binomial tree).
@@ -890,7 +738,7 @@ impl<'a> Comm<'a> {
     /// # Panics
     /// On a protocol violation (root without blocks, wrong block
     /// count), with a message naming the offending rank. Use
-    /// [`try_scatter`](Comm::try_scatter) to handle those as values.
+    /// `try_scatter` to handle those as values.
     pub fn scatter(&mut self, root: usize, parts: Option<Vec<Vec<f64>>>) -> Vec<f64> {
         match self.try_scatter(root, parts) {
             Ok(block) => block,
@@ -903,7 +751,7 @@ impl<'a> Comm<'a> {
     /// panic. (On an error return the collective is aborted locally;
     /// peers blocked on the root will only unblock if the root
     /// crashes or resends — exactly as with the panicking variant.)
-    pub fn try_scatter(
+    pub(crate) fn try_scatter(
         &mut self,
         root: usize,
         parts: Option<Vec<Vec<f64>>>,
@@ -941,33 +789,6 @@ impl<'a> Comm<'a> {
         };
         self.close_split_group();
         Ok(result)
-    }
-
-    /// Sum-reduction to `root` only (no broadcast back): returns
-    /// `Some(total)` on the root, `None` elsewhere.
-    pub fn reduce_sum(&mut self, root: usize, mut data: Vec<f64>) -> Option<Vec<f64>> {
-        let p = self.size();
-        let tag = self.next_epoch(op::REDUCE);
-        let result = if p == 1 {
-            Some(data)
-        } else if self.rank() == root {
-            for src in 0..p {
-                if src != root {
-                    let gsrc = self.g(src);
-                    let msg = self.ctx.recv(gsrc, tag);
-                    add_into(&mut data, &msg.data);
-                    self.ctx.charge_compute(4e-9 * msg.data.len() as f64);
-                }
-            }
-            Some(data)
-        } else {
-            let groot = self.g(root);
-            self.ctx
-                .send(groot, tag, data, MsgClass::Payload, OpShape::new(p - 1, p));
-            None
-        };
-        self.close_split_group();
-        result
     }
 
     /// All-to-all personalized exchange (the parallel FFT transpose —
@@ -1285,28 +1106,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sum_lands_only_at_root() {
-        for_each_config(|p, mw| {
-            let cfg = ClusterConfig::uni(p, NetworkKind::TcpGigE);
-            let out = run_cluster(cfg, |ctx| {
-                let mut comm = Comm::new(ctx, mw);
-                comm.reduce_sum(0, vec![comm.rank() as f64 + 1.0, 2.0])
-            });
-            let expect0: f64 = (1..=p).map(|k| k as f64).sum();
-            assert_eq!(
-                out[0]
-                    .result
-                    .as_ref()
-                    .expect("root rank 0 holds the reduced result"),
-                &vec![expect0, 2.0 * p as f64]
-            );
-            for o in &out[1..] {
-                assert!(o.result.is_none());
-            }
-        });
-    }
-
-    #[test]
     fn barrier_completes_and_charges_sync_time() {
         for_each_config(|p, mw| {
             let cfg = ClusterConfig::uni(p, NetworkKind::TcpGigE);
@@ -1435,7 +1234,7 @@ mod tests {
         let observed = run_cluster(cfg, |ctx| {
             let mut comm = Comm::new(ctx, Middleware::Mpi);
             let mut det = FailureDetector::new(comm.size(), DetectorConfig::default());
-            comm.heartbeat_observed(&mut det, 1.5);
+            comm.heartbeat_observed_with(&mut det, 1.5, -1.0);
             comm.barrier();
             assert!(det.srtt_max().is_some(), "heartbeat RTTs were observed");
             ctx.now()
@@ -1460,16 +1259,16 @@ mod tests {
             // Rank 3 reports 4x cost; everyone else is nominal.
             let report = if comm.rank() == 3 { 4.0 } else { 1.0 };
             for _ in 0..3 {
-                let dead = comm.heartbeat_observed(&mut det, report);
+                let dead = comm.heartbeat_observed_with(&mut det, report, -1.0).0;
                 assert!(dead.is_empty());
             }
             let members: Vec<usize> = comm.members().to_vec();
-            (det.evict_candidate(&members), det.suspects(&members))
+            (det.evict_candidate(&members), det.relative_costs(&members))
         });
         for o in &out {
-            let (evict, suspects) = o.result.clone();
+            let (evict, rel) = o.result.clone();
             assert_eq!(evict, Some(3), "verdict replicated on rank {}", o.rank);
-            assert_eq!(suspects, vec![3]);
+            assert_eq!(rel, Some(vec![1.0, 1.0, 1.0, 4.0]));
         }
     }
 
@@ -1483,7 +1282,7 @@ mod tests {
             ctx.poll_crash();
             let mut comm = Comm::new(ctx, Middleware::Mpi);
             let mut det = FailureDetector::new(comm.size(), DetectorConfig::default());
-            comm.heartbeat_observed(&mut det, 1.0)
+            comm.heartbeat_observed_with(&mut det, 1.0, -1.0).0
         })
         .unwrap();
         for o in &out {
@@ -1497,22 +1296,29 @@ mod tests {
 
     #[test]
     fn delivered_sends_feed_the_rtt_estimator() {
-        let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE);
-        let out = run_cluster(cfg, |ctx| {
+        // The estimator that reads wire times is the failure detector's:
+        // every delivered heartbeat folds one sample in, and a dead
+        // peer's tombstone folds none.
+        use crate::detector::{DetectorConfig, FailureDetector};
+        let cfg = ClusterConfig::uni(3, NetworkKind::ScoreGigE);
+        let plan = FaultPlan::none().with_crash(2, 0.0);
+        let out = run_cluster_faulty(cfg, plan, |ctx| {
+            ctx.charge_compute(1e-6);
+            ctx.poll_crash();
             let mut comm = Comm::new(ctx, Middleware::Mpi);
-            if comm.rank() == 0 {
-                comm.send(1, 9, vec![1.0; 64]);
-                let est = comm.rtt_estimate(1);
-                let rto = est.rto().expect("one sample");
-                (est.samples(), rto)
-            } else {
-                comm.recv(0, 9);
-                (0, 0.0)
-            }
-        });
-        let (samples, rto) = out[0].result;
-        assert_eq!(samples, 1);
-        assert!(rto > 0.0 && rto.is_finite());
+            let mut det = FailureDetector::new(comm.size(), DetectorConfig::default());
+            comm.heartbeat_observed_with(&mut det, 1.0, -1.0);
+            (0..3).map(|r| det.srtt(r)).collect::<Vec<_>>()
+        })
+        .unwrap();
+        for o in out.iter().filter(|o| o.rank != 2) {
+            let srtt = o.result.as_ref().expect("survivor");
+            let peer = 1 - o.rank;
+            let sample = srtt[peer].expect("one delivered heartbeat");
+            assert!(sample > 0.0 && sample.is_finite(), "rank {}", o.rank);
+            assert_eq!(srtt[o.rank], None, "no heartbeat to itself");
+            assert_eq!(srtt[2], None, "the dead peer sent none");
+        }
     }
 
     #[test]
@@ -1569,55 +1375,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn retry_pair_recovers_from_loss_and_reports_exhaustion() {
-        // 100% loss with 1 transport retransmit: every payload attempt
-        // tombstones, so the retry pair exhausts its policy on both
-        // sides deterministically.
-        let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE);
-        let plan = FaultPlan::none().with_loss(1.0).with_max_retransmits(1);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            backoff: 2.0,
-        };
-        let out = run_cluster_faulty(cfg, plan, move |ctx| {
-            let mut comm = Comm::new(ctx, Middleware::Mpi);
-            if comm.rank() == 0 {
-                match comm.send_with_retry(1, 5, vec![1.0; 8], policy) {
-                    Err(CommError::Timeout { peer, tag, .. }) => (peer, tag),
-                    other => panic!("expected exhaustion, got {other:?}"),
-                }
-            } else {
-                match comm.recv_with_retry(0, 5, policy) {
-                    Err(CommError::Timeout { peer, tag, .. }) => (peer, tag),
-                    other => panic!("expected exhaustion, got {other:?}"),
-                }
-            }
-        })
-        .unwrap();
-        assert_eq!(out[0].result.unwrap(), (1, 5));
-        assert_eq!(out[1].result.unwrap().1, 5);
-        // Partial loss: the pair succeeds with high probability; just
-        // check determinism of the whole exchange.
-        let plan2 = FaultPlan::none().with_loss(0.4).with_max_retransmits(1);
-        let run = || {
-            let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE);
-            run_cluster_faulty(cfg, plan2.clone(), move |ctx| {
-                let mut comm = Comm::new(ctx, Middleware::Mpi);
-                if comm.rank() == 0 {
-                    comm.send_with_retry(1, 6, vec![2.0; 64], policy).is_ok()
-                } else {
-                    comm.recv_with_retry(0, 6, policy).is_ok()
-                }
-            })
-            .unwrap()
-            .iter()
-            .map(|o| (o.result.unwrap(), o.finish_time))
-            .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! step cost (control messages are modeled at one byte regardless of
 //! payload, so the piggyback changes no timing or RNG draw). Every
 //! member receives the identical set of reports, so detector state is
-//! **replicated by construction**: suspect/evict/rebalance decisions
+//! **replicated by construction**: evict/rebalance decisions
 //! come out the same on every rank with zero extra agreement traffic.
 //!
 //! The suspicion level of peer `j` is
@@ -24,9 +24,11 @@
 //!
 //! i.e. the accrual scale applied to *relative* slowness, so a
 //! uniformly slow (or uniformly fast) cohort accrues no suspicion at
-//! all. A healthy peer sits at φ ≈ 0.434; the default thresholds put
-//! *suspect* at 1.5× the cohort median (rebalance away) and *evict* at
-//! ~3.5× (treat as crashed and shrink).
+//! all. A healthy peer sits at φ ≈ 0.434; the default threshold puts
+//! *evict* at ~3.5× the cohort median (treat as crashed and shrink).
+//! Rebalancing reads the relative costs themselves
+//! ([`FailureDetector::relative_costs`]) against the recovery driver's
+//! trigger.
 
 use cpc_cluster::RttEstimator;
 
@@ -38,9 +40,6 @@ pub const PHI_SCALE: f64 = core::f64::consts::LOG10_E;
 /// Tuning knobs of the [`FailureDetector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
-    /// φ at which a peer is *suspected* (rebalance work away from it).
-    /// The default corresponds to 1.5× the cohort median cost.
-    pub phi_suspect: f64,
     /// φ at which a peer is *evicted* (treated as crashed; the
     /// communicator shrinks). The default corresponds to ~3.5× the
     /// cohort median cost.
@@ -53,7 +52,6 @@ pub struct DetectorConfig {
 impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
-            phi_suspect: 0.65,
             phi_evict: 1.5,
             ewma_alpha: 0.5,
         }
@@ -71,8 +69,8 @@ pub struct FailureDetector {
     ewma: Vec<Option<f64>>,
     /// Per-engine-rank RTT estimate from heartbeat wire times. Local
     /// observation only (each receiver sees its own wire times) — used
-    /// for statistics and adaptive timers, never for the replicated
-    /// suspect/evict decisions.
+    /// for statistics, never for the replicated evict/rebalance
+    /// decisions.
     rtt: Vec<RttEstimator>,
     /// Highest φ ever computed by this detector (reporting).
     phi_max: f64,
@@ -109,7 +107,7 @@ impl FailureDetector {
 
     /// Folds a heartbeat wire-time sample for `engine_rank` (local
     /// statistics only).
-    pub fn observe_rtt(&mut self, engine_rank: usize, wire: f64) {
+    pub(crate) fn observe_rtt(&mut self, engine_rank: usize, wire: f64) {
         self.rtt[engine_rank].observe(wire);
     }
 
@@ -155,7 +153,7 @@ impl FailureDetector {
     /// Suspicion levels of `members`, aligned with the input order, or
     /// `None` until every member has reported. Updates
     /// [`phi_max`](Self::phi_max).
-    pub fn phis(&mut self, members: &[usize]) -> Option<Vec<f64>> {
+    pub(crate) fn phis(&mut self, members: &[usize]) -> Option<Vec<f64>> {
         let phis: Vec<f64> = self
             .relative_costs(members)?
             .iter()
@@ -165,20 +163,6 @@ impl FailureDetector {
             self.phi_max = self.phi_max.max(phi);
         }
         Some(phis)
-    }
-
-    /// Engine ranks of `members` whose suspicion has crossed
-    /// [`DetectorConfig::phi_suspect`] (rebalance candidates).
-    pub fn suspects(&mut self, members: &[usize]) -> Vec<usize> {
-        match self.phis(members) {
-            Some(phis) => members
-                .iter()
-                .zip(&phis)
-                .filter(|(_, &phi)| phi >= self.cfg.phi_suspect)
-                .map(|(&m, _)| m)
-                .collect(),
-            None => Vec::new(),
-        }
     }
 
     /// The engine rank of the single worst member at or past
@@ -235,7 +219,6 @@ mod tests {
         for phi in phis {
             assert!((phi - PHI_SCALE).abs() < 1e-12, "healthy φ ≈ 0.434");
         }
-        assert!(det.suspects(&members).is_empty());
         assert_eq!(det.evict_candidate(&members), None);
     }
 
@@ -251,7 +234,8 @@ mod tests {
     fn a_2x_straggler_is_suspected_but_not_evicted() {
         let mut det = fed(&[1.0, 1.0, 1.0, 2.0]);
         let members = [0, 1, 2, 3];
-        assert_eq!(det.suspects(&members), vec![3]);
+        // Past the recovery driver's 1.5x rebalance trigger.
+        assert_eq!(det.relative_costs(&members), Some(vec![1.0, 1.0, 1.0, 2.0]));
         assert_eq!(det.evict_candidate(&members), None);
     }
 
@@ -278,7 +262,7 @@ mod tests {
         det.report(1, 1.0);
         let members = [0, 1, 2, 3];
         assert_eq!(det.phis(&members), None);
-        assert!(det.suspects(&members).is_empty());
+        assert_eq!(det.relative_costs(&members), None);
         // The reported subset alone is judgeable.
         assert!(det.phis(&[0, 1]).is_some());
     }
@@ -301,7 +285,7 @@ mod tests {
             det.report(0, 1.0);
             det.report(1, 1.0);
         }
-        assert!(det.suspects(&members).is_empty());
+        assert_eq!(det.relative_costs(&members), Some(vec![1.0, 1.0]));
         // Node 1 turns slow: suspicion accrues over a few heartbeats
         // rather than tripping on one noisy report.
         det.report(0, 1.0);
@@ -311,7 +295,8 @@ mod tests {
         det.report(1, 3.0);
         let after_two = det.phis(&members).unwrap()[1];
         assert!(after_two > after_one, "suspicion accrues");
-        assert_eq!(det.suspects(&members), vec![1]);
+        let rel = det.relative_costs(&members).unwrap()[1];
+        assert!(rel > 1.5, "past the 1.5x rebalance trigger: {rel}");
     }
 
     #[test]

@@ -163,13 +163,6 @@ impl<'b> GroupComm<'_, 'b> {
             data[block(recv_b)].copy_from_slice(&msg.data);
         }
     }
-
-    /// Scalar sum within the group.
-    pub fn allreduce_scalar(&mut self, x: f64) -> f64 {
-        let mut v = [x];
-        self.allreduce_sum(&mut v);
-        v[0]
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +198,9 @@ mod tests {
             let color = (comm.rank() / 4) as u64;
             let mut group = comm.split(color);
             let base = if color == 0 { 1.0 } else { 100.0 };
-            group.allreduce_scalar(base * (group.rank() + 1) as f64)
+            let mut v = [base * (group.rank() + 1) as f64];
+            group.allreduce_sum(&mut v);
+            v[0]
         });
         for (r, o) in out.iter().enumerate() {
             let expect = if r < 4 { 10.0 } else { 1000.0 };
@@ -264,7 +259,9 @@ mod tests {
                 }
                 -1.0
             } else {
-                group.allreduce_scalar(group.rank() as f64)
+                let mut v = [group.rank() as f64];
+                group.allreduce_sum(&mut v);
+                v[0]
             }
         });
         assert_eq!(out[2].result, 1.0);

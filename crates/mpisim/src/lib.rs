@@ -22,7 +22,9 @@
 //! let cfg = ClusterConfig::uni(4, NetworkKind::ScoreGigE);
 //! let out = run_cluster(cfg, |ctx| {
 //!     let mut comm = Comm::new(ctx, Middleware::Mpi);
-//!     comm.allreduce_scalar(comm.rank() as f64)
+//!     let mut v = vec![comm.rank() as f64];
+//!     comm.allreduce_sum(&mut v);
+//!     v[0]
 //! });
 //! assert!(out.iter().all(|o| o.result == 6.0)); // 0+1+2+3
 //! ```
@@ -34,7 +36,7 @@ pub mod detector;
 pub mod group;
 pub mod middleware;
 
-pub use comm::{Comm, RetryPolicy};
+pub use comm::Comm;
 pub use cpc_cluster::CommError;
 pub use detector::{DetectorConfig, FailureDetector, PHI_SCALE};
 pub use group::GroupComm;

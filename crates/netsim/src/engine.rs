@@ -33,7 +33,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Reserved tag carried by crash notices. User code must not send with
 /// this tag.
-pub const CRASH_TAG: u64 = u64::MAX;
+pub(crate) const CRASH_TAG: u64 = u64::MAX;
 
 /// A message in flight (or delivered).
 #[derive(Debug, Clone)]
@@ -179,10 +179,7 @@ pub struct SendOutcome {
 
 /// Unwind payload of a simulated crash (distinguished from genuine
 /// panics by `catch_unwind` downcasting).
-struct CrashUnwind {
-    #[allow(dead_code)]
-    rank: usize,
-}
+struct CrashUnwind;
 
 /// Unwind payload of a stalled receive (see [`SimError::Stalled`]).
 struct StallUnwind {
@@ -357,12 +354,6 @@ impl RankCtx {
         &self.shared.net
     }
 
-    /// The fault plan of this run ([`FaultPlan::none`] for the plain
-    /// entry points).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.shared.plan
-    }
-
     /// Current virtual time in seconds.
     pub fn now(&self) -> f64 {
         self.clock
@@ -395,14 +386,6 @@ impl RankCtx {
         let t = seconds * self.shared.config.compute_scale(self.rank) * straggle;
         self.clock += t;
         self.stats.bucket_mut(self.phase).book_comp(t);
-    }
-
-    /// Advances the clock by a pure waiting period (timer/backoff
-    /// sleep), booked as synchronization. Straggler slowdown does not
-    /// apply: timers tick in wall time.
-    pub fn charge_wait(&mut self, seconds: f64) {
-        self.clock += seconds;
-        self.stats.bucket_mut(self.phase).book_sync(seconds);
     }
 
     /// If this rank is scheduled to crash and its clock has reached the
@@ -442,7 +425,7 @@ impl RankCtx {
         }
         // resume_unwind skips the panic hook: a simulated crash is not
         // a bug and must not spam stderr with backtraces.
-        std::panic::resume_unwind(Box::new(CrashUnwind { rank: self.rank }));
+        std::panic::resume_unwind(Box::new(CrashUnwind));
     }
 
     /// Sends a message. Eager/buffered semantics: the sender only pays
@@ -735,7 +718,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Panics on an invalid configuration or a panicking rank body (with
 /// the typed [`SimError`] message naming the offending rank); use
-/// [`try_run_cluster`] to handle those as values.
+/// `try_run_cluster` to handle those as values.
 pub fn run_cluster<T, F>(config: ClusterConfig, body: F) -> Vec<RankOutcome<T>>
 where
     T: Send,
@@ -750,7 +733,7 @@ where
 /// Fallible variant of [`run_cluster`]: configuration problems and
 /// panicking rank bodies come back as typed [`SimError`]s naming the
 /// offending rank instead of panics.
-pub fn try_run_cluster<T, F>(
+pub(crate) fn try_run_cluster<T, F>(
     config: ClusterConfig,
     body: F,
 ) -> Result<Vec<RankOutcome<T>>, SimError>
@@ -1126,7 +1109,10 @@ mod tests {
         let run = |values: bool| {
             let mut cfg = ClusterConfig::uni(2, NetworkKind::TcpGigE);
             cfg.record_trace = true;
-            let plan = FaultPlan::none().with_loss(0.5).with_max_retransmits(1);
+            let plan = FaultPlan {
+                max_retransmits: Some(1),
+                ..FaultPlan::none().with_loss(0.5)
+            };
             run_cluster_faulty(cfg, plan, |ctx| {
                 let peer = 1 - ctx.rank();
                 let mut got = Vec::new();
@@ -1362,7 +1348,10 @@ mod tests {
     #[test]
     fn lost_payload_surfaces_timeout() {
         let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE);
-        let plan = FaultPlan::none().with_loss(1.0).with_max_retransmits(2);
+        let plan = FaultPlan {
+            max_retransmits: Some(2),
+            ..FaultPlan::none().with_loss(1.0)
+        };
         let out = run_cluster_faulty(cfg, plan, |ctx| {
             if ctx.rank() == 0 {
                 let s = ctx.send(1, 4, vec![1.0; 64], MsgClass::Payload, OpShape::p2p());
@@ -1388,7 +1377,10 @@ mod tests {
     #[test]
     fn control_messages_survive_total_loss() {
         let cfg = ClusterConfig::uni(2, NetworkKind::ScoreGigE);
-        let plan = FaultPlan::none().with_loss(1.0).with_max_retransmits(2);
+        let plan = FaultPlan {
+            max_retransmits: Some(2),
+            ..FaultPlan::none().with_loss(1.0)
+        };
         let out = run_cluster_faulty(cfg, plan, |ctx| {
             if ctx.rank() == 0 {
                 let s = ctx.send(1, 4, Vec::new(), MsgClass::Control, OpShape::p2p());

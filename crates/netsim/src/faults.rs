@@ -13,7 +13,7 @@
 //!
 //! * **Loss** applies to inter-node payload traffic. Lost packets are
 //!   re-costed through the retransmission model of
-//!   [`NetworkParams::transfer_faulty`](crate::NetworkParams::transfer_faulty)
+//!   `NetworkParams::transfer_faulty`
 //!   (RTO with exponential backoff above a delayed-ACK floor).
 //! * **Degradations** are virtual-time windows during which a link (or
 //!   every link) suffers extra loss and/or a wire-time multiplier.
@@ -173,7 +173,7 @@ pub struct SdcFault {
 /// Per-message fault parameters of one link at one instant, resolved
 /// from a [`FaultPlan`] by the engine at send time.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFault {
+pub(crate) struct LinkFault {
     /// Effective packet-loss probability in `[0, 1]`.
     pub loss: f64,
     /// Wire-time multiplier (`1.0` = nominal).
@@ -191,7 +191,7 @@ pub struct LinkFault {
 /// Hard cap on retransmission rounds per message, so that a fully
 /// opaque link (`loss == 1.0`) stalls for a bounded, deterministic
 /// number of backoffs instead of looping forever.
-pub const MAX_RETRANSMIT_ROUNDS: u32 = 64;
+pub(crate) const MAX_RETRANSMIT_ROUNDS: u32 = 64;
 
 impl LinkFault {
     /// A fault-free link: the transfer model takes exactly the clean
@@ -204,17 +204,12 @@ impl LinkFault {
             give_up: false,
         }
     }
-
-    /// True when this fault cannot alter the transfer at all.
-    pub fn is_clean(&self) -> bool {
-        self.loss <= 0.0 && self.wire_factor == 1.0
-    }
 }
 
 /// Default receiver-side watchdog timeout, seconds: how long a blocked
 /// receive waits past the evidence of failure (a tombstone or crash
 /// notice) before surfacing a typed error.
-pub const DEFAULT_WATCHDOG_TIMEOUT: f64 = 0.25;
+pub(crate) const DEFAULT_WATCHDOG_TIMEOUT: f64 = 0.25;
 
 /// A deterministic fault-injection plan for one cluster run.
 ///
@@ -244,7 +239,7 @@ pub struct FaultPlan {
     /// Control messages never give up regardless of this setting.
     pub max_retransmits: Option<u32>,
     /// Receiver-side watchdog timeout, seconds (see
-    /// [`DEFAULT_WATCHDOG_TIMEOUT`]).
+    /// `DEFAULT_WATCHDOG_TIMEOUT`).
     pub watchdog_timeout: f64,
 }
 
@@ -296,7 +291,7 @@ impl FaultPlan {
 
     /// Marks `node` as a *transient* straggler during `[start, end)`
     /// virtual seconds.
-    pub fn with_straggler_window(
+    pub(crate) fn with_straggler_window(
         mut self,
         node: usize,
         slowdown: f64,
@@ -318,13 +313,6 @@ impl FaultPlan {
         self
     }
 
-    /// Bounds payload retransmissions (see
-    /// [`FaultPlan::max_retransmits`]).
-    pub fn with_max_retransmits(mut self, rounds: u32) -> Self {
-        self.max_retransmits = Some(rounds);
-        self
-    }
-
     /// Schedules a storage fault against the next durable checkpoint
     /// write at or after virtual time `at`.
     pub fn with_storage_fault(mut self, at: f64, kind: StorageFaultKind) -> Self {
@@ -343,7 +331,7 @@ impl FaultPlan {
     /// corrupt durable artifacts or replicated state on the side but
     /// never consume an RNG draw or charge virtual time, so timing
     /// stays bit-identical either way.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.loss <= 0.0
             && self.degradations.is_empty()
             && self.stragglers.is_empty()
@@ -471,7 +459,7 @@ impl FaultPlan {
     /// Resolves the fault state of the `src -> dst` link at departure
     /// time `t`. Loss applies only to inter-node traffic; degradation
     /// wire factors apply everywhere.
-    pub fn link_fault(&self, src: usize, dst: usize, t: f64, same_node: bool) -> LinkFault {
+    pub(crate) fn link_fault(&self, src: usize, dst: usize, t: f64, same_node: bool) -> LinkFault {
         let mut loss = if same_node { 0.0 } else { self.loss };
         let mut wire_factor = 1.0;
         for d in &self.degradations {
@@ -494,22 +482,10 @@ impl FaultPlan {
         }
     }
 
-    /// Worst-case CPU slowdown factor of `node` over the whole run
-    /// (`1.0` when never a straggler). Used for overhead budgeting;
-    /// the engine charges the *instantaneous* factor via
-    /// [`straggle_factor_at`](FaultPlan::straggle_factor_at).
-    pub fn straggle_factor(&self, node: usize) -> f64 {
-        self.stragglers
-            .iter()
-            .filter(|s| s.node == node)
-            .map(|s| s.slowdown)
-            .fold(1.0, f64::max)
-    }
-
     /// CPU slowdown factor of `node` at virtual time `t` (`1.0` when no
     /// straggler window is active). Windows are half-open, like
     /// [`LinkDegradation`]: active while `start <= t < end`.
-    pub fn straggle_factor_at(&self, node: usize, t: f64) -> f64 {
+    pub(crate) fn straggle_factor_at(&self, node: usize, t: f64) -> f64 {
         self.stragglers
             .iter()
             .filter(|s| s.node == node && s.start <= t && t < s.end)
@@ -518,7 +494,7 @@ impl FaultPlan {
     }
 
     /// Earliest scheduled crash time of `rank`, if any.
-    pub fn crash_time(&self, rank: usize) -> Option<f64> {
+    pub(crate) fn crash_time(&self, rank: usize) -> Option<f64> {
         self.crashes
             .iter()
             .filter(|c| c.rank == rank)
@@ -537,8 +513,8 @@ mod tests {
         assert!(p.is_zero());
         assert!(p.validate(8, 8).is_ok());
         let f = p.link_fault(0, 1, 10.0, false);
-        assert!(f.is_clean());
-        assert_eq!(p.straggle_factor(3), 1.0);
+        assert_eq!((f.loss, f.wire_factor), (0.0, 1.0));
+        assert_eq!(p.straggle_factor_at(3, 0.0), 1.0);
         assert_eq!(p.crash_time(3), None);
     }
 
@@ -562,8 +538,11 @@ mod tests {
         let hit = p.link_fault(0, 1, 1.5, false);
         assert_eq!(hit.loss, 0.5);
         assert_eq!(hit.wire_factor, 3.0);
-        assert!(p.link_fault(0, 1, 2.0, false).is_clean()); // past the window
-        assert!(p.link_fault(1, 0, 1.5, false).is_clean()); // wrong src
+        let clean = (0.0, 1.0);
+        let past = p.link_fault(0, 1, 2.0, false);
+        assert_eq!((past.loss, past.wire_factor), clean); // past the window
+        let other = p.link_fault(1, 0, 1.5, false);
+        assert_eq!((other.loss, other.wire_factor), clean); // wrong src
     }
 
     #[test]
@@ -571,8 +550,8 @@ mod tests {
         let p = FaultPlan::none()
             .with_straggler(1, 2.0)
             .with_straggler(1, 4.0);
-        assert_eq!(p.straggle_factor(1), 4.0);
-        assert_eq!(p.straggle_factor(0), 1.0);
+        assert_eq!(p.straggle_factor_at(1, 0.0), 4.0);
+        assert_eq!(p.straggle_factor_at(0, 0.0), 1.0);
     }
 
     #[test]
@@ -590,8 +569,6 @@ mod tests {
         assert_eq!(p.straggle_factor_at(2, 1.0), 2.5);
         assert_eq!(p.straggle_factor_at(2, 2.999), 2.5);
         assert_eq!(p.straggle_factor_at(2, 3.0), 1.0);
-        // Whole-run worst case still sees the transient entry.
-        assert_eq!(p.straggle_factor(2), 2.5);
         assert!(p.validate(4, 4).is_ok());
     }
 
@@ -726,7 +703,10 @@ mod tests {
 
     #[test]
     fn bounded_retransmits_cap_at_hard_limit() {
-        let p = FaultPlan::none().with_loss(0.5).with_max_retransmits(1000);
+        let p = FaultPlan {
+            max_retransmits: Some(1000),
+            ..FaultPlan::none().with_loss(0.5)
+        };
         let f = p.link_fault(0, 1, 0.0, false);
         assert_eq!(f.max_retransmits, MAX_RETRANSMIT_ROUNDS);
         assert!(f.give_up);

@@ -40,7 +40,7 @@ use crate::rng::SplitMix64;
 /// below this bit changes the value by a relative factor of at most
 /// `2^(BENIGN_MAX_BIT - 52)` (~6e-11), far below any physical signal
 /// in a short trajectory.
-pub const BENIGN_MAX_BIT: u8 = 16;
+pub(crate) const BENIGN_MAX_BIT: u8 = 16;
 
 /// The bit the *detectable* SDC class flips: the most significant
 /// exponent bit (62), and only ever in a **position** array. Whichever
@@ -67,16 +67,16 @@ pub const BENIGN_MAX_BIT: u8 = 16;
 /// be checkpointed (the chaos campaign's first catch — exactly the
 /// kind of schedule that belongs in a hand-planted reproducer, not the
 /// survivable sample space).
-pub const DETECTABLE_BIT: u8 = 62;
+pub(crate) const DETECTABLE_BIT: u8 = 62;
 
 /// The three silent-data-corruption classes [`FaultSpace::sample`]
 /// draws from, recovered from a sampled fault by [`sdc_class`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SdcClass {
-    /// Low mantissa bits (`<=` [`BENIGN_MAX_BIT`]): relative error
+    /// Low mantissa bits (`<=` `BENIGN_MAX_BIT`): relative error
     /// below ~6e-11, physically indistinguishable from round-off.
     Benign,
-    /// [`DETECTABLE_BIT`] on a position: guaranteed to trip the
+    /// `DETECTABLE_BIT` on a position: guaranteed to trip the
     /// numerical watchdog on the same step.
     Detectable,
     /// Everything in between — large enough to corrupt the physics,

@@ -4,7 +4,7 @@
 //! without the 2002 hardware. Ranks execute real code on real threads;
 //! *time* is simulated deterministically:
 //!
-//! * [`netmodel`] — calibrated LogGP-style models of the paper's three
+//! * `netmodel` — calibrated LogGP-style models of the paper's three
 //!   communication stacks (TCP/IP on Gigabit Ethernet, SCore, Myrinet)
 //!   plus Fast Ethernet, including TCP congestion collapse, the
 //!   tiny-message delayed-ACK pathology and SMP interrupt serialization,
@@ -43,7 +43,7 @@ pub mod cost;
 pub mod engine;
 pub mod faults;
 pub mod fuzz;
-pub mod netmodel;
+mod netmodel;
 pub mod rng;
 pub mod rtt;
 pub mod stats;
@@ -52,17 +52,15 @@ pub mod trace;
 pub use cluster::ClusterConfig;
 pub use cost::{CostModel, CpuConfig, PIII_1GHZ};
 pub use engine::{
-    elapsed_time, run_cluster, run_cluster_faulty, try_run_cluster, CommError, FaultyOutcome, Msg,
-    RankCtx, RankOutcome, SendOutcome, SimError, CRASH_TAG,
+    elapsed_time, run_cluster, run_cluster_faulty, CommError, FaultyOutcome, Msg, RankCtx,
+    RankOutcome, SendOutcome, SimError,
 };
 pub use faults::{
-    FaultPlan, LinkDegradation, LinkFault, RankCrash, SdcFault, SdcTarget, StorageFault,
-    StorageFaultKind, Straggler,
+    FaultPlan, LinkDegradation, RankCrash, SdcFault, SdcTarget, StorageFault, StorageFaultKind,
+    Straggler,
 };
 pub use fuzz::{sdc_class, FaultSpace, SdcClass};
-pub use netmodel::{
-    FaultyTransfer, NetworkKind, NetworkParams, OpShape, TransferCtx, TransferTime,
-};
+pub use netmodel::{NetworkKind, NetworkParams, OpShape, TransferCtx, TransferTime};
 pub use rng::SplitMix64;
 pub use rtt::RttEstimator;
 pub use stats::{

@@ -216,8 +216,8 @@ pub struct NetworkParams {
     /// Penalty magnitude, seconds. This is the stack's minimum
     /// retransmission/delayed-ACK timer: a tiny-message stall costs
     /// exactly one such timer period, and the retransmission model of
-    /// [`transfer_faulty`](Self::transfer_faulty) uses it as the RTO
-    /// floor (see [`rto_floor`](Self::rto_floor)), so the fault-free
+    /// `transfer_faulty` uses it as the RTO
+    /// floor (see `rto_floor`), so the fault-free
     /// figures are unchanged by the explicit model.
     pub small_msg_penalty: f64,
     /// RTO growth factor per retransmission round (TCP doubles).
@@ -309,7 +309,7 @@ pub struct TransferTime {
 
 /// Outcome of the transfer model on a (possibly) faulty link.
 #[derive(Debug, Clone, Copy)]
-pub struct FaultyTransfer {
+pub(crate) struct FaultyTransfer {
     /// Timing; `time.wire` includes all retransmission stalls.
     pub time: TransferTime,
     /// Retransmission rounds the transport went through.
@@ -321,7 +321,7 @@ pub struct FaultyTransfer {
 
 impl NetworkParams {
     /// Number of packets for a message of `bytes`.
-    pub fn packets(&self, bytes: usize) -> usize {
+    pub(crate) fn packets(&self, bytes: usize) -> usize {
         bytes.div_ceil(self.pkt_size).max(1)
     }
 
@@ -341,7 +341,7 @@ impl NetworkParams {
     /// participating in the operation (the paper: "the high variability
     /// of MPI transfers over TCP/IP starts abruptly with four
     /// processors").
-    pub fn jitter_sigma(&self, ctx: &TransferCtx) -> f64 {
+    pub(crate) fn jitter_sigma(&self, ctx: &TransferCtx) -> f64 {
         let mut sigma = self.jitter_base
             + self.jitter_per_flow * ctx.shape.participants.saturating_sub(3) as f64;
         if ctx.src_ranks_per_node > 1 || ctx.dst_ranks_per_node > 1 {
@@ -357,7 +357,7 @@ impl NetworkParams {
     /// retransmission model reproduces the fault-free figures
     /// bit-identically. Stacks without the pathology (SCore, Myrinet
     /// GM) use a floor derived from their wire latency.
-    pub fn rto_floor(&self) -> f64 {
+    pub(crate) fn rto_floor(&self) -> f64 {
         if self.small_msg_penalty > 0.0 {
             self.small_msg_penalty
         } else {
@@ -366,7 +366,7 @@ impl NetworkParams {
     }
 
     /// Retransmission timeout of round `k` (0-based): exponential
-    /// backoff from [`rto_floor`](Self::rto_floor), capped at
+    /// backoff from `rto_floor`, capped at
     /// [`rto_max`](Self::rto_max).
     pub fn rto(&self, round: u32) -> f64 {
         (self.rto_floor() * self.rto_backoff.powi(round.min(1000) as i32)).min(self.rto_max)
@@ -376,8 +376,8 @@ impl NetworkParams {
     ///
     /// Deterministic given the RNG (which the engine derives from the
     /// per-channel message counter). Exactly equivalent to
-    /// [`transfer_faulty`](Self::transfer_faulty) with
-    /// [`LinkFault::clean`] — same result, same number of draws.
+    /// `transfer_faulty` with
+    /// `LinkFault::clean` — same result, same number of draws.
     pub fn transfer(&self, bytes: usize, ctx: &TransferCtx, rng: &mut SplitMix64) -> TransferTime {
         self.transfer_faulty(bytes, ctx, rng, &LinkFault::clean())
             .time
@@ -394,7 +394,7 @@ impl NetworkParams {
     /// and resends the lost packets; after `fault.max_retransmits`
     /// rounds the transport either gives up (`fault.give_up`, the
     /// message becomes a tombstone) or delivers late (reliable mode).
-    pub fn transfer_faulty(
+    pub(crate) fn transfer_faulty(
         &self,
         bytes: usize,
         ctx: &TransferCtx,

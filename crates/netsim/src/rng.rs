@@ -41,7 +41,7 @@ impl SplitMix64 {
     }
 
     /// Symmetric triangular variate in `(-1, 1)` (sum of two uniforms).
-    pub fn next_triangular(&mut self) -> f64 {
+    pub(crate) fn next_triangular(&mut self) -> f64 {
         self.next_f64() + self.next_f64() - 1.0
     }
 }

@@ -63,11 +63,6 @@ impl RttEstimator {
         (self.samples > 0).then_some(self.srtt)
     }
 
-    /// RTT variance, `None` before the first sample.
-    pub fn rttvar(&self) -> Option<f64> {
-        (self.samples > 0).then_some(self.rttvar)
-    }
-
     /// `SRTT + 4·RTTVAR`, `None` before the first sample.
     pub fn rto(&self) -> Option<f64> {
         (self.samples > 0).then_some(self.srtt + 4.0 * self.rttvar)
@@ -88,7 +83,6 @@ mod tests {
         let est = RttEstimator::new();
         assert_eq!(est.rto(), None);
         assert_eq!(est.srtt(), None);
-        assert_eq!(est.rttvar(), None);
         assert_eq!(est.samples(), 0);
     }
 
@@ -97,7 +91,6 @@ mod tests {
         let mut est = RttEstimator::new();
         est.observe(0.1);
         assert_eq!(est.srtt(), Some(0.1));
-        assert_eq!(est.rttvar(), Some(0.05));
         assert_eq!(est.rto(), Some(0.1 + 4.0 * 0.05));
     }
 
@@ -108,7 +101,7 @@ mod tests {
             est.observe(0.02);
         }
         let srtt = est.srtt().unwrap();
-        let rttvar = est.rttvar().unwrap();
+        let rttvar = (est.rto().unwrap() - srtt) / 4.0;
         assert!((srtt - 0.02).abs() < 1e-9, "srtt {srtt}");
         assert!(rttvar < 1e-9, "rttvar {rttvar}");
     }

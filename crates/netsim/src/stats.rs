@@ -78,7 +78,7 @@ impl PhaseBucket {
     /// Books computation time. Debug builds reject negative or
     /// non-finite bookings so fault-path re-costing bugs fail fast
     /// instead of corrupting reports.
-    pub fn book_comp(&mut self, seconds: f64) {
+    pub(crate) fn book_comp(&mut self, seconds: f64) {
         debug_assert!(
             seconds.is_finite() && seconds >= 0.0,
             "invalid computation booking: {seconds}"
@@ -88,7 +88,7 @@ impl PhaseBucket {
 
     /// Books communication (data transfer) time; see
     /// [`book_comp`](Self::book_comp) for the validity contract.
-    pub fn book_comm(&mut self, seconds: f64) {
+    pub(crate) fn book_comm(&mut self, seconds: f64) {
         debug_assert!(
             seconds.is_finite() && seconds >= 0.0,
             "invalid communication booking: {seconds}"
@@ -98,7 +98,7 @@ impl PhaseBucket {
 
     /// Books synchronization (control transfer) time; see
     /// [`book_comp`](Self::book_comp) for the validity contract.
-    pub fn book_sync(&mut self, seconds: f64) {
+    pub(crate) fn book_sync(&mut self, seconds: f64) {
         debug_assert!(
             seconds.is_finite() && seconds >= 0.0,
             "invalid synchronization booking: {seconds}"

@@ -21,7 +21,7 @@ use std::time::Duration;
 /// Marker carried by every chaos-injected panic payload. The pool's
 /// catch-unwind boundary and the [`quiet_injected_panics`] hook both
 /// key on it; real (non-injected) panics never contain it.
-pub const INJECTED_PANIC: &str = "cpc-pool chaos: injected worker panic";
+pub(crate) const INJECTED_PANIC: &str = "cpc-pool chaos: injected worker panic";
 
 /// Longest pause the executor will honor, whatever a plan asks for.
 const PAUSE_CEIL: Duration = Duration::from_secs(1);
@@ -137,7 +137,7 @@ impl SchedChaos {
 
     /// Record one task start; returns true when this exact start is an
     /// armed `TaskPanic` (fires once, then re-execution sails through).
-    pub fn on_task_start(&self) -> bool {
+    pub(crate) fn on_task_start(&self) -> bool {
         let nth = self.started.fetch_add(1, Ordering::Relaxed) + 1;
         for (slot, fault) in self.fired.iter().zip(&self.plan.faults) {
             if let SchedFault::TaskPanic { at_start } = *fault {
@@ -152,7 +152,7 @@ impl SchedChaos {
 
     /// Record one instrumented yield point for `worker`; stalls the
     /// calling thread when the plan scheduled a pause here.
-    pub fn at_yield_point(&self, worker: usize) {
+    pub(crate) fn at_yield_point(&self, worker: usize) {
         let slot = worker.min(self.points.len() - 1);
         let nth = self.points[slot].fetch_add(1, Ordering::Relaxed) + 1;
         for (latch, fault) in self.fired.iter().zip(&self.plan.faults) {
@@ -179,11 +179,6 @@ impl SchedChaos {
     /// Pauses actually taken so far.
     pub fn pauses_taken(&self) -> usize {
         self.pauses_taken.load(Ordering::Relaxed)
-    }
-
-    /// Task starts observed (re-executions included).
-    pub fn task_starts(&self) -> usize {
-        self.started.load(Ordering::Relaxed)
     }
 }
 
@@ -228,7 +223,6 @@ mod tests {
         let fired: Vec<bool> = (0..5).map(|_| chaos.on_task_start()).collect();
         assert_eq!(fired, vec![false, false, true, false, false]);
         assert_eq!(chaos.injected_panics(), 1);
-        assert_eq!(chaos.task_starts(), 5);
     }
 
     #[test]

@@ -35,7 +35,8 @@
 
 pub mod chaos;
 
-pub use chaos::{quiet_injected_panics, SchedChaos, SchedFault, SchedFaultPlan, INJECTED_PANIC};
+use chaos::INJECTED_PANIC;
+pub use chaos::{quiet_injected_panics, SchedChaos, SchedFault, SchedFaultPlan};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -129,11 +130,6 @@ impl Pool {
     /// Configured worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// True when every map runs inline on the caller.
-    pub fn is_sequential(&self) -> bool {
-        self.threads <= 1
     }
 
     /// Snapshot the pool's lifetime counters.

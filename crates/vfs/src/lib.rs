@@ -46,7 +46,7 @@ mod sim;
 pub use explore::{explore_crashes, CrashReport};
 pub use plan::{DiskFault, DiskFaultPlan};
 pub use real::RealFs;
-pub use sim::{is_power_cut, power_cut_error, DiskCounters, SimFs};
+pub use sim::{DiskCounters, SimFs};
 
 /// An open file handle behind the [`Fs`] abstraction. Writes land in
 /// the (simulated or real) page cache; [`VfsFile::sync`] is the only
@@ -105,7 +105,7 @@ pub fn real_fs() -> SharedFs {
 
 /// ENOSPC as an `io::Error`, carrying the OS error code so
 /// [`is_enospc`] recognizes simulated and real instances alike.
-pub fn enospc_error() -> io::Error {
+pub(crate) fn enospc_error() -> io::Error {
     io::Error::from_raw_os_error(28) // ENOSPC
 }
 
@@ -119,7 +119,7 @@ pub fn is_enospc(e: &io::Error) -> bool {
 }
 
 /// EIO as an `io::Error` (simulated media failure).
-pub fn eio_error() -> io::Error {
+pub(crate) fn eio_error() -> io::Error {
     io::Error::from_raw_os_error(5) // EIO
 }
 

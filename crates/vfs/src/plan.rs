@@ -87,14 +87,6 @@ impl DiskFaultPlan {
         self
     }
 
-    /// Whether the plan schedules a persistent ENOSPC (the driver must
-    /// plan to lift it).
-    pub fn has_persistent_enospc(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, DiskFault::EnospcPersistent { .. }))
-    }
-
     /// Validates bounds: fractions in [0, 1], transient windows
     /// non-empty.
     pub fn validate(&self) -> Result<(), String> {
@@ -130,7 +122,6 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: DiskFaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
-        assert!(!plan.has_persistent_enospc());
         assert!(plan.validate().is_ok());
     }
 

@@ -29,13 +29,13 @@ use std::sync::{Arc, Mutex};
 
 /// The error every operation returns after a simulated power cut and
 /// before [`SimFs::restart`].
-pub fn power_cut_error() -> io::Error {
+pub(crate) fn power_cut_error() -> io::Error {
     io::Error::other("simulated power cut")
 }
 
 /// Whether an error is the simulated power cut (the driver's signal
 /// to end the incarnation and restart from durable state).
-pub fn is_power_cut(e: &io::Error) -> bool {
+pub(crate) fn is_power_cut(e: &io::Error) -> bool {
     e.get_ref()
         .map(|r| r.to_string() == "simulated power cut")
         .unwrap_or(false)
@@ -326,7 +326,7 @@ impl SimFs {
 
     /// Schedules an additional power cut at op `at` (1-based; the op
     /// with that index fails). The crash-point explorer's primitive.
-    pub fn crash_at_op(&self, at: u64) {
+    pub(crate) fn crash_at_op(&self, at: u64) {
         self.lock().faults.push((
             DiskFault::PowerLoss {
                 at,

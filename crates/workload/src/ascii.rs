@@ -4,7 +4,7 @@
 
 /// A horizontal bar of `#` characters proportional to `value / max`,
 /// `width` characters at full scale.
-pub fn hbar(value: f64, max: f64, width: usize, ch: char) -> String {
+pub(crate) fn hbar(value: f64, max: f64, width: usize, ch: char) -> String {
     if max <= 0.0 || value <= 0.0 {
         return String::new();
     }
@@ -14,7 +14,7 @@ pub fn hbar(value: f64, max: f64, width: usize, ch: char) -> String {
 
 /// A stacked horizontal bar: one glyph per component, proportional
 /// lengths, total scaled to `max` over `width` characters.
-pub fn stacked_bar(parts: &[(f64, char)], max: f64, width: usize) -> String {
+pub(crate) fn stacked_bar(parts: &[(f64, char)], max: f64, width: usize) -> String {
     if max <= 0.0 {
         return String::new();
     }
@@ -69,7 +69,7 @@ pub fn secs(t: f64) -> String {
 }
 
 /// Formats a percentage with 1 decimal.
-pub fn pct(v: f64) -> String {
+pub(crate) fn pct(v: f64) -> String {
     format!("{v:5.1}%")
 }
 

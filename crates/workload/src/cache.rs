@@ -6,7 +6,7 @@
 //! result, bit for bit — so a cell's result can be addressed purely by
 //! the *content of its request*: [`CacheKey::of`] hashes the canonical
 //! JSON of the task together with a protocol string and the crate's
-//! [`code_version`]. Cache entries use the same checksum discipline as
+//! `code_version`. Cache entries use the same checksum discipline as
 //! the [`Journal`](crate::journal::Journal) (`{crc:016x} {json}`), are
 //! published through [`cpc_vfs::atomic_publish`] (tmp, fsync, rename,
 //! directory fsync), and a damaged entry — torn, bit-flipped,
@@ -26,13 +26,13 @@ use std::path::{Path, PathBuf};
 /// Bumped whenever the meaning of cached bytes changes (entry format,
 /// result schema, physics). Folded into every [`CacheKey`], so a
 /// version bump invalidates the whole cache without touching it.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+pub(crate) const CACHE_FORMAT_VERSION: u32 = 1;
 
 /// The code-version component of every cache key: a result is only
 /// addressable by a binary built from the same crate version and cache
 /// format. (The virtual cluster is deterministic *within* one build;
 /// across versions the physics may legitimately differ.)
-pub fn code_version() -> String {
+pub(crate) fn code_version() -> String {
     format!(
         "cpc-{}+fmt{}",
         env!("CARGO_PKG_VERSION"),
@@ -49,7 +49,7 @@ impl CacheKey {
     /// serializable that fully determines the work (an experiment
     /// point, a `(seed, FaultPlan)` pair, a scenario key); `protocol`
     /// carries whatever the task type leaves implicit (step count,
-    /// energy model, workload). The crate's [`code_version`] is always
+    /// energy model, workload). The crate's `code_version` is always
     /// folded in.
     pub fn of<T: Serialize>(task: &T, protocol: &str) -> io::Result<CacheKey> {
         let json = serde_json::to_string(task)
@@ -227,26 +227,6 @@ impl ResultCache {
         v
     }
 
-    /// Paths of quarantined (damaged, moved-aside) entries, sorted.
-    pub fn quarantine_paths(&self) -> Vec<PathBuf> {
-        let mut v: Vec<PathBuf> = self
-            .fs
-            .read_dir(&self.dir)
-            .map(|paths| {
-                paths
-                    .into_iter()
-                    .filter(|p| {
-                        p.extension()
-                            .and_then(|x| x.to_str())
-                            .is_some_and(|x| x.starts_with("bad-"))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        v.sort();
-        v
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -262,6 +242,23 @@ mod tests {
         let d = std::env::temp_dir().join(format!("cpc-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    /// Quarantined (damaged, moved-aside) entries of `cache`, sorted.
+    fn quarantine_paths(cache: &ResultCache) -> Vec<PathBuf> {
+        let mut v: Vec<PathBuf> = cache
+            .fs
+            .read_dir(&cache.dir)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|p| {
+                p.extension()
+                    .and_then(|x| x.to_str())
+                    .is_some_and(|x| x.starts_with("bad-"))
+            })
+            .collect();
+        v.sort();
+        v
     }
 
     #[test]
@@ -327,7 +324,7 @@ mod tests {
             assert!(cache.get::<Vec<f64>>(&key).is_none());
         }
         assert_eq!(cache.stats().corrupt, 2);
-        let quarantined = cache.quarantine_paths();
+        let quarantined = quarantine_paths(&cache);
         assert_eq!(quarantined.len(), 2, "both corrupt bodies preserved");
         let bodies: Vec<String> = quarantined
             .iter()

@@ -114,42 +114,6 @@ pub fn full_factorial(proc_counts: &[usize]) -> Vec<ExperimentPoint> {
     points
 }
 
-/// The fractional (one-factor-at-a-time) design the paper actually
-/// discusses: start at the focal point and vary each factor alone.
-pub fn one_factor_at_a_time(proc_counts: &[usize]) -> Vec<ExperimentPoint> {
-    let mut points = Vec::new();
-    for &procs in proc_counts {
-        points.push(ExperimentPoint::focal(procs));
-    }
-    // Vary networking.
-    for network in [NetworkKind::ScoreGigE, NetworkKind::MyrinetGm] {
-        for &procs in proc_counts {
-            points.push(ExperimentPoint {
-                network,
-                ..ExperimentPoint::focal(procs)
-            });
-        }
-    }
-    // Vary middleware.
-    for &procs in proc_counts {
-        points.push(ExperimentPoint {
-            middleware: Middleware::Cmpi,
-            ..ExperimentPoint::focal(procs)
-        });
-    }
-    // Vary node configuration (on TCP and on Myrinet, as in Fig. 9).
-    for network in [NetworkKind::TcpGigE, NetworkKind::MyrinetGm] {
-        for &procs in proc_counts {
-            points.push(ExperimentPoint {
-                network,
-                node: NodeConfig::Dual,
-                ..ExperimentPoint::focal(procs)
-            });
-        }
-    }
-    points
-}
-
 /// The paper's processor counts for the scaling figures.
 pub const PAPER_PROC_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -193,14 +157,6 @@ mod tests {
             procs: 8,
         };
         assert_eq!(p.cluster().nodes(), 4);
-    }
-
-    #[test]
-    fn ofat_contains_focal_and_variations() {
-        let points = one_factor_at_a_time(&[1, 2]);
-        assert!(points.contains(&ExperimentPoint::focal(1)));
-        // 1 focal + 2 networks + 1 middleware + 2 node variations = 6 series x 2 procs.
-        assert_eq!(points.len(), 12);
     }
 
     #[test]

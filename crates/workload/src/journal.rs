@@ -72,7 +72,7 @@ impl<T: Serialize + Deserialize> Journal<T> {
     }
 
     /// [`Journal::create`] on an explicit filesystem.
-    pub fn create_on(fs: SharedFs, path: impl Into<PathBuf>) -> io::Result<Self> {
+    pub(crate) fn create_on(fs: SharedFs, path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         if let Some(parent) = path.parent() {
             fs.create_dir_all(parent)?;
@@ -101,7 +101,10 @@ impl<T: Serialize + Deserialize> Journal<T> {
     }
 
     /// [`Journal::resume`] on an explicit filesystem.
-    pub fn resume_on(fs: SharedFs, path: impl Into<PathBuf>) -> io::Result<(Self, Recovery<T>)> {
+    pub(crate) fn resume_on(
+        fs: SharedFs,
+        path: impl Into<PathBuf>,
+    ) -> io::Result<(Self, Recovery<T>)> {
         let path = path.into();
         let recovery = Self::load_on(fs.as_ref(), &path)?;
         let journal = Self::publish_and_open(fs, path, &recovery.entries)?;
@@ -125,7 +128,7 @@ impl<T: Serialize + Deserialize> Journal<T> {
     }
 
     /// [`Journal::resume_keyed`] on an explicit filesystem.
-    pub fn resume_keyed_on<K, F>(
+    pub(crate) fn resume_keyed_on<K, F>(
         fs: SharedFs,
         path: impl Into<PathBuf>,
         key: F,
@@ -243,11 +246,6 @@ impl<T: Serialize + Deserialize> Journal<T> {
             self.poisoned = true;
         }
         result
-    }
-
-    /// Whether an earlier append failed, leaving the tail untrusted.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
     }
 
     /// The journal's path.
@@ -540,7 +538,7 @@ mod tests {
         let mut j: Journal<Measurement> = Journal::create_on(fs.clone(), path).unwrap();
         j.append(&fake_measurement(1)).unwrap();
         assert!(j.append(&fake_measurement(2)).is_err(), "fsync failed");
-        assert!(j.is_poisoned());
+        assert!(j.poisoned);
         let e = j.append(&fake_measurement(4)).unwrap_err();
         assert!(e.to_string().contains("poisoned"), "got: {e}");
         drop(j);

@@ -33,9 +33,9 @@ pub mod runner;
 pub mod service;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
-pub use factors::{full_factorial, one_factor_at_a_time, ExperimentPoint, NodeConfig};
+pub use factors::{full_factorial, ExperimentPoint, NodeConfig};
 pub use figures::Lab;
 pub use journal::{Journal, Recovery};
-pub use queue::{LeasedTask, QueueEvent, QueueRecovery, WorkQueue};
+pub use queue::{LeasedTask, WorkQueue};
 pub use runner::{measure, measure_with_model, myoglobin_shared, Measurement};
 pub use service::{BatchReport, JobService, ServiceConfig, ServiceOutcome};

@@ -9,7 +9,7 @@
 //! exponentially across retries until a bounded attempt budget
 //! abandons the task to a dead-letter state.
 //!
-//! State changes are journaled as [`QueueEvent`]s across `shards`
+//! State changes are journaled as `QueueEvent`s across `shards`
 //! checksummed JSONL files (`queue-NN.jsonl`, shard chosen by key
 //! hash), using the same [`Journal`] discipline as results: a kill
 //! mid-write tears at most the tail of one shard, and recovery
@@ -32,17 +32,17 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Default cap on lease attempts before a task is abandoned.
-pub const DEFAULT_MAX_ATTEMPTS: usize = 4;
+pub(crate) const DEFAULT_MAX_ATTEMPTS: usize = 4;
 
 /// Floor on the adaptive lease timeout (virtual seconds): with no
 /// service-time samples yet, leases expire after this long.
-pub const LEASE_FLOOR: f64 = 1.0;
+pub(crate) const LEASE_FLOOR: f64 = 1.0;
 
 /// One durable queue state change. The event log *is* the queue: the
 /// in-memory table is always reconstructible by replaying shard
 /// prefixes in order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum QueueEvent {
+pub(crate) enum QueueEvent {
     /// A task became known to the queue.
     Enqueue {
         /// Opaque task key (canonical JSON of the request).
@@ -120,7 +120,7 @@ struct TaskMeta {
 
 /// What recovery found on disk.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct QueueRecovery {
+pub(crate) struct QueueRecovery {
     /// Tasks known to the recovered queue.
     pub tasks: usize,
     /// Tasks already completed before the kill.
@@ -204,7 +204,11 @@ impl WorkQueue {
     }
 
     /// Creates a fresh queue on an injected filesystem.
-    pub fn create_on(fs: SharedFs, dir: impl Into<PathBuf>, shards: usize) -> io::Result<Self> {
+    pub(crate) fn create_on(
+        fs: SharedFs,
+        dir: impl Into<PathBuf>,
+        shards: usize,
+    ) -> io::Result<Self> {
         let dir = dir.into();
         fs.create_dir_all(&dir)?;
         let shards = shards.max(1);
@@ -224,17 +228,12 @@ impl WorkQueue {
         })
     }
 
-    /// Recovers the queue from `dir`: each shard's intact journal
-    /// prefix is replayed (torn tails dropped and counted), events are
-    /// merged in lease-id order so cross-shard causality is preserved,
-    /// and any lease still open — its holder is necessarily dead — is
-    /// reclaimed.
-    pub fn recover(dir: impl Into<PathBuf>, shards: usize) -> io::Result<(Self, QueueRecovery)> {
-        Self::recover_on(real_fs(), dir, shards)
-    }
-
-    /// [`WorkQueue::recover`] on an injected filesystem.
-    pub fn recover_on(
+    /// Recovers the queue from `dir` on `fs`: each shard's intact
+    /// journal prefix is replayed (torn tails dropped and counted),
+    /// events are merged in lease-id order so cross-shard causality is
+    /// preserved, and any lease still open — its holder is necessarily
+    /// dead — is reclaimed.
+    pub(crate) fn recover_on(
         fs: SharedFs,
         dir: impl Into<PathBuf>,
         shards: usize,
@@ -369,7 +368,7 @@ impl WorkQueue {
     }
 
     /// Overrides the retry budget (default [`DEFAULT_MAX_ATTEMPTS`]).
-    pub fn with_max_attempts(mut self, attempts: usize) -> Self {
+    pub(crate) fn with_max_attempts(mut self, attempts: usize) -> Self {
         self.max_attempts = attempts.max(1);
         self
     }
@@ -393,7 +392,7 @@ impl WorkQueue {
     /// (1-based): the Jacobson/Karels RTO over observed service times
     /// (floored at [`LEASE_FLOOR`]), doubled per prior attempt —
     /// exponential backoff exactly as TCP backs off retransmits.
-    pub fn lease_timeout(&self, attempt: usize) -> f64 {
+    pub(crate) fn lease_timeout(&self, attempt: usize) -> f64 {
         let base = self.estimator.rto().unwrap_or(LEASE_FLOOR).max(LEASE_FLOOR);
         base * f64::powi(2.0, attempt.saturating_sub(1) as i32)
     }
@@ -426,7 +425,7 @@ impl WorkQueue {
     /// Marks `key` done without execution — used to pre-seed the
     /// queue from recovered results (journal prefix or cache) so
     /// finished cells are never re-dispatched. No-op unless pending.
-    pub fn mark_done(&mut self, key: &str) -> io::Result<bool> {
+    pub(crate) fn mark_done(&mut self, key: &str) -> io::Result<bool> {
         match self.tasks.get(key) {
             Some(meta) if meta.state == TaskState::Pending => {
                 self.log(&QueueEvent::Complete {
@@ -487,7 +486,7 @@ impl WorkQueue {
     }
 
     /// Whether `key` is currently pending (dispatchable).
-    pub fn is_pending(&self, key: &str) -> bool {
+    pub(crate) fn is_pending(&self, key: &str) -> bool {
         matches!(
             self.tasks.get(key),
             Some(TaskMeta {
@@ -529,7 +528,7 @@ impl WorkQueue {
     /// attempt budget go back to pending (with backoff already baked
     /// into their next lease's timeout); tasks beyond it are
     /// dead-lettered. Returns (reclaimed, abandoned) counts.
-    pub fn reclaim_expired(&mut self) -> io::Result<(usize, usize)> {
+    pub(crate) fn reclaim_expired(&mut self) -> io::Result<(usize, usize)> {
         let expired: Vec<(String, u64, usize)> = self
             .order
             .iter()
@@ -562,7 +561,7 @@ impl WorkQueue {
     }
 
     /// Whether `key` is completed.
-    pub fn is_done(&self, key: &str) -> bool {
+    pub(crate) fn is_done(&self, key: &str) -> bool {
         matches!(
             self.tasks.get(key),
             Some(TaskMeta {
@@ -583,44 +582,19 @@ impl WorkQueue {
     }
 
     /// Completed task count.
-    pub fn done_count(&self) -> usize {
+    pub(crate) fn done_count(&self) -> usize {
         self.tasks
             .values()
             .filter(|m| m.state == TaskState::Done)
             .count()
     }
 
-    /// Pending task count.
-    pub fn pending_count(&self) -> usize {
-        self.tasks
-            .values()
-            .filter(|m| m.state == TaskState::Pending)
-            .count()
-    }
-
-    /// Currently leased task count.
-    pub fn leased_count(&self) -> usize {
-        self.tasks
-            .values()
-            .filter(|m| matches!(m.state, TaskState::Leased { .. }))
-            .count()
-    }
-
     /// Dead-lettered task count.
-    pub fn abandoned_count(&self) -> usize {
+    pub(crate) fn abandoned_count(&self) -> usize {
         self.tasks
             .values()
             .filter(|m| m.state == TaskState::Abandoned)
             .count()
-    }
-
-    /// Keys of dead-lettered tasks, in enqueue order.
-    pub fn abandoned_keys(&self) -> Vec<String> {
-        self.order
-            .iter()
-            .filter(|k| self.tasks[*k].state == TaskState::Abandoned)
-            .cloned()
-            .collect()
     }
 
     /// True when every task is done or dead-lettered.
@@ -632,7 +606,7 @@ impl WorkQueue {
 
     /// Advances virtual time without a completion (used by chaos
     /// schedules to force lease expiry).
-    pub fn advance_clock(&mut self, dt: f64) {
+    pub(crate) fn advance_clock(&mut self, dt: f64) {
         self.clock += dt.max(0.0);
     }
 }
@@ -729,7 +703,7 @@ mod tests {
             q.reclaim_expired().unwrap();
         }
         assert_eq!(q.abandoned_count(), 1);
-        assert_eq!(q.abandoned_keys(), vec!["poison".to_string()]);
+        assert_eq!(q.tasks["poison"].state, TaskState::Abandoned);
         assert!(q.lease(0).unwrap().is_none(), "dead-lettered, not retried");
         assert!(q.drained());
         let _ = std::fs::remove_dir_all(&dir);
@@ -751,12 +725,11 @@ mod tests {
             let _in_flight = q.lease(1).unwrap().unwrap();
             // Process dies here: q dropped without completing.
         }
-        let (mut q, rec) = WorkQueue::recover(&dir, 3).unwrap();
+        let (mut q, rec) = WorkQueue::recover_on(real_fs(), &dir, 3).unwrap();
         assert_eq!(rec.tasks, 6);
         assert_eq!(rec.done, 2);
         assert_eq!(rec.reclaimed, 1, "the in-flight lease is reclaimed");
         assert_eq!(rec.dropped_lines, 0);
-        assert_eq!(q.pending_count(), 4);
         // The reclaimed cell is re-dispatched; nothing done is.
         let mut served = Vec::new();
         while let Some(t) = q.lease(0).unwrap() {
@@ -784,13 +757,13 @@ mod tests {
         let text = std::fs::read_to_string(&shard0).unwrap();
         std::fs::write(&shard0, format!("{text}deadbeef {{\"Lease\":")).unwrap();
 
-        let (q, rec) = WorkQueue::recover(&dir, 2).unwrap();
+        let (q, rec) = WorkQueue::recover_on(real_fs(), &dir, 2).unwrap();
         assert_eq!(rec.dropped_lines, 1);
         assert_eq!(rec.tasks, 4, "intact prefix keeps all enqueues");
         assert_eq!(rec.done, 1);
         // The torn tail was truncated: a second recovery is clean.
         drop(q);
-        let (_, rec2) = WorkQueue::recover(&dir, 2).unwrap();
+        let (_, rec2) = WorkQueue::recover_on(real_fs(), &dir, 2).unwrap();
         assert_eq!(rec2.dropped_lines, 0);
         assert_eq!(rec2.done, 1);
         let _ = std::fs::remove_dir_all(&dir);

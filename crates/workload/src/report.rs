@@ -78,7 +78,7 @@ pub fn run_campaign(lab: &mut Lab<'_>, out_dir: impl AsRef<Path>) -> io::Result<
 ///
 /// Paper values are read off the published charts (the paper prints few
 /// exact numbers); the comparison targets *shapes*.
-pub fn paper_comparison(lab: &mut Lab<'_>) -> String {
+pub(crate) fn paper_comparison(lab: &mut Lab<'_>) -> String {
     let f1 = lab.measure(ExperimentPoint::focal(1));
     let f2 = lab.measure(ExperimentPoint::focal(2));
     let f8 = lab.measure(ExperimentPoint::focal(8));

@@ -129,18 +129,18 @@ pub fn quick_pme_params() -> PmeParams {
     }
 }
 
-/// Runs a point against the quick system (for tests and demos).
-pub fn measure_quick(point: ExperimentPoint, steps: usize) -> Measurement {
-    static SYSTEM: OnceLock<System> = OnceLock::new();
-    let sys = SYSTEM.get_or_init(quick_system);
-    measure_with_model(sys, point, steps, EnergyModel::Pme(quick_pme_params()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::factors::{ExperimentPoint, NodeConfig};
     use cpc_cluster::NetworkKind;
+
+    /// Runs a point against the quick system, as a `--quick` campaign does.
+    fn measure_quick(point: ExperimentPoint, steps: usize) -> Measurement {
+        static SYSTEM: OnceLock<System> = OnceLock::new();
+        let sys = SYSTEM.get_or_init(quick_system);
+        measure_with_model(sys, point, steps, EnergyModel::Pme(quick_pme_params()))
+    }
 
     #[test]
     fn paper_pme_beta_matches_cutoff() {

@@ -918,7 +918,7 @@ pub fn artifact_digest(path: impl AsRef<Path>) -> Option<u64> {
 }
 
 /// [`artifact_digest`] on an injected filesystem, so the disk-fault
-/// campaigns can fingerprint artifacts living inside a [`SimFs`] image.
+/// campaigns can fingerprint artifacts living inside a [`SimFs`](cpc_vfs::SimFs) image.
 pub fn artifact_digest_on(fs: &dyn Fs, path: impl AsRef<Path>) -> Option<u64> {
     fs.read(path.as_ref()).ok().map(|bytes| fnv1a64(&bytes))
 }

@@ -39,14 +39,6 @@ impl Value {
         }
     }
 
-    /// Numeric view as `i64` (integers only).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// Numeric view as `u64` (non-negative integers only).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
