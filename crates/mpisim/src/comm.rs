@@ -95,12 +95,6 @@ impl<'a> Comm<'a> {
         self.members[local]
     }
 
-    /// Engine rank of logical member `local` (for group communicators
-    /// layered on top of this one).
-    pub(crate) fn to_global(&self, local: usize) -> usize {
-        self.members[local]
-    }
-
     fn next_epoch(&mut self, op_id: u64) -> u64 {
         self.epoch += 1;
         (self.epoch << 8) | op_id

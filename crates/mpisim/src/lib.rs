@@ -33,13 +33,11 @@
 
 pub mod comm;
 pub mod detector;
-pub mod group;
 pub mod middleware;
 
 pub use comm::Comm;
 pub use cpc_cluster::CommError;
 pub use detector::{DetectorConfig, FailureDetector, PHI_SCALE};
-pub use group::GroupComm;
 pub use middleware::{CombineAlgo, Middleware};
 
 /// Splits `n` items into `p` contiguous, maximally even blocks and
