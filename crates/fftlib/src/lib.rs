@@ -33,8 +33,10 @@ pub mod complex;
 pub mod dft;
 pub mod fft3d;
 pub mod plan;
+mod wide;
 
 pub use complex::Complex64;
 pub use dft::{dft, idft};
 pub use fft3d::{transform_axis, Axis, Dims3, Fft3d};
 pub use plan::{factorize, flops_estimate, is_smooth, Direction, FftPlan, LANES};
+pub use wide::{has_wide_lanes, wide};

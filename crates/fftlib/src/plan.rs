@@ -202,6 +202,7 @@ impl FftPlan {
     /// Transforms `count` lines of `data` in place, [`LANES`] at a time.
     /// Element `i` of line `l` lives at
     /// `data[l * line_stride + i * elem_stride]`.
+    #[inline(always)]
     pub(crate) fn execute_lines(
         &self,
         data: &mut [Complex64],
@@ -291,6 +292,7 @@ impl MixedRadix {
 
     /// Runs every combine pass, deepest level first, over `L` lines
     /// whose leaves are already in place.
+    #[inline(always)]
     fn run<const L: usize>(&self, re: &mut [[f64; L]], im: &mut [[f64; L]], dir: Direction) {
         for stage in self.stages.iter().rev() {
             let tw = &stage.twiddles[dir as usize];
@@ -326,6 +328,7 @@ fn fill_perm(stages: &[Stage], offset: usize, stride: usize, perm: &mut [usize])
 /// `j = 0`), `acc = t_0`, then `acc = (acc + t_j.re * w.re) - t_j.im *
 /// w.im` (and the matching imaginary part) for `j = 1..R` in order, so
 /// the result does not depend on whether the lane loops vectorise.
+#[inline(always)]
 fn combine<const R: usize, const L: usize>(
     re: &mut [[f64; L]],
     im: &mut [[f64; L]],

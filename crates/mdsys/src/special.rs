@@ -16,6 +16,11 @@
 //! whether the compiler vectorises the lane loops. The scalar
 //! [`erf`]/[`erfc`] are the one-lane instantiation; [`erf_batch`] /
 //! [`erfc_batch`] run [`LANES`] arguments side by side (DESIGN.md §20).
+//!
+//! The batch entry points run one of two compilations of that one
+//! source: the baseline one, or on a CPU with AVX2 the same recurrences
+//! compiled for its sixteen 256-bit registers, chosen at run time. By
+//! the lane contract both return the same bits (DESIGN.md §31).
 
 use std::f64::consts::PI;
 
@@ -41,12 +46,21 @@ pub fn erfc(x: f64) -> f64 {
 /// # Panics
 /// If the three slices differ in length.
 pub fn erf_batch(x: &[f64], out: &mut [f64], gauss: &mut [f64]) {
-    batch::<LANES>(Func::Erf, x, out, gauss);
+    dispatch(Func::Erf, x, out, gauss);
 }
 
 /// [`erf_batch`] for `erfc`.
 pub fn erfc_batch(x: &[f64], out: &mut [f64], gauss: &mut [f64]) {
-    batch::<LANES>(Func::Erfc, x, out, gauss);
+    dispatch(Func::Erfc, x, out, gauss);
+}
+
+/// `batch::<LANES>`, compiled for AVX2 when the CPU has it
+/// (`cpc_fft::wide`, DESIGN.md §31).
+fn dispatch(func: Func, x: &[f64], out: &mut [f64], gauss: &mut [f64]) {
+    cpc_fft::wide(
+        #[inline(always)]
+        || batch::<LANES>(func, x, out, gauss),
+    );
 }
 
 fn one_lane(func: Func, x: f64) -> f64 {
@@ -64,6 +78,7 @@ enum Func {
 impl Func {
     /// The function of `x` from what its branch computed for `|x|`:
     /// `erf(|x|)` from the series, `erfc(|x|)` from the fraction.
+    #[inline(always)]
     fn finish(self, x: f64, branch_value: f64, series: bool) -> f64 {
         let v = match (self, series) {
             (Func::Erf, true) | (Func::Erfc, false) => branch_value,
@@ -86,6 +101,7 @@ struct Queue<const L: usize> {
 }
 
 impl<const L: usize> Queue<L> {
+    #[inline(always)]
     fn new() -> Self {
         Queue {
             arg: [0.0; L],
@@ -95,6 +111,7 @@ impl<const L: usize> Queue<L> {
     }
 
     /// Queues `|x|` for output `slot`; true when the queue is full.
+    #[inline(always)]
     fn push(&mut self, slot: usize, arg: f64) -> bool {
         self.arg[self.len] = arg;
         self.slot[self.len] = slot;
@@ -104,6 +121,7 @@ impl<const L: usize> Queue<L> {
 
     /// The queued arguments, the tail padded with a copy of a live lane
     /// so that no lane iterates on garbage, and the queue emptied.
+    #[inline(always)]
     fn take(&mut self) -> ([f64; L], &[usize]) {
         for l in self.len..L {
             self.arg[l] = self.arg[0];
@@ -117,34 +135,24 @@ impl<const L: usize> Queue<L> {
 /// `|x|` and flushes each `L` at a time. Non-finite arguments take their
 /// limits without entering a recurrence (where infinity would compute
 /// `inf * 0` and NaN would never converge).
+///
+/// `#[inline(always)]`, as is every function it calls, so that the AVX2
+/// copy in `dispatch` compiles the recurrences themselves for AVX2; a
+/// closure or an out-of-line call would keep them baseline code.
+#[inline(always)]
 fn batch<const L: usize>(func: Func, x: &[f64], out: &mut [f64], gauss: &mut [f64]) {
     assert!(x.len() == out.len() && x.len() == gauss.len());
-    let flush = |q: &mut Queue<L>, series: bool, out: &mut [f64], gauss: &mut [f64]| {
-        if q.len == 0 {
-            return;
-        }
-        let (arg, slots) = q.take();
-        let (value, g) = if series {
-            (erf_series(arg), arg.map(|a| (-a * a).exp()))
-        } else {
-            erfc_cf(arg)
-        };
-        for (l, &i) in slots.iter().enumerate() {
-            out[i] = func.finish(x[i], value[l], series);
-            gauss[i] = g[l];
-        }
-    };
     let mut low = Queue::<L>::new();
     let mut high = Queue::<L>::new();
     for (i, &xi) in x.iter().enumerate() {
         let a = if xi < 0.0 { -xi } else { xi };
         if a <= CROSSOVER {
             if low.push(i, a) {
-                flush(&mut low, true, out, gauss);
+                flush(func, &mut low, true, x, out, gauss);
             }
         } else if a.is_finite() {
             if high.push(i, a) {
-                flush(&mut high, false, out, gauss);
+                flush(func, &mut high, false, x, out, gauss);
             }
         } else {
             // erfc(inf) = 0; NaN stays NaN through `finish`.
@@ -153,8 +161,35 @@ fn batch<const L: usize>(func: Func, x: &[f64], out: &mut [f64], gauss: &mut [f6
             gauss[i] = (-a * a).exp();
         }
     }
-    flush(&mut low, true, out, gauss);
-    flush(&mut high, false, out, gauss);
+    flush(func, &mut low, true, x, out, gauss);
+    flush(func, &mut high, false, x, out, gauss);
+}
+
+/// Runs a queue's branch over its arguments and writes each result to
+/// its slot; the series queue when `series`, the fraction queue
+/// otherwise.
+#[inline(always)]
+fn flush<const L: usize>(
+    func: Func,
+    q: &mut Queue<L>,
+    series: bool,
+    x: &[f64],
+    out: &mut [f64],
+    gauss: &mut [f64],
+) {
+    if q.len == 0 {
+        return;
+    }
+    let (arg, slots) = q.take();
+    let (value, g) = if series {
+        (erf_series(arg), arg.map(|a| (-a * a).exp()))
+    } else {
+        erfc_cf(arg)
+    };
+    for (l, &i) in slots.iter().enumerate() {
+        out[i] = func.finish(x[i], value[l], series);
+        gauss[i] = g[l];
+    }
 }
 
 /// All ones for a lane that has converged, zero while it iterates: a
@@ -176,6 +211,7 @@ fn blend(done: Mask, frozen: f64, next: f64) -> f64 {
 
 /// Maclaurin series: erf(x) = 2/sqrt(pi) sum_n (-1)^n x^(2n+1)/(n!(2n+1)),
 /// for `L` arguments in `[0, CROSSOVER]`.
+#[inline(always)]
 fn erf_series<const L: usize>(x: [f64; L]) -> [f64; L] {
     let x2 = x.map(|x| x * x);
     let mut term = x; // x^(2n+1)/n!
@@ -204,6 +240,7 @@ fn erf_series<const L: usize>(x: [f64; L]) -> [f64; L] {
 /// Continued fraction for erfc(x), finite x > 0:
 /// erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + 1/2/(x + 1/(x + 3/2/(x + ...)))),
 /// for `L` arguments. Returns the values and the `exp(-x^2)` factors.
+#[inline(always)]
 fn erfc_cf<const L: usize>(x: [f64; L]) -> ([f64; L], [f64; L]) {
     // Modified Lentz evaluation of the continued fraction
     // K = x + (1/2)/(x + 1/(x + (3/2)/(x + 2/(x + ...)))).
@@ -248,6 +285,7 @@ fn erfc_cf<const L: usize>(x: [f64; L]) -> ([f64; L], [f64; L]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::prelude::*;
 
     /// Reference values computed with mpmath at 30 digits (excess
     /// digits intentional: they pin the rounding direction).
@@ -333,6 +371,96 @@ mod tests {
     fn nan_stays_nan() {
         assert!(erf(f64::NAN).is_nan());
         assert!(erfc(f64::NAN).is_nan());
+    }
+
+    /// The inputs of `both_compilations_return_the_same_bits`: every
+    /// length 0 ..= 2·LANES + 1 of three queue mixes, the edge values,
+    /// and 10 000 seeded `β·r` of pairs 1–12 Å apart under the paper's
+    /// Ewald width.
+    fn bit_identity_inputs() -> Vec<Vec<f64>> {
+        let mut rng = SmallRng::seed_from_u64(2002);
+        let beta = crate::ewald::beta_for_cutoff(10.0, 1e-6);
+        let mut sets = Vec::new();
+        for n in 0..=2 * LANES + 1 {
+            sets.push((0..n).map(|i| 0.1 + 0.13 * i as f64).collect());
+            sets.push((0..n).map(|i| 2.2 + 0.37 * i as f64).collect());
+            sets.push((0..n).map(|i| 0.6 * i as f64 - 3.0).collect());
+        }
+        let two = CROSSOVER.to_bits();
+        sets.push(vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(two - 1),
+            CROSSOVER,
+            f64::from_bits(two + 1),
+            -f64::from_bits(two - 1),
+            -CROSSOVER,
+            -f64::from_bits(two + 1),
+            -0.5,
+            -4.25,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ]);
+        sets.push(
+            (0..10_000)
+                .map(|_| beta * (1.0 + 11.0 * rng.gen_f64()))
+                .collect(),
+        );
+        sets
+    }
+
+    /// `erf_batch` and `erfc_batch` run the AVX2 compilation of
+    /// `batch::<LANES>` on a CPU that has AVX2. It must return the bits
+    /// of the baseline compilation, called here directly, and those must
+    /// be the bits recorded from the code before there were two
+    /// compilations. The two compilations share every line of source, so
+    /// a fused multiply-add slipped into a recurrence would agree with
+    /// itself; the recorded digest is what convicts it.
+    ///
+    /// A NaN is compared as a NaN, not by its bits: x86 keeps the first
+    /// operand's NaN and LLVM may commute `-a * a`, so the sign of the
+    /// NaN Gaussian of a NaN argument is a register-allocation choice,
+    /// in either compilation (IEEE 754 leaves it unspecified).
+    #[test]
+    fn both_compilations_return_the_same_bits() {
+        /// fnv1a64 over the `to_bits` of every value and Gaussian, `erf`
+        /// then `erfc` per input set, any NaN as `f64::NAN`, recorded on
+        /// the commit before there were two compilations.
+        const DIGEST: u64 = 0xaf40_5ac3_e3e8_e5a0;
+        let bits = |v: f64| if v.is_nan() { f64::NAN } else { v }.to_bits();
+        let mut bytes = Vec::new();
+        for x in bit_identity_inputs() {
+            for func in [Func::Erf, Func::Erfc] {
+                let n = x.len();
+                let (mut base, mut base_g) = (vec![0.0; n], vec![0.0; n]);
+                batch::<LANES>(func, &x, &mut base, &mut base_g);
+                let (mut got, mut got_g) = (vec![0.0; n], vec![0.0; n]);
+                match func {
+                    Func::Erf => erf_batch(&x, &mut got, &mut got_g),
+                    Func::Erfc => erfc_batch(&x, &mut got, &mut got_g),
+                }
+                for i in 0..n {
+                    assert_eq!(bits(got[i]), bits(base[i]), "value, x = {:e}", x[i]);
+                    assert_eq!(bits(got_g[i]), bits(base_g[i]), "gauss, x = {:e}", x[i]);
+                }
+                for &v in base.iter().chain(&base_g) {
+                    bytes.extend_from_slice(&bits(v).to_le_bytes());
+                }
+            }
+        }
+        if !cpc_fft::has_wide_lanes() {
+            eprintln!("no AVX2 on this CPU: skipped the wide half, checked the digest only");
+        }
+        assert_eq!(
+            crate::snapshot::fnv1a64(&bytes),
+            DIGEST,
+            "the bits moved from the recorded ones"
+        );
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!
 //! Tier-1 `cargo test -q` is a debug build, where the lane loops stay
 //! scalar; `cargo test --workspace --release` (CI) is the run that
-//! exercises the *vectorised* lanes. Keep both.
+//! exercises the *vectorised* lanes. Keep both. On a CPU with AVX2,
+//! `erf_batch`, `erfc_batch` and `transform_axis` run their AVX2
+//! compilation (DESIGN.md §31), so there the release run tests the
+//! 256-bit lanes against these frozen oracles.
 
 use cpc_charmm::decomp::{balanced_pair_cuts, PmeDecomp};
 use cpc_fft::{dft, transform_axis, Axis, Complex64, Dims3, Direction, Fft3d, FftPlan};
