@@ -47,10 +47,10 @@ fn die(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-/// Where this process's kernel evaluations went (stderr only: every
-/// artifact stays byte-identical whatever the memo did).
-fn report_kernel_memo() {
-    eprintln!("{}", cpc_charmm::KernelMemo::global().stats());
+/// How this process's cells ran — recorded, replayed or live again
+/// (stderr only: every artifact stays byte-identical whichever).
+fn report_replay() {
+    eprintln!("{}", cpc_charmm::ScriptStore::global().stats());
 }
 
 /// Drives the full factorial through the crash-safe job service. On a
@@ -122,7 +122,7 @@ fn run_service(
              re-run with --resume to continue",
             outcome.executed
         );
-        report_kernel_memo();
+        report_replay();
         std::process::exit(EXIT_CELL_BUDGET);
     }
     if !outcome.drained || outcome.abandoned > 0 {
@@ -130,7 +130,7 @@ fn run_service(
             "service did not drain: {} cell(s) dead-lettered",
             outcome.abandoned
         );
-        report_kernel_memo();
+        report_replay();
         std::process::exit(1);
     }
 }
@@ -224,5 +224,5 @@ fn main() {
         println!("  {}", p.display());
     }
     println!("  {}", journal_path.display());
-    report_kernel_memo();
+    report_replay();
 }

@@ -226,7 +226,7 @@ fn serve(
                 eprintln!(
                     "serve: injected kill fired; exiting — restart with the same --root to resume"
                 );
-                eprintln!("{}", cpc_charmm::KernelMemo::global().stats());
+                eprintln!("{}", cpc_charmm::ScriptStore::global().stats());
                 std::process::exit(EXIT_CELL_BUDGET);
             }
             if report.granted > 0 {

@@ -956,7 +956,6 @@ where
         .read(&conductor.journal)
         .map(|b| b.iter().filter(|&&x| x == b'\n').count())
         .unwrap_or(0);
-    ledger.sched.stalled = false;
     ledger.disk.disk = conductor.sim.counters();
     ledger.post_executions(
         conductor.executed.load(Ordering::Relaxed),

@@ -255,8 +255,6 @@ pub struct SchedLedger {
     /// Result lines in the final artifact (exactly one per cell, or
     /// a task was lost / doubly committed).
     pub journal_lines: usize,
-    /// Whether the pool's stall watchdog convicted the run.
-    pub stalled: bool,
     /// Whether the chaos pool executed a fresh probe batch afterward
     /// (a panicked worker must never poison the pool).
     pub pool_reusable: bool,
@@ -293,14 +291,6 @@ pub enum SchedViolation {
         executed: usize,
         /// The bound (one per cell).
         allowance: usize,
-    },
-    /// The pool's stall watchdog convicted the schedule: a deadlock
-    /// or unbounded stall under chaos.
-    Deadlocked {
-        /// Cells completed before the stall.
-        completed: usize,
-        /// Cells the campaign comprises.
-        total: usize,
     },
     /// The chaos run's artifact differs from the serial reference —
     /// or either was unreadable, which never counts as identical.
@@ -357,12 +347,6 @@ impl std::fmt::Display for SchedViolation {
                 f,
                 "duplicate execution: {executed} committed, {allowance} allowed"
             ),
-            SchedViolation::Deadlocked { completed, total } => {
-                write!(
-                    f,
-                    "stalled: watchdog convicted at {completed}/{total} cells"
-                )
-            }
             SchedViolation::ArtifactMismatch {
                 artifact,
                 reference,
@@ -399,8 +383,7 @@ impl std::fmt::Display for SchedViolation {
 ///    reference's exact bytes: thread count and interleaving are
 ///    invisible in output. (That a *fault-free* pooled run does so at
 ///    every thread count is `tests/pool_determinism.rs`'s property.)
-/// 3. **No deadlock.** The stall watchdog never convicts.
-/// 4. **Contained panics.** Every injected worker panic is caught at
+/// 3. **Contained panics.** Every injected worker panic is caught at
 ///    the task boundary, its cell reclaimed through the lease-expiry
 ///    path, and the pool stays usable afterward.
 pub(crate) fn check_sched_ledger(ledger: &SchedLedger) -> Vec<SchedViolation> {
@@ -422,12 +405,6 @@ pub(crate) fn check_sched_ledger(ledger: &SchedLedger) -> Vec<SchedViolation> {
         violations.push(SchedViolation::DuplicateExecution {
             executed: ledger.executed,
             allowance: ledger.total_cells,
-        });
-    }
-    if ledger.stalled {
-        violations.push(SchedViolation::Deadlocked {
-            completed: ledger.completed,
-            total: ledger.total_cells,
         });
     }
     if ledger.artifact_digest.is_none()
@@ -1269,14 +1246,6 @@ mod tests {
                 executed: 17,
                 allowance: 16
             }]
-        ));
-        let stalled = SchedLedger {
-            stalled: true,
-            ..clean_sched_ledger()
-        };
-        assert!(matches!(
-            check_sched_ledger(&stalled)[..],
-            [SchedViolation::Deadlocked { .. }]
         ));
         let escaped = SchedLedger {
             panics_injected: 1,

@@ -3,8 +3,7 @@
 //! bonded terms, then partial forces and energies are combined with an
 //! all-to-all collective (CHARMM's global force combine).
 
-use crate::decomp::{classic_partition, pair_cuts, ClassicPartition};
-use crate::memo::{classic_prefix, positions_digest, Digest, KernelMemo, KernelOutput};
+use crate::decomp::{classic_partition, pair_cuts};
 use cpc_cluster::{CostModel, Phase};
 use cpc_md::bonded::{bonded_energy_forces_range, BondedEnergies};
 use cpc_md::nonbonded::{nonbonded_energy_forces, NonbondedEnergies, NonbondedOptions};
@@ -66,54 +65,7 @@ pub(crate) fn classic_energy_parallel_with(
     cost: &CostModel,
     combine: CombineAlgo,
 ) -> ClassicResult {
-    classic_energy_parallel_weighted(comm, system, pairs, opts, cost, combine, None, None)
-}
-
-/// This rank's share of the classic energy: its pair block and its
-/// bonded blocks, accumulated into a zeroed force array.
-fn rank_kernel(
-    system: &System,
-    my_pairs: &[(u32, u32)],
-    part: &ClassicPartition,
-    opts: &NonbondedOptions,
-) -> KernelOutput {
-    let topo = &system.topology;
-    let mut forces = vec![Vec3::ZERO; system.n_atoms()];
-    let (nonbonded, pairs_evaluated) = nonbonded_energy_forces(
-        topo,
-        &system.pbox,
-        &system.positions,
-        my_pairs,
-        opts,
-        &mut forces,
-    );
-    let (bonded, bonded_terms) = bonded_energy_forces_range(
-        topo,
-        &system.pbox,
-        &system.positions,
-        &mut forces,
-        part.bonds.clone(),
-        part.angles.clone(),
-        part.dihedrals.clone(),
-        part.impropers.clone(),
-    );
-    KernelOutput {
-        forces,
-        bonded,
-        nonbonded,
-        pairs_evaluated,
-        bonded_terms,
-    }
-}
-
-/// The paper's platform factors of the cell `comm` runs in — network,
-/// CPUs per node, middleware — packed into one word: the factors that
-/// never move a bit of the trajectory, and so the ones the memo shares
-/// a kernel output across.
-fn platform_of(comm: &mut Comm<'_>) -> u64 {
-    let middleware = comm.middleware() as u64;
-    let cluster = comm.ctx().config();
-    (cluster.network as u64) << 32 | (cluster.cpus_per_node as u64) << 8 | middleware
+    classic_energy_parallel_weighted(comm, system, pairs, opts, cost, combine, None)
 }
 
 /// [`classic_energy_parallel_with`] with optional per-rank capacity
@@ -122,14 +74,6 @@ fn platform_of(comm: &mut Comm<'_>) -> u64 {
 /// to its measured speed). `caps[r]` weights logical rank `r`; `None`
 /// — and uniform weights — reproduce the unweighted cuts exactly, so
 /// fault-free runs stay bit-identical.
-///
-/// With a `memo`, this rank's kernel output is looked up by the
-/// content of everything the kernel reads and computed only on a miss
-/// (or when this cell's platform is the only one that ever asked for
-/// it); the compute charge and the combine below run identically
-/// either way. Callers that measure the kernel or may perturb its
-/// inputs or outputs out of band (faults, SDC, ABFT) pass `None`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn classic_energy_parallel_weighted(
     comm: &mut Comm<'_>,
     system: &System,
@@ -138,35 +82,7 @@ pub(crate) fn classic_energy_parallel_weighted(
     cost: &CostModel,
     combine: CombineAlgo,
     caps: Option<&[f64]>,
-    memo: Option<&KernelMemo>,
 ) -> ClassicResult {
-    let memo = memo.map(|memo| (memo, positions_digest(system)));
-    classic_energy_keyed(
-        comm, system, pairs, opts, cost, combine, caps, memo, &mut None,
-    )
-    .0
-}
-
-/// [`classic_energy_parallel_weighted`] for a caller that keeps the
-/// static part of its content key between evaluations and has digested
-/// the box and the positions ([`positions_digest`]), which `memo` holds
-/// beside the memo. `prefix` is filled on the first memoised call
-/// ([`classic_prefix`] of this rank's share) and continued with that
-/// digest on every one; the caller must empty it whenever `pairs`, the
-/// rank count or `caps` change. Also returns whether the partials were
-/// served from the memo, which the PME tail plan follows.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn classic_energy_keyed(
-    comm: &mut Comm<'_>,
-    system: &System,
-    pairs: &[(u32, u32)],
-    opts: &NonbondedOptions,
-    cost: &CostModel,
-    combine: CombineAlgo,
-    caps: Option<&[f64]>,
-    memo: Option<(&KernelMemo, u128)>,
-    prefix: &mut Option<Digest>,
-) -> (ClassicResult, bool) {
     let p = comm.size();
     let r = comm.rank();
     comm.ctx().set_phase(Phase::Classic);
@@ -189,50 +105,52 @@ pub(crate) fn classic_energy_keyed(
     // shows up as wait time at the combine, as in the real code).
     let cuts = pair_cuts(pairs, p, caps);
     let my_block = cuts[r]..cuts[r + 1];
-    let kernel = || rank_kernel(system, &pairs[my_block.clone()], &part, opts);
-    let (computed, stored);
-    let mut served = false;
-    let out: &KernelOutput = match memo {
-        Some((memo, positions)) => {
-            let key = prefix
-                .get_or_insert_with(|| classic_prefix(system, pairs, &my_block, &part, opts))
-                .at(positions)
-                .finish();
-            (stored, served) = memo.serve_or_compute(key, platform_of(comm), kernel);
-            &stored
-        }
-        None => {
-            computed = kernel();
-            &computed
-        }
-    };
+    let mut forces = vec![Vec3::ZERO; system.n_atoms()];
+    let (nonbonded, pairs_evaluated) = nonbonded_energy_forces(
+        topo,
+        &system.pbox,
+        &system.positions,
+        &pairs[my_block.clone()],
+        opts,
+        &mut forces,
+    );
+    let (bonded, bonded_terms) = bonded_energy_forces_range(
+        topo,
+        &system.pbox,
+        &system.positions,
+        &mut forces,
+        part.bonds,
+        part.angles,
+        part.dihedrals,
+        part.impropers,
+    );
 
     // Charge the computation.
-    let skipped = my_block.len() - out.pairs_evaluated;
-    let t = out.pairs_evaluated as f64 * cost.pair_eval
+    let skipped = my_block.len() - pairs_evaluated;
+    let t = pairs_evaluated as f64 * cost.pair_eval
         + skipped as f64 * cost.list_pair
-        + out.bonded_terms as f64 * cost.bonded_term;
+        + bonded_terms as f64 * cost.bonded_term;
     comm.ctx().charge_compute(t);
 
     // CHARMM-style combine: forces and energies in one master-based
     // global sum (GCOMB — the "all-to-all collective" of Figure 2).
     let n = system.n_atoms();
     let mut buf = Vec::with_capacity(3 * n + 6);
-    for f in &out.forces {
+    for f in &forces {
         buf.extend_from_slice(&[f.x, f.y, f.z]);
     }
     buf.extend_from_slice(&[
-        out.bonded.bond,
-        out.bonded.angle,
-        out.bonded.dihedral,
-        out.bonded.improper,
-        out.nonbonded.vdw,
-        out.nonbonded.elec,
+        bonded.bond,
+        bonded.angle,
+        bonded.dihedral,
+        bonded.improper,
+        nonbonded.vdw,
+        nonbonded.elec,
     ]);
     comm.allreduce_with(combine, &mut buf);
 
     let (f, e) = buf.split_at(3 * n);
-    let result = ClassicResult {
+    ClassicResult {
         bonded: BondedEnergies {
             bond: e[0],
             angle: e[1],
@@ -247,8 +165,7 @@ pub(crate) fn classic_energy_keyed(
             .chunks_exact(3)
             .map(|c| Vec3::new(c[0], c[1], c[2]))
             .collect(),
-    };
-    (result, served)
+    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 //! replicated-data MD on the virtual cluster and collects the
 //! phase-resolved timings the paper reports.
 
-use crate::memo::KernelMemo;
 use crate::rank::{initial_list, RankMd};
-use crate::report::{RunReport, StepEnergies};
-use cpc_cluster::{run_cluster, ClusterConfig};
+use crate::replay::ScriptStore;
+use crate::report::{RankPayload, RunReport, StepEnergies};
+use cpc_cluster::{run_cluster, run_cluster_recorded, ClusterConfig, RankCtx, RankOutcome, Script};
 use cpc_md::energy::EnergyModel;
+use cpc_md::neighbor::NeighborList;
 use cpc_md::System;
 use cpc_mpi::{CombineAlgo, Comm, Middleware};
 
@@ -79,14 +80,14 @@ impl MdConfig {
     }
 }
 
-/// Smallest system [`run_parallel_md`] memoises. The 192-atom `--quick`
-/// water box stays below it on purpose: it is the repo's stand-in load
-/// of known cost (CI smokes, the service and gateway harnesses, the
-/// benchmark's 4-7 ms quick cells). A replayed quick cell is thread
-/// wake-ups and journal fsyncs only, and its host time spread about
-/// twice as wide from run to run as a computed one's when the repo
-/// benchmark measured both (DESIGN.md §19).
-const MEMO_MIN_ATOMS: usize = 256;
+/// Smallest system [`run_parallel_md`] records and replays. The
+/// 192-atom `--quick` water box stays below it on purpose: it is the
+/// repo's stand-in load of known cost (CI smokes, the service and
+/// gateway harnesses, the benchmark's quick cells). Replayed, those
+/// campaigns become journal and cache writes, whose throughput spread
+/// about twice as wide from run to run when the repo benchmark measured
+/// it (DESIGN.md §19, §32).
+const REPLAY_MIN_ATOMS: usize = 256;
 
 /// Runs the parallel MD measurement and returns the aggregated report.
 ///
@@ -94,47 +95,60 @@ const MEMO_MIN_ATOMS: usize = 256;
 /// exactly as in replicated-data CHARMM. The trajectory is identical
 /// (up to floating-point reassociation) to the sequential engine.
 ///
-/// Per-rank classic-kernel outputs, and the PME tails of whole
-/// evaluations, are served from the process-wide [`KernelMemo`] when an
-/// earlier cell that differs only in platform factors already computed
-/// the same bits. A served evaluation computes no mesh stage, but every
-/// message still goes out at its size (a mesh message as its length
-/// alone), and every compute charge and virtual time is the live one.
-/// Systems of fewer than 256 atoms never consult it.
+/// Systems of 256 atoms or more go through the process-wide
+/// [`ScriptStore`]: the first cell of a physics identity runs live and
+/// records every rank's engine script, and a later cell of that identity
+/// on another platform replays those scripts on one thread and takes
+/// the recorded physics. Its report is the live one's, bit for bit.
 pub fn run_parallel_md(system: &System, cfg: &MdConfig) -> RunReport {
-    let memo = (system.n_atoms() >= MEMO_MIN_ATOMS).then(KernelMemo::global);
-    run_parallel_md_memo(system, cfg, memo)
+    if system.n_atoms() < REPLAY_MIN_ATOMS {
+        return run_live(system, cfg);
+    }
+    ScriptStore::global().run(system, cfg)
 }
 
-/// [`run_parallel_md`] over an explicit memo (`None`: every kernel call
-/// computes). The report is byte-identical whichever is passed.
-pub(crate) fn run_parallel_md_memo(
-    system: &System,
-    cfg: &MdConfig,
-    memo: Option<&KernelMemo>,
-) -> RunReport {
+/// One rank of the measurement loop.
+fn md_rank(ctx: &mut RankCtx, system: &System, cfg: &MdConfig, list: &NeighborList) -> RankPayload {
+    let mut comm = Comm::new(ctx, cfg.middleware);
+    let mut rank = RankMd::new(&mut comm, cfg, system, list, false);
+    // Velocity Verlet needs forces at t = 0.
+    rank.forces = rank.evaluate(&mut comm).forces;
+    let mut energies_log = Vec::with_capacity(cfg.steps);
+    for _ in 0..cfg.steps {
+        rank.drift(&mut comm);
+        let eval = rank.evaluate(&mut comm);
+        rank.forces = eval.forces;
+        rank.kick(&mut comm);
+        energies_log.push(StepEnergies {
+            classic: eval.classic,
+            pme: eval.pme,
+            kinetic: rank.sys.kinetic_energy(),
+        });
+    }
+    (energies_log, rank.sys.positions, rank.sys.velocities)
+}
+
+/// The report of a cell whose ranks all returned `outcomes`.
+fn report(cfg: &MdConfig, mut outcomes: Vec<RankOutcome<RankPayload>>) -> RunReport {
+    let physics = std::mem::take(&mut outcomes[0].result);
+    RunReport::from_outcomes(cfg, outcomes, physics)
+}
+
+/// The cell run live: every rank computes, nothing is recorded.
+pub(crate) fn run_live(system: &System, cfg: &MdConfig) -> RunReport {
     let list = initial_list(system, cfg.model);
-    let cell = memo.map(KernelMemo::cell);
-    let outcomes = run_cluster(cfg.cluster, |ctx| {
-        let mut comm = Comm::new(ctx, cfg.middleware);
-        let mut rank = RankMd::new(&mut comm, cfg, system, &list, cell.as_ref(), false);
-        // Velocity Verlet needs forces at t = 0.
-        rank.forces = rank.evaluate(&mut comm).forces;
-        let mut energies_log = Vec::with_capacity(cfg.steps);
-        for _ in 0..cfg.steps {
-            rank.drift(&mut comm);
-            let eval = rank.evaluate(&mut comm);
-            rank.forces = eval.forces;
-            rank.kick(&mut comm);
-            energies_log.push(StepEnergies {
-                classic: eval.classic,
-                pme: eval.pme,
-                kinetic: rank.sys.kinetic_energy(),
-            });
-        }
-        (energies_log, rank.sys.positions, rank.sys.velocities)
-    });
-    RunReport::from_outcomes(cfg, outcomes)
+    report(
+        cfg,
+        run_cluster(cfg.cluster, |ctx| md_rank(ctx, system, cfg, &list)),
+    )
+}
+
+/// The cell run live, with every rank's script recorded.
+pub(crate) fn run_recorded(system: &System, cfg: &MdConfig) -> (RunReport, Vec<Script>) {
+    let list = initial_list(system, cfg.model);
+    let (outcomes, scripts) =
+        run_cluster_recorded(cfg.cluster, |ctx| md_rank(ctx, system, cfg, &list));
+    (report(cfg, outcomes), scripts)
 }
 
 #[cfg(test)]

@@ -15,8 +15,9 @@
 //!   10 steps per measurement), over the three moves of one rank type
 //!   (`rank::RankMd`: evaluate, drift, kick) that [`recover`] — the
 //!   same loop with fault-tolerance hooks between the moves — shares,
-//! * [`memo`] — the content-addressed memo that lets platform cells
-//!   sharing one decomposition compute the classic kernel once,
+//! * [`replay`] — the script store: the first cell of a physics
+//!   identity runs live and records every rank's engine operations,
+//!   later cells on other platforms replay them on one thread,
 //! * [`report`] — aggregation into the paper's response variables:
 //!   classic/PME wall times, computation / communication /
 //!   synchronization percentages, and per-node communication speeds.
@@ -32,21 +33,21 @@ pub mod ckpt;
 pub mod classic;
 pub mod decomp;
 pub mod driver;
-pub mod memo;
 pub mod pme_par;
 mod pme_spatial;
 mod rank;
 pub mod recover;
+pub mod replay;
 pub mod report;
 
 pub use chaos::{ddmin, minimize, ChaosHarness, Reproducer, ScheduleReport, Violation};
 pub use ckpt::{DurableConfig, SaveError};
 pub use classic::{classic_energy_parallel, ClassicResult};
 pub use driver::{run_parallel_md, CommTuning, MdConfig, PmeImpl};
-pub use memo::{KernelMemo, MemoStats};
 pub use pme_par::{ParallelPme, PmeParallelResult};
 pub use pme_spatial::SpatialPme;
 pub use recover::{
     run_parallel_md_faulty, AbftConfig, FaultConfig, FtReport, RecoveryConfig, WatchdogConfig,
 };
+pub use replay::{ReplayStats, ScriptStore};
 pub use report::{RunReport, StepEnergies};

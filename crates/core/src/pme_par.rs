@@ -19,7 +19,6 @@
 //! the better networks".
 
 use crate::decomp::{block_range, PmeDecomp};
-use crate::memo::{tail_prefix, CellMemo, Digest, TailOutput, TailPlan};
 use cpc_cluster::{CostModel, Phase};
 use cpc_fft::plan::flops_estimate;
 use cpc_fft::{transform_axis, Axis, Complex64, Dims3, Direction, FftPlan};
@@ -29,7 +28,7 @@ use cpc_md::topology::Topology;
 use cpc_md::units::COULOMB;
 use cpc_md::{PbcBox, System, Vec3};
 use cpc_mpi::{CombineAlgo, Comm};
-use std::cell::{OnceCell, RefCell};
+use std::cell::RefCell;
 use std::f64::consts::PI;
 use std::ops::Range;
 
@@ -87,11 +86,6 @@ pub struct ParallelPme {
     /// engine serves one rank, so after the first evaluation this is a
     /// hit until the box changes.
     influence: RefCell<Option<InfluenceBlock>>,
-    /// [`tail_prefix`] of this engine's decomposition, digested by the
-    /// first memoised evaluation. One engine serves one topology, and
-    /// `RankMd::repartition` — the one place the rank count or the
-    /// blocks can change — builds a new engine.
-    tail_prefix: OnceCell<Digest>,
 }
 
 /// Influence weights of one column block, laid out like the block's
@@ -177,7 +171,6 @@ impl ParallelPme {
             by: bspline_moduli(g.ny, params.order),
             bz: bspline_moduli(g.nz, params.order),
             influence: RefCell::new(None),
-            tail_prefix: OnceCell::new(),
         }
     }
 
@@ -223,32 +216,6 @@ impl ParallelPme {
         system: &System,
         cost: &CostModel,
     ) -> PmeParallelResult {
-        self.energy_forces_served(comm, system, cost, None)
-    }
-
-    /// [`Self::energy_forces`] inside a memoised cell, given the rank's
-    /// digest of the box and the positions
-    /// ([`positions_digest`](crate::memo::positions_digest)) and
-    /// whether its classic partials were `served`: before anything is
-    /// computed, the cell hands the rank its evaluation's [`TailPlan`],
-    /// the one every rank of the evaluation is handed. Served, the rank
-    /// takes its tail — its share of the reciprocal energy, its
-    /// interpolated forces and its exclusion correction — and runs no
-    /// mesh arithmetic and builds no mesh buffer, yet every message goes
-    /// out in its order at its planned size (a message is costed by its
-    /// length, never by its values, so the mesh messages carry their
-    /// lengths alone, and no peer reads a value because no peer
-    /// computes), every compute charge is made from sizes and stored
-    /// counts, and the closing combine carries the stored bits.
-    /// Otherwise the evaluation computes, and hands its tail in when the
-    /// plan stores. An ABFT-armed engine never looks.
-    pub(crate) fn energy_forces_served(
-        &self,
-        comm: &mut Comm<'_>,
-        system: &System,
-        cost: &CostModel,
-        memo: Option<(&CellMemo<'_>, u128, bool)>,
-    ) -> PmeParallelResult {
         comm.ctx().set_phase(Phase::Pme);
         let p = comm.size();
         let rank = comm.rank();
@@ -264,62 +231,24 @@ impl ParallelPme {
         let n_cols = my_cols.len();
         let atom_block = block_range(system.n_atoms(), p, rank);
 
-        let plan = memo
-            .filter(|_| !self.abft)
-            .map(|(cell, positions, served)| {
-                let prefix = self.tail_prefix.get_or_init(|| {
-                    let n = system.n_atoms();
-                    let blocks: Vec<_> = (0..p)
-                        .map(|r| {
-                            [
-                                block_range(n, p, r),
-                                self.decomp.cols(r),
-                                self.decomp.planes(r),
-                            ]
-                        })
-                        .collect();
-                    tail_prefix(&self.params, self.grid_sum, &blocks, topo)
-                });
-                let key = prefix.at(positions).finish();
-                (cell, key, cell.tail_plan(key, p, served))
-            });
-        let stored_tail = match &plan {
-            Some((_, _, TailPlan::Serve(group))) => Some(&group[rank]),
-            _ => None,
-        };
-        let live = stored_tail.is_none();
-
         // --- Charge spreading: my atom block onto a full local mesh.
         // Only this block's splines are ever read (here and in the
         // interpolation below); `splines[k]` belongs to atom
-        // `atom_block.start + k`. Served, there is no mesh and the
-        // charge replays the interpolation count, which visits the same
-        // points.
-        let splines = if live {
-            compute_splines(
-                &system.pbox,
-                &system.positions[atom_block.clone()],
-                g,
-                self.params.order,
-            )
-        } else {
-            Vec::new()
-        };
-        let mut qgrid = mesh_buffer(live, g.len(), 0.0);
-        let spread_points = match stored_tail {
-            Some(tail) => tail.interp_points,
-            None => self.spread(topo, &atom_block, &splines, &mut qgrid),
-        };
+        // `atom_block.start + k`.
+        let splines = compute_splines(
+            &system.pbox,
+            &system.positions[atom_block.clone()],
+            g,
+            self.params.order,
+        );
+        let mut qgrid = vec![0.0; g.len()];
+        let spread_points = self.spread(topo, &atom_block, &splines, &mut qgrid);
         comm.ctx()
             .charge_compute(spread_points as f64 * cost.spread_point);
 
         // --- Global charge-mesh sum (CHARMM applies its global-combine
         // machinery to the whole mesh).
-        if live {
-            comm.allreduce_with(self.grid_sum, &mut qgrid);
-        } else {
-            comm.allreduce_len(self.grid_sum, g.len());
-        }
+        comm.allreduce_with(self.grid_sum, &mut qgrid);
 
         // ABFT grid-charge invariant: B-spline weights partition unity,
         // so the summed mesh must hold exactly the total system charge
@@ -339,20 +268,16 @@ impl ParallelPme {
         // dropped at its last use: eight rank threads each holding a
         // replicated mesh is what sets the process's peak resident size.
         let my_points = x0 * ny * nz..(x0 + n_planes) * ny * nz;
-        let mut slab: Vec<Complex64> = if live {
-            qgrid[my_points]
-                .iter()
-                .map(|&q| Complex64::from_real(q))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut slab: Vec<Complex64> = qgrid[my_points]
+            .iter()
+            .map(|&q| Complex64::from_real(q))
+            .collect();
         drop(qgrid);
 
         // --- Forward 2D FFTs (y and z) on the local planes.
         let fft2d_flops =
             n_planes as f64 * (ny as f64 * flops_estimate(nz) + nz as f64 * flops_estimate(ny));
-        if n_planes > 0 && live {
+        if n_planes > 0 {
             let dims = Dims3::new(n_planes, ny, nz);
             transform_axis(&mut slab, dims, Axis::Z, &self.plan_z, Direction::Forward);
             transform_axis(&mut slab, dims, Axis::Y, &self.plan_y, Direction::Forward);
@@ -360,37 +285,31 @@ impl ParallelPme {
         comm.ctx().charge_compute(fft2d_flops * cost.fft_flop);
 
         // --- Transpose: slab (planes x cols) -> columns (cols x nx).
-        // Served, the blocks' lengths go out and nothing lands.
-        let mut cols = mesh_buffer(live, n_cols * nx, Complex64::ZERO);
-        let mut transpose_faults =
-            self.transpose_forward(comm, live.then_some((&slab[..], &mut cols[..])), cost);
+        let mut cols = vec![Complex64::ZERO; n_cols * nx];
+        let mut transpose_faults = self.transpose_forward(comm, &slab, &mut cols, cost);
         drop(slab);
 
         // --- 1D FFT along x on owned columns, influence multiply with
         // the partial energy, inverse 1D FFT.
-        let recip_partial = match stored_tail {
-            Some(tail) => tail.recip_partial,
-            None => convolve_columns(
-                &self.params,
-                [&self.bx, &self.by, &self.bz],
-                &self.plan_x,
-                &system.pbox,
-                &my_cols,
-                &mut cols,
-                &mut self.influence.borrow_mut(),
-            ),
-        };
+        let recip_partial = convolve_columns(
+            &self.params,
+            [&self.bx, &self.by, &self.bz],
+            &self.plan_x,
+            &system.pbox,
+            &my_cols,
+            &mut cols,
+            &mut self.influence.borrow_mut(),
+        );
         comm.ctx().charge_compute(
             n_cols as f64 * 2.0 * flops_estimate(nx) * cost.fft_flop
                 + (n_cols * nx) as f64 * cost.conv_point,
         );
 
         // --- Transpose back and inverse 2D FFTs.
-        let mut slab_phi = mesh_buffer(live, n_planes * ny * nz, Complex64::ZERO);
-        transpose_faults +=
-            self.transpose_backward(comm, live.then_some((&cols[..], &mut slab_phi[..])), cost);
+        let mut slab_phi = vec![Complex64::ZERO; n_planes * ny * nz];
+        transpose_faults += self.transpose_backward(comm, &cols, &mut slab_phi, cost);
         drop(cols);
-        if n_planes > 0 && live {
+        if n_planes > 0 {
             let dims = Dims3::new(n_planes, ny, nz);
             transform_axis(
                 &mut slab_phi,
@@ -414,51 +333,30 @@ impl ParallelPme {
 
         // --- Allgather the convolution mesh: every rank needs phi
         // everywhere because its atoms are block-decomposed.
+        let mine: Vec<f64> = slab_phi.iter().map(|v| v.re).collect();
+        drop(slab_phi);
+        let mut phi = vec![0.0f64; g.len()];
+        comm.allgather_with(mine, |s_rank, part| {
+            let base = self.decomp.planes(s_rank).start * ny * nz;
+            phi[base..base + part.len()].copy_from_slice(part);
+        });
+
+        // --- Force interpolation for my atom block over the full mesh.
         let mut forces = vec![Vec3::ZERO; n];
-        let (interp_points, excl_partial, excl_count);
-        if let Some(tail) = stored_tail {
-            // Served: the parts' lengths still travel the ring.
-            comm.allgather_len(n_planes * ny * nz);
-            tail.scatter_into(&mut forces, atom_block.start);
-            (interp_points, excl_partial, excl_count) =
-                (tail.interp_points, tail.excl_energy, tail.excl_count);
-        } else {
-            let mine: Vec<f64> = slab_phi.iter().map(|v| v.re).collect();
-            drop(slab_phi);
-            let mut phi = vec![0.0f64; g.len()];
-            comm.allgather_with(mine, |s_rank, part| {
-                let base = self.decomp.planes(s_rank).start * ny * nz;
-                phi[base..base + part.len()].copy_from_slice(part);
-            });
-
-            // --- Force interpolation for my atom block over the full mesh.
-            interp_points = self.interpolate(system, &atom_block, &splines, &phi, &mut forces);
-            debug_assert_eq!(interp_points, spread_points, "a served spread replays this");
-            drop(phi);
-
-            // --- Excluded-pair corrections over this rank's atom block.
-            (excl_partial, excl_count) = ewald_excluded_correction_range(
-                topo,
-                &system.pbox,
-                &system.positions,
-                beta,
-                atom_block.clone(),
-                &mut forces,
-            );
-            if let Some((cell, key, TailPlan::Store(pending))) = &plan {
-                let tail = TailOutput::extract(
-                    &forces,
-                    &atom_block,
-                    recip_partial,
-                    excl_partial,
-                    interp_points,
-                    excl_count,
-                );
-                cell.hand_in(*key, pending, rank, tail);
-            }
-        }
+        let interp_points = self.interpolate(system, &atom_block, &splines, &phi, &mut forces);
+        drop(phi);
         comm.ctx()
             .charge_compute(interp_points as f64 * cost.interp_point);
+
+        // --- Excluded-pair corrections over this rank's atom block.
+        let (excl_partial, excl_count) = ewald_excluded_correction_range(
+            topo,
+            &system.pbox,
+            &system.positions,
+            beta,
+            atom_block,
+            &mut forces,
+        );
         comm.ctx()
             .charge_compute(excl_count as f64 * cost.excl_pair);
 
@@ -577,30 +475,22 @@ impl ParallelPme {
     fn transpose_forward(
         &self,
         comm: &mut Comm<'_>,
-        slab_cols: Option<(&[Complex64], &mut [Complex64])>,
+        slab: &[Complex64],
+        cols: &mut [Complex64],
         cost: &CostModel,
     ) -> usize {
-        transpose_forward_impl(&self.decomp, comm, slab_cols, cost, self.abft)
+        transpose_forward_impl(&self.decomp, comm, slab, cols, cost, self.abft)
     }
 
     /// Backward transpose: exact mirror of the forward one.
     fn transpose_backward(
         &self,
         comm: &mut Comm<'_>,
-        cols_slab: Option<(&[Complex64], &mut [Complex64])>,
+        cols: &[Complex64],
+        slab: &mut [Complex64],
         cost: &CostModel,
     ) -> usize {
-        transpose_backward_impl(&self.decomp, comm, cols_slab, cost, self.abft)
-    }
-}
-
-/// `len` copies of `zero` for an evaluation that computes; none for a
-/// served one, whose mesh messages carry their lengths alone.
-fn mesh_buffer<T: Clone>(live: bool, len: usize, zero: T) -> Vec<T> {
-    if live {
-        vec![zero; len]
-    } else {
-        Vec::new()
+        transpose_backward_impl(&self.decomp, comm, cols, slab, cost, self.abft)
     }
 }
 
@@ -652,21 +542,20 @@ fn open_received<'a>(block: &'a [f64], abft: bool, faults: &mut usize) -> &'a [f
 }
 
 /// The all-to-all both transposes run: to every rank `d` a block of
-/// `sent(d)` points, two `f64` each, that `bufs.0` packs; from every
-/// rank `s` a block of `received(s)` points that `bufs.1` lands. `None`
-/// sends each block's length alone, reads no source and lands nothing:
-/// a served evaluation's transpose, whose messages are costed by their
-/// length alone. Every point packed and every point received is charged
-/// one `conv_point`, whichever form travels; when `abft` is armed every
-/// block carries a trailing checksum, digested once more on each side.
-/// Returns the number of blocks that failed verification.
+/// `sent(d)` points, two `f64` each, that `pack_for` packs; from every
+/// rank `s` a block of `received(s)` points that `land_from` lands.
+/// Every point packed and every point received is charged one
+/// `conv_point`; when `abft` is armed every block carries a trailing
+/// checksum, digested once more on each side. Returns the number of
+/// blocks that failed verification.
 fn exchange_blocks(
     comm: &mut Comm<'_>,
     cost: &CostModel,
     abft: bool,
     sent: impl Fn(usize) -> usize,
     received: impl Fn(usize) -> usize,
-    bufs: Option<(impl FnMut(usize, &mut Vec<f64>), impl FnMut(usize, &[f64]))>,
+    mut pack_for: impl FnMut(usize, &mut Vec<f64>),
+    mut land_from: impl FnMut(usize, &[f64]),
 ) -> usize {
     let p = comm.size();
     let seal = usize::from(abft);
@@ -677,39 +566,24 @@ fn exchange_blocks(
         comm.ctx().charge_compute(packed as f64 * cost.conv_point);
     }
 
+    let sends = (0..p)
+        .map(|d| {
+            let mut block = Vec::with_capacity(2 * sent(d) + seal);
+            pack_for(d, &mut block);
+            if abft {
+                seal_block(&mut block);
+            }
+            block
+        })
+        .collect();
+    let recvs = comm.alltoallv(sends);
     let mut faults = 0usize;
-    let lens: Vec<usize> = match bufs {
-        Some((mut pack_for, mut land_from)) => {
-            let sends = (0..p)
-                .map(|d| {
-                    let mut block = Vec::with_capacity(2 * sent(d) + seal);
-                    pack_for(d, &mut block);
-                    if abft {
-                        seal_block(&mut block);
-                    }
-                    block
-                })
-                .collect();
-            let recvs = comm.alltoallv(sends);
-            (recvs.iter().enumerate())
-                .map(|(s, block)| {
-                    let payload = open_received(block, abft, &mut faults);
-                    land_from(s, payload);
-                    payload.len()
-                })
-                .collect()
-        }
-        None => {
-            let lens: Vec<usize> = (0..p).map(|d| 2 * sent(d) + seal).collect();
-            let recvs = comm.alltoallv_len(&lens);
-            recvs.into_iter().map(|len| len - seal).collect()
-        }
-    };
-
     let mut unpacked = 0usize;
-    for (s, len) in lens.into_iter().enumerate() {
-        assert_eq!(len, 2 * received(s), "block size");
-        unpacked += len / 2;
+    for (s, block) in recvs.iter().enumerate() {
+        let payload = open_received(block, abft, &mut faults);
+        assert_eq!(payload.len(), 2 * received(s), "block size");
+        land_from(s, payload);
+        unpacked += payload.len() / 2;
     }
     comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
     if abft {
@@ -719,10 +593,9 @@ fn exchange_blocks(
 }
 
 /// Shared slab -> columns transpose (also used by the spatial PME) from
-/// `slab` into `cols`, given as `Some((slab, cols))`; `None` carries
-/// the blocks' lengths alone and lands nothing (`exchange_blocks`).
-/// When `abft` is armed every block carries a trailing checksum;
-/// returns the number of blocks that failed verification.
+/// `slab` into `cols`. When `abft` is armed every block carries a
+/// trailing checksum; returns the number of blocks that failed
+/// verification.
 ///
 /// A column index *is* the offset inside a plane (`c = y * nz + z`), so
 /// the columns of one destination are one contiguous run of each of my
@@ -730,7 +603,8 @@ fn exchange_blocks(
 pub fn transpose_forward_impl(
     decomp: &PmeDecomp,
     comm: &mut Comm<'_>,
-    slab_cols: Option<(&[Complex64], &mut [Complex64])>,
+    slab: &[Complex64],
+    cols: &mut [Complex64],
     cost: &CostModel,
     abft: bool,
 ) -> usize {
@@ -740,42 +614,38 @@ pub fn transpose_forward_impl(
     let n_cols = decomp.cols(rank).len();
     // A block holds its source's planes one after another, its
     // destination's columns side by side in each.
-    let bufs = slab_cols.map(|(slab, cols)| {
-        let pack_for = move |d: usize, block: &mut Vec<f64>| {
-            for px in 0..n_planes {
-                pack(block, slab[px * plane..][decomp.cols(d)].iter());
-            }
-        };
-        let land_from = move |s: usize, payload: &[f64]| {
-            for (gx, run) in decomp
-                .planes(s)
-                .zip(payload.chunks_exact(2 * n_cols.max(1)))
-            {
-                unpack(cols.iter_mut().skip(gx).step_by(nx), run);
-            }
-        };
-        (pack_for, land_from)
-    });
     exchange_blocks(
         comm,
         cost,
         abft,
         |d| n_planes * decomp.cols(d).len(),
         |s| decomp.planes(s).len() * n_cols,
-        bufs,
+        |d, block| {
+            for px in 0..n_planes {
+                pack(block, slab[px * plane..][decomp.cols(d)].iter());
+            }
+        },
+        |s, payload| {
+            for (gx, run) in decomp
+                .planes(s)
+                .zip(payload.chunks_exact(2 * n_cols.max(1)))
+            {
+                unpack(cols.iter_mut().skip(gx).step_by(nx), run);
+            }
+        },
     )
 }
 
 /// Shared columns -> slab transpose (also used by the spatial PME), the
-/// exact mirror of the forward one, from `cols` into `slab` given as
-/// `Some((cols, slab))` (`None`: lengths out, nothing lands): the pack
+/// exact mirror of the forward one, from `cols` into `slab`: the pack
 /// strides, the unpack copies contiguous runs. When `abft` is armed
 /// every block carries a trailing checksum; returns the number of
 /// blocks that failed verification.
 pub fn transpose_backward_impl(
     decomp: &PmeDecomp,
     comm: &mut Comm<'_>,
-    cols_slab: Option<(&[Complex64], &mut [Complex64])>,
+    cols: &[Complex64],
+    slab: &mut [Complex64],
     cost: &CostModel,
     abft: bool,
 ) -> usize {
@@ -783,34 +653,29 @@ pub fn transpose_backward_impl(
     let rank = comm.rank();
     let n_planes = decomp.planes(rank).len();
     let n_cols = decomp.cols(rank).len();
-    let bufs = cols_slab.map(|(cols, slab)| {
-        let pack_for = move |d: usize, block: &mut Vec<f64>| {
-            for gx in decomp.planes(d) {
-                pack(block, cols.iter().skip(gx).step_by(nx));
-            }
-        };
-        let land_from = move |s: usize, payload: &[f64]| {
-            let src_cols = decomp.cols(s);
-            for (px, run) in payload.chunks_exact(2 * src_cols.len().max(1)).enumerate() {
-                unpack(slab[px * plane..][src_cols.clone()].iter_mut(), run);
-            }
-        };
-        (pack_for, land_from)
-    });
     exchange_blocks(
         comm,
         cost,
         abft,
         |d| decomp.planes(d).len() * n_cols,
         |s| n_planes * decomp.cols(s).len(),
-        bufs,
+        |d, block| {
+            for gx in decomp.planes(d) {
+                pack(block, cols.iter().skip(gx).step_by(nx));
+            }
+        },
+        |s, payload| {
+            let src_cols = decomp.cols(s);
+            for (px, run) in payload.chunks_exact(2 * src_cols.len().max(1)).enumerate() {
+                unpack(slab[px * plane..][src_cols.clone()].iter_mut(), run);
+            }
+        },
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memo::{positions_digest, KernelMemo};
     use cpc_cluster::{run_cluster, ClusterConfig, NetworkKind, PIII_1GHZ};
     use cpc_md::builder::water_box;
     use cpc_md::nonbonded::{ewald_excluded_correction, ewald_self_energy};
@@ -917,216 +782,6 @@ mod tests {
             // (24/4) x (576*3/4) complex points ~ 41 KB, plus the
             // combine: at least ~60 KB from each rank.
             assert!(o.stats.bytes_sent > 60_000, "bytes {}", o.stats.bytes_sent);
-        }
-    }
-
-    /// p in {1, 2, 3, 4, 8} x both middlewares x every charge-mesh sum
-    /// algorithm on dual TCP nodes: a rank whose evaluation is served —
-    /// no mesh stage runs, no mesh buffer exists — finishes at the same
-    /// virtual instant, with the same phase buckets and the same message
-    /// trace (source, destination, size, class, departure and arrival of
-    /// every message), and returns the same recip, self-term, excluded
-    /// and force bits, as one that computes — and as one that computes
-    /// and stores.
-    #[test]
-    fn a_served_tail_is_the_computed_one_on_every_observable() {
-        // 375 atoms: every p > 1 cuts its atom blocks through water
-        // molecules, so exclusion partners fall outside their block.
-        let water = water_box(5, 3.1);
-        let params = PmeParams {
-            grid: Dims3::new(24, 20, 16),
-            order: 4,
-            beta: 0.34,
-        };
-        // 3 atoms and 4 mesh planes at p = 8: ranks 4..8 own no atom
-        // and no plane, only mesh columns, so a served one sends empty
-        // slabs and its column blocks of zeros.
-        let molecule = water_box(1, 3.1);
-        let thin = PmeParams {
-            grid: Dims3::new(4, 20, 16),
-            ..params
-        };
-        let cases = [1usize, 2, 3, 4, 8].map(|p| (&water, params, p));
-        let cases = cases.into_iter().chain([(&molecule, thin, 8)]);
-        for ((sys, params, p), algo) in cases.flat_map(|c| CombineAlgo::ALL.map(|a| (c, a))) {
-            for mw in Middleware::ALL {
-                let memo = KernelMemo::new();
-                let run = |memo: Option<&KernelMemo>| {
-                    let mut cfg = ClusterConfig::dual(p, NetworkKind::TcpGigE);
-                    cfg.record_trace = true;
-                    evaluate(cfg, mw, algo, sys, params, memo, |_| true)
-                };
-                let computed = run(None);
-                let tails = |memo: &KernelMemo| {
-                    let s = memo.stats();
-                    (s.tail.misses, s.tail.hits, s.entries, s.classic.misses)
-                };
-                let stored = run(Some(&memo));
-                assert_eq!(tails(&memo), (p as u64, 0, p, 0));
-                let dense = p * std::mem::size_of::<TailOutput>() + 24 * sys.n_atoms();
-                let partners = memo.stats().tail.bytes - dense;
-                assert_eq!(partners > 0, p > 1, "p={p}: {partners} B");
-                let served = run(Some(&memo));
-                assert_eq!(tails(&memo), (p as u64, p as u64, p, 0));
-                for ((c, st), sv) in computed.iter().zip(&stored).zip(&served) {
-                    let at = format!("p={p} n={} {algo:?} {mw:?} rank {}", sys.n_atoms(), c.rank);
-                    assert!(!c.stats.trace.is_empty() || p == 1, "{at}: traced");
-                    assert_eq!(observable(st), observable(c), "{at}: stored");
-                    assert_eq!(observable(sv), observable(c), "{at}: served");
-                }
-            }
-        }
-    }
-
-    /// Runs one PME evaluation per rank, its charge mesh summed by
-    /// `grid_sum`, through `memo` (when given; one cell's handle, rank
-    /// `r` told `served(r)` about its classic partials) and returns each
-    /// rank's recip, self-term, excluded and force bits.
-    fn evaluate(
-        cfg: ClusterConfig,
-        mw: Middleware,
-        grid_sum: CombineAlgo,
-        sys: &System,
-        params: PmeParams,
-        memo: Option<&KernelMemo>,
-        served: impl Fn(usize) -> bool + Sync,
-    ) -> Vec<cpc_cluster::RankOutcome<Vec<u64>>> {
-        let cell = memo.map(KernelMemo::cell);
-        run_cluster(cfg, |ctx| {
-            let mut comm = Comm::new(ctx, mw);
-            let engine = ParallelPme::new(params, cfg.ranks).with_grid_sum(grid_sum);
-            let memo =
-                (cell.as_ref()).map(|cell| (cell, positions_digest(sys), served(comm.rank())));
-            let r = engine.energy_forces_served(&mut comm, sys, &PIII_1GHZ, memo);
-            assert!(r.abft.is_none());
-            let mut bits = vec![
-                r.recip.to_bits(),
-                r.self_term.to_bits(),
-                r.excluded.to_bits(),
-            ];
-            for f in &r.forces {
-                bits.extend([f.x.to_bits(), f.y.to_bits(), f.z.to_bits()]);
-            }
-            bits
-        })
-    }
-
-    /// Every rank's tail is held, but the ranks disagree about whether
-    /// their classic partials were served (an evicted entry, a cell
-    /// racing another). The evaluation still has one plan, so every
-    /// rank serves or every rank computes, and each returns the
-    /// computed bits. A rank that computed while its peers served would
-    /// sum their zeros into its charge mesh.
-    #[test]
-    fn ranks_that_disagree_about_their_partials_share_one_plan() {
-        let system = water_box(3, 3.1);
-        let params = PmeParams {
-            grid: Dims3::new(16, 16, 16),
-            order: 4,
-            beta: 0.34,
-        };
-        let p = 4;
-        let cfg = ClusterConfig::uni(p, NetworkKind::MyrinetGm);
-        type Served = dyn Fn(usize) -> bool + Sync;
-        let run = |memo, served: &Served| {
-            let out = evaluate(
-                cfg,
-                Middleware::Mpi,
-                CombineAlgo::Ring,
-                &system,
-                params,
-                memo,
-                served,
-            );
-            out.into_iter().map(|o| o.result).collect::<Vec<_>>()
-        };
-        let computed = run(None, &|_| true);
-        let memo = KernelMemo::new();
-        assert_eq!(run(Some(&memo), &|_| true), computed, "stored");
-        for lone in 0..p {
-            let one_computed = move |r: usize| r != lone;
-            let one_served = move |r: usize| r == lone;
-            for served in [&one_computed as &Served, &one_served] {
-                let before = memo.stats().tail;
-                assert_eq!(run(Some(&memo), served), computed, "rank {lone} alone");
-                let after = memo.stats().tail;
-                assert_eq!(after.misses, before.misses, "the tails are held");
-                let hits = after.hits - before.hits;
-                assert!(hits == 0 || hits == p as u64, "{hits} of {p} ranks served");
-            }
-        }
-    }
-
-    /// An engine whose every evaluation is served runs no mesh stage:
-    /// its influence weights, computed by the first convolution and
-    /// kept from then on, are never built. The same engine forced live
-    /// builds them.
-    #[test]
-    fn a_served_evaluation_runs_no_mesh_stage() {
-        let system = water_box(3, 3.1);
-        let params = PmeParams {
-            grid: Dims3::new(16, 16, 16),
-            order: 4,
-            beta: 0.34,
-        };
-        let (sys, p) = (&system, 4);
-        let memo = KernelMemo::new();
-        let cfg = || ClusterConfig::uni(p, NetworkKind::MyrinetGm);
-        let cell = memo.cell();
-        run_cluster(cfg(), |ctx| {
-            let mut comm = Comm::new(ctx, Middleware::Mpi);
-            let engine = ParallelPme::new(params, p);
-            engine.energy_forces_served(
-                &mut comm,
-                sys,
-                &PIII_1GHZ,
-                Some((&cell, positions_digest(sys), true)),
-            );
-            assert!(engine.influence.borrow().is_some(), "a miss computes");
-        });
-        let cell = memo.cell();
-        run_cluster(cfg(), |ctx| {
-            let mut comm = Comm::new(ctx, Middleware::Mpi);
-            let engine = ParallelPme::new(params, p);
-            for _ in 0..3 {
-                engine.energy_forces_served(
-                    &mut comm,
-                    sys,
-                    &PIII_1GHZ,
-                    Some((&cell, positions_digest(sys), true)),
-                );
-                assert!(engine.influence.borrow().is_none(), "served");
-            }
-            engine.energy_forces(&mut comm, sys, &PIII_1GHZ);
-            assert!(engine.influence.borrow().is_some(), "forced live");
-        });
-        let s = memo.stats();
-        assert_eq!((s.tail.misses, s.tail.hits), (p as u64, 3 * p as u64));
-    }
-
-    /// An ABFT-armed engine never looks: handed a memo that holds its
-    /// tail, it computes, and the counters stand still.
-    #[test]
-    fn an_abft_armed_engine_never_looks_its_tail_up() {
-        let system = water_box(2, 3.1);
-        let params = PmeParams {
-            grid: Dims3::new(16, 16, 16),
-            order: 4,
-            beta: 0.34,
-        };
-        let (sys, p) = (&system, 2);
-        let memo = KernelMemo::new();
-        for armed in [false, true, true] {
-            let cell = memo.cell();
-            run_cluster(ClusterConfig::uni(p, NetworkKind::MyrinetGm), |ctx| {
-                let mut comm = Comm::new(ctx, Middleware::Mpi);
-                let engine = ParallelPme::new(params, p).with_abft(armed);
-                let memo = Some((&cell, positions_digest(sys), true));
-                let r = engine.energy_forces_served(&mut comm, sys, &PIII_1GHZ, memo);
-                assert_eq!(r.abft.is_some(), armed);
-            });
-            let s = memo.stats();
-            assert_eq!((s.tail.misses, s.tail.hits, s.entries), (2, 0, 2));
         }
     }
 
@@ -1334,15 +989,14 @@ mod tests {
     }
 
     /// The run-copying transposes land what the frozen per-element ones
-    /// land, with the same messages at the same virtual times; handed
-    /// no buffers they send those messages as their lengths alone, at
-    /// those same times, and land nothing.
+    /// land, with the same messages at the same virtual times.
     #[test]
     fn run_copying_transposes_are_the_per_element_ones_on_every_observable() {
-        type Transpose = fn(
+        type Forward = fn(
             &PmeDecomp,
             &mut Comm<'_>,
-            Option<(&[Complex64], &mut [Complex64])>,
+            &[Complex64],
+            &mut [Complex64],
             &CostModel,
             bool,
         ) -> usize;
@@ -1360,7 +1014,7 @@ mod tests {
             let p = decomp.p;
             for mw in Middleware::ALL {
                 for abft in [false, true] {
-                    let run = |forward: Transpose, backward: Transpose, land: bool| {
+                    let run = |forward: Forward, backward: Forward| {
                         let mut cfg = ClusterConfig::dual(p, NetworkKind::TcpGigE);
                         cfg.record_trace = true;
                         run_cluster(cfg, |ctx| {
@@ -1371,40 +1025,26 @@ mod tests {
                                 (decomp.planes(rank).len(), decomp.cols(rank).len());
                             let slab = mesh_values(rank, n_planes * decomp.ny * decomp.nz);
                             let mut cols = vec![Complex64::ZERO; n_cols * decomp.nx];
-                            let there = land.then_some((&slab[..], &mut cols[..]));
-                            let mut faults = forward(decomp, &mut comm, there, &PIII_1GHZ, abft);
+                            let mut faults =
+                                forward(decomp, &mut comm, &slab, &mut cols, &PIII_1GHZ, abft);
                             let mut back = vec![Complex64::ZERO; slab.len()];
-                            let home = land.then_some((&cols[..], &mut back[..]));
-                            faults += backward(decomp, &mut comm, home, &PIII_1GHZ, abft);
+                            faults +=
+                                backward(decomp, &mut comm, &cols, &mut back, &PIII_1GHZ, abft);
                             assert_eq!(faults, 0);
-                            assert!(!land || back == slab, "there and back is the identity");
+                            assert!(back == slab, "there and back is the identity");
                             cols.iter()
                                 .flat_map(|v| [v.re.to_bits(), v.im.to_bits()])
                                 .collect::<Vec<u64>>()
                         })
                     };
-                    let got = run(transpose_forward_impl, transpose_backward_impl, true);
+                    let got = run(transpose_forward_impl, transpose_backward_impl);
                     let want = run(
-                        |d, comm, bufs, cost, abft| {
-                            let (slab, cols) = bufs.expect("the oracle lands");
-                            transpose_oracle::transpose_forward(d, comm, slab, cols, cost, abft)
-                        },
-                        |d, comm, bufs, cost, abft| {
-                            let (cols, slab) = bufs.expect("the oracle lands");
-                            transpose_oracle::transpose_backward(d, comm, cols, slab, cost, abft)
-                        },
-                        true,
+                        transpose_oracle::transpose_forward,
+                        transpose_oracle::transpose_backward,
                     );
-                    let unlanded = run(transpose_forward_impl, transpose_backward_impl, false);
-                    for ((g, w), u) in got.iter().zip(&want).zip(&unlanded) {
+                    for (g, w) in got.iter().zip(&want) {
                         let at = format!("{decomp:?} {mw:?} abft={abft} rank {}", g.rank);
                         assert_eq!(observable(g), observable(w), "{at}");
-                        assert!(u.result.iter().all(|&bits| bits == 0), "{at}: landed");
-                        let sent = |o| {
-                            let (_, time, msgs, bytes, buckets, trace) = observable(o);
-                            (time, msgs, bytes, buckets, trace)
-                        };
-                        assert_eq!(sent(u), sent(w), "{at}: unlanded");
                     }
                 }
             }

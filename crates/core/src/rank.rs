@@ -9,10 +9,9 @@
 //! drift away from the measured step: there is one list upkeep, one
 //! classic call, one PME dispatch, one coordinate exchange.
 
-use crate::classic::classic_energy_keyed;
+use crate::classic::classic_energy_parallel_weighted;
 use crate::decomp::{block_range, pair_cuts};
 use crate::driver::{MdConfig, PmeImpl};
-use crate::memo::{positions_digest, CellMemo, Digest};
 use crate::pme_par::ParallelPme;
 use crate::pme_spatial::SpatialPme;
 use cpc_cluster::{CostModel, Phase};
@@ -89,12 +88,6 @@ pub(crate) struct RankMd<'a> {
     /// Capacity weights of the live members in logical-rank order
     /// (`None` = uniform, the exact unweighted cuts).
     caps: Option<Vec<f64>>,
-    memo: Option<&'a CellMemo<'a>>,
-    /// The static part of this rank's classic content key, saved by the
-    /// first memoised evaluation after a list build or a repartition —
-    /// the only two places that write what it digests — and emptied by
-    /// both.
-    prefix: Option<Digest>,
     /// Whether evaluations gather ABFT evidence (and charge for it).
     abft: bool,
     cfg: &'a MdConfig,
@@ -112,7 +105,6 @@ impl<'a> RankMd<'a> {
         cfg: &'a MdConfig,
         start: &System,
         list: &'a NeighborList,
-        memo: Option<&'a CellMemo<'a>>,
         abft: bool,
     ) -> Self {
         let mut rank = RankMd {
@@ -121,8 +113,6 @@ impl<'a> RankMd<'a> {
             list: Cow::Borrowed(list),
             pme: None,
             caps: None,
-            memo,
-            prefix: None,
             abft,
             cfg,
             opts: nonbonded_options(cfg.model),
@@ -160,7 +150,6 @@ impl<'a> RankMd<'a> {
             }),
         };
         self.caps = caps;
-        self.prefix = None;
     }
 
     /// The current capacity weights (`None` = uniform).
@@ -187,7 +176,6 @@ impl<'a> RankMd<'a> {
             self.list
                 .to_mut()
                 .rebuild(&self.sys.topology, &self.sys.pbox, &self.sys.positions);
-            self.prefix = None;
             self.charge_list_share(comm);
         }
     }
@@ -200,9 +188,7 @@ impl<'a> RankMd<'a> {
         comm.ctx().set_phase(Phase::Classic);
         self.refresh_list(comm);
         comm.barrier();
-        // The box and the positions, digested once for both content keys.
-        let keyed = self.memo.map(|cell| (cell, positions_digest(&self.sys)));
-        let (classic, served) = classic_energy_keyed(
+        let classic = classic_energy_parallel_weighted(
             comm,
             &self.sys,
             &self.list.pairs,
@@ -210,8 +196,6 @@ impl<'a> RankMd<'a> {
             &self.cost,
             self.cfg.tuning.force_combine,
             self.caps.as_deref(),
-            keyed.map(|(cell, positions)| (cell.memo, positions)),
-            &mut self.prefix,
         );
         let mut probe = EvalProbe::default();
         if self.abft {
@@ -229,10 +213,7 @@ impl<'a> RankMd<'a> {
         let mut pme_energy = 0.0;
         if let Some(pme) = &self.pme {
             let kr = match pme {
-                PmeEngine::Replicated(e) => {
-                    let memo = keyed.map(|(cell, positions)| (cell, positions, served));
-                    e.energy_forces_served(comm, &self.sys, &self.cost, memo)
-                }
+                PmeEngine::Replicated(e) => e.energy_forces(comm, &self.sys, &self.cost),
                 PmeEngine::Spatial(e) => e.energy_forces(comm, &self.sys, &self.cost),
             };
             for (f, kf) in forces.iter_mut().zip(&kr.forces) {
@@ -312,111 +293,4 @@ fn publish(comm: &mut Comm<'_>, xs: &mut [Vec3]) {
             *x = Vec3::new(c[0], c[1], c[2]);
         }
     });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::decomp::classic_partition;
-    use crate::memo::{classic_prefix, KernelMemo};
-    use cpc_cluster::{run_cluster, ClusterConfig, NetworkKind};
-    use cpc_fft::Dims3;
-    use cpc_md::builder::water_box;
-    use cpc_md::pme::PmeParams;
-    use cpc_mpi::Middleware;
-
-    /// What the rank's next memoised evaluation would look up: its saved
-    /// prefix, then the positions.
-    fn saved_key(rank: &RankMd<'_>) -> u128 {
-        let prefix = rank
-            .prefix
-            .as_ref()
-            .expect("a memoised evaluation saves it");
-        prefix.at(positions_digest(&rank.sys)).finish()
-    }
-
-    /// The same key from scratch: cuts, bonded ranges and every word.
-    fn scratch_key(rank: &RankMd<'_>, comm: &Comm<'_>) -> u128 {
-        let (pairs, t) = (&rank.list.pairs, &rank.sys.topology);
-        let (p, r) = (comm.size(), comm.rank());
-        let cuts = pair_cuts(pairs, p, rank.caps());
-        let part = classic_partition(
-            pairs.len(),
-            t.bonds.len(),
-            t.angles.len(),
-            t.dihedrals.len(),
-            t.impropers.len(),
-            t.n_atoms(),
-            p,
-            r,
-        );
-        classic_prefix(&rank.sys, pairs, &(cuts[r]..cuts[r + 1]), &part, &rank.opts)
-            .at(positions_digest(&rank.sys))
-            .finish()
-    }
-
-    /// The saved prefix is dropped wherever what it digests is written:
-    /// through a list rebuild (a box hot enough to outrun the 2 A skin
-    /// inside the run) and through a repartition under non-uniform
-    /// capacities, prefix-then-positions is the from-scratch key after
-    /// every evaluation — and the prefix a skipped invalidation would
-    /// have left behind is not.
-    #[test]
-    fn the_saved_prefix_never_outlives_what_it_digests() {
-        // 15.5 A of box: wider than the 12 A reach, so the list is a
-        // proper subset of all pairs and a rebuild changes it.
-        let mut start = water_box(5, 3.1);
-        start.assign_velocities(6000.0, 11);
-        let model = EnergyModel::Pme(PmeParams {
-            grid: Dims3::new(16, 16, 16),
-            order: 4,
-            beta: 0.34,
-        });
-        let p = 3;
-        let cluster = ClusterConfig::uni(p, NetworkKind::ScoreGigE);
-        let cfg = MdConfig::paper_protocol(model, Middleware::Mpi, cluster);
-        let list = initial_list(&start, model);
-        let memo = KernelMemo::new();
-        let cell = memo.cell();
-        let steps_to_rebuild = run_cluster(cluster, |ctx| {
-            let mut comm = Comm::new(ctx, cfg.middleware);
-            let mut rank = RankMd::new(&mut comm, &cfg, &start, &list, Some(&cell), false);
-            assert!(rank.prefix.is_none());
-            rank.forces = rank.evaluate(&mut comm).forces;
-            assert_eq!(saved_key(&rank), scratch_key(&rank, &comm));
-
-            let mut steps = 0;
-            while matches!(rank.list, Cow::Borrowed(_)) {
-                steps += 1;
-                assert!(steps <= 60, "the box never outran its skin");
-                let kept = rank.prefix.clone().expect("saved by the last evaluation");
-                rank.drift(&mut comm);
-                rank.forces = rank.evaluate(&mut comm).forces;
-                rank.kick(&mut comm);
-                assert_eq!(saved_key(&rank), scratch_key(&rank, &comm), "step {steps}");
-                // Planted: `refresh_list` forgetting to drop the prefix.
-                let stale = kept.at(positions_digest(&rank.sys)).finish();
-                let rebuilt = matches!(rank.list, Cow::Owned(_));
-                assert_eq!(stale != scratch_key(&rank, &comm), rebuilt, "step {steps}");
-            }
-
-            let kept = rank.prefix.clone().expect("saved by the last evaluation");
-            rank.repartition(p, Some(vec![1.0, 0.4, 2.0]));
-            assert!(rank.prefix.is_none());
-            rank.evaluate(&mut comm);
-            assert_eq!(saved_key(&rank), scratch_key(&rank, &comm));
-            // Planted: `repartition` forgetting to.
-            assert_ne!(
-                kept.at(positions_digest(&rank.sys)).finish(),
-                scratch_key(&rank, &comm)
-            );
-            steps
-        });
-        assert!(steps_to_rebuild.iter().all(|o| o.result >= 2));
-        assert_eq!(
-            memo.stats().classic.hits,
-            0,
-            "one platform: nothing is served"
-        );
-    }
 }

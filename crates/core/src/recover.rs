@@ -549,8 +549,8 @@ pub fn run_parallel_md_faulty(
         let cost = ctx.config().cost;
         let mut comm = Comm::new(ctx, cfg.middleware);
         // Faults, SDC and ABFT repairs change state out of band: a
-        // perturbed run always computes, so no kernel memo.
-        let mut rank = RankMd::new(&mut comm, cfg, &start, &list, None, abft.enabled);
+        // perturbed run always computes and records nothing.
+        let mut rank = RankMd::new(&mut comm, cfg, &start, &list, abft.enabled);
         let n = rank.sys.n_atoms();
 
         // Adaptive-degradation state. The detector is indexed by engine

@@ -48,30 +48,25 @@ pub struct RunReport {
     pub final_velocities: Vec<Vec3>,
 }
 
-type RankPayload = (Vec<StepEnergies>, Vec<Vec3>, Vec<Vec3>);
+/// What a rank body of the MD drivers returns: its energy log and its
+/// final positions and velocities. Every rank's are the same bits.
+pub(crate) type RankPayload = (Vec<StepEnergies>, Vec<Vec3>, Vec<Vec3>);
 
 impl RunReport {
-    /// Builds a report from the raw cluster outcomes.
-    pub(crate) fn from_outcomes(cfg: &MdConfig, outcomes: Vec<RankOutcome<RankPayload>>) -> Self {
+    /// Builds a report from the raw cluster outcomes and the physics
+    /// rank 0 returned.
+    pub(crate) fn from_outcomes<T>(
+        cfg: &MdConfig,
+        outcomes: Vec<RankOutcome<T>>,
+        physics: RankPayload,
+    ) -> Self {
         let wall_time = outcomes.iter().map(|o| o.finish_time).fold(0.0, f64::max);
-        let mut step_energies = Vec::new();
-        let mut final_positions = Vec::new();
-        let mut final_velocities = Vec::new();
-        let mut per_rank = Vec::with_capacity(outcomes.len());
-        for (i, o) in outcomes.into_iter().enumerate() {
-            if i == 0 {
-                let (e, p, v) = o.result;
-                step_energies = e;
-                final_positions = p;
-                final_velocities = v;
-            }
-            per_rank.push(o.stats);
-        }
+        let (step_energies, final_positions, final_velocities) = physics;
         RunReport {
             cluster: cfg.cluster,
             middleware: cfg.middleware,
             steps: cfg.steps,
-            per_rank,
+            per_rank: outcomes.into_iter().map(|o| o.stats).collect(),
             wall_time,
             step_energies,
             final_positions,

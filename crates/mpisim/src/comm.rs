@@ -13,8 +13,7 @@
 
 use crate::detector::FailureDetector;
 use crate::middleware::{CombineAlgo, Middleware};
-use cpc_cluster::{CommError, Msg, MsgClass, OpShape, RankCtx};
-use std::ops::Range;
+use cpc_cluster::{CommError, MsgClass, OpShape, RankCtx};
 
 /// Tag space layout: collectives use `epoch << 8 | op`, user messages
 /// use the high bit.
@@ -432,12 +431,9 @@ impl<'a> Comm<'a> {
         }
     }
 
-    /// Sends `block` as a payload: its values, or its length alone.
-    fn send_block(&mut self, dst: usize, tag: u64, block: Block, shape: OpShape) {
-        match block {
-            Block::Values(data) => self.ctx.send(dst, tag, data, MsgClass::Payload, shape),
-            Block::Len(len) => self.ctx.send_len(dst, tag, len, shape),
-        };
+    /// Sends `data` as a payload.
+    fn send_payload(&mut self, dst: usize, tag: u64, data: Vec<f64>, shape: OpShape) {
+        self.ctx.send(dst, tag, data, MsgClass::Payload, shape);
     }
 
     /// Global sum reduction to rank 0 followed by broadcast — CHARMM's
@@ -445,12 +441,6 @@ impl<'a> Comm<'a> {
     /// `data` holds the local contribution on entry and the global sum
     /// on exit, on every rank.
     pub fn allreduce_sum(&mut self, data: &mut Vec<f64>) {
-        on_values(data, |block| self.fold_tree(block));
-    }
-
-    /// [`allreduce_sum`](Self::allreduce_sum) over `data`'s values or
-    /// its length alone.
-    fn fold_tree(&mut self, data: &mut Block) {
         let p = self.size();
         let reduce_tag = self.next_epoch(op::REDUCE);
         if p == 1 {
@@ -463,15 +453,15 @@ impl<'a> Comm<'a> {
         let mut mask = 1usize;
         while mask < p {
             if rank & mask != 0 {
-                let payload = data.take();
+                let payload = std::mem::take(data);
                 let dst = self.g(rank - mask);
-                self.send_block(dst, reduce_tag, payload, shape);
+                self.send_payload(dst, reduce_tag, payload, shape);
                 break;
             }
             if rank + mask < p {
                 let src = self.g(rank + mask);
-                let arrived = data.received(self.ctx.recv(src, reduce_tag));
-                data.add(&arrived);
+                let arrived = self.ctx.recv(src, reduce_tag).data;
+                add_into(data, &arrived);
                 // The reduction arithmetic itself is part of the
                 // communication routine in CHARMM; charge a small
                 // per-element cost as computation.
@@ -488,13 +478,7 @@ impl<'a> Comm<'a> {
     /// allgather): each rank moves `2 (p-1)/p` of the vector instead of
     /// the full vector per tree level. Used for the PME charge-grid
     /// sum, whose volume (the full 3D mesh) dwarfs the force combines.
-    pub fn allreduce_ring(&mut self, data: &mut Vec<f64>) {
-        on_values(data, |block| self.ring_sum(block));
-    }
-
-    /// [`allreduce_ring`](Self::allreduce_ring) over `data`'s values or
-    /// its length alone.
-    fn ring_sum(&mut self, data: &mut Block) {
+    pub fn allreduce_ring(&mut self, data: &mut [f64]) {
         let p = self.size();
         let tag = self.next_epoch(op::REDUCE);
         if p == 1 {
@@ -508,24 +492,22 @@ impl<'a> Comm<'a> {
         // arrived with the local share added in, so after p-1 steps the
         // block in hand is the complete sum of block (r+1) mod p. The
         // partial sums in between live only in the travelling block.
-        let own = data.part(block(rank));
+        let own = data[block(rank)].to_vec();
         let sum = self.ring_steps(tag, 0, own, |ctx, s, arrived| {
             let local = block(rank + p - s - 1);
             assert_eq!(arrived.len(), local.len());
-            if let (Block::Values(arrived), Block::Values(data)) = (&mut *arrived, &*data) {
-                for (a, l) in arrived.iter_mut().zip(&data[local]) {
-                    // `local + arrived`, the operand order of the in-place
-                    // `local += arrived` this replaces.
-                    let sum = *l + *a;
-                    *a = sum;
-                }
+            for (a, l) in arrived.iter_mut().zip(&data[local]) {
+                // `local + arrived`, the operand order of the in-place
+                // `local += arrived` this replaces.
+                let sum = *l + *a;
+                *a = sum;
             }
             ctx.charge_compute(4e-9 * arrived.len() as f64);
         });
-        data.land(block(rank + 1), &sum);
+        data[block(rank + 1)].copy_from_slice(&sum);
         // Allgather the summed blocks around the ring.
         self.ring_steps(tag, p, sum, |_, s, arrived| {
-            data.land(block(rank + p - s), arrived);
+            data[block(rank + p - s)].copy_from_slice(arrived);
         });
         self.close_split_group();
     }
@@ -541,31 +523,30 @@ impl<'a> Comm<'a> {
         &mut self,
         tag: u64,
         first_step: usize,
-        mut block: Block,
-        mut arrive: impl FnMut(&mut RankCtx, usize, &mut Block),
-    ) -> Block {
+        mut block: Vec<f64>,
+        mut arrive: impl FnMut(&mut RankCtx, usize, &mut Vec<f64>),
+    ) -> Vec<f64> {
         let p = self.size();
         let rank = self.rank();
         let right = self.g((rank + 1) % p);
         let left = self.g((rank + p - 1) % p);
         for s in 0..p - 1 {
             let t = tag + (((first_step + s) as u64) << 40);
-            let sent = block.take();
-            self.send_block(right, t, sent, OpShape::new(1, p));
-            block = block.received(self.ctx.recv(left, t));
+            let sent = std::mem::take(&mut block);
+            self.send_payload(right, t, sent, OpShape::new(1, p));
+            block = self.ctx.recv(left, t).data;
             arrive(self.ctx, s, &mut block);
         }
         block
     }
 
-    /// Flat master-based global sum over `data`'s values or its length
-    /// alone, the structure of early parallel CHARMM's
-    /// `GCOMB`/`VDGSUM`: every rank sends its contribution to rank 0
-    /// (an incast), rank 0 reduces and sends the result back to
+    /// Flat master-based global sum, the structure of early parallel
+    /// CHARMM's `GCOMB`/`VDGSUM`: every rank sends its contribution to
+    /// rank 0 (an incast), rank 0 reduces and sends the result back to
     /// everyone (an outcast). On TCP the incast congestion makes this
     /// visibly worse than a tree at scale — part of the classic
     /// calculation's overhead growth the paper measures.
-    fn fold_flat(&mut self, data: &mut Block) {
+    fn allreduce_flat(&mut self, data: &mut Vec<f64>) {
         let p = self.size();
         let tag = self.next_epoch(op::REDUCE);
         if p == 1 {
@@ -576,41 +557,29 @@ impl<'a> Comm<'a> {
         if rank == 0 {
             for src in 1..p {
                 let gsrc = self.g(src);
-                let arrived = data.received(self.ctx.recv(gsrc, tag));
-                data.add(&arrived);
+                let arrived = self.ctx.recv(gsrc, tag).data;
+                add_into(data, &arrived);
                 self.ctx.charge_compute(4e-9 * arrived.len() as f64);
             }
             for dst in 1..p {
                 let gdst = self.g(dst);
-                self.send_block(gdst, tag + (1 << 40), data.clone(), shape);
+                self.send_payload(gdst, tag + (1 << 40), data.clone(), shape);
             }
         } else {
-            let payload = data.take();
+            let payload = std::mem::take(data);
             let root = self.g(0);
-            self.send_block(root, tag, payload, shape);
-            *data = data.received(self.ctx.recv(root, tag + (1 << 40)));
+            self.send_payload(root, tag, payload, shape);
+            *data = self.ctx.recv(root, tag + (1 << 40)).data;
         }
         self.close_split_group();
     }
 
     /// Dispatches a global sum to the selected algorithm.
     pub fn allreduce_with(&mut self, algo: CombineAlgo, data: &mut Vec<f64>) {
-        on_values(data, |block| self.allreduce_block(algo, block));
-    }
-
-    /// [`allreduce_with`](Self::allreduce_with) over `n` values that no
-    /// rank holds: every message goes out in its order at its size, and
-    /// every reduction charge is made, with nothing summed. All ranks of
-    /// the collective must call this form.
-    pub fn allreduce_len(&mut self, algo: CombineAlgo, n: usize) {
-        self.allreduce_block(algo, &mut Block::Len(n));
-    }
-
-    fn allreduce_block(&mut self, algo: CombineAlgo, data: &mut Block) {
         match algo {
-            CombineAlgo::Flat => self.fold_flat(data),
-            CombineAlgo::Tree => self.fold_tree(data),
-            CombineAlgo::Ring => self.ring_sum(data),
+            CombineAlgo::Flat => self.allreduce_flat(data),
+            CombineAlgo::Tree => self.allreduce_sum(data),
+            CombineAlgo::Ring => self.allreduce_ring(data),
         }
     }
 
@@ -619,11 +588,11 @@ impl<'a> Comm<'a> {
         let p = self.size();
         let shape = OpShape::new(1, p);
         self.epoch += 1;
-        on_values(data, |block| self.broadcast_internal(root, block, shape));
+        self.broadcast_internal(root, data, shape);
         self.close_split_group();
     }
 
-    fn broadcast_internal(&mut self, root: usize, data: &mut Block, shape: OpShape) {
+    fn broadcast_internal(&mut self, root: usize, data: &mut Vec<f64>, shape: OpShape) {
         let p = self.size();
         if p == 1 {
             return;
@@ -635,12 +604,12 @@ impl<'a> Comm<'a> {
         if vrank != 0 {
             let lowest = vrank & vrank.wrapping_neg();
             let parent = self.g(((vrank - lowest) + root) % p);
-            *data = data.received(self.ctx.recv(parent, tag));
+            *data = self.ctx.recv(parent, tag).data;
             let mut mask = lowest >> 1;
             while mask >= 1 {
                 if vrank + mask < p {
                     let child = self.g(((vrank + mask) + root) % p);
-                    self.send_block(child, tag, data.clone(), shape);
+                    self.send_payload(child, tag, data.clone(), shape);
                 }
                 mask >>= 1;
             }
@@ -649,13 +618,12 @@ impl<'a> Comm<'a> {
             while mask >= 1 {
                 if mask < p && vrank + mask < p {
                     let child = self.g(((vrank + mask) + root) % p);
-                    self.send_block(child, tag, data.clone(), shape);
+                    self.send_payload(child, tag, data.clone(), shape);
                 }
                 mask >>= 1;
             }
         }
     }
-
     /// Gathers each rank's vector at `root`; returns `Some(parts)` on
     /// the root (indexed by rank) and `None` elsewhere. Flat algorithm,
     /// as in early CHARMM ports.
@@ -694,34 +662,17 @@ impl<'a> Comm<'a> {
     /// included — to `land(source rank, vector)` as it passes through,
     /// for callers that unpack each part into a destination of their
     /// own: one copy per part, and no `Vec` of parts in between.
-    pub fn allgather_with(&mut self, data: Vec<f64>, land: impl FnMut(usize, &[f64])) {
-        self.allgather_block(Block::Values(data), land);
-    }
-
-    /// [`allgather_with`](Self::allgather_with) of parts that carry only
-    /// their lengths, this rank's being `len`: the ring runs as it would
-    /// with values, and nothing lands. All ranks of the collective must
-    /// call this form.
-    pub fn allgather_len(&mut self, len: usize) {
-        self.allgather_block(Block::Len(len), |_, _| {});
-    }
-
-    /// The allgather ring over values or lengths; `land` sees values only.
-    fn allgather_block(&mut self, data: Block, mut land: impl FnMut(usize, &[f64])) {
+    pub fn allgather_with(&mut self, data: Vec<f64>, mut land: impl FnMut(usize, &[f64])) {
         let p = self.size();
         let tag = self.next_epoch(op::ALLGATHER);
         let rank = self.rank();
-        if let Block::Values(values) = &data {
-            land(rank, values);
-        }
+        land(rank, &data);
         if p == 1 {
             return;
         }
         // In step s the block of rank (rank - s - 1) mod p arrives.
         self.ring_steps(tag, 0, data, |_, s, arrived| {
-            if let Block::Values(values) = arrived {
-                land((rank + p - s - 1) % p, values);
-            }
+            land((rank + p - s - 1) % p, arrived);
         });
         self.close_split_group();
     }
@@ -786,37 +737,21 @@ impl<'a> Comm<'a> {
     }
 
     /// All-to-all personalized exchange (the parallel FFT transpose —
-    /// the paper's "all-to-all personalized communication").
+    /// the paper's "all-to-all personalized communication"): pairwise
+    /// blocking rounds under MPI, one split send group under CMPI.
     ///
     /// `sends[d]` is the block for rank `d` (`sends[rank]` stays local).
     /// Returns the blocks received, indexed by source.
-    pub fn alltoallv(&mut self, sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        let sends = sends.into_iter().map(Block::Values).collect();
-        let recvs = self.alltoallv_blocks(sends);
-        recvs.into_iter().map(Block::into_values).collect()
-    }
-
-    /// [`alltoallv`](Self::alltoallv) of blocks that carry only their
-    /// lengths: `lens[d]` is the length of the block for rank `d`.
-    /// Returns the lengths received, indexed by source. All ranks of the
-    /// collective must call this form.
-    pub fn alltoallv_len(&mut self, lens: &[usize]) -> Vec<usize> {
-        let sends = lens.iter().map(|&len| Block::Len(len)).collect();
-        let recvs = self.alltoallv_blocks(sends);
-        recvs.iter().map(Block::len).collect()
-    }
-
-    /// The pairwise (MPI) or split (CMPI) exchange of values or lengths.
-    fn alltoallv_blocks(&mut self, mut sends: Vec<Block>) -> Vec<Block> {
+    pub fn alltoallv(&mut self, mut sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         let p = self.size();
         assert_eq!(sends.len(), p, "one block per destination required");
         let tag = self.next_epoch(op::ALLTOALL);
         let rank = self.rank();
-        let own = sends[rank].take();
+        let own = std::mem::take(&mut sends[rank]);
         if p == 1 {
             return vec![own];
         }
-        let mut recvs = vec![Block::Len(0); p];
+        let mut recvs = vec![Vec::new(); p];
 
         match self.middleware {
             Middleware::Mpi => {
@@ -824,29 +759,29 @@ impl<'a> Comm<'a> {
                 for k in 1..p {
                     let dst = (rank + k) % p;
                     let src = (rank + p - k) % p;
-                    let block = sends[dst].take();
+                    let block = std::mem::take(&mut sends[dst]);
                     let gdst = self.g(dst);
                     let gsrc = self.g(src);
                     let t = tag + ((k as u64) << 40);
-                    self.send_block(gdst, t, block, OpShape::new(1, p));
-                    recvs[src] = own.received(self.ctx.recv(gsrc, t));
+                    self.send_payload(gdst, t, block, OpShape::new(1, p));
+                    recvs[src] = self.ctx.recv(gsrc, t).data;
                 }
             }
             Middleware::Cmpi => {
                 // Split: post every send, then drain every receive.
                 for k in 1..p {
                     let dst = (rank + k) % p;
-                    let block = sends[dst].take();
+                    let block = std::mem::take(&mut sends[dst]);
                     let gdst = self.g(dst);
                     // Split groups push every message at once: the
                     // receiver endpoint sees p-1 concurrent flows.
                     let t = tag + ((k as u64) << 40);
-                    self.send_block(gdst, t, block, OpShape::new(p - 1, p));
+                    self.send_payload(gdst, t, block, OpShape::new(p - 1, p));
                 }
                 for k in 1..p {
                     let src = (rank + p - k) % p;
                     let gsrc = self.g(src);
-                    recvs[src] = own.received(self.ctx.recv(gsrc, tag + ((k as u64) << 40)));
+                    recvs[src] = self.ctx.recv(gsrc, tag + ((k as u64) << 40)).data;
                 }
                 self.ring_sync();
             }
@@ -854,82 +789,6 @@ impl<'a> Comm<'a> {
         recvs[rank] = own;
         recvs
     }
-}
-
-/// One message body of a collective: its values, or only how many there
-/// are. A collective runs one protocol over either form; its arithmetic
-/// and landing touch values only, and its sends and compute charges read
-/// the length, which is all the network model costs a message by. All
-/// ranks of one collective carry the same form.
-#[derive(Clone)]
-enum Block {
-    Values(Vec<f64>),
-    Len(usize),
-}
-
-impl Block {
-    fn len(&self) -> usize {
-        match self {
-            Block::Values(values) => values.len(),
-            Block::Len(len) => *len,
-        }
-    }
-
-    /// Moves the block out, leaving an empty one of the same form.
-    fn take(&mut self) -> Block {
-        match self {
-            Block::Values(values) => Block::Values(std::mem::take(values)),
-            Block::Len(len) => Block::Len(std::mem::take(len)),
-        }
-    }
-
-    /// The body of `msg`, in the form of this block.
-    fn received(&self, msg: Msg) -> Block {
-        match self {
-            Block::Values(_) => {
-                debug_assert_eq!(msg.data.len(), msg.len, "a peer sent a length only");
-                Block::Values(msg.data)
-            }
-            Block::Len(_) => Block::Len(msg.len),
-        }
-    }
-
-    /// The elements `range` of this block, in its form.
-    fn part(&self, range: Range<usize>) -> Block {
-        match self {
-            Block::Values(values) => Block::Values(values[range].to_vec()),
-            Block::Len(_) => Block::Len(range.len()),
-        }
-    }
-
-    /// Copies `from`'s values over the elements `range`.
-    fn land(&mut self, range: Range<usize>, from: &Block) {
-        if let (Block::Values(values), Block::Values(from)) = (self, from) {
-            values[range].copy_from_slice(from);
-        }
-    }
-
-    /// Adds `other` into this block, element by element.
-    fn add(&mut self, other: &Block) {
-        assert_eq!(self.len(), other.len(), "reduction length mismatch");
-        if let (Block::Values(acc), Block::Values(other)) = (self, other) {
-            add_into(acc, other);
-        }
-    }
-
-    fn into_values(self) -> Vec<f64> {
-        match self {
-            Block::Values(values) => values,
-            Block::Len(_) => unreachable!("a collective over values carries values"),
-        }
-    }
-}
-
-/// Runs `body` over `data` as a block of values.
-fn on_values(data: &mut Vec<f64>, body: impl FnOnce(&mut Block)) {
-    let mut block = Block::Values(std::mem::take(data));
-    body(&mut block);
-    *data = block.into_values();
 }
 
 fn add_into(acc: &mut [f64], other: &[f64]) {

@@ -135,21 +135,6 @@ fn observable<T: Clone>(o: &RankOutcome<T>) -> (T, Timing) {
     (o.result.clone(), timing(o))
 }
 
-/// One traced message: source, destination, bytes, payload class, and
-/// the bits of its departure and arrival.
-type Wire = (usize, usize, usize, bool, u64, u64);
-
-/// A rank's [`timing`] and every message it sent.
-fn on_the_wire<T>(o: &RankOutcome<T>) -> (Timing, Vec<Wire>) {
-    let trace = (o.stats.trace.iter())
-        .map(|e| {
-            let (dep, arr) = (e.departure.to_bits(), e.arrival.to_bits());
-            (e.src, e.dst, e.bytes, e.payload, dep, arr)
-        })
-        .collect();
-    (timing(o), trace)
-}
-
 /// A rank's share of a test vector: signs, magnitudes across thirty
 /// decades and exact zeros, so no summation order hides behind
 /// exactness.
@@ -258,98 +243,6 @@ fn copy_once_allgather_is_the_clone_per_step_one_on_every_observable() {
                         g.rank
                     );
                 }
-            }
-        }
-    }
-}
-
-/// A length below `below` drawn from `(seed, a, b)`: the same on every
-/// rank that asks, and zero about one time in four.
-fn draw(seed: u64, a: usize, b: usize, below: usize) -> usize {
-    let mut s = seed ^ ((a as u64) << 32 | b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    s ^= s >> 29;
-    s = s.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    s ^= s >> 32;
-    if s.is_multiple_of(4) {
-        0
-    } else {
-        (s >> 2) as usize % below
-    }
-}
-
-/// Runs `body` on `p` traced ranks on dual TCP nodes twice, told to
-/// carry values (zeros) and then lengths only, and checks that each rank
-/// returns the same result and is the same on the wire both times.
-fn one_protocol<T: Send + PartialEq + std::fmt::Debug>(
-    p: usize,
-    mw: Middleware,
-    what: &str,
-    body: impl Fn(&mut Comm<'_>, bool) -> T + Sync,
-) {
-    let mut cfg = ClusterConfig::dual(p, NetworkKind::TcpGigE);
-    cfg.record_trace = true;
-    let run = |values: bool| run_cluster(cfg, |ctx| body(&mut Comm::new(ctx, mw), values));
-    let (values, lengths) = (run(true), run(false));
-    for (v, l) in values.iter().zip(&lengths) {
-        let at = format!("{what} p={p} {mw:?} rank {}", v.rank);
-        assert!(p == 1 || !v.stats.trace.is_empty(), "{at}: traced");
-        assert_eq!(v.result, l.result, "{at}");
-        assert_eq!(on_the_wire(v), on_the_wire(l), "{at}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Every collective a served PME evaluation runs, over lengths and
-    /// over values: one protocol, so the same messages at the same
-    /// virtual times, the same clocks and the same phase buckets on every
-    /// rank (DESIGN.md §29).
-    #[test]
-    fn a_collective_over_lengths_is_the_one_over_zeros_on_the_wire(seed in 0u64..1 << 40) {
-        for p in 1..=9usize {
-            let random = 2 + draw(seed, p, 0, 3000);
-            for mw in Middleware::ALL {
-                // The mesh sum, twice: the second rides on the clocks the
-                // first left.
-                for algo in CombineAlgo::ALL {
-                    for n in [0, 1, p - 1, random] {
-                        one_protocol(p, mw, &format!("{algo:?} n={n}"), |comm, values| {
-                            for _ in 0..2 {
-                                if values {
-                                    comm.allreduce_with(algo, &mut vec![0.0; n]);
-                                } else {
-                                    comm.allreduce_len(algo, n);
-                                }
-                            }
-                        });
-                    }
-                }
-                // Uneven parts, some of them empty.
-                let part = |rank: usize| draw(seed, p, rank + 1, 40);
-                one_protocol(p, mw, "allgather", |comm, values| {
-                    let len = part(comm.rank());
-                    if values {
-                        comm.allgather_with(vec![0.0; len], |_, _| {});
-                    } else {
-                        comm.allgather_len(len);
-                    }
-                });
-                // Uneven blocks, some of them empty; each rank returns the
-                // lengths it received.
-                let block = |src: usize, dst: usize| draw(seed, p, 16 * (src + 1) + dst, 60);
-                one_protocol(p, mw, "alltoallv", |comm, values| {
-                    let rank = comm.rank();
-                    let lens: Vec<usize> = (0..p).map(|d| block(rank, d)).collect();
-                    let got = if values {
-                        let sends = lens.iter().map(|&n| vec![0.0; n]).collect();
-                        comm.alltoallv(sends).iter().map(Vec::len).collect()
-                    } else {
-                        comm.alltoallv_len(&lens)
-                    };
-                    assert_eq!(got, (0..p).map(|s| block(s, rank)).collect::<Vec<_>>());
-                    got
-                });
             }
         }
     }

@@ -21,6 +21,12 @@
 //! [`CommError::Timeout`]), and a crashing rank enqueues crash notices
 //! into every mailbox before unwinding, so any later receive from it
 //! surfaces [`CommError::PeerDead`] instead of blocking forever.
+//!
+//! A fault-free run can also be recorded ([`run_cluster_recorded`]): each
+//! rank's [`Script`] of engine operations, charges in calibration
+//! seconds. Virtual time is a function of the scripts and the platform,
+//! so [`replay`] plays them back on one thread, on any platform, through
+//! the same transfer, receive completion and compute charge.
 
 use crate::cluster::ClusterConfig;
 use crate::faults::{FaultPlan, LinkFault};
@@ -43,11 +49,8 @@ pub struct Msg {
     /// User tag.
     pub tag: u64,
     /// Payload (possibly empty for control messages; always empty for a
-    /// [length-only](RankCtx::send_len) one).
+    /// [replayed](replay) one).
     pub data: Vec<f64>,
-    /// Number of values the message stands for: `data.len()`, or the
-    /// length alone of a message sent without its values.
-    pub len: usize,
     /// Modeled size in bytes (may exceed `data` size, e.g. headers).
     pub bytes: usize,
     /// Classification for the comm/sync split.
@@ -177,6 +180,42 @@ pub struct SendOutcome {
     pub wire: f64,
 }
 
+/// One operation a rank issued to the engine, as
+/// [`run_cluster_recorded`] keeps it and [`replay`] plays it back.
+/// Nothing in it names the platform: a compute charge is in
+/// calibration seconds, before the node's clock and contention scale
+/// it, and a send carries its length and shape but no values.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Op {
+    /// [`RankCtx::set_phase`].
+    Phase(Phase),
+    /// [`RankCtx::charge_compute`] of this many calibration seconds.
+    Compute(f64),
+    /// [`RankCtx::send`] of `len` values.
+    Send {
+        /// Destination rank.
+        dst: usize,
+        /// User tag.
+        tag: u64,
+        /// Number of values sent.
+        len: usize,
+        /// Classification for the comm/sync split.
+        class: MsgClass,
+        /// Shape of the enclosing operation.
+        shape: OpShape,
+    },
+    /// A receive that completed with the message from `src` with `tag`.
+    Recv {
+        /// Sending rank.
+        src: usize,
+        /// User tag.
+        tag: u64,
+    },
+}
+
+/// Every operation one rank issued to the engine, in order.
+pub type Script = Vec<Op>;
+
 /// Unwind payload of a simulated crash (distinguished from genuine
 /// panics by `catch_unwind` downcasting).
 struct CrashUnwind;
@@ -229,6 +268,22 @@ struct Shared {
 }
 
 impl Shared {
+    /// The shared state of one run, after validating its inputs.
+    fn new(config: ClusterConfig, plan: FaultPlan) -> Result<Arc<Shared>, SimError> {
+        config.validate().map_err(SimError::InvalidConfig)?;
+        plan.validate(config.ranks, config.nodes())
+            .map_err(SimError::InvalidFaultPlan)?;
+        Ok(Arc::new(Shared {
+            config,
+            net: config.network.params(),
+            crash_at: (0..config.ranks).map(|r| plan.crash_time(r)).collect(),
+            plan,
+            mailboxes: (0..config.ranks).map(|_| Mailbox::default()).collect(),
+            quiescent: AtomicUsize::new(0),
+            stalled: AtomicBool::new(false),
+        }))
+    }
+
     fn post(&self, dst: usize, msg: Msg) {
         let mb = &self.mailboxes[dst];
         let was_waiting = {
@@ -285,6 +340,16 @@ impl Shared {
         }
     }
 
+    /// [`Self::take`] that never blocks: what `pick` takes out of
+    /// `rank`'s inbox now, if anything.
+    fn try_take<R>(
+        &self,
+        rank: usize,
+        pick: impl FnOnce(&mut VecDeque<Msg>) -> Option<R>,
+    ) -> Option<R> {
+        pick(&mut self.mailboxes[rank].lock().queue)
+    }
+
     /// Counts the caller as unable to post; true when that completes
     /// the count, i.e. the caller has proved that nobody can.
     fn count_quiescent(&self) -> bool {
@@ -311,6 +376,15 @@ impl Shared {
     }
 }
 
+/// Takes the first delivered message from `src` with `tag` out of a
+/// queue: FIFO per channel, tombstones left for `recv_result`.
+fn take_delivered(q: &mut VecDeque<Msg>, src: usize, tag: u64) -> Option<Msg> {
+    let pos = q
+        .iter()
+        .position(|m| m.src == src && m.tag == tag && !m.lost)?;
+    q.remove(pos)
+}
+
 /// Unwinds the calling rank out of a receive nothing will ever
 /// satisfy. Uses `resume_unwind` so the panic hook stays silent: a
 /// stall is a diagnosed outcome, not a bug in the harness.
@@ -331,9 +405,57 @@ pub struct RankCtx {
     counters: Vec<u64>,
     /// Collected statistics.
     pub stats: RankStats,
+    /// This rank's script so far, when the run records one.
+    script: Option<Script>,
 }
 
 impl RankCtx {
+    fn new(rank: usize, shared: Arc<Shared>, record: bool) -> Self {
+        RankCtx {
+            rank,
+            counters: vec![0; shared.config.ranks],
+            shared,
+            clock: 0.0,
+            phase: Phase::Other,
+            stats: RankStats::default(),
+            script: record.then(Vec::new),
+        }
+    }
+
+    fn record(&mut self, op: Op) {
+        if let Some(script) = &mut self.script {
+            script.push(op);
+        }
+    }
+
+    /// Plays one recorded operation; false (and nothing done) when it is
+    /// a receive whose message has not been posted yet.
+    fn play(&mut self, op: Op) -> bool {
+        match op {
+            Op::Phase(phase) => self.set_phase(phase),
+            Op::Compute(seconds) => self.charge_compute(seconds),
+            Op::Send {
+                dst,
+                tag,
+                len,
+                class,
+                shape,
+            } => {
+                self.transfer(dst, tag, Vec::new(), len, class, shape);
+            }
+            Op::Recv { src, tag } => {
+                match self
+                    .shared
+                    .try_take(self.rank, |q| take_delivered(q, src, tag))
+                {
+                    Some(msg) => drop(self.complete_recv(msg)),
+                    None => return false,
+                }
+            }
+        }
+        true
+    }
+
     /// This rank's id.
     pub fn rank(&self) -> usize {
         self.rank
@@ -361,6 +483,7 @@ impl RankCtx {
 
     /// Sets the phase subsequent time is charged to.
     pub fn set_phase(&mut self, phase: Phase) {
+        self.record(Op::Phase(phase));
         self.phase = phase;
     }
 
@@ -376,6 +499,7 @@ impl RankCtx {
     /// degradations are judged at message departure.
     pub fn charge_compute(&mut self, seconds: f64) {
         debug_assert!(seconds >= 0.0);
+        self.record(Op::Compute(seconds));
         let straggle = if self.shared.plan.stragglers.is_empty() {
             1.0
         } else {
@@ -414,7 +538,6 @@ impl RankCtx {
                     src: self.rank,
                     tag: CRASH_TAG,
                     data: Vec::new(),
-                    len: 0,
                     bytes: 0,
                     class: MsgClass::Control,
                     departure: self.clock,
@@ -450,18 +573,10 @@ impl RankCtx {
         self.transfer(dst, tag, data, len, class, shape)
     }
 
-    /// Sends a payload message that carries only its length: `len`
-    /// values' worth of bytes, none of the values. The network costs a
-    /// message by its length alone, so it is costed, jittered, traced,
-    /// counted and delivered exactly as [`send`](Self::send) would a
-    /// message of `len` values; the receiver reads [`Msg::len`] and an
-    /// empty [`Msg::data`].
-    pub fn send_len(&mut self, dst: usize, tag: u64, len: usize, shape: OpShape) -> SendOutcome {
-        self.transfer(dst, tag, Vec::new(), len, MsgClass::Payload, shape)
-    }
-
-    /// The one transfer path of both sends: a message standing for `len`
-    /// values, `data` holding them or nothing.
+    /// The one transfer path of a live send and a [replayed](replay)
+    /// one: a message standing for `len` values, `data` holding them or
+    /// (replayed) nothing. The network costs a message by its length
+    /// alone, never by its values.
     fn transfer(
         &mut self,
         dst: usize,
@@ -474,6 +589,13 @@ impl RankCtx {
         assert!(dst < self.size(), "invalid destination {dst}");
         assert_ne!(dst, self.rank, "self-send not supported");
         debug_assert_ne!(tag, CRASH_TAG, "CRASH_TAG is reserved");
+        self.record(Op::Send {
+            dst,
+            tag,
+            len,
+            class,
+            shape,
+        });
         let cfg = &self.shared.config;
         let bytes = match class {
             MsgClass::Payload => (len * 8).max(1),
@@ -542,7 +664,6 @@ impl RankCtx {
             src: self.rank,
             tag,
             data,
-            len,
             bytes,
             class,
             departure,
@@ -568,12 +689,9 @@ impl RankCtx {
     pub fn recv(&mut self, src: usize, tag: u64) -> Msg {
         assert!(src < self.size(), "invalid source {src}");
         assert_ne!(src, self.rank, "self-receive not supported");
-        let msg = self.shared.take(self.rank, tag, |q| {
-            let pos = q
-                .iter()
-                .position(|m| m.src == src && m.tag == tag && !m.lost)?;
-            q.remove(pos)
-        });
+        let msg = self
+            .shared
+            .take(self.rank, tag, |q| take_delivered(q, src, tag));
         self.complete_recv(msg)
     }
 
@@ -637,6 +755,10 @@ impl RankCtx {
     }
 
     fn complete_recv(&mut self, msg: Msg) -> Msg {
+        self.record(Op::Recv {
+            src: msg.src,
+            tag: msg.tag,
+        });
         let net = &self.shared.net;
         let completion = self.clock.max(msg.arrival) + net.recv_overhead;
         let elapsed = completion - self.clock;
@@ -772,21 +894,113 @@ where
     T: Send,
     F: Fn(&mut RankCtx) -> T + Sync,
 {
-    config.validate().map_err(SimError::InvalidConfig)?;
-    plan.validate(config.ranks, config.nodes())
-        .map_err(SimError::InvalidFaultPlan)?;
-    let crash_at = (0..config.ranks).map(|r| plan.crash_time(r)).collect();
-    let shared = Arc::new(Shared {
-        config,
-        net: config.network.params(),
-        plan,
-        crash_at,
-        mailboxes: (0..config.ranks).map(|_| Mailbox::default()).collect(),
-        quiescent: AtomicUsize::new(0),
-        stalled: AtomicBool::new(false),
-    });
+    let ranks = run_threads(config, plan, false, body)?;
+    Ok(ranks.into_iter().map(|(outcome, _)| outcome).collect())
+}
 
-    let mut outcomes: Vec<Option<FaultyOutcome<T>>> = (0..config.ranks).map(|_| None).collect();
+/// [`run_cluster`] that also returns every rank's [`Script`]: each
+/// operation the rank issued to the engine, in order, with compute
+/// charges in calibration seconds. [`replay`] runs those scripts on any
+/// platform and gets the virtual times a live run there would.
+pub fn run_cluster_recorded<T, F>(
+    config: ClusterConfig,
+    body: F,
+) -> (Vec<RankOutcome<T>>, Vec<Script>)
+where
+    T: Send,
+    F: Fn(&mut RankCtx) -> T + Sync,
+{
+    let ranks = match run_threads(config, FaultPlan::none(), true, body) {
+        Ok(ranks) => ranks,
+        Err(e) => panic!("{e}"),
+    };
+    ranks
+        .into_iter()
+        .map(|(o, script)| {
+            let outcome = RankOutcome {
+                rank: o.rank,
+                result: o.result.expect("no crashes under an empty fault plan"),
+                stats: o.stats,
+                finish_time: o.finish_time,
+            };
+            (outcome, script.expect("a recording rank keeps its script"))
+        })
+        .unzip()
+}
+
+/// Runs every rank's recorded [`Script`] through the engine on one
+/// thread: lowest rank first, each until it ends or blocks in a receive
+/// whose message is not posted yet, round after round until no rank
+/// moves. Every operation goes through the accounting a live rank's
+/// does — the same transfer, receive completion and compute charge on
+/// this `config`'s platform — so the outcomes are the live run's, bit
+/// for bit. Scripts that cannot all finish return the
+/// [`SimError::Stalled`] the threaded engine would: the lowest rank left
+/// blocked and the epoch it waits in.
+pub fn replay(config: ClusterConfig, scripts: &[Script]) -> Result<Vec<RankOutcome<()>>, SimError> {
+    if scripts.len() != config.ranks {
+        return Err(SimError::InvalidConfig(format!(
+            "{} scripts for {} ranks",
+            scripts.len(),
+            config.ranks
+        )));
+    }
+    let shared = Shared::new(config, FaultPlan::none())?;
+    let mut ranks: Vec<_> = (scripts.iter().enumerate())
+        .map(|(rank, script)| {
+            (
+                RankCtx::new(rank, Arc::clone(&shared), false),
+                script.iter(),
+            )
+        })
+        .collect();
+    let mut moved = true;
+    while std::mem::take(&mut moved) {
+        for (ctx, ops) in &mut ranks {
+            while let Some(&op) = ops.as_slice().first() {
+                if !ctx.play(op) {
+                    break;
+                }
+                ops.next();
+                moved = true;
+            }
+        }
+    }
+    for (ctx, ops) in &ranks {
+        if let Some(&Op::Recv { tag, .. }) = ops.as_slice().first() {
+            return Err(SimError::Stalled {
+                rank: ctx.rank,
+                step: tag >> 8,
+            });
+        }
+    }
+    Ok(ranks
+        .into_iter()
+        .map(|(ctx, _)| RankOutcome {
+            rank: ctx.rank,
+            result: (),
+            finish_time: ctx.clock,
+            stats: ctx.stats,
+        })
+        .collect())
+}
+
+/// [`run_cluster_faulty`], each rank's script beside its outcome when
+/// `record` is set.
+#[allow(clippy::type_complexity)]
+fn run_threads<T, F>(
+    config: ClusterConfig,
+    plan: FaultPlan,
+    record: bool,
+    body: F,
+) -> Result<Vec<(FaultyOutcome<T>, Option<Script>)>, SimError>
+where
+    T: Send,
+    F: Fn(&mut RankCtx) -> T + Sync,
+{
+    let shared = Shared::new(config, plan)?;
+
+    let mut outcomes: Vec<Option<_>> = (0..config.ranks).map(|_| None).collect();
     let mut panic_error: Option<SimError> = None;
     let mut stall_error: Option<SimError> = None;
     std::thread::scope(|scope| {
@@ -795,35 +1009,25 @@ where
             let shared = Arc::clone(&shared);
             let body = &body;
             handles.push(scope.spawn(move || {
-                let mut ctx = RankCtx {
-                    rank,
-                    shared,
-                    clock: 0.0,
-                    phase: Phase::Other,
-                    counters: vec![0; config.ranks],
-                    stats: RankStats::default(),
-                };
+                let mut ctx = RankCtx::new(rank, shared, record);
                 let result =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
                 // A stalled rank was counted when its receive blocked.
                 if !matches!(&result, Err(payload) if payload.is::<StallUnwind>()) {
                     ctx.shared.retire();
                 }
+                let outcome = |result, crashed| FaultyOutcome {
+                    rank,
+                    result,
+                    crashed,
+                    stats: ctx.stats,
+                    finish_time: ctx.clock,
+                };
                 match result {
-                    Ok(value) => Ok(FaultyOutcome {
-                        rank,
-                        result: Some(value),
-                        crashed: false,
-                        stats: ctx.stats,
-                        finish_time: ctx.clock,
-                    }),
-                    Err(payload) if payload.is::<CrashUnwind>() => Ok(FaultyOutcome {
-                        rank,
-                        result: None,
-                        crashed: true,
-                        stats: ctx.stats,
-                        finish_time: ctx.clock,
-                    }),
+                    Ok(value) => Ok((outcome(Some(value), false), ctx.script)),
+                    Err(payload) if payload.is::<CrashUnwind>() => {
+                        Ok((outcome(None, true), ctx.script))
+                    }
                     Err(payload) => match payload.downcast::<StallUnwind>() {
                         Ok(stall) => Err(StallOrPanic::Stalled(*stall)),
                         Err(payload) => Err(StallOrPanic::Panic(panic_message(payload.as_ref()))),
@@ -1100,75 +1304,102 @@ mod tests {
         assert!(out2[0].stats.trace.is_empty());
     }
 
-    /// A message sent as its length alone is, on the wire, the message
-    /// with its values: same jitter draws, loss and retransmissions, trace,
-    /// counters and clocks on both ends. The receiver reads the length.
-    #[test]
-    fn a_length_only_payload_is_the_message_with_its_values() {
-        let lens = [0usize, 1, 3, 100, 4096];
-        let run = |values: bool| {
-            let mut cfg = ClusterConfig::uni(2, NetworkKind::TcpGigE);
-            cfg.record_trace = true;
-            let plan = FaultPlan {
-                max_retransmits: Some(1),
-                ..FaultPlan::none().with_loss(0.5)
-            };
-            run_cluster_faulty(cfg, plan, |ctx| {
-                let peer = 1 - ctx.rank();
-                let mut got = Vec::new();
-                for (k, &len) in lens.iter().enumerate() {
-                    let tag = k as u64 + 1;
-                    if values {
-                        ctx.send(
-                            peer,
-                            tag,
-                            vec![0.0; len],
-                            MsgClass::Payload,
-                            OpShape::new(1, 2),
-                        );
-                    } else {
-                        ctx.send_len(peer, tag, len, OpShape::new(1, 2));
-                    }
-                    got.push(ctx.recv_result(peer, tag).map(|m| (m.len, m.data.len())));
-                }
-                got
-            })
-            .unwrap()
-        };
-        let (with, without) = (run(true), run(false));
-        let mut lost = 0;
-        for (w, o) in with.iter().zip(&without) {
-            assert_eq!(w.finish_time.to_bits(), o.finish_time.to_bits());
-            let (ws, os) = (&w.stats, &o.stats);
-            assert_eq!(
-                (ws.msgs_sent, ws.bytes_sent, ws.msgs_lost, ws.retransmits),
-                (os.msgs_sent, os.bytes_sent, os.msgs_lost, os.retransmits)
+    /// A workload with every kind of operation: phases, charges, a flat
+    /// incast of uneven payloads, a control ring and a pairwise exchange.
+    fn mixed_workload(ctx: &mut RankCtx) -> f64 {
+        let (p, r) = (ctx.size(), ctx.rank());
+        ctx.set_phase(Phase::Classic);
+        ctx.charge_compute(1e-4 * (r + 1) as f64);
+        if r == 0 {
+            for src in 1..p {
+                ctx.recv(src, 1 << 8);
+            }
+        } else {
+            let data = vec![0.5; 100 * r];
+            ctx.send(0, 1 << 8, data, MsgClass::Payload, OpShape::new(p - 1, p));
+        }
+        ctx.set_phase(Phase::Pme);
+        for k in 1..p {
+            let tag = 2 << 8 | (k as u64) << 40;
+            let shape = OpShape::repeated(1, p);
+            ctx.send((r + k) % p, tag, Vec::new(), MsgClass::Control, shape);
+            ctx.recv((r + p - k) % p, tag);
+            let tag = 3 << 8 | (k as u64) << 40;
+            let data = vec![1.0; 4096 + k];
+            ctx.send(
+                (r + k) % p,
+                tag,
+                data,
+                MsgClass::Payload,
+                OpShape::new(1, p),
             );
-            let wire = |s: &RankStats| -> Vec<_> {
-                (s.trace.iter())
-                    .map(|e| (e.dst, e.bytes, e.departure.to_bits(), e.arrival.to_bits()))
-                    .collect()
-            };
-            assert_eq!(wire(ws), wire(os));
-            for (k, (a, b)) in w
-                .result
-                .iter()
-                .flatten()
-                .zip(o.result.iter().flatten())
-                .enumerate()
-            {
-                lost += usize::from(a.is_err());
-                match (a, b) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(*a, (lens[k], lens[k]), "with values");
-                        assert_eq!(*b, (lens[k], 0), "length only");
+            ctx.recv((r + p - k) % p, tag);
+            ctx.charge_compute(4e-9 * 4096.0);
+        }
+        ctx.now()
+    }
+
+    /// Everything a rank's outcome says about time, bit for bit.
+    fn timing_bits(finish: f64, s: &RankStats) -> Vec<u64> {
+        let mut bits = vec![finish.to_bits(), s.msgs_sent, s.bytes_sent, s.retransmits];
+        for ph in Phase::ALL {
+            let b = s.bucket(ph);
+            bits.extend([b.comp.to_bits(), b.comm.to_bits(), b.sync.to_bits()]);
+        }
+        for t in &s.throughput {
+            bits.extend([t.node as u64, t.bytes as u64, t.rate.to_bits()]);
+        }
+        for e in &s.trace {
+            let ends = [e.src as u64, e.dst as u64, e.bytes as u64, e.payload as u64];
+            bits.extend(
+                ends.into_iter()
+                    .chain([e.departure.to_bits(), e.arrival.to_bits()]),
+            );
+        }
+        bits
+    }
+
+    /// Scripts recorded on one platform, replayed on one thread on every
+    /// other (network, CPUs per node, jitter seed), give each platform's
+    /// live outcomes: clocks, phase buckets, counters, throughput samples
+    /// and traced messages, bit for bit.
+    #[test]
+    fn a_replayed_script_is_the_live_run_on_every_platform() {
+        for p in [1usize, 2, 3, 5] {
+            let (recorded, scripts) =
+                run_cluster_recorded(ClusterConfig::uni(p, NetworkKind::TcpGigE), mixed_workload);
+            assert!(scripts.iter().all(|s| !s.is_empty()));
+            let plain = run_cluster(ClusterConfig::uni(p, NetworkKind::TcpGigE), mixed_workload);
+            for (r, l) in recorded.iter().zip(&plain) {
+                assert_eq!(
+                    timing_bits(r.finish_time, &r.stats),
+                    timing_bits(l.finish_time, &l.stats)
+                );
+            }
+            for network in [
+                NetworkKind::TcpGigE,
+                NetworkKind::ScoreGigE,
+                NetworkKind::MyrinetGm,
+            ] {
+                for dual in [false, true] {
+                    let mut cfg = ClusterConfig::uni(p, network);
+                    cfg.cpus_per_node = 1 + usize::from(dual);
+                    cfg.seed = 7 + p as u64;
+                    cfg.record_trace = true;
+                    let live = run_cluster(cfg, mixed_workload);
+                    let replayed = replay(cfg, &scripts).expect("complete scripts finish");
+                    for (l, r) in live.iter().zip(&replayed) {
+                        assert!(p == 1 || !l.stats.trace.is_empty());
+                        assert_eq!(
+                            timing_bits(r.finish_time, &r.stats),
+                            timing_bits(l.finish_time, &l.stats),
+                            "p={p} {network:?} dual={dual} rank {}",
+                            l.rank
+                        );
                     }
-                    (Err(a), Err(b)) => assert_eq!(a, b),
-                    other => panic!("delivered on one side only: {other:?}"),
                 }
             }
         }
-        assert!(lost > 0, "the plan dropped some message");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * [`cost`] — a Pentium III / 1 GHz operation cost model charged from
 //!   the MD kernels' operation counts,
 //! * [`cluster`] — rank/node topology (uni- vs dual-processor nodes),
-//! * [`engine`] — the virtual-time message-passing engine,
+//! * [`engine`] — the virtual-time message-passing engine, and the
+//!   one-thread replay of the scripts a recorded run leaves,
 //! * [`stats`] — the computation / communication / synchronization
 //!   breakdown and throughput sampling the paper reports,
 //! * [`faults`] — deterministic fault injection (lossy links with
@@ -52,8 +53,8 @@ pub mod trace;
 pub use cluster::ClusterConfig;
 pub use cost::{CostModel, CpuConfig, PIII_1GHZ};
 pub use engine::{
-    elapsed_time, run_cluster, run_cluster_faulty, CommError, FaultyOutcome, Msg, RankCtx,
-    RankOutcome, SendOutcome, SimError,
+    elapsed_time, replay, run_cluster, run_cluster_faulty, run_cluster_recorded, CommError,
+    FaultyOutcome, Msg, Op, RankCtx, RankOutcome, Script, SendOutcome, SimError,
 };
 pub use faults::{
     FaultPlan, LinkDegradation, RankCrash, SdcFault, SdcTarget, StorageFault, StorageFaultKind,

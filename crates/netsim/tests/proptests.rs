@@ -2,8 +2,8 @@
 //! determinism over arbitrary parameters.
 
 use cpc_cluster::{
-    run_cluster_faulty, ClusterConfig, FaultPlan, MsgClass, NetworkKind, OpShape, Phase, SimError,
-    SplitMix64, TransferCtx,
+    replay, run_cluster_faulty, run_cluster_recorded, ClusterConfig, FaultPlan, MsgClass,
+    NetworkKind, OpShape, Phase, Script, SimError, SplitMix64, TransferCtx,
 };
 use proptest::prelude::*;
 
@@ -233,6 +233,108 @@ proptest! {
                 result.err(),
                 Some(SimError::Stalled { rank, step: tag >> 8 })
             ),
+        }
+    }
+}
+
+/// Plays engine scripts on the threaded engine, payloads at their
+/// recorded lengths.
+fn play_threaded(cfg: ClusterConfig, scripts: &[Script]) -> Result<Vec<u64>, SimError> {
+    let outcomes = run_cluster_faulty(cfg, FaultPlan::none(), |ctx| {
+        for &op in &scripts[ctx.rank()] {
+            match op {
+                cpc_cluster::Op::Phase(phase) => ctx.set_phase(phase),
+                cpc_cluster::Op::Compute(seconds) => ctx.charge_compute(seconds),
+                cpc_cluster::Op::Send {
+                    dst,
+                    tag,
+                    len,
+                    class,
+                    shape,
+                } => {
+                    ctx.send(dst, tag, vec![0.0; len], class, shape);
+                }
+                cpc_cluster::Op::Recv { src, tag } => drop(ctx.recv(src, tag)),
+            }
+        }
+    })?;
+    Ok(outcomes.iter().map(|o| o.finish_time.to_bits()).collect())
+}
+
+/// The serial reference's view of an engine script: its sends and
+/// receives.
+fn messages(script: &Script) -> Vec<Op> {
+    script
+        .iter()
+        .filter_map(|op| match *op {
+            cpc_cluster::Op::Send { dst, tag, .. } => Some(Op::Send { dst, tag }),
+            cpc_cluster::Op::Recv { src, tag } => Some(Op::Recv { src, tag }),
+            _ => None,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Stall parity of the one-thread replay. Scripts recorded from
+    /// matched send/receive pairs replay to the threaded engine's exact
+    /// clocks. With the last send of one sender's script dropped, the
+    /// replay, the threaded engine playing the same scripts, and the
+    /// serial reference all agree: each completes, or each names the
+    /// same stalled rank and epoch.
+    #[test]
+    fn a_replay_stalls_exactly_where_the_threaded_engine_does(
+        p in 2usize..=6,
+        events in proptest::collection::vec((0usize..6, 0usize..5, 0u64..6, 0usize..300), 1..14),
+        sender in 0usize..6,
+    ) {
+        let mut plan = vec![Vec::new(); p];
+        for (a, b, t, len) in events {
+            let (src, tag) = (a % p, (t / 2) << 8 | (t % 2));
+            let dst = (src + 1 + b % (p - 1)) % p;
+            plan[src].push((true, dst, tag, len));
+            plan[dst].push((false, src, tag, len));
+        }
+        let cfg = ClusterConfig::uni(p, NetworkKind::TcpGigE);
+        let (live, mut scripts) = run_cluster_recorded(cfg, |ctx| {
+            ctx.set_phase(Phase::Pme);
+            for &(send, peer, tag, len) in &plan[ctx.rank()] {
+                ctx.charge_compute(1e-6 * len as f64);
+                if send {
+                    ctx.send(peer, tag, vec![1.0; len], MsgClass::Payload, OpShape::new(1, p));
+                } else {
+                    ctx.recv(peer, tag);
+                }
+            }
+        });
+        let clocks: Vec<u64> = live.iter().map(|o| o.finish_time.to_bits()).collect();
+        let replayed = replay(cfg, &scripts).expect("recorded scripts complete");
+        let replayed: Vec<u64> = replayed.iter().map(|o| o.finish_time.to_bits()).collect();
+        prop_assert_eq!(&replayed, &clocks);
+
+        let senders: Vec<usize> = (0..p).filter(|&r| plan[r].iter().any(|e| e.0)).collect();
+        let sender = senders[sender % senders.len()];
+        let last = scripts[sender]
+            .iter()
+            .rposition(|op| matches!(op, cpc_cluster::Op::Send { .. }))
+            .expect("a sender sends");
+        scripts[sender].remove(last);
+        let threaded = play_threaded(cfg, &scripts);
+        let replayed = replay(cfg, &scripts).map(|o| {
+            o.iter().map(|o| o.finish_time.to_bits()).collect::<Vec<_>>()
+        });
+        let reference: Vec<Vec<Op>> = scripts.iter().map(messages).collect();
+        match run_to_block(&reference) {
+            Ok(()) => {
+                prop_assert!(threaded.is_ok(), "reference completes, engine: {threaded:?}");
+                prop_assert_eq!(replayed, threaded);
+            }
+            Err((rank, tag)) => {
+                let stalled = Err(SimError::Stalled { rank, step: tag >> 8 });
+                prop_assert_eq!(&replayed, &stalled);
+                prop_assert_eq!(&threaded, &stalled);
+            }
         }
     }
 }

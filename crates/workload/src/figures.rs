@@ -94,9 +94,9 @@ impl<'a> Lab<'a> {
                  re-run with --resume to continue",
                 self.fresh_cells
             );
-            // This is the binary's exit: say where its kernels went,
-            // as `campaign` does on every other one.
-            eprintln!("{}", cpc_charmm::KernelMemo::global().stats());
+            // This is the binary's exit: say how its cells ran, as
+            // `campaign` does on every other one.
+            eprintln!("{}", cpc_charmm::ScriptStore::global().stats());
             std::process::exit(EXIT_CELL_BUDGET);
         }
         let m = measure_with_model(self.system, point, self.steps, self.model);

@@ -131,19 +131,18 @@ fn detectable_sdc_recovers_bit_identically_through_the_oracles() {
     assert_eq!(report.max_deviation, 0.0, "repair is exact");
 }
 
-/// The fault-tolerant driver never consults the kernel memo: a run
+/// The fault-tolerant driver never consults the script store: a run
 /// with planted flips reports the same thing before and after
-/// fault-free cells of the same system warmed the process-wide memo
-/// with exactly the keys its first evaluations would look up — classic
-/// partials and PME tails, both shared and being served — and the
-/// memo's counters stand still while it runs. (No other test in this
-/// binary calls `run_parallel_md`, so nothing else moves them.)
+/// fault-free cells of the same system recorded its physics identity on
+/// its own platform and replayed it on another, and the store's
+/// counters stand still while it runs. (No other test in this binary
+/// calls `run_parallel_md`, so nothing else moves them.)
 #[test]
 fn planted_flips_are_never_served_from_a_warmed_kernel_memo() {
-    use cpc_charmm::{run_parallel_md_faulty, FaultConfig, KernelMemo};
+    use cpc_charmm::{run_parallel_md_faulty, FaultConfig, ScriptStore};
 
-    // 375 atoms: `run_parallel_md` leaves smaller systems unmemoised.
-    // PME, so that there are tails to warm.
+    // 375 atoms: `run_parallel_md` never records smaller systems. PME,
+    // so that the mesh collectives are in the scripts.
     let (ranks, steps) = (4, 6);
     let (sys, mut cfg) = system_and_config(5, ranks, steps);
     cfg.model = EnergyModel::Pme(cpc_workload::runner::quick_pme_params());
@@ -166,17 +165,17 @@ fn planted_flips_are_never_served_from_a_warmed_kernel_memo() {
         let fault = FaultConfig::new(plan.clone()).with_abft(abft);
         run_parallel_md_faulty(&sys, &cfg, &fault).expect("SDC never stops a run")
     };
-    let memo = KernelMemo::global();
+    let store = ScriptStore::global();
 
     let never_warmed = [faulty(AbftConfig::default()), faulty(AbftConfig::armed())];
     assert_eq!(
-        memo.stats(),
+        store.stats(),
         Default::default(),
-        "a faulty run touched the memo"
+        "a faulty run touched the store"
     );
 
-    // The faulty run's own platform computes, another one is served
-    // the partials and stores the tails, and is then served both.
+    // The faulty run's own platform records, another one replays that
+    // recording twice.
     let fault_free = run_parallel_md(&sys, &cfg);
     let mut elsewhere = cfg;
     elsewhere.cluster.network = NetworkKind::MyrinetGm;
@@ -185,24 +184,22 @@ fn planted_flips_are_never_served_from_a_warmed_kernel_memo() {
         let served = run_parallel_md(&sys, &elsewhere);
         assert_eq!(served.final_positions, fault_free.final_positions);
     }
-    let warmed = memo.stats();
-    let lookups = (ranks * (steps + 1)) as u64;
+    let warmed = store.stats();
     assert_eq!(
-        (warmed.classic.misses, warmed.classic.hits),
-        (lookups, 2 * lookups)
+        (warmed.recorded, warmed.replayed, warmed.live_repeats),
+        (1, 2, 0)
     );
-    assert_eq!((warmed.tail.misses, warmed.tail.hits), (lookups, lookups));
-    assert_eq!(warmed.entries as u64, 2 * lookups);
+    assert!(warmed.bytes > 0 && warmed.evictions == 0);
 
     let after_warming = [faulty(AbftConfig::default()), faulty(AbftConfig::armed())];
-    assert_eq!(memo.stats(), warmed, "a faulty run touched the memo");
+    assert_eq!(store.stats(), warmed, "a faulty run touched the store");
     for (cold, warm) in never_warmed.iter().zip(&after_warming) {
         assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
         assert_eq!(cold.sdc_events, 2, "both flips fired");
     }
     // Disarmed, the gray-zone flips reach the trajectory: had the run
-    // been served the fault-free forces, it would match the cell that
-    // warmed the memo.
+    // been handed the recorded physics, it would match the cell that
+    // recorded it.
     assert_ne!(
         never_warmed[0].report.final_positions,
         fault_free.final_positions

@@ -144,20 +144,20 @@ fn virtual_time_is_reproducible_but_physics_independent_of_seed() {
     assert_eq!(a.final_positions, c.final_positions);
 }
 
-/// The invariant the kernel memo rests on, checked on the live path
-/// and on the memoised one: at a fixed processor count and collective
+/// The invariant the script store rests on, checked on the live path
+/// and on the replayed one: at a fixed processor count and collective
 /// tuning, no platform factor moves a single bit of the trajectory.
-/// `run_parallel_md_faulty` with an empty plan never consults the memo,
-/// so its runs prove the invariant itself; `run_parallel_md` must then
-/// reproduce the same bits whether its kernels ran or were replayed.
-/// It memoises nothing as small as the quick system, so the default
-/// tuning runs a second time on a 375-atom box, where only the first
-/// platform cell of each p computes the classic kernel and the other
-/// eleven replay it; the second cell — the first one served — computes
-/// and stores the PME tails, and the other ten are served those too.
+/// `run_parallel_md_faulty` with an empty plan never consults the
+/// store, so its runs prove the invariant itself; `run_parallel_md`
+/// must then reproduce the same bits whether its cell ran or was
+/// replayed. It records nothing as small as the quick system, so the
+/// default tuning runs a second time on a 375-atom box, where the first
+/// platform cell of each p and middleware records and the other five
+/// replay that recording (at p = 1, which sends no message, the two
+/// middlewares share one).
 #[test]
 fn platform_factors_never_move_a_bit_of_the_trajectory() {
-    use cpc_charmm::{run_parallel_md_faulty, CommTuning, FaultConfig, KernelMemo};
+    use cpc_charmm::{run_parallel_md_faulty, CommTuning, FaultConfig, ScriptStore};
     use cpc_mpi::CombineAlgo;
     use cpc_workload::factors::{full_factorial, PAPER_PROC_COUNTS};
     use cpc_workload::runner::{quick_pme_params, quick_system};
@@ -173,9 +173,9 @@ fn platform_factors_never_move_a_bit_of_the_trajectory() {
             grid_sum: CombineAlgo::Tree,
         },
     ];
-    let (mut cells, mut lookups) = (0u64, 0u64);
-    for (sys, memoised_size) in [(quick_system(), false), (larger, true)] {
-        let tunings = &tunings[..if memoised_size { 1 } else { 2 }];
+    let mut cells = 0u64;
+    for (sys, recorded_size) in [(quick_system(), false), (larger, true)] {
+        let tunings = &tunings[..if recorded_size { 1 } else { 2 }];
         for procs in PAPER_PROC_COUNTS {
             for &tuning in tunings {
                 let mut reference: Option<RunReport> = None;
@@ -188,31 +188,27 @@ fn platform_factors_never_move_a_bit_of_the_trajectory() {
                     let live = run_parallel_md_faulty(&sys, &cfg, &FaultConfig::default())
                         .expect("an empty fault plan completes")
                         .report;
-                    let memoised = cpc_charmm::run_parallel_md(&sys, &cfg);
+                    let stored = cpc_charmm::run_parallel_md(&sys, &cfg);
                     let want = reference.get_or_insert_with(|| live.clone());
-                    for (path, got) in [("live", &live), ("memoised", &memoised)] {
+                    for (path, got) in [("live", &live), ("stored", &stored)] {
                         let at = format!("{} {tuning:?} ({path})", point.label());
                         assert_eq!(got.final_positions, want.final_positions, "{at}");
                         assert_eq!(got.final_velocities, want.final_velocities, "{at}");
                         assert_eq!(got.step_energies, want.step_energies, "{at}");
                     }
-                    if memoised_size {
-                        cells += 1;
-                        lookups += 3 * procs as u64;
-                    }
+                    cells += u64::from(recorded_size);
                 }
             }
         }
     }
     // No other test of this binary reaches the 256-atom floor, so the
     // process-wide counters are this test's: nothing from the quick
-    // system; on the larger one, one cell in twelve computes the
-    // classic kernel, the next one the tails, and ten compute neither.
-    let stats = KernelMemo::global().stats();
+    // system; on the larger one, one cell records per p and middleware
+    // (one for both at p = 1) and the other 41 replay.
+    let stats = ScriptStore::global().stats();
     assert_eq!(cells, 48);
-    assert_eq!(stats.classic.hits + stats.classic.misses, lookups);
-    assert_eq!(stats.classic.misses * 12, lookups);
-    assert_eq!(stats.tail.hits + stats.tail.misses, stats.classic.hits);
-    assert_eq!(stats.tail.misses * 12, lookups);
-    assert_eq!(stats.tail.hits * 12, 10 * lookups);
+    assert_eq!(
+        (stats.recorded, stats.replayed, stats.live_repeats),
+        (7, 41, 0)
+    );
 }
