@@ -17,7 +17,8 @@
 //!   same loop with fault-tolerance hooks between the moves — shares,
 //! * [`replay`] — the script store: the first cell of a physics
 //!   identity runs live and records every rank's engine operations,
-//!   later cells on other platforms replay them on one thread,
+//!   linked once into a schedule that later cells on other platforms
+//!   replay in one pass on one thread,
 //! * [`report`] — aggregation into the paper's response variables:
 //!   classic/PME wall times, computation / communication /
 //!   synchronization percentages, and per-node communication speeds.

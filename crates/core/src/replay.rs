@@ -15,11 +15,13 @@
 //! system, and the [`MdConfig`] less the network, the CPUs per node,
 //! the jitter seed and tracing. Middleware is in it, because CMPI sends
 //! another message sequence than MPI. The first cell of an identity
-//! runs live and records its ranks' scripts and rank 0's physics (energy
-//! log, final positions and velocities). A later cell of the identity
-//! on another platform replays the scripts on one thread through the
-//! engine's own accounting ([`cpc_cluster::replay`]) and takes the
-//! stored physics: no force, no message payload, no rank thread.
+//! runs live, records its ranks' scripts, links them once into a
+//! [`Schedule`] (the scripts are dropped) and keeps rank 0's physics
+//! (energy log, final positions and velocities). A later cell of the
+//! identity on another platform replays the schedule in one pass on one
+//! thread through the engine's own accounting ([`Schedule::replay`]) and
+//! takes the stored physics: no force, no message payload, no rank
+//! thread, no mailbox.
 //!
 //! Sharing is *across* platforms only. A recording remembers the
 //! platform that made it, and a cell on that platform runs live again
@@ -35,7 +37,7 @@
 
 use crate::driver::{run_live, run_recorded, MdConfig};
 use crate::report::{RankPayload, RunReport};
-use cpc_cluster::{NetworkKind, Op, Script};
+use cpc_cluster::{NetworkKind, Schedule, Script};
 use cpc_md::topology::Topology;
 use cpc_md::System;
 use cpc_mpi::Middleware;
@@ -45,7 +47,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Byte budget of a store: the full campaign's seven identities (p = 2,
-/// 4, 8 under both middlewares, and p = 1) take 3.8 MiB.
+/// 4, 8 under both middlewares, and p = 1) hold 4.0 MiB, booked by
+/// allocated capacity.
 const BUDGET_BYTES: usize = 16 << 20;
 
 /// The factors a recording is replayed across: network, CPUs per node
@@ -59,28 +62,41 @@ fn platform_of(cfg: &MdConfig) -> Platform {
 
 /// What the live cell of an identity left for every later one.
 struct Recording {
-    scripts: Vec<Script>,
+    schedule: Schedule,
     physics: RankPayload,
     /// The platform of the cell that recorded.
     origin: Platform,
 }
 
 impl Recording {
-    fn bytes(&self) -> usize {
-        let ops: usize = self.scripts.iter().map(Vec::len).sum();
-        let (energies, positions, velocities) = &self.physics;
-        std::mem::size_of::<Self>()
-            + ops * std::mem::size_of::<Op>()
-            + std::mem::size_of_val(energies.as_slice())
-            + std::mem::size_of_val(positions.as_slice())
-            + std::mem::size_of_val(velocities.as_slice())
+    /// The recording of a live cell: its ranks' scripts linked, its
+    /// physics.
+    fn new(scripts: &[Script], physics: RankPayload, origin: Platform) -> Self {
+        Recording {
+            schedule: cpc_cluster::link(scripts).expect("a recorded cell links to its end"),
+            physics,
+            origin,
+        }
     }
 
-    /// The report of `cfg`'s cell: the scripts replayed on its platform,
-    /// the recorded physics.
+    /// Bytes held: what the schedule and the physics vectors allocated.
+    fn bytes(&self) -> usize {
+        fn held<T>(xs: &Vec<T>) -> usize {
+            xs.capacity() * std::mem::size_of::<T>()
+        }
+        let (energies, positions, velocities) = &self.physics;
+        std::mem::size_of::<Self>()
+            + self.schedule.bytes()
+            + held(energies)
+            + held(positions)
+            + held(velocities)
+    }
+
+    /// The report of `cfg`'s cell: the schedule replayed on its
+    /// platform, the recorded physics.
     fn replay(&self, cfg: &MdConfig) -> RunReport {
-        let outcomes = cpc_cluster::replay(cfg.cluster, &self.scripts)
-            .expect("a recorded cell replays to its end");
+        let outcomes = self.schedule.replay(cfg.cluster);
+        let outcomes = outcomes.expect("a linked cell replays on a platform of its rank count");
         RunReport::from_outcomes(cfg, outcomes, self.physics.clone())
     }
 }
@@ -182,11 +198,7 @@ impl ScriptStore {
                 report.final_velocities.clone(),
             );
             live = Some(report);
-            Recording {
-                scripts,
-                physics,
-                origin: platform_of(cfg),
-            }
+            Recording::new(&scripts, physics, platform_of(cfg))
         });
         if let Some(report) = live {
             self.admit(key, &slot, recording.bytes());
@@ -372,7 +384,7 @@ impl Digest {
 mod tests {
     use super::*;
     use crate::recover::{run_parallel_md_faulty, FaultConfig};
-    use cpc_cluster::{ClusterConfig, Phase, RankStats};
+    use cpc_cluster::{ClusterConfig, Op, Phase, RankStats};
     use cpc_fft::Dims3;
     use cpc_md::builder::water_box;
     use cpc_md::pme::PmeParams;
@@ -512,15 +524,12 @@ mod tests {
             for p in [1, 2, 4, 8] {
                 let recorded_on = cell(p, mw, NetworkKind::TcpGigE, false);
                 let (live, scripts) = run_recorded(&sys, &recorded_on);
-                let recording = Recording {
-                    scripts,
-                    physics: (
-                        live.step_energies,
-                        live.final_positions,
-                        live.final_velocities,
-                    ),
-                    origin: platform_of(&recorded_on),
-                };
+                let physics = (
+                    live.step_energies,
+                    live.final_positions,
+                    live.final_velocities,
+                );
+                let recording = Recording::new(&scripts, physics, platform_of(&recorded_on));
                 let ft = run_parallel_md_faulty(&sys, &recorded_on, &FaultConfig::default())
                     .expect("an empty fault plan completes")
                     .report;
@@ -537,6 +546,71 @@ mod tests {
                     assert_eq!(format!("{replayed:?}"), format!("{live:?}"), "{at}");
                 }
             }
+        }
+    }
+
+    /// The most messages a lowest-rank-first sweep of `scripts` ever has
+    /// sent and not yet received, and how many it sends in all.
+    fn peak_in_flight(scripts: &[Script]) -> (usize, usize) {
+        let mut next = vec![0; scripts.len()];
+        let mut sent: Vec<Vec<(usize, u64)>> = vec![Vec::new(); scripts.len()];
+        let (mut in_flight, mut peak, mut messages) = (0, 0, 0);
+        let mut moved = true;
+        while std::mem::take(&mut moved) {
+            for (rank, script) in scripts.iter().enumerate() {
+                while let Some(op) = script.get(next[rank]) {
+                    match *op {
+                        Op::Send { dst, tag, .. } => {
+                            sent[dst].push((rank, tag));
+                            in_flight += 1;
+                            messages += 1;
+                            peak = peak.max(in_flight);
+                        }
+                        Op::Recv { src, tag } => {
+                            match sent[rank].iter().position(|&m| m == (src, tag)) {
+                                Some(at) => drop(sent[rank].remove(at)),
+                                None => break,
+                            }
+                            in_flight -= 1;
+                        }
+                        Op::Phase(_) | Op::Compute(_) => {}
+                    }
+                    next[rank] += 1;
+                    moved = true;
+                }
+            }
+        }
+        assert_eq!(in_flight, 0, "every message is received");
+        (peak, messages)
+    }
+
+    /// A linked water-box PME cell holds one slot per message in flight
+    /// at the sweep's peak — far fewer than it sends — and the store
+    /// books at least every byte its schedule and physics allocated.
+    #[test]
+    fn the_slot_table_is_the_peak_in_flight_and_the_bytes_are_booked() {
+        let sys = system();
+        for p in [2, 8] {
+            let cfg = cell(p, Middleware::Mpi, NetworkKind::TcpGigE, false);
+            let (live, scripts) = run_recorded(&sys, &cfg);
+            let (peak, messages) = peak_in_flight(&scripts);
+            let physics = (
+                live.step_energies,
+                live.final_positions,
+                live.final_velocities,
+            );
+            let recording = Recording::new(&scripts, physics, platform_of(&cfg));
+            assert_eq!(recording.schedule.slots(), peak, "p={p}");
+            assert!(
+                8 * peak < messages,
+                "p={p}: {peak} slots for {messages} messages"
+            );
+            let (energies, positions, velocities) = &recording.physics;
+            let held = recording.schedule.bytes()
+                + energies.capacity() * std::mem::size_of_val(&energies[0])
+                + positions.capacity() * std::mem::size_of_val(&positions[0])
+                + velocities.capacity() * std::mem::size_of_val(&velocities[0]);
+            assert!(recording.bytes() >= held, "p={p}");
         }
     }
 

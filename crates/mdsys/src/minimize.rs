@@ -20,6 +20,11 @@ pub struct MinimizeResult {
 ///
 /// Displacements are capped at 0.2 A per step; the step size grows by
 /// 20% on energy decrease and halves on increase (move rejected).
+///
+/// A rejected move keeps the forces and energy of the point it returns
+/// to instead of evaluating there again. Those are that point's bits:
+/// the pair list is in ascending `(i, j)` order, so any valid list
+/// yields the same in-cutoff pairs in the same order.
 pub fn minimize(system: &mut System, model: EnergyModel, steps: usize) -> MinimizeResult {
     let n = system.n_atoms();
     let mut evaluator = Evaluator::new(model);
@@ -32,6 +37,7 @@ pub fn minimize(system: &mut System, model: EnergyModel, steps: usize) -> Minimi
     let mut step_size: f64 = 0.01;
     let mut taken = 0usize;
     let mut trial = system.positions.clone();
+    let mut trial_forces = vec![Vec3::ZERO; n];
 
     for _ in 0..steps {
         // Largest force component sets the scale so the cap is honoured.
@@ -44,19 +50,18 @@ pub fn minimize(system: &mut System, model: EnergyModel, steps: usize) -> Minimi
             *t = p + f * scale;
         }
         std::mem::swap(&mut system.positions, &mut trial);
-        let (report, _) = evaluator.evaluate(system, &mut forces);
+        let (report, _) = evaluator.evaluate(system, &mut trial_forces);
         let new_energy = report.total();
         if new_energy <= energy {
             energy = new_energy;
+            std::mem::swap(&mut forces, &mut trial_forces);
             step_size *= 1.2;
             taken += 1;
         } else {
-            // Reject: restore coordinates, shrink the step, recompute
-            // forces at the restored point.
+            // Reject: restore coordinates (their forces and energy are
+            // still held) and shrink the step.
             std::mem::swap(&mut system.positions, &mut trial);
             step_size *= 0.5;
-            let (report, _) = evaluator.evaluate(system, &mut forces);
-            energy = report.total();
             if step_size < 1e-10 {
                 break;
             }

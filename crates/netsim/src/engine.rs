@@ -25,8 +25,10 @@
 //! A fault-free run can also be recorded ([`run_cluster_recorded`]): each
 //! rank's [`Script`] of engine operations, charges in calibration
 //! seconds. Virtual time is a function of the scripts and the platform,
-//! so [`replay`] plays them back on one thread, on any platform, through
-//! the same transfer, receive completion and compute charge.
+//! so [`link`] orders them once into a [`Schedule`], and
+//! [`Schedule::replay`] costs it on any platform in one pass on one
+//! thread, through the same send costing, receive completion and compute
+//! charge.
 
 use crate::cluster::ClusterConfig;
 use crate::faults::{FaultPlan, LinkFault};
@@ -49,7 +51,7 @@ pub struct Msg {
     /// User tag.
     pub tag: u64,
     /// Payload (possibly empty for control messages; always empty for a
-    /// [replayed](replay) one).
+    /// [replayed](Schedule::replay) one).
     pub data: Vec<f64>,
     /// Modeled size in bytes (may exceed `data` size, e.g. headers).
     pub bytes: usize,
@@ -181,7 +183,7 @@ pub struct SendOutcome {
 }
 
 /// One operation a rank issued to the engine, as
-/// [`run_cluster_recorded`] keeps it and [`replay`] plays it back.
+/// [`run_cluster_recorded`] keeps it and [`link`] orders it.
 /// Nothing in it names the platform: a compute charge is in
 /// calibration seconds, before the node's clock and contention scale
 /// it, and a send carries its length and shape but no values.
@@ -340,16 +342,6 @@ impl Shared {
         }
     }
 
-    /// [`Self::take`] that never blocks: what `pick` takes out of
-    /// `rank`'s inbox now, if anything.
-    fn try_take<R>(
-        &self,
-        rank: usize,
-        pick: impl FnOnce(&mut VecDeque<Msg>) -> Option<R>,
-    ) -> Option<R> {
-        pick(&mut self.mailboxes[rank].lock().queue)
-    }
-
     /// Counts the caller as unable to post; true when that completes
     /// the count, i.e. the caller has proved that nobody can.
     fn count_quiescent(&self) -> bool {
@@ -426,34 +418,6 @@ impl RankCtx {
         if let Some(script) = &mut self.script {
             script.push(op);
         }
-    }
-
-    /// Plays one recorded operation; false (and nothing done) when it is
-    /// a receive whose message has not been posted yet.
-    fn play(&mut self, op: Op) -> bool {
-        match op {
-            Op::Phase(phase) => self.set_phase(phase),
-            Op::Compute(seconds) => self.charge_compute(seconds),
-            Op::Send {
-                dst,
-                tag,
-                len,
-                class,
-                shape,
-            } => {
-                self.transfer(dst, tag, Vec::new(), len, class, shape);
-            }
-            Op::Recv { src, tag } => {
-                match self
-                    .shared
-                    .try_take(self.rank, |q| take_delivered(q, src, tag))
-                {
-                    Some(msg) => drop(self.complete_recv(msg)),
-                    None => return false,
-                }
-            }
-        }
-        true
     }
 
     /// This rank's id.
@@ -570,14 +534,18 @@ impl RankCtx {
         shape: OpShape,
     ) -> SendOutcome {
         let len = data.len();
-        self.transfer(dst, tag, data, len, class, shape)
+        let (msg, outcome) = self.cost(dst, tag, data, len, class, shape);
+        self.shared.post(dst, msg);
+        outcome
     }
 
-    /// The one transfer path of a live send and a [replayed](replay)
-    /// one: a message standing for `len` values, `data` holding them or
-    /// (replayed) nothing. The network costs a message by its length
-    /// alone, never by its values.
-    fn transfer(
+    /// Everything a send books, for a live send and a
+    /// [replayed](Schedule::replay) one: a message standing for `len`
+    /// values, `data` holding them or (replayed) nothing, costed,
+    /// stamped and counted on this rank. The network costs a message by
+    /// its length alone, never by its values. Delivering it is the
+    /// caller's.
+    fn cost(
         &mut self,
         dst: usize,
         tag: u64,
@@ -585,7 +553,7 @@ impl RankCtx {
         len: usize,
         class: MsgClass,
         shape: OpShape,
-    ) -> SendOutcome {
+    ) -> (Msg, SendOutcome) {
         assert!(dst < self.size(), "invalid destination {dst}");
         assert_ne!(dst, self.rank, "self-send not supported");
         debug_assert_ne!(tag, CRASH_TAG, "CRASH_TAG is reserved");
@@ -670,12 +638,12 @@ impl RankCtx {
             arrival,
             lost: !t.delivered,
         };
-        self.shared.post(dst, msg);
-        SendOutcome {
+        let outcome = SendOutcome {
             delivered: t.delivered,
             retransmits: t.retransmits,
             wire: t.time.wire,
-        }
+        };
+        (msg, outcome)
     }
 
     /// Blocking receive of the next message from `src` with `tag`
@@ -900,8 +868,9 @@ where
 
 /// [`run_cluster`] that also returns every rank's [`Script`]: each
 /// operation the rank issued to the engine, in order, with compute
-/// charges in calibration seconds. [`replay`] runs those scripts on any
-/// platform and gets the virtual times a live run there would.
+/// charges in calibration seconds. [`link`] orders those scripts into a
+/// [`Schedule`], which [replays](Schedule::replay) on any platform to the
+/// virtual times a live run there would get.
 pub fn run_cluster_recorded<T, F>(
     config: ClusterConfig,
     body: F,
@@ -928,61 +897,152 @@ where
         .unzip()
 }
 
-/// Runs every rank's recorded [`Script`] through the engine on one
-/// thread: lowest rank first, each until it ends or blocks in a receive
-/// whose message is not posted yet, round after round until no rank
-/// moves. Every operation goes through the accounting a live rank's
-/// does — the same transfer, receive completion and compute charge on
-/// this `config`'s platform — so the outcomes are the live run's, bit
-/// for bit. Scripts that cannot all finish return the
-/// [`SimError::Stalled`] the threaded engine would: the lowest rank left
-/// blocked and the epoch it waits in.
-pub fn replay(config: ClusterConfig, scripts: &[Script]) -> Result<Vec<RankOutcome<()>>, SimError> {
-    if scripts.len() != config.ranks {
-        return Err(SimError::InvalidConfig(format!(
-            "{} scripts for {} ranks",
-            scripts.len(),
-            config.ranks
-        )));
-    }
-    let shared = Shared::new(config, FaultPlan::none())?;
-    let mut ranks: Vec<_> = (scripts.iter().enumerate())
-        .map(|(rank, script)| {
-            (
-                RankCtx::new(rank, Arc::clone(&shared), false),
-                script.iter(),
-            )
-        })
-        .collect();
+/// One step of a [`Schedule`]: an operation of `rank`'s script and, for
+/// a send or a receive, the slot its message passes through.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    rank: u32,
+    slot: u32,
+    op: Op,
+}
+
+/// Every rank's [`Script`], [linked](link) once into one order that keeps
+/// each rank's program order and puts every send before its receive.
+/// [`Self::replay`] costs it on a platform in one pass.
+#[derive(Debug)]
+pub struct Schedule {
+    ranks: usize,
+    steps: Vec<Step>,
+    /// Messages in flight at once, at most: each receive frees its
+    /// slot for a later send.
+    slots: usize,
+}
+
+/// Links every rank's recorded [`Script`] into a [`Schedule`]: lowest
+/// rank first, each until it ends or blocks in a receive whose message
+/// is not sent yet, round after round until no rank moves, over plain
+/// per-rank queues of `(src, tag, slot)`. Each receive takes the first
+/// queued message of its channel and names the slot its send filled.
+/// Scripts that cannot all finish return the [`SimError::Stalled`] the
+/// threaded engine would: the lowest rank left blocked and the epoch it
+/// waits in.
+pub fn link(scripts: &[Script]) -> Result<Schedule, SimError> {
+    let ranks = scripts.len();
+    let mut next = vec![0; ranks];
+    let mut queued: Vec<VecDeque<(usize, u64, u32)>> = vec![VecDeque::new(); ranks];
+    let mut free = Vec::new();
+    let mut slots = 0;
+    let mut steps = Vec::with_capacity(scripts.iter().map(Vec::len).sum());
     let mut moved = true;
     while std::mem::take(&mut moved) {
-        for (ctx, ops) in &mut ranks {
-            while let Some(&op) = ops.as_slice().first() {
-                if !ctx.play(op) {
-                    break;
-                }
-                ops.next();
+        for (rank, script) in scripts.iter().enumerate() {
+            while let Some(&op) = script.get(next[rank]) {
+                let slot = match op {
+                    Op::Send { dst, tag, .. } => {
+                        let slot = free.pop().unwrap_or_else(|| {
+                            slots += 1;
+                            slots - 1
+                        });
+                        queued[dst].push_back((rank, tag, slot));
+                        slot
+                    }
+                    Op::Recv { src, tag } => {
+                        let queue = &mut queued[rank];
+                        let Some(at) = queue.iter().position(|&(s, t, _)| (s, t) == (src, tag))
+                        else {
+                            break;
+                        };
+                        let (_, _, slot) = queue.remove(at).expect("position is in the queue");
+                        free.push(slot);
+                        slot
+                    }
+                    Op::Phase(_) | Op::Compute(_) => 0,
+                };
+                steps.push(Step {
+                    rank: rank as u32,
+                    slot,
+                    op,
+                });
+                next[rank] += 1;
                 moved = true;
             }
         }
     }
-    for (ctx, ops) in &ranks {
-        if let Some(&Op::Recv { tag, .. }) = ops.as_slice().first() {
+    for (rank, script) in scripts.iter().enumerate() {
+        if let Some(&Op::Recv { tag, .. }) = script.get(next[rank]) {
             return Err(SimError::Stalled {
-                rank: ctx.rank,
+                rank,
                 step: tag >> 8,
             });
         }
     }
-    Ok(ranks
-        .into_iter()
-        .map(|(ctx, _)| RankOutcome {
-            rank: ctx.rank,
-            result: (),
-            finish_time: ctx.clock,
-            stats: ctx.stats,
-        })
-        .collect())
+    Ok(Schedule {
+        ranks,
+        steps,
+        slots: slots as usize,
+    })
+}
+
+impl Schedule {
+    /// The most messages in flight at once: the size of the slot table
+    /// a replay holds.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Heap bytes the schedule holds: the capacity of its steps.
+    pub fn bytes(&self) -> usize {
+        self.steps.capacity() * std::mem::size_of::<Step>()
+    }
+
+    /// Costs the schedule on `config`'s platform: each step, in the
+    /// linked order, through the accounting a live rank's operation goes
+    /// through — the same phase switch, compute charge, send costing and
+    /// receive completion — so the outcomes are the live run's, bit for
+    /// bit. A send's message waits in its slot for its receive.
+    pub fn replay(&self, config: ClusterConfig) -> Result<Vec<RankOutcome<()>>, SimError> {
+        if self.ranks != config.ranks {
+            return Err(SimError::InvalidConfig(format!(
+                "a schedule of {} ranks replayed on {}",
+                self.ranks, config.ranks
+            )));
+        }
+        let shared = Shared::new(config, FaultPlan::none())?;
+        let mut ranks: Vec<RankCtx> = (0..self.ranks)
+            .map(|rank| RankCtx::new(rank, Arc::clone(&shared), false))
+            .collect();
+        let mut slots: Vec<Option<Msg>> = vec![None; self.slots];
+        for &Step { rank, slot, op } in &self.steps {
+            let ctx = &mut ranks[rank as usize];
+            match op {
+                Op::Phase(phase) => ctx.set_phase(phase),
+                Op::Compute(seconds) => ctx.charge_compute(seconds),
+                Op::Send {
+                    dst,
+                    tag,
+                    len,
+                    class,
+                    shape,
+                } => {
+                    let (msg, _) = ctx.cost(dst, tag, Vec::new(), len, class, shape);
+                    slots[slot as usize] = Some(msg);
+                }
+                Op::Recv { .. } => {
+                    let msg = slots[slot as usize].take();
+                    drop(ctx.complete_recv(msg.expect("a linked send fills the slot first")));
+                }
+            }
+        }
+        Ok(ranks
+            .into_iter()
+            .map(|ctx| RankOutcome {
+                rank: ctx.rank,
+                result: (),
+                finish_time: ctx.clock,
+                stats: ctx.stats,
+            })
+            .collect())
+    }
 }
 
 /// [`run_cluster_faulty`], each rank's script beside its outcome when
@@ -1359,16 +1419,20 @@ mod tests {
         bits
     }
 
-    /// Scripts recorded on one platform, replayed on one thread on every
-    /// other (network, CPUs per node, jitter seed), give each platform's
-    /// live outcomes: clocks, phase buckets, counters, throughput samples
-    /// and traced messages, bit for bit.
+    /// Scripts recorded on one platform, linked once and replayed on one
+    /// thread on every other (network, CPUs per node, jitter seed), give
+    /// each platform's live outcomes: clocks, phase buckets, counters,
+    /// throughput samples and traced messages, bit for bit.
     #[test]
     fn a_replayed_script_is_the_live_run_on_every_platform() {
         for p in [1usize, 2, 3, 5] {
             let (recorded, scripts) =
                 run_cluster_recorded(ClusterConfig::uni(p, NetworkKind::TcpGigE), mixed_workload);
             assert!(scripts.iter().all(|s| !s.is_empty()));
+            let schedule = link(&scripts).expect("complete scripts link");
+            let ops: usize = scripts.iter().map(Vec::len).sum();
+            assert_eq!(schedule.steps.len(), ops);
+            assert_eq!(schedule.steps.capacity(), ops, "linked at its exact size");
             let plain = run_cluster(ClusterConfig::uni(p, NetworkKind::TcpGigE), mixed_workload);
             for (r, l) in recorded.iter().zip(&plain) {
                 assert_eq!(
@@ -1387,7 +1451,7 @@ mod tests {
                     cfg.seed = 7 + p as u64;
                     cfg.record_trace = true;
                     let live = run_cluster(cfg, mixed_workload);
-                    let replayed = replay(cfg, &scripts).expect("complete scripts finish");
+                    let replayed = schedule.replay(cfg).expect("a linked schedule replays");
                     for (l, r) in live.iter().zip(&replayed) {
                         assert!(p == 1 || !l.stats.trace.is_empty());
                         assert_eq!(
@@ -1399,6 +1463,19 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_schedule_on_another_rank_count_is_a_typed_error() {
+        let cfg = ClusterConfig::uni(3, NetworkKind::TcpGigE);
+        let (_, scripts) = run_cluster_recorded(cfg, mixed_workload);
+        let schedule = link(&scripts).expect("complete scripts link");
+        match schedule.replay(ClusterConfig::uni(2, NetworkKind::TcpGigE)) {
+            Err(SimError::InvalidConfig(why)) => {
+                assert_eq!(why, "a schedule of 3 ranks replayed on 2");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }
 

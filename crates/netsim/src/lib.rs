@@ -12,7 +12,8 @@
 //!   the MD kernels' operation counts,
 //! * [`cluster`] — rank/node topology (uni- vs dual-processor nodes),
 //! * [`engine`] — the virtual-time message-passing engine, and the
-//!   one-thread replay of the scripts a recorded run leaves,
+//!   schedule a recorded run's scripts link into, replayed per platform
+//!   in one pass on one thread,
 //! * [`stats`] — the computation / communication / synchronization
 //!   breakdown and throughput sampling the paper reports,
 //! * [`faults`] — deterministic fault injection (lossy links with
@@ -53,8 +54,8 @@ pub mod trace;
 pub use cluster::ClusterConfig;
 pub use cost::{CostModel, CpuConfig, PIII_1GHZ};
 pub use engine::{
-    elapsed_time, replay, run_cluster, run_cluster_faulty, run_cluster_recorded, CommError,
-    FaultyOutcome, Msg, Op, RankCtx, RankOutcome, Script, SendOutcome, SimError,
+    elapsed_time, link, run_cluster, run_cluster_faulty, run_cluster_recorded, CommError,
+    FaultyOutcome, Msg, Op, RankCtx, RankOutcome, Schedule, Script, SendOutcome, SimError,
 };
 pub use faults::{
     FaultPlan, LinkDegradation, RankCrash, SdcFault, SdcTarget, StorageFault, StorageFaultKind,

@@ -2,7 +2,7 @@
 //! determinism over arbitrary parameters.
 
 use cpc_cluster::{
-    replay, run_cluster_faulty, run_cluster_recorded, ClusterConfig, FaultPlan, MsgClass,
+    link, run_cluster_faulty, run_cluster_recorded, ClusterConfig, FaultPlan, MsgClass,
     NetworkKind, OpShape, Phase, Script, SimError, SplitMix64, TransferCtx,
 };
 use proptest::prelude::*;
@@ -277,12 +277,12 @@ fn messages(script: &Script) -> Vec<Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Stall parity of the one-thread replay. Scripts recorded from
-    /// matched send/receive pairs replay to the threaded engine's exact
-    /// clocks. With the last send of one sender's script dropped, the
-    /// replay, the threaded engine playing the same scripts, and the
-    /// serial reference all agree: each completes, or each names the
-    /// same stalled rank and epoch.
+    /// Stall parity of the linked schedule. Scripts recorded from
+    /// matched send/receive pairs link and replay to the threaded
+    /// engine's exact clocks. With the last send of one sender's script
+    /// dropped, linking and replaying, the threaded engine playing the
+    /// same scripts, and the serial reference all agree: each completes,
+    /// or each names the same stalled rank and epoch.
     #[test]
     fn a_replay_stalls_exactly_where_the_threaded_engine_does(
         p in 2usize..=6,
@@ -309,7 +309,9 @@ proptest! {
             }
         });
         let clocks: Vec<u64> = live.iter().map(|o| o.finish_time.to_bits()).collect();
-        let replayed = replay(cfg, &scripts).expect("recorded scripts complete");
+        let replayed = link(&scripts)
+            .and_then(|schedule| schedule.replay(cfg))
+            .expect("recorded scripts complete");
         let replayed: Vec<u64> = replayed.iter().map(|o| o.finish_time.to_bits()).collect();
         prop_assert_eq!(&replayed, &clocks);
 
@@ -321,7 +323,7 @@ proptest! {
             .expect("a sender sends");
         scripts[sender].remove(last);
         let threaded = play_threaded(cfg, &scripts);
-        let replayed = replay(cfg, &scripts).map(|o| {
+        let replayed = link(&scripts).and_then(|schedule| schedule.replay(cfg)).map(|o| {
             o.iter().map(|o| o.finish_time.to_bits()).collect::<Vec<_>>()
         });
         let reference: Vec<Vec<Op>> = scripts.iter().map(messages).collect();

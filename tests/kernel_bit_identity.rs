@@ -1486,3 +1486,123 @@ fn myoglobin_pme_returns_the_bits_of_the_pipeline_over_the_recursive_fft() {
     assert_eq!(e_got.to_bits(), e_want.to_bits());
     assert_forces_bit_equal(&got, &want, "myoglobin PME");
 }
+
+/// `cpc_md::minimize::minimize` as it was before a rejected move kept
+/// the forces of the point it returns to: it evaluates there again.
+/// Also returns how many moves it rejected.
+mod minimize_oracle {
+    use cpc_md::energy::{EnergyModel, Evaluator};
+    use cpc_md::minimize::MinimizeResult;
+    use cpc_md::{System, Vec3};
+
+    pub fn minimize(
+        system: &mut System,
+        model: EnergyModel,
+        steps: usize,
+    ) -> (MinimizeResult, usize) {
+        let n = system.n_atoms();
+        let mut evaluator = Evaluator::new(model);
+        let mut forces = vec![Vec3::ZERO; n];
+        let (report, _) = evaluator.evaluate(system, &mut forces);
+        let initial_energy = report.total();
+        let mut energy = initial_energy;
+
+        let max_disp = 0.2;
+        let mut step_size: f64 = 0.01;
+        let mut taken = 0usize;
+        let mut rejected = 0usize;
+        let mut trial = system.positions.clone();
+
+        for _ in 0..steps {
+            let fmax = forces.iter().map(|f| f.norm()).fold(0.0f64, f64::max);
+            if fmax < 1e-8 {
+                break;
+            }
+            let scale = (step_size).min(max_disp / fmax);
+            for ((t, &p), &f) in trial.iter_mut().zip(&system.positions).zip(&forces) {
+                *t = p + f * scale;
+            }
+            std::mem::swap(&mut system.positions, &mut trial);
+            let (report, _) = evaluator.evaluate(system, &mut forces);
+            let new_energy = report.total();
+            if new_energy <= energy {
+                energy = new_energy;
+                step_size *= 1.2;
+                taken += 1;
+            } else {
+                rejected += 1;
+                std::mem::swap(&mut system.positions, &mut trial);
+                step_size *= 0.5;
+                let (report, _) = evaluator.evaluate(system, &mut forces);
+                energy = report.total();
+                if step_size < 1e-10 {
+                    break;
+                }
+            }
+        }
+        let result = MinimizeResult {
+            initial_energy,
+            final_energy: energy,
+            steps_taken: taken,
+        };
+        (result, rejected)
+    }
+}
+
+/// Minimizes a copy of `sys` both ways; the result, every position and
+/// every velocity must be the oracle's bits. Returns the oracle's
+/// rejected moves.
+fn assert_minimize_matches_the_oracle(
+    sys: &System,
+    model: cpc_md::EnergyModel,
+    steps: usize,
+    what: &str,
+) -> usize {
+    let mut got = sys.clone();
+    let mut want = sys.clone();
+    let result = cpc_md::minimize::minimize(&mut got, model, steps);
+    let (expected, rejected) = minimize_oracle::minimize(&mut want, model, steps);
+    let bits = |r: cpc_md::minimize::MinimizeResult| {
+        (
+            r.initial_energy.to_bits(),
+            r.final_energy.to_bits(),
+            r.steps_taken,
+        )
+    };
+    assert_eq!(bits(result), bits(expected), "{what}");
+    assert_forces_bit_equal(&got.positions, &want.positions, what);
+    assert_forces_bit_equal(&got.velocities, &want.velocities, what);
+    rejected
+}
+
+#[test]
+fn a_rejected_minimizer_move_keeps_the_bits_of_evaluating_again() {
+    // The workload's build: 120 steps from the raw geometry.
+    let rejected = assert_minimize_matches_the_oracle(
+        &myoglobin_raw(),
+        cpc_md::EnergyModel::Classic,
+        120,
+        "myoglobin",
+    );
+    assert!(rejected > 0, "no rejected move on myoglobin");
+    let mut rejected = 0;
+    for seed in 0..50u64 {
+        let mut rng = SmallRng::seed_from_u64(0x317E ^ (seed << 8));
+        let sys = scrambled_water_box(&mut rng);
+        let model = if seed % 5 == 4 {
+            cpc_md::EnergyModel::Pme(PmeParams {
+                grid: Dims3::new(16, 16, 16),
+                order: 4,
+                beta: 0.34,
+            })
+        } else {
+            cpc_md::EnergyModel::Classic
+        };
+        let what = format!("water box seed {seed}");
+        rejected += assert_minimize_matches_the_oracle(&sys, model, 40, &what);
+    }
+    assert!(
+        rejected >= 50,
+        "only {rejected} rejected moves over 50 water boxes"
+    );
+}
