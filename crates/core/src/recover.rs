@@ -684,7 +684,7 @@ pub fn run_parallel_md_faulty(
             if step >= steps {
                 break;
             }
-            let comp_before = comm.ctx().stats.total().comp;
+            let comp_before = comm.ctx().stats().total().comp;
 
             // One velocity-Verlet step over the current members.
             let computing = (step + 1) as u64;
@@ -849,7 +849,7 @@ pub fn run_parallel_md_faulty(
             // 2x per pair), so it localizes the *node*, not the cut.
             // Pure host-side arithmetic: no virtual time is charged.
             let units = rank.pair_share(&comm).max(1) as f64;
-            let comp_after = comm.ctx().stats.total().comp;
+            let comp_after = comm.ctx().stats().total().comp;
             last_unit_cost = (comp_after - comp_before) / units;
 
             // Numerical watchdog: a blown-up trajectory (NaN/inf

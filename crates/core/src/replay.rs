@@ -14,7 +14,10 @@
 //! [`ScriptStore`] keeps one recording per *physics identity*: the
 //! system, and the [`MdConfig`] less the network, the CPUs per node,
 //! the jitter seed and tracing. Middleware is in it, because CMPI sends
-//! another message sequence than MPI. The first cell of an identity
+//! another message sequence than MPI. A cell finds its identity by the
+//! printed config and confirms it by comparing its system bit for bit
+//! with the snapshot the identity's slot holds: no digest, so no
+//! collision. The first cell of an identity
 //! runs live, records its ranks' scripts, links them once into a
 //! [`Schedule`] (the scripts are dropped) and keeps rank 0's physics
 //! (energy log, final positions and velocities). A later cell of the
@@ -38,17 +41,18 @@
 use crate::driver::{run_live, run_recorded, MdConfig};
 use crate::report::{RankPayload, RunReport};
 use cpc_cluster::{NetworkKind, Schedule, Script};
-use cpc_md::topology::Topology;
-use cpc_md::System;
+use cpc_md::forcefield::{AngleParam, BondParam, DihedralParam, ImproperParam};
+use cpc_md::pbc::PbcBox;
+use cpc_md::topology::{Angle, Atom, Bond, Dihedral, Improper, Topology};
+use cpc_md::{System, Vec3};
 use cpc_mpi::Middleware;
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Byte budget of a store: the full campaign's seven identities (p = 2,
-/// 4, 8 under both middlewares, and p = 1) hold 4.0 MiB, booked by
-/// allocated capacity.
+/// 4, 8 under both middlewares, and p = 1) and their one system
+/// snapshot hold 2.5 MiB, booked by allocated capacity.
 const BUDGET_BYTES: usize = 16 << 20;
 
 /// The factors a recording is replayed across: network, CPUs per node
@@ -102,8 +106,10 @@ impl Recording {
 }
 
 /// One identity's place in the store.
-#[derive(Default)]
 struct Slot {
+    /// The identity's system: one snapshot per distinct system, shared
+    /// by every slot of that system.
+    system: Arc<System>,
     recording: OnceLock<Recording>,
     /// Whether a cell of another platform than the recording one has
     /// replayed it.
@@ -119,7 +125,8 @@ pub struct ReplayStats {
     pub replayed: u64,
     /// Cells on their recording's own platform, run live again.
     pub live_repeats: u64,
-    /// Bytes of the recordings held.
+    /// Bytes held: the recordings, and once each the systems they are
+    /// of.
     pub bytes: usize,
     /// Recordings dropped to stay inside the budget.
     pub evictions: u64,
@@ -139,14 +146,52 @@ impl fmt::Display for ReplayStats {
     }
 }
 
+/// One identity in the store: its config key, its slot, and the bytes
+/// it books (zero until its recording is admitted).
+struct Held {
+    key: String,
+    slot: Arc<Slot>,
+    booked: usize,
+}
+
 #[derive(Default)]
 struct Inner {
-    /// Every identity's slot and the bytes it holds (zero until its
-    /// recording is admitted).
-    slots: HashMap<u128, (Arc<Slot>, usize)>,
-    /// The keys of `slots`, oldest first.
-    order: VecDeque<u128>,
+    /// Every identity held, oldest first.
+    held: Vec<Held>,
     stats: ReplayStats,
+}
+
+impl Inner {
+    /// The slot of `system` under `key`, if there is one.
+    fn find(&self, key: &str, system: &System) -> Option<Arc<Slot>> {
+        let mut held = self.held.iter();
+        let found = held.find(|h| h.key == key && same_system(&h.slot.system, system))?;
+        Some(Arc::clone(&found.slot))
+    }
+
+    /// The snapshot of `system` a slot already holds, or a new one.
+    fn snapshot(&self, system: &System) -> Arc<System> {
+        let mut held = self.held.iter().map(|h| &h.slot.system);
+        match held.find(|held| same_system(held, system)) {
+            Some(held) => Arc::clone(held),
+            None => Arc::new(system.clone()),
+        }
+    }
+
+    /// Bytes held: every admitted recording, and once each the
+    /// systems they are of.
+    fn held_bytes(&self) -> usize {
+        let mut systems: Vec<&Arc<System>> = Vec::new();
+        let mut bytes = 0;
+        for h in self.held.iter().filter(|h| h.booked > 0) {
+            bytes += h.booked;
+            if !systems.iter().any(|s| Arc::ptr_eq(s, &h.slot.system)) {
+                systems.push(&h.slot.system);
+                bytes += system_bytes(&h.slot.system);
+            }
+        }
+        bytes
+    }
 }
 
 /// Process-wide, byte-budgeted store of recorded cells by physics
@@ -187,8 +232,7 @@ impl ScriptStore {
     /// run live again on the recording's own platform until another
     /// platform has replayed it, replayed otherwise.
     pub(crate) fn run(&self, system: &System, cfg: &MdConfig) -> RunReport {
-        let key = identity(system, cfg);
-        let slot = self.slot(key);
+        let slot = self.slot(config_key(cfg), system);
         let mut live = None;
         let recording = slot.recording.get_or_init(|| {
             let (report, scripts) = run_recorded(system, cfg);
@@ -201,7 +245,7 @@ impl ScriptStore {
             Recording::new(&scripts, physics, platform_of(cfg))
         });
         if let Some(report) = live {
-            self.admit(key, &slot, recording.bytes());
+            self.admit(&slot, recording.bytes());
             return report;
         }
         // `shared` publishes no data (the recording is published by its
@@ -215,15 +259,23 @@ impl ScriptStore {
         recording.replay(cfg)
     }
 
-    /// The slot of `key`, a new empty one (the newest) if there is none.
-    fn slot(&self, key: u128) -> Arc<Slot> {
+    /// The slot of `system` under `key`, a new empty one (the newest)
+    /// if there is none.
+    fn slot(&self, key: String, system: &System) -> Arc<Slot> {
         let mut inner = self.lock();
-        if let Some((slot, _)) = inner.slots.get(&key) {
-            return Arc::clone(slot);
+        if let Some(slot) = inner.find(&key, system) {
+            return slot;
         }
-        let slot = Arc::new(Slot::default());
-        inner.slots.insert(key, (Arc::clone(&slot), 0));
-        inner.order.push_back(key);
+        let slot = Arc::new(Slot {
+            system: inner.snapshot(system),
+            recording: OnceLock::new(),
+            shared: AtomicBool::new(false),
+        });
+        inner.held.push(Held {
+            key,
+            slot: Arc::clone(&slot),
+            booked: 0,
+        });
         slot
     }
 
@@ -231,153 +283,153 @@ impl ScriptStore {
     /// first until the store is inside its budget. A slot evicted while
     /// it was being recorded books nothing: its cells still finish, and
     /// the next cell of the identity records again.
-    fn admit(&self, key: u128, slot: &Arc<Slot>, bytes: usize) {
+    fn admit(&self, slot: &Arc<Slot>, bytes: usize) {
         let mut inner = self.lock();
         inner.stats.recorded += 1;
-        match inner.slots.get_mut(&key) {
-            Some((held, booked)) if Arc::ptr_eq(held, slot) => *booked = bytes,
-            _ => return,
+        match inner.held.iter_mut().find(|h| Arc::ptr_eq(&h.slot, slot)) {
+            Some(held) => held.booked = bytes,
+            None => return,
         }
-        inner.stats.bytes += bytes;
+        inner.stats.bytes = inner.held_bytes();
         while inner.stats.bytes > self.budget {
-            let oldest = inner.order.pop_front().expect("bytes held imply a slot");
-            let (_, freed) = inner.slots.remove(&oldest).expect("ordered keys are held");
-            inner.stats.bytes -= freed;
+            inner.held.remove(0);
+            inner.stats.bytes = inner.held_bytes();
             inner.stats.evictions += 1;
         }
     }
 }
 
-/// The physics identity of a cell: a digest of the system and of `cfg`
-/// with its platform — network, CPUs per node, jitter seed — and its
-/// tracing switch set to fixed values. Everything else a rank body or
-/// the engine's unscaled accounting could read is in it: the energy
-/// model, middleware, rank count, steps, timestep, collective tuning,
-/// PME implementation, CPU and cost model, slow nodes. A one-rank cell
-/// sends no message, so its middleware cannot show in its script.
-pub(crate) fn identity(system: &System, cfg: &MdConfig) -> u128 {
+/// The key of a cell's physics identity: `cfg` printed with its
+/// platform — network, CPUs per node, jitter seed — and its tracing
+/// switch set to fixed values. Everything else a rank body or the
+/// engine's unscaled accounting could read is in it: the energy model,
+/// middleware, rank count, steps, timestep, collective tuning, PME
+/// implementation, CPU and cost model, slow nodes. A one-rank cell
+/// sends no message, so its middleware cannot show in its script. The
+/// rest of the identity is the system, compared bit for bit.
+pub(crate) fn config_key(cfg: &MdConfig) -> String {
     let mut physics = *cfg;
     let c = &mut physics.cluster;
     (c.network, c.cpus_per_node, c.seed, c.record_trace) = (NetworkKind::TcpGigE, 1, 0, false);
     if c.ranks == 1 {
         physics.middleware = Middleware::Mpi;
     }
-    let mut d = Digest::new();
     // Debug prints every field, and every f64 exactly.
-    let text = format!("{physics:?}");
-    d.word(text.len() as u64);
-    for chunk in text.as_bytes().chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        d.word(u64::from_le_bytes(word));
-    }
-    d.system(system);
-    d.finish()
+    format!("{physics:?}")
 }
 
-/// 128-bit digest over a stream of 64-bit words: two multiply-xorshift
-/// lanes that both see every word. Each step is a bijection of its lane
-/// for a fixed word and injective in the word for a fixed lane, so two
-/// streams of equal length that differ in one word never collide.
-struct Digest {
-    a: u64,
-    b: u64,
+/// Whether two slices are equal in every word `words` gives of an
+/// element. The OR of the XORs of all word pairs is zero exactly when
+/// they are; no early exit, so the loop has no branch to mispredict.
+fn same_terms<T, const N: usize>(a: &[T], b: &[T], words: impl Fn(&T) -> [u64; N]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).fold(0, |d, (x, y)| {
+            let (x, y) = (words(x), words(y));
+            x.iter().zip(&y).fold(d, |d, (p, q)| d | (p ^ q))
+        }) == 0
 }
 
-impl Digest {
-    fn new() -> Self {
-        Digest {
-            a: 0x243f_6a88_85a3_08d3,
-            b: 0x1319_8a2e_0370_7344,
-        }
-    }
+fn vec3_words(v: &Vec3) -> [u64; 3] {
+    [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]
+}
 
-    #[inline]
-    fn word(&mut self, w: u64) {
-        self.a = (self.a ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.a ^= self.a >> 32;
-        self.b = (self.b ^ w.rotate_left(32)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        self.b ^= self.b >> 29;
-    }
-
-    fn f64s(&mut self, xs: impl IntoIterator<Item = f64>) {
-        for x in xs {
-            self.word(x.to_bits());
-        }
-    }
-
-    /// The atom indices of one term.
-    fn atoms(&mut self, is: &[usize]) {
-        for &i in is {
-            self.word(i as u64);
-        }
-    }
-
-    /// Every bit of `system`: box, positions, velocities, and the
-    /// topology — classes, charges, bonded terms with their parameters,
-    /// exclusions — each list behind its length. The two structs are
-    /// destructured whole, so a field added to either fails to compile
-    /// here until it is digested.
-    fn system(&mut self, system: &System) {
-        let System {
-            topology,
-            pbox,
-            positions,
-            velocities,
-        } = system;
-        let l = pbox.lengths;
-        self.f64s([l.x, l.y, l.z]);
-        for xs in [positions, velocities] {
-            self.word(xs.len() as u64);
-            self.f64s(xs.iter().flat_map(|v| [v.x, v.y, v.z]));
-        }
-        let Topology {
-            atoms,
-            bonds,
-            angles,
+/// Whether two systems are equal bit for bit: box, positions,
+/// velocities, and the topology — classes, charges, bonded terms with
+/// their parameters, exclusions. Floats compare by their bits, so a
+/// `-0.0` or a NaN payload tells two systems apart. Every struct is
+/// destructured whole, so a field added to any of them fails to compile
+/// here until it is compared.
+fn same_system(a: &System, b: &System) -> bool {
+    let System {
+        topology,
+        pbox: PbcBox { lengths },
+        positions,
+        velocities,
+    } = a;
+    let Topology {
+        atoms,
+        bonds,
+        angles,
+        dihedrals,
+        impropers,
+        exclusions,
+    } = topology;
+    let t = &b.topology;
+    same_terms(&[*lengths], &[b.pbox.lengths], vec3_words)
+        && same_terms(positions, &b.positions, vec3_words)
+        && same_terms(velocities, &b.velocities, vec3_words)
+        && same_terms(atoms, &t.atoms, |&Atom { class, charge }| {
+            [class as u64, charge.to_bits()]
+        })
+        && same_terms(bonds, &t.bonds, |&Bond { i, j, param }| {
+            let BondParam { k, r0 } = param;
+            [i as u64, j as u64, k.to_bits(), r0.to_bits()]
+        })
+        && same_terms(angles, &t.angles, |&Angle { i, j, k, param }| {
+            let AngleParam {
+                k: kf,
+                theta0,
+                kub,
+                s0,
+            } = param;
+            let f = [kf, theta0, kub, s0].map(f64::to_bits);
+            [i as u64, j as u64, k as u64, f[0], f[1], f[2], f[3]]
+        })
+        && same_terms(
             dihedrals,
+            &t.dihedrals,
+            |&Dihedral { i, j, k, l, param }| {
+                let DihedralParam { k: kf, n, delta } = param;
+                let (kf, delta) = (kf.to_bits(), delta.to_bits());
+                [
+                    i as u64,
+                    j as u64,
+                    k as u64,
+                    l as u64,
+                    u64::from(n),
+                    kf,
+                    delta,
+                ]
+            },
+        )
+        && same_terms(
             impropers,
-            exclusions,
-        } = topology;
-        self.word(atoms.len() as u64);
-        for a in atoms {
-            self.word(a.class as u64);
-            self.f64s([a.charge]);
-        }
-        self.word(bonds.len() as u64);
-        for b in bonds {
-            self.atoms(&[b.i, b.j]);
-            self.f64s([b.param.k, b.param.r0]);
-        }
-        self.word(angles.len() as u64);
-        for a in angles {
-            self.atoms(&[a.i, a.j, a.k]);
-            self.f64s([a.param.k, a.param.theta0, a.param.kub, a.param.s0]);
-        }
-        self.word(dihedrals.len() as u64);
-        for d in dihedrals {
-            self.atoms(&[d.i, d.j, d.k, d.l]);
-            self.word(u64::from(d.param.n));
-            self.f64s([d.param.k, d.param.delta]);
-        }
-        self.word(impropers.len() as u64);
-        for m in impropers {
-            self.atoms(&[m.i, m.j, m.k, m.l]);
-            self.f64s([m.param.k, m.param.psi0]);
-        }
-        self.word(exclusions.len() as u64);
-        for partners in exclusions {
-            self.word(partners.len() as u64);
-            for &j in partners {
-                self.word(u64::from(j));
-            }
-        }
-    }
+            &t.impropers,
+            |&Improper { i, j, k, l, param }| {
+                let ImproperParam { k: kf, psi0 } = param;
+                [
+                    i as u64,
+                    j as u64,
+                    k as u64,
+                    l as u64,
+                    kf.to_bits(),
+                    psi0.to_bits(),
+                ]
+            },
+        )
+        && exclusions.len() == t.exclusions.len()
+        && exclusions.iter().zip(&t.exclusions).all(|(x, y)| {
+            // An inline loop: a `Vec ==` per row calls out per row.
+            x.len() == y.len() && x.iter().zip(y).fold(0, |d, (p, q)| d | (p ^ q)) == 0
+        })
+}
 
-    /// The lane pair as is: the map re-hashes its keys.
-    fn finish(&self) -> u128 {
-        u128::from(self.a) << 64 | u128::from(self.b)
+/// Heap and inline bytes of a system snapshot, by allocated capacity.
+fn system_bytes(system: &System) -> usize {
+    fn held<T>(xs: &Vec<T>) -> usize {
+        xs.capacity() * std::mem::size_of::<T>()
     }
+    let t = &system.topology;
+    std::mem::size_of::<System>()
+        + held(&system.positions)
+        + held(&system.velocities)
+        + held(&t.atoms)
+        + held(&t.bonds)
+        + held(&t.angles)
+        + held(&t.dihedrals)
+        + held(&t.impropers)
+        + held(&t.exclusions)
+        + t.exclusions.iter().map(held).sum::<usize>()
 }
 
 #[cfg(test)]
@@ -387,9 +439,10 @@ mod tests {
     use cpc_cluster::{ClusterConfig, Op, Phase, RankStats};
     use cpc_fft::Dims3;
     use cpc_md::builder::water_box;
+    use cpc_md::forcefield::AtomClass;
     use cpc_md::pme::PmeParams;
     use cpc_md::EnergyModel;
-    use std::collections::hash_map::Entry;
+    use std::collections::hash_map::{Entry, HashMap};
 
     const NETWORKS: [NetworkKind; 3] = [
         NetworkKind::TcpGigE,
@@ -479,7 +532,7 @@ mod tests {
     #[test]
     fn the_identity_is_complete() {
         let sys = system();
-        let mut groups: HashMap<u128, (String, Vec<Vec<String>>)> = HashMap::new();
+        let mut groups: HashMap<String, (String, Vec<Vec<String>>)> = HashMap::new();
         for p in [1, 2, 8] {
             for mw in Middleware::ALL {
                 for (network, dual) in platforms() {
@@ -489,7 +542,7 @@ mod tests {
                         .map(|s| s.iter().map(op_bits).collect())
                         .collect();
                     let at = format!("p={p} {mw:?} {network:?} dual={dual}");
-                    match groups.entry(identity(&sys, &cfg)) {
+                    match groups.entry(config_key(&cfg)) {
                         Entry::Vacant(e) => drop(e.insert((at, ops))),
                         Entry::Occupied(e) => {
                             let (first, want) = e.get();
@@ -510,6 +563,102 @@ mod tests {
         }
         // Both middlewares at p = 2 and 8; one at p = 1, which sends nothing.
         assert_eq!(groups.len(), 5);
+    }
+
+    /// The test system with one term of every kind: the water box, plus
+    /// a dihedral and an improper across its first two molecules.
+    fn system_with_every_term() -> System {
+        let mut sys = system();
+        let t = &mut sys.topology;
+        let (k, n, delta) = (0.2, 3, 0.0);
+        let param = DihedralParam { k, n, delta };
+        t.dihedrals.push(Dihedral {
+            i: 0,
+            j: 1,
+            k: 3,
+            l: 4,
+            param,
+        });
+        let param = ImproperParam { k: 1.0, psi0: 0.0 };
+        t.impropers.push(Improper {
+            i: 0,
+            j: 1,
+            k: 2,
+            l: 3,
+            param,
+        });
+        sys
+    }
+
+    /// `x` with its lowest bit flipped.
+    fn flip(x: &mut f64) {
+        *x = f64::from_bits(x.to_bits() ^ 1);
+    }
+
+    /// Systems that differ from a recorded one in a single word — one
+    /// bit of a position, a velocity, a box length, a charge or a
+    /// bonded parameter, `+0.0` against `-0.0`, a class, a bonded
+    /// index, a dihedral multiplicity, an exclusion partner or an
+    /// exclusion row's length — each miss the store and record, and
+    /// each report is that system's own live run. The recorded system
+    /// still replays.
+    #[test]
+    fn the_identity_separates_systems_that_differ_in_one_word() {
+        let base = system_with_every_term();
+        type Mutation = (&'static str, fn(&mut System));
+        let mutations: [Mutation; 14] = [
+            ("position bit", |s| flip(&mut s.positions[4].y)),
+            ("velocity bit", |s| flip(&mut s.velocities[7].z)),
+            ("box length bit", |s| flip(&mut s.pbox.lengths.x)),
+            ("charge bit", |s| flip(&mut s.topology.atoms[2].charge)),
+            ("class", |s| {
+                let class = &mut s.topology.atoms[1].class;
+                *class = *AtomClass::ALL.iter().find(|&&c| c != *class).unwrap();
+            }),
+            ("bond index", |s| s.topology.bonds[0].j = 5),
+            ("bond parameter bit", |s| {
+                flip(&mut s.topology.bonds[1].param.r0)
+            }),
+            ("angle parameter bit", |s| {
+                flip(&mut s.topology.angles[0].param.k)
+            }),
+            ("dihedral multiplicity", |s| {
+                s.topology.dihedrals[0].param.n = 2
+            }),
+            ("dihedral phase -0.0", |s| {
+                s.topology.dihedrals[0].param.delta = -0.0
+            }),
+            ("improper index", |s| s.topology.impropers[0].l = 5),
+            ("improper parameter bit", |s| {
+                flip(&mut s.topology.impropers[0].param.k)
+            }),
+            ("exclusion partner", |s| s.topology.exclusions[0][1] = 3),
+            ("exclusion row length", |s| {
+                let row = &mut s.topology.exclusions[1];
+                row.truncate(row.len() - 1);
+            }),
+        ];
+        let store = ScriptStore::with_budget(BUDGET_BYTES);
+        let recorded_on = cell(2, Middleware::Mpi, NetworkKind::TcpGigE, false);
+        let elsewhere = cell(2, Middleware::Mpi, NetworkKind::MyrinetGm, true);
+        store.run(&base, &recorded_on);
+        for (at, (what, mutate)) in mutations.iter().enumerate() {
+            let mut other = base.clone();
+            mutate(&mut other);
+            assert!(same_system(&base, &base.clone()), "{what}");
+            assert!(!same_system(&base, &other), "{what}");
+            let got = store.run(&other, &elsewhere);
+            let s = store.stats();
+            assert_eq!((s.recorded, s.replayed), (at as u64 + 2, 0), "{what}");
+            let live = run_live(&other, &elsewhere);
+            assert_eq!(format!("{got:?}"), format!("{live:?}"), "{what}");
+        }
+        let got = store.run(&base, &elsewhere);
+        assert_eq!(store.stats().replayed, 1, "the recorded system replays");
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{:?}", run_live(&base, &elsewhere))
+        );
     }
 
     /// MPI/CMPI x p in {1, 2, 4, 8}: one recording, replayed on three
@@ -685,10 +834,11 @@ mod tests {
         }
     }
 
-    /// Three identities through a store that holds two: the third
-    /// recording evicts the first, the held bytes never pass the budget,
-    /// and the evicted identity records again where the held one
-    /// replays.
+    /// Three identities of one system through a store that holds two:
+    /// the third recording evicts the first, the held bytes — the
+    /// recordings, and their shared system once — never pass the
+    /// budget, and the evicted identity records again where the held
+    /// one replays.
     #[test]
     fn the_budget_is_never_exceeded_and_eviction_is_oldest_first() {
         let sys = system();
@@ -701,23 +851,25 @@ mod tests {
             cfg.cluster.network = NetworkKind::MyrinetGm;
             cfg
         };
+        let snapshot = system_bytes(&sys.clone());
         let sizes = identities.map(|cfg| {
             let store = ScriptStore::with_budget(BUDGET_BYTES);
             store.run(&sys, &cfg);
-            store.stats().bytes
+            store.stats().bytes - snapshot
         });
         assert!(sizes[0] < sizes[1] && sizes[1] < sizes[2]);
-        let store = ScriptStore::with_budget(sizes[1] + sizes[2]);
+        let budget = snapshot + sizes[1] + sizes[2];
+        let store = ScriptStore::with_budget(budget);
         let counts = || {
             let s = store.stats();
-            assert!(s.bytes <= sizes[1] + sizes[2]);
+            assert!(s.bytes <= budget);
             (s.recorded, s.replayed, s.evictions)
         };
         for cfg in &identities {
             store.run(&sys, cfg);
         }
         assert_eq!(counts(), (3, 0, 1));
-        assert_eq!(store.stats().bytes, sizes[1] + sizes[2]);
+        assert_eq!(store.stats().bytes, budget);
         store.run(&sys, &elsewhere(&identities[1]));
         assert_eq!(counts(), (3, 1, 1), "the second identity is held");
         store.run(&sys, &elsewhere(&identities[0]));

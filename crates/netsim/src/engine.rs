@@ -32,7 +32,7 @@
 
 use crate::cluster::ClusterConfig;
 use crate::faults::{FaultPlan, LinkFault};
-use crate::netmodel::{NetworkParams, OpShape, TransferCtx};
+use crate::netmodel::{LinkTerms, NetworkParams, OpShape, TransferCtx};
 use crate::rng::SplitMix64;
 use crate::stats::{MsgClass, Phase, RankStats, ThroughputSample};
 use std::collections::VecDeque;
@@ -150,6 +150,14 @@ pub enum SimError {
         /// stuck operation.
         step: u64,
     },
+    /// [`link`] met a value too large for its field of a schedule step:
+    /// a rank, a slot, a shape index or a message length.
+    DoesNotFit {
+        /// The field.
+        field: &'static str,
+        /// The value.
+        value: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -162,6 +170,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::Stalled { rank, step } => {
                 write!(f, "rank {rank} stalled in epoch {step}: no rank can move")
+            }
+            SimError::DoesNotFit { field, value } => {
+                write!(f, "a schedule step cannot hold {field} {value}")
             }
         }
     }
@@ -253,10 +264,276 @@ impl Mailbox {
     }
 }
 
-struct Shared {
+/// Where a rank sits, fixed for a run.
+#[derive(Debug, Clone, Copy)]
+struct Seat {
+    /// [`ClusterConfig::node_of`].
+    node: usize,
+    /// [`ClusterConfig::ranks_on_node_of`].
+    ranks_on_node: usize,
+    /// [`ClusterConfig::compute_scale`].
+    compute_scale: f64,
+}
+
+/// Everything a run's operations are costed against, computed once per
+/// run: the configuration, its network, the fault plan and every rank's
+/// seat.
+struct Platform {
     config: ClusterConfig,
     net: NetworkParams,
     plan: FaultPlan,
+    seats: Vec<Seat>,
+}
+
+impl Platform {
+    /// The platform of one run, after validating its inputs.
+    fn new(config: ClusterConfig, plan: FaultPlan) -> Result<Self, SimError> {
+        config.validate().map_err(SimError::InvalidConfig)?;
+        plan.validate(config.ranks, config.nodes())
+            .map_err(SimError::InvalidFaultPlan)?;
+        let seats = (0..config.ranks)
+            .map(|rank| Seat {
+                node: config.node_of(rank),
+                ranks_on_node: config.ranks_on_node_of(rank),
+                compute_scale: config.compute_scale(rank),
+            })
+            .collect();
+        Ok(Platform {
+            config,
+            net: config.network.params(),
+            plan,
+            seats,
+        })
+    }
+
+    /// The route of a send of `shape` from `src` to `dst`.
+    fn route(&self, src: usize, dst: usize, shape: OpShape) -> Route {
+        let (src, dst) = (&self.seats[src], &self.seats[dst]);
+        Route::new(
+            &self.net,
+            TransferCtx {
+                shape,
+                src_ranks_per_node: src.ranks_on_node,
+                dst_ranks_per_node: dst.ranks_on_node,
+                same_node: src.node == dst.node,
+            },
+        )
+    }
+
+    /// Which of the eight kinds of seat pair `src` and `dst` are: the
+    /// ranks on each one's node (one or two) and whether they share it.
+    fn pair_kind(&self, src: usize, dst: usize) -> usize {
+        let (src, dst) = (&self.seats[src], &self.seats[dst]);
+        debug_assert!(src.ranks_on_node <= 2 && dst.ranks_on_node <= 2);
+        (src.ranks_on_node - 1) * 4
+            + (dst.ranks_on_node - 1) * 2
+            + usize::from(src.node == dst.node)
+    }
+
+    /// The routes of `shape` for every [kind of seat pair](Self::pair_kind).
+    fn routes(&self, shape: OpShape) -> impl Iterator<Item = Route> + '_ {
+        (0..8).map(move |kind| {
+            let ctx = TransferCtx {
+                shape,
+                src_ranks_per_node: kind / 4 + 1,
+                dst_ranks_per_node: kind / 2 % 2 + 1,
+                same_node: kind % 2 == 1,
+            };
+            Route::new(&self.net, ctx)
+        })
+    }
+}
+
+/// What a send's cost depends on besides its length: the link terms of
+/// its shape between its two seats, and whether they share a node.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    link: LinkTerms,
+    same_node: bool,
+}
+
+impl Route {
+    fn new(net: &NetworkParams, ctx: TransferCtx) -> Self {
+        Route {
+            link: net.link_terms(&ctx),
+            same_node: ctx.same_node,
+        }
+    }
+}
+
+/// What a receive completes from: the stamps its send put on the
+/// message.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    departure: f64,
+    arrival: f64,
+    bytes: usize,
+    class: MsgClass,
+}
+
+impl Stamp {
+    /// What an unfilled slot holds.
+    const EMPTY: Stamp = Stamp {
+        departure: 0.0,
+        arrival: 0.0,
+        bytes: 0,
+        class: MsgClass::Control,
+    };
+}
+
+/// One rank's accounting: its clock, phase, per-destination message
+/// counters and statistics. A live rank and a replayed one book every
+/// operation through these methods, so they cannot disagree.
+struct Books {
+    rank: usize,
+    clock: f64,
+    phase: Phase,
+    /// Per-destination message counters (seed the jitter RNG).
+    counters: Vec<u64>,
+    stats: RankStats,
+}
+
+impl Books {
+    fn new(rank: usize, ranks: usize) -> Self {
+        Books {
+            rank,
+            clock: 0.0,
+            phase: Phase::Other,
+            counters: vec![0; ranks],
+            stats: RankStats::default(),
+        }
+    }
+
+    /// Charges `seconds` at the calibration clock, scaled by this
+    /// rank's seat and any straggler window open when the charge
+    /// begins.
+    ///
+    /// The three booking methods are inlined into the replay loop, which
+    /// is nothing but them: out of line they cost a replay ≈ 15 %.
+    #[inline(always)]
+    fn charge(&mut self, on: &Platform, seconds: f64) {
+        let seat = &on.seats[self.rank];
+        let straggle = if on.plan.stragglers.is_empty() {
+            1.0
+        } else {
+            on.plan.straggle_factor_at(seat.node, self.clock)
+        };
+        let t = seconds * seat.compute_scale * straggle;
+        self.clock += t;
+        self.stats.bucket_mut(self.phase).book_comp(t);
+    }
+
+    /// Costs, stamps and counts a message of `len` values to `dst` on
+    /// `route`. The network costs a message by its length alone, never
+    /// by its values. Delivering it is the caller's.
+    #[inline(always)]
+    fn send(
+        &mut self,
+        on: &Platform,
+        dst: usize,
+        len: usize,
+        class: MsgClass,
+        route: &Route,
+    ) -> (Stamp, SendOutcome) {
+        let bytes = match class {
+            MsgClass::Payload => (len * 8).max(1),
+            MsgClass::Control => 1,
+        };
+        let counter = self.counters[dst];
+        self.counters[dst] += 1;
+        let mut rng = SplitMix64::for_message(on.config.seed, self.rank, dst, counter);
+        let mut fault = if on.plan.is_zero() {
+            LinkFault::clean()
+        } else {
+            on.plan
+                .link_fault(self.rank, dst, self.clock, route.same_node)
+        };
+        if class == MsgClass::Control {
+            // Control traffic (barrier hops, heartbeats) rides a
+            // reliable channel: it may stall, it never disappears.
+            // This keeps failure detection consistent across ranks.
+            fault.give_up = false;
+        }
+        let t = on.net.transfer_on(bytes, &route.link, &mut rng, &fault);
+
+        // Sender overhead is CPU time on the sending rank.
+        self.clock += t.time.send_overhead;
+        let bucket = self.stats.bucket_mut(self.phase);
+        match class {
+            MsgClass::Payload => bucket.book_comm(t.time.send_overhead),
+            MsgClass::Control => bucket.book_sync(t.time.send_overhead),
+        }
+        let departure = self.clock;
+        let arrival = departure + t.time.wire;
+        self.stats.msgs_sent += 1;
+        self.stats.retransmits += t.retransmits as u64;
+        if !t.delivered {
+            self.stats.msgs_lost += 1;
+        }
+        if class == MsgClass::Payload {
+            self.stats.bytes_sent += bytes as u64;
+        }
+        if on.config.record_trace {
+            self.stats.trace.push(crate::trace::TraceEvent::new(
+                self.rank, dst, bytes, class, departure, arrival,
+            ));
+        }
+        let stamp = Stamp {
+            departure,
+            arrival,
+            bytes,
+            class,
+        };
+        let outcome = SendOutcome {
+            delivered: t.delivered,
+            retransmits: t.retransmits,
+            wire: t.time.wire,
+        };
+        (stamp, outcome)
+    }
+
+    /// Completes a receive of the message `stamp` describes: the clock
+    /// waits for its arrival, then pays the receive overhead.
+    #[inline(always)]
+    fn recv(&mut self, on: &Platform, stamp: Stamp) {
+        let completion = self.clock.max(stamp.arrival) + on.net.recv_overhead;
+        let elapsed = completion - self.clock;
+        self.clock = completion;
+        let bucket = self.stats.bucket_mut(self.phase);
+        match stamp.class {
+            MsgClass::Payload => {
+                bucket.book_comm(elapsed);
+                let wire = (stamp.arrival - stamp.departure).max(1e-12);
+                self.stats.throughput.push(ThroughputSample {
+                    node: on.seats[self.rank].node,
+                    bytes: stamp.bytes,
+                    rate: stamp.bytes as f64 / wire,
+                });
+            }
+            MsgClass::Control => bucket.book_sync(elapsed),
+        }
+    }
+
+    /// Books the wait until `completion`, where a failure surfaces, as
+    /// synchronization.
+    fn wait_until(&mut self, completion: f64) {
+        let elapsed = completion - self.clock;
+        self.clock = completion;
+        self.stats.bucket_mut(self.phase).book_sync(elapsed);
+    }
+
+    fn outcome(self) -> RankOutcome<()> {
+        RankOutcome {
+            rank: self.rank,
+            result: (),
+            finish_time: self.clock,
+            stats: self.stats,
+        }
+    }
+}
+
+struct Shared {
+    platform: Platform,
     /// Per-rank scheduled crash time, if any.
     crash_at: Vec<Option<f64>>,
     mailboxes: Vec<Mailbox>,
@@ -272,14 +549,12 @@ struct Shared {
 impl Shared {
     /// The shared state of one run, after validating its inputs.
     fn new(config: ClusterConfig, plan: FaultPlan) -> Result<Arc<Shared>, SimError> {
-        config.validate().map_err(SimError::InvalidConfig)?;
-        plan.validate(config.ranks, config.nodes())
-            .map_err(SimError::InvalidFaultPlan)?;
+        let platform = Platform::new(config, plan)?;
         Ok(Arc::new(Shared {
-            config,
-            net: config.network.params(),
-            crash_at: (0..config.ranks).map(|r| plan.crash_time(r)).collect(),
-            plan,
+            crash_at: (0..config.ranks)
+                .map(|r| platform.plan.crash_time(r))
+                .collect(),
+            platform,
             mailboxes: (0..config.ranks).map(|_| Mailbox::default()).collect(),
             quiescent: AtomicUsize::new(0),
             stalled: AtomicBool::new(false),
@@ -345,7 +620,7 @@ impl Shared {
     /// Counts the caller as unable to post; true when that completes
     /// the count, i.e. the caller has proved that nobody can.
     fn count_quiescent(&self) -> bool {
-        self.quiescent.fetch_add(1, Ordering::SeqCst) + 1 == self.config.ranks
+        self.quiescent.fetch_add(1, Ordering::SeqCst) + 1 == self.platform.config.ranks
     }
 
     /// Counts a rank that has left its body (finished, crashed or
@@ -389,14 +664,8 @@ fn stall_unwind(rank: usize, tag: u64) -> ! {
 
 /// Per-rank execution context handed to the rank body.
 pub struct RankCtx {
-    rank: usize,
     shared: Arc<Shared>,
-    clock: f64,
-    phase: Phase,
-    /// Per-destination message counters (seed the jitter RNG).
-    counters: Vec<u64>,
-    /// Collected statistics.
-    pub stats: RankStats,
+    books: Books,
     /// This rank's script so far, when the run records one.
     script: Option<Script>,
 }
@@ -404,12 +673,8 @@ pub struct RankCtx {
 impl RankCtx {
     fn new(rank: usize, shared: Arc<Shared>, record: bool) -> Self {
         RankCtx {
-            rank,
-            counters: vec![0; shared.config.ranks],
+            books: Books::new(rank, shared.platform.config.ranks),
             shared,
-            clock: 0.0,
-            phase: Phase::Other,
-            stats: RankStats::default(),
             script: record.then(Vec::new),
         }
     }
@@ -422,38 +687,43 @@ impl RankCtx {
 
     /// This rank's id.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.books.rank
     }
 
     /// Total number of ranks.
     pub fn size(&self) -> usize {
-        self.shared.config.ranks
+        self.shared.platform.config.ranks
     }
 
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
-        &self.shared.config
+        &self.shared.platform.config
     }
 
     /// The network parameters of this cluster.
     pub fn net(&self) -> &NetworkParams {
-        &self.shared.net
+        &self.shared.platform.net
     }
 
     /// Current virtual time in seconds.
     pub fn now(&self) -> f64 {
-        self.clock
+        self.books.clock
+    }
+
+    /// Statistics collected so far.
+    pub fn stats(&self) -> &RankStats {
+        &self.books.stats
     }
 
     /// Sets the phase subsequent time is charged to.
     pub fn set_phase(&mut self, phase: Phase) {
         self.record(Op::Phase(phase));
-        self.phase = phase;
+        self.books.phase = phase;
     }
 
     /// Current phase.
     pub fn phase(&self) -> Phase {
-        self.phase
+        self.books.phase
     }
 
     /// Charges `seconds` of computation (expressed at the calibration
@@ -464,16 +734,7 @@ impl RankCtx {
     pub fn charge_compute(&mut self, seconds: f64) {
         debug_assert!(seconds >= 0.0);
         self.record(Op::Compute(seconds));
-        let straggle = if self.shared.plan.stragglers.is_empty() {
-            1.0
-        } else {
-            self.shared
-                .plan
-                .straggle_factor_at(self.shared.config.node_of(self.rank), self.clock)
-        };
-        let t = seconds * self.shared.config.compute_scale(self.rank) * straggle;
-        self.clock += t;
-        self.stats.bucket_mut(self.phase).book_comp(t);
+        self.books.charge(&self.shared.platform, seconds);
     }
 
     /// If this rank is scheduled to crash and its clock has reached the
@@ -484,28 +745,26 @@ impl RankCtx {
     /// caught by [`run_cluster_faulty`] and reported as a crashed
     /// outcome, not a panic.
     pub fn poll_crash(&mut self) {
-        if let Some(t) = self.shared.crash_at[self.rank] {
-            if self.clock >= t {
+        if let Some(t) = self.shared.crash_at[self.rank()] {
+            if self.books.clock >= t {
                 self.crash_now();
             }
         }
     }
 
     fn crash_now(&mut self) -> ! {
-        for dst in 0..self.size() {
-            if dst == self.rank {
-                continue;
-            }
+        let (rank, clock) = (self.rank(), self.books.clock);
+        for dst in (0..self.size()).filter(|&dst| dst != rank) {
             self.shared.post(
                 dst,
                 Msg {
-                    src: self.rank,
+                    src: rank,
                     tag: CRASH_TAG,
                     data: Vec::new(),
                     bytes: 0,
                     class: MsgClass::Control,
-                    departure: self.clock,
-                    arrival: self.clock,
+                    departure: clock,
+                    arrival: clock,
                     lost: false,
                 },
             );
@@ -533,30 +792,10 @@ impl RankCtx {
         class: MsgClass,
         shape: OpShape,
     ) -> SendOutcome {
-        let len = data.len();
-        let (msg, outcome) = self.cost(dst, tag, data, len, class, shape);
-        self.shared.post(dst, msg);
-        outcome
-    }
-
-    /// Everything a send books, for a live send and a
-    /// [replayed](Schedule::replay) one: a message standing for `len`
-    /// values, `data` holding them or (replayed) nothing, costed,
-    /// stamped and counted on this rank. The network costs a message by
-    /// its length alone, never by its values. Delivering it is the
-    /// caller's.
-    fn cost(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        data: Vec<f64>,
-        len: usize,
-        class: MsgClass,
-        shape: OpShape,
-    ) -> (Msg, SendOutcome) {
         assert!(dst < self.size(), "invalid destination {dst}");
-        assert_ne!(dst, self.rank, "self-send not supported");
+        assert_ne!(dst, self.rank(), "self-send not supported");
         debug_assert_ne!(tag, CRASH_TAG, "CRASH_TAG is reserved");
+        let len = data.len();
         self.record(Op::Send {
             dst,
             tag,
@@ -564,86 +803,21 @@ impl RankCtx {
             class,
             shape,
         });
-        let cfg = &self.shared.config;
-        let bytes = match class {
-            MsgClass::Payload => (len * 8).max(1),
-            MsgClass::Control => 1,
-        };
-        let ctx = TransferCtx {
-            shape,
-            src_ranks_per_node: cfg.ranks_on_node_of(self.rank),
-            dst_ranks_per_node: cfg.ranks_on_node_of(dst),
-            same_node: cfg.node_of(self.rank) == cfg.node_of(dst),
-        };
-        let counter = {
-            let c = &mut self.counters[dst];
-            let v = *c;
-            *c += 1;
-            v
-        };
-        let mut rng = SplitMix64::for_message(cfg.seed, self.rank, dst, counter);
-        let mut fault = if self.shared.plan.is_zero() {
-            LinkFault::clean()
-        } else {
-            self.shared
-                .plan
-                .link_fault(self.rank, dst, self.clock, ctx.same_node)
-        };
-        if class == MsgClass::Control {
-            // Control traffic (barrier hops, heartbeats) rides a
-            // reliable channel: it may stall, it never disappears.
-            // This keeps failure detection consistent across ranks.
-            fault.give_up = false;
-        }
-        let t = self
-            .shared
-            .net
-            .transfer_faulty(bytes, &ctx, &mut rng, &fault);
-
-        // Sender overhead is CPU time on the sending rank.
-        self.clock += t.time.send_overhead;
-        match class {
-            MsgClass::Payload => self
-                .stats
-                .bucket_mut(self.phase)
-                .book_comm(t.time.send_overhead),
-            MsgClass::Control => self
-                .stats
-                .bucket_mut(self.phase)
-                .book_sync(t.time.send_overhead),
-        }
-        let departure = self.clock;
-        let arrival = departure + t.time.wire;
-        self.stats.msgs_sent += 1;
-        self.stats.retransmits += t.retransmits as u64;
-        if !t.delivered {
-            self.stats.msgs_lost += 1;
-        }
-        if class == MsgClass::Payload {
-            self.stats.bytes_sent += bytes as u64;
-        }
-
-        if cfg.record_trace {
-            self.stats.trace.push(crate::trace::TraceEvent::new(
-                self.rank, dst, bytes, class, departure, arrival,
-            ));
-        }
+        let on = &self.shared.platform;
+        let route = on.route(self.books.rank, dst, shape);
+        let (stamp, outcome) = self.books.send(on, dst, len, class, &route);
         let msg = Msg {
-            src: self.rank,
+            src: self.rank(),
             tag,
             data,
-            bytes,
+            bytes: stamp.bytes,
             class,
-            departure,
-            arrival,
-            lost: !t.delivered,
+            departure: stamp.departure,
+            arrival: stamp.arrival,
+            lost: !outcome.delivered,
         };
-        let outcome = SendOutcome {
-            delivered: t.delivered,
-            retransmits: t.retransmits,
-            wire: t.time.wire,
-        };
-        (msg, outcome)
+        self.shared.post(dst, msg);
+        outcome
     }
 
     /// Blocking receive of the next message from `src` with `tag`
@@ -656,10 +830,10 @@ impl RankCtx {
     /// forever on a lost message or dead peer.
     pub fn recv(&mut self, src: usize, tag: u64) -> Msg {
         assert!(src < self.size(), "invalid source {src}");
-        assert_ne!(src, self.rank, "self-receive not supported");
+        assert_ne!(src, self.rank(), "self-receive not supported");
         let msg = self
             .shared
-            .take(self.rank, tag, |q| take_delivered(q, src, tag));
+            .take(self.rank(), tag, |q| take_delivered(q, src, tag));
         self.complete_recv(msg)
     }
 
@@ -669,13 +843,13 @@ impl RankCtx {
     /// [`CommError::PeerDead`], after the receiver's watchdog period.
     pub fn recv_result(&mut self, src: usize, tag: u64) -> Result<Msg, CommError> {
         assert!(src < self.size(), "invalid source {src}");
-        assert_ne!(src, self.rank, "self-receive not supported");
+        assert_ne!(src, self.rank(), "self-receive not supported");
         enum Got {
             Delivered(Msg),
             Tombstone(Msg),
             Dead(f64),
         }
-        let got = self.shared.take(self.rank, tag, |q| {
+        let got = self.shared.take(self.rank(), tag, |q| {
             // FIFO per channel: take the first matching message,
             // delivered or tombstone, in arrival order.
             if let Some(pos) = q.iter().position(|m| m.src == src && m.tag == tag) {
@@ -693,16 +867,14 @@ impl RankCtx {
                 .find(|m| m.src == src && m.tag == CRASH_TAG)
                 .map(|m| Got::Dead(m.arrival))
         });
-        let watchdog = self.shared.plan.watchdog_timeout;
+        let watchdog = self.shared.platform.plan.watchdog_timeout;
         match got {
             Got::Delivered(msg) => Ok(self.complete_recv(msg)),
             Got::Tombstone(msg) => {
                 // The receiver learns of the loss one watchdog period
                 // after the point the message could last have arrived.
-                let completion = self.clock.max(msg.arrival) + watchdog;
-                let elapsed = completion - self.clock;
-                self.clock = completion;
-                self.stats.bucket_mut(self.phase).book_sync(elapsed);
+                let completion = self.books.clock.max(msg.arrival) + watchdog;
+                self.books.wait_until(completion);
                 Err(CommError::Timeout {
                     peer: src,
                     tag,
@@ -710,10 +882,8 @@ impl RankCtx {
                 })
             }
             Got::Dead(at) => {
-                let completion = self.clock.max(at) + watchdog;
-                let elapsed = completion - self.clock;
-                self.clock = completion;
-                self.stats.bucket_mut(self.phase).book_sync(elapsed);
+                let completion = self.books.clock.max(at) + watchdog;
+                self.books.wait_until(completion);
                 Err(CommError::PeerDead {
                     peer: src,
                     at: completion,
@@ -727,22 +897,13 @@ impl RankCtx {
             src: msg.src,
             tag: msg.tag,
         });
-        let net = &self.shared.net;
-        let completion = self.clock.max(msg.arrival) + net.recv_overhead;
-        let elapsed = completion - self.clock;
-        self.clock = completion;
-        match msg.class {
-            MsgClass::Payload => {
-                self.stats.bucket_mut(self.phase).book_comm(elapsed);
-                let wire = (msg.arrival - msg.departure).max(1e-12);
-                self.stats.throughput.push(ThroughputSample {
-                    node: self.shared.config.node_of(self.rank),
-                    bytes: msg.bytes,
-                    rate: msg.bytes as f64 / wire,
-                });
-            }
-            MsgClass::Control => self.stats.bucket_mut(self.phase).book_sync(elapsed),
-        }
+        let stamp = Stamp {
+            departure: msg.departure,
+            arrival: msg.arrival,
+            bytes: msg.bytes,
+            class: msg.class,
+        };
+        self.books.recv(&self.shared.platform, stamp);
         msg
     }
 }
@@ -897,13 +1058,33 @@ where
         .unzip()
 }
 
-/// One step of a [`Schedule`]: an operation of `rank`'s script and, for
-/// a send or a receive, the slot its message passes through.
+/// One step of a [`Schedule`]: an operation of `rank`'s script, with
+/// what its replay needs and no more. A send names its destination, its
+/// length, its entry in the schedule's shape table and the slot its
+/// stamps wait in; a receive names the slot it empties. No tags: the
+/// slot pairs a receive with its send. 16 bytes: a replay streams
+/// every step once per platform.
 #[derive(Debug, Clone, Copy)]
-struct Step {
-    rank: u32,
-    slot: u32,
-    op: Op,
+enum Step {
+    Phase {
+        rank: u16,
+        phase: Phase,
+    },
+    Compute {
+        rank: u16,
+        seconds: f64,
+    },
+    Send {
+        rank: u16,
+        dst: u16,
+        shape: u8,
+        slot: u32,
+        len: u32,
+    },
+    Recv {
+        rank: u16,
+        slot: u32,
+    },
 }
 
 /// Every rank's [`Script`], [linked](link) once into one order that keeps
@@ -913,9 +1094,20 @@ struct Step {
 pub struct Schedule {
     ranks: usize,
     steps: Vec<Step>,
+    /// The distinct shapes and classes of the sends, interned.
+    shapes: Vec<(OpShape, MsgClass)>,
+    /// Payload messages each rank receives: the throughput samples its
+    /// replay books.
+    samples: Vec<usize>,
     /// Messages in flight at once, at most: each receive frees its
     /// slot for a later send.
     slots: usize,
+}
+
+/// `value` as the type of its step field, or the typed error that names
+/// the field it does not fit.
+fn fit<T: TryFrom<usize>>(field: &'static str, value: usize) -> Result<T, SimError> {
+    T::try_from(value).map_err(|_| SimError::DoesNotFit { field, value })
 }
 
 /// Links every rank's recorded [`Script`] into a [`Schedule`]: lowest
@@ -925,26 +1117,55 @@ pub struct Schedule {
 /// queued message of its channel and names the slot its send filled.
 /// Scripts that cannot all finish return the [`SimError::Stalled`] the
 /// threaded engine would: the lowest rank left blocked and the epoch it
-/// waits in.
+/// waits in. A rank, slot, shape index or length too large for its
+/// step field is a [`SimError::DoesNotFit`].
 pub fn link(scripts: &[Script]) -> Result<Schedule, SimError> {
     let ranks = scripts.len();
     let mut next = vec![0; ranks];
     let mut queued: Vec<VecDeque<(usize, u64, u32)>> = vec![VecDeque::new(); ranks];
     let mut free = Vec::new();
     let mut slots = 0;
+    let mut shapes = Vec::new();
+    let mut samples = vec![0; ranks];
     let mut steps = Vec::with_capacity(scripts.iter().map(Vec::len).sum());
     let mut moved = true;
     while std::mem::take(&mut moved) {
         for (rank, script) in scripts.iter().enumerate() {
+            let me: u16 = fit("rank", rank)?;
             while let Some(&op) = script.get(next[rank]) {
-                let slot = match op {
-                    Op::Send { dst, tag, .. } => {
-                        let slot = free.pop().unwrap_or_else(|| {
-                            slots += 1;
-                            slots - 1
-                        });
+                steps.push(match op {
+                    Op::Phase(phase) => Step::Phase { rank: me, phase },
+                    Op::Compute(seconds) => Step::Compute { rank: me, seconds },
+                    Op::Send {
+                        dst,
+                        tag,
+                        len,
+                        class,
+                        shape,
+                    } => {
+                        let slot = match free.pop() {
+                            Some(slot) => slot,
+                            None => {
+                                slots += 1;
+                                fit("slot", slots - 1)?
+                            }
+                        };
                         queued[dst].push_back((rank, tag, slot));
-                        slot
+                        samples[dst] += usize::from(class == MsgClass::Payload);
+                        let interned = match shapes.iter().position(|&s| s == (shape, class)) {
+                            Some(i) => i,
+                            None => {
+                                shapes.push((shape, class));
+                                shapes.len() - 1
+                            }
+                        };
+                        Step::Send {
+                            rank: me,
+                            dst: fit("rank", dst)?,
+                            shape: fit("shape", interned)?,
+                            slot,
+                            len: fit("length", len)?,
+                        }
                     }
                     Op::Recv { src, tag } => {
                         let queue = &mut queued[rank];
@@ -954,14 +1175,8 @@ pub fn link(scripts: &[Script]) -> Result<Schedule, SimError> {
                         };
                         let (_, _, slot) = queue.remove(at).expect("position is in the queue");
                         free.push(slot);
-                        slot
+                        Step::Recv { rank: me, slot }
                     }
-                    Op::Phase(_) | Op::Compute(_) => 0,
-                };
-                steps.push(Step {
-                    rank: rank as u32,
-                    slot,
-                    op,
                 });
                 next[rank] += 1;
                 moved = true;
@@ -979,7 +1194,9 @@ pub fn link(scripts: &[Script]) -> Result<Schedule, SimError> {
     Ok(Schedule {
         ranks,
         steps,
-        slots: slots as usize,
+        shapes,
+        samples,
+        slots,
     })
 }
 
@@ -990,16 +1207,19 @@ impl Schedule {
         self.slots
     }
 
-    /// Heap bytes the schedule holds: the capacity of its steps.
+    /// Heap bytes the schedule holds: the capacity of its steps, its
+    /// shape table and its sample counts.
     pub fn bytes(&self) -> usize {
         self.steps.capacity() * std::mem::size_of::<Step>()
+            + self.shapes.capacity() * std::mem::size_of::<(OpShape, MsgClass)>()
+            + self.samples.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Costs the schedule on `config`'s platform: each step, in the
-    /// linked order, through the accounting a live rank's operation goes
-    /// through — the same phase switch, compute charge, send costing and
-    /// receive completion — so the outcomes are the live run's, bit for
-    /// bit. A send's message waits in its slot for its receive.
+    /// linked order, through the books a live rank's operation goes
+    /// through — the same compute charge, send costing and receive
+    /// completion — so the outcomes are the live run's, bit for bit. A
+    /// send's stamps wait in its slot for its receive.
     pub fn replay(&self, config: ClusterConfig) -> Result<Vec<RankOutcome<()>>, SimError> {
         if self.ranks != config.ranks {
             return Err(SimError::InvalidConfig(format!(
@@ -1007,41 +1227,44 @@ impl Schedule {
                 self.ranks, config.ranks
             )));
         }
-        let shared = Shared::new(config, FaultPlan::none())?;
-        let mut ranks: Vec<RankCtx> = (0..self.ranks)
-            .map(|rank| RankCtx::new(rank, Arc::clone(&shared), false))
+        let on = Platform::new(config, FaultPlan::none())?;
+        // A cpus_per_node of 1 or 2 leaves eight kinds of seat pair, so
+        // each shape's link terms are computed eight times, not per send.
+        let routes: Vec<Route> = (self.shapes.iter())
+            .flat_map(|&(shape, _)| on.routes(shape))
             .collect();
-        let mut slots: Vec<Option<Msg>> = vec![None; self.slots];
-        for &Step { rank, slot, op } in &self.steps {
-            let ctx = &mut ranks[rank as usize];
-            match op {
-                Op::Phase(phase) => ctx.set_phase(phase),
-                Op::Compute(seconds) => ctx.charge_compute(seconds),
-                Op::Send {
+        let mut books: Vec<Books> = (0..self.ranks)
+            .map(|rank| {
+                let mut books = Books::new(rank, self.ranks);
+                books.stats.throughput.reserve_exact(self.samples[rank]);
+                books
+            })
+            .collect();
+        let mut slots = vec![Stamp::EMPTY; self.slots];
+        for &step in &self.steps {
+            match step {
+                Step::Phase { rank, phase } => books[usize::from(rank)].phase = phase,
+                Step::Compute { rank, seconds } => books[usize::from(rank)].charge(&on, seconds),
+                Step::Send {
+                    rank,
                     dst,
-                    tag,
-                    len,
-                    class,
                     shape,
+                    slot,
+                    len,
                 } => {
-                    let (msg, _) = ctx.cost(dst, tag, Vec::new(), len, class, shape);
-                    slots[slot as usize] = Some(msg);
+                    let (rank, dst, shape) =
+                        (usize::from(rank), usize::from(dst), usize::from(shape));
+                    let route = &routes[shape * 8 + on.pair_kind(rank, dst)];
+                    let class = self.shapes[shape].1;
+                    let (stamp, _) = books[rank].send(&on, dst, len as usize, class, route);
+                    slots[slot as usize] = stamp;
                 }
-                Op::Recv { .. } => {
-                    let msg = slots[slot as usize].take();
-                    drop(ctx.complete_recv(msg.expect("a linked send fills the slot first")));
+                Step::Recv { rank, slot } => {
+                    books[usize::from(rank)].recv(&on, slots[slot as usize]);
                 }
             }
         }
-        Ok(ranks
-            .into_iter()
-            .map(|ctx| RankOutcome {
-                rank: ctx.rank,
-                result: (),
-                finish_time: ctx.clock,
-                stats: ctx.stats,
-            })
-            .collect())
+        Ok(books.into_iter().map(Books::outcome).collect())
     }
 }
 
@@ -1080,8 +1303,8 @@ where
                     rank,
                     result,
                     crashed,
-                    stats: ctx.stats,
-                    finish_time: ctx.clock,
+                    stats: ctx.books.stats,
+                    finish_time: ctx.books.clock,
                 };
                 match result {
                     Ok(value) => Ok((outcome(Some(value), false), ctx.script)),
@@ -1422,7 +1645,8 @@ mod tests {
     /// Scripts recorded on one platform, linked once and replayed on one
     /// thread on every other (network, CPUs per node, jitter seed), give
     /// each platform's live outcomes: clocks, phase buckets, counters,
-    /// throughput samples and traced messages, bit for bit.
+    /// throughput samples and traced messages, bit for bit. A replay
+    /// reserves each rank's throughput samples at their exact count.
     #[test]
     fn a_replayed_script_is_the_live_run_on_every_platform() {
         for p in [1usize, 2, 3, 5] {
@@ -1454,6 +1678,8 @@ mod tests {
                     let replayed = schedule.replay(cfg).expect("a linked schedule replays");
                     for (l, r) in live.iter().zip(&replayed) {
                         assert!(p == 1 || !l.stats.trace.is_empty());
+                        let samples = &r.stats.throughput;
+                        assert_eq!(samples.capacity(), samples.len(), "reserved exactly");
                         assert_eq!(
                             timing_bits(r.finish_time, &r.stats),
                             timing_bits(l.finish_time, &l.stats),
@@ -1477,6 +1703,58 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
+    }
+
+    /// A step is 16 bytes, and a rank, shape index or length too large
+    /// for its field is a typed error naming the field, not a
+    /// truncation. (A slot goes through the same check; 2^32 messages
+    /// in flight are out of a test's reach.)
+    #[test]
+    fn a_step_is_16_bytes_and_link_refuses_what_does_not_fit() {
+        assert_eq!(std::mem::size_of::<Step>(), 16);
+        let send = |dst, len, shape| Op::Send {
+            dst,
+            tag: 1 << 8,
+            len,
+            class: MsgClass::Payload,
+            shape,
+        };
+        let recv = |src| Op::Recv { src, tag: 1 << 8 };
+        let too_long = vec![vec![send(1, 1 << 32, OpShape::p2p())], vec![recv(0)]];
+        let err = link(&too_long).expect_err("a length of 2^32 values");
+        assert_eq!(
+            err,
+            SimError::DoesNotFit {
+                field: "length",
+                value: 1 << 32
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "a schedule step cannot hold length 4294967296"
+        );
+        let fits = vec![vec![send(1, (1 << 32) - 1, OpShape::p2p())], vec![recv(0)]];
+        assert!(link(&fits).is_ok());
+
+        let shapes = (2..=258).map(|n| send(1, 1, OpShape::new(1, n)));
+        let many_shapes = vec![shapes.collect(), vec![recv(0); 257]];
+        assert_eq!(
+            link(&many_shapes).err(),
+            Some(SimError::DoesNotFit {
+                field: "shape",
+                value: 256
+            })
+        );
+        let mut many_ranks = vec![Script::new(); 1 << 16];
+        assert!(link(&many_ranks).is_ok(), "ranks 0..2^16 are named");
+        many_ranks.push(Script::new());
+        assert_eq!(
+            link(&many_ranks).err(),
+            Some(SimError::DoesNotFit {
+                field: "rank",
+                value: 1 << 16
+            })
+        );
     }
 
     #[test]

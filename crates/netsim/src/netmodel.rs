@@ -307,6 +307,23 @@ pub struct TransferTime {
     pub recv_overhead: f64,
 }
 
+/// What the transfer model computes from the link and the shape of an
+/// operation alone ([`NetworkParams::link_terms`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LinkTerms {
+    /// One-way latency, seconds.
+    latency: f64,
+    /// Host cost per packet, seconds.
+    per_pkt: f64,
+    /// Bandwidth under the shape's endpoint contention, bytes/second.
+    bw: f64,
+    /// Jitter sigma (log scale).
+    sigma: f64,
+    /// Probability that a message of at most 64 bytes stalls on the
+    /// stack's timers; `None` where the stream cannot trigger them.
+    stall: Option<f64>,
+}
+
 /// Outcome of the transfer model on a (possibly) faulty link.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FaultyTransfer {
@@ -401,6 +418,13 @@ impl NetworkParams {
         rng: &mut SplitMix64,
         fault: &LinkFault,
     ) -> FaultyTransfer {
+        self.transfer_on(bytes, &self.link_terms(ctx), rng, fault)
+    }
+
+    /// The terms of the model that depend on the link and the shape of
+    /// the operation, not on the message: everything
+    /// [`transfer_on`](Self::transfer_on) does not compute per message.
+    pub(crate) fn link_terms(&self, ctx: &TransferCtx) -> LinkTerms {
         let intra = ctx.same_node;
         let latency = if intra && !self.intra_uses_nic_path {
             self.intra_latency
@@ -418,29 +442,58 @@ impl NetworkParams {
         if smp_affected {
             per_pkt *= self.smp_pkt_factor;
         }
-        let pkts = self.packets(bytes) as f64;
-
         let bw =
             self.effective_bandwidth(ctx.shape.endpoint_flows, intra && !self.intra_uses_nic_path);
-        let mut wire = latency + pkts * per_pkt + bytes as f64 / bw;
-
-        // Multiplicative jitter, log-triangular, clamped.
-        let sigma = self.jitter_sigma(ctx);
-        let z = rng.next_triangular();
-        let factor = (sigma * z).exp().clamp(0.5, 6.0);
-        wire *= factor;
 
         // Tiny-message pathology (delayed ACK / Nagle interactions):
-        // only repeated small-packet streams trigger the timers. The
-        // stall is one minimum-RTO period, which for the TCP family is
-        // the calibrated small_msg_penalty.
-        if bytes <= 64 && ctx.shape.repeated_small && self.small_msg_penalty > 0.0 {
+        // only repeated small-packet streams trigger the timers.
+        let stall = (ctx.shape.repeated_small && self.small_msg_penalty > 0.0).then(|| {
             let excess = ctx
                 .shape
                 .participants
                 .saturating_sub(self.small_msg_flow_floor) as f64;
-            let prob = (self.small_msg_penalty_prob_per_flow * excess).min(0.5);
-            if rng.next_f64() < prob {
+            (self.small_msg_penalty_prob_per_flow * excess).min(0.5)
+        });
+        LinkTerms {
+            latency,
+            per_pkt,
+            bw,
+            sigma: self.jitter_sigma(ctx),
+            stall,
+        }
+    }
+
+    /// [`transfer_faulty`](Self::transfer_faulty) of a message on a link
+    /// whose [`link_terms`](Self::link_terms) are `link`. Inlined into
+    /// the send that books it.
+    #[inline(always)]
+    pub(crate) fn transfer_on(
+        &self,
+        bytes: usize,
+        link: &LinkTerms,
+        rng: &mut SplitMix64,
+        fault: &LinkFault,
+    ) -> FaultyTransfer {
+        let LinkTerms {
+            latency,
+            per_pkt,
+            bw,
+            sigma,
+            stall,
+        } = *link;
+        let pkts = self.packets(bytes) as f64;
+        let mut wire = latency + pkts * per_pkt + bytes as f64 / bw;
+
+        // Multiplicative jitter, log-triangular, clamped.
+        let z = rng.next_triangular();
+        let factor = (sigma * z).exp().clamp(0.5, 6.0);
+        wire *= factor;
+
+        // A small message of a repeated stream stalls one minimum-RTO
+        // period, which for the TCP family is the calibrated
+        // small_msg_penalty, with the link's probability.
+        if let Some(prob) = stall {
+            if bytes <= 64 && rng.next_f64() < prob {
                 wire += self.rto_floor();
             }
         }
