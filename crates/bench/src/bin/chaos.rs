@@ -23,14 +23,15 @@
 //!   one-layer mask: `--layers service` drives exactly the service
 //!   schedules an all-layers run composes with the other four, through
 //!   the same conductor, into the same [`CrossLedger`], judged by the
-//!   same oracle union — each layer's own oracles plus the interaction
-//!   oracles (ground-truth executions within the exact re-execution
-//!   licence, no acked-then-lost across a disk fault and a kill, the
-//!   drained artifact byte-identical to a fault-free serial
-//!   reference). `--layers md` is the MD-engine campaign: the serve
-//!   campaign runs quiet and the MD fault schedule is checked by the
-//!   [`ChaosHarness`] (`--ranks`, `--steps` shape its workload; the
-//!   harness is built only when `md` is armed). Every verdict is
+//!   same oracle union — each layer's own oracles, the campaign book
+//!   judged once (no lost cell, ground-truth executions within the
+//!   exact re-execution licence, the drained artifact byte-identical
+//!   to a fault-free serial reference) and the interaction oracle (no
+//!   acked-then-lost across a disk fault and a kill). `--layers md` is
+//!   the MD-engine campaign: the serve campaign runs quiet and the MD
+//!   fault schedule is checked by the [`ChaosHarness`] (`--ranks`,
+//!   `--steps` shape its workload; the harness is built only when `md`
+//!   is armed). Every verdict is
 //!   journaled to `DIR/chaos.jsonl` through the checksummed
 //!   [`Journal`](cpc_workload::Journal), so `--resume` skips schedules
 //!   already checked after a kill — and refuses a journal recorded
@@ -826,8 +827,10 @@ fn delivered(l: &CrossLedger) -> Vec<(Layer, &'static str, usize)> {
         (Layer::Sched, "panics_injected", sched.panics_injected),
         (Layer::Sched, "panics_caught", sched.panics_caught),
         (Layer::Sched, "pauses", sched.pauses_taken),
-        (Layer::Sched, "stale_presented", sched.stale_presented),
-        (Layer::Sched, "stale_rejected", sched.stale_rejected),
+        // A stale lease is the queue's to present and reject, whichever
+        // layer armed it: the sched rows read the service book's column.
+        (Layer::Sched, "stale_presented", svc.stale_presented),
+        (Layer::Sched, "stale_rejected", svc.stale_rejected),
     ]
 }
 

@@ -9,17 +9,22 @@
 //! `TransportFaultPlan` while an orchestrator-level
 //! `ServiceFaultPlan` kills and tears it — and absorbs every layer's
 //! accounting into one [`CrossLedger`] checked by
-//! `check_cross_ledger`: the union of the single-layer oracles plus
-//! the interaction oracles (acked-then-lost across disk fault ×
-//! kill, the global execution bound, end-to-end byte identity) that
-//! only a composed schedule can exercise. The plan's
-//! [`LayerMask`](crate::LayerMask) decides which of those schedules
-//! run, so each layer's own harness is this function under
+//! `check_cross_ledger`: the single-layer oracles, the campaign book
+//! judged once, and the interaction oracle (acked-then-lost across
+//! disk fault × kill) that only a composed schedule can exercise. The
+//! plan's [`LayerMask`](crate::LayerMask) decides which of those
+//! schedules run, so each layer's own harness is this function under
 //! [`LayerMask::only`](crate::LayerMask::only): there is no other
 //! driver.
 //!
 //! ## Accounting discipline
 //!
+//! * **One campaign book.** The facts every layer shares are written
+//!   once, on the [`CrossLedger`] itself: the campaign's cells, the
+//!   completed and abandoned counts of the drained gateway's outcome,
+//!   the execution book below and the drained and reference artifact
+//!   digests. No layer book copies them, so one fault is one
+//!   conviction.
 //! * **One execution book.** Ground truth comes from a counting model
 //!   wrapper: every `exec` across every incarnation, revival and flood
 //!   campaign increments one shared counter
@@ -30,18 +35,19 @@
 //!   storage error stalled the commit walk), plus one for the commit
 //!   that was in flight when a storage error hit (its durability is
 //!   unknown). Each durable line a torn results journal destroyed
-//!   licenses one more. Nothing else re-executes a cell, so nothing
-//!   else is licensed — `CrossLedger::post_executions` posts that one
-//!   book to every layer's duplicate-execution oracle.
+//!   licenses one more, and each flood campaign's cell one execution.
+//!   Nothing else re-executes a cell, so nothing else is licensed
+//!   ([`CrossLedger::exec_allowance`]).
 //! * **Acked-then-lost** replays the committed result *keys* (the
 //!   service records a key only after its journal append fsynced)
 //!   across every reopen; a torn results journal legitimately
 //!   destroys fsynced lines, so the replay set is rebuilt from the
 //!   next recovery after that licensed damage.
-//! * **Per-layer books** are filled from absorbed outcome snapshots
-//!   (an incarnation's counters are read once, just before its
-//!   gateway is dropped), so the single-layer oracles keep holding
-//!   verbatim under composition.
+//! * **Per-layer books** hold only what their own layer fills, read
+//!   from absorbed outcome snapshots (an incarnation's counters are
+//!   read once, just before its gateway is dropped). The disk book's
+//!   `completed` is its own fact: what a post-mortem reopen recovers
+//!   from the disk, not what the drained instance held in memory.
 
 use std::collections::HashSet;
 use std::io::{self, Write};
@@ -844,12 +850,8 @@ where
     let mut extra_cells = 0;
     if let Some(gw) = conductor.gw.as_ref() {
         if let Some(out) = gw.outcome_of(&id) {
-            conductor.ledger.service.completed = out.completed;
-            conductor.ledger.service.abandoned = out.abandoned;
-            conductor.ledger.gateway.completed = out.completed;
-            conductor.ledger.gateway.abandoned = out.abandoned;
-            conductor.ledger.sched.completed = out.completed;
-            conductor.ledger.sched.abandoned = out.abandoned;
+            conductor.ledger.completed = out.completed;
+            conductor.ledger.abandoned = out.abandoned;
         }
         let probe: Vec<u64> = vec![1, 2, 3];
         conductor.ledger.sched.pool_reusable =
@@ -913,55 +915,23 @@ where
         }
     }
 
+    // The campaign book and the remaining layer columns.
     let mut ledger = conductor.ledger;
-    let artifact_digest = artifact_digest_on(conductor.sim.as_ref(), &conductor.journal);
-    ledger.artifact_digest = artifact_digest;
+    ledger.total_cells = total;
+    ledger.executed_true = conductor.executed.load(Ordering::Relaxed);
+    ledger.exec_allowance =
+        total + extra_cells + conductor.licensed + ledger.service.destroyed_results;
+    ledger.artifact_digest = artifact_digest_on(conductor.sim.as_ref(), &conductor.journal);
     ledger.reference_digest = reference_digest;
-    for (a, r) in [
-        (
-            &mut ledger.service.artifact_digest,
-            &mut ledger.service.reference_digest,
-        ),
-        (
-            &mut ledger.gateway.artifact_digest,
-            &mut ledger.gateway.reference_digest,
-        ),
-        (
-            &mut ledger.disk.artifact_digest,
-            &mut ledger.disk.reference_digest,
-        ),
-        (
-            &mut ledger.sched.artifact_digest,
-            &mut ledger.sched.reference_digest,
-        ),
-    ] {
-        *a = artifact_digest;
-        *r = reference_digest;
-    }
-
-    // Totals and the remaining book columns.
-    ledger.service.total_cells = total;
-    ledger.gateway.total_cells = total;
-    ledger.disk.total_cells = total;
-    ledger.sched.total_cells = total;
-    ledger.disk.incarnations = ledger.gateway.incarnations;
-    ledger.disk.abandoned = ledger.service.abandoned;
     ledger.sched.threads = conductor.threads;
     ledger.sched.panics_injected = conductor.chaos.injected_panics();
     ledger.sched.pauses_taken = conductor.chaos.pauses_taken();
-    ledger.sched.stale_presented = ledger.service.stale_presented;
-    ledger.sched.stale_rejected = ledger.service.stale_rejected;
     ledger.sched.journal_lines = conductor
         .sim
         .read(&conductor.journal)
         .map(|b| b.iter().filter(|&&x| x == b'\n').count())
         .unwrap_or(0);
     ledger.disk.disk = conductor.sim.counters();
-    ledger.post_executions(
-        conductor.executed.load(Ordering::Relaxed),
-        extra_cells,
-        conductor.licensed,
-    );
 
     let violations = check_cross_ledger(&ledger);
     Ok(ComposedChaosReport { ledger, violations })
@@ -1010,17 +980,15 @@ mod tests {
         assert!(report.passed(), "violations: {:?}", report.violations);
         let l = &report.ledger;
         assert_eq!(l.gateway.incarnations, 1);
-        assert_eq!(l.service.completed, CELLS);
-        assert_eq!(l.executed_true, CELLS);
+        assert_eq!((l.total_cells, l.completed), (CELLS, CELLS));
+        assert_eq!((l.executed_true, l.exec_allowance), (CELLS, CELLS));
         assert!(l.artifact_digest.is_some());
         assert_eq!(l.artifact_digest, l.reference_digest);
-        // Every layer's fault-free baseline: one incarnation and no
-        // restart on the disk book, one journal line per cell and a
-        // reusable pool on the scheduler's, every cell executed exactly
-        // once on each.
-        assert_eq!((l.disk.incarnations, l.disk.restarts), (1, 0));
-        assert_eq!((l.disk.completed, l.disk.executed), (CELLS, CELLS));
-        assert_eq!((l.sched.completed, l.sched.journal_lines), (CELLS, CELLS));
+        // Every layer's fault-free baseline: no restart and every cell
+        // recovered on the disk book, one journal line per cell and a
+        // reusable pool on the scheduler's.
+        assert_eq!((l.disk.restarts, l.disk.completed), (0, CELLS));
+        assert_eq!(l.sched.journal_lines, CELLS);
         assert!(l.sched.pool_reusable);
     }
 
@@ -1101,7 +1069,7 @@ mod tests {
         };
         let report = run(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
-        assert_eq!(report.ledger.service.completed, CELLS);
+        assert_eq!(report.ledger.completed, CELLS);
         assert_eq!(
             report.ledger.artifact_digest,
             report.ledger.reference_digest
@@ -1128,7 +1096,7 @@ mod tests {
         };
         let report = run(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
-        assert_eq!(report.ledger.service.completed, CELLS);
+        assert_eq!(report.ledger.completed, CELLS);
     }
 
     #[test]
@@ -1149,7 +1117,7 @@ mod tests {
         };
         let report = run(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
-        assert_eq!(report.ledger.service.completed, CELLS);
+        assert_eq!(report.ledger.completed, CELLS);
         assert_eq!(
             report.ledger.artifact_digest,
             report.ledger.reference_digest
@@ -1175,7 +1143,7 @@ mod tests {
             .push(SchedFault::TaskPanic { at_start: 3 });
         let report = run(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
-        assert_eq!(report.ledger.service.completed, CELLS);
+        assert_eq!(report.ledger.completed, CELLS);
         assert_eq!(
             report.ledger.artifact_digest,
             report.ledger.reference_digest
@@ -1206,7 +1174,7 @@ mod tests {
             .push(DiskFault::EnospcTransient { at: 132, ops: 5 });
         let report = run(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
-        assert_eq!(report.ledger.service.completed, CELLS);
+        assert_eq!(report.ledger.completed, CELLS);
         assert_eq!(
             report.ledger.artifact_digest,
             report.ledger.reference_digest
@@ -1303,7 +1271,7 @@ mod tests {
             report.ledger.gateway.incarnations >= 4,
             "each kill adds incarnations"
         );
-        assert_eq!(report.ledger.gateway.completed, CELLS);
+        assert_eq!(report.ledger.completed, CELLS);
     }
 
     #[test]
@@ -1365,8 +1333,8 @@ mod tests {
             report.violations,
             report.ledger
         );
-        let l = &report.ledger.sched;
-        assert_eq!(l.threads, 8, "the change took effect");
+        assert_eq!(report.ledger.sched.threads, 8, "the change took effect");
+        let l = &report.ledger.service;
         assert_eq!((l.stale_presented, l.stale_rejected), (1, 1));
     }
 

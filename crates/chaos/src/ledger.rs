@@ -3,13 +3,16 @@
 //! Four layers sit between a campaign submission and its bytes on
 //! disk — the crash-safe job service, the HTTP gateway in front of it,
 //! the filesystem under it and the thread pool that executes
-//! it — and each has a ledger (what one schedule did to it), a
-//! violation enum (what must never happen) and a `check_*_ledger`
-//! function (a pure function from the one to the other). The
-//! [`CrossLedger`] holds all four plus the MD layer's
-//! [`ScheduleReport`] and the one ground-truth execution book;
-//! `check_cross_ledger` is the union of the per-layer oracles plus
-//! the interaction oracles only a composed schedule can exercise.
+//! it — and each has a ledger (the counters that layer, and only that
+//! layer, fills in one schedule), a violation enum (what must never
+//! happen) and a `check_*_ledger` function (a pure function from the
+//! one to the other). The facts every layer shares are booked once, in
+//! the campaign book of the [`CrossLedger`]: the campaign's cells, its
+//! completed and abandoned counts, the one execution book and the
+//! artifact and reference digests. `check_cross_ledger` judges that
+//! book once, lifts the per-layer oracles and the MD layer's
+//! [`ScheduleReport`] into one verdict, and adds the interaction
+//! oracles only a composed schedule can exercise.
 //!
 //! Oracles are safety code: every check here judges a hand-built
 //! ledger in the unit tests below, independently of any driver.
@@ -19,31 +22,18 @@ use cpc_vfs::DiskCounters;
 use serde::{Deserialize, Serialize};
 
 /// Cross-incarnation accounting for one campaign run through the
-/// crash-safe job service (`cpc-workload`): every execution, cache
-/// hit, journal pre-seed, reclaimed lease and injected-fault side
-/// effect, summed over all incarnations of the service, plus the
-/// FNV-1a digests of the final results artifact and of an
-/// uninterrupted reference run. `check_service_ledger` turns a
-/// ledger into oracle verdicts.
+/// crash-safe job service (`cpc-workload`): cache hits, journal
+/// pre-seeds, reclaimed leases and injected-fault side effects, summed
+/// over all incarnations of the service. `check_service_ledger` turns
+/// a ledger into oracle verdicts.
 ///
 /// Concrete (non-generic) and serializable so chaos campaigns can
 /// journal verdicts the same way they journal schedule reports.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ServiceLedger {
-    /// Cells the campaign comprises.
-    pub total_cells: usize,
-    /// Cells with a durable result when the service drained.
-    pub completed: usize,
-    /// Cells dead-lettered after exhausting their retry budget.
-    pub abandoned: usize,
-    /// Fresh simulations across all incarnations (the work actually
-    /// done; the no-duplicate-execution oracle bounds this).
-    pub executed: usize,
-    /// Executions whose result never became durable (worker killed
-    /// mid-cell) — each one licenses exactly one re-execution.
-    pub lost_executions: usize,
     /// Durable results destroyed by injected storage faults (torn
-    /// results-journal writes) — each licenses one re-execution.
+    /// results-journal writes) — each licenses one re-execution in the
+    /// campaign book's [`CrossLedger::exec_allowance`].
     pub destroyed_results: usize,
     /// Cells served from the recovered journal prefix without
     /// re-dispatch.
@@ -70,45 +60,11 @@ pub struct ServiceLedger {
     pub incarnations: usize,
     /// Process kills the schedule actually delivered.
     pub kills: usize,
-    /// FNV-1a digest of the final results artifact; `None` when the
-    /// artifact was missing or unreadable — which the byte-identity
-    /// oracle treats as a violation, never as a match.
-    pub artifact_digest: Option<u64>,
-    /// Same digest from the uninterrupted reference run.
-    pub reference_digest: Option<u64>,
 }
 
 /// One violation of the job-service invariants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServiceViolation {
-    /// A cell vanished: the drained service holds fewer durable
-    /// results than the campaign has cells (excluding dead-letters,
-    /// which are themselves forbidden under the sampled fault space).
-    LostCell {
-        /// Cells with durable results.
-        completed: usize,
-        /// Cells dead-lettered.
-        abandoned: usize,
-        /// Cells the campaign comprises.
-        total: usize,
-    },
-    /// More fresh executions than the schedule licenses: some cell
-    /// with a durable (or cacheable) result was re-simulated.
-    DuplicateExecution {
-        /// Fresh executions observed.
-        executed: usize,
-        /// The bound: `total + lost_executions + destroyed_results`.
-        allowance: usize,
-    },
-    /// The killed-and-resumed campaign's artifact differs from the
-    /// uninterrupted run's — or either artifact was missing/unreadable
-    /// (`None`), which can never count as byte-identical.
-    ArtifactMismatch {
-        /// Digest of the chaos run's artifact (`None` = unreadable).
-        artifact: Option<u64>,
-        /// Digest of the reference run's artifact (`None` = unreadable).
-        reference: Option<u64>,
-    },
     /// A stale or duplicate lease completion was accepted instead of
     /// rejected: double-counted work.
     StaleLeaseAccepted {
@@ -122,30 +78,6 @@ pub enum ServiceViolation {
 impl std::fmt::Display for ServiceViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServiceViolation::LostCell {
-                completed,
-                abandoned,
-                total,
-            } => write!(
-                f,
-                "lost cell: {completed} completed + {abandoned} abandoned of {total}"
-            ),
-            ServiceViolation::DuplicateExecution {
-                executed,
-                allowance,
-            } => write!(
-                f,
-                "duplicate execution: {executed} ran, {allowance} allowed"
-            ),
-            ServiceViolation::ArtifactMismatch {
-                artifact,
-                reference,
-            } => write!(
-                f,
-                "artifact mismatch: {} != reference {}",
-                fmt_digest(*artifact),
-                fmt_digest(*reference)
-            ),
             ServiceViolation::StaleLeaseAccepted {
                 presented,
                 rejected,
@@ -163,49 +95,12 @@ fn fmt_digest(d: Option<u64>) -> String {
     }
 }
 
-/// The two service-level oracles of the kill-resume property, as pure
-/// functions of the ledger:
-///
-/// 1. **No lost cell, no duplicate execution.** Every cell ends with
-///    exactly one durable result, and the number of fresh executions
-///    never exceeds `total + lost_executions + destroyed_results` —
-///    the only re-runs a crash schedule licenses are cells whose
-///    result it actually destroyed (a worker killed mid-cell, a torn
-///    results-journal write). Completed work behind a kill must be
-///    served from the journal prefix or the cache, never re-simulated.
-/// 2. **Byte-identical artifact after kill-resume.** The drained
-///    campaign's results artifact digests identically to an
-///    uninterrupted run's: recovery is invisible in the output.
-///
-/// Stale-lease accounting rides along: every stale completion
-/// presented must have been rejected.
+/// The service layer's own oracle: every stale lease completion
+/// presented to the queue was rejected. (The kill-resume oracles — no
+/// lost cell, no duplicate execution, a byte-identical artifact —
+/// judge the campaign book in `check_cross_ledger`.)
 pub(crate) fn check_service_ledger(ledger: &ServiceLedger) -> Vec<ServiceViolation> {
     let mut violations = Vec::new();
-    if ledger.completed + ledger.abandoned < ledger.total_cells || ledger.abandoned > 0 {
-        violations.push(ServiceViolation::LostCell {
-            completed: ledger.completed,
-            abandoned: ledger.abandoned,
-            total: ledger.total_cells,
-        });
-    }
-    let allowance = ledger.total_cells + ledger.lost_executions + ledger.destroyed_results;
-    if ledger.executed > allowance {
-        violations.push(ServiceViolation::DuplicateExecution {
-            executed: ledger.executed,
-            allowance,
-        });
-    }
-    // An unreadable artifact (`None`) is always a violation: two
-    // missing files must never compare "byte-identical".
-    if ledger.artifact_digest.is_none()
-        || ledger.reference_digest.is_none()
-        || ledger.artifact_digest != ledger.reference_digest
-    {
-        violations.push(ServiceViolation::ArtifactMismatch {
-            artifact: ledger.artifact_digest,
-            reference: ledger.reference_digest,
-        });
-    }
     if ledger.stale_rejected != ledger.stale_presented {
         violations.push(ServiceViolation::StaleLeaseAccepted {
             presented: ledger.stale_presented,
@@ -218,21 +113,11 @@ pub(crate) fn check_service_ledger(ledger: &ServiceLedger) -> Vec<ServiceViolati
 /// Accounting for one campaign run on the `cpc-pool` executor under
 /// an adversarial schedule (injected worker pauses and panics,
 /// thread-count changes mid-campaign, lease expiry racing a slow
-/// worker). Aggregates the pooled service
-/// outcome, the pool's own counters and the post-chaos reusability
-/// probe. `check_sched_ledger` turns a
+/// worker): the pool's own counters, the artifact's line count and
+/// the post-chaos reusability probe. `check_sched_ledger` turns a
 /// ledger into oracle verdicts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct SchedLedger {
-    /// Cells the campaign comprises.
-    pub total_cells: usize,
-    /// Cells with a durable result when the chaos run drained.
-    pub completed: usize,
-    /// Cells dead-lettered.
-    pub abandoned: usize,
-    /// Committed fresh executions (a panicked attempt is counted in
-    /// `panics_caught`, never here).
-    pub executed: usize,
     /// Worker threads the chaos plan prescribed (after any mid-run
     /// thread-count change).
     pub threads: usize,
@@ -248,34 +133,17 @@ pub struct SchedLedger {
     pub panic_reclaimed: usize,
     /// Injected pauses actually taken at yield points.
     pub pauses_taken: usize,
-    /// Stale-lease completions presented to the queue.
-    pub stale_presented: usize,
-    /// Stale-lease completions the queue rejected.
-    pub stale_rejected: usize,
     /// Result lines in the final artifact (exactly one per cell, or
     /// a task was lost / doubly committed).
     pub journal_lines: usize,
     /// Whether the chaos pool executed a fresh probe batch afterward
     /// (a panicked worker must never poison the pool).
     pub pool_reusable: bool,
-    /// FNV-1a digest of the chaos run's artifact.
-    pub artifact_digest: Option<u64>,
-    /// Digest of the serial (sequential-step) reference artifact.
-    pub reference_digest: Option<u64>,
 }
 
 /// One violation of the deterministic-scheduling invariants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SchedViolation {
-    /// A cell vanished: fewer durable results than campaign cells.
-    LostTask {
-        /// Cells with durable results.
-        completed: usize,
-        /// Cells dead-lettered.
-        abandoned: usize,
-        /// Cells the campaign comprises.
-        total: usize,
-    },
     /// The artifact holds more or fewer result lines than the
     /// campaign has cells: a task committed twice or not at all.
     DoubleCommit {
@@ -283,22 +151,6 @@ pub enum SchedViolation {
         journal_lines: usize,
         /// Cells the campaign comprises.
         total: usize,
-    },
-    /// More committed executions than cells: some cell re-ran with
-    /// its result already durable.
-    DuplicateExecution {
-        /// Committed executions observed.
-        executed: usize,
-        /// The bound (one per cell).
-        allowance: usize,
-    },
-    /// The chaos run's artifact differs from the serial reference —
-    /// or either was unreadable, which never counts as identical.
-    ArtifactMismatch {
-        /// Digest of the chaos run's artifact.
-        artifact: Option<u64>,
-        /// Digest of the serial reference artifact.
-        reference: Option<u64>,
     },
     /// An injected worker panic escaped containment or its cell was
     /// never reclaimed through the lease path.
@@ -313,48 +165,17 @@ pub enum SchedViolation {
     /// The pool refused work after a contained panic: a poisoned
     /// executor.
     PoolPoisoned,
-    /// A stale lease completion was accepted instead of rejected.
-    StaleLeaseAccepted {
-        /// Stale completions presented.
-        presented: usize,
-        /// Stale completions rejected.
-        rejected: usize,
-    },
 }
 
 impl std::fmt::Display for SchedViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SchedViolation::LostTask {
-                completed,
-                abandoned,
-                total,
-            } => write!(
-                f,
-                "lost task: {completed} completed + {abandoned} abandoned of {total}"
-            ),
             SchedViolation::DoubleCommit {
                 journal_lines,
                 total,
             } => write!(
                 f,
                 "commit miscount: {journal_lines} artifact lines for {total} cells"
-            ),
-            SchedViolation::DuplicateExecution {
-                executed,
-                allowance,
-            } => write!(
-                f,
-                "duplicate execution: {executed} committed, {allowance} allowed"
-            ),
-            SchedViolation::ArtifactMismatch {
-                artifact,
-                reference,
-            } => write!(
-                f,
-                "artifact mismatch: {} != reference {}",
-                fmt_digest(*artifact),
-                fmt_digest(*reference)
             ),
             SchedViolation::PanicNotContained {
                 injected,
@@ -365,55 +186,29 @@ impl std::fmt::Display for SchedViolation {
                 "panic not contained: {caught}/{injected} caught, {reclaimed} leases reclaimed"
             ),
             SchedViolation::PoolPoisoned => write!(f, "pool poisoned after contained panic"),
-            SchedViolation::StaleLeaseAccepted {
-                presented,
-                rejected,
-            } => write!(f, "stale lease accepted: {rejected}/{presented} rejected"),
         }
     }
 }
 
 /// The cross-thread determinism oracles, as pure functions of the
-/// ledger:
+/// ledger and the campaign's cell count:
 ///
-/// 1. **No lost or doubly-committed task.** Every cell ends with
-///    exactly one durable result line, and committed executions never
-///    exceed one per cell — whatever the interleaving did.
-/// 2. **Byte-identical artifacts.** The chaos run produces the serial
-///    reference's exact bytes: thread count and interleaving are
-///    invisible in output. (That a *fault-free* pooled run does so at
-///    every thread count is `tests/pool_determinism.rs`'s property.)
-/// 3. **Contained panics.** Every injected worker panic is caught at
+/// 1. **No doubly-committed task.** The artifact holds exactly one
+///    result line per cell, whatever the interleaving did.
+/// 2. **Contained panics.** Every injected worker panic is caught at
 ///    the task boundary, its cell reclaimed through the lease-expiry
 ///    path, and the pool stays usable afterward.
-pub(crate) fn check_sched_ledger(ledger: &SchedLedger) -> Vec<SchedViolation> {
+///
+/// That the chaos run produces the serial reference's exact bytes is
+/// the campaign book's artifact oracle; that a *fault-free* pooled run
+/// does so at every thread count is `tests/pool_determinism.rs`'s
+/// property.
+pub(crate) fn check_sched_ledger(ledger: &SchedLedger, total_cells: usize) -> Vec<SchedViolation> {
     let mut violations = Vec::new();
-    if ledger.completed + ledger.abandoned < ledger.total_cells || ledger.abandoned > 0 {
-        violations.push(SchedViolation::LostTask {
-            completed: ledger.completed,
-            abandoned: ledger.abandoned,
-            total: ledger.total_cells,
-        });
-    }
-    if ledger.journal_lines != ledger.total_cells {
+    if ledger.journal_lines != total_cells {
         violations.push(SchedViolation::DoubleCommit {
             journal_lines: ledger.journal_lines,
-            total: ledger.total_cells,
-        });
-    }
-    if ledger.executed > ledger.total_cells {
-        violations.push(SchedViolation::DuplicateExecution {
-            executed: ledger.executed,
-            allowance: ledger.total_cells,
-        });
-    }
-    if ledger.artifact_digest.is_none()
-        || ledger.reference_digest.is_none()
-        || ledger.artifact_digest != ledger.reference_digest
-    {
-        violations.push(SchedViolation::ArtifactMismatch {
-            artifact: ledger.artifact_digest,
-            reference: ledger.reference_digest,
+            total: total_cells,
         });
     }
     if ledger.panics_caught != ledger.panics_injected
@@ -428,34 +223,16 @@ pub(crate) fn check_sched_ledger(ledger: &SchedLedger) -> Vec<SchedViolation> {
     if !ledger.pool_reusable {
         violations.push(SchedViolation::PoolPoisoned);
     }
-    if ledger.stale_rejected != ledger.stale_presented {
-        violations.push(SchedViolation::StaleLeaseAccepted {
-            presented: ledger.stale_presented,
-            rejected: ledger.stale_rejected,
-        });
-    }
     violations
 }
 
 /// Cross-incarnation accounting for one campaign driven through the
-/// HTTP/JSON gateway (`cpc-gateway`) under transport-level chaos:
-/// the service-level cell accounting of [`ServiceLedger`] plus the
+/// HTTP/JSON gateway (`cpc-gateway`) under transport-level chaos: the
 /// transport book — connections opened/closed, requests parsed,
-/// malformed/overload rejections, deadline discipline, panics.
+/// malformed/overload rejections, deadline discipline, panics, kills.
 /// `check_gateway_ledger` turns a ledger into oracle verdicts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct GatewayLedger {
-    /// Cells the campaign comprises.
-    pub total_cells: usize,
-    /// Cells with a durable result when the gateway drained.
-    pub completed: usize,
-    /// Cells dead-lettered (forbidden under the sampled space).
-    pub abandoned: usize,
-    /// Fresh simulations across all gateway incarnations.
-    pub executed: usize,
-    /// Executions whose result never became durable (gateway killed
-    /// before the journal append) — each licenses one re-execution.
-    pub lost_executions: usize,
     /// Connections the fault injector opened against the gateway.
     pub conns_opened: usize,
     /// Connections closed (handler returned and the stream dropped)
@@ -480,11 +257,6 @@ pub struct GatewayLedger {
     pub kills: usize,
     /// Gateway incarnations (1 = never killed).
     pub incarnations: usize,
-    /// FNV-1a digest of the campaign's results journal (`None` =
-    /// unreadable, which is always a violation).
-    pub artifact_digest: Option<u64>,
-    /// Same digest from the direct (no-gateway) reference run.
-    pub reference_digest: Option<u64>,
 }
 
 /// One violation of the gateway invariants under transport chaos.
@@ -507,31 +279,6 @@ pub enum GatewayViolation {
         /// Operations issued after the deadline.
         count: usize,
     },
-    /// A cell vanished (or was dead-lettered) across the campaign.
-    LostCell {
-        /// Cells with durable results.
-        completed: usize,
-        /// Cells dead-lettered.
-        abandoned: usize,
-        /// Cells the campaign comprises.
-        total: usize,
-    },
-    /// More fresh executions than kills license: a doubly-executed
-    /// cell.
-    DuplicateExecution {
-        /// Fresh executions observed.
-        executed: usize,
-        /// The bound: `total + lost_executions`.
-        allowance: usize,
-    },
-    /// The gateway-path artifact differs from the direct-path
-    /// reference (or either was unreadable).
-    ArtifactMismatch {
-        /// Digest of the gateway run's artifact (`None` = unreadable).
-        artifact: Option<u64>,
-        /// Digest of the reference artifact (`None` = unreadable).
-        reference: Option<u64>,
-    },
 }
 
 impl std::fmt::Display for GatewayViolation {
@@ -544,30 +291,6 @@ impl std::fmt::Display for GatewayViolation {
             GatewayViolation::DeadlineOverrun { count } => {
                 write!(f, "deadline overrun: {count} op(s) past the deadline")
             }
-            GatewayViolation::LostCell {
-                completed,
-                abandoned,
-                total,
-            } => write!(
-                f,
-                "lost cell: {completed} completed + {abandoned} abandoned of {total}"
-            ),
-            GatewayViolation::DuplicateExecution {
-                executed,
-                allowance,
-            } => write!(
-                f,
-                "duplicate execution: {executed} ran, {allowance} allowed"
-            ),
-            GatewayViolation::ArtifactMismatch {
-                artifact,
-                reference,
-            } => write!(
-                f,
-                "artifact mismatch: {} != reference {}",
-                fmt_digest(*artifact),
-                fmt_digest(*reference)
-            ),
         }
     }
 }
@@ -581,13 +304,9 @@ impl std::fmt::Display for GatewayViolation {
 /// 3. **No request outlives its deadline** — once a connection's
 ///    read/write deadline passes, the handler issues no further I/O
 ///    on it.
-/// 4. **No lost or doubly-executed cell** — the service oracles hold
-///    through the HTTP path: every cell durable exactly once, and
-///    fresh executions never exceed `total + lost_executions`.
-/// 5. **Byte-identical artifact** — the campaign journal produced
-///    through the gateway (including kill-resume through HTTP)
-///    digests identically to the direct-path reference; an unreadable
-///    artifact is a violation, never a match.
+///
+/// That the campaign's cells survive the HTTP path exactly once, with
+/// a byte-identical artifact, is the campaign book's to judge.
 pub(crate) fn check_gateway_ledger(ledger: &GatewayLedger) -> Vec<GatewayViolation> {
     let mut violations = Vec::new();
     if ledger.panics > 0 {
@@ -606,54 +325,22 @@ pub(crate) fn check_gateway_ledger(ledger: &GatewayLedger) -> Vec<GatewayViolati
             count: ledger.deadline_overruns,
         });
     }
-    if ledger.completed + ledger.abandoned < ledger.total_cells || ledger.abandoned > 0 {
-        violations.push(GatewayViolation::LostCell {
-            completed: ledger.completed,
-            abandoned: ledger.abandoned,
-            total: ledger.total_cells,
-        });
-    }
-    let allowance = ledger.total_cells + ledger.lost_executions;
-    if ledger.executed > allowance {
-        violations.push(GatewayViolation::DuplicateExecution {
-            executed: ledger.executed,
-            allowance,
-        });
-    }
-    if ledger.artifact_digest.is_none()
-        || ledger.reference_digest.is_none()
-        || ledger.artifact_digest != ledger.reference_digest
-    {
-        violations.push(GatewayViolation::ArtifactMismatch {
-            artifact: ledger.artifact_digest,
-            reference: ledger.reference_digest,
-        });
-    }
     violations
 }
 
 /// Cross-incarnation accounting for one campaign run against a
-/// fault-injected filesystem (`cpc-vfs::SimFs`): cell and execution
-/// counts summed over every incarnation — power-cut restarts, ENOSPC
-/// quiesce/lift cycles, transient-error retries — plus the
-/// filesystem's own fault counters and the artifact digests.
+/// fault-injected filesystem (`cpc-vfs::SimFs`): what the supervisor
+/// did about the faults — power-cut restarts, ENOSPC lifts,
+/// transient-error retries — what the post-mortem reopen found on
+/// disk, and the filesystem's own fault counters.
 /// [`check_disk_ledger`] turns a ledger into oracle verdicts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct DiskLedger {
-    /// Cells the campaign comprises.
-    pub total_cells: usize,
-    /// Cells with a durable result when the campaign drained.
+    /// Cells whose result a post-mortem reopen of the campaign's
+    /// service recovered from the disk — not the drained instance's
+    /// in-memory count, which is the campaign book's
+    /// [`CrossLedger::completed`].
     pub completed: usize,
-    /// Cells dead-lettered (forbidden under the sampled space).
-    pub abandoned: usize,
-    /// Fresh simulations across all incarnations.
-    pub executed: usize,
-    /// Executions whose durability is unlicensed to assume: the step
-    /// that ran them failed before acknowledging, so the schedule
-    /// licenses exactly one re-execution each.
-    pub lost_executions: usize,
-    /// Service incarnations (1 = fault-free).
-    pub incarnations: usize,
     /// Power-cut restarts the driver performed.
     pub restarts: usize,
     /// Persistent-ENOSPC lifts the driver performed after observing
@@ -675,33 +362,20 @@ pub struct DiskLedger {
     /// poisoned-publish count (a rename that published a file whose
     /// fsync had failed — post-failed-fsync trust).
     pub disk: DiskCounters,
-    /// FNV-1a digest of the final results artifact (`None` =
-    /// missing/unreadable, which never compares equal).
-    pub artifact_digest: Option<u64>,
-    /// Same digest from the fault-free reference run.
-    pub reference_digest: Option<u64>,
 }
 
 /// One violation of the disk-fault durability invariants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DiskViolation {
-    /// A cell vanished: fewer durable results than cells when the
-    /// campaign drained (dead-letters are forbidden too).
+    /// A cell vanished from the disk: a post-mortem reopen recovers
+    /// fewer results than the campaign has cells not dead-lettered.
     LostCell {
-        /// Cells with durable results.
+        /// Cells the post-mortem reopen recovered.
         completed: usize,
         /// Cells dead-lettered.
         abandoned: usize,
         /// Cells the campaign comprises.
         total: usize,
-    },
-    /// More fresh executions than the fault schedule licenses: a cell
-    /// with a durably-acknowledged result was re-simulated.
-    DuplicateExecution {
-        /// Fresh executions observed.
-        executed: usize,
-        /// The bound: `total + lost_executions`.
-        allowance: usize,
     },
     /// A durably-acknowledged result was missing after a restart: the
     /// ack was a lie (bytes were not on stable storage).
@@ -729,15 +403,6 @@ pub enum DiskViolation {
         /// Poisoned publishes the filesystem observed.
         publishes: u64,
     },
-    /// The drained campaign's artifact differs from the fault-free
-    /// reference run's — or either was unreadable (`None`), which can
-    /// never count as byte-identical.
-    ArtifactMismatch {
-        /// Digest of the chaos run's artifact (`None` = unreadable).
-        artifact: Option<u64>,
-        /// Digest of the reference run's artifact (`None` = unreadable).
-        reference: Option<u64>,
-    },
 }
 
 impl std::fmt::Display for DiskViolation {
@@ -750,13 +415,6 @@ impl std::fmt::Display for DiskViolation {
             } => write!(
                 f,
                 "lost cell: {completed} completed + {abandoned} abandoned of {total}"
-            ),
-            DiskViolation::DuplicateExecution {
-                executed,
-                allowance,
-            } => write!(
-                f,
-                "duplicate execution: {executed} ran, {allowance} allowed"
             ),
             DiskViolation::AckedThenLost { lost } => {
                 write!(f, "acked then lost: {lost} durable results vanished")
@@ -774,49 +432,37 @@ impl std::fmt::Display for DiskViolation {
                 f,
                 "post-failed-fsync trust: {publishes} poisoned files published"
             ),
-            DiskViolation::ArtifactMismatch {
-                artifact,
-                reference,
-            } => write!(
-                f,
-                "artifact mismatch: {} != reference {}",
-                fmt_digest(*artifact),
-                fmt_digest(*reference)
-            ),
         }
     }
 }
 
 /// The crash-consistency oracles of the disk-fault campaign, as pure
-/// functions of the ledger:
+/// functions of the ledger and the campaign's cell and dead-letter
+/// counts:
 ///
-/// 1. **No acked-then-lost.** A result acknowledged durable before a
-///    power cut is still there after restart — both directly
-///    (`acked_then_lost`) and through the execution bound (re-running
-///    an acked cell exceeds the allowance).
-/// 2. **No corrupt-accept.** Every recovered result matches a fresh
+/// 1. **Nothing lost on disk.** A post-mortem reopen recovers every
+///    cell that was not dead-lettered (dead-letters themselves are the
+///    campaign book's lost-cell conviction).
+/// 2. **No acked-then-lost.** A result acknowledged durable before a
+///    power cut is still there after restart (re-running an acked
+///    cell also exceeds the campaign book's execution allowance).
+/// 3. **No corrupt-accept.** Every recovered result matches a fresh
 ///    re-execution of its cell; damaged bytes are quarantined and
 ///    re-derived, never served.
-/// 3. **No panic.** Every injected fault surfaces as a typed error.
-/// 4. **No post-failed-fsync trust.** A file whose fsync failed is
+/// 4. **No panic.** Every injected fault surfaces as a typed error.
+/// 5. **No post-failed-fsync trust.** A file whose fsync failed is
 ///    abandoned, never renamed into place (`fsyncgate`).
-/// 5. **Graceful completion.** Once faults clear, the campaign drains
-///    every cell and the artifact digests identically to the
-///    fault-free reference.
-pub fn check_disk_ledger(ledger: &DiskLedger) -> Vec<DiskViolation> {
+pub fn check_disk_ledger(
+    ledger: &DiskLedger,
+    total_cells: usize,
+    abandoned: usize,
+) -> Vec<DiskViolation> {
     let mut violations = Vec::new();
-    if ledger.completed + ledger.abandoned < ledger.total_cells || ledger.abandoned > 0 {
+    if ledger.completed + abandoned < total_cells {
         violations.push(DiskViolation::LostCell {
             completed: ledger.completed,
-            abandoned: ledger.abandoned,
-            total: ledger.total_cells,
-        });
-    }
-    let allowance = ledger.total_cells + ledger.lost_executions;
-    if ledger.executed > allowance {
-        violations.push(DiskViolation::DuplicateExecution {
-            executed: ledger.executed,
-            allowance,
+            abandoned,
+            total: total_cells,
         });
     }
     if ledger.acked_then_lost > 0 {
@@ -839,32 +485,22 @@ pub fn check_disk_ledger(ledger: &DiskLedger) -> Vec<DiskViolation> {
             publishes: ledger.disk.poisoned_publishes,
         });
     }
-    if ledger.artifact_digest.is_none()
-        || ledger.reference_digest.is_none()
-        || ledger.artifact_digest != ledger.reference_digest
-    {
-        violations.push(DiskViolation::ArtifactMismatch {
-            artifact: ledger.artifact_digest,
-            reference: ledger.reference_digest,
-        });
-    }
     violations
 }
 
-/// Every single-layer ledger of one composed chaos schedule absorbed
-/// into a single book, plus the conductor's own ground-truth
-/// execution accounting. Filled by
+/// Every layer's book of one composed chaos schedule, plus the one
+/// campaign book they share. Filled by
 /// [`run_composed_chaos`](crate::run_composed_chaos), convicted by
 /// `check_cross_ledger`.
 ///
-/// The sub-ledgers are kept to their own layers' contracts, with one
-/// exception made on purpose: executions. There is **one execution
-/// book** — `executed_true` counts every model execution across every
-/// incarnation and revival via the conductor's counting wrapper,
-/// `exec_allowance` is the exact re-execution licence the conductor
-/// charged loss by loss — and `CrossLedger::post_executions` posts
-/// it into every layer's `executed` / `lost_executions` columns, so
-/// each layer's own duplicate-execution oracle judges ground truth.
+/// A fact that every layer would otherwise copy lives here once: the
+/// campaign's cells and how many completed or were abandoned (read
+/// from the drained gateway's `ServiceOutcome`), the one execution
+/// book and the two artifact digests. `executed_true` counts every
+/// model execution across every incarnation and revival via the
+/// conductor's counting wrapper; `exec_allowance` is the exact
+/// re-execution licence the conductor charged loss by loss. The layer
+/// books keep only the counters their own layer fills.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct CrossLedger {
     /// MD-layer verdict (`None` when the MD layer is masked).
@@ -881,6 +517,12 @@ pub struct CrossLedger {
     /// (md, service, transport, disk, sched) — the pairwise
     /// interaction-coverage record of this schedule.
     pub layer_events: [usize; 5],
+    /// Cells the canonical campaign comprises.
+    pub total_cells: usize,
+    /// Cells with a durable result when the gateway drained.
+    pub completed: usize,
+    /// Cells dead-lettered (forbidden under the sampled fault space).
+    pub abandoned: usize,
     /// Ground truth: model executions observed by the conductor's
     /// counting wrapper, across every incarnation and revival.
     pub executed_true: usize,
@@ -890,43 +532,17 @@ pub struct CrossLedger {
     /// landed), plus each durable line a torn results journal
     /// destroyed.
     pub exec_allowance: usize,
-    /// FNV-1a digest of the drained campaign artifact.
+    /// FNV-1a digest of the drained campaign artifact (`None` =
+    /// missing/unreadable, which never compares equal).
     pub artifact_digest: Option<u64>,
     /// FNV-1a digest of the fault-free serial reference artifact.
     pub reference_digest: Option<u64>,
 }
 
-impl CrossLedger {
-    /// Closes the one execution book and posts it to every layer.
-    /// `executed` is the ground-truth count, `extra_cells` the cells of
-    /// campaigns other than the canonical one (floods; one execution
-    /// each is theirs), `lost` the executions whose result a fault
-    /// kept from becoming durable. The canonical campaign's totals and
-    /// `service.destroyed_results` must already be in place. Each
-    /// layer's own bound then reads `executed > exec_allowance`
-    /// through its own columns: the service book licenses
-    /// `lost_executions + destroyed_results`, the transport and disk
-    /// books carry the destroyed lines inside `lost_executions`, and
-    /// the scheduler book — one execution per cell, no licence term —
-    /// counts executions net of the licensed ones.
-    pub(crate) fn post_executions(&mut self, executed: usize, extra_cells: usize, lost: usize) {
-        let destroyed = self.service.destroyed_results;
-        self.executed_true = executed;
-        self.exec_allowance = self.service.total_cells + extra_cells + lost + destroyed;
-        let own = executed.saturating_sub(extra_cells);
-        self.service.executed = own;
-        self.service.lost_executions = lost;
-        self.gateway.executed = own;
-        self.gateway.lost_executions = lost + destroyed;
-        self.disk.executed = own;
-        self.disk.lost_executions = lost + destroyed;
-        self.sched.executed = own.saturating_sub(lost + destroyed);
-    }
-}
-
 /// One violation of the composed chaos oracles: a single-layer
-/// conviction lifted into its layer, or one of the cross-layer
-/// interaction oracles only a composed schedule can exercise.
+/// conviction lifted into its layer, a conviction of the campaign
+/// book, or one of the interaction oracles only a composed schedule
+/// can exercise.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CrossViolation {
     /// An MD-layer oracle fired.
@@ -966,6 +582,17 @@ pub enum CrossViolation {
         /// Process kills (service + gateway) in the schedule.
         kills: usize,
     },
+    /// A cell vanished: the drained campaign holds fewer durable
+    /// results than it has cells, or dead-lettered one (forbidden
+    /// under the sampled fault space).
+    LostCell {
+        /// Cells with durable results.
+        completed: usize,
+        /// Cells dead-lettered.
+        abandoned: usize,
+        /// Cells the campaign comprises.
+        total: usize,
+    },
     /// Ground-truth executions exceeded the re-execution licence:
     /// some cell with a durable result was simulated again.
     DuplicateExecutionAcrossLayers {
@@ -1000,6 +627,14 @@ impl std::fmt::Display for CrossViolation {
                 f,
                 "cross: {lost} acked results lost under {disk_events} disk events x {kills} kills"
             ),
+            CrossViolation::LostCell {
+                completed,
+                abandoned,
+                total,
+            } => write!(
+                f,
+                "cross: lost cell: {completed} completed + {abandoned} abandoned of {total}"
+            ),
             CrossViolation::DuplicateExecutionAcrossLayers {
                 executed,
                 allowance,
@@ -1020,8 +655,22 @@ impl std::fmt::Display for CrossViolation {
     }
 }
 
-/// Checks the union of every single-layer oracle, verbatim, plus the
-/// cross-layer interaction oracles over one [`CrossLedger`].
+/// Checks one [`CrossLedger`]: every single-layer oracle over its own
+/// book, the interaction oracle, and the campaign book, once:
+///
+/// 1. **No lost cell.** Every cell ends with a durable result, and
+///    none is dead-lettered (forbidden under the sampled space).
+/// 2. **No duplicate execution.** Ground-truth executions never exceed
+///    the licence — the only re-runs a fault schedule licenses are
+///    cells whose result it actually destroyed (a worker killed
+///    mid-cell, a stalled commit, a torn results-journal write).
+///    Completed work behind a kill must be served from the journal
+///    prefix or the cache, never re-simulated.
+/// 3. **Byte-identical artifact.** The drained campaign's artifact
+///    digests identically to the fault-free serial reference's:
+///    recovery, the HTTP path, disk faults and thread interleavings
+///    are all invisible in the output. `None` never matches — two
+///    unreadable artifacts are not "identical".
 pub(crate) fn check_cross_ledger(ledger: &CrossLedger) -> Vec<CrossViolation> {
     let mut violations = Vec::new();
     if let Some(md) = &ledger.md {
@@ -1043,18 +692,18 @@ pub(crate) fn check_cross_ledger(ledger: &CrossLedger) -> Vec<CrossViolation> {
             .map(|violation| CrossViolation::Transport { violation }),
     );
     violations.extend(
-        check_disk_ledger(&ledger.disk)
+        check_disk_ledger(&ledger.disk, ledger.total_cells, ledger.abandoned)
             .into_iter()
             .map(|violation| CrossViolation::Disk { violation }),
     );
     violations.extend(
-        check_sched_ledger(&ledger.sched)
+        check_sched_ledger(&ledger.sched, ledger.total_cells)
             .into_iter()
             .map(|violation| CrossViolation::Sched { violation }),
     );
 
-    // Interaction oracle 1: acked-then-lost across a disk fault and a
-    // process kill. (With only the disk layer armed the disk book's
+    // The interaction oracle: acked-then-lost across a disk fault and
+    // a process kill. (With only the disk layer armed the disk book's
     // own AckedThenLost conviction stands alone.)
     let kills = ledger.service.kills + ledger.gateway.kills;
     if ledger.disk.acked_then_lost > 0 && ledger.layer_events[3] > 0 && kills > 0 {
@@ -1064,15 +713,20 @@ pub(crate) fn check_cross_ledger(ledger: &CrossLedger) -> Vec<CrossViolation> {
             kills,
         });
     }
-    // Interaction oracle 2: the global execution bound.
+    // The campaign book.
+    if ledger.completed + ledger.abandoned < ledger.total_cells || ledger.abandoned > 0 {
+        violations.push(CrossViolation::LostCell {
+            completed: ledger.completed,
+            abandoned: ledger.abandoned,
+            total: ledger.total_cells,
+        });
+    }
     if ledger.executed_true > ledger.exec_allowance {
         violations.push(CrossViolation::DuplicateExecutionAcrossLayers {
             executed: ledger.executed_true,
             allowance: ledger.exec_allowance,
         });
     }
-    // Interaction oracle 3: end-to-end byte identity. `None` never
-    // matches — two unreadable artifacts are not "identical".
     if ledger.artifact_digest.is_none()
         || ledger.reference_digest.is_none()
         || ledger.artifact_digest != ledger.reference_digest
@@ -1089,27 +743,71 @@ pub(crate) fn check_cross_ledger(ledger: &CrossLedger) -> Vec<CrossViolation> {
 mod tests {
     use super::*;
 
-    fn clean_ledger() -> ServiceLedger {
-        ServiceLedger {
-            total_cells: 48,
-            completed: 48,
-            executed: 48,
-            journal_preseeded: 0,
-            incarnations: 1,
-            artifact_digest: Some(0xfeed),
-            reference_digest: Some(0xfeed),
-            ..ServiceLedger::default()
+    /// A cross ledger whose every book and oracle holds: the fixture
+    /// the tests below perturb.
+    fn clean_cross_ledger() -> CrossLedger {
+        let digest = Some(0xABCD_u64);
+        CrossLedger {
+            md: None,
+            service: ServiceLedger {
+                incarnations: 1,
+                ..ServiceLedger::default()
+            },
+            gateway: GatewayLedger {
+                conns_opened: 5,
+                conns_closed: 5,
+                requests: 5,
+                incarnations: 1,
+                ..GatewayLedger::default()
+            },
+            disk: DiskLedger {
+                completed: 4,
+                ..DiskLedger::default()
+            },
+            sched: SchedLedger {
+                threads: 2,
+                journal_lines: 4,
+                pool_reusable: true,
+                ..SchedLedger::default()
+            },
+            layer_events: [1, 1, 1, 1, 1],
+            total_cells: 4,
+            completed: 4,
+            abandoned: 0,
+            executed_true: 4,
+            exec_allowance: 4,
+            artifact_digest: digest,
+            reference_digest: digest,
         }
+    }
+
+    /// Each layer armed alone, then all five.
+    const MASKS: [[usize; 5]; 6] = [
+        [1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 1],
+        [1, 1, 1, 1, 1],
+    ];
+
+    /// A fault planted in a clean ledger, and the one conviction it
+    /// must render.
+    type Plant = (fn(&mut CrossLedger), &'static str);
+
+    fn rendered(ledger: &CrossLedger) -> Vec<String> {
+        check_cross_ledger(ledger)
+            .iter()
+            .map(|v| v.to_string())
+            .collect()
     }
 
     #[test]
     fn service_oracles_pass_a_clean_ledger_and_licensed_rework() {
-        assert!(check_service_ledger(&clean_ledger()).is_empty());
+        assert!(check_service_ledger(&ServiceLedger::default()).is_empty());
         // A kill-resume run: one execution lost mid-cell, two results
         // torn away — three licensed re-executions, rest preseeded.
-        let ledger = ServiceLedger {
-            executed: 51,
-            lost_executions: 1,
+        let service = ServiceLedger {
             destroyed_results: 2,
             journal_preseeded: 30,
             cache_hits: 2,
@@ -1118,56 +816,24 @@ mod tests {
             kills: 2,
             stale_presented: 1,
             stale_rejected: 1,
-            ..clean_ledger()
+            ..ServiceLedger::default()
         };
-        assert!(check_service_ledger(&ledger).is_empty());
+        assert!(check_service_ledger(&service).is_empty());
+        let ledger = CrossLedger {
+            service,
+            executed_true: 7,
+            exec_allowance: 4 + 1 + 2,
+            ..clean_cross_ledger()
+        };
+        assert_eq!(rendered(&ledger), Vec::<String>::new());
     }
 
     #[test]
     fn service_oracles_catch_each_violation_class() {
-        let lost = ServiceLedger {
-            completed: 47,
-            ..clean_ledger()
-        };
-        assert!(matches!(
-            check_service_ledger(&lost)[..],
-            [ServiceViolation::LostCell { completed: 47, .. }]
-        ));
-        let abandoned = ServiceLedger {
-            completed: 47,
-            abandoned: 1,
-            ..clean_ledger()
-        };
-        assert!(
-            matches!(
-                check_service_ledger(&abandoned)[..],
-                [ServiceViolation::LostCell { abandoned: 1, .. }]
-            ),
-            "dead-letters are lost cells under the sampled space"
-        );
-        let dup = ServiceLedger {
-            executed: 49,
-            ..clean_ledger()
-        };
-        assert!(matches!(
-            check_service_ledger(&dup)[..],
-            [ServiceViolation::DuplicateExecution {
-                executed: 49,
-                allowance: 48
-            }]
-        ));
-        let mismatch = ServiceLedger {
-            artifact_digest: Some(0xdead),
-            ..clean_ledger()
-        };
-        assert!(matches!(
-            check_service_ledger(&mismatch)[..],
-            [ServiceViolation::ArtifactMismatch { .. }]
-        ));
         let stale = ServiceLedger {
             stale_presented: 2,
             stale_rejected: 1,
-            ..clean_ledger()
+            ..ServiceLedger::default()
         };
         assert!(matches!(
             check_service_ledger(&stale)[..],
@@ -1180,22 +846,17 @@ mod tests {
 
     fn clean_sched_ledger() -> SchedLedger {
         SchedLedger {
-            total_cells: 16,
-            completed: 16,
-            executed: 16,
             threads: 4,
             pool_tasks: 16,
             journal_lines: 16,
             pool_reusable: true,
-            artifact_digest: Some(0xfeed),
-            reference_digest: Some(0xfeed),
             ..SchedLedger::default()
         }
     }
 
     #[test]
     fn sched_oracles_pass_a_clean_ledger_and_recovered_panics() {
-        assert!(check_sched_ledger(&clean_sched_ledger()).is_empty());
+        assert!(check_sched_ledger(&clean_sched_ledger(), 16).is_empty());
         // A schedule whose injected panic was caught, its lease
         // reclaimed, the cell re-executed: no violation.
         let ledger = SchedLedger {
@@ -1203,56 +864,32 @@ mod tests {
             panics_caught: 1,
             panic_reclaimed: 3,
             pauses_taken: 2,
-            stale_presented: 1,
-            stale_rejected: 1,
             ..clean_sched_ledger()
         };
-        assert!(check_sched_ledger(&ledger).is_empty());
+        assert!(check_sched_ledger(&ledger, 16).is_empty());
     }
 
     #[test]
     fn sched_oracles_catch_each_violation_class() {
-        let lost = SchedLedger {
-            completed: 15,
-            journal_lines: 15,
-            ..clean_sched_ledger()
-        };
-        let got = check_sched_ledger(&lost);
-        assert!(got
-            .iter()
-            .any(|v| matches!(v, SchedViolation::LostTask { completed: 15, .. })));
-        assert!(got
-            .iter()
-            .any(|v| matches!(v, SchedViolation::DoubleCommit { .. })));
-
-        let doubled = SchedLedger {
-            journal_lines: 17,
-            ..clean_sched_ledger()
-        };
-        assert!(matches!(
-            check_sched_ledger(&doubled)[..],
-            [SchedViolation::DoubleCommit {
-                journal_lines: 17,
-                total: 16
-            }]
-        ));
-        let rerun = SchedLedger {
-            executed: 17,
-            ..clean_sched_ledger()
-        };
-        assert!(matches!(
-            check_sched_ledger(&rerun)[..],
-            [SchedViolation::DuplicateExecution {
-                executed: 17,
-                allowance: 16
-            }]
-        ));
+        for journal_lines in [15, 17] {
+            let miscounted = SchedLedger {
+                journal_lines,
+                ..clean_sched_ledger()
+            };
+            assert_eq!(
+                check_sched_ledger(&miscounted, 16),
+                [SchedViolation::DoubleCommit {
+                    journal_lines,
+                    total: 16
+                }]
+            );
+        }
         let escaped = SchedLedger {
             panics_injected: 1,
             ..clean_sched_ledger()
         };
         assert!(matches!(
-            check_sched_ledger(&escaped)[..],
+            check_sched_ledger(&escaped, 16)[..],
             [SchedViolation::PanicNotContained {
                 injected: 1,
                 caught: 0,
@@ -1266,42 +903,17 @@ mod tests {
             ..clean_sched_ledger()
         };
         assert!(matches!(
-            check_sched_ledger(&unreclaimed)[..],
+            check_sched_ledger(&unreclaimed, 16)[..],
             [SchedViolation::PanicNotContained { reclaimed: 0, .. }]
         ));
         let poisoned = SchedLedger {
             pool_reusable: false,
             ..clean_sched_ledger()
         };
-        assert!(matches!(
-            check_sched_ledger(&poisoned)[..],
+        assert_eq!(
+            check_sched_ledger(&poisoned, 16),
             [SchedViolation::PoolPoisoned]
-        ));
-        let stale = SchedLedger {
-            stale_presented: 1,
-            ..clean_sched_ledger()
-        };
-        assert!(matches!(
-            check_sched_ledger(&stale)[..],
-            [SchedViolation::StaleLeaseAccepted {
-                presented: 1,
-                rejected: 0
-            }]
-        ));
-        // An unreadable chaos artifact violates even when the
-        // reference is also unreadable.
-        let unreadable = SchedLedger {
-            artifact_digest: None,
-            reference_digest: None,
-            ..clean_sched_ledger()
-        };
-        assert!(matches!(
-            check_sched_ledger(&unreadable)[..],
-            [SchedViolation::ArtifactMismatch {
-                artifact: None,
-                reference: None
-            }]
-        ));
+        );
     }
 
     #[test]
@@ -1315,20 +927,20 @@ mod tests {
             (Some(0xfeed), None),
             (None, None), // both unreadable: the old digest-0 trap
         ] {
-            let ledger = ServiceLedger {
+            let ledger = CrossLedger {
                 artifact_digest: artifact,
                 reference_digest: reference,
-                ..clean_ledger()
+                ..clean_cross_ledger()
             };
             assert!(
                 matches!(
-                    check_service_ledger(&ledger)[..],
-                    [ServiceViolation::ArtifactMismatch { .. }]
+                    check_cross_ledger(&ledger)[..],
+                    [CrossViolation::DrainedArtifactDiverged { .. }]
                 ),
                 "artifact {artifact:?} vs reference {reference:?} must violate"
             );
         }
-        let v = ServiceViolation::ArtifactMismatch {
+        let v = CrossViolation::DrainedArtifactDiverged {
             artifact: None,
             reference: Some(0xfeed),
         };
@@ -1337,17 +949,12 @@ mod tests {
 
     fn clean_gateway_ledger() -> GatewayLedger {
         GatewayLedger {
-            total_cells: 6,
-            completed: 6,
-            executed: 6,
             conns_opened: 9,
             conns_closed: 9,
             requests: 3,
             rejected: 4,
             shed: 2,
             incarnations: 1,
-            artifact_digest: Some(0xfeed),
-            reference_digest: Some(0xfeed),
             ..GatewayLedger::default()
         }
     }
@@ -1357,14 +964,12 @@ mod tests {
         assert!(check_gateway_ledger(&clean_gateway_ledger()).is_empty());
         // A kill-resume run: one execution lost with the process, one
         // licensed re-execution, a second incarnation.
-        let killed = GatewayLedger {
-            executed: 7,
-            lost_executions: 1,
+        let gateway = GatewayLedger {
             kills: 1,
             incarnations: 2,
             ..clean_gateway_ledger()
         };
-        assert!(check_gateway_ledger(&killed).is_empty());
+        assert!(check_gateway_ledger(&gateway).is_empty());
     }
 
     #[test]
@@ -1373,58 +978,29 @@ mod tests {
             panics: 1,
             ..clean_gateway_ledger()
         };
-        assert!(matches!(
-            check_gateway_ledger(&panicked)[..],
+        assert_eq!(
+            check_gateway_ledger(&panicked),
             [GatewayViolation::Panic { count: 1 }]
-        ));
+        );
         let leak = GatewayLedger {
             conns_closed: 8,
             ..clean_gateway_ledger()
         };
-        assert!(matches!(
-            check_gateway_ledger(&leak)[..],
+        assert_eq!(
+            check_gateway_ledger(&leak),
             [GatewayViolation::FdLeak {
                 opened: 9,
                 closed: 8
             }]
-        ));
+        );
         let overrun = GatewayLedger {
             deadline_overruns: 2,
             ..clean_gateway_ledger()
         };
-        assert!(matches!(
-            check_gateway_ledger(&overrun)[..],
+        assert_eq!(
+            check_gateway_ledger(&overrun),
             [GatewayViolation::DeadlineOverrun { count: 2 }]
-        ));
-        let lost = GatewayLedger {
-            completed: 5,
-            ..clean_gateway_ledger()
-        };
-        assert!(matches!(
-            check_gateway_ledger(&lost)[..],
-            [GatewayViolation::LostCell { completed: 5, .. }]
-        ));
-        let dup = GatewayLedger {
-            executed: 7,
-            ..clean_gateway_ledger()
-        };
-        assert!(matches!(
-            check_gateway_ledger(&dup)[..],
-            [GatewayViolation::DuplicateExecution {
-                executed: 7,
-                allowance: 6
-            }]
-        ));
-        for artifact in [Some(0xdead), None] {
-            let mismatch = GatewayLedger {
-                artifact_digest: artifact,
-                ..clean_gateway_ledger()
-            };
-            assert!(matches!(
-                check_gateway_ledger(&mismatch)[..],
-                [GatewayViolation::ArtifactMismatch { .. }]
-            ));
-        }
+        );
     }
 
     #[test]
@@ -1432,8 +1008,6 @@ mod tests {
         let ledger = GatewayLedger {
             kills: 1,
             incarnations: 2,
-            lost_executions: 1,
-            executed: 7,
             ..clean_gateway_ledger()
         };
         let parsed: GatewayLedger =
@@ -1444,10 +1018,7 @@ mod tests {
                 opened: 2,
                 closed: 1,
             },
-            GatewayViolation::ArtifactMismatch {
-                artifact: None,
-                reference: Some(2),
-            },
+            GatewayViolation::DeadlineOverrun { count: 3 },
         ];
         let parsed: Vec<GatewayViolation> =
             serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap();
@@ -1457,24 +1028,21 @@ mod tests {
 
     #[test]
     fn digests_above_i64_max_round_trip_exactly_and_old_rounded_lines_still_load() {
-        let ledger = ServiceLedger {
+        let ledger = CrossLedger {
             artifact_digest: Some(11195938974252812389),
             reference_digest: Some(u64::MAX),
-            ..clean_ledger()
+            ..clean_cross_ledger()
         };
         let json = serde_json::to_string(&ledger).unwrap();
         assert!(
             json.contains("\"artifact_digest\":11195938974252812389"),
             "{json}"
         );
-        assert_eq!(
-            serde_json::from_str::<ServiceLedger>(&json).unwrap(),
-            ledger
-        );
+        assert_eq!(serde_json::from_str::<CrossLedger>(&json).unwrap(), ledger);
         // What the writer printed before `u64` was exact: the digest
         // rounded through `f64`. Such a journal line must still resume.
         let old = json.replace("11195938974252812389", "11195938974252812000");
-        let parsed: ServiceLedger = serde_json::from_str(&old).unwrap();
+        let parsed: CrossLedger = serde_json::from_str(&old).unwrap();
         assert_eq!(parsed.artifact_digest, Some(11195938974252812000));
     }
 
@@ -1484,99 +1052,57 @@ mod tests {
             duplicate_results: 1,
             dropped_lines: 3,
             cache_corruption_caught: 1,
-            ..clean_ledger()
+            ..ServiceLedger::default()
         };
         let parsed: ServiceLedger =
             serde_json::from_str(&serde_json::to_string(&ledger).unwrap()).unwrap();
         assert_eq!(parsed, ledger);
         let v = vec![
-            ServiceViolation::LostCell {
+            CrossViolation::Service {
+                violation: ServiceViolation::StaleLeaseAccepted {
+                    presented: 2,
+                    rejected: 1,
+                },
+            },
+            CrossViolation::LostCell {
                 completed: 1,
                 abandoned: 0,
                 total: 2,
             },
-            ServiceViolation::ArtifactMismatch {
+            CrossViolation::DrainedArtifactDiverged {
                 artifact: Some(1),
                 reference: Some(2),
             },
         ];
-        let parsed: Vec<ServiceViolation> =
+        let parsed: Vec<CrossViolation> =
             serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap();
         assert_eq!(parsed, v);
-        assert!(v[0].to_string().contains("lost cell"));
+        assert_eq!(
+            v[0].to_string(),
+            "service: stale lease accepted: 1/2 rejected"
+        );
+        assert_eq!(
+            v[1].to_string(),
+            "cross: lost cell: 1 completed + 0 abandoned of 2"
+        );
     }
 
     #[test]
     fn a_planted_disk_artifact_mismatch_is_convicted() {
         // A ledger whose digests disagree must always be convicted:
-        // the oracle itself, not a driver, is under test here.
-        let ledger = DiskLedger {
-            total_cells: 1,
-            completed: 1,
-            executed: 1,
+        // the oracle itself, not a driver, is under test here. The
+        // artifact is the campaign's, so a disk-only schedule
+        // convicts it once, in the campaign book.
+        let ledger = CrossLedger {
+            layer_events: [0, 0, 0, 1, 0],
             artifact_digest: Some(1),
             reference_digest: Some(2),
-            ..DiskLedger::default()
+            ..clean_cross_ledger()
         };
-        assert!(matches!(
-            check_disk_ledger(&ledger)[..],
-            [DiskViolation::ArtifactMismatch { .. }]
-        ));
-    }
-
-    /// A cross ledger whose every sub-book and interaction bound
-    /// holds: the fixture the cross-oracle tests perturb.
-    fn clean_cross_ledger() -> CrossLedger {
-        let digest = Some(0xABCD_u64);
-        CrossLedger {
-            md: None,
-            service: ServiceLedger {
-                total_cells: 4,
-                completed: 4,
-                executed: 4,
-                incarnations: 1,
-                artifact_digest: digest,
-                reference_digest: digest,
-                ..ServiceLedger::default()
-            },
-            gateway: GatewayLedger {
-                total_cells: 4,
-                completed: 4,
-                executed: 4,
-                conns_opened: 5,
-                conns_closed: 5,
-                requests: 5,
-                incarnations: 1,
-                artifact_digest: digest,
-                reference_digest: digest,
-                ..GatewayLedger::default()
-            },
-            disk: DiskLedger {
-                total_cells: 4,
-                completed: 4,
-                executed: 4,
-                incarnations: 1,
-                artifact_digest: digest,
-                reference_digest: digest,
-                ..DiskLedger::default()
-            },
-            sched: SchedLedger {
-                total_cells: 4,
-                completed: 4,
-                executed: 4,
-                threads: 2,
-                journal_lines: 4,
-                pool_reusable: true,
-                artifact_digest: digest,
-                reference_digest: digest,
-                ..SchedLedger::default()
-            },
-            layer_events: [1, 1, 1, 1, 1],
-            executed_true: 4,
-            exec_allowance: 4,
-            artifact_digest: digest,
-            reference_digest: digest,
-        }
+        assert_eq!(
+            rendered(&ledger),
+            ["cross: drained artifact 0000000000000001 != serial reference 0000000000000002"]
+        );
     }
 
     #[test]
@@ -1645,51 +1171,132 @@ mod tests {
 
     #[test]
     fn one_execution_more_than_the_licence_convicts_under_every_one_layer_mask() {
-        for layer in 1..5 {
+        for mask in MASKS {
             let mut ledger = clean_cross_ledger();
-            ledger.layer_events = [0; 5];
-            ledger.layer_events[layer] = 1;
+            ledger.layer_events = mask;
             ledger.service.kills = 1;
             ledger.service.destroyed_results = 1;
             // A kill stranded one execution, a tear destroyed one
-            // line: six executions of four cells are licensed, by
-            // every layer's own bound, the scheduler's included.
-            ledger.post_executions(6, 0, 1);
-            assert_eq!(ledger.exec_allowance, 6);
-            let violations = check_cross_ledger(&ledger);
-            assert!(
-                violations.is_empty(),
-                "licensed re-execution convicted: {violations:?}"
-            );
-            // The seventh is not, and every book says so.
-            ledger.post_executions(7, 0, 1);
-            let rendered: Vec<String> = check_cross_ledger(&ledger)
-                .iter()
-                .map(|v| v.to_string())
-                .collect();
+            // line: six executions of four cells are licensed.
+            ledger.executed_true = 6;
+            ledger.exec_allowance = 4 + 1 + 1;
+            assert_eq!(rendered(&ledger), Vec::<String>::new(), "mask {mask:?}");
+            // The seventh is not, and the one execution book says so
+            // once.
+            ledger.executed_true = 7;
             assert_eq!(
-                rendered,
-                [
-                    "service: duplicate execution: 7 ran, 6 allowed",
-                    "transport: duplicate execution: 7 ran, 6 allowed",
-                    "disk: duplicate execution: 7 ran, 6 allowed",
-                    "sched: duplicate execution: 5 committed, 4 allowed",
-                    "cross: duplicate execution: 7 ran, 6 licensed across layers",
-                ],
-                "layer {layer}: every book must convict, and only of this"
+                rendered(&ledger),
+                ["cross: duplicate execution: 7 ran, 6 licensed across layers"],
+                "mask {mask:?}: one fact, one conviction"
             );
             // A flood campaign's cell is its own first execution, not
             // a re-execution of the canonical campaign's.
-            ledger.post_executions(7, 1, 1);
-            assert!(check_cross_ledger(&ledger).is_empty());
-            // Every other sched oracle still lifts into the union.
+            ledger.exec_allowance += 1;
+            assert_eq!(rendered(&ledger), Vec::<String>::new(), "mask {mask:?}");
+            // The scheduler's own oracle still lifts into the union.
             ledger.sched.journal_lines = 6;
-            assert!(check_cross_ledger(&ledger).iter().any(|v| matches!(
-                v,
-                CrossViolation::Sched {
-                    violation: SchedViolation::DoubleCommit { .. }
-                }
-            )));
+            assert_eq!(
+                rendered(&ledger),
+                ["sched: commit miscount: 6 artifact lines for 4 cells"],
+                "mask {mask:?}"
+            );
+        }
+    }
+
+    /// Every violation class convicts exactly once, whichever layers
+    /// are armed: the campaign-level classes (lost cell, duplicate
+    /// execution, a mismatched or unreadable artifact) in the campaign
+    /// book, every other class in the one book its layer fills.
+    #[test]
+    fn every_violation_class_convicts_once_under_every_mask() {
+        let cases: &[Plant] = &[
+            (
+                |l| l.completed = 3,
+                "cross: lost cell: 3 completed + 0 abandoned of 4",
+            ),
+            (
+                |l| (l.completed, l.abandoned) = (3, 1),
+                "cross: lost cell: 3 completed + 1 abandoned of 4",
+            ),
+            (
+                |l| l.executed_true = 5,
+                "cross: duplicate execution: 5 ran, 4 licensed across layers",
+            ),
+            (
+                |l| l.artifact_digest = Some(0xdead),
+                "cross: drained artifact 000000000000dead != serial reference 000000000000abcd",
+            ),
+            (
+                |l| l.artifact_digest = None,
+                "cross: drained artifact <unreadable> != serial reference 000000000000abcd",
+            ),
+            (
+                |l| (l.artifact_digest, l.reference_digest) = (None, None),
+                "cross: drained artifact <unreadable> != serial reference <unreadable>",
+            ),
+            (
+                |l| l.service.stale_presented = 1,
+                "service: stale lease accepted: 0/1 rejected",
+            ),
+            (
+                |l| l.gateway.panics = 1,
+                "transport: handler panicked 1 time(s)",
+            ),
+            (
+                |l| l.gateway.conns_closed = 4,
+                "transport: fd leak: 5 opened, 4 closed",
+            ),
+            (
+                |l| l.gateway.deadline_overruns = 2,
+                "transport: deadline overrun: 2 op(s) past the deadline",
+            ),
+            // The post-mortem reopen recovered a cell short while the
+            // drained instance reads complete: the disk's own oracle.
+            (
+                |l| l.disk.completed = 3,
+                "disk: lost cell: 3 completed + 0 abandoned of 4",
+            ),
+            (
+                |l| l.disk.acked_then_lost = 1,
+                "disk: acked then lost: 1 durable results vanished",
+            ),
+            (
+                |l| l.disk.corrupt_accepted = 1,
+                "disk: corrupt accept: 1 recovered results differ from re-execution",
+            ),
+            (
+                |l| l.disk.panics = 1,
+                "disk: panic under disk fault: 1 caught",
+            ),
+            (
+                |l| l.disk.disk.poisoned_publishes = 1,
+                "disk: post-failed-fsync trust: 1 poisoned files published",
+            ),
+            // A wrong artifact line count: the sched book's own oracle.
+            (
+                |l| l.sched.journal_lines = 5,
+                "sched: commit miscount: 5 artifact lines for 4 cells",
+            ),
+            (
+                |l| l.sched.panics_injected = 1,
+                "sched: panic not contained: 0/1 caught, 0 leases reclaimed",
+            ),
+            (
+                |l| (l.sched.panics_injected, l.sched.panics_caught) = (1, 1),
+                "sched: panic not contained: 1/1 caught, 0 leases reclaimed",
+            ),
+            (
+                |l| l.sched.pool_reusable = false,
+                "sched: pool poisoned after contained panic",
+            ),
+        ];
+        for mask in MASKS {
+            for (plant, expected) in cases {
+                let mut ledger = clean_cross_ledger();
+                ledger.layer_events = mask;
+                plant(&mut ledger);
+                assert_eq!(rendered(&ledger), [*expected], "mask {mask:?}");
+            }
         }
     }
 }

@@ -26,10 +26,7 @@ pub mod minimize;
 pub mod plan;
 
 pub use conductor::{run_composed_chaos, ComposedChaosReport};
-pub use ledger::{
-    check_disk_ledger, CrossLedger, CrossViolation, DiskLedger, DiskViolation, GatewayLedger,
-    SchedLedger, ServiceLedger,
-};
+pub use ledger::{check_disk_ledger, CrossLedger, CrossViolation, DiskLedger, DiskViolation};
 pub use minimize::{minimize_composed, CrossReproducer};
 pub use plan::{
     ComposedFaultSpace, ComposedPlan, DiskFaultSpace, Layer, LayerMask, SchedFaultSpace,

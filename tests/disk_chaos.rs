@@ -151,15 +151,11 @@ fn disk_chaos_is_deterministic_in_seed_and_index() {
 fn a_poisoned_publish_is_always_convicted() {
     use cpc_chaos::{check_disk_ledger, DiskLedger, DiskViolation};
     let mut ledger = DiskLedger {
-        total_cells: 1,
         completed: 1,
-        executed: 1,
-        artifact_digest: Some(42),
-        reference_digest: Some(42),
         ..DiskLedger::default()
     };
     ledger.disk.poisoned_publishes = 1;
-    let violations = check_disk_ledger(&ledger);
+    let violations = check_disk_ledger(&ledger, 1, 0);
     assert!(violations
         .iter()
         .any(|v| matches!(v, DiskViolation::PoisonedPublish { .. })));
